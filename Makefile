@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-profile bench-compare bench-figures lint lint-report lint-baseline contracts help
+.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-layered-smoke bench-profile bench-compare bench-figures lint lint-report lint-baseline contracts help
 
 help:
 	@echo "install       editable install"
@@ -19,6 +19,7 @@ help:
 	@echo "contracts     contract sanitizer only: mirror/kernel/digest drift (CON001..CON003)"
 	@echo "bench         all benchmarks (figures + ablations + microbench)"
 	@echo "bench-smoke   engine microbenchmarks, low rounds, JSON for CI trends"
+	@echo "bench-layered-smoke  two workloads of benchmarks/layered for 2 s each; fails unless both print \"correct\": true"
 	@echo "bench-profile harness suite under cProfile (pstats under benchmarks/results/)"
 	@echo "bench-compare harness suite vs committed BENCH_8.json (regression gate)"
 	@echo "bench-figures just the paper figures (results under benchmarks/results/)"
@@ -103,6 +104,19 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_bench_engine.py --benchmark-only \
 		--benchmark-disable-gc --benchmark-min-rounds=3 --benchmark-warmup=off \
 		--benchmark-json=benchmarks/results/bench-smoke.json
+
+# The repo's benchmark (BENCHMARK.json, benchmarks/layered/README.md), cut
+# short: one packet-tier and one flow-tier workload, 2 s each.  Not a speed
+# measurement -- a gate that the benchmark still runs on this tree and that
+# its output checks (conservation, samples, the reference model's digest)
+# still pass: the last stdout line of each run must say "correct": true.
+bench-layered-smoke:
+	@for workload in pkt-clirs-r95 flow-tor-faults; do \
+		out=$$($(PYTHON) benchmarks/layered/run.py --workload $$workload \
+			--seed 1 --seconds 2 --trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | tail -n 1; \
+		echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1; \
+	done
 
 bench-profile:
 	mkdir -p benchmarks/results

@@ -9,6 +9,7 @@ with the same seed see the same deployment, fluctuations and workload.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -352,6 +353,7 @@ def _build_clients(
         else None
     )
     clients: List[KVClient] = []
+    request_ids = itertools.count(1)  # one sequence per scenario
     for name in client_hosts:
         selector = create_selector(
             config.algorithm,
@@ -379,6 +381,7 @@ def _build_clients(
                 read_quorum=config.effective_read_quorum(),
                 request_timeout=config.request_timeout,
                 max_retries=config.max_retries,
+                request_ids=request_ids,
             )
         )
     return clients

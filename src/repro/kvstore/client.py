@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.kvstore.hashing import ConsistentHashRing
@@ -29,9 +29,6 @@ from repro.selection.base import ReplicaSelector
 from repro.sim.core import Environment
 from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import DrawSource
-
-#: Shared generator of globally unique request IDs.
-_request_ids = itertools.count(1)
 
 #: Cap on the exponential retry backoff, as a multiple of the base timeout:
 #: the k-th retransmission waits ``min(2**k, _BACKOFF_CAP) * request_timeout``
@@ -138,6 +135,7 @@ class KVClient:
         "netrs",
         "redundancy",
         "_draws",
+        "_request_ids",
         "write_recorder",
         "write_quorum",
         "read_quorum",
@@ -183,6 +181,7 @@ class KVClient:
         read_quorum: int = 1,
         request_timeout: Optional[float] = None,
         max_retries: int = 0,
+        request_ids: Optional[Iterator[int]] = None,
     ) -> None:
         if redundancy is not None and netrs:
             raise ConfigurationError(
@@ -203,6 +202,12 @@ class KVClient:
         self.netrs = netrs
         self.redundancy = redundancy
         self._draws = rng
+        # Request IDs feed the ECMP flow key and break LWW version ties, so
+        # they must be unique among the clients of one scenario, which pass
+        # one shared counter, and must not depend on anything outside it.
+        self._request_ids = (
+            request_ids if request_ids is not None else itertools.count(1)
+        )
         self.write_recorder = write_recorder
         if write_quorum is not None and write_quorum < 1:
             raise ConfigurationError("write_quorum must be >= 1")
@@ -254,7 +259,7 @@ class KVClient:
     def issue(self, key: int, record: bool = True) -> int:
         """Issue one read request for ``key``; returns the request ID."""
         rgid, replicas = self.ring.group_for_key(key)
-        request_id = next(_request_ids)
+        request_id = next(self._request_ids)
         now = self.env.now
         if self.netrs:
             # The client only supplies the backup replica; the in-network
@@ -337,7 +342,7 @@ class KVClient:
                 f"write quorum {quorum} exceeds replication factor "
                 f"{len(replicas)}"
             )
-        request_id = next(_request_ids)
+        request_id = next(self._request_ids)
         now = self.env.now
         entry = _Outstanding(
             key=key,
@@ -631,7 +636,7 @@ class KVClient:
         advance the completion tracker -- they are background traffic, not
         workload.
         """
-        request_id = next(_request_ids)
+        request_id = next(self._request_ids)
         now = self.env.now
         repair = _Outstanding(
             key=entry.key,

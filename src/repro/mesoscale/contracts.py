@@ -174,7 +174,7 @@ MIRROR_PAIRS = (
         ),
         drop_mirror=("engine = self.engine",),
         equivalences=(
-            ("request_id = next(_request_ids)", "request_id = next(engine._ids)"),
+            ("request_id = next(self._request_ids)", "request_id = next(engine._ids)"),
             (
                 "backup = self.selector.select(replicas, now)",
                 "self.selector.select(replicas, now)",

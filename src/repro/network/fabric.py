@@ -89,7 +89,6 @@ class Network:
         "_faulty",
         "_trunking",
         "_pending_trunks",
-        "_trunk_plans",
         "_kernels",
     )
 
@@ -110,7 +109,11 @@ class Network:
             raise ValueError("link_bandwidth must be positive (bits/second)")
         self.env = env
         self.topology = topology
-        self.router = Router(topology, path_cache_size=route_cache_size)
+        self.router = Router(
+            topology,
+            path_cache_size=route_cache_size,
+            compile_route=self._compile_route,
+        )
         self.switch_link_latency = switch_link_latency
         self.host_link_latency = host_link_latency
         self.link_bandwidth = link_bandwidth
@@ -153,17 +156,14 @@ class Network:
         self._dead_links: set = set()
         self._degraded_links: Dict[Tuple[str, str], float] = {}
         self._faulty = False
-        # Trunk collapse (transmit_fast): disabled for fault runs -- a
-        # collapsed trunk commits to its path at send time, which would let
-        # a packet sail over a link that dies while it is in flight.
+        # Trunk collapse (send_from_host, transmit_fast): disabled for fault
+        # runs -- a collapsed trunk commits to its path at send time, which
+        # would let a packet sail over a link that dies while it is in flight.
         self._trunking = True
         # In-flight collapsed trunks whose eager accounting may need to be
         # unwound if the run stops before their hops would have executed
         # (see settle_trunks).  Pruned as deliveries pass.
         self._pending_trunks: deque = deque()
-        # Memoized walk outcomes keyed on (route id, position, endpoints,
-        # packet steering fields); see transmit_fast.
-        self._trunk_plans: Dict[tuple, tuple] = {}
         # Compiled kernel module (repro.sim.backend); None = reference loops.
         self._kernels: Optional[Any] = None
 
@@ -281,125 +281,152 @@ class Network:
         else:
             heappush(env._heap, entry)
 
-    def transmit_fast(
-        self,
-        from_name: str,
-        to_name: str,
-        packet: Packet,
-        from_host: bool = False,
+    def _compile_route(self, names: Tuple[str, ...]) -> Optional[tuple]:
+        """The switch objects behind a route's names (the router's hook).
+
+        ``None`` -- forward hop by hop -- when a name has no device yet or
+        its device is not a switch (a test double): only a real switch's
+        receive pipeline is known to be skippable.
+        """
+        devices = []
+        for name in names:
+            device = self._devices.get(name)
+            if getattr(device, "is_tor", None) is None:
+                return None
+            devices.append(device)
+        return tuple(devices)
+
+    def send_from_host(
+        self, host_name: str, tor_name: str, packet: Packet
     ) -> None:
-        """Like :meth:`transmit`, but collapses runs of transparent hops.
+        """Inject a host's packet through its ToR uplink: express delivery.
 
         Under the paper-default fabric (equal link latencies, no bandwidth
-        model, no per-link accounting, no active link faults) a packet
-        crossing k "mechanical" switches -- switches whose receive pipeline
-        would only bump counters and follow the attached source route --
-        produces k identical scheduler events.  This entry point walks the
-        route up front, performs the per-device accounting the skipped
-        receive calls would have done, and schedules a single delivery at
-        the cumulative delay ``k * d``.  A device that would do anything
-        beyond mechanical forwarding (operator intercept, route
-        recomputation, ToR ingress stamping, monitor egress, faults,
-        bandwidth queues) ends the trunk and is delivered to normally, so
-        event timing, counters, and tie-breaking seqs along a request chain
-        are exactly what the hop-by-hop path produces.
+        model, no per-link accounting, no active link faults) every switch
+        between two hosts is *mechanical* for a packet the ingress ToR does
+        not stamp: its receive pipeline would only bump counters and follow
+        the route, one scheduler event per hop.  One forwarding-table lookup
+        yields the switches of the whole path; their accounting is done here
+        and a single delivery to the destination host is scheduled at the
+        chained per-hop delay, so event timing, counters and tie-breaking
+        seqs are exactly what hop-by-hop forwarding produces.  NetRS
+        requests, responses and monitor-labelled packets are stamped by the
+        ToR and take the per-hop path into it.
         """
-        delay = self._fast_delay
-        if delay is None or self._faulty or not self._trunking:
-            self.transmit(from_name, to_name, packet)
-            return
         magic = packet.magic
-        if from_host and (
-            magic == MAGIC_REQUEST
+        dst = packet.dst
+        if not (
+            self._fast_delay is None
+            or self._faulty
+            or not self._trunking
+            or dst is None
+            or magic == MAGIC_REQUEST
             or magic == MAGIC_RESPONSE
             or magic == MAGIC_MONITOR
         ):
-            # First hop into a ToR stamps these (RSNode ID / source marker):
-            # not mechanical, take the regular path.
+            tor = self._devices.get(tor_name)
+            receive = self._receivers.get(dst)
+            switches = self.router.forwarding_route(
+                tor_name, dst, packet.flow_key()
+            ).devices
+            if (
+                receive is not None
+                and switches is not None
+                and getattr(tor, "is_tor", None) is not None
+            ):
+                absorbed = (tor,) + switches
+                egress = absorbed[-1]
+                if dst in egress._attached_hosts:
+                    packet.hops += len(switches)  # all but the egress ToR
+                    self._deliver_trunk(packet, absorbed, receive, egress.name)
+                    return
+        # Per-hop fabric, a packet the ToR stamps, or devices that are
+        # unattached or no switches: hop-by-hop forwarding delivers as far
+        # as it can and raises where the reference would.
+        self.transmit(host_name, tor_name, packet)
+
+    def transmit_fast(
+        self, from_name: str, to_name: str, packet: Packet
+    ) -> None:
+        """Like :meth:`transmit` from a switch, collapsing mechanical hops.
+
+        The packet follows ``packet.route`` (``to_name`` is the hop it just
+        advanced to).  The route's compiled switches give the run that would
+        only bump counters and forward: for NetRS requests and responses,
+        up to the operator that intercepts them; for everything else, to
+        the egress ToR and -- unless its monitor observes the packet -- on
+        to the destination host.  The run is accounted here and one
+        delivery scheduled past it (see :meth:`send_from_host`); a device
+        that would do anything else is delivered to normally.
+        """
+        devices = packet.route.devices
+        if (
+            self._fast_delay is None
+            or self._faulty
+            or not self._trunking
+            or devices is None
+        ):
             self.transmit(from_name, to_name, packet)
             return
-        route = packet.route
-        pos = packet.route_pos
-        dst = packet.dst
-        # Trunk plans repeat: routes are shared cached lists from the
-        # router, and the walk outcome is a pure function of the plan key
-        # (everything it reads -- directory, attached hosts, monitors,
-        # operator IDs -- is frozen after build).  The plan holds a strong
-        # reference to the route list, which pins its id().
-        plan_key = (
-            id(route), pos, from_name, to_name, magic,
-            packet.rsnode_id, packet.route_target, dst,
-        )
-        plan = self._trunk_plans.get(plan_key)
-        if plan is not None:
-            absorbed, hops, receive, prev, pos_after, hop_bumps = plan[1:]
-            for device in absorbed:
-                device.packets_forwarded += 1
-            packet.hops += hop_bumps
-            packet.route_pos = pos_after
+        start = packet.route_pos - 1  # devices[start] is the device at to_name
+        last = len(devices) - 1
+        end = start
+        magic = packet.magic
+        receive = None
+        if magic == MAGIC_REQUEST or magic == MAGIC_RESPONSE:
+            # The route ends at the operator, which always gets a delivery.
+            rsnode_id = packet.rsnode_id
+            target = packet.route_target
+            while end < last:
+                device = devices[end]
+                if (
+                    rsnode_id == device.operator_id
+                    or device._operator_directory.get(rsnode_id) != target
+                ):
+                    break  # intercept, unknown ID or re-route: not mechanical
+                end += 1
         else:
-            devices = self._devices
-            netrs_kind = magic == MAGIC_REQUEST or magic == MAGIC_RESPONSE
-            hops = 1
-            hop_bumps = 0
-            prev = from_name
-            recv_name = to_name
-            absorbed = []
-            while True:
-                device = devices.get(recv_name)
-                if device is None:
-                    # No device attached: fall back for the error behaviour.
-                    self.transmit(from_name, to_name, packet)
-                    return
-                if getattr(device, "is_tor", None) is None:
-                    break  # a host (or a test double): deliver here
-                if netrs_kind:
-                    if packet.rsnode_id == device.operator_id:
-                        break  # operator intercept: full pipeline runs there
-                    target = device._operator_directory.get(packet.rsnode_id)
-                    if target is None or packet.route_target != target:
-                        break  # unknown ID / route recompute: not mechanical
-                else:
-                    if dst is None:
-                        break  # the switch raises RoutingError; let it
-                    if dst in device._attached_hosts:
-                        # Egress ToR.  Monitor observation is not mechanical.
-                        if (
-                            device.monitor is not None
-                            and magic == MAGIC_MONITOR
-                            and packet.source_marker is not None
-                        ):
-                            break
-                        device.packets_forwarded += 1
-                        absorbed.append(device)
-                        prev = recv_name
-                        recv_name = dst
-                        hops += 1
-                        continue  # next device is the host; loop exits there
-                    if packet.route_target != dst:
-                        break  # route recompute: not mechanical
-                try:
-                    next_hop = route[pos]
-                except IndexError:
-                    break  # exhausted route: the switch raises RoutingError
-                device.packets_forwarded += 1
-                absorbed.append(device)
-                packet.hops += 1
-                hop_bumps += 1
-                pos += 1
-                hops += 1
-                prev = recv_name
-                recv_name = next_hop
-            packet.route_pos = pos
-            pos_after = pos
-            receive = self._receivers[recv_name]
-            absorbed = tuple(absorbed)
-            plans = self._trunk_plans
-            if len(plans) >= 65536:
-                plans.clear()  # unbounded-key safety valve; never hit in runs
-            plans[plan_key] = (
-                route, absorbed, hops, receive, prev, pos_after, hop_bumps
-            )
+            end = last
+            egress = devices[last]
+            dst = packet.dst
+            if dst in egress._attached_hosts and not (
+                egress.monitor is not None
+                and magic == MAGIC_MONITOR
+                and packet.source_marker is not None
+            ):
+                receive = self._receivers.get(dst)
+        if receive is not None:
+            absorbed = devices[start:]
+            prev = egress.name
+            packet.hops += last - start  # the egress ToR bumps no hop count
+        elif end > start:
+            absorbed = devices[start:end]
+            names = packet.route.names
+            receive = self._receivers[names[end]]
+            prev = names[end - 1]
+            packet.hops += end - start
+        else:
+            self.transmit(from_name, to_name, packet)
+            return
+        packet.route_pos = end + 1
+        self._deliver_trunk(packet, absorbed, receive, prev)
+
+    def _deliver_trunk(
+        self,
+        packet: Packet,
+        absorbed: tuple,
+        receive: Callable[[Packet, str], None],
+        prev: str,
+    ) -> None:
+        """Account a run of mechanical switches and schedule what follows it.
+
+        ``absorbed`` are the switches skipped (at least one), ``receive`` the
+        device delivered to after them, ``prev`` the name it sees the packet
+        arrive from.
+        """
+        for device in absorbed:
+            device.packets_forwarded += 1
+        hops = len(absorbed) + 1
         # Wire accounting once for the whole trunk (size is invariant along
         # it: nothing that changes sizing fields is mechanical).
         common = 0
@@ -407,7 +434,7 @@ class Network:
             common += _SIZE_RGID
         if packet.source_marker is not None:
             common += _SIZE_SM
-        if magic != MAGIC_PLAIN:
+        if packet.magic != MAGIC_PLAIN:
             overhead = _SIZE_FIXED_NETRS + common
             size = _SIZE_UDP_HEADERS + overhead
         else:
@@ -423,25 +450,23 @@ class Network:
         self.netrs_overhead_bytes += overhead * hops
         env = self.env
         now = env._now
-        if hops == 1:
-            when = now + delay
+        delay = self._fast_delay
+        # Chained additions, not ``now + delay * hops``: hop-by-hop
+        # forwarding accumulates the delay one event at a time, and the
+        # two float sums differ in the last ulp.  Byte-identity with the
+        # reference path requires reproducing the chain exactly (the
+        # compiled kernel performs the identical chain).
+        kernels = self._kernels
+        if kernels is not None:
+            when = kernels.chained_arrival(now, delay, hops)
         else:
-            # Chained additions, not ``now + delay * hops``: hop-by-hop
-            # forwarding accumulates the delay one event at a time, and the
-            # two float sums differ in the last ulp.  Byte-identity with the
-            # reference path requires reproducing the chain exactly (the
-            # compiled kernel performs the identical chain).
-            kernels = self._kernels
-            if kernels is not None:
-                when = kernels.chained_arrival(now, delay, hops)
-            else:
-                when = now
-                for _ in range(hops):
-                    when += delay
-            pending = self._pending_trunks
-            while pending and pending[0][6] < now:
-                pending.popleft()  # delivered; accounting is final
-            pending.append((now, delay, hops, size, overhead, absorbed, when))
+            when = now
+            for _ in range(hops):
+                when += delay
+        pending = self._pending_trunks
+        while pending and pending[0][6] < now:
+            pending.popleft()  # delivered; accounting is final
+        pending.append((now, delay, hops, size, overhead, absorbed, when))
         # Inlined Environment.post_in, as in transmit().
         env._seq += 1
         dq = env._dq
@@ -464,7 +489,7 @@ class Network:
     def settle_trunks(self, stop_time: float) -> None:
         """Unwind eager trunk accounting past the end of the run.
 
-        ``transmit_fast`` accounts every hop of a trunk at send time; the
+        ``_deliver_trunk`` accounts every hop of a trunk at send time; the
         reference path accounts hop ``i`` only when hop ``i``'s forwarding
         event executes.  When the run stops at ``stop_time`` with trunks in
         flight, the hops that would have executed at or after ``stop_time``

@@ -32,8 +32,7 @@ class Host:
         "endpoint",
         "packets_sent",
         "packets_received",
-        "_transmit",
-        "_transmit_fast",
+        "_inject",
     )
 
     def __init__(self, name: str, network: Network) -> None:
@@ -43,9 +42,8 @@ class Host:
         self.endpoint: Optional[Endpoint] = None
         self.packets_sent = 0
         self.packets_received = 0
-        # Pre-bound fabric entry points for the per-packet injection path.
-        self._transmit = network.transmit
-        self._transmit_fast = network.transmit_fast
+        # Pre-bound fabric entry point for the per-packet injection path.
+        self._inject = network.send_from_host
         network.attach(name, self)
 
     def bind(self, endpoint: Endpoint) -> None:
@@ -57,23 +55,13 @@ class Host:
     def send(self, packet: Packet) -> None:
         """Inject a packet into the network through the ToR uplink.
 
-        The source-routed path from the ToR is attached here (one route-cache
-        lookup) so every switch on the way performs a plain index bump; the
-        path is exactly what the ToR would have computed on first contact, so
-        behaviour is bit-identical.  NetRS requests are skipped -- they have
-        no destination until an RSNode selects one -- and a ToR rule that
-        redirects the packet (DRS) changes ``dst``, which invalidates the
-        attached route automatically via the ``route_target`` check.
+        No route is attached here: the fabric either delivers the packet
+        express along the forwarding table's route (mechanical packets on a
+        fault-free default fabric) or hands it to the ToR, which looks its
+        route up on first contact like any other switch.
         """
-        dst = packet.dst
-        if dst is not None and packet.route_target != dst:
-            packet.route_target = dst
-            packet.route = self.network.router.path(
-                self.tor_name, dst, packet.flow_key()
-            )
-            packet.route_pos = 0
         self.packets_sent += 1
-        self._transmit_fast(self.name, self.tor_name, packet, True)
+        self._inject(self.name, self.tor_name, packet)
 
     def receive(self, packet: Packet, from_name: str) -> None:
         """Fabric callback: hand the packet to the endpoint."""

@@ -32,11 +32,12 @@ request/response magic dance:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import ProtocolError
 from repro.network.addressing import SourceMarker
+from repro.network.routing import NO_ROUTE, Route
 
 # Magic-field constants.  Values are arbitrary but distinct, including under
 # the transform; 6 bytes on the wire.
@@ -95,9 +96,11 @@ class Packet:
 
     ``src``/``dst`` are end-host names; ``dst`` is ``None`` for a NetRS
     request until an RSNode selects the replica.  ``route``/``route_pos``/
-    ``route_target`` cache the source-routed path currently being followed --
+    ``route_target`` hold the source-routed path currently being followed --
     they model the deterministic ECMP choice a chain of switches would make,
-    recomputed whenever a NetRS rule redirects the packet.
+    looked up again whenever a NetRS rule redirects the packet.  ``route``
+    is an immutable :class:`~repro.network.routing.Route` shared with every
+    other packet on the same path (and with clones), never a private copy.
     """
 
     src: str
@@ -131,7 +134,7 @@ class Packet:
     server_queue_delay: float = 0.0  # waiting time at the server
     server_service_time: float = 0.0  # actual service duration
     # --- in-flight routing state ------------------------------------------
-    route: List[str] = field(default_factory=list)
+    route: Route = NO_ROUTE
     route_pos: int = 0
     route_target: str = ""
     hops: int = 0  # forwarding count, for overhead accounting
@@ -232,7 +235,7 @@ class Packet:
         duplicate.selected_at = self.selected_at
         duplicate.server_queue_delay = self.server_queue_delay
         duplicate.server_service_time = self.server_service_time
-        duplicate.route = list(self.route)
+        duplicate.route = self.route
         duplicate.route_pos = self.route_pos
         duplicate.route_target = self.route_target
         duplicate.hops = self.hops

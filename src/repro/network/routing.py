@@ -18,7 +18,7 @@ the NetRS data plane are covered:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError, TopologyError
 from repro.network.topology import Node, NodeKind, Topology
@@ -37,46 +37,99 @@ def _pick(options: List[str], flow_key: int, depth: int) -> str:
     return options[(flow_key >> (5 * depth)) % len(options)]
 
 
-#: Default bound on the per-router path cache.  A paper-scale run touches a
-#: few tens of thousands of distinct ``(src, dst, flow_key)`` triples, so
-#: this keeps the steady state entirely resident while bounding memory.
+#: Default bound on the forwarding table (and on ``path()``'s memo).  The
+#: table of a 16-ary fat-tree -- the paper's -- holds about 10 000 routes.
 DEFAULT_PATH_CACHE_SIZE = 65536
 
 
+class Route:
+    """One interned forwarding route: the switches a packet visits next.
+
+    ``names`` are the switches after the one holding the packet, ending at
+    the egress switch (the destination host's ToR, which delivers to its
+    attached host without reading the route, or the destination switch).
+    ``devices`` is what the fabric compiled for ``names`` when the route was
+    interned -- the attached switch objects, or ``None`` when it could not,
+    which sends the packet hop by hop.  Routes are shared by every packet
+    that follows them and never mutated.
+    """
+
+    __slots__ = ("names", "devices")
+
+    def __init__(
+        self, names: Tuple[str, ...] = (), devices: Optional[tuple] = ()
+    ) -> None:
+        self.names = names
+        self.devices = devices
+
+
+#: The route of a packet that has none yet, and of one already at its egress.
+NO_ROUTE = Route()
+
+
 class Router:
-    """Path computation with precomputed topology indexes and a path cache.
+    """Path computation with precomputed topology indexes and a route table.
 
-    ``path()`` is a pure function of ``(src, dst, flow_key)`` for a fixed
-    topology, so results are memoized in a bounded LRU keyed by that triple;
-    ``path_cache_size=0`` bypasses the cache entirely (the determinism tests
-    compare both modes byte-for-byte).  The *wiring* is frozen -- if nodes or
-    edges are ever added, build a new ``Router`` -- but link *liveness* is
-    dynamic: :meth:`fail_link` marks a link dead, :meth:`invalidate` drops
-    every cached path that touches a node, and ECMP choices skip dead links
-    when an alternative exists (local link-state rerouting: only the
-    immediate next edge of each choice is checked, matching what a real
-    switch knows; a cut with no alternative leaves the packet heading into
-    the dead link, where the fabric drops it).  NetRS operator failures do
-    not invalidate anything because they change which switch *selects*, not
-    how packets are wired.
+    ``_compute_path`` is the reference ECMP walk, a pure function of
+    ``(src, dst, flow_key)`` for a fixed topology.  Two memos sit on it:
 
-    While any link is down, caching switches from masked to full flow keys
-    (a dead link changes candidate-list lengths, so the precomputed ECMP
-    key mask no longer covers all influential bits); once the last link is
-    restored, the caches are flushed wholesale and the canonical masked-key
-    universe rebuilds.  Fault-free runs are therefore byte-identical to a
-    Router without this machinery, which the determinism suites pin.
+    * the **forwarding table** behind :meth:`forwarding_route`, the only
+      thing the data plane (hosts and switches moving packets) consults.
+      Its key is what determines the walk in a fault-free tree -- the
+      source switch (a ToR's pod: its walk never depends on the rack), the
+      egress switch, and the flow-key bits the ECMP picks read -- and a
+      cross-pod walk is stored as two segments, the climb to a core (which
+      no destination influences) and the core's descent (which no source
+      does), so the table is bounded by switches x fan-out, not by host
+      pairs: 768 routes carry all host traffic on the 8-ary tree, 10 240 on
+      the paper's 16-ary.
+    * the bounded LRU behind :meth:`path` / :meth:`hop_count`, the
+      control-plane API (tools, tests), keyed on the triple.
 
-    Cached lists are shared between callers and must not be mutated.
+    ``path_cache_size`` bounds both; ``0`` bypasses both, so every lookup is
+    a fresh reference walk (the determinism suites and the benchmark's
+    accuracy check compare the two modes byte for byte).  The *wiring* is
+    frozen -- if nodes or edges are ever added, build a new ``Router`` --
+    but link *liveness* is dynamic: :meth:`fail_link` marks a link dead,
+    :meth:`invalidate` drops every memoized path that touches a node, and
+    ECMP choices skip dead links when an alternative exists (local
+    link-state rerouting: only the immediate next edge of each choice is
+    checked, matching what a real switch knows; a cut with no alternative
+    leaves the packet heading into the dead link, where the fabric drops
+    it).  NetRS operator failures do not invalidate anything because they
+    change which switch *selects*, not how packets are wired.
+
+    While any link is down, a dead link changes candidate-list lengths, so
+    the precomputed ECMP key masks no longer cover all influential bits:
+    the forwarding table is emptied and bypassed (reference walks), and
+    ``path()`` memoizes on full flow keys.  Once the last link is restored,
+    the memos are flushed and the canonical masked-key universe rebuilds.
+    Fault-free runs are therefore byte-identical to a Router without this
+    machinery, which the determinism suites pin.
+
+    Memoized lists and routes are shared between callers and must not be
+    mutated.
     """
 
     def __init__(
-        self, topology: Topology, *, path_cache_size: int = DEFAULT_PATH_CACHE_SIZE
+        self,
+        topology: Topology,
+        *,
+        path_cache_size: int = DEFAULT_PATH_CACHE_SIZE,
+        compile_route: Optional[
+            Callable[[Tuple[str, ...]], Optional[tuple]]
+        ] = None,
     ) -> None:
         if path_cache_size < 0:
             raise ValueError("path_cache_size must be >= 0")
         self.topology = topology
         self.path_cache_size = path_cache_size
+        # What the fabric attaches to each route as it is interned (its
+        # switch objects); a bare router attaches nothing.
+        self._compile_route = compile_route or (lambda names: None)
+        self._routes: Dict[tuple, Route] = {}
+        #: Forwarding-table lookups that had to walk (hits are not counted).
+        self.misses = 0
         # Directed pairs (a, b) whose link is administratively dead; both
         # directions are stored so membership tests need no normalization.
         self._failed_links: set = set()
@@ -103,10 +156,31 @@ class Router:
         # ``topology.node``'s error handling per hop.
         self._nodes: Dict[str, Node] = topo.nodes
         self._host_names = frozenset(self._tor_of_host)
-        self._ecmp_key_mask = self._compute_ecmp_key_mask()
+        # Forwarding-table scope of each switch: (source key, pod).  A ToR's
+        # walk depends on its pod only; a core has no pod and only descends.
+        self._scope: Dict[str, Tuple[object, Optional[int]]] = {}
+        self._tor_pod: Dict[str, int] = {}
+        for node in topo.switches:
+            if node.kind is NodeKind.TOR:
+                assert node.pod is not None
+                self._scope[node.name] = (node.pod, node.pod)
+                self._tor_pod[node.name] = node.pod
+            else:
+                self._scope[node.name] = (node.name, node.pod)
+        # Flow-key bits read by the pick at each ECMP depth; a walk is keyed
+        # on the bits of the picks it makes, no others.
+        masks = self._compute_ecmp_key_masks()
+        self._pod_mask, depth1, self._descent_mask = masks or (0, 0, 0)
+        self._climb_mask = self._pod_mask | depth1
+        self._ecmp_key_mask = (
+            None if masks is None else self._climb_mask | self._descent_mask
+        )
+        # Whether the forwarding table is in use at all (link faults suspend
+        # it; see forwarding_route).
+        self._interning = self.path_cache_size > 0 and masks is not None
 
-    def _compute_ecmp_key_mask(self) -> int | None:
-        """Mask of flow-key bits that can influence any ECMP choice.
+    def _compute_ecmp_key_masks(self) -> Optional[Tuple[int, int, int]]:
+        """Masks of the flow-key bits that can influence any ECMP choice.
 
         ``_pick`` at depth ``d`` computes ``(flow_key >> 5d) % n``.  When
         every candidate-list length ``n`` a given depth can ever see is a
@@ -117,8 +191,10 @@ class Router:
         otherwise never repeat) onto a few equivalence classes per pair.
         Lengths are tracked per depth: in a fat-tree every core reaches a
         pod through exactly one aggregation switch, so the depth-2 descent
-        choice is a singleton and contributes no bits at all.  Returns
-        ``None`` (full-key caching) when any length is not a power of two.
+        choice is a singleton and contributes no bits at all.  Returns one
+        mask per depth (0: the aggregation switch climbed to, 1: the core,
+        2: the aggregation switch descended through), or ``None`` (full-key
+        caching, no forwarding table) when any length is not a power of two.
         """
         # Candidate-list lengths per _pick depth, matching the call sites in
         # _from_tor/_from_agg/_from_core.
@@ -150,16 +226,14 @@ class Router:
                 climbers = sum(1 for n in shared_counts if n)
                 if climbers:
                     depth1.add(climbers)
-        mask = 0
+        masks = []
         for shift, lengths in ((0, depth0), (5, depth1), (10, depth2)):
             lengths.discard(0)
-            if not lengths:
-                continue
             if any(n & (n - 1) or n > 32 for n in lengths):
                 return None
-            bits = (1 << (max(lengths).bit_length() - 1)) - 1
-            mask |= bits << shift
-        return mask
+            bits = (1 << (max(lengths, default=1).bit_length() - 1)) - 1
+            masks.append(bits << shift)
+        return tuple(masks)
 
     # ------------------------------------------------------------------
     # Public API
@@ -181,8 +255,10 @@ class Router:
         ``tests/network/test_routing.py`` pins this).  ``hop_count`` entries
         only store totals, so crossing-``node`` entries cannot be identified
         individually; that cache is flushed wholesale (it is consulted by
-        the placement solvers before the run, never on the per-packet path).
+        the placement solvers before the run, never on the per-packet path),
+        and so is the forwarding table, which refills in a few hundred walks.
         """
+        self._routes.clear()
         cache = self._path_cache
         stale = [
             key
@@ -238,6 +314,74 @@ class Router:
             and (to_name is None or (option, to_name) not in failed)
         ]
         return live or options
+
+    @property
+    def entries(self) -> int:
+        """Routes currently interned in the forwarding table."""
+        return len(self._routes)
+
+    def forwarding_route(self, src: str, dst: str, flow_key: int) -> Route:
+        """The route a packet held by switch ``src`` follows toward ``dst``.
+
+        ``dst`` is a host or a switch; the route ends at its egress switch,
+        so ``list(route.names) + [host]`` equals ``path(src, host, key)``.
+        Segments come from the forwarding table (see the class docstring);
+        only a cross-pod route, joined from its two segments, is built per
+        call.  With the table bypassed (``path_cache_size=0``, a dead link,
+        an ECMP fan-out that is not a power of two) every call is a fresh
+        reference walk.
+        """
+        egress = self._tor_of_host.get(dst, dst)
+        scope = self._scope.get(src)
+        if scope is None or not self._interning or self._failed_links:
+            names = tuple(self._compute_path(src, egress, flow_key))
+            return Route(names, self._compile_route(names))
+        if src == egress:
+            return NO_ROUTE
+        table = self._routes
+        source, pod = scope
+        if pod is None:  # a core: only the descent is left
+            key = (source, egress, flow_key & self._descent_mask)
+            return table.get(key) or self._intern(key, src, egress, flow_key)
+        egress_pod = self._tor_pod.get(egress)
+        if egress_pod is None:  # toward an aggregation or core switch
+            key = (source, egress, flow_key & self._climb_mask)
+            return table.get(key) or self._intern(key, src, egress, flow_key)
+        if egress_pod == pod:  # up one level and down again: one pick
+            key = (source, egress, flow_key & self._pod_mask)
+            return table.get(key) or self._intern(key, src, egress, flow_key)
+        key = (source, None, flow_key & self._climb_mask)
+        climb = table.get(key) or self._intern(key, src, egress, flow_key, -2)
+        core = climb.names[-1]
+        key = (core, egress, flow_key & self._descent_mask)
+        descent = table.get(key) or self._intern(key, core, egress, flow_key)
+        up, down = climb.devices, descent.devices
+        return Route(
+            climb.names + descent.names,
+            up + down if up is not None and down is not None else None,
+        )
+
+    def _intern(
+        self,
+        key: tuple,
+        src: str,
+        egress: str,
+        flow_key: int,
+        stop: Optional[int] = None,
+    ) -> Route:
+        """Walk ``src -> egress``, keep the hops before ``stop``, store them.
+
+        ``stop=-2`` keeps the climb of a cross-pod walk: everything before
+        the descent's aggregation switch and the egress ToR.
+        """
+        names = tuple(self._compute_path(src, egress, flow_key)[:stop])
+        route = Route(names, self._compile_route(names))
+        self.misses += 1
+        table = self._routes
+        if len(table) >= self.path_cache_size:
+            del table[next(iter(table))]  # oldest first; hits cost nothing
+        table[key] = route
+        return route
 
     def path(self, src: str, dst: str, flow_key: int) -> List[str]:
         """Device names a packet visits *after* ``src``, ending at ``dst``.

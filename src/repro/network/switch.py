@@ -303,24 +303,24 @@ class ProgrammableSwitch:
     def _follow_route(self, packet: Packet, target: str) -> None:
         """Advance the packet one hop along the attached path to ``target``.
 
-        The path is normally attached at injection (host NIC) or when a
+        The route is attached on first contact (the ingress ToR) or when a
         NetRS rule changes the steering target; the steady-state hop is a
-        string compare plus an index bump, with the route-cache lookup only
-        on target changes.
+        string compare plus an index bump, with the forwarding-table lookup
+        only on target changes.
         """
         if packet.route_target != target:
             packet.route_target = target
-            packet.route = self.network.router.path(
+            packet.route = self.network.router.forwarding_route(
                 self.name, target, packet.flow_key()
             )
             packet.route_pos = 0
         pos = packet.route_pos
         try:
-            next_hop = packet.route[pos]
+            next_hop = packet.route.names[pos]
         except IndexError:
             raise RoutingError(
                 f"{self.name}: exhausted route toward {target} "
-                f"(route={packet.route})"
+                f"(route={packet.route.names})"
             ) from None
         packet.route_pos = pos + 1
         packet.hops += 1

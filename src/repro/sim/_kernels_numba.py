@@ -9,7 +9,7 @@ against every installed backend with the pure loops as oracle.  When
 editing a kernel, edit its reference loop in the same commit:
 
 * :func:`c3_select`        <-> ``repro.selection.c3.C3Selector.select``
-* :func:`chained_arrival`  <-> ``repro.network.fabric.Network.transmit_fast``
+* :func:`chained_arrival`  <-> ``repro.network.fabric.Network._deliver_trunk``
 * :func:`count_undone_hops` <-> ``repro.network.fabric.Network.settle_trunks``
 * :func:`path_chain`       <-> ``repro.mesoscale.vector.path_chain``
 * :func:`hop_class_batch`  <-> ``repro.mesoscale.vector.hop_class_batch``

@@ -7,7 +7,7 @@ time and have compiled counterparts behind this registry:
 * **C3 scoring** -- the single-pass minimum over candidate scores in
   :meth:`repro.selection.c3.C3Selector.select`;
 * **fabric trunk timing** -- the chained per-hop delay accumulation in
-  :meth:`repro.network.fabric.Network.transmit_fast` (the ULP-exact float
+  :meth:`repro.network.fabric.Network._deliver_trunk` (the ULP-exact float
   chain that byte-identity requires);
 * **trunk settlement** -- the per-pending-trunk undone-hop count in
   :meth:`repro.network.fabric.Network.settle_trunks`.
@@ -42,6 +42,7 @@ Selection rules (``ExperimentConfig.engine_backend``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -76,7 +77,7 @@ KERNEL_MIRRORS = {
         "cython_score": "src/repro/sim/_kernels_cython.py:_score",
     },
     "chained_arrival": {
-        "reference": "src/repro/network/fabric.py:Network.transmit_fast",
+        "reference": "src/repro/network/fabric.py:Network._deliver_trunk",
         "numba": "src/repro/sim/_kernels_numba.py:chained_arrival",
         "cython": "src/repro/sim/_kernels_cython.py:chained_arrival",
     },
@@ -122,8 +123,13 @@ class Backend:
         return f"{self.name}-{self.version}"
 
 
+@lru_cache(maxsize=None)
 def numba_version() -> Optional[str]:
-    """Installed numba version, or None."""
+    """Installed numba version, or None (probed once per process).
+
+    A failing import scans all of ``sys.path``, and :func:`resolve` runs for
+    every scenario built; see :func:`reset_probes`.
+    """
     try:
         import numba  # noqa: F401 -- availability probe
     except ImportError:
@@ -131,13 +137,24 @@ def numba_version() -> Optional[str]:
     return getattr(numba, "__version__", "unknown")
 
 
+@lru_cache(maxsize=None)
 def cython_version() -> Optional[str]:
-    """Installed Cython version, or None."""
+    """Installed Cython version, or None (probed once per process)."""
     try:
         import Cython  # noqa: F401 -- availability probe
     except ImportError:
         return None
     return getattr(Cython, "__version__", "unknown")
+
+
+def reset_probes() -> None:
+    """Forget the memoized compiler probes.
+
+    For code that changes what is importable mid-process (the blocked-import
+    tests); nothing in the simulator does.
+    """
+    numba_version.cache_clear()
+    cython_version.cache_clear()
 
 
 def available_backends() -> Tuple[str, ...]:

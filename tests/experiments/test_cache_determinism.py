@@ -8,8 +8,6 @@ traces and sweep JSON dumps.  Mirrors the style of
 ``tests/exec/test_determinism.py``.
 """
 
-import itertools
-
 import pytest
 
 from repro.analysis import attach_probes
@@ -17,7 +15,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
 from repro.experiments.sweep import run_sweep
-from repro.kvstore import client as client_module
 
 #: The cache-bypass overrides: everything computed from scratch, no
 #: compaction, no pre-drawn RNG blocks, reference event-core loops.
@@ -30,10 +27,6 @@ BYPASS = dict(
 
 
 def _run_with_trace(config):
-    # Request IDs come from a process-global counter and feed the ECMP flow
-    # key; reset it so both runs see identical packet identities, exactly as
-    # two fresh processes would.
-    client_module._request_ids = itertools.count(1)
     scenario = build_scenario(config)
     probes = attach_probes(scenario, staleness=False, queues=False)
     result = run_experiment(config, scenario=scenario)

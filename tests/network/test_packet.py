@@ -16,6 +16,7 @@ from repro.network.packet import (
     make_request,
     make_response,
 )
+from repro.network.routing import NO_ROUTE, Route
 
 
 class TestMagicTransform:
@@ -180,14 +181,24 @@ class TestWireSize:
 
 class TestClone:
     def test_clone_is_independent(self):
+        """A clone owns its position along the route and its header fields;
+        the route itself is immutable, so both packets share one object."""
         packet = _request()
-        packet.route = ["a", "b"]
+        packet.route = Route(("a", "b"))
         packet.route_pos = 1
         duplicate = packet.clone()
-        duplicate.route.append("c")
+        duplicate.route_pos = 2
         duplicate.rsnode_id = 99
-        assert packet.route == ["a", "b"]
+        assert packet.route_pos == 1
         assert packet.rsnode_id != 99
+        assert duplicate.route is packet.route
+        assert isinstance(packet.route.names, tuple)
+        with pytest.raises(AttributeError):
+            packet.route.names.append("c")
+
+    def test_fresh_packets_share_the_empty_route(self):
+        assert _request().route is _request().route is NO_ROUTE
+        assert NO_ROUTE.names == () and NO_ROUTE.devices == ()
 
     def test_clone_copies_fields(self):
         packet = _request()

@@ -25,6 +25,7 @@ from repro.sim.backend import (
     KERNEL_NAMES,
     Backend,
     available_backends,
+    reset_probes,
     resolve,
 )
 from repro.sim.core import Environment
@@ -84,6 +85,11 @@ class TestMissingCompilers:
         monkeypatch.delitem(
             sys.modules, "repro.sim._kernels_cython", raising=False
         )
+        # The probes are memoized per process: forget what they saw before
+        # the imports were blocked, and what they see while they are.
+        reset_probes()
+        yield
+        reset_probes()
 
     def test_auto_falls_back_to_python(self, no_compilers):
         assert available_backends() == ("python",)
