@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-layered-smoke bench-profile bench-compare bench-figures lint lint-report lint-baseline contracts help
+.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-layered-smoke bench-figures lint lint-report lint-baseline contracts help
 
 help:
 	@echo "install       editable install"
@@ -16,12 +16,10 @@ help:
 	@echo "lint          determinism + contract sanitizers + ruff + mypy (latter two skip if absent)"
 	@echo "lint-report   lint (incl. contracts) with JSON output to lint-report.json (CI artifact)"
 	@echo "lint-baseline re-snapshot lint-baseline.json (grandfathering workflow)"
-	@echo "contracts     contract sanitizer only: mirror/kernel/digest drift (CON001..CON003)"
+	@echo "contracts     contract sanitizer only: mirror/stream/digest drift (CON001..CON003)"
 	@echo "bench         all benchmarks (figures + ablations + microbench)"
 	@echo "bench-smoke   engine microbenchmarks, low rounds, JSON for CI trends"
 	@echo "bench-layered-smoke  two workloads of benchmarks/layered for 2 s each; fails unless both print \"correct\": true"
-	@echo "bench-profile harness suite under cProfile (pstats under benchmarks/results/)"
-	@echo "bench-compare harness suite vs committed BENCH_8.json (regression gate)"
 	@echo "bench-figures just the paper figures (results under benchmarks/results/)"
 
 install:
@@ -117,17 +115,6 @@ bench-layered-smoke:
 		echo "$$out" | tail -n 1; \
 		echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1; \
 	done
-
-bench-profile:
-	mkdir -p benchmarks/results
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.sim.bench \
-		--repeats 2 --profile benchmarks/results/bench-profile.pstats
-
-bench-compare:
-	mkdir -p benchmarks/results
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.sim.bench \
-		--repeats 3 --compare BENCH_8.json \
-		--compare-out benchmarks/results/bench-compare.json
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/test_bench_fig4_clients.py \

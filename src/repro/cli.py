@@ -9,7 +9,7 @@ Subcommands:
 * ``plan``     -- solve and display an RSNode placement for a config,
 * ``lint``     -- determinism sanitizer over the source tree (see
   ``docs/LINTING.md``),
-* ``contracts`` -- contract sanitizer: static mirror/kernel/digest drift
+* ``contracts`` -- contract sanitizer: static mirror/stream/digest drift
   detection (rules ``CON001``..``CON003``; equivalent to
   ``netrs lint --contracts-only``).
 """
@@ -143,13 +143,6 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         "(mesoscale, see docs/MESOSCALE.md)",
     )
     parser.add_argument(
-        "--engine-backend",
-        choices=("auto", "python", "numba", "cython"),
-        default="auto",
-        help="event-core kernels: 'auto' picks the fastest installed "
-        "backend; explicit names fail if unavailable (see docs/SIMULATOR.md)",
-    )
-    parser.add_argument(
         "--vector-batch",
         type=int,
         default=0,
@@ -193,8 +186,6 @@ def _config_from_args(args: argparse.Namespace, scheme: str) -> ExperimentConfig
         overrides["max_retries"] = args.max_retries
     if getattr(args, "fidelity", "packet") != "packet":
         overrides["fidelity"] = args.fidelity
-    if getattr(args, "engine_backend", "auto") != "auto":
-        overrides["engine_backend"] = args.engine_backend
     if getattr(args, "vector_batch", 0):
         overrides["vector_batch"] = args.vector_batch
     if getattr(args, "shards", 1) > 1:
@@ -502,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     contracts_parser = sub.add_parser(
         "contracts",
-        help="contract sanitizer (mirror/kernel/digest drift, rules CON*)",
+        help="contract sanitizer (mirror/stream/digest drift, rules CON*)",
         add_help=False,
     )
     contracts_parser.add_argument("contract_args", nargs=argparse.REMAINDER)

@@ -47,6 +47,10 @@ def config_digest(config: "ExperimentConfig") -> str:
     existed keep matching resumed jobs (forward compatibility).
     """
     fields = dataclasses.asdict(config)
+    # Retired field, hashed unconditionally while it existed: keep its only
+    # surviving value in the payload so ledgers written before its removal
+    # still resume.
+    fields["engine_backend"] = "auto"
     for name, default in _DIGEST_DEFAULTS.items():
         if fields.get(name) == default:
             fields.pop(name, None)

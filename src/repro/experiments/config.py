@@ -62,7 +62,6 @@ class ExperimentConfig:
     # --- simulator performance knobs (identical results either way) --------
     route_cache_size: int = 65536  # ECMP path memoization bound; 0 = bypass
     engine_compaction: bool = True  # compact cancelled timers in the heap
-    engine_backend: str = "auto"  # event-core kernels: auto/python/numba/cython
     rng_batch_size: int = 1024  # pre-drawn RNG block length; 0 = bypass
     background_traffic_rate: float = 0.0  # packets/s between idle hosts
     background_packet_size: int = 1024
@@ -245,11 +244,6 @@ class ExperimentConfig:
             raise ConfigurationError("demand_skew must be in (0, 1)")
         if self.route_cache_size < 0:
             raise ConfigurationError("route_cache_size must be >= 0 (0 = off)")
-        if self.engine_backend not in ("auto", "python", "numba", "cython"):
-            raise ConfigurationError(
-                "engine_backend must be one of 'auto', 'python', 'numba', "
-                f"'cython', got {self.engine_backend!r}"
-            )
         if self.rng_batch_size < 0:
             raise ConfigurationError("rng_batch_size must be >= 0 (0 = off)")
         if self.background_traffic_rate < 0:

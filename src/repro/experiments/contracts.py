@@ -36,7 +36,6 @@ FOUNDING_FIELDS = (
     "track_link_stats",
     "route_cache_size",
     "engine_compaction",
-    "engine_backend",
     "rng_batch_size",
     "background_traffic_rate",
     "background_packet_size",

@@ -41,8 +41,6 @@ from repro.network.host import Host
 from repro.network.switch import ProgrammableSwitch
 from repro.network.topology import Topology
 from repro.selection.registry import create_selector
-from repro.sim.backend import Backend
-from repro.sim.backend import resolve as resolve_backend
 from repro.sim.core import Environment
 from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import RngRegistry
@@ -75,7 +73,6 @@ class Scenario:
     plan: Optional[SelectionPlan] = None
     faults: Optional[FaultInjector] = None
     churn: Optional[ChurnCoordinator] = None
-    backend: Optional[Backend] = None  # resolved event-core backend
 
     def accelerators(self) -> List[Accelerator]:
         """All accelerators present in the scenario."""
@@ -87,7 +84,6 @@ class Scenario:
 def build_scenario(config: ExperimentConfig) -> Scenario:
     """Construct every component of an experiment from its configuration."""
     config.validate()
-    backend = resolve_backend(config.engine_backend)
     env = Environment(compaction=config.engine_compaction)
     rng = RngRegistry(config.seed)
     topology = build_fat_tree(config.fat_tree_k)
@@ -197,20 +193,9 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         weights=weights,
         write_recorder=write_recorder,
         background=background,
-        backend=backend,
     )
     if config.netrs:
         _wire_netrs(scenario)
-    if backend.compiled:
-        # Route the three compiled loops through the backend's kernels:
-        # trunk timing + settlement on the fabric, C3 scoring on every
-        # client-side selector that supports it.  Operator (RSNode)
-        # selectors are covered by the algorithm factory in _wire_netrs,
-        # which also handles mid-run deployments.
-        network.use_backend(backend)
-        for client in clients:
-            if hasattr(client.selector, "use_kernel"):
-                client.selector.use_kernel(backend.kernels)
     schedule = FaultSchedule()
     if config.fault_schedule:
         # Fault runs take per-hop forwarding throughout: collapsed trunks
@@ -430,22 +415,12 @@ def _wire_netrs(scenario: Scenario) -> None:
 
     def algorithm_factory(n_rsnodes: int):
         index = next(selector_counter)
-        algorithm = create_selector(
+        return create_selector(
             config.algorithm,
             concurrency_weight=n_rsnodes,
             prior_service_rate=config.prior_service_rate(),
             rng=scenario.rng.stream(f"selector.operator.{index}"),
         )
-        # Mid-run deployments (replans, failover) must come up on the same
-        # backend as build-time selectors.
-        backend = scenario.backend
-        if (
-            backend is not None
-            and backend.compiled
-            and hasattr(algorithm, "use_kernel")
-        ):
-            algorithm.use_kernel(backend.kernels)
-        return algorithm
 
     tor_switches = {
         name: sw

@@ -21,7 +21,7 @@ cross-implementation contracts (mirror pairs, RNG stream order, config
 digest completeness -- rules ``CON001``..``CON003``) checked statically by
 ``netrs contracts`` / ``netrs lint --contracts``.  Declarations live next
 to the code they bind (``repro.mesoscale.contracts``,
-``repro.sim.contracts``, ``repro.experiments.contracts``).
+``repro.experiments.contracts``).
 """
 
 from repro.lint.baseline import Baseline

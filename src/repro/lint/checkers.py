@@ -171,15 +171,15 @@ _WALL_CLOCK_CALLS = frozenset(
 
 @register_rule(
     rule_id="DET002",
-    title="no wall-clock reads outside the benchmark/progress modules",
+    title="no wall-clock reads outside the progress module",
     rationale=(
         "Simulated time is Environment.now; reading the host clock "
         "(time.time, time.perf_counter, datetime.now, ...) inside simulated "
         "paths couples results to machine speed and breaks replay.  Only "
-        "repro/sim/bench.py (benchmark harness) and repro/exec/progress.py "
-        "(stderr ETA reporting) legitimately measure real time.  Wall-clock "
-        "instrumentation elsewhere (e.g. solver wall time that is reported "
-        "but never fed back into simulated state) must carry an explicit "
+        "repro/exec/progress.py (stderr ETA reporting) legitimately "
+        "measures real time.  Wall-clock instrumentation elsewhere (e.g. "
+        "solver wall time that is reported but never fed back into "
+        "simulated state) must carry an explicit "
         "`# repro: noqa(DET002)` justifying itself."
     ),
     example_bad="started = time.perf_counter()",
@@ -189,7 +189,7 @@ _WALL_CLOCK_CALLS = frozenset(
     ),
 )
 class Det002WallClock(Checker):
-    allowed_path_suffixes = ("repro/sim/bench.py", "repro/exec/progress.py")
+    allowed_path_suffixes = ("repro/exec/progress.py",)
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = dotted_name(node.func)

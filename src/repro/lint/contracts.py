@@ -2,10 +2,9 @@
 
 The repo's bit-identity guarantees rest on *mirrored* code: the mesoscale
 flow tier replays the packet tier's client/server/selector logic line for
-line, and the compiled numba/cython kernels replay their pure-Python
-reference loops operation for operation.  Runtime byte-identity suites only
-catch drift on the scenarios they run; this module checks the declared
-contracts statically, on every lint run, over every code path.
+line, and the vector tier replays the flow tier's.  Runtime byte-identity
+suites only catch drift on the scenarios they run; this module checks the
+declared contracts statically, on every lint run, over every code path.
 
 Three rule families:
 
@@ -31,8 +30,8 @@ Three rule families:
   adding a knob can never silently invalidate existing ledgers.
 
 Declarations live next to the code they bind (``repro.mesoscale.contracts``,
-``repro.sim.contracts``, ``repro.experiments.contracts``) and are aggregated
-lazily by :func:`default_registry`.  ``netrs lint --contracts`` (and ``netrs
+``repro.experiments.contracts``) and are aggregated lazily by
+:func:`default_registry`.  ``netrs lint --contracts`` (and ``netrs
 contracts``) runs the pass through the ordinary engine/baseline machinery;
 ``# repro: noqa(CON001)`` on the anchor line suppresses a finding like any
 other rule.
@@ -104,8 +103,8 @@ class ExprAnchor:
 
     Used for formulas mirrored into contexts whose surrounding control flow
     legitimately differs (the C3 cubic score appears in a method, a scalar
-    loop and two kernels).  Each site's renames map its local spellings
-    onto the canonical placeholder names of ``expr``.
+    loop and the vector tier's drain loop).  Each site's renames map its
+    local spellings onto the canonical placeholder names of ``expr``.
     """
 
     name: str
@@ -203,7 +202,6 @@ class ContractRegistry:
 #: :func:`default_registry`.  Declarations live next to the code they bind.
 CONTRACT_MODULES = (
     "repro.mesoscale.contracts",
-    "repro.sim.contracts",
     "repro.experiments.contracts",
 )
 
@@ -237,7 +235,7 @@ CONTRACT_RULES: Dict[str, Rule] = {
         rule_id="CON001",
         title="mirror pairs must stay AST-equivalent up to declared rewrites",
         rationale=(
-            "The flow tier and the compiled kernels are hand-maintained "
+            "The flow and vector tiers are hand-maintained "
             "copies of reference code; one un-replayed edit breaks "
             "bit-identity on exactly the configs the golden suites do not "
             "cover.  Each declared MirrorPair is compared as normalized "
@@ -322,7 +320,7 @@ class _Normalizer(ast.NodeTransformer):
     def visit_AnnAssign(self, node: ast.AnnAssign) -> Optional[ast.AST]:
         self.generic_visit(node)
         if node.value is None:
-            return None  # bare declaration (cython loop-var typing)
+            return None  # bare declaration
         return ast.copy_location(
             ast.Assign(targets=[node.target], value=node.value), node
         )

@@ -29,8 +29,10 @@ arrival-stream draw order is pinned against ``FlowEngine._arrival``.
 from __future__ import annotations
 
 from repro.lint.contracts import (
+    AnchorSite,
     ContractRegistry,
     DrawSequencePair,
+    ExprAnchor,
     MirrorPair,
     Site,
     StreamFamilyContract,
@@ -43,6 +45,7 @@ _CLIENT = "src/repro/kvstore/client.py"
 _WORKLOAD = "src/repro/kvstore/workload.py"
 _FLUCTUATION = "src/repro/kvstore/fluctuation.py"
 _SELECTOR_NODE = "src/repro/core/selector_node.py"
+_C3 = "src/repro/selection/c3.py"
 _SCENARIOS = "src/repro/experiments/scenarios.py"
 
 #: The packet tier's write path sends real packets; the flow tier reuses
@@ -447,8 +450,37 @@ DRAW_SEQUENCES = (
     ),
 )
 
+#: The C3 cubic scoring formula, pinned at every site that spells it out:
+#: the method, the inlined scalar loop, and the vector tier's inlined copy
+#: of that loop (float arithmetic is evaluation-order sensitive, so
+#: "equivalent math" is not enough).
+EXPR_ANCHORS = (
+    ExprAnchor(
+        name="c3-cubic-score",
+        expr="resp - expected_service + q_hat ** exponent * expected_service",
+        sites=(
+            AnchorSite(
+                Site(_C3, "C3Selector.score"),
+                renames=(
+                    ("track.response_time", "resp"),
+                    ("self.cubic_exponent", "exponent"),
+                ),
+            ),
+            AnchorSite(
+                Site(_C3, "C3Selector.select"),
+                renames=(("track.response_time", "resp"),),
+            ),
+            AnchorSite(
+                Site(_VECTOR, "VectorFlowEngine._drain_fast"),
+                renames=(("track.response_time", "resp"),),
+            ),
+        ),
+    ),
+)
+
 CONTRACTS = ContractRegistry(
     mirror_pairs=list(MIRROR_PAIRS),
+    expr_anchors=list(EXPR_ANCHORS),
     stream_families=list(STREAM_FAMILIES),
     draw_sequences=list(DRAW_SEQUENCES),
 )

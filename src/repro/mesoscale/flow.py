@@ -842,30 +842,6 @@ class FlowEngine:
             self._now = when
             self.micro_events += 1
             entry[2](*entry[3])
-            if heap and heap[0][0] == when:
-                # Same-timestamp cluster: drain it in one flat pre-sorted
-                # pass (the micro-tier reuse of the macro engine's batched
-                # drain, see Environment._run_batch).  Successive heappops
-                # at a fixed timestamp come out seq-ascending, entries
-                # scheduled *by* the batch carry higher seqs and sort after
-                # it, and there is no cancellation on the micro-heap, so
-                # dispatch order is identical to the entry-at-a-time loop.
-                batch = []
-                while heap and heap[0][0] == when:
-                    batch.append(heappop(heap))
-                index = 0
-                total = len(batch)
-                while index < total:
-                    if self._stopped:
-                        # Push the undispatched tail back so a stop lands
-                        # exactly as it would have entry-at-a-time.
-                        for tail_entry in batch[index:]:
-                            heappush(heap, tail_entry)
-                        break
-                    micro = batch[index]
-                    index += 1
-                    self.micro_events += 1
-                    micro[2](*micro[3])
         if self._now > env.now:
             env.run(until=self._now)
 

@@ -19,7 +19,6 @@ from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult
 from repro.mesoscale.flow import FlowEngine
-from repro.sim.backend import resolve as resolve_backend
 
 
 def run_flow_experiment(
@@ -51,10 +50,6 @@ def run_flow_experiment(
         return run_sharded_flow_experiment(
             config, service_time_scale=service_time_scale
         )
-    # Resolving enforces the explicit-backend availability contract
-    # (engine_backend="numba" without numba must fail loudly here too, not
-    # silently differ from the packet tier).
-    resolve_backend(config.engine_backend)
     vector_batch = config.vector_batch
     if vector_batch == 0:
         forced = os.environ.get("REPRO_VECTOR_FORCE", "")

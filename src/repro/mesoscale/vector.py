@@ -31,10 +31,6 @@ sample and counter of this path equal to the scalar tier's, and the CON001
 contracts in ``repro.mesoscale.contracts`` pin the endpoint mirrors
 statically.
 
-Kernels resolve through :mod:`repro.sim.backend` (``KERNEL_MIRRORS``):
-the numpy reference implementations below are the oracle; numba and Cython
-twins live in ``repro.sim._kernels_numba`` / ``_kernels_cython``.
-
 Fault schedules with *link* events force every send back through the
 scalar guarded path (per-hop dead/degrade checks at transmit time), so the
 delivery-time tables are only consulted on fault-free links -- identical
@@ -58,13 +54,12 @@ from repro.mesoscale.flow import (
     _StableMean,
 )
 from repro.selection.c3 import C3Selector
-from repro.sim.backend import resolve
 
 _INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
-# SoA kernels (pure-python reference; see KERNEL_MIRRORS for the twins)
+# SoA kernels
 # ---------------------------------------------------------------------------
 def path_chain(times: np.ndarray, hops: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Chained per-hop delay accumulation over a block of start times.
@@ -72,8 +67,7 @@ def path_chain(times: np.ndarray, hops: np.ndarray, out: np.ndarray) -> np.ndarr
     ``out[i] = times[i] + hops[0] + hops[1] + ...`` with one element-wise
     addition per hop -- the same float-addition order the scalar
     ``FlowEngine._send_along`` fast path performs per request, so delivery
-    timestamps are bit-equal to the scalar chain.  Mirrors:
-    ``_kernels_numba.path_chain`` / ``_kernels_cython.path_chain``.
+    timestamps are bit-equal to the scalar chain.
     """
     out[:] = times
     for delay in hops:
@@ -90,10 +84,8 @@ def hop_class_batch(
 ) -> np.ndarray:
     """Locality class (0=same rack, 1=same pod, 2=cross-pod) per (request, replica).
 
-    Integer compares only, so every backend is trivially exact.  Class c
-    maps to hop count 2c+2 and indexes the ``path_chain`` delivery tables.
-    Mirrors: ``_kernels_numba.hop_class_batch`` /
-    ``_kernels_cython.hop_class_batch``.
+    Class c maps to hop count 2c+2 and indexes the ``path_chain`` delivery
+    tables.
     """
     same_rack = replica_rack == client_rack[:, None]
     same_pod = replica_pod == client_pod[:, None]
@@ -238,12 +230,6 @@ class VectorFlowEngine(FlowEngine):
         vector_batch: Optional[int] = None,
     ) -> None:
         super().__init__(config, env=env, service_time_scale=service_time_scale)
-        backend = resolve(config.engine_backend)
-        kernels = backend.kernels
-        self._k_path_chain = kernels.path_chain if kernels is not None else path_chain
-        self._k_hop_class = (
-            kernels.hop_class_batch if kernels is not None else hop_class_batch
-        )
         if vector_batch is None:
             vector_batch = config.vector_batch
         self._chunk = max(1, vector_batch)
@@ -273,15 +259,14 @@ class VectorFlowEngine(FlowEngine):
         # sweep configuration).  The server objects are swapped for their
         # state-copied _VFlowServer twins and the C3 feedback loops run
         # inlined in _issue_next/_v_fast_response; anything else (netrs,
-        # link-fault guards, other selector families, rate control, packet
-        # kernel mirrors) stays on the scalar endpoints.
+        # link-fault guards, other selector families, rate control) stays
+        # on the scalar endpoints.
         selector0 = self.clients[0].selector if self.clients else None
         self._fast = (
             not self._is_netrs
             and not self._guarded
             and isinstance(selector0, C3Selector)
             and selector0._rate_limiter_factory is None
-            and selector0._mirror is None
             # The drain loop hoists the scoring constants once, so every
             # client's selector must share them (always true for selectors
             # built from one config; anything exotic stays on the scalar
@@ -481,10 +466,10 @@ class VectorFlowEngine(FlowEngine):
             srack = np.asarray(replica_racks, dtype=np.int64)
             spod = np.asarray(replica_pods, dtype=np.int64)
             cls = np.empty((n, srack.shape[1]), dtype=np.int64)
-            self._k_hop_class(crack, cpod, srack, spod, cls)
+            hop_class_batch(crack, cpod, srack, spod, cls)
             path = np.empty((3, n), dtype=np.float64)
             for index, hops in enumerate(self._hop_arrays):
-                self._k_path_chain(times_arr, hops, path[index])
+                path_chain(times_arr, hops, path[index])
             self._b_cls = cls.tolist()
             self._b_path = path.tolist()
         else:
@@ -706,10 +691,10 @@ class VectorFlowEngine(FlowEngine):
                 rid = cursor + 1
                 replicas = b_replicas[j]
                 selector = client.selector
-                # Inlined C3Selector.select + note_sent (no rate limiter, no
-                # kernel mirror in fast mode): the exact single-pass scoring
-                # loop, tie-breaks delegated back to the selector so the RNG
-                # stream position matches.
+                # Inlined C3Selector.select + note_sent (no rate limiter in
+                # fast mode): the exact single-pass scoring loop, tie-breaks
+                # delegated back to the selector so the RNG stream position
+                # matches.
                 selector.selections += 1
                 cache = track_cache[cidx]
                 pairs = cache.get(b_rgids[j])

@@ -21,8 +21,6 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
-import numpy as np
-
 from repro.errors import TopologyError
 from repro.network.packet import (
     _SIZE_MF,
@@ -89,7 +87,6 @@ class Network:
         "_faulty",
         "_trunking",
         "_pending_trunks",
-        "_kernels",
     )
 
     def __init__(
@@ -164,17 +161,6 @@ class Network:
         # unwound if the run stops before their hops would have executed
         # (see settle_trunks).  Pruned as deliveries pass.
         self._pending_trunks: deque = deque()
-        # Compiled kernel module (repro.sim.backend); None = reference loops.
-        self._kernels: Optional[Any] = None
-
-    def use_backend(self, backend: Any) -> None:
-        """Install a resolved :class:`repro.sim.backend.Backend`.
-
-        Compiled backends route the trunk timing chain and the settlement
-        pass through their kernels; the pure-Python backend keeps the
-        reference loops (``kernels`` is None there).
-        """
-        self._kernels = backend.kernels
 
     # ------------------------------------------------------------------
     # Registry
@@ -454,15 +440,10 @@ class Network:
         # Chained additions, not ``now + delay * hops``: hop-by-hop
         # forwarding accumulates the delay one event at a time, and the
         # two float sums differ in the last ulp.  Byte-identity with the
-        # reference path requires reproducing the chain exactly (the
-        # compiled kernel performs the identical chain).
-        kernels = self._kernels
-        if kernels is not None:
-            when = kernels.chained_arrival(now, delay, hops)
-        else:
-            when = now
-            for _ in range(hops):
-                when += delay
+        # reference path requires reproducing the chain exactly.
+        when = now
+        for _ in range(hops):
+            when += delay
         pending = self._pending_trunks
         while pending and pending[0][6] < now:
             pending.popleft()  # delivered; accounting is final
@@ -498,33 +479,6 @@ class Network:
         before counters are read.
         """
         pending = self._pending_trunks
-        kernels = self._kernels
-        if kernels is not None and pending:
-            # Vectorized settlement: gather the in-flight trunks into typed
-            # arrays and count undone hops in one compiled pass.  Hop times
-            # are a monotone chain, so the hops landing at or after the
-            # stop are exactly the last ``undone`` of each trunk.
-            cut = [t for t in pending if t[6] >= stop_time]
-            pending.clear()
-            if not cut:
-                return
-            bases = np.array([t[0] for t in cut], dtype=np.float64)
-            delays = np.array([t[1] for t in cut], dtype=np.float64)
-            lengths = np.array([t[2] for t in cut], dtype=np.int64)
-            out = np.empty(len(cut), dtype=np.int64)
-            total = kernels.count_undone_hops(bases, delays, lengths, stop_time, out)
-            if not total:
-                return
-            for trunk, undone in zip(cut, out):
-                if not undone:
-                    continue
-                _base, _delay, _hops, size, overhead, absorbed, _when = trunk
-                for device in absorbed[len(absorbed) - undone:]:
-                    device.packets_forwarded -= 1
-                self.transmissions -= undone
-                self.bytes_transferred -= size * undone
-                self.netrs_overhead_bytes -= overhead * undone
-            return
         while pending:
             base, delay, hops, size, overhead, absorbed, when = pending.popleft()
             if when < stop_time:
@@ -551,8 +505,8 @@ class Network:
     def fail_link(self, a: str, b: str) -> None:
         """Cut the link ``a <-> b``: packets on it are dropped and counted.
 
-        The router invalidates cached paths through both endpoints and
-        ECMP-reroutes around the cut where the topology offers a choice.
+        The router empties its forwarding table and ECMP-reroutes around the
+        cut where the topology offers a choice.
         """
         self._check_link(a, b)
         self._dead_links.add((a, b))

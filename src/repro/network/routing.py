@@ -37,8 +37,8 @@ def _pick(options: List[str], flow_key: int, depth: int) -> str:
     return options[(flow_key >> (5 * depth)) % len(options)]
 
 
-#: Default bound on the forwarding table (and on ``path()``'s memo).  The
-#: table of a 16-ary fat-tree -- the paper's -- holds about 10 000 routes.
+#: Default bound on the forwarding table.  The table of a 16-ary fat-tree --
+#: the paper's -- holds about 10 000 routes.
 DEFAULT_PATH_CACHE_SIZE = 65536
 
 
@@ -70,45 +70,39 @@ NO_ROUTE = Route()
 class Router:
     """Path computation with precomputed topology indexes and a route table.
 
-    ``_compute_path`` is the reference ECMP walk, a pure function of
-    ``(src, dst, flow_key)`` for a fixed topology.  Two memos sit on it:
+    :meth:`path` is the reference ECMP walk, a pure function of
+    ``(src, dst, flow_key)`` for a fixed topology and link state.  One memo
+    sits on it: the **forwarding table** behind :meth:`forwarding_route`,
+    the only thing the data plane (hosts and switches moving packets)
+    consults.  Its key is what determines the walk in a fault-free tree --
+    the source switch (a ToR's pod: its walk never depends on the rack), the
+    egress switch, and the flow-key bits the ECMP picks read -- and a
+    cross-pod walk is stored as two segments, the climb to a core (which no
+    destination influences) and the core's descent (which no source does),
+    so the table is bounded by switches x fan-out, not by host pairs: 768
+    routes carry all host traffic on the 8-ary tree, 10 240 on the paper's
+    16-ary.
 
-    * the **forwarding table** behind :meth:`forwarding_route`, the only
-      thing the data plane (hosts and switches moving packets) consults.
-      Its key is what determines the walk in a fault-free tree -- the
-      source switch (a ToR's pod: its walk never depends on the rack), the
-      egress switch, and the flow-key bits the ECMP picks read -- and a
-      cross-pod walk is stored as two segments, the climb to a core (which
-      no destination influences) and the core's descent (which no source
-      does), so the table is bounded by switches x fan-out, not by host
-      pairs: 768 routes carry all host traffic on the 8-ary tree, 10 240 on
-      the paper's 16-ary.
-    * the bounded LRU behind :meth:`path` / :meth:`hop_count`, the
-      control-plane API (tools, tests), keyed on the triple.
-
-    ``path_cache_size`` bounds both; ``0`` bypasses both, so every lookup is
-    a fresh reference walk (the determinism suites and the benchmark's
+    ``path_cache_size`` bounds the table; ``0`` bypasses it, so every lookup
+    is a fresh reference walk (the determinism suites and the benchmark's
     accuracy check compare the two modes byte for byte).  The *wiring* is
     frozen -- if nodes or edges are ever added, build a new ``Router`` --
-    but link *liveness* is dynamic: :meth:`fail_link` marks a link dead,
-    :meth:`invalidate` drops every memoized path that touches a node, and
+    but link *liveness* is dynamic: :meth:`fail_link` marks a link dead and
     ECMP choices skip dead links when an alternative exists (local
     link-state rerouting: only the immediate next edge of each choice is
     checked, matching what a real switch knows; a cut with no alternative
     leaves the packet heading into the dead link, where the fabric drops
-    it).  NetRS operator failures do not invalidate anything because they
-    change which switch *selects*, not how packets are wired.
+    it).  NetRS operator failures change which switch *selects*, not how
+    packets are wired, so they never touch the table.
 
     While any link is down, a dead link changes candidate-list lengths, so
     the precomputed ECMP key masks no longer cover all influential bits:
-    the forwarding table is emptied and bypassed (reference walks), and
-    ``path()`` memoizes on full flow keys.  Once the last link is restored,
-    the memos are flushed and the canonical masked-key universe rebuilds.
-    Fault-free runs are therefore byte-identical to a Router without this
-    machinery, which the determinism suites pin.
+    the forwarding table is emptied and bypassed (reference walks) until
+    the last link is restored, when the canonical masked-key universe
+    rebuilds.  Fault-free runs are therefore byte-identical to a Router
+    without this machinery, which the determinism suites pin.
 
-    Memoized lists and routes are shared between callers and must not be
-    mutated.
+    Interned routes are shared between callers and must not be mutated.
     """
 
     def __init__(
@@ -133,8 +127,6 @@ class Router:
         # Directed pairs (a, b) whose link is administratively dead; both
         # directions are stored so membership tests need no normalization.
         self._failed_links: set = set()
-        self._path_cache: Dict[Tuple[str, str, int], List[str]] = {}
-        self._hop_cache: Dict[Tuple[str, str, int], int] = {}
         self._tor_of_host: Dict[str, str] = {}
         self._aggs_by_pod: Dict[int, List[str]] = {}
         self._cores_of_agg: Dict[str, List[str]] = {}
@@ -172,9 +164,6 @@ class Router:
         masks = self._compute_ecmp_key_masks()
         self._pod_mask, depth1, self._descent_mask = masks or (0, 0, 0)
         self._climb_mask = self._pod_mask | depth1
-        self._ecmp_key_mask = (
-            None if masks is None else self._climb_mask | self._descent_mask
-        )
         # Whether the forwarding table is in use at all (link faults suspend
         # it; see forwarding_route).
         self._interning = self.path_cache_size > 0 and masks is not None
@@ -186,15 +175,15 @@ class Router:
         every candidate-list length ``n`` a given depth can ever see is a
         power of two (<= 32), that modulo only reads ``log2(n)`` bits of the
         shifted key, so two flow keys agreeing on the masked bits take
-        identical paths for every ``(src, dst)``.  The path cache then keys
-        on the *masked* key, collapsing the per-request flow keys (which
+        identical paths for every ``(src, dst)``.  The forwarding table then
+        keys on the *masked* key, collapsing the per-request flow keys (which
         otherwise never repeat) onto a few equivalence classes per pair.
         Lengths are tracked per depth: in a fat-tree every core reaches a
         pod through exactly one aggregation switch, so the depth-2 descent
         choice is a singleton and contributes no bits at all.  Returns one
         mask per depth (0: the aggregation switch climbed to, 1: the core,
-        2: the aggregation switch descended through), or ``None`` (full-key
-        caching, no forwarding table) when any length is not a power of two.
+        2: the aggregation switch descended through), or ``None`` (no
+        forwarding table) when any length is not a power of two.
         """
         # Candidate-list lengths per _pick depth, matching the call sites in
         # _from_tor/_from_agg/_from_core.
@@ -245,51 +234,20 @@ class Router:
         except KeyError:
             raise TopologyError(f"unknown host: {host_name}") from None
 
-    def invalidate(self, node: str) -> int:
-        """Drop every cached path that starts at, ends at, or crosses ``node``.
-
-        Returns the number of path entries dropped.  This is the cache's
-        contract with dynamic link state: simply *bypassing* a dead link for
-        new computations is not enough, because entries computed before the
-        failure may still route through it (the regression test in
-        ``tests/network/test_routing.py`` pins this).  ``hop_count`` entries
-        only store totals, so crossing-``node`` entries cannot be identified
-        individually; that cache is flushed wholesale (it is consulted by
-        the placement solvers before the run, never on the per-packet path),
-        and so is the forwarding table, which refills in a few hundred walks.
-        """
-        self._routes.clear()
-        cache = self._path_cache
-        stale = [
-            key
-            for key, path in cache.items()
-            if key[0] == node or key[1] == node or node in path
-        ]
-        for key in stale:
-            del cache[key]
-        if self._hop_cache:
-            self._hop_cache.clear()
-        return len(stale)
-
     def fail_link(self, a: str, b: str) -> None:
-        """Mark the direct link ``a <-> b`` dead for ECMP choices."""
+        """Mark the direct link ``a <-> b`` dead for ECMP choices.
+
+        Empties the forwarding table: routes interned before the failure
+        may cross the dead link, and nothing is interned while one is down.
+        """
         self._failed_links.add((a, b))
         self._failed_links.add((b, a))
-        self.invalidate(a)
-        self.invalidate(b)
+        self._routes.clear()
 
     def restore_link(self, a: str, b: str) -> None:
-        """Bring a failed link back; flushes caches on the last restore."""
+        """Bring a failed link back (the table refills after the last one)."""
         self._failed_links.discard((a, b))
         self._failed_links.discard((b, a))
-        if self._failed_links:
-            self.invalidate(a)
-            self.invalidate(b)
-        else:
-            # Back to a fault-free fabric: drop every detour so subsequent
-            # lookups rebuild the canonical masked-key cache universe.
-            self._path_cache.clear()
-            self._hop_cache.clear()
 
     def _live(
         self, from_name: str, options: List[str], to_name: str | None = None
@@ -334,7 +292,7 @@ class Router:
         egress = self._tor_of_host.get(dst, dst)
         scope = self._scope.get(src)
         if scope is None or not self._interning or self._failed_links:
-            names = tuple(self._compute_path(src, egress, flow_key))
+            names = tuple(self.path(src, egress, flow_key))
             return Route(names, self._compile_route(names))
         if src == egress:
             return NO_ROUTE
@@ -374,7 +332,7 @@ class Router:
         ``stop=-2`` keeps the climb of a cross-pod walk: everything before
         the descent's aggregation switch and the egress ToR.
         """
-        names = tuple(self._compute_path(src, egress, flow_key)[:stop])
+        names = tuple(self.path(src, egress, flow_key)[:stop])
         route = Route(names, self._compile_route(names))
         self.misses += 1
         table = self._routes
@@ -386,43 +344,10 @@ class Router:
     def path(self, src: str, dst: str, flow_key: int) -> List[str]:
         """Device names a packet visits *after* ``src``, ending at ``dst``.
 
-        Results are memoized (see class docstring); treat the returned list
-        as immutable.  Raises :class:`RoutingError` when no valley-free path
-        exists (e.g. aggregation to aggregation in a fat-tree, which NetRS
-        never needs).
+        The reference ECMP walk, computed afresh on every call.  Raises
+        :class:`RoutingError` when no valley-free path exists (e.g.
+        aggregation to aggregation in a fat-tree, which NetRS never needs).
         """
-        if self.path_cache_size == 0:
-            return self._compute_path(src, dst, flow_key)
-        # Under active link faults the candidate lists shrink, so the
-        # precomputed per-depth mask no longer bounds the influential bits;
-        # cache on the full key until the fabric heals (see class docstring).
-        mask = self._ecmp_key_mask if not self._failed_links else None
-        if mask is not None:
-            key = (src, dst, flow_key & mask)
-        else:
-            key = (src, dst, flow_key)
-        cache = self._path_cache
-        hit = cache.pop(key, None)
-        if hit is not None:
-            cache[key] = hit  # re-insert: keeps dict order = recency order
-            return hit
-        if dst in self._host_names and src not in self._host_names:
-            # Every switch-to-host path is the path to the host's ToR plus
-            # the host itself (same flow key, same ECMP depths -- each
-            # host branch of _from_tor/_from_agg/_from_core appends
-            # ``[dst]`` to the corresponding ToR path).  Recursing through
-            # the cache shares one ToR-to-ToR trunk entry across all hosts
-            # on the destination rack, which matters because within a run
-            # most (src, dst) host pairs are seen only a handful of times.
-            path = self.path(src, self._tor_of_host[dst], flow_key) + [dst]
-        else:
-            path = self._compute_path(src, dst, flow_key)
-        if len(cache) >= self.path_cache_size:
-            del cache[next(iter(cache))]  # least recently used
-        cache[key] = path
-        return path
-
-    def _compute_path(self, src: str, dst: str, flow_key: int) -> List[str]:
         if src == dst:
             return []
         nodes = self._nodes
@@ -597,21 +522,7 @@ class Router:
 
         Counting matches the paper: every *switch* on the path forwards the
         packet once (intra-rack host-to-host is 1: the ToR forwards once; a
-        detour via a core switch makes it 5).  Memoized alongside ``path``
-        (the placement solvers call this in tight loops).
+        detour via a core switch makes it 5).
         """
-        if self.path_cache_size == 0:
-            path = self._compute_path(src, dst, flow_key)
-            return sum(1 for name in path if name not in self._host_names)
-        key = (src, dst, flow_key)
-        cached = self._hop_cache.get(key)
-        if cached is not None:
-            return cached
-        count = sum(
-            1 for name in self.path(src, dst, flow_key)
-            if name not in self._host_names
-        )
-        if len(self._hop_cache) >= self.path_cache_size:
-            del self._hop_cache[next(iter(self._hop_cache))]
-        self._hop_cache[key] = count
-        return count
+        hosts = self._host_names
+        return sum(1 for name in self.path(src, dst, flow_key) if name not in hosts)

@@ -47,7 +47,6 @@ class _ServerTrack:
     service_rate: float = 0.0  # EWMA of piggybacked rates, req/s
     feedback_count: int = 0
     last_feedback_at: float = -1.0
-    index: int = -1  # row in the kernel mirror arrays (-1 = no mirror)
 
 
 class C3Selector(ReplicaSelector):
@@ -82,51 +81,6 @@ class C3Selector(ReplicaSelector):
         self._tracks: Dict[str, _ServerTrack] = {}
         self._limiters: Dict[str, CubicRateLimiter] = {}
         self.feedback_updates = 0
-        # Compiled backend hook (see repro.sim.backend): when installed,
-        # per-server EWMA state is mirrored into typed arrays and select()
-        # runs the single-pass scoring kernel over a gathered pool.
-        self._kernel = None
-        self._mirror: Optional[Dict[str, np.ndarray]] = None
-
-    # ------------------------------------------------------------------
-    # Compiled backend (repro.sim.backend)
-    # ------------------------------------------------------------------
-    def use_kernel(self, kernels) -> None:
-        """Install a compiled backend's ``c3_select`` kernel.
-
-        The scalar loop in :meth:`select` stays the oracle: the kernel
-        mirrors it operation for operation, ties fall back to the scalar
-        path (the tie-break RNG draw must consume the same stream
-        position), and the byte-identity suites run both ways.
-        """
-        self._kernel = kernels.c3_select
-        size = 16
-        while size < len(self._tracks):
-            size *= 2
-        self._mirror = {
-            "rate": np.empty(size, dtype=np.float64),
-            "outstanding": np.empty(size, dtype=np.float64),
-            "queue": np.empty(size, dtype=np.float64),
-            "response": np.empty(size, dtype=np.float64),
-        }
-        for index, track in enumerate(self._tracks.values()):
-            track.index = index
-            self._write_mirror(track)
-
-    def _write_mirror(self, track: _ServerTrack) -> None:
-        """Copy one track's scoring fields into its mirror row."""
-        mirror = self._mirror
-        assert mirror is not None
-        index = track.index
-        if index >= len(mirror["rate"]):
-            for key, old in mirror.items():
-                grown = np.empty(2 * len(old), dtype=np.float64)
-                grown[: len(old)] = old
-                mirror[key] = grown
-        mirror["rate"][index] = track.service_rate
-        mirror["outstanding"][index] = float(track.outstanding)
-        mirror["queue"][index] = track.queue_size
-        mirror["response"][index] = track.response_time
 
     # ------------------------------------------------------------------
     # Scoring
@@ -136,9 +90,6 @@ class C3Selector(ReplicaSelector):
         if track is None:
             track = _ServerTrack(service_rate=self.prior_service_rate)
             self._tracks[server] = track
-            if self._mirror is not None:
-                track.index = len(self._tracks) - 1
-                self._write_mirror(track)
         return track
 
     def score(self, server: str) -> float:
@@ -171,35 +122,11 @@ class C3Selector(ReplicaSelector):
         # (scoring every candidate runs once per request).  The scoring
         # formula is inlined from score() -- same operations in the same
         # order, minus one method call and repeated attribute loads per
-        # candidate.  The compiled backend kernel mirrors exactly this
-        # loop over array-mirrored tracks (see repro.sim.backend).
+        # candidate.
         tracks = self._tracks
         prior = self.prior_service_rate
         weight = self.concurrency_weight
         exponent = self.cubic_exponent
-        kernel = self._kernel
-        if kernel is not None:
-            mirror = self._mirror
-            count = len(pool)
-            rows = np.empty(count, dtype=np.int64)
-            for i, server in enumerate(pool):
-                track = tracks.get(server)
-                if track is None:
-                    track = self._track(server)
-                rows[i] = track.index
-            index, ties = kernel(
-                mirror["rate"][rows],
-                mirror["outstanding"][rows],
-                mirror["queue"][rows],
-                mirror["response"][rows],
-                float(prior),
-                float(weight),
-                float(exponent),
-            )
-            if ties == 1:
-                return pool[index]
-            # Exact ties: re-walk the scalar loop below so the winner list
-            # (and the tie-break RNG draw) match the reference path.
         best: Optional[str] = None
         best_score = float("inf")
         winners = None
@@ -236,8 +163,6 @@ class C3Selector(ReplicaSelector):
         """Count an in-flight request toward ``server``."""
         track = self._track(server)
         track.outstanding += 1
-        if self._mirror is not None:
-            self._mirror["outstanding"][track.index] = float(track.outstanding)
         if self._rate_limiter_factory is not None:
             self._limiter(server).on_send(now)
 
@@ -265,8 +190,6 @@ class C3Selector(ReplicaSelector):
             )
         track.feedback_count += 1
         track.last_feedback_at = now
-        if self._mirror is not None:
-            self._write_mirror(track)
         self.feedback_updates += 1
         if self._rate_limiter_factory is not None:
             self._limiter(server).on_receive(now)

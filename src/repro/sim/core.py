@@ -516,21 +516,6 @@ class Environment:
         objects per event) makes generation-0 scans a measurable tax.
         Collection resumes on exit; anything cyclic created by callbacks is
         picked up then.
-
-        **Batched same-timestamp drains.**  When several entries share the
-        exact front timestamp (startup bursts, synchronized timer fans,
-        flow-tier completion clusters) the loop drains the whole run into a
-        flat pre-sorted buffer in one pass -- one deque/heap merge instead
-        of a full two-structure comparison per entry -- and dispatches it
-        with the clock pinned.  Entries scheduled *during* the batch carry
-        higher seqs than everything in it, so they sort after the batch by
-        construction and are picked up by the next outer iteration;
-        execution order is bit-identical to the entry-at-a-time loop.  A
-        ``StopSimulation`` raised mid-batch re-queues the undispatched tail
-        at the deque front (times equal, seqs ascending: the sorted-front
-        invariant holds), so a later ``run()`` resumes exactly where the
-        stop landed.  The probe costs one float compare per event, which is
-        noise; the win scales with cluster size.
         """
         heap = self._heap
         dq = self._dq
@@ -582,10 +567,6 @@ class Environment:
                     self._now = entry[0]
                     executed += 1
                     entry[3]._process()
-                # Same-timestamp run at the front?  Drain it in one pass.
-                time = entry[0]
-                if (dq and dq[0][0] == time) or (heap and heap[0][0] == time):
-                    executed += self._run_batch(time)
         except StopSimulation as stop:
             return stop.value
         finally:
@@ -595,78 +576,6 @@ class Environment:
         if until is not None and self._now < until:
             self._now = until
         return None
-
-    def _run_batch(self, time: float) -> int:
-        """Drain and dispatch every remaining entry stamped ``time``.
-
-        Called from :meth:`run` with the clock already advanced to ``time``;
-        returns the number of entries executed.  The deque front and heap
-        front are both seq-ascending at a fixed timestamp, so the batch is
-        their two-way merge -- a flat pre-sorted buffer dispatched without
-        per-entry front comparisons or clock stores.
-        """
-        dq = self._dq
-        heap = self._heap
-        d: list = []
-        while dq and dq[0][0] == time:
-            d.append(dq.popleft())
-        h: list = []
-        while heap and heap[0][0] == time:
-            h.append(heapq.heappop(heap))
-        batch = list(heapq.merge(d, h)) if (d and h) else (d or h)
-        # Settle kind-0 bookkeeping now that the entries left the schedule:
-        # already-cancelled entries are dropped here (their cancellation was
-        # counted while they sat in the schedule), and live handles are
-        # detached up front -- exactly what dispatch would do -- so a cancel
-        # landing mid-batch stays off the lazy-deletion counter (the entry
-        # is no longer in either structure for compaction to find).
-        live = []
-        for entry in batch:
-            if entry[2] == 0:
-                handle = entry[5]
-                if handle.cancelled:
-                    self._cancelled -= 1
-                    continue
-                handle._env = None
-            live.append(entry)
-        executed = 0
-        index = 0
-        total = len(live)
-        try:
-            while index < total:
-                entry = live[index]
-                index += 1
-                kind = entry[2]
-                if kind == 2:
-                    executed += 1
-                    entry[3](*entry[4])
-                elif kind == 0:
-                    if entry[5].cancelled:
-                        continue  # cancelled by an earlier batch entry
-                    executed += 1
-                    entry[3](*entry[4])
-                else:
-                    executed += 1
-                    entry[3]._process()
-        except BaseException:
-            # Re-queue the undispatched tail at the deque front (equal
-            # times, ascending seqs: the sorted-front invariant holds) so a
-            # later ``run()`` resumes exactly past the entry that raised.
-            tail = live[index:]
-            for entry in tail:
-                if entry[2] == 0:
-                    handle = entry[5]
-                    if handle.cancelled:
-                        # Back in the schedule, still awaiting lazy deletion.
-                        self._cancelled += 1
-                    else:
-                        handle._env = self
-            dq.extendleft(reversed(tail))
-            # run()'s finally only adds its own local count; fold the batch
-            # work in here so events_executed stays exact across a stop.
-            self._event_count += executed
-            raise
-        return executed
 
     def stop(self, value: Any = None) -> None:
         """Stop the current :meth:`run` immediately (callable from callbacks)."""

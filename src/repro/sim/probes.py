@@ -127,9 +127,9 @@ class LatencyRecorder:
     def extend_array(self, latencies: np.ndarray) -> None:
         """Record a vectorized block of samples (numpy float array).
 
-        Used by batched producers (mesoscale flow completions, backend
-        kernels) to fold a whole block in two O(n) operations instead of
-        n scalar ``add`` calls.
+        Used by batched producers (mesoscale flow completions) to fold a
+        whole block in two O(n) operations instead of n scalar ``add``
+        calls.
         """
         if len(latencies) == 0:
             return

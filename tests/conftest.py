@@ -10,7 +10,6 @@ entry points instead of a seeded :mod:`repro.sim.rng` stream.
 import pytest
 
 from repro.lint.runtime import deterministic_guard
-from repro.sim.backend import available_backends
 
 
 @pytest.fixture
@@ -19,14 +18,3 @@ def deterministic_sim():
     with deterministic_guard():
         yield
 
-
-@pytest.fixture(params=available_backends())
-def backend(request):
-    """Each installed event-core backend name (see :mod:`repro.sim.backend`).
-
-    The byte-identity suites parametrize over this fixture so every
-    installed compiled backend is held to the pure-Python oracle.  On a
-    bare interpreter this is just ``("python",)``; the CI numba leg adds
-    ``"numba"`` without any test edits.
-    """
-    return request.param

@@ -23,6 +23,7 @@ from repro.exec import (
     execute_jobs,
 )
 from repro.experiments.config import ExperimentConfig
+from tests.exec.test_job import _legacy_digest
 
 #: Environment variable pointing fake runners at a scratch directory.
 SCRATCH_ENV = "REPRO_TEST_EXEC_SCRATCH"
@@ -232,29 +233,14 @@ class TestLedgerAndResume:
         must be skipped, not re-run, and the missing counters default to
         zero on load.
         """
-        import dataclasses
-        import hashlib
-
         run_dir = tmp_path / "run"
         run_dir.mkdir(parents=True)
         jobs = _jobs(2)
         lines = []
         for job in jobs:
-            fields = dataclasses.asdict(job.config)
-            # The pre-PR10 config had none of these fields; earlier-era
-            # elided fields (all at their defaults in _jobs) were likewise
-            # absent from the hashed payload.
-            for name in (
-                "fidelity",
-                "vector_batch",
-                "shards",
-                "read_quorum",
-                "churn_schedule",
-            ):
-                fields.pop(name)
-            legacy = hashlib.sha256(
-                json.dumps(fields, sort_keys=True, default=repr).encode()
-            ).hexdigest()[:16]
+            # The pre-PR10 config had none of the elided fields (all at
+            # their defaults in _jobs).
+            legacy = _legacy_digest(job.config)
             assert legacy == job.digest  # elision keeps old ledgers valid
             record = {"schema": 1}
             record.update(echo_runner(job).to_record())

@@ -16,6 +16,19 @@ from repro.experiments.config import ExperimentConfig
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
+def _legacy_digest(config):
+    """The digest of ``config`` as a pre-PR6 writer computed it: no elided
+    field existed yet, and ``engine_backend`` (retired since, always
+    ``"auto"`` in any ledger) was hashed unconditionally."""
+    fields = dataclasses.asdict(config)
+    for name in ("fidelity", "vector_batch", "shards", "read_quorum", "churn_schedule"):
+        fields.pop(name)
+    fields["engine_backend"] = "auto"
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True, default=repr).encode("utf-8")
+    ).hexdigest()[:16]
+
+
 class TestJobKeys:
     def test_key_embeds_index_scheme_and_seed(self):
         config = ExperimentConfig.tiny(scheme="netrs-tor", seed=7)
@@ -51,6 +64,24 @@ class TestDigests:
             base.replace(utilization=0.42)
         )
 
+    def test_digests_survive_the_retired_engine_backend_field(self):
+        """``engine_backend`` was a founding field; its only surviving value
+        stays in the payload, so these literals (measured at the last commit
+        that had the field) still match and old ledgers resume.  Naming the
+        field is an error, never silently ignored."""
+        pinned = (
+            (ExperimentConfig.small("clirs", seed=0), "0649eafa138c495f"),
+            (ExperimentConfig.tiny("netrs-ilp", seed=3), "69e48b015cc5197a"),
+            (ExperimentConfig.paper("clirs-r95", seed=1), "7b76efa72d2af46f"),
+        )
+        for config, digest in pinned:
+            assert config_digest(config) == digest
+        assert len(dataclasses.fields(ExperimentConfig)) == 54
+        with pytest.raises(TypeError):
+            ExperimentConfig(engine_backend="auto")
+        with pytest.raises(TypeError):
+            ExperimentConfig.tiny().replace(engine_backend="python")
+
     def test_digest_elides_default_fidelity(self):
         """Ledgers written before ``fidelity`` existed must keep matching.
 
@@ -60,15 +91,8 @@ class TestDigests:
         experiment and must change the digest.
         """
         config = ExperimentConfig.tiny(seed=2)
-        fields = dataclasses.asdict(config)
-        assert fields.pop("fidelity") == "packet"
-        fields.pop("vector_batch")  # elided at defaults too (see below)
-        fields.pop("shards")
-        fields.pop("read_quorum")  # PR10 consistency knobs, same dance
-        fields.pop("churn_schedule")
-        legacy = hashlib.sha256(
-            json.dumps(fields, sort_keys=True, default=repr).encode("utf-8")
-        ).hexdigest()[:16]
+        assert config.fidelity == "packet"
+        legacy = _legacy_digest(config)
         assert config_digest(config) == legacy
         assert config_digest(config.replace(fidelity="flow")) != legacy
 
@@ -110,16 +134,9 @@ class TestDigests:
         knobs existed keep matching, and any non-default value is a
         different experiment."""
         config = ExperimentConfig.tiny(seed=2)
-        fields = dataclasses.asdict(config)
-        assert fields.pop("fidelity") == "packet"
-        assert fields.pop("vector_batch") == 0
-        assert fields.pop("shards") == 1
-        assert fields.pop("read_quorum") is None
-        assert fields.pop("churn_schedule") is None
-        legacy = hashlib.sha256(
-            json.dumps(fields, sort_keys=True, default=repr).encode("utf-8")
-        ).hexdigest()[:16]
-        assert config_digest(config) == legacy
+        assert (config.vector_batch, config.shards) == (0, 1)
+        assert config.read_quorum is None and config.churn_schedule is None
+        assert config_digest(config) == _legacy_digest(config)
         flow = config.replace(fidelity="flow")
         assert config_digest(flow.replace(vector_batch=64)) != config_digest(flow)
         assert config_digest(flow.replace(shards=2)) != config_digest(flow)
@@ -129,15 +146,7 @@ class TestDigests:
         (its digests hashed payloads with no ``vector_batch``/``shards``
         keys) must still resume against today's configs."""
         config = ExperimentConfig.tiny(seed=5)
-        fields = dataclasses.asdict(config)
-        fields.pop("fidelity")  # elided at its default, as before PR9
-        fields.pop("vector_batch")  # the knobs did not exist yet
-        fields.pop("shards")
-        fields.pop("read_quorum")
-        fields.pop("churn_schedule")
-        legacy_digest = hashlib.sha256(
-            json.dumps(fields, sort_keys=True, default=repr).encode("utf-8")
-        ).hexdigest()[:16]
+        legacy_digest = _legacy_digest(config)
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         record = {
@@ -162,15 +171,7 @@ class TestDigests:
         """A ledger written before the contract sanitizer existed must keep
         matching: the contract work pins digests, it does not change them."""
         config = ExperimentConfig.tiny(seed=5)
-        fields = dataclasses.asdict(config)
-        fields.pop("fidelity")  # the pre-PR6 payload had no fidelity key
-        fields.pop("vector_batch")  # nor, later, the PR9 flow-tier knobs
-        fields.pop("shards")
-        fields.pop("read_quorum")  # nor the PR10 consistency knobs
-        fields.pop("churn_schedule")
-        legacy_digest = hashlib.sha256(
-            json.dumps(fields, sort_keys=True, default=repr).encode("utf-8")
-        ).hexdigest()[:16]
+        legacy_digest = _legacy_digest(config)
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         record = {

@@ -17,12 +17,11 @@ from repro.experiments.scenarios import build_scenario
 from repro.experiments.sweep import run_sweep
 
 #: The cache-bypass overrides: everything computed from scratch, no
-#: compaction, no pre-drawn RNG blocks, reference event-core loops.
+#: compaction, no pre-drawn RNG blocks.
 BYPASS = dict(
     route_cache_size=0,
     engine_compaction=False,
     rng_batch_size=0,
-    engine_backend="python",
 )
 
 
@@ -34,20 +33,14 @@ def _run_with_trace(config):
 
 
 @pytest.mark.parametrize("scheme", ["clirs-r95", "netrs-ilp"])
-def test_experiment_identical_with_and_without_caches(
-    scheme, backend, deterministic_sim
-):
+def test_experiment_identical_with_and_without_caches(scheme, deterministic_sim):
     """Same seed, caches on vs. bypassed: identical metrics and traces.
 
     ``clirs-r95`` exercises timer cancellation (redundant-request timers)
     and therefore heap compaction; ``netrs-ilp`` exercises in-network
-    steering where packets change route targets mid-flight.  The cached
-    side runs on every installed event-core backend (the ``backend``
-    fixture); the bypass side always runs the pure-Python reference loops.
+    steering where packets change route targets mid-flight.
     """
-    config = ExperimentConfig.tiny(scheme=scheme, seed=7).replace(
-        engine_backend=backend
-    )
+    config = ExperimentConfig.tiny(scheme=scheme, seed=7)
     bypass = config.replace(**BYPASS)
 
     cached_result, cached_trace = _run_with_trace(config)
@@ -63,10 +56,8 @@ def test_experiment_identical_with_and_without_caches(
     assert cached_trace.to_csv() == plain_trace.to_csv()
 
 
-def test_sweep_json_identical_with_and_without_caches(backend, deterministic_sim):
-    base = ExperimentConfig.tiny(seed=3, total_requests=500).replace(
-        engine_backend=backend
-    )
+def test_sweep_json_identical_with_and_without_caches(deterministic_sim):
+    base = ExperimentConfig.tiny(seed=3, total_requests=500)
     kwargs = dict(
         parameter="utilization",
         values=[0.3, 0.9],
@@ -81,14 +72,10 @@ def test_sweep_json_identical_with_and_without_caches(backend, deterministic_sim
     assert cached.cells == plain.cells
 
 
-def test_events_executed_identical_with_and_without_compaction(
-    backend, deterministic_sim
-):
+def test_events_executed_identical_with_and_without_compaction(deterministic_sim):
     """events_executed counts only callbacks that ran, so compaction (which
     merely discards cancelled entries earlier) must not change it."""
-    config = ExperimentConfig.tiny(scheme="clirs-r95", seed=11).replace(
-        engine_backend=backend
-    )
+    config = ExperimentConfig.tiny(scheme="clirs-r95", seed=11)
     cached = run_experiment(config)
     plain = run_experiment(config.replace(**BYPASS))
     assert cached.events_executed == plain.events_executed

@@ -25,20 +25,6 @@ class TestParser:
         assert args.scheme == "clirs"
         assert args.seed == 4
 
-    def test_engine_backend_flag_reaches_config(self):
-        from repro.cli import _config_from_args
-
-        parser = build_parser()
-        args = parser.parse_args(["run", "clirs", "--engine-backend", "python"])
-        assert _config_from_args(args, "clirs").engine_backend == "python"
-        args = parser.parse_args(["run", "clirs"])
-        assert _config_from_args(args, "clirs").engine_backend == "auto"
-
-    def test_engine_backend_flag_rejects_unknown_values(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "clirs", "--engine-backend", "fortran"])
-
     @pytest.mark.parametrize("command", ["sweep", "figure", "compare"])
     def test_exec_flags_parse(self, command):
         parser = build_parser()

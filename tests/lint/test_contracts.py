@@ -302,7 +302,6 @@ def test_default_registry_aggregates_all_declaration_modules():
         + len(registry.digests)
     )
     names = {pair.name for pair in registry.mirror_pairs}
-    assert "kernel.c3_select" in names  # repro.sim.contracts
     assert "server.complete" in names  # repro.mesoscale.contracts
 
 

@@ -96,7 +96,6 @@ def test_det001_allows_generator_construction_from_seed_material():
 
 def test_det002_exempts_bench_and_progress():
     source = "import time\nt = time.perf_counter()\n"
-    assert lint_source(source, path="src/repro/sim/bench.py") == []
     assert lint_source(source, path="src/repro/exec/progress.py") == []
     assert len(lint_source(source, path="src/repro/network/host.py")) == 1
 

@@ -15,18 +15,16 @@ import pytest
 
 from repro.lint.contracts import ContractRegistry, check_contracts
 from repro.mesoscale.contracts import CONTRACTS as MESO_CONTRACTS
-from repro.sim.contracts import CONTRACTS as SIM_CONTRACTS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 _VECTOR = "src/repro/mesoscale/vector.py"
 _FLOW = "src/repro/mesoscale/flow.py"
-_NUMBA = "src/repro/sim/_kernels_numba.py"
-_CYTHON = "src/repro/sim/_kernels_cython.py"
+_C3 = "src/repro/selection/c3.py"
 
 
 def _mirror_pair(name):
-    for pair in SIM_CONTRACTS.mirror_pairs + MESO_CONTRACTS.mirror_pairs:
+    for pair in MESO_CONTRACTS.mirror_pairs:
         if pair.name == name:
             return pair
     raise AssertionError(f"declaration {name!r} is gone from the registries")
@@ -57,17 +55,6 @@ def _inject(tmp_path, rel, old, new):
     "name,files,rel,old,new,rule",
     [
         (
-            # Reordered float addition in the cython twin: same value in
-            # exact arithmetic, different ulp chain -- exactly the drift
-            # the kernel pairing exists to catch.
-            "kernel.path_chain",
-            (_NUMBA, _CYTHON),
-            _CYTHON,
-            "t += hops[j]",
-            "t = hops[j] + t",
-            "CON001",
-        ),
-        (
             # Counter drift in the vector server endpoint.
             "vector.server.arrival",
             (_FLOW, _VECTOR),
@@ -87,6 +74,31 @@ def test_injected_mirror_drift_is_caught(tmp_path, name, files, rel, old, new, r
     findings = check_contracts(str(tmp_path), registry=registry)
     assert [f.rule for f in findings] == [rule], findings
     assert findings[0].path == rel
+
+
+def test_reordered_score_in_the_vector_copy_is_caught(tmp_path):
+    """Reordered float addition in the vector tier's inlined C3 score: same
+    value in exact arithmetic, different ulp chain -- exactly the drift the
+    ``c3-cubic-score`` anchor exists to catch."""
+    (anchor,) = [
+        a for a in MESO_CONTRACTS.expr_anchors if a.name == "c3-cubic-score"
+    ]
+    registry = ContractRegistry(expr_anchors=[anchor])
+    _scratch_tree(tmp_path, (_C3, _VECTOR))
+    assert check_contracts(str(tmp_path), registry=registry) == []
+    _inject(
+        tmp_path,
+        _VECTOR,
+        "track.response_time\n"
+        "                        - expected_service\n"
+        "                        + (q_hat**exponent) * expected_service\n",
+        "(q_hat**exponent) * expected_service\n"
+        "                        + track.response_time\n"
+        "                        - expected_service\n",
+    )
+    findings = check_contracts(str(tmp_path), registry=registry)
+    assert [f.rule for f in findings] == ["CON001"], findings
+    assert findings[0].path == _VECTOR
 
 
 def test_injected_draw_swap_is_caught(tmp_path):

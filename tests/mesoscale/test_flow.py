@@ -59,12 +59,10 @@ def test_same_seed_is_bit_identical():
 
 @pytest.mark.parametrize("vector_batch", [0, 64])
 @pytest.mark.parametrize("scheme", FLOW_SCHEMES)
-def test_flow_matches_packet_bit_exactly(scheme, backend, vector_batch):
-    """The packet tier runs each installed event-core backend; the flow
-    tier has no compiled kernels, so this doubles as cross-backend
-    byte-identity for the packet engine.  ``vector_batch > 0`` routes the
-    flow side through the SoA fast path, which must change nothing."""
-    config = _tiny(scheme, engine_backend=backend)
+def test_flow_matches_packet_bit_exactly(scheme, vector_batch):
+    """``vector_batch > 0`` routes the flow side through the SoA fast
+    path, which must change nothing."""
+    config = _tiny(scheme)
     packet = run_experiment(config)
     flow = run_flow_experiment(
         config.replace(fidelity="flow", vector_batch=vector_batch)

@@ -461,12 +461,12 @@ class TestDequeHeapOrdering:
         ]
 
 
-class TestSameTimestampBatch:
-    """The batched same-timestamp drain in :meth:`Environment.run`.
+class TestSameTimestampOrder:
+    """Entries sharing a timestamp dispatch in ``seq`` order, whichever of
+    the deque and the heap holds them, across cancels, stops and resumes.
 
     Every schedule here puts a far-future entry at the deque front so the
-    same-time cluster lands in the heap -- the shape that triggers the
-    batch drain after the first cluster entry dispatches.
+    same-time cluster lands in the heap.
     """
 
     def test_batch_merges_deque_and_heap_in_seq_order(self, env):
@@ -484,7 +484,7 @@ class TestSameTimestampBatch:
 
         def first():
             seen.append("first")
-            # Same timestamp, but a higher seq: must run after the batch.
+            # Same timestamp, but a higher seq: must run after the cluster.
             env.call_in(0.0, lambda: seen.append("nested"))
 
         env.call_in(2.0, seen.append, "later")
@@ -502,14 +502,13 @@ class TestSameTimestampBatch:
             handles["victim"].cancel()
 
         env.call_in(2.0, seen.append, "later")
-        env.call_in(1.0, seen.append, "lead")  # dispatched by the outer loop
-        env.call_in(1.0, canceller)  # batch[0]: cancels a drained entry
+        env.call_in(1.0, seen.append, "lead")
+        env.call_in(1.0, canceller)  # cancels the entry right behind it
         handles["victim"] = env.call_in(1.0, seen.append, "victim")
         env.run()
         assert seen == ["lead", "canceller", "later"]
         assert env.events_executed == 3
-        # The victim had already left the schedule when it was cancelled, so
-        # the lazy-deletion counter must not have been touched.
+        # Dropping the victim settled its cancellation.
         assert env._cancelled == 0
 
     def test_entry_cancelled_before_drain_is_settled_in_batch(self, env):
@@ -538,8 +537,7 @@ class TestSameTimestampBatch:
         assert seen == ["lead"]
         assert env.events_executed == 2  # lead + the stop callback
         assert env.now == 1.0
-        # The undispatched tail went back to the schedule front: resuming
-        # picks up exactly past the entry that raised.
+        # Resuming picks up exactly past the entry that raised.
         assert env.run() is None
         assert seen == ["lead", "tail1", "tail2", "later"]
         assert env.events_executed == 5
@@ -557,8 +555,8 @@ class TestSameTimestampBatch:
         env.call_in(1.0, cancel_and_stop)
         handles["victim"] = env.call_in(1.0, seen.append, "victim")
         assert env.run() == "halt"
-        # The cancelled victim was re-queued, so its cancellation counts
-        # toward lazy deletion again until the resume drops it.
+        # The cancelled victim is still scheduled, so its cancellation
+        # counts toward lazy deletion until the resume drops it.
         assert env._cancelled == 1
         assert env.run() is None
         assert seen == ["lead", "later"]
@@ -580,6 +578,27 @@ class TestSameTimestampBatch:
             return seen, env.events_executed
 
         assert run_once(batched=True) == run_once(batched=False)
+
+    def test_fanout_pair_across_deque_and_heap_and_a_run_split(self, env):
+        """The quorum fan-out shape: two ``post_in`` entries at one
+        timestamp, one on the deque and one on the heap, the first of which
+        schedules a third at that same timestamp."""
+        seen = []
+
+        def first():
+            seen.append("first")
+            env.post_in(0.0, seen.append, ("third",))
+
+        env.post_in(1.0, first)  # deque
+        env.post_in(2.0, seen.append, ("later",))  # deque
+        env.post_in(1.0, seen.append, ("second",))  # heap: 1.0 < deque tail
+        assert len(env._dq) == 2 and len(env._heap) == 1
+        env.run(until=1.0)
+        assert seen == ["first", "second", "third"]
+        assert env.events_executed == 3
+        env.run()
+        assert seen == ["first", "second", "third", "later"]
+        assert env.events_executed == 4
 
 
 class TestDeterminism:
