@@ -17,7 +17,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, Sequence
 
 if TYPE_CHECKING:  # imported lazily: experiments itself builds on repro.exec
     from repro.experiments.config import ExperimentConfig
@@ -118,7 +118,7 @@ class JobOutcome:
     # reproduces the serial sample order exactly; ``counters`` carries the
     # flow-tier traffic/fault counters the merged result sums.  Both default
     # empty, so pre-existing ledgers (which never wrote them) still resume.
-    samples: list = field(default_factory=list)
+    samples: Sequence[float] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
 
     def to_record(self) -> Dict[str, Any]:

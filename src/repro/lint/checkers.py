@@ -609,7 +609,7 @@ _HOT_PATH_FRAGMENTS = ("repro/kvstore/", "repro/network/", "repro/mesoscale/")
         "In repro.kvstore and repro.network a Generator draw runs once per "
         "request (arrivals, service times, think times, jitter), where "
         "numpy's per-call dispatch dominates the draw itself.  "
-        "repro.sim.rng.BatchedStream pre-draws 1024-value blocks and serves "
+        "repro.sim.rng.BatchedStream pre-draws blocks of up to 1024 values and serves "
         "scalars from them with the bit-identical value sequence, so hot "
         "paths should take a BatchedStream (conventionally a `_draws` "
         "attribute) instead of calling `rng.exponential()` and friends one "

@@ -559,9 +559,15 @@ class _FaultDriver:
 
     def arm(self) -> None:
         env = self.engine.env
-        for event in self._resolved:
-            env.call_at(event.at, self._apply, event)
+        self._handles = [
+            env.call_at(event.at, self._apply, event) for event in self._resolved
+        ]
         self.engine._env_times = sorted(event.at for event in self._resolved)
+
+    def disarm(self) -> None:
+        """Cancel the transitions still scheduled (each pins the environment)."""
+        for handle in self._handles:
+            handle.cancel()
 
     def _apply(self, event) -> None:
         engine = self.engine
@@ -605,7 +611,13 @@ class _FaultDriver:
 
 
 class FlowEngine:
-    """One flow-level experiment: state, micro-event loop and accounting."""
+    """One flow-level experiment: state, micro-event loop and accounting.
+
+    Lifetime: build, :meth:`run` once, read the counters, :meth:`teardown`.
+    ``run_flow_experiment`` does all four (and parks the cyclic collector
+    meanwhile); a caller driving an engine by hand owes it the teardown, or
+    leaves a ~30 000-object reference cycle for a full collection to find.
+    """
 
     def __init__(
         self,
@@ -625,18 +637,6 @@ class FlowEngine:
         rng = RngRegistry(config.seed)
         self.rng = rng
         batch = config.rng_batch_size
-        # Stream blocks sized to the run: a server's service stream draws
-        # about total/n_servers values and a client's redundancy stream far
-        # fewer, so on short runs a full default block would pre-draw (and
-        # convert to Python floats) many times more values than are ever
-        # served.  Served values are identical for any block size (the
-        # BatchedStream contract) -- only the refill points move.
-        if batch > 0:
-            per_server = 8 * max(1, config.total_requests // max(1, config.n_servers))
-            service_batch = max(64, min(batch, per_server))
-            client_batch = min(batch, 256)
-        else:
-            service_batch = client_batch = 0
 
         # --- clock & micro-event machinery --------------------------------
         self._now = self.env.now
@@ -698,7 +698,7 @@ class FlowEngine:
                 self,
                 name,
                 parallelism=config.parallelism,
-                draws=rng.batched(f"service.{name}", service_batch),
+                draws=rng.batched(f"service.{name}", batch),
                 alpha=config.ewma_alpha,
                 mean_model=mean_model,
             )
@@ -733,7 +733,7 @@ class FlowEngine:
                     netrs=config.netrs,
                     redundancy=redundancy,
                     draws=(
-                        rng.batched(f"redundancy.{name}", client_batch)
+                        rng.batched(f"redundancy.{name}", batch)
                         if redundancy
                         else None
                     ),
@@ -844,6 +844,23 @@ class FlowEngine:
             entry[2](*entry[3])
         if self._now > env.now:
             env.run(until=self._now)
+
+    def teardown(self) -> None:
+        """Release everything the run built; the engine is unusable afterwards.
+
+        An engine is one large reference cycle: every client, server and
+        accelerator points back at it, and the tracker, the fault schedule
+        and the events left on the heap hold its bound methods.  Merely
+        dropped, it waits for a full pass of the cyclic collector, which a
+        flow run keeps parked (``run_flow_experiment``).  Emptying the
+        instance dict cuts every one of those cycles at the engine, whatever
+        attributes a later change adds, so all the engine owned is freed by
+        reference count here; what it shares (the recorder the result keeps,
+        a caller's ``env``, the interned ring) is only released.
+        """
+        if self.faults is not None:
+            self.faults.disarm()
+        self.__dict__.clear()
 
     # ------------------------------------------------------------------
     # Workload (mirrors OpenLoopWorkload._arrival, read-only path)

@@ -11,6 +11,7 @@ harness to prove its gate can fail.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import time
@@ -31,8 +32,7 @@ def run_flow_experiment(
 
     ``service_time_scale`` multiplies every drawn service time (1.0 in
     normal runs); the validation harness uses it to build deliberately
-    mis-calibrated fixtures.  With ``keep_engine`` the live engine is
-    attached as ``result.engine`` for inspection.
+    mis-calibrated fixtures.
 
     Dispatch: ``config.shards > 1`` fans the run out as independent
     ``repro.exec`` jobs and merges them (repro.mesoscale.shard);
@@ -42,6 +42,16 @@ def run_flow_experiment(
     scalar-configured runs through the vector engine too -- safe because
     the two are bit-identical; the CI vector leg uses it to run the whole
     fast suite on the SoA path.
+
+    Memory: a flow run owns what it allocates and nothing waits for the
+    cyclic collector.  The collector is parked from engine construction to
+    teardown (the drain loops allocate only acyclic event tuples and floats,
+    so its passes find nothing: docs/MESOSCALE.md, "Memory lifetime") and
+    the caller's collector state is restored on every exit.  The engine is
+    torn down (:meth:`FlowEngine.teardown`) once the result is built, so it
+    is freed by reference count and ``result.latency`` is all that survives;
+    with ``keep_engine`` the live engine is attached as ``result.engine``
+    instead, for inspection.
     """
     if config.shards > 1:
         # Imported lazily: shard fan-out builds on this function.
@@ -50,6 +60,25 @@ def run_flow_experiment(
         return run_sharded_flow_experiment(
             config, service_time_scale=service_time_scale
         )
+    collector_was_enabled = gc.isenabled()
+    gc.disable()
+    engine = None
+    try:
+        engine = _build_engine(config, service_time_scale)
+        result = _run_engine(engine, config)
+        if keep_engine:
+            result.engine = engine  # type: ignore[attr-defined]
+            engine = None
+        return result
+    finally:
+        if engine is not None:
+            engine.teardown()
+        if collector_was_enabled:
+            gc.enable()
+
+
+def _build_engine(config: ExperimentConfig, service_time_scale: float) -> FlowEngine:
+    """The scalar engine, or the SoA one when configured or forced."""
     vector_batch = config.vector_batch
     if vector_batch == 0:
         forced = os.environ.get("REPRO_VECTOR_FORCE", "")
@@ -59,13 +88,16 @@ def run_flow_experiment(
         # Imported lazily so scalar runs never pay the numpy-kernels import.
         from repro.mesoscale.vector import VectorFlowEngine
 
-        engine: FlowEngine = VectorFlowEngine(
+        return VectorFlowEngine(
             config,
             service_time_scale=service_time_scale,
             vector_batch=vector_batch,
         )
-    else:
-        engine = FlowEngine(config, service_time_scale=service_time_scale)
+    return FlowEngine(config, service_time_scale=service_time_scale)
+
+
+def _run_engine(engine: FlowEngine, config: ExperimentConfig) -> ExperimentResult:
+    """Drive ``engine`` to completion and read the result off it."""
     expected_duration = config.total_requests / config.arrival_rate()
     safety_horizon = engine.env.now + expected_duration * 5 + 10.0
 
@@ -118,6 +150,4 @@ def run_flow_experiment(
         )
         result.accelerator_max_utilization = engine.accelerator_max_utilization()
         result.selector_requests_handled = engine.selector_requests_handled()
-    if keep_engine:
-        result.engine = engine  # type: ignore[attr-defined]
     return result

@@ -205,7 +205,7 @@ def _run_shard_job(job: Job, service_time_scale: float = 1.0) -> JobOutcome:
     # The merge needs the raw samples (key-ordered concat reproduces the
     # serial sample order) and every summed counter; both travel on the
     # outcome so they cross process boundaries and spool to the ledger.
-    outcome.samples = list(result.latency.samples)
+    outcome.samples = result.latency.samples
     counters: Dict[str, float] = {
         name: getattr(result, name) for name in _MERGE_SUMS
     }

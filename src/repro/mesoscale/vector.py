@@ -347,6 +347,13 @@ class VectorFlowEngine(FlowEngine):
         self._b_cls: Optional[List[List[int]]] = None
         self._b_path: List[List[float]] = []
 
+    def teardown(self) -> None:
+        """Also cut the fast-mode servers' cached bound methods of themselves."""
+        if self._fast:
+            for server in self.servers.values():
+                server._complete_cb = None
+        super().teardown()
+
     # ------------------------------------------------------------------
     # SoA prologue: roll the workload forward one block
     # ------------------------------------------------------------------

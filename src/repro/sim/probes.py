@@ -120,9 +120,16 @@ class LatencyRecorder:
             insort(self._sorted, latency)
 
     def extend(self, latencies: Iterable[float]) -> None:
-        """Record many samples at once."""
-        for value in latencies:
-            self.add(value)
+        """Record many samples at once (all of them, or none if one is negative)."""
+        if not isinstance(latencies, (list, tuple)):
+            latencies = list(latencies)
+        if not latencies:
+            return
+        lowest = min(latencies)
+        if lowest < 0:
+            raise ValueError(f"negative latency: {lowest}")
+        self._samples += latencies
+        self._sorted = None  # bulk append: cheaper to re-sort on next query
 
     def extend_array(self, latencies: np.ndarray) -> None:
         """Record a vectorized block of samples (numpy float array).

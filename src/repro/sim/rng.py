@@ -21,8 +21,14 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-#: Default pre-draw block length for :class:`BatchedStream`.
+#: Default pre-draw block ceiling for :class:`BatchedStream`.
 DEFAULT_BATCH_SIZE = 1024
+
+#: A stream's first block, and the factor each later block grows by until it
+#: reaches the stream's ``block_size``: a stream that serves ``n`` draws has
+#: pre-drawn fewer than ``4 n + 16``, however few it is asked for.
+_FIRST_BLOCK = 16
+_BLOCK_GROWTH = 4
 
 
 class BatchedStream:
@@ -39,6 +45,13 @@ class BatchedStream:
     interleave families (e.g. the open-loop arrival stream: exponential
     gaps + uniform weight picks) must stay on a raw generator.
 
+    ``block_size`` is the *ceiling* on a block: the first refill draws 16
+    values and each later one four times as many, up to ``block_size``, so
+    a stream that is barely used (most of a large run's per-host streams)
+    pre-draws a handful of values instead of a full block.  Where the
+    refills fall cannot change a value, by the equivalence above: a block
+    of ``n`` is ``n`` scalar draws wherever it starts.
+
     ``block_size=0`` bypasses batching entirely: every call is a scalar
     draw on the wrapped generator, which makes the knob a pure performance
     switch — results are identical either way.
@@ -50,7 +63,9 @@ class BatchedStream:
     ``integers(low[, high])`` (locked to the first call's bounds).
     """
 
-    __slots__ = ("_rng", "block_size", "_family", "_block", "_pos", "_bounds")
+    __slots__ = (
+        "_rng", "block_size", "_family", "_block", "_pos", "_bounds", "_refill_size",
+    )
 
     def __init__(
         self,
@@ -67,6 +82,7 @@ class BatchedStream:
         self._block: List = []
         self._pos = 0
         self._bounds: Optional[Tuple[int, Optional[int]]] = None
+        self._refill_size = min(_FIRST_BLOCK, block_size)
 
     # -- internal ------------------------------------------------------
     def _lock(self, family: str) -> None:
@@ -81,7 +97,9 @@ class BatchedStream:
             )
 
     def _refill(self) -> None:
-        size = self.block_size
+        size = self._refill_size
+        if size < self.block_size:
+            self._refill_size = min(size * _BLOCK_GROWTH, self.block_size)
         if self._family == "uniform":
             self._block = self._rng.random(size=size).tolist()
         elif self._family == "exponential":
@@ -94,7 +112,8 @@ class BatchedStream:
     # -- draws ---------------------------------------------------------
     def random(self) -> float:
         """Uniform in [0, 1); equivalent to ``Generator.random()``."""
-        self._lock("uniform")
+        if self._family != "uniform":
+            self._lock("uniform")
         if self.block_size == 0:
             return float(self._rng.random())
         pos = self._pos
@@ -110,7 +129,8 @@ class BatchedStream:
 
     def standard_exponential(self) -> float:
         """Equivalent to ``Generator.standard_exponential()``."""
-        self._lock("exponential")
+        if self._family != "exponential":
+            self._lock("exponential")
         if self.block_size == 0:
             return float(self._rng.standard_exponential())
         pos = self._pos
@@ -136,7 +156,8 @@ class BatchedStream:
         generation consumes a bound-dependent number of bits, so a block
         is only bitstream-equivalent to scalar draws with the same bounds.
         """
-        self._lock("integers")
+        if self._family != "integers":
+            self._lock("integers")
         bounds = (low, high)
         if self._bounds is None:
             self._bounds = bounds
@@ -156,7 +177,7 @@ class BatchedStream:
         return self._block[pos]
 
     def spawn(self) -> "BatchedStream":
-        """Derive an independent child stream (same block size).
+        """Derive an independent child stream (same block ceiling).
 
         Children come from the underlying generator's ``SeedSequence`` spawn
         counter, which is independent of how many values were drawn — so a

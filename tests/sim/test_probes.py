@@ -101,6 +101,27 @@ class TestLatencyRecorder:
         recorder.add(3.0)
         assert recorder.percentile(50) == 2.0
 
+    @pytest.mark.parametrize("container", [list, tuple, iter])
+    def test_extend_equals_repeated_add(self, container):
+        values = [0.3, 0.1, 0.2, 0.0]
+        one_by_one, bulk = LatencyRecorder(), LatencyRecorder()
+        for recorder in (one_by_one, bulk):
+            recorder.add(0.5)
+            assert recorder.percentile(50) == 0.5  # sorted mirror built
+        for value in values:
+            one_by_one.add(value)
+        bulk.extend(container(values))
+        bulk.extend(container([]))
+        assert bulk.samples == one_by_one.samples
+        assert bulk.summary() == one_by_one.summary()
+        assert bulk.percentile(50) == one_by_one.percentile(50)
+
+    def test_extend_rejects_a_negative_sample(self):
+        recorder = LatencyRecorder()
+        with pytest.raises(ValueError, match="negative latency: -0.1"):
+            recorder.extend([0.2, -0.1, 0.3])
+        assert len(recorder) == 0
+
 
 class TestTimeSeries:
     def test_record_and_length(self):

@@ -28,7 +28,22 @@ def _pair(seed=123, name="test.stream", block_size=1024):
     )
 
 
-N_LONG = 5000  # crosses several 1024-blocks and many small blocks
+N_LONG = 5000  # crosses every growth step, several 1024-blocks, many small ones
+
+#: Block ceilings: tiny ones refill mid-sequence all the time, 1024 (the
+#: default) grows 16 -> 64 -> 256 -> 1024 before it gets there.
+CEILINGS = [1, 2, 3, 7, 64, 1023, 1024]
+N_GROWN = 3000  # past 16 + 64 + 256 + 1024: every growth boundary and two full blocks
+
+
+def _serve(stream, draw, n):
+    """``n`` draws; returns (values, length of every block refilled on the way)."""
+    values, blocks = [], []
+    for _ in range(n):
+        values.append(draw())
+        if stream._pos == 1:  # this draw opened a fresh block
+            blocks.append(len(stream._block))
+    return values, blocks
 
 
 class TestScalarEquivalence:
@@ -71,7 +86,7 @@ class TestScalarEquivalence:
             int(scalar.integers(0, 17)) for _ in range(N_LONG)
         ]
 
-    @pytest.mark.parametrize("block_size", [1, 2, 3, 7, 64, 1023])
+    @pytest.mark.parametrize("block_size", CEILINGS)
     def test_block_boundary_crossing(self, block_size):
         """Tiny blocks force refills mid-sequence; values must not notice."""
         batched, scalar = _pair(block_size=block_size)
@@ -87,7 +102,60 @@ class TestScalarEquivalence:
         assert got == want
         # Bypass mode never pre-draws: the wrapped generator stays in
         # lockstep with a scalar twin draw for draw.
+        assert batched._block == []
         assert float(batched._rng.random()) == float(scalar.random())
+
+
+@pytest.mark.parametrize("block_size", CEILINGS)
+class TestBlockGrowth:
+    """Blocks start at 16 values and grow fourfold up to ``block_size``;
+    where the refills fall must be invisible in the served values."""
+
+    def test_random(self, block_size):
+        batched, scalar = _pair(block_size=block_size)
+        got, _ = _serve(batched, batched.random, N_GROWN)
+        assert got == [float(scalar.random()) for _ in range(N_GROWN)]
+
+    def test_exponential_varying_scale(self, block_size):
+        batched, scalar = _pair(block_size=block_size)
+        scales = iter([1e-4 * (1 + i % 7) for i in range(N_GROWN)] * 2)
+        got, _ = _serve(batched, lambda: batched.exponential(next(scales)), N_GROWN)
+        want = [
+            next(scales) * float(scalar.standard_exponential()) for _ in range(N_GROWN)
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize("bounds", [(0, 2), (0, 3), (0, 1000), (0, 2**33)])
+    def test_integers(self, block_size, bounds):
+        # One bound per Lemire regime: a power of two, a tiny and a mid-size
+        # rejection range, and one past 32 bits.
+        batched, scalar = _pair(block_size=block_size)
+        got, _ = _serve(batched, lambda: batched.integers(*bounds), N_GROWN)
+        assert got == [int(scalar.integers(*bounds)) for _ in range(N_GROWN)]
+
+    def test_blocks_grow_fourfold_to_the_ceiling(self, block_size):
+        batched, _ = _pair(block_size=block_size)
+        _, blocks = _serve(batched, batched.standard_exponential, N_GROWN)
+        assert blocks[0] == min(16, block_size)
+        assert max(blocks) == block_size
+        for previous, block in zip(blocks, blocks[1:]):
+            assert block == min(4 * previous, block_size)
+
+    def test_pre_drawn_stays_proportional_to_served(self, block_size):
+        batched, _ = _pair(block_size=block_size)
+        pre_drawn = 0
+        for served in range(1, N_GROWN + 1):
+            batched.random()
+            if batched._pos == 1:
+                pre_drawn += len(batched._block)
+            assert served <= pre_drawn < 4 * served + 16
+
+    def test_spawned_children_start_small_again(self, block_size):
+        batched, _ = _pair(block_size=block_size)
+        _serve(batched, batched.random, N_GROWN)  # parent is at its ceiling
+        child = batched.spawn()
+        _, blocks = _serve(child, child.random, 1)
+        assert blocks == [min(16, block_size)]
 
 
 class TestFamilyLock:
@@ -118,7 +186,7 @@ class TestSpawn:
         children derive from the SeedSequence spawn counter, not the draw
         position -- so both parents spawn identical children."""
         batched, scalar = _pair()
-        for _ in range(10):  # batched parent has pre-drawn a full block
+        for _ in range(10):  # batched parent has pre-drawn its first block
             batched.random()
         child_b = batched.spawn()
         child_s = scalar.spawn(1)[0]
