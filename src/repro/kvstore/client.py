@@ -1,7 +1,7 @@
 """Key-value clients: request issuing, feedback, and redundant requests.
 
-A client is an end-host endpoint that turns workload arrivals into request
-packets and records response latencies.  Depending on the scheme it either
+A client is an end-host endpoint that turns workload arrivals into requests
+and records response latencies.  Depending on the scheme it either
 
 * **selects the replica itself** (CliRS: the client is the RSNode, running a
   replica-selection algorithm over its locally observed feedback), or
@@ -12,19 +12,28 @@ The optional :class:`RedundancyPolicy` reproduces CliRS-R95 (section V-A): if
 a primary request is outstanding longer than the client's 95th-percentile
 expected latency, a redundant copy goes to a different replica and the first
 response wins.
+
+The read path exists once, in :class:`ClientCore`: issue, the R95 duplicate,
+timeout / backoff / retry and the response fold, written against a clock
+(``env.now``, ``env.call_in``) and two injected callables -- ``transmit``
+puts one copy of a request on the wire, ``completed`` reports a request's
+terminal state.  Two drivers run that body: :class:`KVClient` on the packet
+fabric, which also owns everything that only exists as packets (writes,
+quorum reads, digests, read-repair, trace sinks, the closed-loop hook), and
+the flow engine (:mod:`repro.mesoscale.flow`), whose ``transmit`` prices the
+path in closed form.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.kvstore.hashing import ConsistentHashRing
 from repro.network.host import Host
-from repro.network.packet import Packet, make_request
+from repro.network.packet import Packet, ServerStatus, make_request
 from repro.selection.base import ReplicaSelector
 from repro.sim.core import Environment
 from repro.sim.probes import LatencyRecorder
@@ -56,7 +65,7 @@ class _QuorumState:
     """Per-read quorum bookkeeping; allocated only when ``read_quorum > 1``.
 
     Kept out of :class:`_Outstanding` so the single-replica read path (the
-    default, and the only path the flow tier mirrors) allocates nothing new.
+    default, and the only path the flow tier drives) allocates nothing new.
     ``versions`` collects ``(server, (version_ts, version_id))`` in arrival
     order -- deterministic, since packet deliveries are.
     """
@@ -121,30 +130,41 @@ class CompletionTracker:
                 callback()
 
 
-class KVClient:
-    """One client endpoint of the key-value store."""
+#: ``transmit(client, request_id, entry, target)``: put one copy of the read on
+#: the wire, toward ``target`` (under NetRS the backup replica: the RSNode
+#: makes the real choice).
+Transmit = Callable[["ClientCore", int, _Outstanding, str], None]
+#: ``completed(client)``: one request reached its terminal state (its first
+#: response arrived, or its retry budget ran out).
+Completed = Callable[["ClientCore"], None]
+
+
+class ClientCore:
+    """The client read path: issue, R95 duplicate, timeout/retry, response fold.
+
+    ``env`` is anything with the clock surface ``now`` / ``call_in`` (an
+    :class:`~repro.sim.core.Environment` or a flow engine).  Timer handles
+    are cancelled on completion where the clock hands them out; a clock whose
+    ``call_in`` returns ``None`` leaves its timers to fire and find the
+    entry ``done``.
+    """
 
     __slots__ = (
         "env",
-        "host",
         "name",
         "ring",
         "selector",
         "recorder",
-        "tracker",
         "netrs",
         "redundancy",
         "_draws",
         "_request_ids",
-        "write_recorder",
-        "write_quorum",
-        "read_quorum",
+        "_transmit",
+        "_completed",
         "_outstanding",
         "_history",
         "_cached_threshold",
         "_samples_since_refresh",
-        "trace_sink",
-        "on_complete",
         "requests_sent",
         "redundant_sent",
         "responses_received",
@@ -155,6 +175,246 @@ class KVClient:
         "retries",
         "requests_lost",
         "duplicates_suppressed",
+    )
+
+    def __init__(
+        self,
+        env: Environment,
+        name: str,
+        *,
+        ring: ConsistentHashRing,
+        selector: ReplicaSelector,
+        recorder: LatencyRecorder,
+        transmit: Transmit,
+        completed: Completed,
+        netrs: bool = False,
+        redundancy: Optional[RedundancyPolicy] = None,
+        rng: Optional[DrawSource] = None,
+        request_timeout: Optional[float] = None,
+        max_retries: int = 0,
+        request_ids: Optional[Iterator[int]] = None,
+    ) -> None:
+        if redundancy is not None and netrs:
+            raise ConfigurationError(
+                "redundant requests are a client-side scheme (CliRS-R95); "
+                "combine them with netrs=False"
+            )
+        if request_timeout is not None and request_timeout <= 0:
+            raise ConfigurationError("request_timeout must be positive")
+        if max_retries < 0:
+            raise ConfigurationError("max_retries must be >= 0")
+        self.env = env
+        self.name = name
+        self.ring = ring
+        self.selector = selector
+        self.recorder = recorder
+        self.netrs = netrs
+        self.redundancy = redundancy
+        self._draws = rng
+        # Request IDs feed the ECMP flow key and break LWW version ties, so
+        # they must be unique among the clients of one scenario, which pass
+        # one shared counter, and must not depend on anything outside it.
+        self._request_ids = (
+            request_ids if request_ids is not None else itertools.count(1)
+        )
+        self._transmit = transmit
+        self._completed = completed
+        self._outstanding: Dict[int, _Outstanding] = {}
+        # Client-local latency history for the R95 threshold.  The threshold
+        # is cached and refreshed periodically so issuing stays O(1).
+        self._history = LatencyRecorder()
+        self._cached_threshold: Optional[float] = None
+        self._samples_since_refresh = 0
+        # Timeout/retry policy (see docs/FAULTS.md): with a timeout set, a
+        # request unanswered for request_timeout seconds is retransmitted up
+        # to max_retries times with capped exponential backoff, then given
+        # up on (counted in requests_lost).
+        self.request_timeout = request_timeout
+        self.max_retries = max_retries
+        # Accounting
+        self.requests_sent = 0
+        self.redundant_sent = 0
+        self.responses_received = 0
+        self.late_responses = 0
+        self.timeouts = 0
+        self.retries = 0
+        self.requests_lost = 0
+        self.duplicates_suppressed = 0
+
+    # ------------------------------------------------------------------
+    # Issuing
+    # ------------------------------------------------------------------
+    def issue(self, key: int, record: bool = True) -> int:
+        """Issue one read request for ``key``; returns the request ID."""
+        rgid, replicas = self.ring.group_for_key(key)
+        request_id = next(self._request_ids)
+        now = self.env.now
+        target = self.selector.select(replicas, now)
+        if self.netrs:
+            # The client only supplies the backup replica; the in-network
+            # RSNode makes the real choice.
+            primary_target = ""
+        else:
+            self.selector.note_sent(target, now)
+            primary_target = target
+        entry = _Outstanding(key, rgid, replicas, now, record, primary_target)
+        if primary_target:
+            entry.tried = (primary_target,)
+        self._outstanding[request_id] = entry
+        self.requests_sent += 1
+        self._transmit(self, request_id, entry, target)
+        if self.redundancy is not None:
+            entry.timer = self.env.call_in(
+                self._redundancy_threshold(), self._fire_redundant, request_id
+            )
+        if self.request_timeout is not None:
+            # Arming a timer that never fires leaves results byte-identical:
+            # extra schedule entries only bump the monotone sequence counter,
+            # and cancelled timers neither run nor count as events.
+            entry.timeout_timer = self.env.call_in(
+                self.request_timeout, self._on_timeout, request_id
+            )
+        return request_id
+
+    def _redundancy_threshold(self) -> float:
+        policy = self.redundancy
+        if len(self._history) >= policy.min_samples:
+            if self._cached_threshold is None or self._samples_since_refresh >= 25:
+                self._cached_threshold = self._history.percentile(policy.percentile)
+                self._samples_since_refresh = 0
+            return self._cached_threshold
+        mean = self._history.mean()
+        if mean != mean:
+            # NaN, no history at all yet: be generous so cold starts do not
+            # flood the servers with duplicates.
+            return policy.fallback_multiplier * 10e-3
+        return policy.fallback_multiplier * mean
+
+    def _fire_redundant(self, request_id: int) -> None:
+        entry = self._outstanding.get(request_id)
+        if entry is None or entry.done:
+            return
+        others = [r for r in entry.replicas if r != entry.primary_target]
+        if not others:
+            return
+        if self._draws is not None and len(others) > 1:
+            target = others[int(self._draws.integers(len(others)))]
+        else:
+            target = others[0]
+        self.selector.note_sent(target, self.env.now)
+        entry.duplicates_sent += 1
+        self.redundant_sent += 1
+        self._transmit(self, request_id, entry, target)
+
+    # ------------------------------------------------------------------
+    # Timeouts & retries (see docs/FAULTS.md)
+    # ------------------------------------------------------------------
+    def _on_timeout(self, request_id: int) -> None:
+        entry = self._outstanding.get(request_id)
+        if entry is None or entry.done:
+            return
+        self.timeouts += 1
+        if entry.attempts >= self.max_retries:
+            # Retry budget exhausted: the request is *lost*.  No latency
+            # sample is recorded, but the run still hears of its terminal
+            # state, so it terminates instead of stalling on a dead server.
+            entry.done = True
+            self.requests_lost += 1
+            del self._outstanding[request_id]
+            self._completed(self)
+            return
+        entry.attempts += 1
+        self.retries += 1
+        now = self.env.now
+        if self.netrs:
+            # Re-enter the NetRS path with a fresh backup choice; the
+            # in-network RSNode re-selects (it may know the primary is slow
+            # by now -- exactly the aggregated-feedback advantage).
+            target = self.selector.select(entry.replicas, now)
+        else:
+            # Prefer replicas not yet tried (RepNet-style retry discipline:
+            # a timed-out server is the worst candidate for the retry); once
+            # every replica has been tried, select over the full set again.
+            untried = tuple(r for r in entry.replicas if r not in entry.tried)
+            candidates = untried or entry.replicas
+            if len(candidates) > 1:
+                target = self.selector.select(candidates, now)
+            else:
+                target = candidates[0]
+            entry.tried = entry.tried + (target,)
+            entry.primary_target = target
+            self.selector.note_sent(target, now)
+        self.requests_sent += 1
+        self._transmit(self, request_id, entry, target)
+        delay = self.request_timeout * min(2.0 ** entry.attempts, _BACKOFF_CAP)
+        entry.timeout_timer = self.env.call_in(delay, self._on_timeout, request_id)
+
+    # ------------------------------------------------------------------
+    # Responses
+    # ------------------------------------------------------------------
+    def handle_response(
+        self, request_id: int, server: str, status: Optional[ServerStatus]
+    ) -> None:
+        """Fold one read response into selector feedback, state and metrics."""
+        self.responses_received += 1
+        now = self.env.now
+        entry = self._outstanding.get(request_id)
+        # Feedback always updates the local selector: in CliRS this is the
+        # decision input, in NetRS it keeps the backup choice fresh.
+        if status is not None and entry is not None:
+            self.selector.note_response(server, now - entry.issued_at, status, now)
+        if entry is None or entry.done:
+            self._late_response(request_id, entry)
+            return
+        entry.done = True
+        latency = now - entry.issued_at
+        self._history.add(latency)
+        self._samples_since_refresh += 1
+        if entry.record:
+            self.recorder.add(latency)
+        if entry.timer is not None:
+            entry.timer.cancel()  # type: ignore[attr-defined]
+        if entry.timeout_timer is not None:
+            entry.timeout_timer.cancel()  # type: ignore[attr-defined]
+        # Keep duplicates findable until their responses arrive, but free
+        # completed singletons immediately to bound memory.
+        if entry.duplicates_sent == 0 and entry.attempts == 0:
+            del self._outstanding[request_id]
+        self._completed(self)
+
+    def _late_response(
+        self, request_id: int, entry: Optional[_Outstanding]
+    ) -> None:
+        """Count a response that completes nothing.
+
+        With an entry it is a losing copy of a duplicated or retransmitted
+        request: the first response completed the request, later ones only
+        update selector feedback (done by the caller) and counters.
+        """
+        self.late_responses += 1
+        if entry is not None:
+            if entry.attempts:
+                self.duplicates_suppressed += 1
+            entry.late_seen += 1
+            if entry.late_seen >= entry.duplicates_sent + entry.attempts:
+                # All possible extra responses are in; drop the entry.
+                # (Copies swallowed by a dead server or link never arrive,
+                # so their entries are kept until run end.)
+                self._outstanding.pop(request_id, None)
+
+
+class KVClient(ClientCore):
+    """One client endpoint on the packet fabric: the wire edge of the read
+    path, plus the consistency protocol (docs/CONSISTENCY.md)."""
+
+    __slots__ = (
+        "host",
+        "tracker",
+        "write_recorder",
+        "write_quorum",
+        "read_quorum",
+        "trace_sink",
+        "on_complete",
         "writes_completed",
         "write_failures",
         "stale_reads",
@@ -183,31 +443,23 @@ class KVClient:
         max_retries: int = 0,
         request_ids: Optional[Iterator[int]] = None,
     ) -> None:
-        if redundancy is not None and netrs:
-            raise ConfigurationError(
-                "redundant requests are a client-side scheme (CliRS-R95); "
-                "combine them with netrs=False"
-            )
-        if request_timeout is not None and request_timeout <= 0:
-            raise ConfigurationError("request_timeout must be positive")
-        if max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        self.env = env
-        self.host = host
-        self.name = host.name
-        self.ring = ring
-        self.selector = selector
-        self.recorder = recorder
-        self.tracker = tracker
-        self.netrs = netrs
-        self.redundancy = redundancy
-        self._draws = rng
-        # Request IDs feed the ECMP flow key and break LWW version ties, so
-        # they must be unique among the clients of one scenario, which pass
-        # one shared counter, and must not depend on anything outside it.
-        self._request_ids = (
-            request_ids if request_ids is not None else itertools.count(1)
+        super().__init__(
+            env,
+            host.name,
+            ring=ring,
+            selector=selector,
+            recorder=recorder,
+            transmit=KVClient._send_packet,
+            completed=KVClient._request_completed,
+            netrs=netrs,
+            redundancy=redundancy,
+            rng=rng,
+            request_timeout=request_timeout,
+            max_retries=max_retries,
+            request_ids=request_ids,
         )
+        self.host = host
+        self.tracker = tracker
         self.write_recorder = write_recorder
         if write_quorum is not None and write_quorum < 1:
             raise ConfigurationError("write_quorum must be >= 1")
@@ -215,12 +467,6 @@ class KVClient:
         if read_quorum < 1:
             raise ConfigurationError("read_quorum must be >= 1")
         self.read_quorum = read_quorum
-        self._outstanding: Dict[int, _Outstanding] = {}
-        # Client-local latency history for the R95 threshold.  The threshold
-        # is cached and refreshed periodically so issuing stays O(1).
-        self._history = LatencyRecorder()
-        self._cached_threshold: Optional[float] = None
-        self._samples_since_refresh = 0
         # Optional per-request trace sink (see repro.analysis.trace); set by
         # analysis instrumentation, never by normal experiment wiring.
         self.trace_sink = None
@@ -228,21 +474,6 @@ class KVClient:
         # request from here).  Called with this client after each first
         # response, before the tracker is notified.
         self.on_complete = None
-        # Timeout/retry policy (see docs/FAULTS.md): with a timeout set, a
-        # request unanswered for request_timeout seconds is retransmitted up
-        # to max_retries times with capped exponential backoff, then given
-        # up on (counted in requests_lost).
-        self.request_timeout = request_timeout
-        self.max_retries = max_retries
-        # Accounting
-        self.requests_sent = 0
-        self.redundant_sent = 0
-        self.responses_received = 0
-        self.late_responses = 0
-        self.timeouts = 0
-        self.retries = 0
-        self.requests_lost = 0
-        self.duplicates_suppressed = 0
         # Consistency accounting (see docs/CONSISTENCY.md).
         self.writes_completed = 0
         self.write_failures = 0
@@ -254,70 +485,98 @@ class KVClient:
         host.bind(self)
 
     # ------------------------------------------------------------------
-    # Issuing
+    # Packet edge of the read path
     # ------------------------------------------------------------------
-    def issue(self, key: int, record: bool = True) -> int:
-        """Issue one read request for ``key``; returns the request ID."""
-        rgid, replicas = self.ring.group_for_key(key)
-        request_id = next(self._request_ids)
-        now = self.env.now
+    def _send_packet(self, request_id: int, entry: _Outstanding, target: str) -> None:
+        """Build one copy of a read and hand it to the host."""
         if self.netrs:
-            # The client only supplies the backup replica; the in-network
-            # RSNode makes the real choice.
-            backup = self.selector.select(replicas, now)
             packet = make_request(
                 client=self.name,
                 request_id=request_id,
-                key=key,
-                rgid=rgid,
-                backup_replica=backup,
-                issued_at=now,
+                key=entry.key,
+                rgid=entry.rgid,
+                backup_replica=target,
+                issued_at=entry.issued_at,
                 netrs=True,
             )
-            primary_target = ""
         else:
-            target = self.selector.select(replicas, now)
-            self.selector.note_sent(target, now)
             packet = make_request(
                 client=self.name,
                 request_id=request_id,
-                key=key,
-                rgid=rgid,
+                key=entry.key,
+                rgid=entry.rgid,
                 backup_replica=target,
-                issued_at=now,
+                issued_at=entry.issued_at,
                 netrs=False,
                 dst=target,
             )
-            primary_target = target
-        entry = _Outstanding(
-            key=key,
-            rgid=rgid,
-            replicas=replicas,
-            issued_at=now,
-            record=record,
-            primary_target=primary_target,
-        )
-        if primary_target:
-            entry.tried = (primary_target,)
-        self._outstanding[request_id] = entry
-        self.requests_sent += 1
+            # Issues and retries go to the entry's primary target; the one
+            # copy that goes elsewhere is the R95 duplicate.
+            packet.is_redundant = target != entry.primary_target
         self.host.send(packet)
-        if self.redundancy is not None:
-            delay = self._redundancy_threshold()
-            entry.timer = self.env.call_in(
-                delay, self._fire_redundant, request_id
-            )
-        if self.request_timeout is not None:
-            # Arming a timer that never fires leaves results byte-identical:
-            # extra schedule entries only bump the monotone sequence counter,
-            # and cancelled timers neither run nor count as events.
-            entry.timeout_timer = self.env.call_in(
-                self.request_timeout, self._on_timeout, request_id
-            )
-        if self.read_quorum > 1:
-            self._probe_digests(entry, request_id, now)
-        return request_id
+        if self.read_quorum > 1 and entry.quorum is None:
+            self._probe_digests(entry, request_id, entry.issued_at)
 
+    def _request_completed(self) -> None:
+        if self.on_complete is not None:
+            self.on_complete(self)
+        if self.tracker is not None:
+            self.tracker.complete()
+
+    def handle_packet(self, packet: Packet) -> None:
+        """Endpoint callback: fold a response into state and metrics."""
+        if packet.is_digest or packet.is_write or self.read_quorum > 1:
+            self._handle_consistency_response(packet)
+            return
+        if self.trace_sink is not None:
+            entry = self._outstanding.get(packet.request_id)
+            if entry is not None and not entry.done:
+                self.trace_sink.record_completion(
+                    packet,
+                    issued_at=entry.issued_at,
+                    completed_at=self.env.now,
+                    recorded=entry.record,
+                    rgid=entry.rgid,
+                )
+        self.handle_response(packet.request_id, packet.server, packet.server_status)
+
+    def _handle_consistency_response(self, packet: Packet) -> None:
+        """Write acks, version digests and the data copy of a quorum read."""
+        self.responses_received += 1
+        now = self.env.now
+        status = packet.server_status
+        entry = self._outstanding.get(packet.request_id)
+        if packet.is_digest:
+            self._absorb_digest(packet, entry)
+            return
+        if status is not None and entry is not None:
+            self.selector.note_response(
+                packet.server, now - entry.issued_at, status, now
+            )
+        if entry is not None and entry.is_write:
+            self._handle_write_ack(packet, entry)
+        elif entry is None or entry.done:
+            self._late_response(packet.request_id, entry)
+        else:
+            self._absorb_quorum_data(packet, entry)
+
+    def _on_timeout(self, request_id: int) -> None:
+        entry = self._outstanding.get(request_id)
+        if (
+            entry is not None
+            and not entry.done
+            and entry.quorum is not None
+            and entry.quorum.data_seen
+        ):
+            # Data in hand, digests missing: complete degraded, do not retry.
+            self.timeouts += 1
+            self._finish_quorum_read(request_id, entry, degraded=True)
+            return
+        super()._on_timeout(request_id)
+
+    # ------------------------------------------------------------------
+    # Writes
+    # ------------------------------------------------------------------
     def issue_write(self, key: int, record: bool = True) -> int:
         """Issue one replicated write for ``key``.
 
@@ -405,10 +664,7 @@ class KVClient:
                         recorded=entry.record,
                         rgid=entry.rgid,
                     )
-                if self.on_complete is not None:
-                    self.on_complete(self)
-                if self.tracker is not None:
-                    self.tracker.complete()
+                self._request_completed()
         if entry.acks_received >= entry.copies_sent:
             self._outstanding.pop(packet.request_id, None)
 
@@ -429,52 +685,7 @@ class KVClient:
         self.write_failures += 1
         if entry.acks_received >= entry.copies_sent:
             del self._outstanding[request_id]
-        if self.on_complete is not None:
-            self.on_complete(self)
-        if self.tracker is not None:
-            self.tracker.complete()
-
-    def _redundancy_threshold(self) -> float:
-        policy = self.redundancy
-        assert policy is not None
-        if len(self._history) >= policy.min_samples:
-            if self._cached_threshold is None or self._samples_since_refresh >= 25:
-                self._cached_threshold = self._history.percentile(policy.percentile)
-                self._samples_since_refresh = 0
-            return self._cached_threshold
-        mean = self._history.mean()
-        if math.isnan(mean):
-            # No history at all yet: be generous so cold starts do not flood
-            # the servers with duplicates.
-            return policy.fallback_multiplier * 10e-3
-        return policy.fallback_multiplier * mean
-
-    def _fire_redundant(self, request_id: int) -> None:
-        entry = self._outstanding.get(request_id)
-        if entry is None or entry.done:
-            return
-        others = [r for r in entry.replicas if r != entry.primary_target]
-        if not others:
-            return
-        if self._draws is not None and len(others) > 1:
-            target = others[int(self._draws.integers(len(others)))]
-        else:
-            target = others[0]
-        self.selector.note_sent(target, self.env.now)
-        duplicate = make_request(
-            client=self.name,
-            request_id=request_id,
-            key=entry.key,
-            rgid=entry.rgid,
-            backup_replica=target,
-            issued_at=entry.issued_at,
-            netrs=False,
-            dst=target,
-        )
-        duplicate.is_redundant = True
-        entry.duplicates_sent += 1
-        self.redundant_sent += 1
-        self.host.send(duplicate)
+        self._request_completed()
 
     # ------------------------------------------------------------------
     # Quorum reads & read-repair (see docs/CONSISTENCY.md)
@@ -584,10 +795,7 @@ class KVClient:
         self._repair_if_stale(entry, quorum)
         if entry.duplicates_sent == 0 and entry.attempts == 0:
             self._outstanding.pop(request_id, None)
-        if self.on_complete is not None:
-            self.on_complete(self)
-        if self.tracker is not None:
-            self.tracker.complete()
+        self._request_completed()
 
     def _repair_if_stale(
         self, entry: _Outstanding, quorum: _QuorumState
@@ -668,140 +876,3 @@ class KVClient:
             self.selector.note_sent(target, now)
             self.repair_writes_sent += 1
             self.host.send(packet)
-
-    # ------------------------------------------------------------------
-    # Timeouts & retries (read path only; see docs/FAULTS.md)
-    # ------------------------------------------------------------------
-    def _on_timeout(self, request_id: int) -> None:
-        entry = self._outstanding.get(request_id)
-        if entry is None or entry.done:
-            return
-        if entry.quorum is not None and entry.quorum.data_seen:
-            self.timeouts += 1
-            self._finish_quorum_read(request_id, entry, degraded=True)
-            return
-        self.timeouts += 1
-        if entry.attempts >= self.max_retries:
-            # Retry budget exhausted: the request is *lost*.  No latency
-            # sample is recorded, but the tracker still advances so the run
-            # terminates instead of stalling on a dead server.
-            entry.done = True
-            self.requests_lost += 1
-            del self._outstanding[request_id]
-            if self.on_complete is not None:
-                self.on_complete(self)
-            if self.tracker is not None:
-                self.tracker.complete()
-            return
-        entry.attempts += 1
-        self.retries += 1
-        now = self.env.now
-        if self.netrs:
-            # Re-enter the NetRS path with a fresh backup choice; the
-            # in-network RSNode re-selects (it may know the primary is slow
-            # by now -- exactly the aggregated-feedback advantage).
-            backup = self.selector.select(entry.replicas, now)
-            packet = make_request(
-                client=self.name,
-                request_id=request_id,
-                key=entry.key,
-                rgid=entry.rgid,
-                backup_replica=backup,
-                issued_at=entry.issued_at,
-                netrs=True,
-            )
-        else:
-            # Prefer replicas not yet tried (RepNet-style retry discipline:
-            # a timed-out server is the worst candidate for the retry); once
-            # every replica has been tried, select over the full set again.
-            untried = tuple(r for r in entry.replicas if r not in entry.tried)
-            candidates = untried or entry.replicas
-            if len(candidates) > 1:
-                target = self.selector.select(candidates, now)
-            else:
-                target = candidates[0]
-            entry.tried = entry.tried + (target,)
-            entry.primary_target = target
-            self.selector.note_sent(target, now)
-            packet = make_request(
-                client=self.name,
-                request_id=request_id,
-                key=entry.key,
-                rgid=entry.rgid,
-                backup_replica=target,
-                issued_at=entry.issued_at,
-                netrs=False,
-                dst=target,
-            )
-        self.requests_sent += 1
-        self.host.send(packet)
-        assert self.request_timeout is not None
-        delay = self.request_timeout * min(2.0 ** entry.attempts, _BACKOFF_CAP)
-        entry.timeout_timer = self.env.call_in(delay, self._on_timeout, request_id)
-
-    # ------------------------------------------------------------------
-    # Responses
-    # ------------------------------------------------------------------
-    def handle_packet(self, packet: Packet) -> None:
-        """Endpoint callback: fold a response into state and metrics."""
-        self.responses_received += 1
-        now = self.env.now
-        status = packet.server_status
-        entry = self._outstanding.get(packet.request_id)
-        if packet.is_digest:
-            self._absorb_digest(packet, entry)
-            return
-        # Feedback always updates the local selector: in CliRS this is the
-        # decision input, in NetRS it keeps the backup choice fresh.
-        if status is not None and entry is not None:
-            self.selector.note_response(
-                packet.server, now - entry.issued_at, status, now
-            )
-        if entry is not None and entry.is_write:
-            self._handle_write_ack(packet, entry)
-            return
-        if entry is None or entry.done:
-            self.late_responses += 1
-            if entry is not None:
-                # A losing copy of a duplicated or retransmitted request.
-                # Retransmission copies are suppressed here: the first
-                # response completed the request, later ones only update
-                # selector feedback (above) and counters.
-                if entry.attempts:
-                    self.duplicates_suppressed += 1
-                entry.late_seen += 1
-                if entry.late_seen >= entry.duplicates_sent + entry.attempts:
-                    # All possible extra responses are in; drop the entry.
-                    # (Copies swallowed by a dead server or link never
-                    # arrive, so their entries are kept until run end.)
-                    self._outstanding.pop(packet.request_id, None)
-            return
-        if entry.quorum is not None:
-            self._absorb_quorum_data(packet, entry)
-            return
-        entry.done = True
-        latency = now - entry.issued_at
-        self._history.add(latency)
-        self._samples_since_refresh += 1
-        if self.trace_sink is not None:
-            self.trace_sink.record_completion(
-                packet,
-                issued_at=entry.issued_at,
-                completed_at=now,
-                recorded=entry.record,
-                rgid=entry.rgid,
-            )
-        if entry.record:
-            self.recorder.add(latency)
-        if entry.timer is not None:
-            entry.timer.cancel()  # type: ignore[attr-defined]
-        if entry.timeout_timer is not None:
-            entry.timeout_timer.cancel()  # type: ignore[attr-defined]
-        # Keep duplicates findable until their responses arrive, but free
-        # completed singletons immediately to bound memory.
-        if entry.duplicates_sent == 0 and entry.attempts == 0:
-            del self._outstanding[packet.request_id]
-        if self.on_complete is not None:
-            self.on_complete(self)
-        if self.tracker is not None:
-            self.tracker.complete()

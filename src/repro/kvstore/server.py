@@ -6,12 +6,21 @@ is exponential with the *current* fluctuating mean.  Every response
 piggybacks a :class:`~repro.network.packet.ServerStatus` -- the queue size at
 departure and the server's EWMA service-rate estimate -- which is the
 feedback channel C3-style selectors rely on.
+
+The model exists once, in :class:`ServerCore`: queue, service slots, rate
+EWMA and the crash epoch, written against a clock (``env.now``,
+``env.post_in``) and one injected callable, ``respond``, that puts a finished
+job's reply on the wire.  The job itself is opaque to it.  Two drivers run
+that body: :class:`KVServer` on the packet fabric (jobs are request packets,
+``respond`` builds the response packet and hands it to the host) and the
+flow engine (:mod:`repro.mesoscale.flow`: jobs are ``(client, request id,
+retaining value)``, ``respond`` prices the return path in closed form).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Protocol, Tuple
+from typing import Any, Callable, Deque, Protocol, Tuple
 
 from repro.network.host import Host
 from repro.network.packet import MAGIC_PLAIN, Packet, ServerStatus, make_response
@@ -32,18 +41,27 @@ class ServiceModel(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
-class KVServer:
-    """One replica server of the key-value store."""
+#: ``respond(server, job, status, queue_delay, service_time)``: reply to a
+#: finished ``job``.  The two durations are what the server measured for it.
+Respond = Callable[["ServerCore", Any, ServerStatus, float, float], None]
+
+
+class ServerCore:
+    """The replica server model: Np slots, FIFO queue, rate EWMA, crash epoch.
+
+    ``env`` is anything with the clock surface ``now`` / ``post_in`` (an
+    :class:`~repro.sim.core.Environment` or a flow engine).
+    """
 
     __slots__ = (
         "env",
-        "host",
         "name",
         "service_model",
         "parallelism",
-        "value_size",
+        "service_time_scale",
         "_draws",
         "_alpha",
+        "_respond",
         "_waiting",
         "_in_service",
         "_ewma_service_time",
@@ -54,37 +72,35 @@ class KVServer:
         "_epoch",
         "dropped_requests",
         "lost_in_service",
-        "_versions",
-        "digest_requests",
-        "repairs_applied",
-        "migration_keys_in",
-        "migration_bytes_in",
     )
 
     def __init__(
         self,
         env: Environment,
-        host: Host,
+        name: str,
         *,
         service_model: ServiceModel,
         parallelism: int = 4,
         rng: DrawSource,
-        value_size: int = 1024,
         rate_ewma_alpha: float = 0.9,
+        respond: Respond,
+        service_time_scale: float = 1.0,
     ) -> None:
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         if not 0 <= rate_ewma_alpha < 1:
             raise ValueError("rate_ewma_alpha must be in [0, 1)")
         self.env = env
-        self.host = host
-        self.name = host.name
+        self.name = name
         self.service_model = service_model
         self.parallelism = parallelism
-        self.value_size = value_size
+        # Multiplies every drawn service time; exactly 1.0 except in the
+        # fidelity gate's deliberately mis-calibrated fixtures.
+        self.service_time_scale = service_time_scale
         self._draws = rng
         self._alpha = rate_ewma_alpha
-        self._waiting: Deque[Tuple[Packet, float]] = deque()
+        self._respond = respond
+        self._waiting: Deque[Tuple[Any, float]] = deque()  # (job, arrived_at)
         self._in_service = 0
         # EWMA of observed service durations seeds at the nominal mean so the
         # first piggybacked rates are sane.
@@ -100,16 +116,6 @@ class KVServer:
         self._epoch = 0
         self.dropped_requests = 0
         self.lost_in_service = 0
-        # Per-key LWW version store: key -> (version_ts, version_id).  Only
-        # written keys have entries (reads of never-written keys carry the
-        # zero version).  Versions survive crashes -- crash-stop loses the
-        # queue, not the disk -- and are the payload key migration ships.
-        self._versions: "dict[int, Tuple[float, int]]" = {}
-        self.digest_requests = 0
-        self.repairs_applied = 0
-        self.migration_keys_in = 0
-        self.migration_bytes_in = 0
-        host.bind(self)
         service_model.start(env)
 
     # ------------------------------------------------------------------
@@ -158,32 +164,35 @@ class KVServer:
         self.down = False
 
     # ------------------------------------------------------------------
-    # Packet handling
+    # Queue and service slots
     # ------------------------------------------------------------------
-    def handle_packet(self, packet: Packet) -> None:
-        """Endpoint callback: accept a request (read, write, or metadata)."""
+    def handle_arrival(self, job: Any) -> None:
+        """Accept one request: serve it now or queue it behind the Np slots."""
         if self.down:
             self.dropped_requests += 1
             return
-        if packet.is_digest or packet.is_migration:
-            self._handle_metadata(packet)
-            return
         self.arrivals += 1
-        if self.queue_size + 1 > self.max_queue_seen:
-            self.max_queue_seen = self.queue_size + 1
+        queued = len(self._waiting) + self._in_service
+        if queued + 1 > self.max_queue_seen:
+            self.max_queue_seen = queued + 1
         if self._in_service < self.parallelism:
-            self._begin_service(packet, arrived_at=self.env.now)
+            self._begin(job, 0.0)
         else:
-            self._waiting.append((packet, self.env.now))
+            self._waiting.append((job, self.env.now))
 
-    def _begin_service(self, packet: Packet, arrived_at: float) -> None:
+    def _begin(self, job: Any, queue_delay: float) -> None:
         self._in_service += 1
-        duration = self._draws.exponential(self.service_model.current_mean)
-        packet.server_queue_delay = self.env.now - arrived_at
-        packet.server_service_time = duration
-        self.env.post_in(duration, self._complete, (packet, duration, self._epoch))
+        duration = (
+            self._draws.exponential(self.service_model.current_mean)
+            * self.service_time_scale
+        )
+        self.env.post_in(
+            duration, self._complete, (job, queue_delay, duration, self._epoch)
+        )
 
-    def _complete(self, packet: Packet, duration: float, epoch: int) -> None:
+    def _complete(
+        self, job: Any, queue_delay: float, duration: float, epoch: int
+    ) -> None:
         if epoch != self._epoch:
             # Scheduled before a crash: that work died with the server.
             return
@@ -192,17 +201,96 @@ class KVServer:
         self._ewma_service_time = (
             self._alpha * self._ewma_service_time + (1 - self._alpha) * duration
         )
+        now = self.env.now
+        status = ServerStatus(
+            queue_size=len(self._waiting) + self._in_service,
+            service_rate=self.parallelism / self._ewma_service_time,
+            timestamp=now,
+        )
+        self._respond(self, job, status, queue_delay, duration)
+        if self._waiting:
+            next_job, arrived_at = self._waiting.popleft()
+            self._begin(next_job, now - arrived_at)
+
+
+class KVServer(ServerCore):
+    """One replica server on the packet fabric: the wire edge of the model.
+
+    Jobs are request packets.  Besides replying to them, the packet edge
+    owns everything that only exists as packets: the per-key version store,
+    digest probes and migration installs (docs/CONSISTENCY.md).
+    """
+
+    __slots__ = (
+        "host",
+        "value_size",
+        "_versions",
+        "digest_requests",
+        "repairs_applied",
+        "migration_keys_in",
+        "migration_bytes_in",
+    )
+
+    def __init__(
+        self,
+        env: Environment,
+        host: Host,
+        *,
+        service_model: ServiceModel,
+        parallelism: int = 4,
+        rng: DrawSource,
+        value_size: int = 1024,
+        rate_ewma_alpha: float = 0.9,
+    ) -> None:
+        super().__init__(
+            env,
+            host.name,
+            service_model=service_model,
+            parallelism=parallelism,
+            rng=rng,
+            rate_ewma_alpha=rate_ewma_alpha,
+            respond=KVServer._send_response,
+        )
+        self.host = host
+        self.value_size = value_size
+        # Per-key LWW version store: key -> (version_ts, version_id).  Only
+        # written keys have entries (reads of never-written keys carry the
+        # zero version).  Versions survive crashes -- crash-stop loses the
+        # queue, not the disk -- and are the payload key migration ships.
+        self._versions: "dict[int, Tuple[float, int]]" = {}
+        self.digest_requests = 0
+        self.repairs_applied = 0
+        self.migration_keys_in = 0
+        self.migration_bytes_in = 0
+        host.bind(self)
+
+    # ------------------------------------------------------------------
+    # Packet edge
+    # ------------------------------------------------------------------
+    def handle_packet(self, packet: Packet) -> None:
+        """Endpoint callback: accept a request (read, write, or metadata)."""
+        if packet.is_digest or packet.is_migration:
+            if self.down:
+                self.dropped_requests += 1
+            else:
+                self._handle_metadata(packet)
+            return
+        self.handle_arrival(packet)
+
+    def _send_response(
+        self,
+        packet: Packet,
+        status: ServerStatus,
+        queue_delay: float,
+        service_time: float,
+    ) -> None:
+        packet.server_queue_delay = queue_delay
+        packet.server_service_time = service_time
         response = make_response(
-            packet,
-            server=self.name,
-            status=self.status(),
-            value_size=self.value_size,
+            packet, server=self.name, status=status, value_size=self.value_size
         )
         self._fold_version(packet, response)
         self.host.send(response)
-        if self._waiting:
-            next_packet, arrived_at = self._waiting.popleft()
-            self._begin_service(next_packet, arrived_at)
 
     # ------------------------------------------------------------------
     # Consistency protocol (see docs/CONSISTENCY.md)
@@ -222,11 +310,10 @@ class KVServer:
     def _fold_version(self, packet: Packet, response: Packet) -> None:
         """Apply a write's version (LWW) and stamp the store's onto the reply.
 
-        Called at completion time from ``_complete`` (the packet tier's only
-        write-path hook in a mirrored method; the flow tier drops it by
-        contract until writes are mirrored).  Ordering ties break on the
-        globally monotone ``version_id``, so last-write-wins is a total
-        order and replicas converge regardless of apply order.
+        Called at completion time, from the packet edge's reply.  Ordering
+        ties break on the globally monotone ``version_id``, so
+        last-write-wins is a total order and replicas converge regardless of
+        apply order.
         """
         if packet.is_write:
             incoming = (packet.version_ts, packet.version_id)

@@ -1,8 +1,8 @@
 """Contract sanitizer: static cross-implementation drift detection (CON*).
 
-The repo's bit-identity guarantees rest on *mirrored* code: the mesoscale
-flow tier replays the packet tier's client/server/selector logic line for
-line, and the vector tier replays the flow tier's.  Runtime byte-identity
+Where the repo's bit-identity guarantees rest on logic written twice -- the
+flow tier's NetRS selector work against ``NetRSSelector``, the vector tier's
+statement-shaped endpoints against the shared ones -- runtime byte-identity
 suites only catch drift on the scenarios they run; this module checks the
 declared contracts statically, on every lint run, over every code path.
 
@@ -11,10 +11,10 @@ Three rule families:
 * **CON001 mirror-pair equivalence** -- a registry of :class:`MirrorPair`
   declarations is checked by normalized-AST comparison: docstrings,
   annotations and asserts are stripped, per-side rename maps unify
-  vocabulary (``self.env`` vs ``self.engine``), declared *drop patterns*
-  remove tier-specific transport statements, and declared *equivalences*
-  whitelist known-safe rewrites (``env.post_in(...)`` vs
-  ``heappush``-backed ``engine._post(...)``).  The first divergent
+  vocabulary (``self.algorithm`` vs ``op.selector``), declared *drop
+  patterns* remove tier-specific statements, and declared *equivalences*
+  whitelist known-safe rewrites (``return packet`` vs the flow tier's
+  result tuple).  The first divergent
   statement is reported with both spellings.  :class:`ExprAnchor`
   contracts additionally pin a formula (e.g. the C3 cubic score) that must
   appear, normalized, at every declared site.
@@ -235,8 +235,8 @@ CONTRACT_RULES: Dict[str, Rule] = {
         rule_id="CON001",
         title="mirror pairs must stay AST-equivalent up to declared rewrites",
         rationale=(
-            "The flow and vector tiers are hand-maintained "
-            "copies of reference code; one un-replayed edit breaks "
+            "A mirror is a hand-maintained second spelling of "
+            "reference code; one un-replayed edit breaks "
             "bit-identity on exactly the configs the golden suites do not "
             "cover.  Each declared MirrorPair is compared as normalized "
             "ASTs (docstrings/annotations/asserts stripped, rename maps "
@@ -244,9 +244,9 @@ CONTRACT_RULES: Dict[str, Rule] = {
             "divergence is drift."
         ),
         example_bad=(
-            "# KVServer._complete gained a statement ...\n"
-            "self.rate_samples += 1\n"
-            "# ... that _FlowServer._complete never received"
+            "# NetRSSelector.on_request gained a statement ...\n"
+            "self.algorithm.note_probe(server, now)\n"
+            "# ... that FlowEngine._select_work never received"
         ),
         example_fix=(
             "replay the edit into the mirror in the same commit, or\n"

@@ -4,34 +4,45 @@ The packet tier spends ~10 engine events per request walking every hop of
 the fat-tree.  Under the paper's default link model those hops are *pure
 constant delays*: every ECMP path between two hosts is latency-equal, so the
 network's only contribution to a request's latency is a deterministic sum of
-per-hop constants.  The flow tier exploits that: it keeps the **exact**
-client, server, selector and workload logic of the packet tier (same code
-shapes, same named RNG streams, same EWMA arithmetic) but replaces packet
-forwarding with closed-form path delays, and runs request/completion
-micro-events on a lean internal heap instead of the generic engine schedule.
+per-hop constants.  The flow tier replaces exactly that -- the **wire** --
+and nothing else: the endpoints are the packet tier's own
+(:class:`~repro.kvstore.server.ServerCore`,
+:class:`~repro.kvstore.client.ClientCore`,
+:class:`~repro.kvstore.workload.OpenLoopWorkload`, the service-fluctuation
+models, :class:`~repro.network.accelerator.Accelerator`), constructed on this
+engine instead of on an :class:`~repro.sim.core.Environment`.
+
+Two things make that possible.  The engine offers the environment's clock
+surface under the same names -- :attr:`FlowEngine.now`,
+:meth:`~FlowEngine.post_in`, :meth:`~FlowEngine.post_at`,
+:meth:`~FlowEngine.call_in` -- backed by a lean micro-event heap.  And the
+endpoints reach the wire only through injected callables, which here are the
+engine's closed-form deliveries: ``_send_request`` / ``_send_via_operator``
+(a client's ``transmit``) and ``_send_response`` / ``_send_netrs_response``
+(a server's ``respond``); what comes off the wire is posted straight to
+``ServerCore.handle_arrival`` and ``ClientCore.handle_response``.
 
 The :class:`~repro.sim.core.Environment` is still the macro clock: fault
 transitions and periodic completion-batch heartbeats run on it, so
 ``env.events_executed`` counts a handful of events per *run* rather than ten
 per *request*.  Micro-events (arrival, service completion, response
-delivery, timers) are counted separately in ``FlowEngine.micro_events``.
+delivery, timers, fluctuation ticks) are counted separately in
+``FlowEngine.micro_events``.
 
 Fidelity: with ``link_bandwidth=None`` (the paper's configuration) the flow
 tier accumulates per-hop delays with the same float additions the packet
-engine performs hop by hop, consumes the same named RNG streams in the same
-order, and mirrors queueing/EWMA/timer logic line for line -- CliRS runs are
-bit-comparable to the packet tier up to tie-breaking noise (validated by
-``netrs validate-fidelity``).  With ``link_bandwidth`` set, serialization
-and access-link queueing are added analytically (M/D/1 mean waiting), which
-is an approximation; see docs/MESOSCALE.md.
+engine performs hop by hop and consumes the same named RNG streams in the
+same order -- runs are bit-comparable to the packet tier up to tie-breaking
+noise (validated by ``netrs validate-fidelity``).  With ``link_bandwidth``
+set, serialization and access-link queueing are added analytically (M/D/1
+mean waiting), which is an approximation; see docs/MESOSCALE.md.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.events import (
@@ -42,11 +53,14 @@ from repro.faults.events import (
     ServerUp,
 )
 from repro.faults.schedule import parse_fault_schedule
-from repro.kvstore.client import CompletionTracker, RedundancyPolicy
+from repro.kvstore.client import ClientCore, CompletionTracker, RedundancyPolicy
+from repro.kvstore.fluctuation import BimodalFluctuation, StableService
 from repro.kvstore.hashing import shared_ring
-from repro.kvstore.workload import DemandWeights, ZipfSampler
+from repro.kvstore.server import ServerCore
+from repro.kvstore.workload import DemandWeights, OpenLoopWorkload, ZipfSampler
 from repro.mesoscale.geometry import FatTreeGeometry
 from repro.mesoscale.support import ensure_flow_supported
+from repro.network.accelerator import Accelerator
 from repro.network.packet import (
     _SIZE_MF,
     _SIZE_RGID,
@@ -55,16 +69,11 @@ from repro.network.packet import (
     _SIZE_SM,
     _SIZE_SSL,
     _SIZE_UDP_HEADERS,
-    ServerStatus,
 )
 from repro.selection.registry import create_selector
 from repro.sim.core import Environment
 from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import RngRegistry
-
-#: Retry-backoff cap, kept equal to ``repro.kvstore.client._BACKOFF_CAP`` so
-#: both tiers retransmit on identical schedules (docs/FAULTS.md).
-_BACKOFF_CAP = 8.0
 
 #: Completions between environment heartbeats (the flow tier's only steady
 #: engine events): keeps ``env.now`` tracking the flow clock at negligible
@@ -72,415 +81,6 @@ _BACKOFF_CAP = 8.0
 _FLUSH_EVERY = 4096
 
 _MicroFn = Callable[..., None]
-
-
-class _Fluctuation:
-    """Replays the packet tier's :class:`BimodalFluctuation` as a timeline.
-
-    The packet tier ticks a per-server timer every ``interval`` seconds and
-    redraws the mean; each tick consumes one draw from the server's
-    ``fluctuation.{name}`` stream.  Here the same draws are made lazily when
-    service beginnings cross tick boundaries.  Boundaries accumulate with
-    the same float additions as the packet tier's ``call_in`` chain, and
-    begin-times are non-decreasing per server, so a single forward pointer
-    reproduces the exact tick-aligned mean sequence.
-    """
-
-    __slots__ = ("base", "range_parameter", "interval", "_draws", "_current", "_next")
-
-    def __init__(self, base: float, range_parameter: float, interval: float, draws) -> None:
-        self.base = base
-        self.range_parameter = range_parameter
-        self.interval = interval
-        self._draws = draws
-        self._current = self._draw()  # construction-time draw, like the model
-        self._next = 0.0 + interval
-
-    def _draw(self) -> float:
-        if self._draws.random() < 0.5:
-            return self.base
-        return self.base / self.range_parameter
-
-    def mean_at(self, t: float) -> float:
-        while t >= self._next:
-            self._current = self._draw()
-            self._next += self.interval
-        return self._current
-
-
-class _StableMean:
-    """Constant-mean stand-in for ``StableService``."""
-
-    __slots__ = ("_mean",)
-
-    def __init__(self, mean: float) -> None:
-        self._mean = mean
-
-    def mean_at(self, t: float) -> float:
-        return self._mean
-
-
-class _Entry:
-    """Flow-tier mirror of ``repro.kvstore.client._Outstanding`` (read path)."""
-
-    __slots__ = (
-        "key",
-        "rgid",
-        "replicas",
-        "issued_at",
-        "record",
-        "primary_target",
-        "done",
-        "duplicates_sent",
-        "attempts",
-        "tried",
-        "late_seen",
-    )
-
-    def __init__(self, key, rgid, replicas, issued_at, record, primary_target):
-        self.key = key
-        self.rgid = rgid
-        self.replicas = replicas
-        self.issued_at = issued_at
-        self.record = record
-        self.primary_target = primary_target
-        self.done = False
-        self.duplicates_sent = 0
-        self.attempts = 0
-        self.tried: Tuple[str, ...] = ()
-        self.late_seen = 0
-
-
-class _FlowServer:
-    """Np-slot FIFO server, logic mirrored from ``KVServer`` line for line."""
-
-    __slots__ = (
-        "engine",
-        "name",
-        "parallelism",
-        "_draws",
-        "_alpha",
-        "_mean",
-        "_waiting",
-        "_in_service",
-        "_ewma_service_time",
-        "completions",
-        "arrivals",
-        "max_queue_seen",
-        "down",
-        "_epoch",
-        "dropped_requests",
-        "lost_in_service",
-    )
-
-    def __init__(self, engine, name, *, parallelism, draws, alpha, mean_model):
-        self.engine = engine
-        self.name = name
-        self.parallelism = parallelism
-        self._draws = draws
-        self._alpha = alpha
-        self._mean = mean_model
-        self._waiting: Deque[tuple] = deque()
-        self._in_service = 0
-        self._ewma_service_time = mean_model.mean_at(0.0)
-        self.completions = 0
-        self.arrivals = 0
-        self.max_queue_seen = 0
-        self.down = False
-        self._epoch = 0
-        self.dropped_requests = 0
-        self.lost_in_service = 0
-
-    @property
-    def queue_size(self) -> int:
-        return len(self._waiting) + self._in_service
-
-    def fail(self) -> None:
-        if self.down:
-            return
-        self.down = True
-        self._epoch += 1
-        self.lost_in_service += self._in_service + len(self._waiting)
-        self._waiting.clear()
-        self._in_service = 0
-
-    def recover(self) -> None:
-        self.down = False
-
-    def handle_arrival(self, client, rid: int, rv: Optional[float]) -> None:
-        if self.down:
-            self.dropped_requests += 1
-            return
-        self.arrivals += 1
-        if self.queue_size + 1 > self.max_queue_seen:
-            self.max_queue_seen = self.queue_size + 1
-        if self._in_service < self.parallelism:
-            self._begin(client, rid, rv)
-        else:
-            self._waiting.append((client, rid, rv))
-
-    def _begin(self, client, rid: int, rv: Optional[float]) -> None:
-        engine = self.engine
-        self._in_service += 1
-        # Service drawn at *begin* time (same stream position as KVServer);
-        # the calibration scale is 1.0 in normal runs and multiplies exactly.
-        duration = self._draws.exponential(self._mean.mean_at(engine.now))
-        duration *= engine.service_time_scale
-        engine._post(duration, self._complete, (client, rid, rv, duration, self._epoch))
-
-    def _complete(self, client, rid, rv, duration, epoch) -> None:
-        if epoch != self._epoch:
-            return  # scheduled before a crash: died with the server
-        engine = self.engine
-        self._in_service -= 1
-        self.completions += 1
-        self._ewma_service_time = (
-            self._alpha * self._ewma_service_time + (1 - self._alpha) * duration
-        )
-        status = ServerStatus(
-            queue_size=len(self._waiting) + self._in_service,
-            service_rate=self.parallelism / self._ewma_service_time,
-            timestamp=engine.now,
-        )
-        engine._send_response(self, client, rid, rv, status)
-        if self._waiting:
-            next_client, next_rid, next_rv = self._waiting.popleft()
-            self._begin(next_client, next_rid, next_rv)
-
-
-class _FlowClient:
-    """Flow-tier mirror of ``KVClient`` (read path, timers as micro-events)."""
-
-    __slots__ = (
-        "engine",
-        "name",
-        "ring",
-        "selector",
-        "recorder",
-        "netrs",
-        "redundancy",
-        "_draws",
-        "_outstanding",
-        "_history",
-        "_cached_threshold",
-        "_samples_since_refresh",
-        "request_timeout",
-        "max_retries",
-        "requests_sent",
-        "redundant_sent",
-        "responses_received",
-        "late_responses",
-        "timeouts",
-        "retries",
-        "requests_lost",
-        "duplicates_suppressed",
-    )
-
-    def __init__(
-        self,
-        engine,
-        name,
-        *,
-        ring,
-        selector,
-        recorder,
-        netrs,
-        redundancy,
-        draws,
-        request_timeout,
-        max_retries,
-    ):
-        self.engine = engine
-        self.name = name
-        self.ring = ring
-        self.selector = selector
-        self.recorder = recorder
-        self.netrs = netrs
-        self.redundancy = redundancy
-        self._draws = draws
-        self._outstanding: Dict[int, _Entry] = {}
-        self._history = LatencyRecorder()
-        self._cached_threshold: Optional[float] = None
-        self._samples_since_refresh = 0
-        self.request_timeout = request_timeout
-        self.max_retries = max_retries
-        self.requests_sent = 0
-        self.redundant_sent = 0
-        self.responses_received = 0
-        self.late_responses = 0
-        self.timeouts = 0
-        self.retries = 0
-        self.requests_lost = 0
-        self.duplicates_suppressed = 0
-
-    # -- issuing -------------------------------------------------------
-    def issue(self, key: int, record: bool = True) -> int:
-        engine = self.engine
-        rgid, replicas = self.ring.group_for_key(key)
-        request_id = next(engine._ids)
-        now = engine.now
-        if self.netrs:
-            # Backup draw kept for RNG parity with the packet tier even
-            # though the flow tier never degrades to the backup.
-            self.selector.select(replicas, now)
-            primary_target = ""
-        else:
-            target = self.selector.select(replicas, now)
-            self.selector.note_sent(target, now)
-            primary_target = target
-        entry = _Entry(key, rgid, replicas, now, record, primary_target)
-        if primary_target:
-            entry.tried = (primary_target,)
-        self._outstanding[request_id] = entry
-        self.requests_sent += 1
-        if self.netrs:
-            engine._send_via_operator(self, request_id, entry)
-        else:
-            engine._send_request(self, request_id, entry, primary_target)
-        if self.redundancy is not None:
-            engine._post(
-                self._redundancy_threshold(), self._fire_redundant, (request_id,)
-            )
-        if self.request_timeout is not None:
-            engine._post(self.request_timeout, self._on_timeout, (request_id,))
-        return request_id
-
-    def _redundancy_threshold(self) -> float:
-        policy = self.redundancy
-        if len(self._history) >= policy.min_samples:
-            if self._cached_threshold is None or self._samples_since_refresh >= 25:
-                self._cached_threshold = self._history.percentile(policy.percentile)
-                self._samples_since_refresh = 0
-            return self._cached_threshold
-        mean = self._history.mean()
-        if mean != mean:  # NaN: no history yet
-            return policy.fallback_multiplier * 10e-3
-        return policy.fallback_multiplier * mean
-
-    def _fire_redundant(self, request_id: int) -> None:
-        entry = self._outstanding.get(request_id)
-        if entry is None or entry.done:
-            return
-        others = [r for r in entry.replicas if r != entry.primary_target]
-        if not others:
-            return
-        if self._draws is not None and len(others) > 1:
-            target = others[int(self._draws.integers(len(others)))]
-        else:
-            target = others[0]
-        self.selector.note_sent(target, self.engine.now)
-        entry.duplicates_sent += 1
-        self.redundant_sent += 1
-        self.engine._send_request(self, request_id, entry, target)
-
-    # -- timeouts & retries -------------------------------------------
-    def _on_timeout(self, request_id: int) -> None:
-        entry = self._outstanding.get(request_id)
-        if entry is None or entry.done:
-            return
-        engine = self.engine
-        self.timeouts += 1
-        if entry.attempts >= self.max_retries:
-            entry.done = True
-            self.requests_lost += 1
-            del self._outstanding[request_id]
-            engine._complete_request()
-            return
-        entry.attempts += 1
-        self.retries += 1
-        now = engine.now
-        if self.netrs:
-            self.selector.select(entry.replicas, now)  # fresh backup draw
-            self.requests_sent += 1
-            engine._send_via_operator(self, request_id, entry)
-        else:
-            untried = tuple(r for r in entry.replicas if r not in entry.tried)
-            candidates = untried or entry.replicas
-            if len(candidates) > 1:
-                target = self.selector.select(candidates, now)
-            else:
-                target = candidates[0]
-            entry.tried = entry.tried + (target,)
-            entry.primary_target = target
-            self.selector.note_sent(target, now)
-            self.requests_sent += 1
-            engine._send_request(self, request_id, entry, target)
-        delay = self.request_timeout * min(2.0**entry.attempts, _BACKOFF_CAP)
-        engine._post(delay, self._on_timeout, (request_id,))
-
-    # -- responses -----------------------------------------------------
-    def handle_response(self, request_id: int, server: str, status: ServerStatus) -> None:
-        engine = self.engine
-        self.responses_received += 1
-        now = engine.now
-        entry = self._outstanding.get(request_id)
-        if entry is not None:
-            self.selector.note_response(server, now - entry.issued_at, status, now)
-        if entry is None or entry.done:
-            self.late_responses += 1
-            if entry is not None:
-                if entry.attempts:
-                    self.duplicates_suppressed += 1
-                entry.late_seen += 1
-                if entry.late_seen >= entry.duplicates_sent + entry.attempts:
-                    self._outstanding.pop(request_id, None)
-            return
-        entry.done = True
-        latency = now - entry.issued_at
-        self._history.add(latency)
-        self._samples_since_refresh += 1
-        if entry.record:
-            self.recorder.add(latency)
-        if entry.duplicates_sent == 0 and entry.attempts == 0:
-            del self._outstanding[request_id]
-        engine._complete_request()
-
-
-class _FlowAccelerator:
-    """Deterministic-service FIFO accelerator, mirroring ``Accelerator``."""
-
-    __slots__ = ("engine", "cores", "service_time", "link_delay", "_busy", "_queue", "processed", "busy_time", "max_queue_seen")
-
-    def __init__(self, engine, *, cores, service_time, link_delay):
-        self.engine = engine
-        self.cores = cores
-        self.service_time = service_time
-        self.link_delay = link_delay
-        self._busy = 0
-        self._queue: Deque[tuple] = deque()
-        self.processed = 0
-        self.busy_time = 0.0
-        self.max_queue_seen = 0
-
-    def submit_at(self, when: float, work: _MicroFn, args: tuple, done: Optional[_MicroFn]) -> None:
-        """Ship a job over the switch<->accelerator link at time ``when``."""
-        self.engine._post_at(when + self.link_delay, self._enqueue, ((work, args, done),))
-
-    def _enqueue(self, job: tuple) -> None:
-        if self._busy < self.cores:
-            self._busy += 1
-            self.engine._post(self.service_time, self._complete, (job,))
-        else:
-            self._queue.append(job)
-            if len(self._queue) > self.max_queue_seen:
-                self.max_queue_seen = len(self._queue)
-
-    def _complete(self, job: tuple) -> None:
-        work, args, done = job
-        self.processed += 1
-        self.busy_time += self.service_time
-        result = work(*args)
-        if done is not None and result is not None:
-            self.engine._post(self.link_delay, done, result)
-        if self._queue:
-            self.engine._post(self.service_time, self._complete, (self._queue.popleft(),))
-        else:
-            self._busy -= 1
-
-    def utilization(self, now: float) -> float:
-        if now <= 0:
-            return 0.0
-        return self.busy_time / (self.cores * now)
 
 
 class _FlowOperator:
@@ -619,19 +219,13 @@ class FlowEngine:
     leaves a ~30 000-object reference cycle for a full collection to find.
     """
 
-    def __init__(
-        self,
-        config,
-        *,
-        env: Optional[Environment] = None,
-        service_time_scale: float = 1.0,
-    ) -> None:
+    def __init__(self, config, *, service_time_scale: float = 1.0) -> None:
         config.validate()
         ensure_flow_supported(config)
         if service_time_scale <= 0:
             raise ConfigurationError("service_time_scale must be positive")
         self.config = config
-        self.env = env if env is not None else Environment(compaction=config.engine_compaction)
+        self.env = Environment(compaction=config.engine_compaction)
         self.service_time_scale = service_time_scale
         self.geometry = FatTreeGeometry(config.fat_tree_k)
         rng = RngRegistry(config.seed)
@@ -683,24 +277,27 @@ class FlowEngine:
         self.netrs_overhead_bytes = 0
 
         # --- servers -------------------------------------------------------
-        self.servers: Dict[str, _FlowServer] = {}
+        respond = self._send_netrs_response if config.netrs else self._send_response
+        self.servers: Dict[str, ServerCore] = {}
         for name in self.server_hosts:
             if config.fluctuation_range > 1.0:
-                mean_model = _Fluctuation(
-                    config.mean_service_time,
-                    config.fluctuation_range,
-                    config.fluctuation_interval,
-                    rng.batched(f"fluctuation.{name}", batch),
+                model = BimodalFluctuation(
+                    base_service_time=config.mean_service_time,
+                    range_parameter=config.fluctuation_range,
+                    interval=config.fluctuation_interval,
+                    rng=rng.batched(f"fluctuation.{name}", batch),
                 )
             else:
-                mean_model = _StableMean(config.mean_service_time)
-            self.servers[name] = _FlowServer(
+                model = StableService(config.mean_service_time)
+            self.servers[name] = ServerCore(
                 self,
                 name,
+                service_model=model,
                 parallelism=config.parallelism,
-                draws=rng.batched(f"service.{name}", batch),
-                alpha=config.ewma_alpha,
-                mean_model=mean_model,
+                rng=rng.batched(f"service.{name}", batch),
+                rate_ewma_alpha=config.ewma_alpha,
+                respond=respond,
+                service_time_scale=service_time_scale,
             )
 
         # --- clients -------------------------------------------------------
@@ -715,7 +312,8 @@ class FlowEngine:
             if config.redundancy_enabled
             else None
         )
-        self.clients: List[_FlowClient] = []
+        transmit = self._send_via_operator if config.netrs else self._send_request
+        self.clients: List[ClientCore] = []
         for name in self.client_hosts:
             selector = create_selector(
                 config.algorithm,
@@ -724,21 +322,24 @@ class FlowEngine:
                 rng=rng.stream(f"selector.client.{name}"),
             )
             self.clients.append(
-                _FlowClient(
+                ClientCore(
                     self,
                     name,
                     ring=self.ring,
                     selector=selector,
                     recorder=self.recorder,
+                    transmit=transmit,
+                    completed=self._complete_request,
                     netrs=config.netrs,
                     redundancy=redundancy,
-                    draws=(
+                    rng=(
                         rng.batched(f"redundancy.{name}", batch)
                         if redundancy
                         else None
                     ),
                     request_timeout=config.request_timeout,
                     max_retries=config.max_retries,
+                    request_ids=self._ids,
                 )
             )
 
@@ -755,8 +356,9 @@ class FlowEngine:
                     prior_service_rate=config.prior_service_rate(),
                     rng=rng.stream(f"selector.operator.{index}"),
                 )
-                accelerator = _FlowAccelerator(
+                accelerator = Accelerator(
                     self,
+                    f"acc.{tor}",
                     cores=config.accelerator_cores,
                     service_time=config.accelerator_service_time,
                     link_delay=config.accelerator_link_delay,
@@ -766,21 +368,24 @@ class FlowEngine:
                 self._operator_of[name] = self.operators[self.geometry.tor_name(name)]
 
         # --- workload ------------------------------------------------------
-        self.weights = DemandWeights(
+        weights = DemandWeights(
             config.n_clients,
             skew=config.demand_skew,
             hot_fraction=config.hot_fraction,
             rng=rng.stream("workload.skew") if config.demand_skew is not None else None,
         )
-        self._sampler = ZipfSampler(
-            config.key_space, config.zipf_exponent, rng.batched("workload.keys", batch)
+        self.workload = OpenLoopWorkload(
+            self,
+            rate=config.arrival_rate(),
+            clients=self.clients,
+            weights=weights,
+            key_sampler=ZipfSampler(
+                config.key_space, config.zipf_exponent, rng.batched("workload.keys", batch)
+            ),
+            rng=rng.stream("workload.arrivals"),
+            total_requests=config.total_requests,
+            warmup_requests=config.warmup_requests(),
         )
-        self._arrival_rng = rng.stream("workload.arrivals")
-        self._rate = config.arrival_rate()
-        self._total = config.total_requests
-        self._warmup = config.warmup_requests()
-        self.issued = 0
-        self.per_client_counts = [0] * config.n_clients
 
         # --- faults --------------------------------------------------------
         self.faults: Optional[_FaultDriver] = None
@@ -792,22 +397,33 @@ class FlowEngine:
     # ------------------------------------------------------------------
     # Clock & scheduling
     # ------------------------------------------------------------------
+    # The four names below are Environment's, so that whatever is written
+    # against an environment's clock runs on the micro-heap unchanged.
     @property
     def now(self) -> float:
         return self._now
 
-    def _post(self, delay: float, fn: _MicroFn, args: tuple = ()) -> None:
+    def post_in(self, delay: float, fn: _MicroFn, args: tuple = ()) -> None:
         self._seq += 1
         heappush(self._heap, (self._now + delay, self._seq, fn, args))
 
-    def _post_at(self, when: float, fn: _MicroFn, args: tuple = ()) -> None:
+    def post_at(self, when: float, fn: _MicroFn, args: tuple = ()) -> None:
         self._seq += 1
         heappush(self._heap, (when, self._seq, fn, args))
+
+    def call_in(self, delay: float, fn: _MicroFn, *args) -> None:
+        """``post_in`` with the arguments spread; hands out no timer handle.
+
+        A timer that outlives its purpose fires and finds its work done
+        (``ClientCore`` timers return on ``entry.done``).
+        """
+        self._seq += 1
+        heappush(self._heap, (self._now + delay, self._seq, fn, args))
 
     def _stop(self) -> None:
         self._stopped = True
 
-    def _complete_request(self) -> None:
+    def _complete_request(self, client: ClientCore) -> None:
         self.tracker.complete()
         self._since_flush += 1
         if self._since_flush >= _FLUSH_EVERY:
@@ -821,9 +437,7 @@ class FlowEngine:
 
     def run(self, until: Optional[float] = None) -> None:
         """Drive the experiment until completion (or the safety horizon)."""
-        self._post(
-            self._arrival_rng.exponential(1.0 / self._rate), self._arrival  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload
-        )
+        self.workload.start()
         heap = self._heap
         env = self.env
         env_times = self._env_times
@@ -856,26 +470,11 @@ class FlowEngine:
         instance dict cuts every one of those cycles at the engine, whatever
         attributes a later change adds, so all the engine owned is freed by
         reference count here; what it shares (the recorder the result keeps,
-        a caller's ``env``, the interned ring) is only released.
+        the interned ring) is only released.
         """
         if self.faults is not None:
             self.faults.disarm()
         self.__dict__.clear()
-
-    # ------------------------------------------------------------------
-    # Workload (mirrors OpenLoopWorkload._arrival, read-only path)
-    # ------------------------------------------------------------------
-    def _arrival(self) -> None:
-        index = self.weights.sample(self._arrival_rng)
-        key = self._sampler.sample()
-        record = self.issued >= self._warmup
-        self.per_client_counts[index] += 1
-        self.issued += 1
-        self.clients[index].issue(key, record=record)
-        if self.issued < self._total:
-            self._post(
-                self._arrival_rng.exponential(1.0 / self._rate), self._arrival  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload
-            )
 
     # ------------------------------------------------------------------
     # Link state (flow-model mapping of fabric faults)
@@ -936,7 +535,7 @@ class FlowEngine:
             for d in hops:
                 t += d
             self._account(len(hops), size, overhead)
-            self._post_at(t, fn, args)
+            self.post_at(t, fn, args)
             return
         if first_link is not None and first_link in self._dead_links:
             self.packets_dropped += 1
@@ -951,12 +550,12 @@ class FlowEngine:
             for d in hops[1:]:
                 t += d
             self._account(len(hops), size, overhead)
-            self._post_at(t, fn, args)
+            self.post_at(t, fn, args)
             return
         for d in hops[1:-1]:
             t += d
         self._account(len(hops) - 1, size, overhead)
-        self._post_at(
+        self.post_at(
             t, self._final_hop, (last_link, hops[-1], size, overhead, fn, args)
         )
 
@@ -969,10 +568,11 @@ class FlowEngine:
         if factor is not None:
             lat *= factor
         self._account(1, size, overhead)
-        self._post_at(self._now + lat, fn, args)
+        self.post_at(self._now + lat, fn, args)
 
     # -- CliRS paths ---------------------------------------------------
-    def _send_request(self, client: _FlowClient, rid: int, entry: _Entry, target: str) -> None:
+    def _send_request(self, client: ClientCore, rid: int, entry, target: str) -> None:
+        """A client's ``transmit``: the request travels host to host."""
         hops = self._full_path[self.geometry.hop_count(client.name, target)]
         size, overhead = self._sizes["request"]
         first = last = None
@@ -981,13 +581,12 @@ class FlowEngine:
             last = (self.geometry.tor_name(target), target)
         self._send_along(
             hops, first, last, size, overhead,
-            self.servers[target].handle_arrival, (client, rid, None),
+            self.servers[target].handle_arrival, ((client, rid, None),),
         )
 
-    def _send_response(self, server, client, rid, rv, status) -> None:
-        if self.config.netrs:
-            self._send_netrs_response(server, client, rid, rv, status)
-            return
+    def _send_response(self, server, job, status, queue_delay, service_time) -> None:
+        """A server's ``respond``: the reply travels host to host."""
+        client, rid, _rv = job
         hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
         size, overhead = self._sizes["response"]
         first = last = None
@@ -1000,7 +599,11 @@ class FlowEngine:
         )
 
     # -- NetRS paths (netrs-tor: RSNode at the client's ToR) -----------
-    def _send_via_operator(self, client: _FlowClient, rid: int, entry: _Entry) -> None:
+    def _send_via_operator(self, client: ClientCore, rid: int, entry, backup) -> None:
+        """A NetRS client's ``transmit``: to the ToR, then its accelerator.
+
+        The flow tier never degrades a request, so ``backup`` goes unused.
+        """
         op = self._operator_of[client.name]
         link = (client.name, self.geometry.tor_name(client.name))
         lat = self._host_lat
@@ -1015,11 +618,12 @@ class FlowEngine:
         self._account(1, size, overhead)
         # Host -> ToR, then ToR -> accelerator (submit adds the link delay).
         op.accelerator.submit_at(
-            self._now + lat, self._select_work, (op, client, rid, entry), self._forward_selected
+            self._now + lat, (op, client, rid, entry), self._select_work, self._forward_selected
         )
 
-    def _select_work(self, op: _FlowOperator, client, rid, entry):
+    def _select_work(self, job):
         """Accelerator work: mirror of ``NetRSSelector.on_request``."""
+        op, client, rid, entry = job
         now = self._now
         candidates = self.ring.replicas(entry.rgid)
         server = op.selector.select(candidates, now)
@@ -1027,17 +631,20 @@ class FlowEngine:
         op.requests_handled += 1
         return (op, client, rid, server, now)  # retaining value = now
 
-    def _forward_selected(self, op, client, rid, server, rv) -> None:
+    def _forward_selected(self, selected) -> None:
         """Rebuilt request leaves the ToR toward the selected server."""
+        _op, client, rid, server, rv = selected
         hops = self._from_tor[self.geometry.hop_count(client.name, server)]
         size, overhead = self._sizes["netrs_request"]
         last = (self.geometry.tor_name(server), server) if self._guarded else None
         self._send_along(
             hops, None, last, size, overhead,
-            self.servers[server].handle_arrival, (client, rid, rv),
+            self.servers[server].handle_arrival, ((client, rid, rv),),
         )
 
-    def _send_netrs_response(self, server, client, rid, rv, status) -> None:
+    def _send_netrs_response(self, server, job, status, queue_delay, service_time) -> None:
+        """A server's ``respond`` under NetRS: the reply travels to the client's ToR."""
+        client, rid, rv = job
         hops = self._to_tor[self.geometry.hop_count(server.name, client.name)]
         # The source marker is stamped at the server's ToR ingress, so the
         # first hop travels unmarked and every later hop carries 4 more
@@ -1059,13 +666,13 @@ class FlowEngine:
         if len(hops) > 1:
             marked_size, marked_overhead = self._sizes["netrs_response_marked"]
             self._account(len(hops) - 1, marked_size, marked_overhead)
-        self._post_at(t, self._tor_response, (client, rid, rv, server.name, status))
+        self.post_at(t, self._tor_response, (client, rid, rv, server.name, status))
 
     def _tor_response(self, client, rid, rv, server_name, status) -> None:
         """Response reaches the client's ToR: clone to the RSNode, forward."""
         op = self._operator_of[client.name]
         op.accelerator.submit_at(
-            self._now, self._absorb_response, (op, rv, server_name, status), None
+            self._now, (op, rv, server_name, status), self._absorb_response
         )
         link = (self.geometry.tor_name(client.name), client.name)
         lat = self._host_lat
@@ -1078,10 +685,11 @@ class FlowEngine:
                 lat *= factor
         size, overhead = self._sizes["netrs_response_marked"]
         self._account(1, size, overhead)
-        self._post_at(lat + self._now, client.handle_response, (rid, server_name, status))
+        self.post_at(lat + self._now, client.handle_response, (rid, server_name, status))
 
-    def _absorb_response(self, op: _FlowOperator, rv, server_name, status):
+    def _absorb_response(self, job):
         """Accelerator work: mirror of ``NetRSSelector.on_response``."""
+        op, rv, server_name, status = job
         now = self._now
         op.selector.note_response(server_name, now - rv, status, now)
         op.responses_handled += 1
@@ -1099,8 +707,9 @@ class FlowEngine:
             resp_size = self._sizes["netrs_response_marked"][0]
         s_req = req_size * 8.0 / bandwidth
         s_resp = resp_size * 8.0 / bandwidth
-        lam_client = self._rate / config.n_clients
-        lam_server = self._rate / config.n_servers
+        rate = config.arrival_rate()
+        lam_client = rate / config.n_clients
+        lam_server = rate / config.n_servers
         wait_req = _md1_wait(lam_server, s_req)
         wait_resp = _md1_wait(lam_server, s_resp)
         wait_client_req = _md1_wait(lam_client, s_req)
@@ -1140,8 +749,7 @@ class FlowEngine:
     def accelerator_max_utilization(self) -> float:
         if not self.operators:
             return 0.0
-        now = self._now
-        return max(op.accelerator.utilization(now) for op in self.operators.values())
+        return max(op.accelerator.utilization() for op in self.operators.values())
 
     def selector_requests_handled(self) -> int:
         return sum(op.requests_handled for op in self.operators.values())

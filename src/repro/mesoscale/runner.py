@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 import math
-import os
 import time
 
 from repro.errors import ReproError
@@ -37,11 +36,7 @@ def run_flow_experiment(
     Dispatch: ``config.shards > 1`` fans the run out as independent
     ``repro.exec`` jobs and merges them (repro.mesoscale.shard);
     ``config.vector_batch > 0`` selects the struct-of-arrays fast path
-    (repro.mesoscale.vector), bit-identical to the scalar engine.  The
-    ``REPRO_VECTOR_FORCE`` environment variable (a block length) routes
-    scalar-configured runs through the vector engine too -- safe because
-    the two are bit-identical; the CI vector leg uses it to run the whole
-    fast suite on the SoA path.
+    (repro.mesoscale.vector), bit-identical to the scalar engine.
 
     Memory: a flow run owns what it allocates and nothing waits for the
     cyclic collector.  The collector is parked from engine construction to
@@ -78,21 +73,12 @@ def run_flow_experiment(
 
 
 def _build_engine(config: ExperimentConfig, service_time_scale: float) -> FlowEngine:
-    """The scalar engine, or the SoA one when configured or forced."""
-    vector_batch = config.vector_batch
-    if vector_batch == 0:
-        forced = os.environ.get("REPRO_VECTOR_FORCE", "")
-        if forced:
-            vector_batch = int(forced)
-    if vector_batch > 0:
+    """The scalar engine, or the SoA one when ``vector_batch`` asks for it."""
+    if config.vector_batch > 0:
         # Imported lazily so scalar runs never pay the numpy-kernels import.
         from repro.mesoscale.vector import VectorFlowEngine
 
-        return VectorFlowEngine(
-            config,
-            service_time_scale=service_time_scale,
-            vector_batch=vector_batch,
-        )
+        return VectorFlowEngine(config, service_time_scale=service_time_scale)
     return FlowEngine(config, service_time_scale=service_time_scale)
 
 

@@ -279,6 +279,22 @@ def merge_outcomes(
     return result
 
 
+def _workers_from_environment() -> int:
+    """``REPRO_SHARD_WORKERS`` as a worker count; unset or empty means 1."""
+    raw = os.environ.get("REPRO_SHARD_WORKERS", "")
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(
+            f"REPRO_SHARD_WORKERS must be an integer >= 1, got {raw!r}"
+        )
+    return workers
+
+
 def run_sharded_flow_experiment(
     config: "ExperimentConfig",
     *,
@@ -295,10 +311,10 @@ def run_sharded_flow_experiment(
     never completion order.
     """
     config.validate()
+    if workers is None:
+        workers = _workers_from_environment()
     subs = shard_configs(config)
     jobs = [Job.from_config(sub, index) for index, sub in enumerate(subs)]
-    if workers is None:
-        workers = int(os.environ.get("REPRO_SHARD_WORKERS", "1") or "1")
     policy = ExecutionPolicy(
         workers=max(1, workers), run_dir=run_dir, resume=resume
     )

@@ -4,7 +4,7 @@
 :class:`~repro.mesoscale.flow.FlowEngine` -- same named RNG streams in the
 same order, same float-addition order, same tie-breaking -- but precomputes
 whole *blocks* of requests ahead of the drain loop instead of materialising
-one ``_Entry`` object, one arrival heap event and one hop loop per request:
+one ``_Outstanding`` entry, one arrival heap event and one hop loop per request:
 
 * the open-loop arrival process (gap chain, per-request client index, key)
   is rolled forward ``vector_batch`` requests at a time into parallel
@@ -23,9 +23,9 @@ one ``_Entry`` object, one arrival heap event and one hop loop per request:
 Per-request mutable state lives in flat rid-indexed arrays (issue time,
 primary target, replica tuple, done/alive bytemaps) with the rare fields
 (duplicate counts, retry attempts, tried sets) in sparse dicts, replacing
-the scalar tier's per-request ``_Entry`` + ``_outstanding`` dict.  Client
+the scalar tier's per-request ``_Outstanding`` + ``_outstanding`` dict.  Client
 and server objects, selectors, accelerators and the fault driver are reused
-unchanged from the scalar engine, which remains the line-for-line oracle:
+unchanged from the scalar engine, which remains the oracle:
 the byte-identity suites in ``tests/mesoscale/test_vector.py`` hold every
 sample and counter of this path equal to the scalar tier's, and the CON001
 contracts in ``repro.mesoscale.contracts`` pin the endpoint mirrors
@@ -46,13 +46,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.mesoscale.flow import (
-    _BACKOFF_CAP,
-    _FLUSH_EVERY,
-    FlowEngine,
-    _FlowServer,
-    _StableMean,
-)
+from repro.kvstore.client import _BACKOFF_CAP
+from repro.kvstore.fluctuation import StableService
+from repro.kvstore.server import ServerCore
+from repro.mesoscale.flow import _FLUSH_EVERY, FlowEngine
 from repro.selection.c3 import C3Selector
 
 _INF = float("inf")
@@ -93,8 +90,8 @@ def hop_class_batch(
     return out
 
 
-class _VFlowServer(_FlowServer):
-    """Fast-mode twin of ``_FlowServer`` (same arithmetic, fewer layers).
+class _VFlowServer(ServerCore):
+    """Fast-mode twin of ``ServerCore`` (same arithmetic, fewer layers).
 
     Swapped in (state-copied) only when the engine runs unguarded clirs
     with plain C3 selectors: ``_begin`` pushes the completion straight onto
@@ -103,24 +100,26 @@ class _VFlowServer(_FlowServer):
     additions ``_send_along`` performs -- handing ``(queue_size,
     service_rate)`` to the engine's inlined feedback handler instead of
     allocating a ``ServerStatus`` per completion.  ``fail``/``recover``
-    and the queue/EWMA arithmetic are inherited/copied line for line, so
-    server-fault schedules behave identically.
+    are inherited and the queue/EWMA arithmetic is copied line for line, so
+    server-fault schedules behave identically.  Jobs are the scalar tier's
+    ``(client, rid, rv)``; nothing reads a queueing delay here, so the queue
+    holds bare jobs.
     """
 
     __slots__ = ("_resp_plan", "_complete_cb", "_fastdraw", "_mean_const")
 
-    def __init__(self, base: _FlowServer) -> None:
-        for name in _FlowServer.__slots__:
+    def __init__(self, base: ServerCore) -> None:
+        for name in ServerCore.__slots__:
             setattr(self, name, getattr(base, name))
         # client name -> (hop delays, hop count, bytes, overhead bytes)
         self._resp_plan: Dict[str, tuple] = {}
         self._complete_cb = self._complete  # bound once, pushed per service
         # Stable-service means never change; folding the constant out lets
-        # the drain loop skip the mean_at call (fluctuating servers keep a
-        # None here and take the tick-pointer path).
-        mean_model = self._mean
+        # the drain loop skip the model (fluctuating servers keep a None
+        # here and read the model's current tick).
+        model = self.service_model
         self._mean_const = (
-            mean_model._mean if type(mean_model) is _StableMean else None
+            model.mean_service_time if type(model) is StableService else None
         )
         # Service draws are the stream's only family, so the family lock the
         # first scalar draw would take is taken up front and _begin reads the
@@ -129,7 +128,7 @@ class _VFlowServer(_FlowServer):
         if self._fastdraw:
             self._draws._lock("exponential")
 
-    def handle_arrival(self, client, rid: int, rv) -> None:
+    def handle_arrival(self, job) -> None:
         if self.down:
             self.dropped_requests += 1
             return
@@ -138,14 +137,17 @@ class _VFlowServer(_FlowServer):
         if queued + 1 > self.max_queue_seen:
             self.max_queue_seen = queued + 1
         if self._in_service < self.parallelism:
-            self._begin(client, rid, rv)
+            self._begin(job)
         else:
-            self._waiting.append((client, rid, rv))
+            self._waiting.append(job)
 
-    def _begin(self, client, rid: int, rv) -> None:
-        engine = self.engine
+    def _begin(self, job) -> None:
+        engine = self.env
+        client, rid, rv = job
         self._in_service += 1
-        mean = self._mean.mean_at(engine._now)
+        mean = self._mean_const
+        if mean is None:
+            mean = self.service_model.current_mean
         if self._fastdraw:
             draws = self._draws
             pos = draws._pos
@@ -157,10 +159,9 @@ class _VFlowServer(_FlowServer):
             draws._pos = pos + 1
             # exponential(mean) is mean * standard_exponential(); IEEE
             # multiplication commutes bitwise, so this is the scalar value.
-            duration = block[pos] * mean * engine.service_time_scale
+            duration = block[pos] * mean * self.service_time_scale
         else:
-            duration = self._draws.exponential(mean)
-            duration *= engine.service_time_scale
+            duration = self._draws.exponential(mean) * self.service_time_scale
         engine._seq += 1
         heappush(
             engine._heap,
@@ -175,7 +176,7 @@ class _VFlowServer(_FlowServer):
     def _complete(self, client, rid, rv, duration, epoch) -> None:
         if epoch != self._epoch:
             return  # scheduled before a crash: died with the server
-        engine = self.engine
+        engine = self.env
         self._in_service -= 1
         self.completions += 1
         alpha = self._alpha
@@ -206,8 +207,7 @@ class _VFlowServer(_FlowServer):
              client, rid, self.name, queue_size, service_rate),
         )
         if self._waiting:
-            next_client, next_rid, next_rv = self._waiting.popleft()
-            self._begin(next_client, next_rid, next_rv)
+            self._begin(self._waiting.popleft())
 
 
 class VectorFlowEngine(FlowEngine):
@@ -225,16 +225,24 @@ class VectorFlowEngine(FlowEngine):
         self,
         config,
         *,
-        env=None,
         service_time_scale: float = 1.0,
         vector_batch: Optional[int] = None,
     ) -> None:
-        super().__init__(config, env=env, service_time_scale=service_time_scale)
+        super().__init__(config, service_time_scale=service_time_scale)
         if vector_batch is None:
             vector_batch = config.vector_batch
         self._chunk = max(1, vector_batch)
         self._is_netrs = bool(config.netrs)
-        self._rate_inv = 1.0 / self._rate
+        # The workload object is the scalar engine's; this engine rolls its
+        # arrival process forward itself, over the same streams and counters.
+        workload = self.workload
+        self.weights = workload.weights
+        self._sampler = workload.key_sampler
+        self._arrival_rng = workload._rng
+        self._rate_inv = 1.0 / workload.rate
+        self._total = workload.total_requests
+        self._warmup = workload.warmup_requests
+        self.per_client_counts = workload.per_client_counts
         self._timeout = config.request_timeout
         self._redundancy = self.clients[0].redundancy if self.clients else None
         self._req_size, self._req_overhead = self._sizes["request"]
@@ -360,7 +368,7 @@ class VectorFlowEngine(FlowEngine):
     def _load_chunk(self) -> None:
         """Precompute the next ``vector_batch`` requests as parallel arrays.
 
-        Draw order per request mirrors ``FlowEngine._arrival`` exactly:
+        Draw order per request mirrors ``OpenLoopWorkload._arrival`` exactly:
         a uniform client pick then (unless last) an exponential gap on the
         shared arrival stream, with the key on its own batched stream --
         deferring whole blocks never reorders draws *within* a stream, and
@@ -396,9 +404,9 @@ class VectorFlowEngine(FlowEngine):
             z_one_minus_s = 1.0 - sampler.s
         for j in range(n):
             times[j] = t
-            # Mixed-family arrival stream: same uniform draw as the scalar
+            # Mixed-family arrival stream: same uniform draw as the workload's
             # _arrival (CON002 pins the per-request draw order).
-            clients[j] = sample(rng)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors FlowEngine._arrival
+            clients[j] = sample(rng)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload._arrival
             if zipf_fast:
                 # Inlined ZipfSampler.sample + BatchedStream.random +
                 # _h_integral_inverse/_helper1 (draw-for-draw identical;
@@ -441,7 +449,7 @@ class VectorFlowEngine(FlowEngine):
                 hit = group_for_key(key)
             rgids[j], replicas_list[j] = hit
             if lo + j < last:
-                t = t + rng.exponential(rate_inv)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors FlowEngine._arrival
+                t = t + rng.exponential(rate_inv)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload._arrival
         self._pending_time = t
         # Dense state for the whole block in one splice.
         self._issued_at[lo + 1 : hi + 1] = times
@@ -493,12 +501,12 @@ class VectorFlowEngine(FlowEngine):
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
         """Drive the experiment until completion (or the safety horizon)."""
-        # Mirrors the scalar run()'s opening arrival post: same draw, same
-        # seq consumed -- the arrival event carries no payload because the
-        # request under the cursor is already rolled forward in the block.
+        # Mirrors the workload's start(): same draw, same seq consumed -- the
+        # arrival event carries no payload because the request under the
+        # cursor is already rolled forward in the block.
         self._seq += 1
         first_seq = self._seq
-        self._pending_time = self._arrival_rng.exponential(self._rate_inv)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors FlowEngine.run
+        self._pending_time = self._arrival_rng.exponential(self._rate_inv)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload.start
         self._load_chunk()
         if self._fast:
             # Arrivals never touch the heap in fast mode: the drain merges
@@ -586,8 +594,8 @@ class VectorFlowEngine(FlowEngine):
           heartbeat flushes, loop exit); every inlined branch uses the
           popped ``when`` directly.  Fault transitions read the macro
           ``env.now``, never ``_now``, so the fault drain needs no write.
-          ``self.issued`` (always equal to the cursor here) is synced at the
-          same points.
+          ``workload.issued`` (always equal to the cursor here) is synced at
+          the same points.
         * **Local accounting** -- transmissions / bytes / overhead accumulate
           in frame locals, flushed to the engine counters before any escape
           to code that could read or write them.
@@ -604,6 +612,7 @@ class VectorFlowEngine(FlowEngine):
         heap = self._heap
         env = self.env
         env_times = self._env_times
+        workload = self.workload
         bounded = until is not None
         issue_cb = self._issue_next_cb
         deliver_cb = self._deliver_cb
@@ -684,7 +693,7 @@ class VectorFlowEngine(FlowEngine):
                 # Fault transitions fire on the macro clock, strictly before
                 # any micro-event at or after their timestamp.
                 self._seq = seq
-                self.issued = cursor
+                workload.issued = cursor
                 while env_times and env_times[0] <= when:
                     env.run(until=env_times.pop(0))
                 seq = self._seq
@@ -763,7 +772,7 @@ class VectorFlowEngine(FlowEngine):
                      server_by_name[target], client, rid),
                 )
                 if has_red:
-                    # Inlined _FlowClient._redundancy_threshold (cached
+                    # Inlined ClientCore._redundancy_threshold (cached
                     # percentile after min_samples, mean fallback in warmup).
                     history = client._history
                     if len(history._samples) >= red_min:
@@ -824,14 +833,9 @@ class VectorFlowEngine(FlowEngine):
                     server._in_service += 1
                     mean = server._mean_const
                     if mean is None:
-                        # Fluctuating mean: read the current tick directly,
-                        # fall back to the tick-advancing method at
-                        # boundaries (mirror: _Fluctuation.mean_at).
-                        flux = server._mean
-                        if when < flux._next:
-                            mean = flux._current
-                        else:
-                            mean = flux.mean_at(when)
+                        # Fluctuating mean: the model's current tick (its
+                        # redraws are micro-events of their own).
+                        mean = server.service_model._current
                     if server._fastdraw:
                         draws = server._draws
                         pos = draws._pos
@@ -892,11 +896,7 @@ class VectorFlowEngine(FlowEngine):
                     server._in_service += 1
                     mean = server._mean_const
                     if mean is None:
-                        flux = server._mean
-                        if when < flux._next:
-                            mean = flux._current
-                        else:
-                            mean = flux.mean_at(when)
+                        mean = server.service_model._current
                     if server._fastdraw:
                         draws = server._draws
                         pos = draws._pos
@@ -973,7 +973,7 @@ class VectorFlowEngine(FlowEngine):
                         stopping = False
                         if completed == tracker.expected:
                             self._now = when
-                            self.issued = cursor
+                            workload.issued = cursor
                             for callback in tracker._callbacks:
                                 callback()
                             stopping = self._stopped
@@ -982,7 +982,7 @@ class VectorFlowEngine(FlowEngine):
                             self._since_flush = 0
                             self._seq = seq
                             self._now = when
-                            self.issued = cursor
+                            workload.issued = cursor
                             env.post_at(when, self._heartbeat)
                             env.run(until=when)
                             seq = self._seq
@@ -1050,7 +1050,7 @@ class VectorFlowEngine(FlowEngine):
                 self._seq = seq
                 self._cursor = cursor
                 self._now = when
-                self.issued = cursor
+                workload.issued = cursor
                 self.transmissions += acc_tx
                 self.bytes_transferred += acc_bytes
                 self.netrs_overhead_bytes += acc_overhead
@@ -1068,7 +1068,7 @@ class VectorFlowEngine(FlowEngine):
             self._seq = seq
             self._cursor = cursor
             self._now = when
-            self.issued = cursor
+            workload.issued = cursor
             self.transmissions += acc_tx
             self.bytes_transferred += acc_bytes
             self.netrs_overhead_bytes += acc_overhead
@@ -1087,7 +1087,7 @@ class VectorFlowEngine(FlowEngine):
         self._seq = seq
         self._cursor = cursor
         self._now = when
-        self.issued = cursor
+        workload.issued = cursor
         self.transmissions += acc_tx
         self.bytes_transferred += acc_bytes
         self.netrs_overhead_bytes += acc_overhead
@@ -1095,7 +1095,7 @@ class VectorFlowEngine(FlowEngine):
 
     def _v_deliver(self, server, client, rid: int) -> None:
         """Dispatch mirror of the fast drain's delivery branch."""
-        server.handle_arrival(client, rid, None)
+        server.handle_arrival((client, rid, None))
 
     def _v_complete(self, server, client, rid, rv, duration, epoch) -> None:
         """Dispatch mirror of the fast drain's completion branch."""
@@ -1107,7 +1107,7 @@ class VectorFlowEngine(FlowEngine):
         j = i - self._b_lo
         cidx = self._b_clients[j]
         self.per_client_counts[cidx] += 1
-        self.issued = i + 1
+        self.workload.issued = i + 1
         client = self.clients[cidx]
         rid = i + 1  # the scalar tier's next(self._ids): one id per issue
         now = self._now
@@ -1117,7 +1117,7 @@ class VectorFlowEngine(FlowEngine):
             # Backup draw kept for RNG parity, exactly as the scalar client.
             client.selector.select(replicas, now)
             client.requests_sent += 1
-            self._send_via_operator(client, rid, None)
+            self._send_via_operator(client, rid, None, None)
         else:
             # Fast mode never reaches this method (the megaloop's issue
             # branch inlines the C3 scoring loop); here the selector runs
@@ -1143,11 +1143,11 @@ class VectorFlowEngine(FlowEngine):
                         self._b_path[cls][j],
                         self._seq,
                         self._arrival_of[target],
-                        (client, rid, None),
+                        ((client, rid, None),),
                     ),
                 )
         if self._redundancy is not None:
-            # Inlined _FlowClient._redundancy_threshold: cached percentile
+            # Inlined ClientCore._redundancy_threshold: cached percentile
             # after min_samples, mean-based fallback during warmup (the
             # constants were folded once in __init__, same arithmetic).
             history = client._history
@@ -1188,7 +1188,7 @@ class VectorFlowEngine(FlowEngine):
             )
 
     # ------------------------------------------------------------------
-    # Client endpoints over flat arrays (mirrors of _FlowClient methods)
+    # Client endpoints over flat arrays (mirrors of ClientCore methods)
     # ------------------------------------------------------------------
     def _v_fire_redundant(self, client, rid: int) -> None:
         if not self._alive[rid] or self._done[rid]:
@@ -1215,7 +1215,7 @@ class VectorFlowEngine(FlowEngine):
             self._done[rid] = 1
             client.requests_lost += 1
             self._alive[rid] = 0
-            self._complete_request()
+            self._complete_request(client)
             return
         attempts += 1
         self._attempts[rid] = attempts
@@ -1224,7 +1224,7 @@ class VectorFlowEngine(FlowEngine):
         if self._is_netrs:
             client.selector.select(self._replicas_of[rid], now)  # fresh backup draw
             client.requests_sent += 1
-            self._send_via_operator(client, rid, None)
+            self._send_via_operator(client, rid, None, None)
         else:
             replicas = self._replicas_of[rid]
             tried = self._tried.get(rid)
@@ -1242,7 +1242,7 @@ class VectorFlowEngine(FlowEngine):
             client.requests_sent += 1
             self._send_request(client, rid, None, target)
         delay = client.request_timeout * min(2.0**attempts, _BACKOFF_CAP)
-        self._post(delay, self._v_on_timeout, (client, rid))
+        self.post_in(delay, self._v_on_timeout, (client, rid))
 
     def _response_plan(self, server_name: str, client_name: str) -> tuple:
         """Memoizable response-delivery plan for one (server, client) pair.
@@ -1358,15 +1358,13 @@ class VectorFlowEngine(FlowEngine):
             self.recorder.add(latency)
         if not self._dup_sent.get(rid, 0) and not self._attempts.get(rid, 0):
             self._alive[rid] = 0
-        self._complete_request()
+        self._complete_request(client)
 
     # ------------------------------------------------------------------
     # Engine sends routed to the vector endpoints
     # ------------------------------------------------------------------
-    def _send_response(self, server, client, rid, rv, status) -> None:
-        if self._is_netrs:
-            self._send_netrs_response(server, client, rid, rv, status)
-            return
+    def _send_response(self, server, job, status, queue_delay, service_time) -> None:
+        client, rid, _rv = job
         hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
         size, overhead = self._sizes["response"]
         first = last = None
@@ -1378,8 +1376,9 @@ class VectorFlowEngine(FlowEngine):
             self._v_handle_response, (client, rid, server.name, status),
         )
 
-    def _select_work(self, op, client, rid, entry):
+    def _select_work(self, job):
         """Accelerator work: entry state read from the rid-indexed arrays."""
+        op, client, rid, entry = job
         now = self._now
         candidates = self.ring.replicas(self._rgid_of[rid])
         server = op.selector.select(candidates, now)
@@ -1391,7 +1390,7 @@ class VectorFlowEngine(FlowEngine):
         """Response reaches the client's ToR: clone to the RSNode, forward."""
         op = self._operator_of[client.name]
         op.accelerator.submit_at(
-            self._now, self._absorb_response, (op, rv, server_name, status), None
+            self._now, (op, rv, server_name, status), self._absorb_response
         )
         link = (self.geometry.tor_name(client.name), client.name)
         lat = self._host_lat
@@ -1404,6 +1403,6 @@ class VectorFlowEngine(FlowEngine):
                 lat *= factor
         size, overhead = self._sizes["netrs_response_marked"]
         self._account(1, size, overhead)
-        self._post_at(
+        self.post_at(
             lat + self._now, self._v_handle_response, (client, rid, server_name, status)
         )

@@ -87,6 +87,14 @@ class Accelerator:
         """Called by the co-located switch: ship the packet over the link."""
         self.env.post_in(self.link_delay, self._enqueue, (packet, work, done))
 
+    def submit_at(self, when: float, packet: Any, work: Work, done: Done = None) -> None:
+        """:meth:`submit` as if called at time ``when`` (not before now).
+
+        For a driver that knows in closed form when the packet reaches the
+        switch and so schedules no event there (the flow engine).
+        """
+        self.env.post_at(when + self.link_delay, self._enqueue, (packet, work, done))
+
     def _enqueue(self, packet: Any, work: Work, done: Done) -> None:
         if self._busy < self.cores:
             self._busy += 1

@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.kvstore.client import CompletionTracker, KVClient, RedundancyPolicy
+from repro.kvstore.client import (
+    ClientCore,
+    CompletionTracker,
+    KVClient,
+    RedundancyPolicy,
+)
 from repro.kvstore.hashing import ConsistentHashRing
 from repro.network.packet import (
     MAGIC_PLAIN,
     MAGIC_REQUEST,
     ServerStatus,
+    make_request,
     make_response,
 )
 from repro.selection.base import ReplicaSelector
 from repro.sim import Environment
 from repro.sim.probes import LatencyRecorder
+
+from tests.kvstore._drivers import idle_flow_engine
 
 SERVERS = [f"server{i}" for i in range(5)]
 
@@ -248,3 +256,104 @@ class TestCompletionTracker:
         client.issue(key=1)
         _respond(client, host.sent[0])
         assert tracker.completed == 1
+
+
+class TestOneBodyTwoDrivers:
+    """``ClientCore`` is the only read path: the packet tier reaches it
+    through ``KVClient`` on an ``Environment`` + ``Host``, the flow tier
+    constructs it on a ``FlowEngine``.  The same scripted life must read the
+    same on both."""
+
+    # Request 1 (t=0): never answered in time -- the R95 duplicate leaves at
+    # the cold-start threshold (30 ms), timeouts back off 20/40/80/160 ms
+    # (the cap is reached at the third retry) -- then answered at 0.35 s by
+    # its first target and, 10 ms later, by a losing copy.  Request 2
+    # (t=0.5): never answered, lost once its five retries are spent.
+    TIMEOUT, RETRIES = 0.02, 5
+    ANSWER, LATE_ANSWER = 0.35, 0.36
+    SECOND_ISSUE, HORIZON = 0.5, 1.2
+
+    def _policy(self):
+        return dict(
+            redundancy=RedundancyPolicy(),
+            rng=np.random.default_rng(0),
+            request_timeout=self.TIMEOUT,
+            max_retries=self.RETRIES,
+        )
+
+    @staticmethod
+    def _counters(client):
+        return (
+            client.requests_sent,
+            client.redundant_sent,
+            client.timeouts,
+            client.retries,
+            client.late_responses,
+            client.duplicates_suppressed,
+            client.requests_lost,
+        )
+
+    def _on_environment(self, ring):
+        env = Environment()
+        sends = []
+
+        class Host(StubHost):
+            def send(self, packet):
+                sends.append((env.now, packet.request_id, packet.dst))
+
+        tracker = CompletionTracker(2)
+        client, _, _ = _client(env, ring, host=Host(), tracker=tracker, **self._policy())
+        _, replicas = ring.group_for_key(7)
+        status = ServerStatus(queue_size=0, service_rate=1000.0, timestamp=0.0)
+
+        def answer(server):
+            request = make_request(
+                client=client.name, request_id=1, key=7, rgid=0,
+                backup_replica=server, issued_at=0.0, netrs=False, dst=server,
+            )
+            client.handle_packet(make_response(request, server=server, status=status))
+
+        env.call_at(0.0, client.issue, 7)
+        env.call_at(self.ANSWER, answer, replicas[0])
+        env.call_at(self.LATE_ANSWER, answer, replicas[1])
+        env.call_at(self.SECOND_ISSUE, client.issue, 9)
+        env.run(until=self.HORIZON)
+        return self._counters(client), sends, tracker.completed
+
+    def _on_flow_engine(self, ring):
+        with idle_flow_engine() as engine:
+            sends = []
+            completed = []
+            client = ClientCore(
+                engine,
+                "client0",
+                ring=ring,
+                selector=FirstCandidateSelector(),
+                recorder=LatencyRecorder(),
+                transmit=lambda client, rid, entry, target: sends.append(
+                    (engine.now, rid, target)
+                ),
+                completed=completed.append,
+                **self._policy(),
+            )
+            _, replicas = ring.group_for_key(7)
+            status = ServerStatus(queue_size=0, service_rate=1000.0, timestamp=0.0)
+            engine.post_at(0.0, client.issue, (7,))
+            engine.post_at(self.ANSWER, client.handle_response, (1, replicas[0], status))
+            engine.post_at(self.LATE_ANSWER, client.handle_response, (1, replicas[1], status))
+            engine.post_at(self.SECOND_ISSUE, client.issue, (9,))
+            engine.run(until=self.HORIZON)
+            return self._counters(client), sends, len(completed)
+
+    def test_scripted_retries_read_the_same_on_both_drivers(self, ring):
+        packet_counters, packet_sends, packet_done = self._on_environment(ring)
+        flow_counters, flow_sends, flow_done = self._on_flow_engine(ring)
+        assert flow_counters == packet_counters
+        assert flow_sends == packet_sends
+        assert flow_done == packet_done == 2
+        # The script did what it says.
+        sent, redundant, timeouts, retries, late, suppressed, lost = packet_counters
+        assert (sent, redundant, timeouts, retries) == (11, 1, 10, 9)
+        assert (late, suppressed, lost) == (1, 1, 1)
+        first = [when for when, rid, _ in packet_sends if rid == 1]
+        assert first == pytest.approx([0.0, 0.02, 0.03, 0.06, 0.14, 0.30])

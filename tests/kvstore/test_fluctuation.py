@@ -7,6 +7,8 @@ from repro.errors import ConfigurationError
 from repro.kvstore.fluctuation import BimodalFluctuation, StableService
 from repro.sim import Environment
 
+from tests.kvstore._drivers import idle_flow_engine
+
 
 def _model(seed=0, base=4e-3, d=3.0, interval=50e-3):
     return BimodalFluctuation(
@@ -90,6 +92,35 @@ class TestBimodal:
 
         assert trajectory(3) == trajectory(3)
         assert trajectory(3) != trajectory(4)
+
+
+    def test_same_draws_in_the_same_order_on_a_flow_engine(self):
+        """The flow tier constructs this very class on its micro-heap: the
+        ticks land on the same instants and consume the stream alike."""
+        probes = [k * 10e-3 for k in range(1, 31)]  # 300 ms: six redraws
+
+        def sample(clock, model, seen):
+            seen.append((clock.now, model.current_mean))
+
+        env = Environment()
+        on_env = _model(seed=3)
+        on_env.start(env)
+        seen_env = []
+        for when in probes:
+            env.post_at(when, sample, (env, on_env, seen_env))
+        env.run(until=probes[-1])
+
+        with idle_flow_engine() as engine:
+            on_engine = _model(seed=3)
+            on_engine.start(engine)
+            seen_engine = []
+            for when in probes:
+                engine.post_at(when, sample, (engine, on_engine, seen_engine))
+            engine.run(until=probes[-1])
+
+        assert seen_engine == seen_env
+        assert on_engine.redraws == on_env.redraws == 6
+        assert len({mean for _, mean in seen_env}) == 2  # both modes were drawn
 
 
 class TestStableService:

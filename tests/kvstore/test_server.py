@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.kvstore.fluctuation import StableService
-from repro.kvstore.server import KVServer
+from repro.kvstore.server import KVServer, ServerCore
 from repro.network.packet import MAGIC_PLAIN, make_request
 from repro.sim import Environment
+
+from tests.kvstore._drivers import idle_flow_engine
 
 
 class StubHost:
@@ -171,3 +173,98 @@ class TestServicing:
         env.run()
         ids = [p.request_id for p, _ in host.sent]
         assert ids == [0, 1, 2, 3, 4]
+
+
+class TestOneBodyTwoDrivers:
+    """``ServerCore`` is the only server model: the packet tier reaches it
+    through ``KVServer`` on an ``Environment`` + ``Host``, the flow tier
+    constructs it on a ``FlowEngine``.  The same scripted life must read the
+    same on both."""
+
+    # Np + 2 arrivals, a crash with work in service and in the queue, an
+    # arrival while down, recovery, then three arrivals served normally while
+    # the completions scheduled before the crash fire into the new epoch.
+    PARALLELISM = 2
+    BURST = (0.0, 0.0, 0.0, 0.0)
+    CRASH, WHILE_DOWN, RECOVER = 1e-5, 2e-5, 3e-5
+    AFTER = (4e-5, 4e-5, 4e-5)
+    HORIZON = 0.1
+
+    def _script(self, at, arrive, server):
+        for index, when in enumerate(self.BURST):
+            at(when, arrive, index)
+        at(self.CRASH, server.fail)
+        at(self.WHILE_DOWN, arrive, 10)
+        at(self.RECOVER, server.recover)
+        for index, when in enumerate(self.AFTER):
+            at(when, arrive, 20 + index)
+
+    @staticmethod
+    def _counters(server):
+        return (
+            server.arrivals,
+            server.completions,
+            server.max_queue_seen,
+            server.lost_in_service,
+            server.dropped_requests,
+        )
+
+    def _on_environment(self):
+        env = Environment()
+        replies = []
+
+        class Host(StubHost):
+            def send(self, packet):
+                status = packet.server_status
+                replies.append(
+                    (env.now, packet.request_id, status.queue_size, status.service_rate)
+                )
+
+        server = _server(env, Host(), parallelism=self.PARALLELISM)
+        self._script(
+            lambda when, fn, *args: env.call_at(when, fn, *args),
+            lambda index: server.handle_packet(_request(index)),
+            server,
+        )
+        env.run(until=self.HORIZON)
+        return self._counters(server), replies
+
+    def _on_flow_engine(self):
+        with idle_flow_engine() as engine:
+            replies = []
+
+            def respond(server, job, status, queue_delay, service_time):
+                replies.append(
+                    (engine.now, job, status.queue_size, status.service_rate)
+                )
+
+            server = ServerCore(
+                engine,
+                "server0",
+                service_model=StableService(1e-3),
+                parallelism=self.PARALLELISM,
+                rng=np.random.default_rng(0),
+                respond=respond,
+            )
+            self._script(
+                lambda when, fn, *args: engine.post_at(when, fn, args),
+                server.handle_arrival,
+                server,
+            )
+            engine.run(until=self.HORIZON)
+            return self._counters(server), replies
+
+    def test_scripted_crash_reads_the_same_on_both_drivers(self):
+        packet_counters, packet_replies = self._on_environment()
+        flow_counters, flow_replies = self._on_flow_engine()
+        assert flow_counters == packet_counters
+        assert flow_replies == packet_replies
+        # The script did what it says: all four of the burst died in the
+        # crash (nothing had completed), one arrival was refused, and only
+        # the three post-recovery requests were ever answered.
+        arrivals, completions, max_queue, lost, dropped = packet_counters
+        assert (arrivals, completions, max_queue, lost, dropped) == (7, 3, 4, 4, 1)
+        assert sorted(job for _, job, _, _ in packet_replies) == [20, 21, 22]
+        # The old epoch's two completions fired after recovery and were
+        # ignored: the last reply leaves an empty server behind.
+        assert packet_replies[-1][2] == 0

@@ -19,7 +19,8 @@ from repro.mesoscale.contracts import CONTRACTS as MESO_CONTRACTS
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 _VECTOR = "src/repro/mesoscale/vector.py"
-_FLOW = "src/repro/mesoscale/flow.py"
+_SERVER = "src/repro/kvstore/server.py"
+_WORKLOAD = "src/repro/kvstore/workload.py"
 _C3 = "src/repro/selection/c3.py"
 
 
@@ -57,7 +58,7 @@ def _inject(tmp_path, rel, old, new):
         (
             # Counter drift in the vector server endpoint.
             "vector.server.arrival",
-            (_FLOW, _VECTOR),
+            (_SERVER, _VECTOR),
             _VECTOR,
             "self.arrivals += 1",
             "self.arrivals += 2",
@@ -107,7 +108,7 @@ def test_injected_draw_swap_is_caught(tmp_path):
     must flag the divergence."""
     pair = _draw_pair("vector arrival-stream draw order")
     registry = ContractRegistry(draw_sequences=[pair])
-    _scratch_tree(tmp_path, (_FLOW, _VECTOR))
+    _scratch_tree(tmp_path, (_WORKLOAD, _VECTOR))
     assert check_contracts(str(tmp_path), registry=registry) == []
     _inject(
         tmp_path,

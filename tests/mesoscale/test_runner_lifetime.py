@@ -78,7 +78,6 @@ def test_collector_state_is_restored(name, enabled):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_collector_state_is_restored_when_the_run_raises(enabled, monkeypatch):
-    monkeypatch.delenv("REPRO_VECTOR_FORCE", raising=False)
     torn_down = []
     teardown = FlowEngine.teardown
 

@@ -83,3 +83,17 @@ def test_server_faults_are_accepted():
             request_timeout=20e-3,
         )
     )
+
+
+@pytest.mark.parametrize("vector_batch", [0, 64])
+def test_link_bandwidth_is_accepted_and_runs(vector_batch):
+    """``link_bandwidth`` widens every hop analytically (docs/MESOSCALE.md,
+    "Serialization approximation"); the model reads the arrival rate from the
+    config, not from engine state that is built later."""
+    from repro.mesoscale import run_flow_experiment
+
+    config = _flow(vector_batch=vector_batch)
+    plain = run_flow_experiment(config)
+    widened = run_flow_experiment(config.replace(link_bandwidth=1e9))
+    assert widened.completed_requests == config.total_requests
+    assert widened.summary()["mean"] > plain.summary()["mean"]

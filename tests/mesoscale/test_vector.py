@@ -1,8 +1,8 @@
 """The SoA fast path's contract: ``vector_batch`` is a pure performance
 knob -- any batch size, any scheme, faults or not, the vectorized engine
 must be byte-identical to the scalar flow tier (samples, every counter,
-micro-event count), and the dispatch surfaces (config knob, env override)
-must all land on the same engine.
+micro-event count), and the config knob must land on it through every
+dispatch surface.
 """
 
 import pytest
@@ -78,17 +78,6 @@ def test_vector_dispatches_through_run_experiment():
     direct = run_flow_experiment(config)
     assert tuple(via_dispatch.latency.samples) == tuple(direct.latency.samples)
     assert via_dispatch.micro_events == direct.micro_events
-
-
-def test_vector_force_env_overrides_scalar_config(monkeypatch):
-    """The CI matrix leg sets ``REPRO_VECTOR_FORCE`` to route every flow
-    run through the SoA engine without touching configs (and hence without
-    perturbing job digests); the results must be the scalar tier's."""
-    config = _flow("clirs")
-    scalar = run_flow_experiment(config)
-    monkeypatch.setenv("REPRO_VECTOR_FORCE", "64")
-    forced = run_flow_experiment(config)
-    _assert_identical(scalar, forced, "env-force")
 
 
 @pytest.mark.parametrize("scenario", ["fig4-clirs-r95", "faults-clirs"])

@@ -40,6 +40,26 @@ class TestProcessing:
         # link + service + link = 1.25 + 5 + 1.25 us
         assert done == [pytest.approx(7.5e-6)]
 
+    def test_submit_at_equals_submit_called_then(self, env):
+        """A driver that knows the hand-off instants in closed form declares
+        them up front; queueing and completion times must not notice."""
+        instants = [0.0, 1e-6, 2e-6, 40e-6]  # a burst that queues, then a lone one
+        called, declared = _make(env), _make(env)
+        done_called, done_declared = [], []
+        for index, when in enumerate(instants):
+            env.call_at(
+                when, called.submit, index, lambda p: p,
+                lambda p: done_called.append((env.now, p)),
+            )
+            declared.submit_at(
+                when, index, lambda p: p, lambda p: done_declared.append((env.now, p))
+            )
+        env.run()
+        assert done_declared == done_called
+        assert len(done_called) == len(instants)
+        assert declared.max_queue_seen == called.max_queue_seen == 2
+        assert declared.busy_time == called.busy_time
+
     def test_work_transforms_packet(self, env):
         acc = _make(env)
         results = []
