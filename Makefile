@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-layered-smoke bench-figures lint lint-report lint-baseline contracts help
+.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-layered-smoke bench-ab bench-figures lint lint-report lint-baseline contracts help
 
 help:
 	@echo "install       editable install"
@@ -20,6 +20,7 @@ help:
 	@echo "bench         all benchmarks (figures + ablations + microbench)"
 	@echo "bench-smoke   engine microbenchmarks, low rounds, JSON for CI trends"
 	@echo "bench-layered-smoke  three workloads of benchmarks/layered for 2 s each; fails unless all print \"correct\": true"
+	@echo "bench-ab      BASE=<rev> WORKLOAD=<name> [PAIRS=10]: alternating benchmarks/layered runs of a base revision and this tree"
 	@echo "bench-figures just the paper figures (results under benchmarks/results/)"
 
 install:
@@ -117,6 +118,15 @@ bench-layered-smoke:
 		echo "$$out" | tail -n 1; \
 		echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1; \
 	done
+
+# A speed claim's measurement (benchmarks/ab.py): PAIRS alternating pairs of
+# the BENCHMARK.json command on WORKLOAD, BASE in a git worktree beside this
+# tree (or in WORKTREE=<dir>), medians, quartiles and pairs won printed.
+# Takes PAIRS x 2 x ~25 s; run nothing else on the machine meanwhile.
+PAIRS ?= 10
+bench-ab:
+	$(PYTHON) benchmarks/ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) \
+		$(if $(WORKTREE),--worktree $(WORKTREE))
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/test_bench_fig4_clients.py \

@@ -1,27 +1,33 @@
 """The NetRS selector: replica selection on a network accelerator.
 
-Implements paper section IV-C.  For a NetRS request the selector resolves
-the RGID against its local replica-group database, runs the configured
-replica-selection algorithm, and rebuilds the packet: destination set to the
-chosen server, retaining value set to the send timestamp (the paper's worked
-example for RV), and magic set to ``f(MAGIC_RESPONSE)`` so switches treat the
-rebuilt packet as ordinary traffic while the server's ``f^-1`` turns the
-reply into a NetRS response.  For a cloned NetRS response the selector folds
-the piggybacked server status (and the RV-derived response time) into the
-algorithm's state and drops the clone.
+Implements paper section IV-C, as the one selector every tier drives.  For a
+NetRS request the selector resolves the RGID against its local replica-group
+database and runs the configured replica-selection algorithm; for a cloned
+NetRS response it folds the piggybacked server status, and the response time
+derived from the retaining value, into the algorithm's state.  What carries
+those values -- a packet whose destination, retaining value and magic the
+switch rewrites around :meth:`NetRSSelector.select`, or a flow-tier job
+tuple -- is the caller's business.
+
+The accelerator runs its work on admission and tells it the instant its
+service completes, so ``now`` may lie ahead of the clock by the packet's
+stay in the accelerator.  The two counters report what has completed by the
+clock, as the accelerator's own do.
 """
 
 from __future__ import annotations
 
-from repro.errors import ProtocolError
+from bisect import bisect_right
+from typing import List
+
 from repro.kvstore.hashing import ConsistentHashRing
-from repro.network.packet import (
-    MAGIC_RESPONSE,
-    Packet,
-    magic_transform,
-)
+from repro.network.packet import ServerStatus
 from repro.selection.base import ReplicaSelector
 from repro.sim.core import Environment
+
+#: Calls between prunings of the instants noted as ahead of the clock; only
+#: pruning reads the clock, which the per-packet path otherwise never does.
+_PRUNE_EVERY = 16
 
 
 class NetRSSelector:
@@ -37,35 +43,48 @@ class NetRSSelector:
         self.env = env
         self.algorithm = algorithm
         self.ring = ring
-        self.requests_handled = 0
-        self.responses_handled = 0
+        self._selected = 0
+        self._folded = 0
+        # Completion instants the clock had not reached when last pruned
+        # (non-decreasing: one accelerator, first in, first out).
+        self._selects_ahead: List[float] = []
+        self._folds_ahead: List[float] = []
 
-    def on_request(self, packet: Packet) -> Packet:
-        """Choose a replica and rebuild the request (accelerator work)."""
-        if packet.rgid < 0:
-            raise ProtocolError(
-                f"NetRS request {packet.request_id} carries no RGID"
-            )
-        now = self.env.now
-        candidates = self.ring.replicas(packet.rgid)
-        server = self.algorithm.select(candidates, now)
-        self.algorithm.note_sent(server, now)
-        packet.dst = server
-        packet.server = server
-        packet.retaining_value = now
-        packet.selected_at = now
-        packet.magic = magic_transform(MAGIC_RESPONSE)
-        self.requests_handled += 1
-        return packet
+    def select(self, rgid: int, now: float) -> str:
+        """Choose a replica of group ``rgid`` for a request served at ``now``."""
+        algorithm = self.algorithm
+        server = algorithm.select(self.ring.replicas(rgid), now)
+        algorithm.note_sent(server, now)
+        self._selected += 1
+        self._selects_ahead.append(now)
+        if not self._selected % _PRUNE_EVERY:
+            _still_ahead(self._selects_ahead, self.env.now)
+        return server
 
-    def on_response(self, packet: Packet) -> None:
-        """Fold a cloned NetRS response into local information."""
-        if packet.server_status is None:
-            raise ProtocolError(
-                f"NetRS response {packet.request_id} carries no server status"
-            )
-        response_time = self.env.now - packet.retaining_value
-        self.algorithm.note_response(
-            packet.server, response_time, packet.server_status, self.env.now
-        )
-        self.responses_handled += 1
+    def fold(self, server: str, rv: float, status: ServerStatus, now: float) -> None:
+        """Fold a response clone served at ``now`` into local information.
+
+        ``rv`` is the retaining value the request left with: the instant it
+        was selected, so ``now - rv`` is the response time seen from here.
+        """
+        self.algorithm.note_response(server, now - rv, status, now)
+        self._folded += 1
+        self._folds_ahead.append(now)
+        if not self._folded % _PRUNE_EVERY:
+            _still_ahead(self._folds_ahead, self.env.now)
+
+    @property
+    def requests_handled(self) -> int:
+        """Requests whose selection has completed."""
+        return self._selected - _still_ahead(self._selects_ahead, self.env.now)
+
+    @property
+    def responses_handled(self) -> int:
+        """Response clones whose fold has completed."""
+        return self._folded - _still_ahead(self._folds_ahead, self.env.now)
+
+
+def _still_ahead(ahead: List[float], clock: float) -> int:
+    """Drop the instants the clock has reached; how many it has not."""
+    del ahead[: bisect_right(ahead, clock)]
+    return len(ahead)

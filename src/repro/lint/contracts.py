@@ -244,9 +244,9 @@ CONTRACT_RULES: Dict[str, Rule] = {
             "divergence is drift."
         ),
         example_bad=(
-            "# NetRSSelector.on_request gained a statement ...\n"
-            "self.algorithm.note_probe(server, now)\n"
-            "# ... that FlowEngine._select_work never received"
+            "# ServerCore.handle_arrival gained a statement ...\n"
+            "self.arrivals_seen += 1\n"
+            "# ... that _VFlowServer.handle_arrival never received"
         ),
         example_fix=(
             "replay the edit into the mirror in the same commit, or\n"

@@ -1,8 +1,9 @@
 """Mesoscale fidelity tier: flow-level simulation with a packet-tier gate.
 
-The packet engine (:mod:`repro.network`) walks every hop of every packet --
-~10 engine events per request -- which caps experiments near the paper's
-1024-host evaluation.  This package provides the second fidelity tier:
+The packet engine (:mod:`repro.network`) builds every switch and moves a
+packet object through the fabric for every message (the events either tier
+spends per request are measured in docs/MESOSCALE.md), which caps
+experiments near the paper's 1024-host evaluation.  This package provides the second fidelity tier:
 requests become a handful of scheduled completions from an analytic
 link/queue model (:mod:`repro.mesoscale.flow`), with the selection
 algorithms, RNG streams and client/server queue logic shared with the

@@ -3,18 +3,15 @@
 The flow tier (:mod:`repro.mesoscale.flow`) *drives* the packet tier's
 endpoints -- server, client, workload, service fluctuation and accelerator
 exist once, in :mod:`repro.kvstore` and :mod:`repro.network.accelerator` --
-so there is no endpoint copy left to police.  What is still written twice,
-and therefore declared here for ``repro.lint.contracts`` (rule CON001, a
-normalized-AST comparison):
-
-* the NetRS selector's two handlers.  ``NetRSSelector`` rewrites packet
-  fields (destination, magic, retaining value); the flow engine does the
-  same selection on a tuple, as accelerator work.
-* two statement-shaped endpoints of the vectorized tier
-  (:mod:`repro.mesoscale.vector`), whose struct-of-arrays layout is a
-  different data structure, not a copy: its server twin's arrival and its
-  selector work.  The rest of that tier is one megaloop and is held to the
-  scalar engine by the runtime byte-identity suites instead.
+and the NetRS selector (:mod:`repro.core.selector_node`) is one class whose
+``select``/``fold`` every tier calls -- so there is no endpoint copy left to
+police.  What is still written twice, and therefore declared here for
+``repro.lint.contracts`` (rule CON001, a normalized-AST comparison), is one
+statement-shaped endpoint of the vectorized tier
+(:mod:`repro.mesoscale.vector`), whose struct-of-arrays layout is a
+different data structure, not a copy: its server twin's arrival.  The rest
+of that tier is one megaloop and is held to the scalar engine by the runtime
+byte-identity suites instead.
 
 Every rename, drop and equivalence is a *reviewed, allowed* rewrite;
 anything not declared is drift and fails CI.  When you edit one side of a
@@ -42,60 +39,10 @@ _FLOW = "src/repro/mesoscale/flow.py"
 _VECTOR = "src/repro/mesoscale/vector.py"
 _SERVER = "src/repro/kvstore/server.py"
 _WORKLOAD = "src/repro/kvstore/workload.py"
-_SELECTOR_NODE = "src/repro/core/selector_node.py"
 _C3 = "src/repro/selection/c3.py"
 _SCENARIOS = "src/repro/experiments/scenarios.py"
 
 MIRROR_PAIRS = (
-    # -- NetRS selector (accelerator work) -----------------------------
-    MirrorPair(
-        name="selector.on_request",
-        reference=Site(_SELECTOR_NODE, "NetRSSelector.on_request"),
-        mirror=Site(_FLOW, "FlowEngine._select_work"),
-        renames=(
-            ("self.env.now", "self._now"),
-            ("self.algorithm", "op.selector"),
-            ("packet.rgid", "entry.rgid"),
-            ("self.requests_handled", "op.requests_handled"),
-        ),
-        # The flow tier's entry always carries a valid RGID (no wire
-        # parsing), and the packet rebuild has no packet to rebuild.
-        drop_reference=(
-            "if packet.rgid < 0: ...",
-            "packet.dst = server",
-            "packet.server = server",
-            "packet.retaining_value = now",
-            "packet.selected_at = now",
-            "packet.magic = magic_transform(MAGIC_RESPONSE)",
-        ),
-        drop_mirror=("(op, client, rid, entry) = job",),
-        equivalences=(
-            ("return packet", "return (op, client, rid, server, now)"),
-        ),
-    ),
-    MirrorPair(
-        name="selector.on_response",
-        reference=Site(_SELECTOR_NODE, "NetRSSelector.on_response"),
-        mirror=Site(_FLOW, "FlowEngine._absorb_response"),
-        renames=(
-            ("self.env.now", "now"),
-            ("self.algorithm", "op.selector"),
-            ("packet.server", "server_name"),
-            ("packet.server_status", "status"),
-            ("packet.retaining_value", "rv"),
-            ("self.responses_handled", "op.responses_handled"),
-            ("response_time", "now - rv"),
-        ),
-        drop_reference=(
-            "if packet.server_status is None: ...",
-            "response_time = self.env.now - packet.retaining_value",
-        ),
-        drop_mirror=(
-            "(op, rv, server_name, status) = job",
-            "now = self._now",
-            "return None",
-        ),
-    ),
     # -- shared endpoints <-> vectorized flow tier ---------------------
     MirrorPair(
         # The vector server queues bare jobs: nothing in fast mode reads
@@ -110,14 +57,6 @@ MIRROR_PAIRS = (
                 "self._waiting.append(job)",
             ),
         ),
-    ),
-    MirrorPair(
-        # The vector engine keeps RGIDs in a rid-indexed array instead of
-        # per-request entry objects; the selector interaction is identical.
-        name="vector.selector.on_request",
-        reference=Site(_FLOW, "FlowEngine._select_work"),
-        mirror=Site(_VECTOR, "VectorFlowEngine._select_work"),
-        renames=(("entry.rgid", "self._rgid_of[rid]"),),
     ),
 )
 

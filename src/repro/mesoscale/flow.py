@@ -1,7 +1,8 @@
 """The flow-level engine: requests as scheduled completions, not packets.
 
-The packet tier spends ~10 engine events per request walking every hop of
-the fat-tree.  Under the paper's default link model those hops are *pure
+The packet tier moves a packet object through every switch of the fat-tree
+(what it costs per request is measured in docs/MESOSCALE.md, "Events per
+request").  Under the paper's default link model those hops are *pure
 constant delays*: every ECMP path between two hosts is latency-equal, so the
 network's only contribution to a request's latency is a deterministic sum of
 per-hop constants.  The flow tier replaces exactly that -- the **wire** --
@@ -24,8 +25,8 @@ engine's closed-form deliveries: ``_send_request`` / ``_send_via_operator``
 
 The :class:`~repro.sim.core.Environment` is still the macro clock: fault
 transitions and periodic completion-batch heartbeats run on it, so
-``env.events_executed`` counts a handful of events per *run* rather than ten
-per *request*.  Micro-events (arrival, service completion, response
+``env.events_executed`` counts a handful of events per *run* rather than
+several per *request*.  Micro-events (arrival, service completion, response
 delivery, timers, fluctuation ticks) are counted separately in
 ``FlowEngine.micro_events``.
 
@@ -44,6 +45,7 @@ import itertools
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.selector_node import NetRSSelector
 from repro.errors import ConfigurationError
 from repro.faults.events import (
     LinkDegrade,
@@ -80,20 +82,22 @@ from repro.sim.rng import RngRegistry
 #: event cost.
 _FLUSH_EVERY = 4096
 
+#: Ahead-dated accounting entries that may pile up before those the clock has
+#: passed are entered in the books (they are not in time order).
+_CROSS_EVERY = 64
+
 _MicroFn = Callable[..., None]
 
 
 class _FlowOperator:
     """A NetRS RSNode at one client-fronting ToR (selector + accelerator)."""
 
-    __slots__ = ("tor", "selector", "accelerator", "requests_handled", "responses_handled")
+    __slots__ = ("tor", "selector", "accelerator")
 
-    def __init__(self, tor, selector, accelerator):
+    def __init__(self, tor: str, selector: NetRSSelector, accelerator: Accelerator):
         self.tor = tor
         self.selector = selector
         self.accelerator = accelerator
-        self.requests_handled = 0
-        self.responses_handled = 0
 
 
 class _FaultDriver:
@@ -265,6 +269,10 @@ class FlowEngine:
         self._full_path = {2: (h, h), 4: (h, s, s, h), 6: (h, s, s, s, s, h)}
         self._from_tor = {2: (h,), 4: (s, s, h), 6: (s, s, s, s, h)}
         self._to_tor = {2: (h,), 4: (h, s, s), 6: (h, s, s, s, s)}
+        # Response direction: the same delays, until a bandwidth model prices
+        # the two packet sizes apart.
+        self._response_path = self._full_path
+        self._host_lat_response = h
         self._sizes = _wire_sizes(config)
         if config.link_bandwidth is not None:
             self._apply_bandwidth_model(config)
@@ -275,6 +283,9 @@ class FlowEngine:
         self.transmissions = 0
         self.bytes_transferred = 0
         self.netrs_overhead_bytes = 0
+        # (instant, hops, size, overhead) dated ahead of the clock; see
+        # _cross_accounted.
+        self._accounted_ahead: List[Tuple[float, int, int, int]] = []
 
         # --- servers -------------------------------------------------------
         respond = self._send_netrs_response if config.netrs else self._send_response
@@ -343,6 +354,11 @@ class FlowEngine:
                 )
             )
 
+        # Where a response comes off the wire, per client.
+        self._on_response: Dict[ClientCore, _MicroFn] = {
+            client: client.handle_response for client in self.clients
+        }
+
         # --- NetRS operators (netrs-tor: one RSNode per client ToR) --------
         self.operators: Dict[str, _FlowOperator] = {}
         self._operator_of: Dict[str, _FlowOperator] = {}
@@ -350,11 +366,15 @@ class FlowEngine:
             tors = sorted({self.geometry.tor_name(name) for name in self.client_hosts})
             n_rsnodes = len(tors)
             for index, tor in enumerate(tors, start=1):
-                selector = create_selector(
-                    config.algorithm,
-                    concurrency_weight=n_rsnodes,
-                    prior_service_rate=config.prior_service_rate(),
-                    rng=rng.stream(f"selector.operator.{index}"),
+                selector = NetRSSelector(
+                    self,
+                    algorithm=create_selector(
+                        config.algorithm,
+                        concurrency_weight=n_rsnodes,
+                        prior_service_rate=config.prior_service_rate(),
+                        rng=rng.stream(f"selector.operator.{index}"),
+                    ),
+                    ring=self.ring,
                 )
                 accelerator = Accelerator(
                     self,
@@ -456,8 +476,13 @@ class FlowEngine:
             self._now = when
             self.micro_events += 1
             entry[2](*entry[3])
-        if self._now > env.now:
-            env.run(until=self._now)
+        self._close_run()
+
+    def _close_run(self) -> None:
+        """Bring the books and the macro clock up to where the loop stopped."""
+        self._cross_accounted()
+        if self._now > self.env.now:
+            self.env.run(until=self._now)
 
     def teardown(self) -> None:
         """Release everything the run built; the engine is unusable afterwards.
@@ -511,6 +536,25 @@ class FlowEngine:
         self.transmissions += hops
         self.bytes_transferred += size * hops
         self.netrs_overhead_bytes += overhead * hops
+
+    def _cross_accounted(self) -> None:
+        """Account the hops dated up to now; those dated later wait.
+
+        A sender that does a ToR's work for it (no link fault scheduled)
+        dates the hops the packet crosses from there with the instant it
+        leaves the ToR, in ``_accounted_ahead``.  A run that stops first must
+        not count them -- the packet tier would not have transmitted -- so
+        they enter the books only once the clock is past them; the books are
+        final after :meth:`_close_run`.
+        """
+        now = self._now
+        waiting = []
+        for entry in self._accounted_ahead:
+            if entry[0] > now:
+                waiting.append(entry)
+            else:
+                self._account(*entry[1:])
+        self._accounted_ahead = waiting
 
     def _send_along(
         self,
@@ -587,7 +631,7 @@ class FlowEngine:
     def _send_response(self, server, job, status, queue_delay, service_time) -> None:
         """A server's ``respond``: the reply travels host to host."""
         client, rid, _rv = job
-        hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
+        hops = self._response_path[self.geometry.hop_count(server.name, client.name)]
         size, overhead = self._sizes["response"]
         first = last = None
         if self._guarded:
@@ -595,19 +639,28 @@ class FlowEngine:
             last = (self.geometry.tor_name(client.name), client.name)
         self._send_along(
             hops, first, last, size, overhead,
-            client.handle_response, (rid, server.name, status),
+            self._on_response[client], (rid, server.name, status),
         )
 
     # -- NetRS paths (netrs-tor: RSNode at the client's ToR) -----------
-    def _send_via_operator(self, client: ClientCore, rid: int, entry, backup) -> None:
+    # With no link fault scheduled nothing can intervene between a send and
+    # its arrival, so what a ToR would do when the packet reaches it is done
+    # by the sender, dated with the instant the ToR would have done it; a
+    # guarded run keeps one event per ToR and checks the links there.
+    def _send_via_operator(
+        self, client: ClientCore, rid: int, entry, backup, rgid: Optional[int] = None
+    ) -> None:
         """A NetRS client's ``transmit``: to the ToR, then its accelerator.
 
-        The flow tier never degrades a request, so ``backup`` goes unused.
+        The flow tier never degrades a request, so ``backup`` goes unused; a
+        driver that keeps no entry objects names the replica group itself.
         """
+        if rgid is None:
+            rgid = entry.rgid
         op = self._operator_of[client.name]
-        link = (client.name, self.geometry.tor_name(client.name))
         lat = self._host_lat
         if self._guarded:
+            link = (client.name, self.geometry.tor_name(client.name))
             if link in self._dead_links:
                 self.packets_dropped += 1
                 return
@@ -618,25 +671,31 @@ class FlowEngine:
         self._account(1, size, overhead)
         # Host -> ToR, then ToR -> accelerator (submit adds the link delay).
         op.accelerator.submit_at(
-            self._now + lat, (op, client, rid, entry), self._select_work, self._forward_selected
+            self._now + lat, (op, client, rid, rgid), self._select_work, self._forward_selected
         )
 
-    def _select_work(self, job):
-        """Accelerator work: mirror of ``NetRSSelector.on_request``."""
-        op, client, rid, entry = job
-        now = self._now
-        candidates = self.ring.replicas(entry.rgid)
-        server = op.selector.select(candidates, now)
-        op.selector.note_sent(server, now)
-        op.requests_handled += 1
-        return (op, client, rid, server, now)  # retaining value = now
-
-    def _forward_selected(self, selected) -> None:
-        """Rebuilt request leaves the ToR toward the selected server."""
-        _op, client, rid, server, rv = selected
+    def _select_work(self, job, now: float):
+        """Accelerator work: select; unguarded, send the request on as well."""
+        op, client, rid, rgid = job
+        server = op.selector.select(rgid, now)
+        if self._guarded:
+            # Handed to _forward_selected one link delay on.
+            return (client, rid, server, now)  # retaining value = now
         hops = self._from_tor[self.geometry.hop_count(client.name, server)]
         size, overhead = self._sizes["netrs_request"]
-        last = (self.geometry.tor_name(server), server) if self._guarded else None
+        t = leaves = now + op.accelerator.link_delay
+        for d in hops:
+            t += d
+        self._accounted_ahead.append((leaves, len(hops), size, overhead))
+        self.post_at(t, self.servers[server].handle_arrival, ((client, rid, now),))
+        return None
+
+    def _forward_selected(self, selected) -> None:
+        """Guarded: the rebuilt request leaves the ToR toward the selected server."""
+        client, rid, server, rv = selected
+        hops = self._from_tor[self.geometry.hop_count(client.name, server)]
+        size, overhead = self._sizes["netrs_request"]
+        last = (self.geometry.tor_name(server), server)
         self._send_along(
             hops, None, last, size, overhead,
             self.servers[server].handle_arrival, ((client, rid, rv),),
@@ -650,6 +709,7 @@ class FlowEngine:
         # first hop travels unmarked and every later hop carries 4 more
         # bytes -- mirror the packet tier's per-hop accounting exactly.
         size, overhead = self._sizes["netrs_response"]
+        marked_size, marked_overhead = self._sizes["netrs_response_marked"]
         lat = hops[0]
         if self._guarded:
             link = (server.name, self.geometry.tor_name(server.name))
@@ -659,40 +719,48 @@ class FlowEngine:
             factor = self._degraded.get(link)
             if factor is not None:
                 lat *= factor
-        self._account(1, size, overhead)
         t = self._now + lat
         for d in hops[1:]:
             t += d
-        if len(hops) > 1:
-            marked_size, marked_overhead = self._sizes["netrs_response_marked"]
-            self._account(len(hops) - 1, marked_size, marked_overhead)
-        self.post_at(t, self._tor_response, (client, rid, rv, server.name, status))
+        marked = len(hops) - 1
+        self.transmissions += 1 + marked
+        self.bytes_transferred += size + marked_size * marked
+        self.netrs_overhead_bytes += overhead + marked_overhead * marked
+        if self._guarded:
+            self.post_at(t, self._tor_response, (client, rid, rv, server.name, status))
+            return
+        # What the ToR does at t: clone to the RSNode, forward to the client.
+        op = self._operator_of[client.name]
+        op.accelerator.submit_at(t, (op, rv, server.name, status), self._absorb_response)
+        self._accounted_ahead.append((t, 1, marked_size, marked_overhead))
+        if len(self._accounted_ahead) > _CROSS_EVERY:
+            self._cross_accounted()
+        self.post_at(
+            self._host_lat_response + t, self._on_response[client], (rid, server.name, status)
+        )
 
     def _tor_response(self, client, rid, rv, server_name, status) -> None:
-        """Response reaches the client's ToR: clone to the RSNode, forward."""
+        """Guarded: the response reaches the client's ToR; clone to the RSNode, forward."""
         op = self._operator_of[client.name]
         op.accelerator.submit_at(
             self._now, (op, rv, server_name, status), self._absorb_response
         )
         link = (self.geometry.tor_name(client.name), client.name)
-        lat = self._host_lat
-        if self._guarded:
-            if link in self._dead_links:
-                self.packets_dropped += 1
-                return
-            factor = self._degraded.get(link)
-            if factor is not None:
-                lat *= factor
+        lat = self._host_lat_response
+        if link in self._dead_links:
+            self.packets_dropped += 1
+            return
+        factor = self._degraded.get(link)
+        if factor is not None:
+            lat *= factor
         size, overhead = self._sizes["netrs_response_marked"]
         self._account(1, size, overhead)
-        self.post_at(lat + self._now, client.handle_response, (rid, server_name, status))
+        self.post_at(lat + self._now, self._on_response[client], (rid, server_name, status))
 
-    def _absorb_response(self, job):
-        """Accelerator work: mirror of ``NetRSSelector.on_response``."""
+    def _absorb_response(self, job, now: float):
+        """Accelerator work for a response clone: update state, drop."""
         op, rv, server_name, status = job
-        now = self._now
-        op.selector.note_response(server_name, now - rv, status, now)
-        op.responses_handled += 1
+        op.selector.fold(server_name, rv, status, now)
         return None
 
     # ------------------------------------------------------------------
@@ -721,6 +789,11 @@ class FlowEngine:
             widened[-1] = hops[-1] + last_extra
             return tuple(widened)
 
+        # CliRS replies cross the same links the other way, response-sized.
+        self._response_path = {
+            count: widen(hops, s_resp + wait_resp, s_resp, s_resp + wait_client_resp)
+            for count, hops in self._full_path.items()
+        }
         for count in (2, 4, 6):
             self._full_path[count] = widen(
                 self._full_path[count], s_req + wait_client_req, s_req, s_req + wait_req
@@ -731,17 +804,8 @@ class FlowEngine:
             self._to_tor[count] = widen(
                 self._to_tor[count], s_resp + wait_resp, s_resp, s_resp
             )
-        # Response final hop onto the client access link.
+        # NetRS response final hop onto the client access link.
         self._host_lat_response = self._host_lat + s_resp + wait_client_resp
-        # CliRS responses reuse _full_path sized for requests; rebuild a
-        # response-direction table instead.
-        base = {2: (self._host_lat, self._host_lat),
-                4: (self._host_lat, self._switch_lat, self._switch_lat, self._host_lat),
-                6: (self._host_lat,) + (self._switch_lat,) * 4 + (self._host_lat,)}
-        self._response_path = {
-            count: widen(base[count], s_resp + wait_resp, s_resp, s_resp + wait_client_resp)
-            for count in (2, 4, 6)
-        }
 
     # ------------------------------------------------------------------
     # Result accounting helpers
@@ -752,7 +816,7 @@ class FlowEngine:
         return max(op.accelerator.utilization() for op in self.operators.values())
 
     def selector_requests_handled(self) -> int:
-        return sum(op.requests_handled for op in self.operators.values())
+        return sum(op.selector.requests_handled for op in self.operators.values())
 
 
 def _md1_wait(rate: float, service: float) -> float:

@@ -40,6 +40,7 @@ results either way, just less batching.
 from __future__ import annotations
 
 from bisect import insort
+from functools import partial
 from heapq import heappop, heappush
 from math import exp, log1p
 from typing import Dict, List, Optional, Tuple
@@ -287,6 +288,11 @@ class VectorFlowEngine(FlowEngine):
                 for c in self.clients
             )
         )
+        # Responses come off the wire into the flat-array client endpoint
+        # (fast mode inlines it in the drain and never looks one up).
+        self._on_response = None if self._fast else {
+            client: partial(self._v_handle_response, client) for client in self.clients
+        }
         if self._fast:
             self._sel_prior = selector0.prior_service_rate
             self._sel_weight = selector0.concurrency_weight
@@ -520,9 +526,7 @@ class VectorFlowEngine(FlowEngine):
                     (self._b_times[0], first_seq, self._issue_next_cb, ()),
                 )
             self._drain(until)
-        env = self.env
-        if self._now > env.now:
-            env.run(until=self._now)
+        self._close_run()
 
     def _drain(self, until: Optional[float]) -> None:
         """Generic micro-event drain: one dispatch per heap event."""
@@ -1117,7 +1121,7 @@ class VectorFlowEngine(FlowEngine):
             # Backup draw kept for RNG parity, exactly as the scalar client.
             client.selector.select(replicas, now)
             client.requests_sent += 1
-            self._send_via_operator(client, rid, None, None)
+            self._send_via_operator(client, rid, None, None, self._rgid_of[rid])
         else:
             # Fast mode never reaches this method (the megaloop's issue
             # branch inlines the C3 scoring loop); here the selector runs
@@ -1224,7 +1228,7 @@ class VectorFlowEngine(FlowEngine):
         if self._is_netrs:
             client.selector.select(self._replicas_of[rid], now)  # fresh backup draw
             client.requests_sent += 1
-            self._send_via_operator(client, rid, None, None)
+            self._send_via_operator(client, rid, None, None, self._rgid_of[rid])
         else:
             replicas = self._replicas_of[rid]
             tried = self._tried.get(rid)
@@ -1255,7 +1259,7 @@ class VectorFlowEngine(FlowEngine):
         hop_key = self.geometry.hop_count(server_name, client_name)
         plan = self._resp_by_class.get(hop_key)
         if plan is None:
-            hops = self._full_path[hop_key]
+            hops = self._response_path[hop_key]
             size, overhead = self._sizes["response"]
             count = len(hops)
             plan = (hops, count, size * count, overhead * count)
@@ -1359,50 +1363,3 @@ class VectorFlowEngine(FlowEngine):
         if not self._dup_sent.get(rid, 0) and not self._attempts.get(rid, 0):
             self._alive[rid] = 0
         self._complete_request(client)
-
-    # ------------------------------------------------------------------
-    # Engine sends routed to the vector endpoints
-    # ------------------------------------------------------------------
-    def _send_response(self, server, job, status, queue_delay, service_time) -> None:
-        client, rid, _rv = job
-        hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
-        size, overhead = self._sizes["response"]
-        first = last = None
-        if self._guarded:
-            first = (server.name, self.geometry.tor_name(server.name))
-            last = (self.geometry.tor_name(client.name), client.name)
-        self._send_along(
-            hops, first, last, size, overhead,
-            self._v_handle_response, (client, rid, server.name, status),
-        )
-
-    def _select_work(self, job):
-        """Accelerator work: entry state read from the rid-indexed arrays."""
-        op, client, rid, entry = job
-        now = self._now
-        candidates = self.ring.replicas(self._rgid_of[rid])
-        server = op.selector.select(candidates, now)
-        op.selector.note_sent(server, now)
-        op.requests_handled += 1
-        return (op, client, rid, server, now)  # retaining value = now
-
-    def _tor_response(self, client, rid, rv, server_name, status) -> None:
-        """Response reaches the client's ToR: clone to the RSNode, forward."""
-        op = self._operator_of[client.name]
-        op.accelerator.submit_at(
-            self._now, (op, rv, server_name, status), self._absorb_response
-        )
-        link = (self.geometry.tor_name(client.name), client.name)
-        lat = self._host_lat
-        if self._guarded:
-            if link in self._dead_links:
-                self.packets_dropped += 1
-                return
-            factor = self._degraded.get(link)
-            if factor is not None:
-                lat *= factor
-        size, overhead = self._sizes["netrs_response_marked"]
-        self._account(1, size, overhead)
-        self.post_at(
-            lat + self._now, self._v_handle_response, (client, rid, server_name, status)
-        )

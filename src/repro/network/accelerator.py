@@ -3,10 +3,21 @@
 An accelerator is a small multicore packet processor attached to a
 programmable switch.  The paper uses low-end devices: 1 core, 5 us of
 processing per packet, and a 2.5 us round-trip to the co-located switch
-(numbers measured by IncBricks).  We model it as a FIFO queue drained by
-``cores`` servers with deterministic service time; the work itself (replica
-selection or state update) is an injected callable so the accelerator stays
-agnostic of NetRS logic.
+(numbers measured by IncBricks).  That is a FIFO station with ``cores``
+servers and one deterministic service time, so every completion instant is
+known the moment a packet is admitted (Lindley's recursion): it starts when
+it arrives or when the ``cores``-th packet before it finishes, whichever is
+later.  The accelerator therefore keeps no busy/queue state machine and
+spends no scheduler event on service.  The work itself (replica selection or
+state update) is an injected callable, told the instant it completes, so the
+accelerator stays agnostic of NetRS logic; the one event per packet is the
+hand-back to the switch.
+
+Work runs at admission, in admission order -- which is completion order, so
+state that only accelerator work touches evolves exactly as if each piece
+ran at its completion instant.  The counters, however, describe the
+accelerator *as of the clock*: completions are folded into them lazily, from
+a record of the packets still inside, whenever something reads them.
 
 Utilization accounting feeds two consumers: the placement problem's capacity
 constraint (``T_max = U * cores / service_time``) and the controller's
@@ -15,16 +26,20 @@ overload detection (section III-C, exception ii).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+import math
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.core import Environment
 
-#: Work applied to a packet at service completion; returns the (possibly
-#: rebuilt) packet, or ``None`` to absorb it.
-Work = Callable[[Any], Optional[Any]]
+#: Work applied to a packet, told when its service completes; returns the
+#: (possibly rebuilt) packet, or ``None`` to absorb it.
+Work = Callable[[Any, float], Optional[Any]]
 #: Invoked back on the switch with the work's result (skipped when ``None``).
 Done = Optional[Callable[[Any], None]]
+
+#: Admissions between folds of the in-flight record: completions are counted
+#: when something reads a counter, or at the latest this many packets on.
+_FOLD_EVERY = 8
 
 
 class Accelerator:
@@ -50,68 +65,130 @@ class Accelerator:
         self.cores = cores
         self.service_time = service_time
         self.link_delay = link_delay
-        self._busy = 0
-        self._queue: Deque[Tuple[Any, Work, Done]] = deque()
-        # Accounting
-        self.processed = 0
-        self.busy_time = 0.0
+        # When each core comes free.  Service times are equal, so cores free
+        # up in admission order and ``_turn`` walks them round-robin: the next
+        # packet can start no earlier than ``_free_at[_turn]``.
+        self._free_at: List[float] = [-math.inf] * cores
+        self._turn = 0
+        # Admissions not yet folded into the counters, oldest first:
+        # (arrival, finish, queue length its arrival made).  Both instants
+        # are non-decreasing along it.
+        self._inside: List[Tuple[float, float, int]] = []
+        # Accounting, as of the last fold
+        self._processed = 0
+        self._busy_time = 0.0
+        self._max_queue = 0
         self._started_at = env.now
-        self.max_queue_seen = 0
 
     @property
     def capacity(self) -> float:
         """Maximum processing rate in packets per second."""
         return self.cores / self.service_time
 
+    def _fold(self, now: float) -> None:
+        """Count the completions the clock has passed."""
+        inside = self._inside
+        done = 0
+        for _arrival, finish, queued in inside:
+            if finish > now:
+                break
+            done += 1
+            self._busy_time += self.service_time
+            if queued > self._max_queue:
+                self._max_queue = queued
+        del inside[:done]
+        self._processed += done
+
+    @property
+    def processed(self) -> int:
+        """Packets whose service has completed."""
+        self._fold(self.env.now)
+        return self._processed
+
+    @property
+    def busy_time(self) -> float:
+        """Core-seconds of completed service in the utilization window."""
+        self._fold(self.env.now)
+        return self._busy_time
+
     @property
     def queue_length(self) -> int:
         """Packets waiting (not counting those in service)."""
-        return len(self._queue)
+        now = self.env.now
+        self._fold(now)
+        arrived = sum(1 for entry in self._inside if entry[0] <= now)
+        return max(0, arrived - self.cores)
+
+    @property
+    def max_queue_seen(self) -> int:
+        """Longest the queue has been."""
+        now = self.env.now
+        self._fold(now)
+        return max(
+            [self._max_queue] + [entry[2] for entry in self._inside if entry[0] <= now]
+        )
 
     def utilization(self) -> float:
         """Fraction of core-time spent busy since construction."""
-        elapsed = self.env.now - self._started_at
+        now = self.env.now
+        self._fold(now)
+        elapsed = now - self._started_at
         if elapsed <= 0:
             return 0.0
-        return self.busy_time / (self.cores * elapsed)
+        return self._busy_time / (self.cores * elapsed)
 
     def reset_utilization(self) -> None:
         """Start a fresh utilization window (controller epochs)."""
-        self.busy_time = 0.0
-        self._started_at = self.env.now
+        now = self.env.now
+        self._fold(now)
+        self._busy_time = 0.0
+        self._started_at = now
 
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------
     def submit(self, packet: Any, work: Work, done: Done = None) -> None:
-        """Called by the co-located switch: ship the packet over the link."""
-        self.env.post_in(self.link_delay, self._enqueue, (packet, work, done))
+        """Called by the co-located switch: ship the packet over the link.
+
+        Costs no event: calls come in clock order, so the packet's place in
+        the queue is already decided.  A driver uses either this or
+        :meth:`submit_at` on one accelerator, not both.
+        """
+        now = self.env.now
+        self._admit(packet, work, done, now + self.link_delay, now)
 
     def submit_at(self, when: float, packet: Any, work: Work, done: Done = None) -> None:
         """:meth:`submit` as if called at time ``when`` (not before now).
 
         For a driver that knows in closed form when the packet reaches the
-        switch and so schedules no event there (the flow engine).
+        switch and so schedules no event there (the flow engine).  Instants
+        may be declared in any order; the arrival is one event.
         """
-        self.env.post_at(when + self.link_delay, self._enqueue, (packet, work, done))
+        arrival = when + self.link_delay
+        self.env.post_at(arrival, self._admit, (packet, work, done, arrival, arrival))
 
-    def _enqueue(self, packet: Any, work: Work, done: Done) -> None:
-        if self._busy < self.cores:
-            self._busy += 1
-            self.env.post_in(self.service_time, self._complete, (packet, work, done))
+    def _admit(self, packet: Any, work: Work, done: Done, arrival: float, now: float) -> None:
+        """Queue the packet reaching the accelerator at ``arrival`` and serve it."""
+        turn = self._turn
+        start = self._free_at[turn]
+        inside = self._inside
+        if start > arrival:
+            # Every core is busy: it waits, behind whatever else still does.
+            queued = len(inside) - self.cores + 1
+            for entry in inside:
+                if entry[1] > arrival:
+                    break
+                queued -= 1  # not folded yet, but gone by the arrival
         else:
-            self._queue.append((packet, work, done))
-            if len(self._queue) > self.max_queue_seen:
-                self.max_queue_seen = len(self._queue)
-
-    def _complete(self, packet: Any, work: Work, done: Done) -> None:
-        self.processed += 1
-        self.busy_time += self.service_time
-        result = work(packet)
+            start = arrival
+            queued = 0
+        finish = start + self.service_time
+        self._free_at[turn] = finish
+        self._turn = turn + 1 if turn + 1 < self.cores else 0
+        inside.append((arrival, finish, queued))
+        if len(inside) > _FOLD_EVERY:
+            self._fold(now)
+        result = work(packet, finish)
         if done is not None and result is not None:
             # Ship the result back over the accelerator<->switch link.
-            self.env.post_in(self.link_delay, done, (result,))
-        if self._queue:
-            self.env.post_in(self.service_time, self._complete, self._queue.popleft())
-        else:
-            self._busy -= 1
+            self.env.post_at(finish + self.link_delay, done, (result,))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Protocol, Set
 
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import ConfigurationError, ProtocolError, RoutingError
 from repro.network.accelerator import Accelerator
 from repro.network.addressing import SourceMarker
 from repro.network.fabric import Network
@@ -38,19 +38,24 @@ from repro.network.packet import (
     MAGIC_RESPONSE,
     RSNODE_ILLEGAL,
     Packet,
+    ServerStatus,
     magic_transform,
 )
 
 
 class Selector(Protocol):
-    """NetRS selector running on the accelerator (see repro.core)."""
+    """NetRS selector running on the accelerator (see repro.core).
 
-    def on_request(self, packet: Packet) -> Packet:
-        """Choose a replica and rebuild the request; returns the packet."""
+    ``now`` is the instant the accelerator completes the work, which may lie
+    ahead of the clock.
+    """
+
+    def select(self, rgid: int, now: float) -> str:
+        """Choose a replica of replica group ``rgid``; returns the server."""
         ...  # pragma: no cover - protocol definition
 
-    def on_response(self, packet: Packet) -> None:
-        """Fold a response clone into local information."""
+    def fold(self, server: str, rv: float, status: ServerStatus, now: float) -> None:
+        """Fold a response's status and retaining value into local information."""
         ...  # pragma: no cover - protocol definition
 
 
@@ -189,7 +194,7 @@ class ProgrammableSwitch:
                 if self._can_select():
                     self.requests_selected += 1
                     self.accelerator.submit(  # type: ignore[union-attr]
-                        packet, self.selector.on_request, self._after_selection  # type: ignore[union-attr]
+                        packet, self._select_work, self._after_selection
                     )
                 else:
                     # Local operator failed while packets were in flight:
@@ -207,7 +212,7 @@ class ProgrammableSwitch:
                 if self._can_select():
                     self.responses_cloned += 1
                     self.accelerator.submit(  # type: ignore[union-attr]
-                        packet.clone(), self._absorb_response, None
+                        packet.clone(), self._absorb_response
                     )
                 packet.magic = MAGIC_MONITOR
                 self._regular_forward(packet)
@@ -260,14 +265,40 @@ class ProgrammableSwitch:
                 rack=location.rack if location.rack is not None else -1,
             )
 
+    def _select_work(self, packet: Packet, now: float) -> Packet:
+        """Accelerator work for a request: select, then rebuild the packet.
+
+        Destination becomes the chosen server, the retaining value the send
+        timestamp (the paper's worked example for RV), and the magic
+        ``f(MAGIC_RESPONSE)``, so switches treat the rebuilt packet as
+        ordinary traffic while the server's ``f^-1`` turns the reply into a
+        NetRS response.
+        """
+        if packet.rgid < 0:
+            raise ProtocolError(
+                f"NetRS request {packet.request_id} carries no RGID"
+            )
+        server = self.selector.select(packet.rgid, now)  # type: ignore[union-attr]
+        packet.dst = server
+        packet.server = server
+        packet.retaining_value = now
+        packet.selected_at = now
+        packet.magic = magic_transform(MAGIC_RESPONSE)
+        return packet
+
     def _after_selection(self, packet: Packet) -> None:
-        """Selector handed back a rebuilt request: forward it to the server."""
+        """Accelerator handed back a rebuilt request: forward it to the server."""
         self._regular_forward(packet)
 
-    def _absorb_response(self, packet: Packet) -> None:
+    def _absorb_response(self, packet: Packet, now: float) -> None:
         """Accelerator work for a cloned response: update state, drop."""
-        if self.selector is not None:
-            self.selector.on_response(packet)
+        if packet.server_status is None:
+            raise ProtocolError(
+                f"NetRS response {packet.request_id} carries no server status"
+            )
+        self.selector.fold(  # type: ignore[union-attr]
+            packet.server, packet.retaining_value, packet.server_status, now
+        )
         return None
 
     def _forward_toward_operator(self, packet: Packet) -> None:

@@ -82,8 +82,8 @@ class TestNetRSOperator:
 
     def test_activation_resets_utilization_window(self, parts):
         env, spec, switch, accelerator, selector = parts
-        accelerator.submit("p", work=lambda p: p)
-        env.run()
+        accelerator.submit("p", work=lambda p, t: p)
+        env.run(until=1e-3)
         operator = NetRSOperator(spec, switch, accelerator)
         operator.activate(selector, {7: "agg0.0"})
         assert operator.utilization() == 0.0

@@ -302,7 +302,7 @@ def test_default_registry_aggregates_all_declaration_modules():
         + len(registry.digests)
     )
     names = {pair.name for pair in registry.mirror_pairs}
-    assert "selector.on_request" in names  # repro.mesoscale.contracts
+    assert "vector.server.arrival" in names  # repro.mesoscale.contracts
 
 
 def test_contract_findings_respect_noqa(monkeypatch):

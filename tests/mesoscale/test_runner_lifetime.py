@@ -102,7 +102,9 @@ def test_keep_engine_returns_a_live_engine(name):
     engine = result.engine
     # What benchmarks/layered reads off a kept engine: every selector.
     selections = sum(client.selector.selections for client in engine.clients)
-    selections += sum(op.selector.selections for op in engine.operators.values())
+    selections += sum(
+        op.selector.algorithm.selections for op in engine.operators.values()
+    )
     assert selections >= config.total_requests
     assert len(engine.servers) == config.n_servers
     assert sum(s.completions for s in engine.servers.values()) > 0

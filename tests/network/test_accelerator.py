@@ -35,7 +35,7 @@ class TestProcessing:
     def test_single_packet_timing(self, env):
         acc = _make(env)
         done = []
-        acc.submit("p", work=lambda p: p, done=lambda p: done.append(env.now))
+        acc.submit("p", work=lambda p, t: p, done=lambda p: done.append(env.now))
         env.run()
         # link + service + link = 1.25 + 5 + 1.25 us
         assert done == [pytest.approx(7.5e-6)]
@@ -48,11 +48,11 @@ class TestProcessing:
         done_called, done_declared = [], []
         for index, when in enumerate(instants):
             env.call_at(
-                when, called.submit, index, lambda p: p,
+                when, called.submit, index, lambda p, t: p,
                 lambda p: done_called.append((env.now, p)),
             )
             declared.submit_at(
-                when, index, lambda p: p, lambda p: done_declared.append((env.now, p))
+                when, index, lambda p, t: p, lambda p: done_declared.append((env.now, p))
             )
         env.run()
         assert done_declared == done_called
@@ -63,15 +63,15 @@ class TestProcessing:
     def test_work_transforms_packet(self, env):
         acc = _make(env)
         results = []
-        acc.submit(1, work=lambda p: p + 10, done=results.append)
+        acc.submit(1, work=lambda p, t: p + 10, done=results.append)
         env.run()
         assert results == [11]
 
     def test_absorbing_work_skips_done(self, env):
         acc = _make(env)
         results = []
-        acc.submit(1, work=lambda p: None, done=results.append)
-        env.run()
+        acc.submit(1, work=lambda p, t: None, done=results.append)
+        env.run(until=1e-3)  # nothing is scheduled for absorbed work
         assert results == []
         assert acc.processed == 1
 
@@ -79,7 +79,7 @@ class TestProcessing:
         acc = _make(env)
         finish_times = []
         for i in range(3):
-            acc.submit(i, work=lambda p: p, done=lambda p: finish_times.append(env.now))
+            acc.submit(i, work=lambda p, t: p, done=lambda p: finish_times.append(env.now))
         env.run()
         # Arrivals at 1.25us; service completions at 6.25, 11.25, 16.25 (+link).
         assert finish_times == [
@@ -92,23 +92,28 @@ class TestProcessing:
         acc = _make(env, cores=2)
         finish_times = []
         for i in range(2):
-            acc.submit(i, work=lambda p: p, done=lambda p: finish_times.append(env.now))
+            acc.submit(i, work=lambda p, t: p, done=lambda p: finish_times.append(env.now))
         env.run()
         assert finish_times == [pytest.approx(7.5e-6), pytest.approx(7.5e-6)]
 
     def test_queue_length_peak_tracked(self, env):
         acc = _make(env)
         for i in range(5):
-            acc.submit(i, work=lambda p: p)
-        env.run()
+            acc.submit(i, work=lambda p, t: p)
+        assert acc.max_queue_seen == 0  # still on the link
+        env.run(until=2e-6)
+        assert acc.queue_length == acc.max_queue_seen == 4
+        env.run(until=1e-3)
         assert acc.max_queue_seen == 4
         assert acc.queue_length == 0
 
     def test_processed_counter(self, env):
         acc = _make(env)
         for i in range(4):
-            acc.submit(i, work=lambda p: p)
-        env.run()
+            acc.submit(i, work=lambda p, t: p)
+        env.run(until=12e-6)  # completions at 6.25, 11.25, 16.25, 21.25 us
+        assert acc.processed == 2
+        env.run(until=1e-3)
         assert acc.processed == 4
 
 
@@ -119,19 +124,34 @@ class TestUtilization:
 
     def test_utilization_fraction(self, env):
         acc = _make(env)
-        acc.submit(1, work=lambda p: p)
-        env.run()
-        env.call_in(2.5e-6 + 5e-6, lambda: None)  # extend the clock window
-        env.run()
-        util = acc.utilization()
-        assert 0 < util <= 1
+        acc.submit(1, work=lambda p, t: p)
+        env.run(until=12.5e-6)  # one 5 us service in a 12.5 us window
+        assert acc.utilization() == pytest.approx(0.4)
 
     def test_reset_utilization(self, env):
         acc = _make(env)
-        acc.submit(1, work=lambda p: p)
-        env.run()
+        acc.submit(1, work=lambda p, t: p)
+        env.run(until=1e-3)
+        assert acc.busy_time == 5e-6
         acc.reset_utilization()
         assert acc.utilization() == 0.0
+        assert acc.busy_time == 0.0
+
+    def test_reset_mid_service_keeps_the_completion_for_the_new_window(self, env):
+        acc = _make(env)
+        acc.submit(1, work=lambda p, t: p)
+        env.run(until=3e-6)  # in service until 6.25 us
+        acc.reset_utilization()
+        env.run(until=13e-6)
+        assert acc.busy_time == 5e-6
+        assert acc.utilization() == pytest.approx(0.5)
+
+    def test_work_is_told_its_completion_instant(self, env):
+        acc = _make(env)
+        told = []
+        for i in range(2):
+            acc.submit(i, work=lambda p, t: told.append(t))
+        assert told == [pytest.approx(6.25e-6), pytest.approx(11.25e-6)]
 
     def test_idle_utilization_zero(self, env):
         acc = _make(env)

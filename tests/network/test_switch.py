@@ -45,16 +45,12 @@ class ScriptedSelector:
         self.requests = []
         self.responses = []
 
-    def on_request(self, packet):
-        self.requests.append(packet)
-        packet.dst = self.server
-        packet.server = self.server
-        packet.retaining_value = self.env.now
-        packet.magic = magic_transform(MAGIC_RESPONSE)
-        return packet
+    def select(self, rgid, now):
+        self.requests.append((rgid, now))
+        return self.server
 
-    def on_response(self, packet):
-        self.responses.append(packet)
+    def fold(self, server, rv, status, now):
+        self.responses.append((server, rv, status, now))
 
 
 class RecordingMonitor:
@@ -254,9 +250,10 @@ class TestResponsePath:
         env, switches, endpoints, selector, _ = self._run_response(
             fabric, "agg0.0"
         )
-        clone = selector.responses[0]
-        assert clone.source_marker is not None
-        assert clone.source_marker.pod == 2  # server host2.0.0
+        _, client_endpoint = endpoints["host0.0.0"]
+        delivered = client_endpoint.received[0]
+        assert delivered.source_marker is not None
+        assert delivered.source_marker.pod == 2  # server host2.0.0
 
     def test_monitor_counts_egress(self, fabric):
         env, topo, network, switches, endpoints, directory = fabric
