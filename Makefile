@@ -16,7 +16,7 @@ help:
 	@echo "lint          determinism + contract sanitizers + ruff + mypy (latter two skip if absent)"
 	@echo "lint-report   lint (incl. contracts) with JSON output to lint-report.json (CI artifact)"
 	@echo "lint-baseline re-snapshot lint-baseline.json (grandfathering workflow)"
-	@echo "contracts     contract sanitizer only: mirror/stream/digest drift (CON001..CON003)"
+	@echo "contracts     contract sanitizer only: formula/stream/digest drift (CON001..CON003)"
 	@echo "bench         all benchmarks (figures + ablations + microbench)"
 	@echo "bench-smoke   engine microbenchmarks, low rounds, JSON for CI trends"
 	@echo "bench-layered-smoke  three workloads of benchmarks/layered for 2 s each; fails unless all print \"correct\": true"
@@ -90,8 +90,8 @@ lint-report:
 lint-baseline:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro --contracts --write-baseline
 
-# The contract sanitizer alone (what `netrs contracts` runs): CON001 mirror
-# pairs, CON002 stream order, CON003 digest completeness -- docs/LINTING.md.
+# The contract sanitizer alone (what `netrs contracts` runs): CON001 anchored
+# expressions, CON002 stream order, CON003 digest completeness -- docs/LINTING.md.
 contracts:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint --contracts-only --stats
 

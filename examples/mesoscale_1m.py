@@ -5,7 +5,8 @@ The flow tier prices each request as a handful of analytically-scheduled
 completions instead of ~15 hop-by-hop packet events, and the full-scale
 run layers the struct-of-arrays fast path (``vector_batch``) and the
 sharded parallel loop (``shards``) on top, which is what makes this scale
-tractable in pure Python (see docs/MESOSCALE.md).  This script
+tractable in pure Python (see docs/MESOSCALE.md; ``--scheme netrs-tor``
+runs the scalar flow engine, which the SoA one does not cover).  This script
 
 1. measures the packet tier's engine-events-per-request on a small
    reference run of the same scheme, then
@@ -34,6 +35,7 @@ import sys
 import time
 
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.mesoscale.support import vector_eligible
 
 #: The demo must beat the packet tier by at least this factor (ISSUE gate).
 MIN_EVENT_RATIO = 50.0
@@ -144,11 +146,17 @@ def main() -> int:
     config = demo_config(args.smoke, args.hosts, args.shards, args.scheme, args.seed)
     hosts = config.fat_tree_k ** 3 // 4
     shard_note = f", {config.shards} shards" if config.shards > 1 else ""
+    # vector_batch applies to client-side plain-C3 runs; netrs-tor runs the
+    # scalar engine whatever the knob says (docs/MESOSCALE.md).
+    if vector_eligible(config):
+        engine_note = f"SoA engine, vector_batch={config.vector_batch}"
+    else:
+        engine_note = "scalar engine"
     print(
         f"\nflow tier: {hosts:,} hosts ({config.fat_tree_k}-ary fat-tree), "
         f"{config.n_servers} servers, {config.n_clients} clients, "
         f"{config.total_requests:,} requests [{args.scheme}, "
-        f"vector_batch={config.vector_batch}{shard_note}] ..."
+        f"{engine_note}{shard_note}] ..."
     )
     started = time.perf_counter()
     result = run_experiment(config)

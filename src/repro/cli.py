@@ -9,7 +9,7 @@ Subcommands:
 * ``plan``     -- solve and display an RSNode placement for a config,
 * ``lint``     -- determinism sanitizer over the source tree (see
   ``docs/LINTING.md``),
-* ``contracts`` -- contract sanitizer: static mirror/stream/digest drift
+* ``contracts`` -- contract sanitizer: static formula/stream/digest drift
   detection (rules ``CON001``..``CON003``; equivalent to
   ``netrs lint --contracts-only``).
 """
@@ -147,7 +147,9 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help="flow tier only: SoA request-block length for the vectorized "
-        "fast path (0 = scalar flow engine; see docs/MESOSCALE.md)",
+        "fast path, which runs clirs/clirs-r95 with algorithm c3 and no link "
+        "fault; other configs run the scalar engine with identical results "
+        "(0 = scalar everywhere; see docs/MESOSCALE.md)",
     )
     parser.add_argument(
         "--shards",
@@ -493,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     contracts_parser = sub.add_parser(
         "contracts",
-        help="contract sanitizer (mirror/stream/digest drift, rules CON*)",
+        help="contract sanitizer (formula/stream/digest drift, rules CON*)",
         add_help=False,
     )
     contracts_parser.add_argument("contract_args", nargs=argparse.REMAINDER)

@@ -114,7 +114,10 @@ class ExperimentConfig:
     # --- fidelity tier (see docs/MESOSCALE.md) -------------------------------
     fidelity: str = "packet"  # "packet" (hop-by-hop) or "flow" (mesoscale)
     # --- flow-tier fast path (see docs/MESOSCALE.md "Vectorized fast path") --
-    vector_batch: int = 0  # SoA request-block length; 0 = scalar flow engine
+    # SoA request-block length; 0 = scalar flow engine.  Applies to clirs /
+    # clirs-r95 with algorithm "c3" and no link fault (mesoscale.support.
+    # vector_eligible); any other config runs the scalar engine, same results.
+    vector_batch: int = 0
     shards: int = 1  # independent flow sub-experiments run as exec jobs
 
     # ------------------------------------------------------------------

@@ -17,8 +17,8 @@ points to raise during a simulation.  ``netrs lint`` / ``python -m
 repro.lint`` is the CLI; ``make lint`` gates it in CI.
 
 :mod:`repro.lint.contracts` adds the *contract sanitizer*: declared
-cross-implementation contracts (mirror pairs, RNG stream order, config
-digest completeness -- rules ``CON001``..``CON003``) checked statically by
+cross-implementation contracts (anchored expressions, RNG stream order,
+config digest completeness -- rules ``CON001``..``CON003``) checked statically by
 ``netrs contracts`` / ``netrs lint --contracts``.  Declarations live next
 to the code they bind (``repro.mesoscale.contracts``,
 ``repro.experiments.contracts``).

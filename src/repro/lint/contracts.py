@@ -1,23 +1,18 @@
 """Contract sanitizer: static cross-implementation drift detection (CON*).
 
-Where the repo's bit-identity guarantees rest on logic written twice -- the
-flow tier's NetRS selector work against ``NetRSSelector``, the vector tier's
-statement-shaped endpoints against the shared ones -- runtime byte-identity
-suites only catch drift on the scenarios they run; this module checks the
-declared contracts statically, on every lint run, over every code path.
+Where the repo's bit-identity guarantees rest on something spelled in more
+than one place -- a formula inlined into a hot loop, a stream family both
+tiers must create, a draw order a block prologue must reproduce, the job
+digest's field list -- runtime byte-identity suites only catch drift on the
+scenarios they run; this module checks the declared contracts statically,
+on every lint run, over every code path.
 
 Three rule families:
 
-* **CON001 mirror-pair equivalence** -- a registry of :class:`MirrorPair`
-  declarations is checked by normalized-AST comparison: docstrings,
-  annotations and asserts are stripped, per-side rename maps unify
-  vocabulary (``self.algorithm`` vs ``op.selector``), declared *drop
-  patterns* remove tier-specific statements, and declared *equivalences*
-  whitelist known-safe rewrites (``return packet`` vs the flow tier's
-  result tuple).  The first divergent
-  statement is reported with both spellings.  :class:`ExprAnchor`
-  contracts additionally pin a formula (e.g. the C3 cubic score) that must
-  appear, normalized, at every declared site.
+* **CON001 anchored expressions** -- an :class:`ExprAnchor` pins a formula
+  (the C3 cubic score) that must appear, with each site's declared renames
+  applied, at every declared site: float arithmetic is evaluation-order
+  sensitive, so "equivalent math" is drift.
 * **CON002 RNG stream-order** -- :class:`StreamFamilyContract` compares the
   set of named RNG stream families created on each side (a renamed family
   is a silently different seed); :class:`DrawSequencePair` compares the
@@ -66,30 +61,6 @@ class Site:
 
 
 @dataclass(frozen=True)
-class MirrorPair:
-    """Two function bodies declared equivalent up to listed rewrites.
-
-    ``renames`` / ``mirror_renames`` map an exact normalized expression
-    spelling to a replacement expression, unifying the two vocabularies
-    (longest/outermost match wins; applied recursively).  ``drop_reference``
-    / ``drop_mirror`` remove tier-specific statements before comparison --
-    a pattern is a statement in the side's own vocabulary; compound
-    patterns written ``if cond: ...`` match on the header alone.
-    ``equivalences`` lists ``(reference, mirror)`` statement or header
-    spellings (post-rename vocabulary) accepted as equal.
-    """
-
-    name: str
-    reference: Site
-    mirror: Site
-    renames: Tuple[Tuple[str, str], ...] = ()
-    mirror_renames: Tuple[Tuple[str, str], ...] = ()
-    drop_reference: Tuple[str, ...] = ()
-    drop_mirror: Tuple[str, ...] = ()
-    equivalences: Tuple[Tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class AnchorSite:
     """One location where an anchored expression must appear."""
 
@@ -99,12 +70,14 @@ class AnchorSite:
 
 @dataclass(frozen=True)
 class ExprAnchor:
-    """An expression that must appear, normalized, at every site.
+    """An expression that must appear, after renames, at every site.
 
-    Used for formulas mirrored into contexts whose surrounding control flow
+    Used for formulas inlined into contexts whose surrounding control flow
     legitimately differs (the C3 cubic score appears in a method, a scalar
     loop and the vector tier's drain loop).  Each site's renames map its
-    local spellings onto the canonical placeholder names of ``expr``.
+    local spellings onto the canonical placeholder names of ``expr``: an
+    exact unparsed expression spelling to its replacement, outermost match
+    first.
     """
 
     name: str
@@ -174,14 +147,12 @@ class DigestContract:
 class ContractRegistry:
     """Everything the contract pass checks, aggregated across packages."""
 
-    mirror_pairs: List[MirrorPair] = field(default_factory=list)
     expr_anchors: List[ExprAnchor] = field(default_factory=list)
     stream_families: List[StreamFamilyContract] = field(default_factory=list)
     draw_sequences: List[DrawSequencePair] = field(default_factory=list)
     digests: List[DigestContract] = field(default_factory=list)
 
     def extend(self, other: "ContractRegistry") -> None:
-        self.mirror_pairs.extend(other.mirror_pairs)
         self.expr_anchors.extend(other.expr_anchors)
         self.stream_families.extend(other.stream_families)
         self.draw_sequences.extend(other.draw_sequences)
@@ -190,8 +161,7 @@ class ContractRegistry:
     def total(self) -> int:
         """Number of declared contracts (for the CLI's stats footer)."""
         return (
-            len(self.mirror_pairs)
-            + len(self.expr_anchors)
+            len(self.expr_anchors)
             + len(self.stream_families)
             + len(self.draw_sequences)
             + len(self.digests)
@@ -233,24 +203,22 @@ class _ContractPass(Checker):
 CONTRACT_RULES: Dict[str, Rule] = {
     "CON001": Rule(
         rule_id="CON001",
-        title="mirror pairs must stay AST-equivalent up to declared rewrites",
+        title="anchored expressions must appear verbatim at every declared site",
         rationale=(
-            "A mirror is a hand-maintained second spelling of "
-            "reference code; one un-replayed edit breaks "
-            "bit-identity on exactly the configs the golden suites do not "
-            "cover.  Each declared MirrorPair is compared as normalized "
-            "ASTs (docstrings/annotations/asserts stripped, rename maps "
-            "and declared transport drops applied); any remaining "
-            "divergence is drift."
+            "A formula inlined into a hot loop is a second spelling of the "
+            "method it came from; float arithmetic is evaluation-order "
+            "sensitive, so a reordered or 'simplified' copy changes the "
+            "last bits on exactly the configs the golden suites do not "
+            "cover.  Each declared ExprAnchor must be found, after the "
+            "site's declared renames, at every site it lists."
         ),
         example_bad=(
-            "# ServerCore.handle_arrival gained a statement ...\n"
-            "self.arrivals_seen += 1\n"
-            "# ... that _VFlowServer.handle_arrival never received"
+            "# C3Selector.score reads  resp - es + q_hat**3 * es\n"
+            "score = q_hat**3 * es + resp - es  # the inlined copy, reordered"
         ),
         example_fix=(
-            "replay the edit into the mirror in the same commit, or\n"
-            "declare the rewrite in the pair's contracts module"
+            "spell the inlined copy exactly like the anchored expression,\n"
+            "or change the anchor and every site in the same commit"
         ),
         checker=_ContractPass,
     ),
@@ -290,199 +258,6 @@ CONTRACT_RULES: Dict[str, Rule] = {
 
 def contract_rule_ids() -> Tuple[str, ...]:
     return tuple(sorted(CONTRACT_RULES))
-
-
-# ---------------------------------------------------------------------------
-# AST normalization
-# ---------------------------------------------------------------------------
-
-
-class _Normalizer(ast.NodeTransformer):
-    """Strip vocabulary-free noise: docstrings, annotations, asserts.
-
-    Also canonicalizes spelling variants that are exactly equivalent
-    (``math.isnan(x)`` -> ``x != x``) so mirrors may use either.
-    """
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> ast.AST:
-        self.generic_visit(node)
-        node.returns = None
-        for arg in (
-            node.args.args + node.args.posonlyargs + node.args.kwonlyargs
-        ):
-            arg.annotation = None
-        node.body = _strip_docstring(node.body)
-        node.decorator_list = []
-        return node
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> Optional[ast.AST]:
-        self.generic_visit(node)
-        if node.value is None:
-            return None  # bare declaration
-        return ast.copy_location(
-            ast.Assign(targets=[node.target], value=node.value), node
-        )
-
-    def visit_Assert(self, node: ast.Assert) -> Optional[ast.AST]:
-        return None
-
-    def visit_Call(self, node: ast.Call) -> ast.AST:
-        self.generic_visit(node)
-        # math.isnan(x)  ->  x != x   (the flow tier's allocation-free form)
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "isnan"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "math"
-            and len(node.args) == 1
-            and not node.keywords
-        ):
-            return ast.copy_location(
-                ast.Compare(
-                    left=node.args[0],
-                    ops=[ast.NotEq()],
-                    comparators=[copy.deepcopy(node.args[0])],
-                ),
-                node,
-            )
-        return node
-
-
-def _strip_docstring(body: List[ast.stmt]) -> List[ast.stmt]:
-    if (
-        body
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and isinstance(body[0].value.value, str)
-    ):
-        body = body[1:]
-    return body or [ast.Pass()]
-
-
-class _Renamer(ast.NodeTransformer):
-    """Replace expressions by exact normalized spelling (outermost-first)."""
-
-    def __init__(self, mapping: Mapping[str, ast.expr]) -> None:
-        self.mapping = mapping
-
-    def visit(self, node: ast.AST) -> ast.AST:
-        if isinstance(node, ast.expr):
-            replacement = self.mapping.get(ast.unparse(node))
-            if replacement is not None:
-                return ast.copy_location(copy.deepcopy(replacement), node)
-        return self.generic_visit(node)
-
-
-def _parse_renames(
-    renames: Sequence[Tuple[str, str]], *, owner: str
-) -> Dict[str, ast.expr]:
-    mapping: Dict[str, ast.expr] = {}
-    for spelling, replacement in renames:
-        try:
-            key = ast.unparse(ast.parse(spelling, mode="eval").body)
-            value = ast.parse(replacement, mode="eval").body
-        except SyntaxError as exc:
-            raise ConfigurationError(
-                f"contract {owner}: bad rename {spelling!r} -> "
-                f"{replacement!r}: {exc}"
-            ) from None
-        mapping[key] = value
-    return mapping
-
-
-# ---------------------------------------------------------------------------
-# Statement drop patterns
-# ---------------------------------------------------------------------------
-
-_COMPOUND = (ast.If, ast.For, ast.While, ast.With)
-
-
-class _StatementMatcher:
-    """One declared drop pattern.
-
-    A pattern is parsed, normalized and matched by unparse text.  Compound
-    patterns whose body is a lone ``...`` match any statement of the same
-    type with the same header.
-    """
-
-    def __init__(self, pattern: str, *, owner: str) -> None:
-        self.pattern = pattern
-        try:
-            module = ast.parse(pattern)
-        except SyntaxError as exc:
-            raise ConfigurationError(
-                f"contract {owner}: unparseable drop pattern {pattern!r}: {exc}"
-            ) from None
-        if len(module.body) != 1:
-            raise ConfigurationError(
-                f"contract {owner}: drop pattern must be one statement: "
-                f"{pattern!r}"
-            )
-        stmt = _normalize_stmt(module.body[0])
-        self.header_only = False
-        self.stmt_type = type(stmt)
-        if isinstance(stmt, _COMPOUND) and _is_ellipsis_body(stmt.body):
-            self.header_only = True
-            self.header = _header_text(stmt)
-        else:
-            self.text = ast.unparse(stmt)
-
-    def matches(self, stmt: ast.stmt) -> bool:
-        if self.header_only:
-            return (
-                isinstance(stmt, self.stmt_type)
-                and _header_text(stmt) == self.header
-            )
-        return ast.unparse(stmt) == self.text
-
-
-def _is_ellipsis_body(body: List[ast.stmt]) -> bool:
-    return (
-        len(body) == 1
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and body[0].value.value is Ellipsis
-    )
-
-
-def _header_text(stmt: ast.stmt) -> str:
-    """The comparison key of a compound statement, body excluded."""
-    if isinstance(stmt, ast.If):
-        return f"if {ast.unparse(stmt.test)}"
-    if isinstance(stmt, ast.While):
-        return f"while {ast.unparse(stmt.test)}"
-    if isinstance(stmt, ast.For):
-        return f"for {ast.unparse(stmt.target)} in {ast.unparse(stmt.iter)}"
-    if isinstance(stmt, ast.With):
-        items = ", ".join(ast.unparse(item) for item in stmt.items)
-        return f"with {items}"
-    return ast.unparse(stmt)
-
-
-def _drop_statements(
-    body: List[ast.stmt], matchers: Sequence[_StatementMatcher]
-) -> List[ast.stmt]:
-    """Remove matching statements from ``body`` and every nested body."""
-    kept: List[ast.stmt] = []
-    for stmt in body:
-        if any(matcher.matches(stmt) for matcher in matchers):
-            continue
-        for attr in ("body", "orelse", "finalbody"):
-            nested = getattr(stmt, attr, None)
-            if isinstance(nested, list) and nested:
-                setattr(stmt, attr, _drop_statements(nested, matchers))
-        kept.append(stmt)
-    return kept
-
-
-def _normalize_stmt(stmt: ast.stmt) -> ast.stmt:
-    module = ast.Module(body=[stmt], type_ignores=[])
-    normalized = _Normalizer().visit(module)
-    ast.fix_missing_locations(normalized)
-    body = normalized.body
-    return body[0] if body else ast.Pass()
 
 
 # ---------------------------------------------------------------------------
@@ -550,59 +325,8 @@ def _missing_site(rule: str, site: Site, pair_name: str) -> Finding:
 
 
 # ---------------------------------------------------------------------------
-# CON001: mirror-pair comparison
+# CON001: anchored expressions
 # ---------------------------------------------------------------------------
-
-
-def _prepared_body(
-    function: ast.FunctionDef,
-    drops: Sequence[str],
-    renames: Sequence[Tuple[str, str]],
-    *,
-    owner: str,
-) -> List[ast.stmt]:
-    cloned = copy.deepcopy(function)
-    cloned = _Normalizer().visit(cloned)
-    ast.fix_missing_locations(cloned)
-    matchers = [_StatementMatcher(p, owner=owner) for p in drops]
-    body = _drop_statements(list(cloned.body), matchers)
-    mapping = _parse_renames(renames, owner=owner)
-    if mapping:
-        renamer = _Renamer(mapping)
-        body = [renamer.visit(stmt) for stmt in body]
-        for stmt in body:
-            ast.fix_missing_locations(stmt)
-    return body
-
-
-def _canon_equivalences(
-    pairs: Sequence[Tuple[str, str]], *, owner: str
-) -> set:
-    canon = set()
-    for ref_text, mir_text in pairs:
-        canon.add((_canon_fragment(ref_text, owner), _canon_fragment(mir_text, owner)))
-    return canon
-
-
-def _canon_fragment(text: str, owner: str) -> str:
-    """Normalize a declared statement/header spelling for comparison."""
-    stripped = text.strip()
-    for prefix in ("if ", "while "):
-        if stripped.startswith(prefix) and stripped.endswith(": ..."):
-            inner = stripped[len(prefix) : -len(": ...")]
-            return prefix + _canon_expr(inner, owner)
-    try:
-        module = ast.parse(stripped)
-    except SyntaxError:
-        raise ConfigurationError(
-            f"contract {owner}: unparseable equivalence fragment {text!r}"
-        ) from None
-    if len(module.body) != 1:
-        raise ConfigurationError(
-            f"contract {owner}: equivalence fragment must be one statement: "
-            f"{text!r}"
-        )
-    return ast.unparse(_normalize_stmt(module.body[0]))
 
 
 def _canon_expr(text: str, owner: str) -> str:
@@ -610,131 +334,39 @@ def _canon_expr(text: str, owner: str) -> str:
         return ast.unparse(ast.parse(text, mode="eval").body)
     except SyntaxError:
         raise ConfigurationError(
-            f"contract {owner}: unparseable equivalence header {text!r}"
+            f"contract {owner}: unparseable anchored expression {text!r}"
         ) from None
 
 
-def _snippet(text: str, limit: int = 90) -> str:
-    flat = "; ".join(line.strip() for line in text.splitlines() if line.strip())
-    if len(flat) > limit:
-        flat = flat[: limit - 3] + "..."
-    return flat
+class _Renamer(ast.NodeTransformer):
+    """Replace expressions by exact unparsed spelling (outermost-first)."""
+
+    def __init__(self, mapping: Mapping[str, ast.expr]) -> None:
+        self.mapping = mapping
+
+    def visit(self, node: ast.AST) -> ast.AST:
+        if isinstance(node, ast.expr):
+            replacement = self.mapping.get(ast.unparse(node))
+            if replacement is not None:
+                return ast.copy_location(copy.deepcopy(replacement), node)
+        return self.generic_visit(node)
 
 
-class _PairComparator:
-    def __init__(self, pair: MirrorPair) -> None:
-        self.pair = pair
-        self.equivalences = _canon_equivalences(pair.equivalences, owner=pair.name)
-
-    def compare(
-        self, ref_body: List[ast.stmt], mir_body: List[ast.stmt]
-    ) -> Optional[Finding]:
-        return self._compare_bodies(ref_body, mir_body)
-
-    # The comparison walks both statement lists in lockstep: textual
-    # equality or a declared equivalence accepts a statement outright;
-    # same-type compound statements with matching headers recurse.
-    def _compare_bodies(
-        self, ref: List[ast.stmt], mir: List[ast.stmt]
-    ) -> Optional[Finding]:
-        for ref_stmt, mir_stmt in zip(ref, mir):
-            finding = self._compare_stmt(ref_stmt, mir_stmt)
-            if finding is not None:
-                return finding
-        if len(ref) != len(mir):
-            if len(ref) > len(mir):
-                extra = ref[len(mir)]
-                where, line = self.pair.reference, extra.lineno
-                side = "reference"
-            else:
-                extra = mir[len(ref)]
-                where, line = self.pair.mirror, extra.lineno
-                side = "mirror"
-            return self._finding(
-                where.path,
-                line,
-                f"unmatched {side} statement `{_snippet(ast.unparse(extra))}` "
-                f"(no counterpart on the other side)",
-            )
-        return None
-
-    def _compare_stmt(
-        self, ref_stmt: ast.stmt, mir_stmt: ast.stmt
-    ) -> Optional[Finding]:
-        ref_text = ast.unparse(ref_stmt)
-        mir_text = ast.unparse(mir_stmt)
-        if ref_text == mir_text:
-            return None
-        if (ref_text, mir_text) in self.equivalences:
-            return None
-        if type(ref_stmt) is type(mir_stmt) and isinstance(ref_stmt, _COMPOUND):
-            ref_header = _header_text(ref_stmt)
-            mir_header = _header_text(mir_stmt)
-            if (
-                ref_header == mir_header
-                or (ref_header, mir_header) in self.equivalences
-            ):
-                finding = self._compare_bodies(
-                    list(ref_stmt.body), list(mir_stmt.body)
-                )
-                if finding is not None:
-                    return finding
-                return self._compare_bodies(
-                    list(getattr(ref_stmt, "orelse", [])),
-                    list(getattr(mir_stmt, "orelse", [])),
-                )
-            return self._divergence(ref_stmt, mir_stmt, ref_header, mir_header)
-        return self._divergence(ref_stmt, mir_stmt, ref_text, mir_text)
-
-    def _divergence(
-        self,
-        ref_stmt: ast.stmt,
-        mir_stmt: ast.stmt,
-        ref_text: str,
-        mir_text: str,
-    ) -> Finding:
-        pair = self.pair
-        return self._finding(
-            pair.mirror.path,
-            mir_stmt.lineno,
-            "first divergent statement -- "
-            f"{pair.reference.label()}:{ref_stmt.lineno} reads "
-            f"`{_snippet(ref_text)}` but mirror reads `{_snippet(mir_text)}`",
-        )
-
-    def _finding(self, path: str, line: int, detail: str) -> Finding:
-        pair = self.pair
-        return Finding(
-            path=path,
-            line=line,
-            col=1,
-            rule="CON001",
-            message=(
-                f"mirror drift in {pair.name!r} "
-                f"({pair.reference.qualname} <-> {pair.mirror.qualname}): "
-                f"{detail}"
-            ),
-        )
-
-
-def check_mirror_pair(pair: MirrorPair, cache: _SourceCache) -> List[Finding]:
-    ref_fn = cache.function(pair.reference)
-    mir_fn = cache.function(pair.mirror)
-    missing = []
-    if ref_fn is None:
-        missing.append(_missing_site("CON001", pair.reference, pair.name))
-    if mir_fn is None:
-        missing.append(_missing_site("CON001", pair.mirror, pair.name))
-    if missing:
-        return missing
-    ref_body = _prepared_body(
-        ref_fn, pair.drop_reference, pair.renames, owner=pair.name
-    )
-    mir_body = _prepared_body(
-        mir_fn, pair.drop_mirror, pair.mirror_renames, owner=pair.name
-    )
-    finding = _PairComparator(pair).compare(ref_body, mir_body)
-    return [finding] if finding is not None else []
+def _parse_renames(
+    renames: Sequence[Tuple[str, str]], *, owner: str
+) -> Dict[str, ast.expr]:
+    mapping: Dict[str, ast.expr] = {}
+    for spelling, replacement in renames:
+        try:
+            key = ast.unparse(ast.parse(spelling, mode="eval").body)
+            value = ast.parse(replacement, mode="eval").body
+        except SyntaxError as exc:
+            raise ConfigurationError(
+                f"contract {owner}: bad rename {spelling!r} -> "
+                f"{replacement!r}: {exc}"
+            ) from None
+        mapping[key] = value
+    return mapping
 
 
 def check_expr_anchor(anchor: ExprAnchor, cache: _SourceCache) -> List[Finding]:
@@ -747,12 +379,10 @@ def check_expr_anchor(anchor: ExprAnchor, cache: _SourceCache) -> List[Finding]:
                 _missing_site("CON001", anchor_site.site, anchor.name)
             )
             continue
-        cloned = _Normalizer().visit(copy.deepcopy(function))
-        ast.fix_missing_locations(cloned)
         mapping = _parse_renames(anchor_site.renames, owner=anchor.name)
         renamer = _Renamer(mapping) if mapping else None
         found = False
-        for node in ast.walk(cloned):
+        for node in ast.walk(function):
             if not isinstance(node, ast.expr):
                 continue
             candidate = node
@@ -1183,8 +813,6 @@ def check_contracts(
         registry = default_registry()
     cache = _SourceCache(base_dir)
     findings: List[Finding] = []
-    for pair in registry.mirror_pairs:
-        findings.extend(check_mirror_pair(pair, cache))
     for anchor in registry.expr_anchors:
         findings.extend(check_expr_anchor(anchor, cache))
     for family_contract in registry.stream_families:

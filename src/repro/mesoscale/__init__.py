@@ -15,8 +15,8 @@ gate the agreement between the tiers.  See docs/MESOSCALE.md.
 
 Two performance layers ride on top of the flow tier, both byte-identical
 to it: the struct-of-arrays fast path (:mod:`repro.mesoscale.vector`,
-``vector_batch > 0``) and the sharded parallel loop
-(:mod:`repro.mesoscale.shard`, ``shards > 1``).
+``vector_batch > 0``, on the client-side plain-C3 configs it covers) and
+the sharded parallel loop (:mod:`repro.mesoscale.shard`, ``shards > 1``).
 """
 
 from repro.mesoscale.flow import FlowEngine

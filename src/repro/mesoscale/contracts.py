@@ -1,26 +1,21 @@
-"""Declared mirror contracts of the flow tier (checked by ``netrs contracts``).
+"""Declared contracts of the flow tier (checked by ``netrs contracts``).
 
 The flow tier (:mod:`repro.mesoscale.flow`) *drives* the packet tier's
 endpoints -- server, client, workload, service fluctuation and accelerator
 exist once, in :mod:`repro.kvstore` and :mod:`repro.network.accelerator` --
 and the NetRS selector (:mod:`repro.core.selector_node`) is one class whose
-``select``/``fold`` every tier calls -- so there is no endpoint copy left to
-police.  What is still written twice, and therefore declared here for
-``repro.lint.contracts`` (rule CON001, a normalized-AST comparison), is one
-statement-shaped endpoint of the vectorized tier
-(:mod:`repro.mesoscale.vector`), whose struct-of-arrays layout is a
-different data structure, not a copy: its server twin's arrival.  The rest
-of that tier is one megaloop and is held to the scalar engine by the runtime
-byte-identity suites instead.
+``select``/``fold`` every tier calls, so there is no endpoint copy to
+police.  The struct-of-arrays engine (:mod:`repro.mesoscale.vector`) is one
+inlined loop over a different data structure, held to the scalar engine by
+the runtime byte-identity suites (``tests/mesoscale/test_vector.py``).
 
-Every rename, drop and equivalence is a *reviewed, allowed* rewrite;
-anything not declared is drift and fails CI.  When you edit one side of a
-pair, replay the edit into the other side in the same commit.
-
-CON002 contracts bind the RNG surface: the stream *families* both tiers
-create (a renamed family is a silently different seed) and the ordered
-draws the vector tier makes on the shared mixed-family arrival stream,
-pinned against the one workload (``OpenLoopWorkload``).
+What can still drift silently, and is therefore declared here for
+``repro.lint.contracts``: the C3 score, spelled out at three sites (CON001,
+an anchored expression), and the RNG surface (CON002) -- the stream
+*families* both tiers create (a renamed family is a silently different
+seed) and the ordered draws the vector tier's block prologue makes on the
+shared mixed-family arrival stream, pinned against the one workload
+(``OpenLoopWorkload``).  Anything not declared is drift and fails CI.
 """
 
 from __future__ import annotations
@@ -30,35 +25,15 @@ from repro.lint.contracts import (
     ContractRegistry,
     DrawSequencePair,
     ExprAnchor,
-    MirrorPair,
     Site,
     StreamFamilyContract,
 )
 
 _FLOW = "src/repro/mesoscale/flow.py"
 _VECTOR = "src/repro/mesoscale/vector.py"
-_SERVER = "src/repro/kvstore/server.py"
 _WORKLOAD = "src/repro/kvstore/workload.py"
 _C3 = "src/repro/selection/c3.py"
 _SCENARIOS = "src/repro/experiments/scenarios.py"
-
-MIRROR_PAIRS = (
-    # -- shared endpoints <-> vectorized flow tier ---------------------
-    MirrorPair(
-        # The vector server queues bare jobs: nothing in fast mode reads
-        # the queueing delay the shared body measures for its ``respond``.
-        name="vector.server.arrival",
-        reference=Site(_SERVER, "ServerCore.handle_arrival"),
-        mirror=Site(_VECTOR, "_VFlowServer.handle_arrival"),
-        equivalences=(
-            ("self._begin(job, 0.0)", "self._begin(job)"),
-            (
-                "self._waiting.append((job, self.env.now))",
-                "self._waiting.append(job)",
-            ),
-        ),
-    ),
-)
 
 #: Both tiers must create the same named stream families.  ``background``
 #: is packet-only: the flow tier rejects background traffic outright
@@ -132,7 +107,6 @@ EXPR_ANCHORS = (
 )
 
 CONTRACTS = ContractRegistry(
-    mirror_pairs=list(MIRROR_PAIRS),
     expr_anchors=list(EXPR_ANCHORS),
     stream_families=list(STREAM_FAMILIES),
     draw_sequences=list(DRAW_SEQUENCES),

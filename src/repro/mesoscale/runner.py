@@ -15,10 +15,11 @@ import gc
 import math
 import time
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult
 from repro.mesoscale.flow import FlowEngine
+from repro.mesoscale.support import vector_eligible
 
 
 def run_flow_experiment(
@@ -35,8 +36,9 @@ def run_flow_experiment(
 
     Dispatch: ``config.shards > 1`` fans the run out as independent
     ``repro.exec`` jobs and merges them (repro.mesoscale.shard);
-    ``config.vector_batch > 0`` selects the struct-of-arrays fast path
-    (repro.mesoscale.vector), bit-identical to the scalar engine.
+    ``config.vector_batch > 0`` selects the struct-of-arrays engine
+    (repro.mesoscale.vector), bit-identical to the scalar one, for the
+    configs it covers (:func:`~repro.mesoscale.support.vector_eligible`).
 
     Memory: a flow run owns what it allocates and nothing waits for the
     cyclic collector.  The collector is parked from engine construction to
@@ -46,9 +48,14 @@ def run_flow_experiment(
     torn down (:meth:`FlowEngine.teardown`) once the result is built, so it
     is freed by reference count and ``result.latency`` is all that survives;
     with ``keep_engine`` the live engine is attached as ``result.engine``
-    instead, for inspection.
+    instead, for inspection (one unsharded run only).
     """
     if config.shards > 1:
+        if keep_engine:
+            raise ConfigurationError(
+                "a sharded run has one engine per shard, possibly in another "
+                "process; keep engines per `shard_configs(config)` entry"
+            )
         # Imported lazily: shard fan-out builds on this function.
         from repro.mesoscale.shard import run_sharded_flow_experiment
 
@@ -73,8 +80,8 @@ def run_flow_experiment(
 
 
 def _build_engine(config: ExperimentConfig, service_time_scale: float) -> FlowEngine:
-    """The scalar engine, or the SoA one when ``vector_batch`` asks for it."""
-    if config.vector_batch > 0:
+    """The scalar engine, or the SoA one where ``vector_batch`` applies."""
+    if config.vector_batch > 0 and vector_eligible(config):
         # Imported lazily so scalar runs never pay the numpy-kernels import.
         from repro.mesoscale.vector import VectorFlowEngine
 

@@ -15,6 +15,8 @@ from repro.errors import ConfigurationError
 #: Schemes the flow tier models (see docs/MESOSCALE.md for the mapping).
 FLOW_SCHEMES = ("clirs", "clirs-r95", "netrs-tor")
 
+_LINK_EVENTS = ("LinkDown", "LinkUp", "LinkDegrade")
+
 
 def _reject(reason: str) -> None:
     raise ConfigurationError(
@@ -82,7 +84,7 @@ def ensure_flow_supported(config) -> None:
             kind = type(event).__name__
             if kind in ("RSNodeDown", "RSNodeUp"):
                 _reject("RSNode fault events")
-            if kind in ("LinkDown", "LinkUp", "LinkDegrade"):
+            if kind in _LINK_EVENTS:
                 if not (_is_host(event.a) or _is_host(event.b)):
                     _reject(
                         f"link fault on {event.a}<->{event.b}: only "
@@ -94,6 +96,27 @@ def ensure_flow_supported(config) -> None:
                         "link faults combined with link_bandwidth (the "
                         "analytic serialization model has no per-link state)"
                     )
+
+
+def vector_eligible(config) -> bool:
+    """Whether the struct-of-arrays engine can run ``config``.
+
+    ``repro.mesoscale.vector`` inlines one request lifecycle: client-side
+    selection with plain C3 over links no fault touches.  That is where it
+    is measured to pay (docs/MESOSCALE.md, "Vectorized fast path"); any
+    other config runs the scalar engine whatever ``vector_batch`` says --
+    in-network selection, another selector family (or C3's rate control),
+    and link faults, whose per-hop checks need the scalar send path.
+    """
+    if config.netrs or config.algorithm != "c3":
+        return False
+    if config.fault_schedule:
+        from repro.faults.schedule import parse_fault_schedule
+
+        for event in parse_fault_schedule(config.fault_schedule).events:
+            if type(event).__name__ in _LINK_EVENTS:
+                return False
+    return True
 
 
 def _is_host(name: str) -> bool:

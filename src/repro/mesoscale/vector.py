@@ -2,13 +2,16 @@
 
 :class:`VectorFlowEngine` re-runs the exact experiment of
 :class:`~repro.mesoscale.flow.FlowEngine` -- same named RNG streams in the
-same order, same float-addition order, same tie-breaking -- but precomputes
-whole *blocks* of requests ahead of the drain loop instead of materialising
-one ``_Outstanding`` entry, one arrival heap event and one hop loop per request:
+same order, same float-addition order, same tie-breaking -- for the configs
+whose whole request lifecycle it can inline: client-side selection with
+plain C3 and no link fault scheduled
+(:func:`repro.mesoscale.support.vector_eligible`; everything else runs the
+scalar engine, and constructing this one on it is a
+:class:`~repro.errors.ConfigurationError`).  It is one path:
 
 * the open-loop arrival process (gap chain, per-request client index, key)
   is rolled forward ``vector_batch`` requests at a time into parallel
-  struct-of-arrays blocks;
+  struct-of-arrays blocks (``_load_chunk``);
 * key -> replica-group resolution and the per-(request, replica) locality
   class run over the block in one pass (``hop_class_batch`` kernel);
 * the deterministic request delivery time for each locality class is one
@@ -18,42 +21,50 @@ one ``_Outstanding`` entry, one arrival heap event and one hop loop per request:
 * arrivals never touch the heap: a cursor over the block merges with the
   micro-heap on the scalar engine's exact ``(time, seq)`` order, with the
   sequence numbers the scalar tier *would* have assigned simulated at the
-  same points.
+  same points;
+* one loop (``_drain_fast``) runs issue + C3 scoring, server arrival,
+  service completion, response fold and the R95 duplicate inline, over flat
+  events; only a live request timeout (``_v_on_timeout``) is a call.
 
 Per-request mutable state lives in flat rid-indexed arrays (issue time,
 primary target, replica tuple, done/alive bytemaps) with the rare fields
 (duplicate counts, retry attempts, tried sets) in sparse dicts, replacing
-the scalar tier's per-request ``_Outstanding`` + ``_outstanding`` dict.  Client
-and server objects, selectors, accelerators and the fault driver are reused
-unchanged from the scalar engine, which remains the oracle:
+the scalar tier's per-request ``_Outstanding`` + ``_outstanding`` dict.
+Construction -- streams, roles, ring, selectors, service models, the fault
+driver -- is the scalar engine's own; the scalar engine remains the oracle:
 the byte-identity suites in ``tests/mesoscale/test_vector.py`` hold every
-sample and counter of this path equal to the scalar tier's, and the CON001
-contracts in ``repro.mesoscale.contracts`` pin the endpoint mirrors
-statically.
-
-Fault schedules with *link* events force every send back through the
-scalar guarded path (per-hop dead/degrade checks at transmit time), so the
-delivery-time tables are only consulted on fault-free links -- identical
-results either way, just less batching.
+sample and counter of this path equal to its, and the contracts in
+``repro.mesoscale.contracts`` pin the inlined C3 score (CON001) and the
+arrival-stream draw order (CON002) statically.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from functools import partial
 from heapq import heappop, heappush
 from math import exp, log1p
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.kvstore.client import _BACKOFF_CAP
 from repro.kvstore.fluctuation import StableService
 from repro.kvstore.server import ServerCore
 from repro.mesoscale.flow import _FLUSH_EVERY, FlowEngine
-from repro.selection.c3 import C3Selector
+from repro.mesoscale.support import vector_eligible
 
 _INF = float("inf")
+
+#: Event kinds of the drain's flat events ``(time, seq, kind, *args)``.
+#: Whatever else runs on the engine clock (service-fluctuation ticks) keeps
+#: the scalar shape ``(time, seq, fn, args)`` and is dispatched as a call;
+#: heap order never compares past the unique ``seq``, so the shapes coexist.
+_DELIVER = object()  # server, client, rid: a request copy reaches its server
+_COMPLETE = object()  # server, client, rid, duration, epoch: a service ends
+_RESPONSE = object()  # client, rid, server name, queue size, service rate
+_REDUNDANT = object()  # client, rid: the R95 duplicate timer
+_TIMEOUT = object()  # client, rid: the request timeout timer
 
 
 # ---------------------------------------------------------------------------
@@ -92,29 +103,22 @@ def hop_class_batch(
 
 
 class _VFlowServer(ServerCore):
-    """Fast-mode twin of ``ServerCore`` (same arithmetic, fewer layers).
+    """A ``ServerCore``'s state plus what the drain loop caches per server.
 
-    Swapped in (state-copied) only when the engine runs unguarded clirs
-    with plain C3 selectors: ``_begin`` pushes the completion straight onto
-    the micro-heap and ``_complete`` delivers the response through a
-    memoized per-(server, client) hop plan -- the identical chained float
-    additions ``_send_along`` performs -- handing ``(queue_size,
-    service_rate)`` to the engine's inlined feedback handler instead of
-    allocating a ``ServerStatus`` per completion.  ``fail``/``recover``
-    are inherited and the queue/EWMA arithmetic is copied line for line, so
-    server-fault schedules behave identically.  Jobs are the scalar tier's
-    ``(client, rid, rv)``; nothing reads a queueing delay here, so the queue
-    holds bare jobs.
+    State-copied from the server the scalar constructor built.  The queue
+    and EWMA arithmetic run inlined in ``_drain_fast`` (jobs are bare
+    ``(client, rid)`` pairs: nothing there reads a queueing delay);
+    ``fail``/``recover`` are inherited, so server-fault schedules act on the
+    same fields.
     """
 
-    __slots__ = ("_resp_plan", "_complete_cb", "_fastdraw", "_mean_const")
+    __slots__ = ("_resp_plan", "_fastdraw", "_mean_const")
 
     def __init__(self, base: ServerCore) -> None:
         for name in ServerCore.__slots__:
             setattr(self, name, getattr(base, name))
         # client name -> (hop delays, hop count, bytes, overhead bytes)
         self._resp_plan: Dict[str, tuple] = {}
-        self._complete_cb = self._complete  # bound once, pushed per service
         # Stable-service means never change; folding the constant out lets
         # the drain loop skip the model (fluctuating servers keep a None
         # here and read the model's current tick).
@@ -123,103 +127,21 @@ class _VFlowServer(ServerCore):
             model.mean_service_time if type(model) is StableService else None
         )
         # Service draws are the stream's only family, so the family lock the
-        # first scalar draw would take is taken up front and _begin reads the
-        # pre-drawn block directly (same values, same refill points).
+        # first scalar draw would take is taken up front and the drain reads
+        # the pre-drawn block directly (same values, same refill points).
         self._fastdraw = self._draws.block_size > 0
         if self._fastdraw:
             self._draws._lock("exponential")
-
-    def handle_arrival(self, job) -> None:
-        if self.down:
-            self.dropped_requests += 1
-            return
-        self.arrivals += 1
-        queued = len(self._waiting) + self._in_service
-        if queued + 1 > self.max_queue_seen:
-            self.max_queue_seen = queued + 1
-        if self._in_service < self.parallelism:
-            self._begin(job)
-        else:
-            self._waiting.append(job)
-
-    def _begin(self, job) -> None:
-        engine = self.env
-        client, rid, rv = job
-        self._in_service += 1
-        mean = self._mean_const
-        if mean is None:
-            mean = self.service_model.current_mean
-        if self._fastdraw:
-            draws = self._draws
-            pos = draws._pos
-            block = draws._block
-            if pos >= len(block):
-                draws._refill()
-                block = draws._block
-                pos = 0
-            draws._pos = pos + 1
-            # exponential(mean) is mean * standard_exponential(); IEEE
-            # multiplication commutes bitwise, so this is the scalar value.
-            duration = block[pos] * mean * self.service_time_scale
-        else:
-            duration = self._draws.exponential(mean) * self.service_time_scale
-        engine._seq += 1
-        heappush(
-            engine._heap,
-            (
-                engine._now + duration,
-                engine._seq,
-                self._complete_cb,
-                (client, rid, rv, duration, self._epoch),
-            ),
-        )
-
-    def _complete(self, client, rid, rv, duration, epoch) -> None:
-        if epoch != self._epoch:
-            return  # scheduled before a crash: died with the server
-        engine = self.env
-        self._in_service -= 1
-        self.completions += 1
-        alpha = self._alpha
-        self._ewma_service_time = (
-            alpha * self._ewma_service_time + (1 - alpha) * duration
-        )
-        queue_size = len(self._waiting) + self._in_service
-        service_rate = self.parallelism / self._ewma_service_time
-        plan = self._resp_plan.get(client.name)
-        if plan is None:
-            plan = engine._response_plan(self.name, client.name)
-            self._resp_plan[client.name] = plan
-        hops, count, nbytes, noverhead = plan
-        t = engine._now
-        for delay in hops:
-            t += delay
-        engine.transmissions += count
-        engine.bytes_transferred += nbytes
-        engine.netrs_overhead_bytes += noverhead
-        engine._seq += 1
-        # Flat event shape (no inner args tuple): the fast drain's response
-        # branch consumes ``_fast_response_cb`` events by position.  Heap
-        # ordering never compares past the unique seq, so flat and
-        # ``(t, seq, cb, args)`` events coexist safely.
-        heappush(
-            engine._heap,
-            (t, engine._seq, engine._fast_response_cb,
-             client, rid, self.name, queue_size, service_rate),
-        )
-        if self._waiting:
-            self._begin(self._waiting.popleft())
 
 
 class VectorFlowEngine(FlowEngine):
     """Flow engine draining precomputed struct-of-arrays request blocks.
 
     Construction is inherited wholesale -- the stream creation order, role
-    placement, ring, servers, clients, operators and fault driver are the
-    scalar engine's own.  Only the request lifecycle is replaced: arrivals
-    come from a block cursor, and the client endpoint logic runs as
-    engine-level methods over flat arrays (``_issue_next``,
-    ``_v_handle_response``, ``_v_fire_redundant``, ``_v_on_timeout``).
+    placement, ring, servers, clients and fault driver are the scalar
+    engine's own.  Only the request lifecycle is replaced: arrivals come
+    from a block cursor (``_load_chunk``) and the endpoints run inlined over
+    flat arrays in ``_drain_fast``.
     """
 
     def __init__(
@@ -229,11 +151,18 @@ class VectorFlowEngine(FlowEngine):
         service_time_scale: float = 1.0,
         vector_batch: Optional[int] = None,
     ) -> None:
+        if not vector_eligible(config):
+            raise ConfigurationError(
+                "VectorFlowEngine inlines client-side plain-C3 selection on "
+                "fault-free links only (scheme clirs/clirs-r95, "
+                "algorithm='c3', no link event in fault_schedule); this "
+                "config runs the scalar FlowEngine, which run_flow_experiment "
+                "picks by itself (docs/MESOSCALE.md)"
+            )
         super().__init__(config, service_time_scale=service_time_scale)
         if vector_batch is None:
             vector_batch = config.vector_batch
         self._chunk = max(1, vector_batch)
-        self._is_netrs = bool(config.netrs)
         # The workload object is the scalar engine's; this engine rolls its
         # arrival process forward itself, over the same streams and counters.
         workload = self.workload
@@ -245,7 +174,7 @@ class VectorFlowEngine(FlowEngine):
         self._warmup = workload.warmup_requests
         self.per_client_counts = workload.per_client_counts
         self._timeout = config.request_timeout
-        self._redundancy = self.clients[0].redundancy if self.clients else None
+        self._redundancy = self.clients[0].redundancy
         self._req_size, self._req_overhead = self._sizes["request"]
         # hop class -> response-delivery plan (filled lazily): plans depend
         # only on the locality class of the pair, not on its identity.
@@ -264,43 +193,16 @@ class VectorFlowEngine(FlowEngine):
         )
         self._client_pod_arr = self._client_rack_arr // racks_per_pod
         self._rg_codes: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-        # Fast mode: unguarded clirs with plain C3 selectors (the common
-        # sweep configuration).  The server objects are swapped for their
-        # state-copied _VFlowServer twins and the C3 feedback loops run
-        # inlined in _issue_next/_v_fast_response; anything else (netrs,
-        # link-fault guards, other selector families, rate control) stays
-        # on the scalar endpoints.
-        selector0 = self.clients[0].selector if self.clients else None
-        self._fast = (
-            not self._is_netrs
-            and not self._guarded
-            and isinstance(selector0, C3Selector)
-            and selector0._rate_limiter_factory is None
-            # The drain loop hoists the scoring constants once, so every
-            # client's selector must share them (always true for selectors
-            # built from one config; anything exotic stays on the scalar
-            # endpoints).
-            and all(
-                c.selector.prior_service_rate == selector0.prior_service_rate
-                and c.selector.concurrency_weight == selector0.concurrency_weight
-                and c.selector.cubic_exponent == selector0.cubic_exponent
-                and c.selector.ewma_alpha == selector0.ewma_alpha
-                for c in self.clients
-            )
-        )
-        # Responses come off the wire into the flat-array client endpoint
-        # (fast mode inlines it in the drain and never looks one up).
-        self._on_response = None if self._fast else {
-            client: partial(self._v_handle_response, client) for client in self.clients
+        # The drain loop hoists the C3 scoring constants once: every
+        # client's selector is built from the one config, so they agree.
+        selector = self.clients[0].selector
+        self._sel_prior = selector.prior_service_rate
+        self._sel_weight = selector.concurrency_weight
+        self._sel_exponent = selector.cubic_exponent
+        self._sel_alpha = selector.ewma_alpha
+        self.servers = {
+            name: _VFlowServer(server) for name, server in self.servers.items()
         }
-        if self._fast:
-            self._sel_prior = selector0.prior_service_rate
-            self._sel_weight = selector0.concurrency_weight
-            self._sel_exponent = selector0.cubic_exponent
-            self._sel_alpha = selector0.ewma_alpha
-            self.servers = {
-                name: _VFlowServer(server) for name, server in self.servers.items()
-            }
         # (client, rgid) -> ((server, track), ...) for the inlined select
         # loop: replica groups are frozen with the ring and C3 tracks are
         # created once and never dropped, so the pairing is stable.  Tracks
@@ -316,15 +218,11 @@ class VectorFlowEngine(FlowEngine):
         self._zipf_fast = getattr(zipf_draws, "block_size", 0) > 0
         if self._zipf_fast:
             zipf_draws._lock("uniform")
-        self._arrival_of = {
-            name: server.handle_arrival for name, server in self.servers.items()
-        }
         # -- dense per-request state (rid-indexed; rids are 1..total) -------
         total = self._total
         self._issued_at: List[float] = [0.0] * (total + 1)
         self._primary: List[str] = [""] * (total + 1)
         self._replicas_of: List[Tuple[str, ...]] = [()] * (total + 1)
-        self._rgid_of: List[int] = [0] * (total + 1) if self._is_netrs else []
         self._done = bytearray(total + 1)
         self._alive = bytearray(total + 1)
         # -- sparse per-request state (zero for the vast majority) ----------
@@ -341,16 +239,7 @@ class VectorFlowEngine(FlowEngine):
             # Same single multiplication _redundancy_threshold performs on
             # its no-history branch, done once.
             self._red_default = policy.fallback_multiplier * 10e-3
-        # -- bound handler caches (one bound method per push otherwise) -----
-        self._issue_next_cb = self._issue_next
-        self._fire_redundant_cb = self._v_fire_redundant
-        self._timeout_cb = self._v_on_timeout
-        self._fast_response_cb = self._v_fast_response
-        self._deliver_cb = self._v_deliver
-        self._v_complete_cb = self._v_complete
-        self._server_by_name = dict(self.servers)
-        # -- arrival cursor + current SoA block -----------------------------
-        self._cursor = 0
+        # -- current SoA block (the drain owns the cursor over it) ----------
         self._b_lo = 0
         self._b_hi = 0
         self._pending_time = 0.0
@@ -358,15 +247,8 @@ class VectorFlowEngine(FlowEngine):
         self._b_clients: List[int] = []
         self._b_replicas: List[Tuple[str, ...]] = []
         self._b_rgids: List[int] = []
-        self._b_cls: Optional[List[List[int]]] = None
+        self._b_cls: List[List[int]] = []
         self._b_path: List[List[float]] = []
-
-    def teardown(self) -> None:
-        """Also cut the fast-mode servers' cached bound methods of themselves."""
-        if self._fast:
-            for server in self.servers.values():
-                server._complete_cb = None
-        super().teardown()
 
     # ------------------------------------------------------------------
     # SoA prologue: roll the workload forward one block
@@ -461,40 +343,34 @@ class VectorFlowEngine(FlowEngine):
         self._issued_at[lo + 1 : hi + 1] = times
         self._replicas_of[lo + 1 : hi + 1] = replicas_list
         self._alive[lo + 1 : hi + 1] = b"\x01" * n
-        if self._is_netrs:
-            self._rgid_of[lo + 1 : hi + 1] = rgids
-        elif not self._guarded:
-            # Locality classes + per-class delivery-time tables (fast sends
-            # bypass _send_along entirely; guarded runs keep the scalar
-            # per-hop checks, netrs routes through the operator instead).
-            rg_codes = self._rg_codes
-            rack_index = self.geometry.rack_index
-            racks_per_pod = self.geometry.racks_per_pod
-            replica_racks: List[Tuple[int, ...]] = [()] * n
-            replica_pods: List[Tuple[int, ...]] = [()] * n
-            for j in range(n):
-                rgid = rgids[j]
-                codes = rg_codes.get(rgid)
-                if codes is None:
-                    racks = tuple(rack_index(name) for name in replicas_list[j])
-                    codes = (racks, tuple(r // racks_per_pod for r in racks))
-                    rg_codes[rgid] = codes
-                replica_racks[j] = codes[0]
-                replica_pods[j] = codes[1]
-            times_arr = np.asarray(times, dtype=np.float64)
-            crack = self._client_rack_arr[clients]
-            cpod = self._client_pod_arr[clients]
-            srack = np.asarray(replica_racks, dtype=np.int64)
-            spod = np.asarray(replica_pods, dtype=np.int64)
-            cls = np.empty((n, srack.shape[1]), dtype=np.int64)
-            hop_class_batch(crack, cpod, srack, spod, cls)
-            path = np.empty((3, n), dtype=np.float64)
-            for index, hops in enumerate(self._hop_arrays):
-                path_chain(times_arr, hops, path[index])
-            self._b_cls = cls.tolist()
-            self._b_path = path.tolist()
-        else:
-            self._b_cls = None
+        # Locality classes + per-class delivery-time tables (sends bypass
+        # _send_along entirely).
+        rg_codes = self._rg_codes
+        rack_index = self.geometry.rack_index
+        racks_per_pod = self.geometry.racks_per_pod
+        replica_racks: List[Tuple[int, ...]] = [()] * n
+        replica_pods: List[Tuple[int, ...]] = [()] * n
+        for j in range(n):
+            rgid = rgids[j]
+            codes = rg_codes.get(rgid)
+            if codes is None:
+                racks = tuple(rack_index(name) for name in replicas_list[j])
+                codes = (racks, tuple(r // racks_per_pod for r in racks))
+                rg_codes[rgid] = codes
+            replica_racks[j] = codes[0]
+            replica_pods[j] = codes[1]
+        times_arr = np.asarray(times, dtype=np.float64)
+        crack = self._client_rack_arr[clients]
+        cpod = self._client_pod_arr[clients]
+        srack = np.asarray(replica_racks, dtype=np.int64)
+        spod = np.asarray(replica_pods, dtype=np.int64)
+        cls = np.empty((n, srack.shape[1]), dtype=np.int64)
+        hop_class_batch(crack, cpod, srack, spod, cls)
+        path = np.empty((3, n), dtype=np.float64)
+        for index, hops in enumerate(self._hop_arrays):
+            path_chain(times_arr, hops, path[index])
+        self._b_cls = cls.tolist()
+        self._b_path = path.tolist()
         self._b_lo = lo
         self._b_hi = hi
         self._b_times = times
@@ -507,82 +383,29 @@ class VectorFlowEngine(FlowEngine):
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
         """Drive the experiment until completion (or the safety horizon)."""
-        # Mirrors the workload's start(): same draw, same seq consumed -- the
-        # arrival event carries no payload because the request under the
-        # cursor is already rolled forward in the block.
+        # Mirrors the workload's start(): same draw, same seq consumed.  The
+        # arrival is never a heap event: the drain merges a (time, seq)
+        # cursor over the block against the heap head, which is exactly the
+        # order heap events would pop in.
         self._seq += 1
         first_seq = self._seq
         self._pending_time = self._arrival_rng.exponential(self._rate_inv)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload.start
         self._load_chunk()
-        if self._fast:
-            # Arrivals never touch the heap in fast mode: the drain merges
-            # a (time, seq) cursor over the block against the heap head,
-            # which is exactly the order heap events would pop in.
-            self._drain_fast(until, first_seq)
-        else:
-            if self._b_times:
-                heappush(
-                    self._heap,
-                    (self._b_times[0], first_seq, self._issue_next_cb, ()),
-                )
-            self._drain(until)
+        self._drain_fast(until, first_seq)
         self._close_run()
 
-    def _drain(self, until: Optional[float]) -> None:
-        """Generic micro-event drain: one dispatch per heap event."""
-        heap = self._heap
-        env = self.env
-        env_times = self._env_times
-        bounded = until is not None
-        fire_cb = self._fire_redundant_cb
-        timeout_cb = self._timeout_cb
-        alive = self._alive
-        done = self._done
-        micro = 0
-        while not self._stopped:
-            if not heap:
-                break
-            head = heap[0]
-            when = head[0]
-            if bounded and when > until:
-                self._now = until
-                break
-            if env_times and env_times[0] <= when:
-                # Fault transitions fire on the macro clock, strictly before
-                # any micro-event at or after their timestamp (same ordering
-                # as the scalar tier).
-                while env_times and env_times[0] <= when:
-                    env.run(until=env_times.pop(0))
-            heappop(heap)
-            self._now = when
-            micro += 1
-            cb = head[2]
-            if cb is fire_cb or cb is timeout_cb:
-                # Dead client timers (request already done or reclaimed) are
-                # the common case; their handlers' first guard is inlined
-                # here so the pop alone pays for them.  Scalar parity: the
-                # event still executes (micro counted), its handler is just
-                # the same no-op early return.
-                rid = head[3][1]
-                if done[rid] or not alive[rid]:
-                    continue
-            cb(*head[3])
-        self.micro_events += micro
-
     def _drain_fast(self, until: Optional[float], first_seq: int) -> None:
-        """Fast-mode drain: the five hot handlers inlined into one frame.
+        """The whole request lifecycle inlined into one frame.
 
-        Event-for-event this executes exactly what :meth:`_drain` would --
-        same event order, same arithmetic, same RNG draws -- but the issue /
-        deliver / complete / response / dead-timer branches run inside this
-        loop's frame, keyed on the callback identity of the popped event, so
-        the common path pays no Python calls and no repeated attribute
-        loads.  The standalone methods (``_issue_next``, ``_v_deliver``,
-        ``_v_complete``, ``_v_fast_response``, ``_v_fire_redundant``,
-        ``_v_on_timeout``) remain the readable line-for-line mirrors of
-        these branches and still execute every event that reaches the heap
-        through a scalar-path send (retries, redundant duplicates under
-        faults), which falls through to the generic dispatch below.
+        Event for event this executes what the scalar engine's loop would
+        -- same event order, same arithmetic, same RNG draws -- but issue +
+        C3 scoring, server arrival, service completion, response fold, the
+        R95 duplicate and dead timers run inside this loop's frame, keyed on
+        the kind of the popped event, so the common path pays no Python
+        calls and no repeated attribute loads.  Two things leave the frame:
+        a live request timeout (``_v_on_timeout``; retry logic is cold) and
+        whatever else was posted on the engine clock as ``(time, seq, fn,
+        args)`` (service-fluctuation ticks), dispatched as a call.
 
         Four bookkeeping devices keep the loop allocation-free without
         changing observable state:
@@ -593,37 +416,24 @@ class VectorFlowEngine(FlowEngine):
           heap head instead of a pushed-and-popped heap entry.  ``pa_seq``
           is the exact sequence number the heap event would have carried, so
           the merged order is the heap's own.
-        * **Lazy clock** -- ``self._now`` is written only where code outside
-          this frame can observe it (generic dispatch, tracker callbacks,
-          heartbeat flushes, loop exit); every inlined branch uses the
-          popped ``when`` directly.  Fault transitions read the macro
-          ``env.now``, never ``_now``, so the fault drain needs no write.
-          ``workload.issued`` (always equal to the cursor here) is synced at
-          the same points.
+        * **Lazy clock** -- ``self._now`` and ``self._seq`` are written only
+          where code outside this frame can observe them (calls out, tracker
+          callbacks, heartbeat flushes, loop exit); every inlined branch
+          uses the popped ``when`` and the local ``seq`` directly.  Fault
+          transitions read the macro ``env.now``, never ``_now``.
         * **Local accounting** -- transmissions / bytes / overhead accumulate
-          in frame locals, flushed to the engine counters before any escape
-          to code that could read or write them.
-        * **Flat events** -- the inlined branches push
-          ``(time, seq, sentinel, *args)`` without the inner args tuple
-          (one allocation per event instead of two).  Heap ordering never
-          compares past the unique ``seq``, so flat events coexist with the
-          ``(time, seq, callback, args)`` events of scalar-path sends, which
-          still route through the generic ``cb(*args)`` dispatch.  The stop
-          flag is re-checked exactly where the handlers that can set it run
-          (tracker callbacks, live timeouts, generic dispatch), preserving
-          the scalar drain's exit points.
+          in frame locals and enter the engine counters at loop exit; what
+          runs outside the frame only ever adds to them.
+        * **Flat events** -- ``(time, seq, kind, *args)`` without the inner
+          args tuple (one allocation per event instead of two).  The stop
+          flag is re-checked exactly where something that can set it runs
+          (tracker callbacks, live timeouts, calls out), preserving the
+          scalar loop's exit points.
         """
         heap = self._heap
         env = self.env
         env_times = self._env_times
-        workload = self.workload
         bounded = until is not None
-        issue_cb = self._issue_next_cb
-        deliver_cb = self._deliver_cb
-        complete_cb = self._v_complete_cb
-        response_cb = self._fast_response_cb
-        fire_cb = self._fire_redundant_cb
-        timeout_cb = self._timeout_cb
         alive = self._alive
         done = self._done
         issued_at = self._issued_at
@@ -631,7 +441,7 @@ class VectorFlowEngine(FlowEngine):
         clients = self.clients
         per_client_counts = self.per_client_counts
         track_cache = self._track_cache
-        server_by_name = self._server_by_name
+        servers = self.servers
         cls_hops = self._cls_hops
         req_size = self._req_size
         req_overhead = self._req_overhead
@@ -657,7 +467,7 @@ class VectorFlowEngine(FlowEngine):
         attempts = self._attempts
         late_seen = self._late_seen
         total = self._total
-        cursor = self._cursor
+        cursor = 0  # requests issued so far: the next one is b_*[cursor - b_lo]
         b_lo = self._b_lo
         b_hi = self._b_hi
         b_times = self._b_times
@@ -672,12 +482,8 @@ class VectorFlowEngine(FlowEngine):
         acc_bytes = 0
         acc_overhead = 0
         when = self._now
-        if cursor < total:
-            pa_time = b_times[cursor - b_lo]
-            pa_seq = first_seq
-        else:
-            pa_time = _INF
-            pa_seq = 0
+        pa_time = b_times[0]
+        pa_seq = first_seq
         while True:
             if heap:
                 head = heap[0]
@@ -697,13 +503,13 @@ class VectorFlowEngine(FlowEngine):
                 # Fault transitions fire on the macro clock, strictly before
                 # any micro-event at or after their timestamp.
                 self._seq = seq
-                workload.issued = cursor
                 while env_times and env_times[0] <= when:
                     env.run(until=env_times.pop(0))
                 seq = self._seq
             micro += 1
             if head is None:
-                # ---- issue the request under the cursor (mirror: _issue_next)
+                # ---- issue the request under the cursor (OpenLoopWorkload.
+                # _arrival + ClientCore.issue over the block's rows)
                 j = cursor - b_lo
                 cidx = b_clients[j]
                 per_client_counts[cidx] += 1
@@ -711,8 +517,8 @@ class VectorFlowEngine(FlowEngine):
                 rid = cursor + 1
                 replicas = b_replicas[j]
                 selector = client.selector
-                # Inlined C3Selector.select + note_sent (no rate limiter in
-                # fast mode): the exact single-pass scoring loop, tie-breaks
+                # Inlined C3Selector.select + note_sent (plain C3: no rate
+                # limiter): the exact single-pass scoring loop, tie-breaks
                 # delegated back to the selector so the RNG stream position
                 # matches.
                 selector.selections += 1
@@ -772,8 +578,7 @@ class VectorFlowEngine(FlowEngine):
                 seq += 1
                 heappush(
                     heap,
-                    (b_path[cls][j], seq, deliver_cb,
-                     server_by_name[target], client, rid),
+                    (b_path[cls][j], seq, _DELIVER, servers[target], client, rid),
                 )
                 if has_red:
                     # Inlined ClientCore._redundancy_threshold (cached
@@ -795,12 +600,12 @@ class VectorFlowEngine(FlowEngine):
                             threshold = red_mult * mean
                     seq += 1
                     heappush(
-                        heap, (when + threshold, seq, fire_cb, client, rid)
+                        heap, (when + threshold, seq, _REDUNDANT, client, rid)
                     )
                 if timeout is not None:
                     seq += 1
                     heappush(
-                        heap, (when + timeout, seq, timeout_cb, client, rid)
+                        heap, (when + timeout, seq, _TIMEOUT, client, rid)
                     )
                 cursor += 1
                 if cursor < total:
@@ -822,8 +627,9 @@ class VectorFlowEngine(FlowEngine):
                 continue
             heappop(heap)
             cb = head[2]
-            if cb is deliver_cb:
-                # ---- delivery at the server (mirror: _VFlowServer.handle_arrival)
+            if cb is _DELIVER:
+                # ---- a request copy reaches its server (ServerCore.
+                # handle_arrival + _begin)
                 server = head[3]
                 if server.down:
                     server.dropped_requests += 1
@@ -856,14 +662,16 @@ class VectorFlowEngine(FlowEngine):
                     seq += 1
                     heappush(
                         heap,
-                        (when + duration, seq, complete_cb,
+                        (when + duration, seq, _COMPLETE,
                          server, head[4], head[5], duration, server._epoch),
                     )
                 else:
-                    waiting.append((head[4], head[5], None))
+                    waiting.append((head[4], head[5]))
                 continue
-            if cb is complete_cb:
-                # ---- service completion (mirror: _VFlowServer._complete)
+            if cb is _COMPLETE:
+                # ---- service completion (ServerCore._complete; the reply is
+                # priced by the memoized per-(server, client) hop plan and
+                # carries (queue size, service rate) in place of a ServerStatus)
                 server = head[3]
                 if head[7] != server._epoch:
                     continue  # scheduled before a crash: died with the server
@@ -892,11 +700,11 @@ class VectorFlowEngine(FlowEngine):
                 seq += 1
                 heappush(
                     heap,
-                    (t, seq, response_cb,
+                    (t, seq, _RESPONSE,
                      client, head[5], server.name, queue_size, service_rate),
                 )
                 if waiting:
-                    next_client, next_rid, _next_rv = waiting.popleft()
+                    next_client, next_rid = waiting.popleft()
                     server._in_service += 1
                     mean = server._mean_const
                     if mean is None:
@@ -917,12 +725,13 @@ class VectorFlowEngine(FlowEngine):
                     seq += 1
                     heappush(
                         heap,
-                        (when + duration, seq, complete_cb,
+                        (when + duration, seq, _COMPLETE,
                          server, next_client, next_rid, duration, server._epoch),
                     )
                 continue
-            if cb is response_cb:
-                # ---- response at the client (mirror: _v_fast_response)
+            if cb is _RESPONSE:
+                # ---- response at the client (ClientCore.handle_response with
+                # C3Selector.note_response's EWMA fold inlined)
                 client = head[3]
                 rid = head[4]
                 client.responses_received += 1
@@ -977,7 +786,6 @@ class VectorFlowEngine(FlowEngine):
                         stopping = False
                         if completed == tracker.expected:
                             self._now = when
-                            workload.issued = cursor
                             for callback in tracker._callbacks:
                                 callback()
                             stopping = self._stopped
@@ -986,7 +794,6 @@ class VectorFlowEngine(FlowEngine):
                             self._since_flush = 0
                             self._seq = seq
                             self._now = when
-                            workload.issued = cursor
                             env.post_at(when, self._heartbeat)
                             env.run(until=when)
                             seq = self._seq
@@ -1004,15 +811,15 @@ class VectorFlowEngine(FlowEngine):
                     if seen >= dup_sent.get(rid, 0) + attempts.get(rid, 0):
                         alive[rid] = 0
                 continue
-            if cb is fire_cb:
+            if cb is _REDUNDANT:
                 rid = head[4]
                 if done[rid] or not alive[rid]:
-                    # Dead timer: same no-op early return as the handler,
-                    # micro already counted.
+                    # Dead timer: the scalar handler's no-op early return
+                    # (the event still counts as executed).
                     continue
-                # ---- live redundant duplicate (mirror: _v_fire_redundant
-                # plus the unguarded _send_request/_send_along fast path;
-                # note_sent has no mirror or limiter in fast mode).
+                # ---- live redundant duplicate (ClientCore._fire_redundant +
+                # _send_request; kept inline: R95 fires one for roughly
+                # every tenth request)
                 client = head[3]
                 primary_target = primary[rid]
                 others = [r for r in replicas_of[rid] if r != primary_target]
@@ -1041,178 +848,43 @@ class VectorFlowEngine(FlowEngine):
                 seq += 1
                 heappush(
                     heap,
-                    (t, seq, deliver_cb, server_by_name[target], client, rid),
+                    (t, seq, _DELIVER, servers[target], client, rid),
                 )
                 continue
-            if cb is timeout_cb:
+            if cb is _TIMEOUT:
                 rid = head[4]
                 if done[rid] or not alive[rid]:
                     continue
-                # Live timeout: runs the standalone handler (retry logic is
-                # cold); sync observable state around it like the generic
-                # dispatch below.  It can lose the request and stop the run.
+                # Live timeout: it can lose the request and stop the run.
                 self._seq = seq
-                self._cursor = cursor
                 self._now = when
-                workload.issued = cursor
-                self.transmissions += acc_tx
-                self.bytes_transferred += acc_bytes
-                self.netrs_overhead_bytes += acc_overhead
-                acc_tx = 0
-                acc_bytes = 0
-                acc_overhead = 0
-                timeout_cb(head[3], rid)
+                self._v_on_timeout(head[3], rid)
                 seq = self._seq
-                cursor = self._cursor
                 if self._stopped:
                     break
                 continue
-            # Rare events (retry timers, scalar-path sends under faults):
-            # sync everything a handler could observe, then resume locals.
+            # Posted on the engine clock by code outside this frame.
             self._seq = seq
-            self._cursor = cursor
             self._now = when
-            workload.issued = cursor
-            self.transmissions += acc_tx
-            self.bytes_transferred += acc_bytes
-            self.netrs_overhead_bytes += acc_overhead
-            acc_tx = 0
-            acc_bytes = 0
-            acc_overhead = 0
             cb(*head[3])
             seq = self._seq
-            cursor = self._cursor
             if self._stopped:
                 break
-        if pa_time < _INF:
-            # Early exit (bounded horizon or stop) with an arrival still
-            # pending: restore it as the heap event it stands for.
-            heappush(heap, (pa_time, pa_seq, issue_cb, ()))
         self._seq = seq
-        self._cursor = cursor
         self._now = when
-        workload.issued = cursor
+        self.workload.issued = cursor
         self.transmissions += acc_tx
         self.bytes_transferred += acc_bytes
         self.netrs_overhead_bytes += acc_overhead
         self.micro_events += micro
 
-    def _v_deliver(self, server, client, rid: int) -> None:
-        """Dispatch mirror of the fast drain's delivery branch."""
-        server.handle_arrival((client, rid, None))
-
-    def _v_complete(self, server, client, rid, rv, duration, epoch) -> None:
-        """Dispatch mirror of the fast drain's completion branch."""
-        server._complete(client, rid, rv, duration, epoch)
-
-    def _issue_next(self) -> None:
-        """Issue the request under the cursor (mirror of _arrival + issue)."""
-        i = self._cursor
-        j = i - self._b_lo
-        cidx = self._b_clients[j]
-        self.per_client_counts[cidx] += 1
-        self.workload.issued = i + 1
-        client = self.clients[cidx]
-        rid = i + 1  # the scalar tier's next(self._ids): one id per issue
-        now = self._now
-        replicas = self._b_replicas[j]
-        heap = self._heap
-        if self._is_netrs:
-            # Backup draw kept for RNG parity, exactly as the scalar client.
-            client.selector.select(replicas, now)
-            client.requests_sent += 1
-            self._send_via_operator(client, rid, None, None, self._rgid_of[rid])
-        else:
-            # Fast mode never reaches this method (the megaloop's issue
-            # branch inlines the C3 scoring loop); here the selector runs
-            # through its public byte-equivalent entry points.
-            selector = client.selector
-            target = selector.select(replicas, now)
-            selector.note_sent(target, now)
-            target_index = replicas.index(target)
-            self._primary[rid] = target
-            client.requests_sent += 1
-            block_cls = self._b_cls
-            if block_cls is None:  # guarded: per-hop fault checks
-                self._send_request(client, rid, None, target)
-            else:
-                cls = block_cls[j][target_index]
-                hops = self._cls_hops[cls]
-                self.transmissions += hops
-                self.bytes_transferred += self._req_size * hops
-                self._seq += 1
-                heappush(
-                    heap,
-                    (
-                        self._b_path[cls][j],
-                        self._seq,
-                        self._arrival_of[target],
-                        ((client, rid, None),),
-                    ),
-                )
-        if self._redundancy is not None:
-            # Inlined ClientCore._redundancy_threshold: cached percentile
-            # after min_samples, mean-based fallback during warmup (the
-            # constants were folded once in __init__, same arithmetic).
-            history = client._history
-            if len(history._samples) >= self._red_min:
-                if (
-                    client._cached_threshold is None
-                    or client._samples_since_refresh >= 25
-                ):
-                    client._cached_threshold = history.percentile(self._red_pct)
-                    client._samples_since_refresh = 0
-                threshold = client._cached_threshold
-            else:
-                mean = history.mean()
-                if mean != mean:  # NaN: no history yet
-                    threshold = self._red_default
-                else:
-                    threshold = self._red_mult * mean
-            self._seq += 1
-            heappush(
-                heap,
-                (now + threshold, self._seq, self._fire_redundant_cb, (client, rid)),
-            )
-        if self._timeout is not None:
-            self._seq += 1
-            heappush(
-                heap,
-                (now + self._timeout, self._seq, self._timeout_cb, (client, rid)),
-            )
-        i += 1
-        self._cursor = i
-        if i < self._total:
-            if i >= self._b_hi:
-                self._load_chunk()
-            self._seq += 1
-            heappush(
-                heap,
-                (self._b_times[i - self._b_lo], self._seq, self._issue_next_cb, ()),
-            )
-
-    # ------------------------------------------------------------------
-    # Client endpoints over flat arrays (mirrors of ClientCore methods)
-    # ------------------------------------------------------------------
-    def _v_fire_redundant(self, client, rid: int) -> None:
-        if not self._alive[rid] or self._done[rid]:
-            return
-        primary_target = self._primary[rid]
-        others = [r for r in self._replicas_of[rid] if r != primary_target]
-        if not others:
-            return
-        if client._draws is not None and len(others) > 1:
-            target = others[int(client._draws.integers(len(others)))]
-        else:
-            target = others[0]
-        client.selector.note_sent(target, self._now)
-        self._dup_sent[rid] = self._dup_sent.get(rid, 0) + 1
-        client.redundant_sent += 1
-        self._send_request(client, rid, None, target)
-
     def _v_on_timeout(self, client, rid: int) -> None:
-        if not self._alive[rid] or self._done[rid]:
-            return
+        """A live request timed out: give it up, or retry and re-arm.
+
+        ``ClientCore._on_timeout`` over the flat arrays (the drain has
+        already dropped timers of finished requests).  The retry is one
+        flat delivery event, priced like a first copy.
+        """
         client.timeouts += 1
         attempts = self._attempts.get(rid, 0)
         if attempts >= client.max_retries:
@@ -1225,28 +897,31 @@ class VectorFlowEngine(FlowEngine):
         self._attempts[rid] = attempts
         client.retries += 1
         now = self._now
-        if self._is_netrs:
-            client.selector.select(self._replicas_of[rid], now)  # fresh backup draw
-            client.requests_sent += 1
-            self._send_via_operator(client, rid, None, None, self._rgid_of[rid])
+        replicas = self._replicas_of[rid]
+        tried = self._tried.get(rid)
+        if tried is None:
+            tried = (self._primary[rid],)
+        untried = tuple(r for r in replicas if r not in tried)
+        candidates = untried or replicas
+        if len(candidates) > 1:
+            target = client.selector.select(candidates, now)
         else:
-            replicas = self._replicas_of[rid]
-            tried = self._tried.get(rid)
-            if tried is None:
-                tried = (self._primary[rid],)
-            untried = tuple(r for r in replicas if r not in tried)
-            candidates = untried or replicas
-            if len(candidates) > 1:
-                target = client.selector.select(candidates, now)
-            else:
-                target = candidates[0]
-            self._tried[rid] = tried + (target,)
-            self._primary[rid] = target
-            client.selector.note_sent(target, now)
-            client.requests_sent += 1
-            self._send_request(client, rid, None, target)
+            target = candidates[0]
+        self._tried[rid] = tried + (target,)
+        self._primary[rid] = target
+        client.selector.note_sent(target, now)
+        client.requests_sent += 1
+        hops = self._full_path[self.geometry.hop_count(client.name, target)]
+        t = now
+        for delay in hops:
+            t += delay
+        self._account(len(hops), self._req_size, self._req_overhead)
+        heap = self._heap
+        self._seq += 1
+        heappush(heap, (t, self._seq, _DELIVER, self.servers[target], client, rid))
         delay = client.request_timeout * min(2.0**attempts, _BACKOFF_CAP)
-        self.post_in(delay, self._v_on_timeout, (client, rid))
+        self._seq += 1
+        heappush(heap, (now + delay, self._seq, _TIMEOUT, client, rid))
 
     def _response_plan(self, server_name: str, client_name: str) -> tuple:
         """Memoizable response-delivery plan for one (server, client) pair.
@@ -1265,101 +940,3 @@ class VectorFlowEngine(FlowEngine):
             plan = (hops, count, size * count, overhead * count)
             self._resp_by_class[hop_key] = plan
         return plan
-
-    def _v_fast_response(
-        self, client, rid: int, server: str, queue_size: int, service_rate: float
-    ) -> None:
-        """Fast-mode response endpoint: ``_v_handle_response`` with the
-        C3 ``note_response`` EWMA fold inlined (scalar ``ServerStatus``
-        fields arrive as the ``queue_size``/``service_rate`` scalars the
-        ``_VFlowServer`` completion computed -- same expressions, same
-        float operations, no allocation)."""
-        client.responses_received += 1
-        now = self._now
-        alive = self._alive[rid]
-        if alive:
-            selector = client.selector
-            track = selector._tracks.get(server)
-            if track is None:
-                track = selector._track(server)
-            if track.outstanding > 0:
-                track.outstanding -= 1
-            latency = now - self._issued_at[rid]
-            alpha = selector.ewma_alpha
-            if track.feedback_count == 0:
-                track.response_time = latency
-                track.queue_size = float(queue_size)
-                track.service_rate = service_rate
-            else:
-                track.response_time = (
-                    alpha * track.response_time + (1 - alpha) * latency
-                )
-                track.queue_size = (
-                    alpha * track.queue_size + (1 - alpha) * queue_size
-                )
-                track.service_rate = (
-                    alpha * track.service_rate + (1 - alpha) * service_rate
-                )
-            track.feedback_count += 1
-            track.last_feedback_at = now
-            selector.feedback_updates += 1
-            if not self._done[rid]:
-                self._done[rid] = 1
-                client._history.add(latency)
-                client._samples_since_refresh += 1
-                if rid > self._warmup:
-                    self.recorder.add(latency)
-                if not self._dup_sent.get(rid, 0) and not self._attempts.get(rid, 0):
-                    self._alive[rid] = 0
-                # Inlined _complete_request (tracker tick + heartbeat flush).
-                tracker = self.tracker
-                completed = tracker.completed + 1
-                tracker.completed = completed
-                if completed == tracker.expected:
-                    for callback in tracker._callbacks:
-                        callback()
-                flush = self._since_flush + 1
-                if flush >= _FLUSH_EVERY:
-                    self._since_flush = 0
-                    env = self.env
-                    env.post_at(self._now, self._heartbeat)
-                    env.run(until=self._now)
-                else:
-                    self._since_flush = flush
-                return
-        client.late_responses += 1
-        if alive:
-            if self._attempts.get(rid, 0):
-                client.duplicates_suppressed += 1
-            seen = self._late_seen.get(rid, 0) + 1
-            self._late_seen[rid] = seen
-            if seen >= self._dup_sent.get(rid, 0) + self._attempts.get(rid, 0):
-                self._alive[rid] = 0
-
-    def _v_handle_response(self, client, rid: int, server: str, status) -> None:
-        client.responses_received += 1
-        now = self._now
-        alive = self._alive[rid]
-        if alive:
-            client.selector.note_response(
-                server, now - self._issued_at[rid], status, now
-            )
-        if not alive or self._done[rid]:
-            client.late_responses += 1
-            if alive:
-                if self._attempts.get(rid, 0):
-                    client.duplicates_suppressed += 1
-                seen = self._late_seen.get(rid, 0) + 1
-                self._late_seen[rid] = seen
-                if seen >= self._dup_sent.get(rid, 0) + self._attempts.get(rid, 0):
-                    self._alive[rid] = 0
-            return
-        self._done[rid] = 1
-        latency = now - self._issued_at[rid]
-        client._history.add(latency)
-        client._samples_since_refresh += 1
-        if rid > self._warmup:
-            self.recorder.add(latency)
-        if not self._dup_sent.get(rid, 0) and not self._attempts.get(rid, 0):
-            self._alive[rid] = 0
-        self._complete_request(client)

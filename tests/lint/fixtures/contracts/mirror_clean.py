@@ -1,23 +1,11 @@
-"""Faithful mirror: equal up to declared renames, drops and equivalences."""
+"""Faithful mirror: same draw order, same formula in another statement shape."""
 
 
 class FlowServer:
-    def complete(self, now):
-        self.busy -= 1
-        self.completions += 1
-        self.log.append(now)
-
     def arrival(self, now):
         delay = self.arrival_rng.exponential(self.scale)
         key = self.sampler.sample(self.arrival_rng)
         self.schedule(now + delay, key)
-
-    def tick(self):
-        return engine.now + self.offset  # noqa: F821 - fixture vocabulary
-
-    def respond(self, entry):
-        self.finish(entry)
-        self.responses += 1
 
 
 def score(resp, expected, q_hat, exponent):

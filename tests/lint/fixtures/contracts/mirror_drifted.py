@@ -1,11 +1,4 @@
-"""Drifted mirror: one statement differs from the reference (CON001)."""
-
-
-class FlowServer:
-    def complete(self, now):
-        self.busy -= 1
-        self.completions += 2  # line 7: the deliberate drift
-        self.log.append(now)
+"""Drifted mirror: the anchored formula no longer matches (CON001)."""
 
 
 def score(resp, expected, q_hat, exponent):

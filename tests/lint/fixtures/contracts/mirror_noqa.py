@@ -1,8 +1,8 @@
-"""Drifted mirror carrying an explicit suppression on the drift line."""
+"""Reordered draws carrying an explicit suppression on the drift line."""
 
 
 class FlowServer:
-    def complete(self, now):
-        self.busy -= 1
-        self.completions += 2  # repro: noqa(CON001) - deliberate fixture drift
-        self.log.append(now)
+    def arrival(self, now):
+        key = self.sampler.sample(self.arrival_rng)  # repro: noqa(CON002) - deliberate fixture drift
+        delay = self.arrival_rng.exponential(self.scale)
+        self.schedule(now + delay, key)

@@ -2,26 +2,12 @@
 
 
 class Server:
-    def complete(self, now):
-        """Finish one request (docstring is normalization noise)."""
-        self.busy -= 1
-        self.completions += 1
-        self.log.append(now)
-
     def arrival(self, now):
         delay = self.rng.exponential(self.scale)
         key = self.sampler.sample(self.rng)
         if self.rng.random() < self.write_fraction:
             self.writes += 1
         self.schedule(now + delay, key)
-
-    def tick(self):
-        return self.env.now + self.offset
-
-    def respond(self, entry):
-        packet = self.make_packet(entry)
-        self.host.send(packet)
-        self.responses += 1
 
 
 def score(resp, expected, q_hat, exponent):

@@ -2,9 +2,10 @@
 the acceptance criterion that the shipped tree honors its own contracts.
 
 Each test builds a :class:`ContractRegistry` over the mini-tree in
-``fixtures/contracts/`` so a deliberately drifted mirror copy, a reordered
-RNG draw and an undigested config field each produce exactly one finding
-with the right rule id, file and line (ISSUE 8 acceptance)."""
+``fixtures/contracts/`` so a deliberately drifted formula, a reordered RNG
+draw and an undigested config field each produce exactly one finding with
+the right rule id and file (and, where the rule points at a statement,
+line)."""
 
 import pathlib
 
@@ -16,7 +17,6 @@ from repro.lint.contracts import (
     DigestContract,
     DrawSequencePair,
     ExprAnchor,
-    MirrorPair,
     Site,
     StreamFamilyContract,
     check_contracts,
@@ -29,23 +29,14 @@ from repro.lint.rules import explain
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "contracts"
 
-_REF_COMPLETE = Site("reference.py", "Server.complete")
 _REF_ARRIVAL = Site("reference.py", "Server.arrival")
 
 
-def _complete_pair(mirror_path):
-    return MirrorPair(
-        name="fixture.complete",
-        reference=_REF_COMPLETE,
-        mirror=Site(mirror_path, "FlowServer.complete"),
-    )
-
-
-def _arrival_draws(mirror_path):
+def _arrival_draws(mirror_path, mirror_qualname="FlowServer.arrival"):
     return DrawSequencePair(
         name="fixture.arrival",
         reference=_REF_ARRIVAL,
-        mirror=Site(mirror_path, "FlowServer.arrival"),
+        mirror=Site(mirror_path, mirror_qualname),
         reference_rng="rng",
         mirror_rng="arrival_rng",
         reference_only_draws=("<rng>.random",),
@@ -53,70 +44,17 @@ def _arrival_draws(mirror_path):
 
 
 # ---------------------------------------------------------------------------
-# CON001: mirror-pair equivalence
+# CON001: anchored expressions
 # ---------------------------------------------------------------------------
 
 
-def test_clean_mirror_with_declared_rewrites_passes():
-    registry = ContractRegistry(
-        mirror_pairs=[
-            _complete_pair("mirror_clean.py"),
-            MirrorPair(
-                name="fixture.tick",
-                reference=Site("reference.py", "Server.tick"),
-                mirror=Site("mirror_clean.py", "FlowServer.tick"),
-                renames=(("self.env", "engine"),),
-            ),
-            MirrorPair(
-                name="fixture.respond",
-                reference=Site("reference.py", "Server.respond"),
-                mirror=Site("mirror_clean.py", "FlowServer.respond"),
-                drop_reference=("packet = self.make_packet(entry)",),
-                equivalences=(
-                    ("self.host.send(packet)", "self.finish(entry)"),
-                ),
-            ),
-        ]
-    )
-    assert check_contracts(str(FIXTURES), registry=registry) == []
-
-
-def test_drifted_mirror_yields_exactly_one_con001():
-    registry = ContractRegistry(mirror_pairs=[_complete_pair("mirror_drifted.py")])
-    findings = check_contracts(str(FIXTURES), registry=registry)
-    assert len(findings) == 1
-    (finding,) = findings
-    assert finding.rule == "CON001"
-    assert finding.path == "mirror_drifted.py"
-    assert finding.line == 7  # the `self.completions += 2` statement
-    assert "self.completions += 1" in finding.message
-    assert "self.completions += 2" in finding.message
-    assert "reference.py:Server.complete" in finding.message
-
-
-def test_missing_mirror_site_is_reported():
-    registry = ContractRegistry(
-        mirror_pairs=[
-            MirrorPair(
-                name="fixture.ghost",
-                reference=_REF_COMPLETE,
-                mirror=Site("mirror_clean.py", "FlowServer.ghost"),
-            )
-        ]
-    )
-    findings = check_contracts(str(FIXTURES), registry=registry)
-    assert [f.rule for f in findings] == ["CON001"]
-    assert findings[0].path == "mirror_clean.py"
-    assert "FlowServer.ghost" in findings[0].message
-
-
-def _score_anchor(mirror_path):
+def _score_anchor(mirror_path, mirror_qualname="score"):
     return ExprAnchor(
         name="fixture.score",
         expr="resp - expected + q_hat ** exponent * expected",
         sites=(
             AnchorSite(Site("reference.py", "score")),
-            AnchorSite(Site(mirror_path, "score")),
+            AnchorSite(Site(mirror_path, mirror_qualname)),
         ),
     )
 
@@ -134,6 +72,20 @@ def test_expr_anchor_catches_drifted_formula():
     assert finding.rule == "CON001"
     assert finding.path == "mirror_drifted.py"
     assert "fixture.score" in finding.message
+
+
+def test_missing_mirror_site_is_reported():
+    """A site that moved without its declaration: one finding per contract,
+    under the rule of the contract that lost it."""
+    registry = ContractRegistry(
+        expr_anchors=[_score_anchor("mirror_clean.py", "ghost_score")],
+        draw_sequences=[_arrival_draws("mirror_clean.py", "FlowServer.ghost")],
+    )
+    findings = check_contracts(str(FIXTURES), registry=registry)
+    assert [f.rule for f in findings] == ["CON001", "CON002"]
+    assert all(f.path == "mirror_clean.py" for f in findings)
+    assert "ghost_score" in findings[0].message
+    assert "FlowServer.ghost" in findings[1].message
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +243,17 @@ def test_shipped_tree_honors_its_contracts():
 
 def test_default_registry_aggregates_all_declaration_modules():
     registry = default_registry()
-    assert registry.mirror_pairs and registry.expr_anchors
-    assert registry.stream_families and registry.draw_sequences
-    assert registry.digests
-    assert registry.total() == (
-        len(registry.mirror_pairs)
-        + len(registry.expr_anchors)
-        + len(registry.stream_families)
-        + len(registry.draw_sequences)
-        + len(registry.digests)
-    )
-    names = {pair.name for pair in registry.mirror_pairs}
-    assert "vector.server.arrival" in names  # repro.mesoscale.contracts
+    # repro.mesoscale.contracts: 1 anchor, 1 stream family, 2 draw sequences;
+    # repro.experiments.contracts: the digest.
+    assert [anchor.name for anchor in registry.expr_anchors] == ["c3-cubic-score"]
+    assert len(registry.stream_families) == 1
+    assert len(registry.draw_sequences) == 2
+    assert len(registry.digests) == 1
+    assert registry.total() == 5
 
 
 def test_contract_findings_respect_noqa(monkeypatch):
-    registry = ContractRegistry(mirror_pairs=[_complete_pair("mirror_noqa.py")])
+    registry = ContractRegistry(draw_sequences=[_arrival_draws("mirror_noqa.py")])
     monkeypatch.setattr(con, "default_registry", lambda: registry)
     monkeypatch.setattr(
         "repro.lint.engine.default_registry", lambda: registry

@@ -3,15 +3,13 @@
 The lint fixtures prove the checker catches drift in a synthetic mini-tree;
 these probes prove the *shipped declarations* would catch drift in the real
 files: each test copies the relevant sources into a scratch tree, injects a
-one-line drift into the mirror side, and asserts the declaration (pulled
-from the live registries by name, so a renamed or deleted declaration fails
-here too) reports exactly one finding of the right rule.
+one-line drift into the vector tier's side, and asserts the declaration
+(pulled from the live registries by name, so a renamed or deleted
+declaration fails here too) reports exactly one finding of the right rule.
 """
 
 import pathlib
 import shutil
-
-import pytest
 
 from repro.lint.contracts import ContractRegistry, check_contracts
 from repro.mesoscale.contracts import CONTRACTS as MESO_CONTRACTS
@@ -19,16 +17,8 @@ from repro.mesoscale.contracts import CONTRACTS as MESO_CONTRACTS
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 _VECTOR = "src/repro/mesoscale/vector.py"
-_SERVER = "src/repro/kvstore/server.py"
 _WORKLOAD = "src/repro/kvstore/workload.py"
 _C3 = "src/repro/selection/c3.py"
-
-
-def _mirror_pair(name):
-    for pair in MESO_CONTRACTS.mirror_pairs:
-        if pair.name == name:
-            return pair
-    raise AssertionError(f"declaration {name!r} is gone from the registries")
 
 
 def _draw_pair(name):
@@ -50,31 +40,6 @@ def _inject(tmp_path, rel, old, new):
     source = target.read_text(encoding="utf-8")
     assert source.count(old) == 1, f"probe anchor {old!r} not unique in {rel}"
     target.write_text(source.replace(old, new), encoding="utf-8")
-
-
-@pytest.mark.parametrize(
-    "name,files,rel,old,new,rule",
-    [
-        (
-            # Counter drift in the vector server endpoint.
-            "vector.server.arrival",
-            (_SERVER, _VECTOR),
-            _VECTOR,
-            "self.arrivals += 1",
-            "self.arrivals += 2",
-            "CON001",
-        ),
-    ],
-)
-def test_injected_mirror_drift_is_caught(tmp_path, name, files, rel, old, new, rule):
-    pair = _mirror_pair(name)
-    registry = ContractRegistry(mirror_pairs=[pair])
-    _scratch_tree(tmp_path, files)
-    assert check_contracts(str(tmp_path), registry=registry) == []
-    _inject(tmp_path, rel, old, new)
-    findings = check_contracts(str(tmp_path), registry=registry)
-    assert [f.rule for f in findings] == [rule], findings
-    assert findings[0].path == rel
 
 
 def test_reordered_score_in_the_vector_copy_is_caught(tmp_path):

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import run_experiment
 from repro.experiments.config import ExperimentConfig
 from repro.mesoscale.flow import FlowEngine
@@ -109,6 +109,15 @@ def test_keep_engine_returns_a_live_engine(name):
     assert len(engine.servers) == config.n_servers
     assert sum(s.completions for s in engine.servers.values()) > 0
     assert engine.recorder is result.latency
+
+
+def test_keeping_the_engine_of_a_sharded_run_is_rejected_at_the_call():
+    """A sharded run has no one engine to hand back; the flag used to be
+    dropped silently and the caller failed later on ``result.engine``."""
+    with pytest.raises(ConfigurationError, match="one engine per shard"):
+        run_flow_experiment(_CONFIGS["shards"], keep_engine=True)
+    with pytest.raises(ConfigurationError, match="one engine per shard"):
+        run_experiment(_CONFIGS["shards"], keep_scenario=True)
 
 
 def test_torn_down_engine_fails_loudly():

@@ -1,14 +1,21 @@
-"""The SoA fast path's contract: ``vector_batch`` is a pure performance
-knob -- any batch size, any scheme, faults or not, the vectorized engine
-must be byte-identical to the scalar flow tier (samples, every counter,
-micro-event count), and the config knob must land on it through every
-dispatch surface.
+"""The SoA engine's contract: ``vector_batch`` is a pure performance knob.
+
+Any block size, any flow config, the result is byte-identical to
+``vector_batch=0`` -- samples, every counter, micro-event count.  Which
+engine produces it is a pure function of the config
+(``repro.mesoscale.support.vector_eligible``): client-side plain-C3 configs
+with no link fault run :class:`VectorFlowEngine`, whose one inlined drain is
+held to the scalar engine here over every axis its branches read; anything
+else runs the scalar :class:`FlowEngine`, and the tests say so by class, so
+that no identity row can quietly become scalar against scalar.
 """
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.mesoscale import FlowEngine, VectorFlowEngine, shard_configs
 from repro.mesoscale.runner import run_flow_experiment
 
 from tests.mesoscale.test_flow import FAULT_SCHEDULE, IDENTITY_FIELDS
@@ -16,14 +23,24 @@ from tests.mesoscale.test_flow import FAULT_SCHEDULE, IDENTITY_FIELDS
 #: Flow-tier-only counter, checked on top of the shared identity fields.
 _FIELDS = IDENTITY_FIELDS + ("micro_events",)
 
-#: Same-server-only schedule: keeps the vector engine on its dense fast
-#: path (link faults force the guarded scalar-send fallback).
+#: Server-only schedule: no link event, so client-side C3 stays eligible
+#: while macro fault transitions interleave with the block cursor.
 SERVER_FAULTS = "server-down@0.02:server#0;server-up@0.06:server#0"
+LINK_DOWN = "link-down@0.03:client#1/tor(client#1);link-up@0.05:client#1/tor(client#1)"
+LINK_DEGRADE = "link-degrade@0.01:client#2/tor(client#2)*3.0"
 
 
-def _flow(scheme, **overrides):
-    config = ExperimentConfig.tiny(scheme=scheme, seed=5)
+def _flow(scheme, seed=5, **overrides):
+    config = ExperimentConfig.tiny(scheme=scheme, seed=seed)
     return config.replace(fidelity="flow", **overrides)
+
+
+def _run(config):
+    """A flow run's result, and the class of the engine that produced it."""
+    result = run_flow_experiment(config, keep_engine=True)
+    engine_class = type(result.engine)
+    result.engine.teardown()
+    return result, engine_class
 
 
 def _assert_identical(scalar, vector, tag):
@@ -33,34 +50,162 @@ def _assert_identical(scalar, vector, tag):
     assert abs(vector.unavailability - scalar.unavailability) < 1e-12, tag
 
 
+def _assert_knob_is_invisible(config, vector_batch, engine_class, tag):
+    """``vector_batch`` lands on ``engine_class`` and changes no result field."""
+    vector, vector_class = _run(config.replace(vector_batch=vector_batch))
+    assert vector_class is engine_class, tag
+    _assert_identical(run_flow_experiment(config), vector, tag)
+    return vector
+
+
 @pytest.mark.parametrize("vector_batch", [3, 64, 10**6])
 @pytest.mark.parametrize("scheme", ["clirs", "clirs-r95", "netrs-tor"])
 def test_vector_is_bit_identical_to_scalar_flow(scheme, vector_batch):
     """Block size must never matter: smaller than the run (chunked reload),
     mid-size, and larger than the whole run all reduce to the scalar
-    engine's exact event sequence."""
-    config = _flow(scheme)
-    scalar = run_flow_experiment(config)
-    vector = run_flow_experiment(config.replace(vector_batch=vector_batch))
-    _assert_identical(scalar, vector, (scheme, vector_batch))
+    engine's exact event sequence.  In-network selection is not the SoA
+    engine's: netrs-tor runs the scalar engine at every block size."""
+    engine_class = FlowEngine if scheme == "netrs-tor" else VectorFlowEngine
+    _assert_knob_is_invisible(
+        _flow(scheme), vector_batch, engine_class, (scheme, vector_batch)
+    )
 
 
 @pytest.mark.parametrize("fault_schedule", [FAULT_SCHEDULE, SERVER_FAULTS])
 @pytest.mark.parametrize("scheme", ["clirs", "clirs-r95", "netrs-tor"])
 def test_vector_is_bit_identical_under_faults(scheme, fault_schedule):
-    """Fault schedules exercise both vector modes: link faults force the
-    guarded (scalar-send) path, server-only faults keep the dense fast
-    path while still interleaving macro fault events with the block
-    cursor."""
+    """Server-only faults keep client-side schemes on the SoA engine, with
+    macro fault events interleaving with the block cursor; a schedule with
+    link events needs the scalar engine's per-hop checks."""
     config = _flow(
         scheme,
         fault_schedule=fault_schedule,
         request_timeout=0.04,
         max_retries=3,
     )
-    scalar = run_flow_experiment(config)
-    vector = run_flow_experiment(config.replace(vector_batch=7))
-    _assert_identical(scalar, vector, (scheme, fault_schedule[:20]))
+    soa = scheme != "netrs-tor" and fault_schedule is SERVER_FAULTS
+    _assert_knob_is_invisible(
+        config, 7, VectorFlowEngine if soa else FlowEngine, (scheme, fault_schedule[:20])
+    )
+
+
+#: What keeps a config off the SoA engine, one reason per row.
+_INELIGIBLE = {
+    "netrs-tor": _flow("netrs-tor"),
+    "c3-rate": _flow("clirs-r95", algorithm="c3-rate"),
+    "random": _flow("clirs-r95", algorithm="random"),
+    "link-down": _flow("clirs-r95", fault_schedule=LINK_DOWN, request_timeout=0.04),
+    "link-degrade": _flow(
+        "clirs-r95", fault_schedule=LINK_DEGRADE, request_timeout=0.04
+    ),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_INELIGIBLE))
+def test_ineligible_configs_run_the_scalar_engine(reason):
+    _assert_knob_is_invisible(_INELIGIBLE[reason], 64, FlowEngine, reason)
+
+
+@pytest.mark.parametrize("reason", sorted(_INELIGIBLE))
+def test_soa_engine_refuses_an_ineligible_config(reason):
+    """There is no second path inside the SoA engine to fall back on."""
+    with pytest.raises(ConfigurationError, match="scalar FlowEngine"):
+        VectorFlowEngine(_INELIGIBLE[reason], vector_batch=64)
+
+
+def test_sharded_run_picks_the_engine_per_shard():
+    """A link fault lands in one shard: that shard runs scalar, its siblings
+    SoA, and the merged result does not depend on the knob."""
+    config = ExperimentConfig.small(scheme="clirs-r95", seed=5).replace(
+        fidelity="flow",
+        total_requests=2000,
+        n_clients=32,
+        n_servers=64,
+        shards=4,
+        fault_schedule=SERVER_FAULTS
+        + ";link-down@0.01:client#9/tor(client#9);link-up@0.03:client#9/tor(client#9)",
+        request_timeout=0.02,
+        max_retries=5,
+    )
+    vector = config.replace(vector_batch=64)
+    classes = [_run(sub)[1] for sub in shard_configs(vector)]
+    assert classes == [VectorFlowEngine, FlowEngine, VectorFlowEngine, VectorFlowEngine]
+    merged = run_flow_experiment(vector)
+    _assert_identical(run_flow_experiment(config), merged, "sharded")
+    assert merged.packets_dropped > 0 and merged.server_dropped_requests > 0
+
+
+_CRASH_RETRY = dict(fault_schedule=SERVER_FAULTS, request_timeout=0.01)
+
+#: The axes the inlined drain's branches read: name -> (scheme, overrides,
+#: result fields that must be nonzero for the row to exercise its branch).
+_FAST_PATH_AXES = {
+    "stable-service": ("clirs-r95", dict(fluctuation_range=1.0), ()),
+    "fluctuation-3x": ("clirs-r95", dict(fluctuation_range=3.0), ()),
+    "unbatched-rng": ("clirs-r95", dict(rng_batch_size=0), ()),
+    "bandwidth": ("clirs-r95", dict(link_bandwidth=1e9), ()),
+    "bandwidth-1k-values": (
+        "clirs-r95", dict(link_bandwidth=1e9, value_size=1024), ()
+    ),
+    # Timeouts shorter than the tail: hundreds of live timeouts, retries
+    # through the flat retry send, some requests lost.
+    "live-timeouts": (
+        "clirs",
+        dict(request_timeout=0.002, max_retries=2),
+        ("timeouts", "retries", "requests_lost", "duplicates_suppressed"),
+    ),
+    "live-timeouts-r95": (
+        "clirs-r95",
+        dict(request_timeout=0.002, max_retries=2),
+        ("timeouts", "retries", "requests_lost", "redundant_requests"),
+    ),
+    "crash-no-retry": (
+        "clirs",
+        dict(max_retries=0, **_CRASH_RETRY),
+        ("timeouts", "requests_lost", "server_dropped_requests"),
+    ),
+    "crash-one-retry": (
+        "clirs-r95",
+        dict(max_retries=1, **_CRASH_RETRY),
+        ("timeouts", "retries", "server_dropped_requests"),
+    ),
+    "crash-never-recovers": (
+        "clirs",
+        dict(
+            fault_schedule="server-down@0.02:server#0",
+            request_timeout=0.01,
+            max_retries=3,
+        ),
+        ("retries", "server_dropped_requests", "unavailability"),
+    ),
+    # One replica: the duplicate finds no other server; two: exactly one.
+    "replication-1": ("clirs-r95", dict(replication_factor=1), ()),
+    "replication-2": (
+        "clirs-r95", dict(replication_factor=2), ("redundant_requests",)
+    ),
+    "one-client": ("clirs-r95", dict(n_clients=1), ()),
+    "one-service-slot": ("clirs-r95", dict(parallelism=1, utilization=0.5), ()),
+    "utilization-0.99": ("clirs-r95", dict(utilization=0.99), ()),
+    "demand-skew": ("clirs-r95", dict(demand_skew=0.8), ()),
+    "redundancy-p50": (
+        "clirs-r95", dict(redundancy_percentile=50), ("redundant_requests",)
+    ),
+    "no-heap-compaction": ("clirs-r95", dict(engine_compaction=False), ()),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(_FAST_PATH_AXES))
+def test_fast_path_identity_matrix(axis):
+    """Every branch of the one drain against the scalar engine: two seeds,
+    a block far smaller and one far larger than the run."""
+    scheme, overrides, exercised = _FAST_PATH_AXES[axis]
+    for seed, vector_batch in ((5, 7), (6, 4096)):
+        config = _flow(scheme, seed=seed, **overrides)
+        result = _assert_knob_is_invisible(
+            config, vector_batch, VectorFlowEngine, (axis, seed)
+        )
+        for name in exercised:
+            assert getattr(result, name) > 0, (axis, seed, name)
 
 
 def test_vector_same_seed_is_deterministic():
@@ -99,7 +244,5 @@ def test_vector_identity_on_committed_validation_scenarios(scenario):
 
 
 def test_vector_batch_requires_flow_fidelity():
-    from repro.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError):
         ExperimentConfig.tiny(scheme="clirs").replace(vector_batch=64)
