@@ -243,7 +243,7 @@ class OpenLoopWorkload:
 
     def start(self) -> None:
         """Schedule the first arrival."""
-        self.env.call_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream, see class docstring
+        self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream, see class docstring
 
     def _arrival(self) -> None:
         index = self.weights.sample(self._rng)
@@ -257,7 +257,7 @@ class OpenLoopWorkload:
         else:
             self.clients[index].issue(key, record=record)
         if self.issued < self.total_requests:
-            self.env.call_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream, see class docstring
+            self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream, see class docstring
         elif self.on_finished is not None:
             self.on_finished()
 

@@ -23,8 +23,6 @@ from repro.network.packet import MAGIC_PLAIN, Packet
 from repro.sim.core import Environment
 from repro.sim.probes import LatencyRecorder
 
-_background_ids = itertools.count(1_000_000_000)
-
 
 class BackgroundAgent:
     """Endpoint absorbing background packets and recording their latency."""
@@ -70,12 +68,14 @@ class BackgroundTraffic:
         self.latency = LatencyRecorder()
         self.sent = 0
         self._stopped = False
+        # ECMP hashes the id: a shared counter would tie routes to process history.
+        self._packet_ids = itertools.count(1_000_000_000)
         for host in self.hosts:
             host.bind(BackgroundAgent(self.latency, env))
 
     def start(self) -> None:
         """Schedule the first packet."""
-        self.env.call_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream (choice + exponential)
+        self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream (choice + exponential)
 
     def stop(self) -> None:
         """Stop generating after the current packet."""
@@ -95,11 +95,11 @@ class BackgroundTraffic:
             src=src.name,
             dst=dst.name,
             magic=MAGIC_PLAIN,
-            request_id=next(_background_ids),
+            request_id=next(self._packet_ids),
             value_size=self.packet_size,
             client=dst.name,  # deliver-to, for is_request bookkeeping only
             issued_at=self.env.now,
         )
         self.sent += 1
         src.send(packet)
-        self.env.call_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream (choice + exponential)
+        self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream (choice + exponential)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Callable, Dict, Optional, Protocol, Tuple
+from typing import Callable, Dict, Optional, Protocol, Tuple
 
 from repro.errors import TopologyError
 from repro.network.packet import (
@@ -54,6 +54,12 @@ class Device(Protocol):
 class Network:
     """Device registry and packet mover.
 
+    :meth:`transmit` is the reference: one link, one event.  The default
+    fabric collapses a run of switches that would only forward into one
+    event with the same accounting (:meth:`send_from_host` by distance,
+    :meth:`transmit_fast` along the route); which switches or links carried
+    a packet only ``track_links`` records, hop by hop.
+
     Args:
         env: The simulation environment.
         topology: The wired topology; transmissions are checked against it.
@@ -86,6 +92,7 @@ class Network:
         "_degraded_links",
         "_faulty",
         "_trunking",
+        "_switches_missing",
         "_pending_trunks",
     )
 
@@ -157,6 +164,10 @@ class Network:
         # runs -- a collapsed trunk commits to its path at send time, which
         # would let a packet sail over a link that dies while it is in flight.
         self._trunking = True
+        # Topology switches with no real switch attached yet.  Only a real
+        # switch's receive pipeline is known to be skippable: until this is
+        # zero -- never, with a test double -- all is forwarded hop by hop.
+        self._switches_missing = len(topology.switches)
         # In-flight collapsed trunks whose eager accounting may need to be
         # unwound if the run stops before their hops would have executed
         # (see settle_trunks).  Pruned as deliveries pass.
@@ -173,6 +184,8 @@ class Network:
             raise TopologyError(f"device already attached at {name}")
         self._devices[name] = device
         self._receivers[name] = device.receive
+        if getattr(device, "is_tor", None) is not None:
+            self._switches_missing -= 1
 
     def device(self, name: str) -> Device:
         """The device attached at ``name``."""
@@ -268,19 +281,11 @@ class Network:
             heappush(env._heap, entry)
 
     def _compile_route(self, names: Tuple[str, ...]) -> Optional[tuple]:
-        """The switch objects behind a route's names (the router's hook).
-
-        ``None`` -- forward hop by hop -- when a name has no device yet or
-        its device is not a switch (a test double): only a real switch's
-        receive pipeline is known to be skippable.
-        """
-        devices = []
-        for name in names:
-            device = self._devices.get(name)
-            if getattr(device, "is_tor", None) is None:
-                return None
-            devices.append(device)
-        return tuple(devices)
+        """The switches behind a route's names (the router's hook); ``None``
+        -- forward hop by hop -- while ``_switches_missing``."""
+        if self._switches_missing:
+            return None
+        return tuple(map(self._devices.__getitem__, names))
 
     def send_from_host(
         self, host_name: str, tor_name: str, packet: Packet
@@ -290,45 +295,34 @@ class Network:
         Under the paper-default fabric (equal link latencies, no bandwidth
         model, no per-link accounting, no active link faults) every switch
         between two hosts is *mechanical* for a packet the ingress ToR does
-        not stamp: its receive pipeline would only bump counters and follow
-        the route, one scheduler event per hop.  One forwarding-table lookup
-        yields the switches of the whole path; their accounting is done here
-        and a single delivery to the destination host is scheduled at the
-        chained per-hop delay, so event timing, counters and tie-breaking
-        seqs are exactly what hop-by-hop forwarding produces.  NetRS
-        requests, responses and monitor-labelled packets are stamped by the
-        ToR and take the per-hop path into it.
+        not stamp: it would only follow the route, one scheduler event per
+        hop, and every equal-cost route is as long as the next.  So none is
+        looked up: the hops to the destination (:meth:`Router.host_distance`)
+        are accounted here and a single delivery scheduled at the chained
+        per-hop delay -- event timing, counters and tie-breaking seqs are
+        exactly what hop-by-hop forwarding produces.  NetRS requests,
+        responses and monitor-labelled packets are stamped by the ToR and
+        take the per-hop path into it.
         """
         magic = packet.magic
-        dst = packet.dst
         if not (
             self._fast_delay is None
+            or self._switches_missing
             or self._faulty
             or not self._trunking
-            or dst is None
             or magic == MAGIC_REQUEST
             or magic == MAGIC_RESPONSE
             or magic == MAGIC_MONITOR
         ):
-            tor = self._devices.get(tor_name)
+            dst = packet.dst
             receive = self._receivers.get(dst)
-            switches = self.router.forwarding_route(
-                tor_name, dst, packet.flow_key()
-            ).devices
-            if (
-                receive is not None
-                and switches is not None
-                and getattr(tor, "is_tor", None) is not None
-            ):
-                absorbed = (tor,) + switches
-                egress = absorbed[-1]
-                if dst in egress._attached_hosts:
-                    packet.hops += len(switches)  # all but the egress ToR
-                    self._deliver_trunk(packet, absorbed, receive, egress.name)
-                    return
-        # Per-hop fabric, a packet the ToR stamps, or devices that are
-        # unattached or no switches: hop-by-hop forwarding delivers as far
-        # as it can and raises where the reference would.
+            egress, switches = self.router.host_distance(tor_name, dst)
+            if receive is not None and switches:
+                packet.hops += switches - 1  # all but the egress ToR
+                self._deliver_trunk(packet, switches, receive, egress)
+                return
+        # Per-hop fabric, a packet the ToR stamps, a destination unattached or at
+        # no fixed distance: the reference path delivers as far as it can, or raises.
         self.transmit(host_name, tor_name, packet)
 
     def transmit_fast(
@@ -338,12 +332,12 @@ class Network:
 
         The packet follows ``packet.route`` (``to_name`` is the hop it just
         advanced to).  The route's compiled switches give the run that would
-        only bump counters and forward: for NetRS requests and responses,
-        up to the operator that intercepts them; for everything else, to
-        the egress ToR and -- unless its monitor observes the packet -- on
-        to the destination host.  The run is accounted here and one
-        delivery scheduled past it (see :meth:`send_from_host`); a device
-        that would do anything else is delivered to normally.
+        only forward: for NetRS requests and responses, up to the operator
+        that intercepts them; for everything else, to the egress ToR and --
+        unless its monitor observes the packet -- on to the destination
+        host.  The run is accounted here and one delivery scheduled past it
+        (see :meth:`send_from_host`); a device that would do anything else
+        is delivered to normally.
         """
         devices = packet.route.devices
         if (
@@ -382,37 +376,35 @@ class Network:
             ):
                 receive = self._receivers.get(dst)
         if receive is not None:
-            absorbed = devices[start:]
+            switches = last - start + 1
             prev = egress.name
             packet.hops += last - start  # the egress ToR bumps no hop count
         elif end > start:
-            absorbed = devices[start:end]
+            switches = end - start
             names = packet.route.names
             receive = self._receivers[names[end]]
             prev = names[end - 1]
-            packet.hops += end - start
+            packet.hops += switches
         else:
             self.transmit(from_name, to_name, packet)
             return
         packet.route_pos = end + 1
-        self._deliver_trunk(packet, absorbed, receive, prev)
+        self._deliver_trunk(packet, switches, receive, prev)
 
     def _deliver_trunk(
         self,
         packet: Packet,
-        absorbed: tuple,
+        switches: int,
         receive: Callable[[Packet, str], None],
         prev: str,
     ) -> None:
         """Account a run of mechanical switches and schedule what follows it.
 
-        ``absorbed`` are the switches skipped (at least one), ``receive`` the
-        device delivered to after them, ``prev`` the name it sees the packet
-        arrive from.
+        ``switches`` is how many are skipped (at least one; which ones, no
+        counter records), ``receive`` the device delivered to after them,
+        ``prev`` the name it sees the packet arrive from.
         """
-        for device in absorbed:
-            device.packets_forwarded += 1
-        hops = len(absorbed) + 1
+        hops = switches + 1
         # Wire accounting once for the whole trunk (size is invariant along
         # it: nothing that changes sizing fields is mechanical).
         common = 0
@@ -445,9 +437,9 @@ class Network:
         for _ in range(hops):
             when += delay
         pending = self._pending_trunks
-        while pending and pending[0][6] < now:
+        while pending and pending[0][5] < now:
             pending.popleft()  # delivered; accounting is final
-        pending.append((now, delay, hops, size, overhead, absorbed, when))
+        pending.append((now, delay, hops, size, overhead, when))
         # Inlined Environment.post_in, as in transmit().
         env._seq += 1
         dq = env._dq
@@ -474,22 +466,21 @@ class Network:
         reference path accounts hop ``i`` only when hop ``i``'s forwarding
         event executes.  When the run stops at ``stop_time`` with trunks in
         flight, the hops that would have executed at or after ``stop_time``
-        must be subtracted to keep fabric counters byte-identical with
-        hop-by-hop forwarding.  Called once after the event loop stops,
-        before counters are read.
+        must be subtracted to keep the fabric's counters (transmissions,
+        bytes, overhead) byte-identical with hop-by-hop forwarding.  Called
+        once after the event loop stops, before counters are read.
         """
         pending = self._pending_trunks
         while pending:
-            base, delay, hops, size, overhead, absorbed, when = pending.popleft()
+            base, delay, hops, size, overhead, when = pending.popleft()
             if when < stop_time:
                 continue  # fully delivered before the stop
             undone = 0
             t = base
-            for i in range(1, hops):
-                t += delay  # hop i's forwarding event time (chained float)
+            for _ in range(1, hops):
+                t += delay  # a hop's forwarding event time (chained float)
                 if t >= stop_time:
-                    undone += 1  # hop i+1 was never transmitted ...
-                    absorbed[i - 1].packets_forwarded -= 1  # ... nor counted
+                    undone += 1  # the next hop was never transmitted
             if undone:
                 self.transmissions -= undone
                 self.bytes_transferred -= size * undone
@@ -538,14 +529,6 @@ class Network:
         self._degraded_links[(a, b)] = factor
         self._degraded_links[(b, a)] = factor
         self._faulty = True
-
-    def deliver_local(
-        self, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> None:
-        """Schedule intra-device work (e.g. switch<->accelerator hops)."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        self.env.post_in(delay, fn, args)
 
     def top_links(self, count: int = 10) -> list:
         """Hottest directed links by bytes carried (needs ``track_links``).

@@ -55,10 +55,9 @@ class Host:
     def send(self, packet: Packet) -> None:
         """Inject a packet into the network through the ToR uplink.
 
-        No route is attached here: the fabric either delivers the packet
-        express along the forwarding table's route (mechanical packets on a
-        fault-free default fabric) or hands it to the ToR, which looks its
-        route up on first contact like any other switch.
+        No route is attached here: the fabric delivers the packet express,
+        priced by distance alone, or hands it to the ToR, which looks its
+        route up like any other switch (:meth:`Network.send_from_host`).
         """
         self.packets_sent += 1
         self._inject(self.name, self.tor_name, packet)

@@ -73,15 +73,15 @@ class Router:
     :meth:`path` is the reference ECMP walk, a pure function of
     ``(src, dst, flow_key)`` for a fixed topology and link state.  One memo
     sits on it: the **forwarding table** behind :meth:`forwarding_route`,
-    the only thing the data plane (hosts and switches moving packets)
-    consults.  Its key is what determines the walk in a fault-free tree --
-    the source switch (a ToR's pod: its walk never depends on the rack), the
-    egress switch, and the flow-key bits the ECMP picks read -- and a
-    cross-pod walk is stored as two segments, the climb to a core (which no
-    destination influences) and the core's descent (which no source does),
-    so the table is bounded by switches x fan-out, not by host pairs: 768
-    routes carry all host traffic on the 8-ary tree, 10 240 on the paper's
-    16-ary.
+    the only thing switches moving packets consult (a plain host-to-host
+    packet needs no route, only :meth:`host_distance`).  Its key is what
+    determines the walk in a fault-free tree -- the source switch (a ToR's
+    pod: its walk never depends on the rack), the egress switch, and the
+    flow-key bits the ECMP picks read -- and a cross-pod walk is stored as
+    two segments, the climb to a core (which no destination influences) and
+    the core's descent (which no source does), so the table is bounded by
+    switches x fan-out, not by host pairs: 768 routes carry all host traffic
+    on the 8-ary tree, 10 240 on the paper's 16-ary.
 
     ``path_cache_size`` bounds the table; ``0`` bypasses it, so every lookup
     is a fresh reference walk (the determinism suites and the benchmark's
@@ -159,6 +159,10 @@ class Router:
                 self._tor_pod[node.name] = node.pod
             else:
                 self._scope[node.name] = (node.name, node.pod)
+        # host_distance across pods; 0 if some core misses a pod (hand-wired).
+        cores = {core for core, _ in self._aggs_of_core_pod}
+        meshed = len(self._aggs_of_core_pod) == len(cores) * len(self._aggs_by_pod)
+        self._cross_pod = 5 if meshed else 0
         # Flow-key bits read by the pick at each ECMP depth; a walk is keyed
         # on the bits of the picks it makes, no others.
         masks = self._compute_ecmp_key_masks()
@@ -233,6 +237,24 @@ class Router:
             return self._tor_of_host[host_name]
         except KeyError:
             raise TopologyError(f"unknown host: {host_name}") from None
+
+    def host_distance(self, tor: str, host: str) -> Tuple[Optional[str], int]:
+        """``host``'s ToR, and the switches from ``tor`` (counted) to ``host``.
+
+        1 under ``tor``, 3 elsewhere in its pod, 5 in another pod:
+        ``len(path(tor, host, key))`` for *every* ``key`` -- ECMP picks which
+        switches a walk visits, never how many (the flow tier's rule,
+        ``FatTreeGeometry.hop_count``).  ``(None, 0)`` when ``host`` is no
+        host, 0 switches when only a walk can tell.
+        """
+        try:
+            egress = self._tor_of_host[host]
+        except KeyError:
+            return None, 0
+        if egress == tor:
+            return egress, 1
+        pods = self._tor_pod
+        return egress, 3 if pods[egress] == pods[tor] else self._cross_pod
 
     def fail_link(self, a: str, b: str) -> None:
         """Mark the direct link ``a <-> b`` dead for ECMP choices.

@@ -86,7 +86,6 @@ class ProgrammableSwitch:
         "_group_of_host",
         "_rsnode_for_group",
         "_operator_directory",
-        "packets_forwarded",
         "requests_selected",
         "responses_cloned",
         "_transmit",
@@ -125,7 +124,6 @@ class ProgrammableSwitch:
         # Shared directory: operator ID -> switch name (all operators).
         self._operator_directory: Dict[int, str] = {}
         # Accounting
-        self.packets_forwarded = 0
         self.requests_selected = 0
         self.responses_cloned = 0
         # Pre-bound fabric entry points for the per-hop forwarding path.
@@ -328,7 +326,6 @@ class ProgrammableSwitch:
             and packet.source_marker is not None
         ):
             self.monitor.observe(packet)
-        self.packets_forwarded += 1
         self._transmit(self.name, packet.dst, packet)  # type: ignore[arg-type]
 
     def _follow_route(self, packet: Packet, target: str) -> None:
@@ -355,5 +352,4 @@ class ProgrammableSwitch:
             ) from None
         packet.route_pos = pos + 1
         packet.hops += 1
-        self.packets_forwarded += 1
         self._transmit_fast(self.name, next_hop, packet)

@@ -79,3 +79,31 @@ def test_events_executed_identical_with_and_without_compaction(deterministic_sim
     cached = run_experiment(config)
     plain = run_experiment(config.replace(**BYPASS))
     assert cached.events_executed == plain.events_executed
+
+
+@pytest.mark.parametrize(
+    "per_hop",
+    [dict(link_bandwidth=1e8), dict(track_link_stats=True)],
+    ids=["bandwidth", "link-stats"],
+)
+def test_background_traffic_run_twice_in_one_process(per_hop):
+    """ECMP hashes a packet's id, so on a per-hop fabric the ids a run hands
+    out decide its routes: background packets are numbered per
+    ``BackgroundTraffic``, not by what the process ran before."""
+    config = ExperimentConfig.tiny(
+        scheme="clirs", seed=3, background_traffic_rate=20000.0, **per_hop
+    )
+    runs = []
+    for _ in range(2):
+        scenario = build_scenario(config)
+        result = run_experiment(config, scenario=scenario)
+        assert scenario.background.sent > 0
+        runs.append(
+            (
+                result.latency.samples,
+                result.transmissions,
+                scenario.background.latency.samples,
+                scenario.network.link_packets,
+            )
+        )
+    assert runs[0] == runs[1]

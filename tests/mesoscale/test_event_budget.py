@@ -4,9 +4,17 @@ An RSNode's accelerator is a closed-form station: selection and the state
 update run when the packet is admitted, so a crossing costs the flow tier one
 event (the arrival) and the packet tier one (the hand-back).  With no link
 fault scheduled the flow tier also does a ToR's work for it at send time.
-The measured per-scheme figures are in docs/MESOSCALE.md; the ceilings here
-sit a few per cent above them, so a reintroduced event per request fails.
+A plain host-to-host send is one event however far it goes (express
+delivery prices it by distance), so a CliRS request costs its sends plus its
+arrival, service and timers.  The measured per-scheme figures are in
+docs/MESOSCALE.md; the ceilings here sit a few per cent above them, so a
+reintroduced event per request fails.
 """
+
+import dataclasses
+import hashlib
+
+import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -55,3 +63,66 @@ def test_guarded_netrs_flow_still_matches_the_packet_tier():
     unguarded = run_experiment(config.replace(fidelity="flow", fault_schedule=""))
     assert flow.micro_events / config.total_requests > 9  # one event per hand-off
     assert unguarded.micro_events / config.total_requests < 7.5
+
+
+#: The packet-tier benchmark cells that send nothing but plain host traffic
+#: (``benchmarks/layered/workloads.py``): overrides of ``ExperimentConfig.small``,
+#: the events-per-request ceiling (4.58-4.61 and 7.55-7.59 measured), and per
+#: seed the fingerprint of the result at the commit before express delivery stopped
+#: looking routes up (PR 19, 775b913) -- pricing a packet by distance must
+#: change nothing a run reports.  ``python -m tests.mesoscale.test_event_budget``
+#: prints fresh fingerprints after a deliberate behavioural change.
+PLAIN_TRAFFIC_CELLS = {
+    "pkt-clirs-r95": (
+        dict(scheme="clirs-r95", total_requests=8000),
+        4.8,
+        {1: "0347b33b582f9b89", 7: "d4d0529f3c1ce8d6"},
+    ),
+    "pkt-quorum-churn": (
+        dict(
+            scheme="clirs",
+            total_requests=4000,
+            write_fraction=0.3,
+            write_quorum=2,
+            read_quorum=2,
+            request_timeout=0.25,
+            churn_schedule="node-leave@0.03:server#1;node-join@0.08:server#1",
+        ),
+        7.9,
+        {1: "95fc4fc3a2f069ab", 7: "a4755d356d8b5dff"},
+    ),
+}
+
+
+def _fingerprint(result):
+    """Every ``ExperimentResult`` field but the input and the wall clock."""
+    sha = hashlib.sha256()
+    for field in dataclasses.fields(result):
+        if field.name in ("config", "wall_time"):
+            continue
+        value = getattr(result, field.name)
+        if hasattr(value, "samples"):  # a LatencyRecorder
+            value = list(value.samples)
+        sha.update(f"{field.name}={value!r};".encode())
+    return sha.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("cell", sorted(PLAIN_TRAFFIC_CELLS))
+def test_plain_traffic_costs_one_event_a_send_and_reports_the_same(cell, seed):
+    overrides, ceiling, fingerprints = PLAIN_TRAFFIC_CELLS[cell]
+    config = ExperimentConfig.small(seed=seed, **overrides)
+    result = run_experiment(config)
+    assert result.events_executed / config.total_requests < ceiling
+    assert _fingerprint(result) == fingerprints[seed]
+
+
+def _print_fingerprints():  # pragma: no cover - manual re-recording helper
+    for cell, (overrides, _, fingerprints) in sorted(PLAIN_TRAFFIC_CELLS.items()):
+        for seed in sorted(fingerprints):
+            result = run_experiment(ExperimentConfig.small(seed=seed, **overrides))
+            print(cell, seed, _fingerprint(result))
+
+
+if __name__ == "__main__":  # pragma: no cover
+    _print_fingerprints()

@@ -1,11 +1,14 @@
 """The forwarding table and express delivery against their references.
 
-Three claims: the interned forwarding routes are the reference ECMP walk;
-collapsed delivery (``send_from_host`` / ``transmit_fast``) is hop-by-hop
-forwarding, to the event time and the per-switch counter; and the table
-warms on the traffic runs actually send and stays within its bound.
+Four claims: the interned forwarding routes are the reference ECMP walk;
+every equal-cost walk between two hosts is as long as the next, which is
+what lets a plain packet be priced by distance with no route; collapsed
+delivery (``send_from_host`` / ``transmit_fast``) is hop-by-hop forwarding,
+to the event time and the fabric counter; and the table is consulted only
+by traffic that is steered, and stays within its bound.
 """
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +23,7 @@ from repro.network.host import Host
 from repro.network.packet import Packet, make_request
 from repro.network.routing import Router
 from repro.network.switch import ProgrammableSwitch
-from repro.network.topology import build_tree
+from repro.network.topology import Node, NodeKind, Topology, build_tree
 from repro.sim import Environment
 
 TOPOLOGIES = {
@@ -110,6 +113,92 @@ class TestForwardingRouteIsThePath:
         assert router.entries == 2  # climb + descent
 
 
+def _ecmp_universe(router):
+    """One flow key per ECMP class: every setting of the bits the picks read
+    or, on a tree with no key mask, a seeded sample of keys."""
+    mask = router._climb_mask | router._descent_mask
+    if not mask:
+        rng = random.Random(5)
+        return [rng.getrandbits(32) for _ in range(128)]
+    keys, sub = [mask], mask
+    while sub:
+        sub = (sub - 1) & mask
+        keys.append(sub)
+    return keys
+
+
+def _stranding_tree():
+    """Two pods, two cores, and ``core1`` wired into pod 0 only."""
+    topo = Topology()
+    for c in range(2):
+        topo.add_node(Node(name=f"core{c}", kind=NodeKind.CORE, index=c))
+    for p in range(2):
+        topo.add_node(Node(name=f"agg{p}.0", kind=NodeKind.AGG, pod=p))
+        topo.add_node(Node(name=f"tor{p}.0", kind=NodeKind.TOR, pod=p, rack=0))
+        topo.add_node(Node(name=f"host{p}.0.0", kind=NodeKind.HOST, pod=p, rack=0))
+        topo.add_link(f"host{p}.0.0", f"tor{p}.0")
+        topo.add_link(f"tor{p}.0", f"agg{p}.0")
+        topo.add_link(f"agg{p}.0", "core0")
+    topo.add_link("agg0.0", "core1")
+    topo.validate()
+    return topo
+
+
+class TestDistanceNotRoute:
+    """What express delivery assumes: ECMP picks a way, never a length."""
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_every_equal_cost_walk_has_the_rule_s_length(self, name):
+        topo = TOPOLOGIES[name]()
+        router = Router(topo, path_cache_size=0)
+        keys = _ecmp_universe(router)
+        walks = set()
+        for tor in topo.by_kind(NodeKind.TOR):
+            for host in topo.hosts:
+                egress, switches = router.host_distance(tor.name, host.name)
+                assert egress == router.tor_of(host.name)
+                same_rack = (tor.pod, tor.rack) == (host.pod, host.rack)
+                assert switches == (1 if same_rack else 3 if tor.pod == host.pod else 5)
+                for key in keys:
+                    path = router.path(tor.name, host.name, key)
+                    assert len(path) == switches
+                    walks.add(tuple(path))
+        # The keys do spread over ways: more walks than (ToR, host) pairs.
+        assert len(walks) > len(topo.by_kind(NodeKind.TOR)) * len(topo.hosts)
+
+    def test_a_switch_is_no_host(self):
+        router = Router(build_fat_tree(4))
+        for target in ("tor1.0", "agg1.0", "core0", "nowhere", None):
+            assert router.host_distance("tor0.0", target) == (None, 0)
+
+    def test_where_a_walk_can_strand_the_tor_still_walks(self):
+        topo = _stranding_tree()
+        router = Router(topo)
+        # The rule vouches for what no walk can change, and no further.
+        assert router.host_distance("tor0.0", "host1.0.0") == ("tor1.0", 0)
+        assert router.host_distance("tor0.0", "host0.0.0") == ("tor0.0", 1)
+        with pytest.raises(RoutingError, match="core1 has no link into pod 1"):
+            router.path("tor0.0", "host1.0.0", 1 << 5)  # climbs to core1
+        env, _, hosts, log = _wired(trunking=True, topo=topo)
+
+        def climbing_to(core):
+            """A cross-pod packet whose flow key picks ``core``."""
+            for request_id in itertools.count(1):
+                packet = Packet(
+                    src="host0.0.0", dst="host1.0.0", magic=0, request_id=request_id
+                )
+                if (packet.flow_key() >> 5) % 2 == core:
+                    return packet
+
+        hosts["host0.0.0"].send(climbing_to(0))
+        env.run()
+        assert [entry[1] for entry in log] == ["host1.0.0"]
+        assert env.events_executed == 2  # into the ToR, which walks a real route
+        hosts["host0.0.0"].send(climbing_to(1))
+        with pytest.raises(RoutingError, match="core1 has no link into pod 1"):
+            env.run()
+
+
 class TestTableSize:
     def test_bound_holds_without_a_clear_all(self):
         """200 k sends on the paper's tree: the table fills to its bound and
@@ -154,9 +243,9 @@ class TestTableSize:
         # 16 pods x 8 racks x 8 classes, 16 x 64 climbs, 64 cores x 128 ToRs.
         assert router.entries == router.misses <= 1024 + 1024 + 8192
 
-    def test_cold_cell_misses_on_few_sends(self):
-        """A ``pkt-clirs-r95``-shaped cell from cold: the old caches missed
-        on 75-81 % of its sends."""
+    def test_plain_host_traffic_never_consults_the_table(self):
+        """A ``pkt-clirs-r95``-shaped cell makes no lookup at all: its
+        packets are priced by distance."""
         config = ExperimentConfig.small(
             scheme="clirs-r95", total_requests=8000, seed=16
         )
@@ -165,8 +254,20 @@ class TestTableSize:
         router = scenario.network.router
         sends = sum(host.packets_sent for host in scenario.hosts.values())
         assert sends > 16000
-        assert router.entries == router.misses
-        assert router.misses < 0.05 * sends
+        assert router.entries == 0 and router.misses == 0
+
+    def test_cold_cell_misses_on_few_sends(self):
+        """NetRS steering does look routes up, and warms the table fast
+        (a ``pkt-netrs-ilp``-shaped cell)."""
+        config = ExperimentConfig.small(
+            scheme="netrs-ilp", n_clients=32, total_requests=8000, seed=16
+        )
+        scenario = build_scenario(config)
+        run_experiment(config, scenario=scenario)
+        router = scenario.network.router
+        sends = sum(host.packets_sent for host in scenario.hosts.values())
+        assert sends >= 16000
+        assert 0 < router.entries == router.misses < 0.05 * sends
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +283,34 @@ class Recorder:
         self.log.append((self.env.now, self.name, packet.request_id, packet.hops))
 
 
-def _wired(trunking, skip_host=None):
+class Double:
+    """A device that is no switch: what it would do with a packet is unknown."""
+
+    def receive(self, packet, from_name):
+        raise AssertionError("no test routes a packet through the double")
+
+
+def _wired(trunking, skip=(), doubles=(), topo=None):
+    """A fabric (4-ary unless ``topo``) with a recording endpoint on every host:
+    nothing attached at ``skip``, a ``Double`` at ``doubles``."""
     env = Environment()
-    topo = build_fat_tree(4)
+    topo = topo or build_fat_tree(4)
     network = Network(env, topo)
     if not trunking:
         network.disable_trunking()
-    switches = {
-        n.name: ProgrammableSwitch(n.name, network) for n in topo.switches
-    }
+    for node in topo.switches:
+        if node.name in doubles:
+            network.attach(node.name, Double())
+        elif node.name not in skip:
+            ProgrammableSwitch(node.name, network)
     log = []
     hosts = {}
     for node in topo.hosts:
-        if node.name == skip_host:
+        if node.name in skip:
             continue
         hosts[node.name] = Host(node.name, network)
         hosts[node.name].bind(Recorder(env, node.name, log))
-    return env, network, switches, hosts, log
+    return env, network, hosts, log
 
 
 def _sends(count=400, seed=9):
@@ -233,12 +345,11 @@ def _inject(env, hosts, sends):
         env.call_at(when, fire, src, dst, request_id)
 
 
-def _counters(network, switches):
+def _counters(network):
     return (
         network.transmissions,
         network.bytes_transferred,
         network.netrs_overhead_bytes,
-        {name: s.packets_forwarded for name, s in switches.items()},
     )
 
 
@@ -246,11 +357,11 @@ class TestExpressDelivery:
     def test_matches_hop_by_hop_to_the_event(self):
         results = []
         for trunking in (True, False):
-            env, network, switches, hosts, log = _wired(trunking)
+            env, network, hosts, log = _wired(trunking)
             _inject(env, hosts, _sends())
             env.run()
             network.settle_trunks(env.now)
-            results.append((log, _counters(network, switches), env.now))
+            results.append((log, _counters(network), env.now))
         express, per_hop = results
         # Arrival times, arrival order among ties, hop counts.
         assert express[0] == per_hop[0]
@@ -259,7 +370,7 @@ class TestExpressDelivery:
         assert express[2] == per_hop[2]
 
     def test_one_event_per_send(self):
-        env, network, _, hosts, _ = _wired(trunking=True)
+        env, _, hosts, _ = _wired(trunking=True)
         _inject(env, hosts, _sends(count=50))
         env.run()
         assert env.events_executed == 50 + 50  # the injections, the arrivals
@@ -271,30 +382,76 @@ class TestExpressDelivery:
         # the StopSimulation that ends an experiment does not.
         results = []
         for trunking in (True, False):
-            env, network, switches, hosts, log = _wired(trunking)
+            env, network, hosts, log = _wired(trunking)
             _inject(env, hosts, _sends())
             env.run(until=stop)
             network.settle_trunks(env.now)
-            results.append((log, _counters(network, switches)))
+            results.append((log, _counters(network)))
         express, per_hop = results
         assert express == per_hop
         assert 0 < len(express[0]) < 400
 
     def test_unattached_destination_still_raises(self):
         for trunking in (True, False):
-            env, _, _, hosts, _ = _wired(trunking, skip_host="host3.1.1")
+            env, _, hosts, _ = _wired(trunking, skip=("host3.1.1",))
             _inject(env, hosts, [(0.0, "host0.0.0", "host3.1.1", 1)])
             with pytest.raises(TopologyError, match="host3.1.1"):
                 env.run()
 
     def test_destination_that_is_no_host_still_raises(self):
         for trunking in (True, False):
-            env, _, _, hosts, _ = _wired(trunking)
+            env, _, hosts, _ = _wired(trunking)
             hosts["host0.0.0"].send(
                 Packet(src="host0.0.0", dst="core0", magic=0, request_id=1)
             )
             with pytest.raises(RoutingError):
                 env.run()
+
+    def test_a_test_double_anywhere_turns_express_off(self):
+        """Even off the packets' paths: the check is the fabric's, not a route's."""
+        sends = [(0.0, "host0.0.0", "host0.0.1", 1), (0.0, "host1.0.0", "host1.1.0", 2)]
+        logs = []
+        for doubles, hop_events in (((), 1 + 1), (("core3",), 2 + 4)):
+            env, _, hosts, log = _wired(trunking=True, doubles=doubles)
+            _inject(env, hosts, sends)
+            env.run()
+            assert env.events_executed == 2 + hop_events
+            logs.append(log)
+        assert logs[0] == logs[1] and len(logs[0]) == 2
+
+    def test_a_switch_attached_after_the_first_send_turns_express_on(self):
+        env, network, hosts, log = _wired(trunking=True, skip=("core3",))
+
+        def send(request_id):
+            hosts["host0.0.0"].send(
+                Packet(src="host0.0.0", dst="host0.1.0", magic=0, request_id=request_id)
+            )
+            env.run()
+            return env.events_executed
+
+        assert send(1) == 4  # ToR, aggregation switch, ToR, host
+        ProgrammableSwitch("core3", network)
+        assert send(2) == 4 + 1
+        assert [(name, hops) for _, name, _, hops in log] == [("host0.1.0", 2)] * 2
+        assert log[1][0] - log[0][0] == log[0][0]  # and as late as the first
+
+    def test_per_link_counts_are_per_hop_along_real_routes(self):
+        """Per-switch and per-link load is ``track_link_stats``'s to measure:
+        every transmission on the link it crossed, the same links whether
+        the table or the reference walk names them."""
+        config = ExperimentConfig.tiny(
+            scheme="clirs-r95", seed=5, track_link_stats=True
+        )
+        counts = []
+        for overrides in ({}, {"route_cache_size": 0}):
+            scenario = build_scenario(config.replace(**overrides))
+            result = run_experiment(scenario.config, scenario=scenario)
+            network = scenario.network
+            assert sum(network.link_packets.values()) == network.transmissions
+            assert network.transmissions == result.transmissions
+            counts.append((network.link_packets, network.link_bytes))
+        assert counts[0] == counts[1]
+        assert any(a.startswith("agg") and b.startswith("core") for a, b in counts[0][0])
 
     @pytest.mark.parametrize("scheme", ["clirs-r95", "netrs-ilp", "netrs-tor"])
     def test_whole_experiment_matches_hop_by_hop(self, scheme):
@@ -312,7 +469,7 @@ class TestExpressDelivery:
                 (
                     result.latency.samples,
                     result.sim_duration,
-                    _counters(scenario.network, scenario.switches),
+                    _counters(scenario.network),
                 )
             )
         assert outcomes[0] == outcomes[1]
