@@ -19,7 +19,7 @@ help:
 	@echo "contracts     contract sanitizer only: formula/stream/digest drift (CON001..CON003)"
 	@echo "bench         all benchmarks (figures + ablations + microbench)"
 	@echo "bench-smoke   engine microbenchmarks, low rounds, JSON for CI trends"
-	@echo "bench-layered-smoke  four workloads of benchmarks/layered for 2 s each; fails unless all print \"correct\": true"
+	@echo "bench-layered-smoke  all five workloads of benchmarks/layered for 2 s each; fails unless all print \"correct\": true"
 	@echo "bench-ab      BASE=<rev> WORKLOAD=<name> [PAIRS=10]: alternating benchmarks/layered runs of a base revision and this tree"
 	@echo "bench-figures just the paper figures (results under benchmarks/results/)"
 
@@ -105,15 +105,16 @@ bench-smoke:
 		--benchmark-json=benchmarks/results/bench-smoke.json
 
 # The repo's benchmark (BENCHMARK.json, benchmarks/layered/README.md), cut
-# short: two packet-tier workloads (plain reads; writes, quorums and churn)
-# and both flow-tier ones (the sharded SoA engine -- teardown between
+# short: all five workloads -- the packet tier's three (plain reads; the
+# NetRS pipeline behind an ILP placement; writes, quorums and churn) and
+# both flow-tier ones (the sharded SoA engine -- teardown between
 # in-process shards, then the merge -- and the scalar engine under faults),
 # 2 s each.  Not a speed measurement -- a gate that the benchmark still runs
 # on this tree and that its output checks (conservation, samples, the
 # reference model's digest) still pass: the last stdout line of each run
 # must say "correct": true.
 bench-layered-smoke:
-	@for workload in pkt-clirs-r95 pkt-quorum-churn flow-soa-shard flow-tor-faults; do \
+	@for workload in pkt-clirs-r95 pkt-netrs-ilp pkt-quorum-churn flow-soa-shard flow-tor-faults; do \
 		out=$$($(PYTHON) benchmarks/layered/run.py --workload $$workload \
 			--seed 1 --seconds 2 --trace 0) || { echo "$$out"; exit 1; }; \
 		echo "$$out" | tail -n 1; \

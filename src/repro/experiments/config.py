@@ -283,6 +283,13 @@ class ExperimentConfig:
             raise ConfigurationError("request_timeout must be positive (seconds)")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
+        if self.replan_period is not None and not (
+            self.netrs and self.replan_period > 0
+        ):
+            raise ConfigurationError(
+                "replan_period re-solves the NetRS placement: it needs a "
+                "NetRS scheme and a positive period (seconds)"
+            )
         if self.fault_schedule:
             # Imported lazily: config is loaded by exec workers and the CLI
             # before any fault machinery is needed.

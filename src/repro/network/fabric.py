@@ -22,6 +22,7 @@ from heapq import heappush
 from typing import Callable, Dict, Optional, Protocol, Tuple
 
 from repro.errors import TopologyError
+from repro.network.addressing import SourceMarker
 from repro.network.packet import (
     _SIZE_MF,
     _SIZE_RGID,
@@ -56,9 +57,10 @@ class Network:
 
     :meth:`transmit` is the reference: one link, one event.  The default
     fabric collapses a run of switches that would only forward into one
-    event with the same accounting (:meth:`send_from_host` by distance,
-    :meth:`transmit_fast` along the route); which switches or links carried
-    a packet only ``track_links`` records, hop by hop.
+    event with the same accounting, priced by distance
+    (:meth:`send_from_host` from a host, :meth:`express` from a switch);
+    which switches or links carried a packet only ``track_links`` records,
+    hop by hop.
 
     Args:
         env: The simulation environment.
@@ -113,11 +115,7 @@ class Network:
             raise ValueError("link_bandwidth must be positive (bits/second)")
         self.env = env
         self.topology = topology
-        self.router = Router(
-            topology,
-            path_cache_size=route_cache_size,
-            compile_route=self._compile_route,
-        )
+        self.router = Router(topology, path_cache_size=route_cache_size)
         self.switch_link_latency = switch_link_latency
         self.host_link_latency = host_link_latency
         self.link_bandwidth = link_bandwidth
@@ -160,7 +158,7 @@ class Network:
         self._dead_links: set = set()
         self._degraded_links: Dict[Tuple[str, str], float] = {}
         self._faulty = False
-        # Trunk collapse (send_from_host, transmit_fast): disabled for fault
+        # Trunk collapse (send_from_host, express): disabled for fault
         # runs -- a collapsed trunk commits to its path at send time, which
         # would let a packet sail over a link that dies while it is in flight.
         self._trunking = True
@@ -280,13 +278,6 @@ class Network:
         else:
             heappush(env._heap, entry)
 
-    def _compile_route(self, names: Tuple[str, ...]) -> Optional[tuple]:
-        """The switches behind a route's names (the router's hook); ``None``
-        -- forward hop by hop -- while ``_switches_missing``."""
-        if self._switches_missing:
-            return None
-        return tuple(map(self._devices.__getitem__, names))
-
     def send_from_host(
         self, host_name: str, tor_name: str, packet: Packet
     ) -> None:
@@ -300,9 +291,13 @@ class Network:
         looked up: the hops to the destination (:meth:`Router.host_distance`)
         are accounted here and a single delivery scheduled at the chained
         per-hop delay -- event timing, counters and tie-breaking seqs are
-        exactly what hop-by-hop forwarding produces.  NetRS requests,
-        responses and monitor-labelled packets are stamped by the ToR and
-        take the per-hop path into it.
+        exactly what hop-by-hop forwarding produces.
+
+        A response's source marker rides the send: it says where the host
+        sits, and where its ToR forwards the marked packet never changes
+        after construction, so :meth:`express` takes it from there.  A NetRS
+        request's stamp stays the ToR's event: it reads rule tables that
+        replans and DRS degradation rewrite mid-run.
         """
         magic = packet.magic
         if not (
@@ -311,100 +306,99 @@ class Network:
             or self._faulty
             or not self._trunking
             or magic == MAGIC_REQUEST
-            or magic == MAGIC_RESPONSE
-            or magic == MAGIC_MONITOR
         ):
-            dst = packet.dst
-            receive = self._receivers.get(dst)
-            egress, switches = self.router.host_distance(tor_name, dst)
-            if receive is not None and switches:
-                packet.hops += switches - 1  # all but the egress ToR
-                self._deliver_trunk(packet, switches, receive, egress)
-                return
-        # Per-hop fabric, a packet the ToR stamps, a destination unattached or at
-        # no fixed distance: the reference path delivers as far as it can, or raises.
+            if magic == MAGIC_RESPONSE or magic == MAGIC_MONITOR:
+                tor = self._devices[tor_name]
+                if magic == MAGIC_MONITOR:
+                    target = packet.dst
+                elif packet.rsnode_id == tor.operator_id:
+                    target = None  # the ToR is the RSNode: its clone is an event
+                else:
+                    target = tor._operator_directory.get(packet.rsnode_id)
+                if self.express(tor_name, target, packet, tor.marker):
+                    return
+            else:
+                dst = packet.dst
+                receive = self._receivers.get(dst)
+                egress, switches = self.router.host_distance(tor_name, dst)
+                if receive is not None and switches:
+                    packet.hops += switches - 1  # all but the egress ToR
+                    self._deliver_trunk(packet, switches + 1, receive, egress)
+                    return
+        # Per-hop fabric, a NetRS request, work for this very ToR, nothing attached
+        # or no fixed distance: the reference path delivers as far as it can, or raises.
         self.transmit(host_name, tor_name, packet)
 
-    def transmit_fast(
-        self, from_name: str, to_name: str, packet: Packet
-    ) -> None:
-        """Like :meth:`transmit` from a switch, collapsing mechanical hops.
+    def express(
+        self,
+        at: str,
+        target: Optional[str],
+        packet: Packet,
+        stamp: Optional[SourceMarker] = None,
+    ) -> bool:
+        """Deliver a packet switch ``at`` forwards toward ``target`` to what
+        next *acts* on it, or return ``False``: forward it hop by hop.
 
-        The packet follows ``packet.route`` (``to_name`` is the hop it just
-        advanced to).  The route's compiled switches give the run that would
-        only forward: for NetRS requests and responses, up to the operator
-        that intercepts them; for everything else, to the egress ToR and --
-        unless its monitor observes the packet -- on to the destination
-        host.  The run is accounted here and one delivery scheduled past it
-        (see :meth:`send_from_host`); a device that would do anything else
-        is delivered to normally.
+        Under :meth:`send_from_host`'s conditions everything in between only
+        forwards, and :meth:`Router.distance` says how many links that is.
+        A NetRS request or response goes to the RSNode it is steered to,
+        anything else to its destination's ToR when the monitor there will
+        count it, to the destination host otherwise.  With ``stamp`` the
+        packet is still at a host under ToR ``at``: the uplink is one more
+        link, accounted as sent, and the links after it carry ``stamp``.
         """
-        devices = packet.route.devices
         if (
             self._fast_delay is None
+            or self._switches_missing
             or self._faulty
             or not self._trunking
-            or devices is None
         ):
-            self.transmit(from_name, to_name, packet)
-            return
-        start = packet.route_pos - 1  # devices[start] is the device at to_name
-        last = len(devices) - 1
-        end = start
+            return False
+        egress, links = self.router.distance(at, target)
+        if not links:
+            return False
         magic = packet.magic
-        receive = None
         if magic == MAGIC_REQUEST or magic == MAGIC_RESPONSE:
-            # The route ends at the operator, which always gets a delivery.
-            rsnode_id = packet.rsnode_id
-            target = packet.route_target
-            while end < last:
-                device = devices[end]
-                if (
-                    rsnode_id == device.operator_id
-                    or device._operator_directory.get(rsnode_id) != target
-                ):
-                    break  # intercept, unknown ID or re-route: not mechanical
-                end += 1
+            receive, prev = self._receivers[egress], at
+        elif egress == target:
+            return False  # no host: the walk finds out what to raise
+        elif (
+            self._devices[egress].monitor is not None
+            and magic == MAGIC_MONITOR
+            and (stamp is not None or packet.source_marker is not None)
+        ):
+            receive, prev = self._receivers[egress], at
         else:
-            end = last
-            egress = devices[last]
-            dst = packet.dst
-            if dst in egress._attached_hosts and not (
-                egress.monitor is not None
-                and magic == MAGIC_MONITOR
-                and packet.source_marker is not None
-            ):
-                receive = self._receivers.get(dst)
-        if receive is not None:
-            switches = last - start + 1
-            prev = egress.name
-            packet.hops += last - start  # the egress ToR bumps no hop count
-        elif end > start:
-            switches = end - start
-            names = packet.route.names
-            receive = self._receivers[names[end]]
-            prev = names[end - 1]
-            packet.hops += switches
-        else:
-            self.transmit(from_name, to_name, packet)
-            return
-        packet.route_pos = end + 1
-        self._deliver_trunk(packet, switches, receive, prev)
+            receive, prev = self._receivers.get(target), egress
+            if receive is None:
+                return False
+        packet.hops += links  # the egress ToR bumps no hop count
+        if prev == egress:
+            links += 1  # and on to the host
+        if stamp is not None:
+            links += 1
+            if packet.source_marker is None:
+                # The uplink carried no marker: take it back off that link.
+                self.bytes_transferred -= _SIZE_SM
+                self.netrs_overhead_bytes -= _SIZE_SM
+            packet.source_marker = stamp
+        self._deliver_trunk(packet, links, receive, prev)
+        return True
 
     def _deliver_trunk(
         self,
         packet: Packet,
-        switches: int,
+        hops: int,
         receive: Callable[[Packet, str], None],
         prev: str,
     ) -> None:
-        """Account a run of mechanical switches and schedule what follows it.
+        """Account a run of links and schedule what follows it.
 
-        ``switches`` is how many are skipped (at least one; which ones, no
-        counter records), ``receive`` the device delivered to after them,
-        ``prev`` the name it sees the packet arrive from.
+        ``hops`` is how many links are crossed (the switches between them
+        skipped; which ones, no counter records), ``receive`` the device
+        delivered to after them, ``prev`` the name it sees the packet
+        arrive from.
         """
-        hops = switches + 1
         # Wire accounting once for the whole trunk (size is invariant along
         # it: nothing that changes sizing fields is mechanical).
         common = 0

@@ -56,8 +56,8 @@ class Host:
         """Inject a packet into the network through the ToR uplink.
 
         No route is attached here: the fabric delivers the packet express,
-        priced by distance alone, or hands it to the ToR, which looks its
-        route up like any other switch (:meth:`Network.send_from_host`).
+        priced by distance alone, or hands it to the ToR, which forwards it
+        like any other switch (:meth:`Network.send_from_host`).
         """
         self.packets_sent += 1
         self._inject(self.name, self.tor_name, packet)

@@ -96,11 +96,12 @@ class Packet:
 
     ``src``/``dst`` are end-host names; ``dst`` is ``None`` for a NetRS
     request until an RSNode selects the replica.  ``route``/``route_pos``/
-    ``route_target`` hold the source-routed path currently being followed --
-    they model the deterministic ECMP choice a chain of switches would make,
-    looked up again whenever a NetRS rule redirects the packet.  ``route``
-    is an immutable :class:`~repro.network.routing.Route` shared with every
-    other packet on the same path (and with clones), never a private copy.
+    ``route_target`` are used only where the fabric forwards hop by hop
+    (the default fabric delivers by distance and attaches no route): they
+    hold the source-routed path being followed -- the deterministic ECMP
+    choice a chain of switches would make, looked up again whenever a NetRS
+    rule redirects the packet.  ``route`` is an immutable tuple shared with
+    every other packet on the same path (and with clones), never a copy.
     """
 
     src: str

@@ -18,7 +18,7 @@ the NetRS data plane are covered:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError, TopologyError
 from repro.network.topology import Node, NodeKind, Topology
@@ -42,29 +42,14 @@ def _pick(options: List[str], flow_key: int, depth: int) -> str:
 DEFAULT_PATH_CACHE_SIZE = 65536
 
 
-class Route:
-    """One interned forwarding route: the switches a packet visits next.
-
-    ``names`` are the switches after the one holding the packet, ending at
-    the egress switch (the destination host's ToR, which delivers to its
-    attached host without reading the route, or the destination switch).
-    ``devices`` is what the fabric compiled for ``names`` when the route was
-    interned -- the attached switch objects, or ``None`` when it could not,
-    which sends the packet hop by hop.  Routes are shared by every packet
-    that follows them and never mutated.
-    """
-
-    __slots__ = ("names", "devices")
-
-    def __init__(
-        self, names: Tuple[str, ...] = (), devices: Optional[tuple] = ()
-    ) -> None:
-        self.names = names
-        self.devices = devices
-
+#: One interned forwarding route: the switches a packet visits after the one
+#: holding it, ending at the egress switch (the destination host's ToR, which
+#: delivers to its attached host without reading the route, or the destination
+#: switch).  Shared by every packet that follows it.
+Route = Tuple[str, ...]
 
 #: The route of a packet that has none yet, and of one already at its egress.
-NO_ROUTE = Route()
+NO_ROUTE: Route = ()
 
 
 class Router:
@@ -73,8 +58,9 @@ class Router:
     :meth:`path` is the reference ECMP walk, a pure function of
     ``(src, dst, flow_key)`` for a fixed topology and link state.  One memo
     sits on it: the **forwarding table** behind :meth:`forwarding_route`,
-    the only thing switches moving packets consult (a plain host-to-host
-    packet needs no route, only :meth:`host_distance`).  Its key is what
+    which switches consult only when they forward hop by hop.  On the default
+    fabric no packet needs a route, only how far what next acts on it is
+    (:meth:`host_distance`, :meth:`distance`).  The table's key is what
     determines the walk in a fault-free tree -- the source switch (a ToR's
     pod: its walk never depends on the rack), the egress switch, and the
     flow-key bits the ECMP picks read -- and a cross-pod walk is stored as
@@ -110,17 +96,11 @@ class Router:
         topology: Topology,
         *,
         path_cache_size: int = DEFAULT_PATH_CACHE_SIZE,
-        compile_route: Optional[
-            Callable[[Tuple[str, ...]], Optional[tuple]]
-        ] = None,
     ) -> None:
         if path_cache_size < 0:
             raise ValueError("path_cache_size must be >= 0")
         self.topology = topology
         self.path_cache_size = path_cache_size
-        # What the fabric attaches to each route as it is interned (its
-        # switch objects); a bare router attaches nothing.
-        self._compile_route = compile_route or (lambda names: None)
         self._routes: Dict[tuple, Route] = {}
         #: Forwarding-table lookups that had to walk (hits are not counted).
         self.misses = 0
@@ -159,7 +139,7 @@ class Router:
                 self._tor_pod[node.name] = node.pod
             else:
                 self._scope[node.name] = (node.name, node.pod)
-        # host_distance across pods; 0 if some core misses a pod (hand-wired).
+        # Switches between hosts of two pods; 0 (walk it) if a core misses a pod.
         cores = {core for core, _ in self._aggs_of_core_pod}
         meshed = len(self._aggs_of_core_pod) == len(cores) * len(self._aggs_by_pod)
         self._cross_pod = 5 if meshed else 0
@@ -256,6 +236,33 @@ class Router:
         pods = self._tor_pod
         return egress, 3 if pods[egress] == pods[tor] else self._cross_pod
 
+    def distance(self, switch: str, target: str) -> Tuple[Optional[str], int]:
+        """``target``'s egress switch (a host's ToR, a switch itself), and the
+        links from ``switch`` to it.
+
+        With a ToR at either end -- NetRS steers from a ToR to an RSNode and
+        from an RSNode to a host -- tiers and pods fix the count: ToR to ToR
+        2 within a pod and 4 across, ToR to aggregation switch 1 and 3, ToR
+        to core 2; ``len(path(switch, target, key))`` for every ``key``, less
+        the host.  0 links when only a walk can tell: ``switch`` itself, no
+        ToR at either end, an unknown name, a tree whose core misses a pod.
+        """
+        egress = self._tor_of_host.get(target, target)
+        pods = self._tor_pod
+        if switch in pods:
+            tor, other = switch, egress
+        else:  # an aggregation or core switch, going down
+            tor, other = egress, switch
+        scope = self._scope.get(other)
+        if tor not in pods or scope is None or tor == other:
+            return egress, 0
+        within = 2 if other in pods else 1
+        if scope[1] == pods[tor]:
+            return egress, within
+        if not self._cross_pod:
+            return egress, 0
+        return egress, 2 if scope[1] is None else within + 2
+
     def fail_link(self, a: str, b: str) -> None:
         """Mark the direct link ``a <-> b`` dead for ECMP choices.
 
@@ -304,7 +311,7 @@ class Router:
         """The route a packet held by switch ``src`` follows toward ``dst``.
 
         ``dst`` is a host or a switch; the route ends at its egress switch,
-        so ``list(route.names) + [host]`` equals ``path(src, host, key)``.
+        so ``list(route) + [host]`` equals ``path(src, host, key)``.
         Segments come from the forwarding table (see the class docstring);
         only a cross-pod route, joined from its two segments, is built per
         call.  With the table bypassed (``path_cache_size=0``, a dead link,
@@ -314,8 +321,7 @@ class Router:
         egress = self._tor_of_host.get(dst, dst)
         scope = self._scope.get(src)
         if scope is None or not self._interning or self._failed_links:
-            names = tuple(self.path(src, egress, flow_key))
-            return Route(names, self._compile_route(names))
+            return tuple(self.path(src, egress, flow_key))
         if src == egress:
             return NO_ROUTE
         table = self._routes
@@ -332,14 +338,10 @@ class Router:
             return table.get(key) or self._intern(key, src, egress, flow_key)
         key = (source, None, flow_key & self._climb_mask)
         climb = table.get(key) or self._intern(key, src, egress, flow_key, -2)
-        core = climb.names[-1]
+        core = climb[-1]
         key = (core, egress, flow_key & self._descent_mask)
         descent = table.get(key) or self._intern(key, core, egress, flow_key)
-        up, down = climb.devices, descent.devices
-        return Route(
-            climb.names + descent.names,
-            up + down if up is not None and down is not None else None,
-        )
+        return climb + descent
 
     def _intern(
         self,
@@ -354,8 +356,7 @@ class Router:
         ``stop=-2`` keeps the climb of a cross-pod walk: everything before
         the descent's aggregation switch and the egress ToR.
         """
-        names = tuple(self.path(src, egress, flow_key)[:stop])
-        route = Route(names, self._compile_route(names))
+        route = tuple(self.path(src, egress, flow_key)[:stop])
         self.misses += 1
         table = self._routes
         if len(table) >= self.path_cache_size:

@@ -18,10 +18,12 @@ flow exactly:
 * at ToR egress, monitor-labeled packets leaving the network are counted by
   the NetRS monitor (paper section IV-D).
 
-Forwarding follows source-routed paths computed by the shared
-:class:`~repro.network.routing.Router`; a path is (re)computed whenever a
-rule changes the packet's steering target, which is what a chain of real
-switches running the same deterministic ECMP would do hop by hop.
+Every switch between those only forwards.  On the default fabric it asks the
+shared :class:`~repro.network.routing.Router` how far the next acting switch
+(or the host) is, and the fabric delivers there in one event
+(:meth:`Network.express`); the reference follows a source-routed path hop by
+hop, (re)computed whenever a rule changes the packet's steering target, as a
+chain of real switches running the same deterministic ECMP would.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class ProgrammableSwitch:
         "requests_selected",
         "responses_cloned",
         "_transmit",
-        "_transmit_fast",
+        "_express",
     )
 
     def __init__(
@@ -128,7 +130,7 @@ class ProgrammableSwitch:
         self.responses_cloned = 0
         # Pre-bound fabric entry points for the per-hop forwarding path.
         self._transmit = network.transmit
-        self._transmit_fast = network.transmit_fast
+        self._express = network.express
         network.attach(name, self)
 
     # ------------------------------------------------------------------
@@ -192,7 +194,7 @@ class ProgrammableSwitch:
                 if self._can_select():
                     self.requests_selected += 1
                     self.accelerator.submit(  # type: ignore[union-attr]
-                        packet, self._select_work, self._after_selection
+                        packet, self._select_work, self._regular_forward
                     )
                 else:
                     # Local operator failed while packets were in flight:
@@ -257,11 +259,9 @@ class ProgrammableSwitch:
                 packet.dst = packet.backup_replica
                 packet.server = packet.backup_replica
         elif packet.magic in (MAGIC_RESPONSE, MAGIC_MONITOR):
-            location = self.network.topology.node(packet.src)
-            packet.source_marker = SourceMarker(
-                pod=location.pod if location.pod is not None else -1,
-                rack=location.rack if location.rack is not None else -1,
-            )
+            # The object Network.send_from_host stamps when the stamp rides
+            # the send, and the monitors compare against.
+            packet.source_marker = self.marker
 
     def _select_work(self, packet: Packet, now: float) -> Packet:
         """Accelerator work for a request: select, then rebuild the packet.
@@ -284,10 +284,6 @@ class ProgrammableSwitch:
         packet.magic = magic_transform(MAGIC_RESPONSE)
         return packet
 
-    def _after_selection(self, packet: Packet) -> None:
-        """Accelerator handed back a rebuilt request: forward it to the server."""
-        self._regular_forward(packet)
-
     def _absorb_response(self, packet: Packet, now: float) -> None:
         """Accelerator work for a cloned response: update state, drop."""
         if packet.server_status is None:
@@ -297,7 +293,6 @@ class ProgrammableSwitch:
         self.selector.fold(  # type: ignore[union-attr]
             packet.server, packet.retaining_value, packet.server_status, now
         )
-        return None
 
     def _forward_toward_operator(self, packet: Packet) -> None:
         rsnode_id = packet.rsnode_id
@@ -329,13 +324,15 @@ class ProgrammableSwitch:
         self._transmit(self.name, packet.dst, packet)  # type: ignore[arg-type]
 
     def _follow_route(self, packet: Packet, target: str) -> None:
-        """Advance the packet one hop along the attached path to ``target``.
+        """Forward the packet toward ``target``: by distance, else one hop.
 
-        The route is attached on first contact (the ingress ToR) or when a
-        NetRS rule changes the steering target; the steady-state hop is a
-        string compare plus an index bump, with the forwarding-table lookup
-        only on target changes.
+        The reference hop follows an attached route -- attached on first
+        contact or when a NetRS rule changes the steering target, so a hop
+        is a string compare plus an index bump, with the forwarding-table
+        lookup only on target changes.
         """
+        if self._express(self.name, target, packet):
+            return
         if packet.route_target != target:
             packet.route_target = target
             packet.route = self.network.router.forwarding_route(
@@ -344,12 +341,12 @@ class ProgrammableSwitch:
             packet.route_pos = 0
         pos = packet.route_pos
         try:
-            next_hop = packet.route.names[pos]
+            next_hop = packet.route[pos]
         except IndexError:
             raise RoutingError(
                 f"{self.name}: exhausted route toward {target} "
-                f"(route={packet.route.names})"
+                f"(route={packet.route})"
             ) from None
         packet.route_pos = pos + 1
         packet.hops += 1
-        self._transmit_fast(self.name, next_hop, packet)
+        self._transmit(self.name, next_hop, packet)

@@ -84,6 +84,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(warmup_fraction=1.0).validate()
 
+    @pytest.mark.parametrize(
+        "scheme, period",
+        [("clirs", 0.05), ("clirs-r95", 0.05), ("netrs-ilp", 0.0), ("netrs-tor", -1.0)],
+    )
+    def test_replan_period_needs_a_placement_and_to_be_positive(self, scheme, period):
+        with pytest.raises(ConfigurationError, match="replan_period"):
+            ExperimentConfig.tiny(scheme=scheme, replan_period=period)
+        ExperimentConfig.tiny(scheme="netrs-ilp", replan_period=0.05)
+
     def test_replace_validates(self):
         config = ExperimentConfig.tiny()
         with pytest.raises(ConfigurationError):

@@ -1,11 +1,12 @@
 """The forwarding table and express delivery against their references.
 
 Four claims: the interned forwarding routes are the reference ECMP walk;
-every equal-cost walk between two hosts is as long as the next, which is
-what lets a plain packet be priced by distance with no route; collapsed
-delivery (``send_from_host`` / ``transmit_fast``) is hop-by-hop forwarding,
-to the event time and the fabric counter; and the table is consulted only
-by traffic that is steered, and stays within its bound.
+every equal-cost walk between two points is as long as the next, which is
+what lets a packet be priced by distance with no route; collapsed delivery
+(``send_from_host`` from a host, ``express`` from a switch) is hop-by-hop
+forwarding, to the event time and the fabric counter; and the table is
+consulted only by a fabric that forwards hop by hop, and stays within its
+bound.
 """
 
 import itertools
@@ -52,9 +53,9 @@ class TestForwardingRouteIsThePath:
             expected = walk.path(src, dst, flow_key)
             assert memo.path(src, dst, flow_key) == expected
             route = table.forwarding_route(src, dst, flow_key)
-            assert list(route.names) + [dst] == expected
+            assert list(route) + [dst] == expected
             bypassed = walk.forwarding_route(src, dst, flow_key)
-            assert bypassed.names == route.names
+            assert bypassed == route
         assert walk.entries == 0
         if name == "tree-3-aggs":
             assert table.entries == 0  # no mask, no table
@@ -76,7 +77,7 @@ class TestForwardingRouteIsThePath:
                             table.forwarding_route(src, dst, flow_key)
                         continue
                     route = table.forwarding_route(src, dst, flow_key)
-                    assert list(route.names) == expected
+                    assert list(route) == expected
 
     def test_segments_are_interned_and_shared(self):
         router = Router(build_fat_tree(4))
@@ -103,10 +104,10 @@ class TestForwardingRouteIsThePath:
         assert router.entries == 0
         for flow_key in range(64):
             route = router.forwarding_route("tor0.0", "host3.1.1", flow_key)
-            assert list(route.names) + ["host3.1.1"] == walk.path(
+            assert list(route) + ["host3.1.1"] == walk.path(
                 "tor0.0", "host3.1.1", flow_key
             )
-            assert route.names[0] != "agg0.0"
+            assert route[0] != "agg0.0"
         assert router.entries == 0
         router.restore_link("tor0.0", "agg0.0")
         router.forwarding_route("tor0.0", "host3.1.1", 1)
@@ -166,6 +167,43 @@ class TestDistanceNotRoute:
         # The keys do spread over ways: more walks than (ToR, host) pairs.
         assert len(walks) > len(topo.by_kind(NodeKind.TOR)) * len(topo.hosts)
 
+    @pytest.mark.parametrize("name", ["fat-tree-4", "fat-tree-8"])
+    def test_switch_distance_is_every_walk_s_length(self, name):
+        """Every switch x every target class (host, ToR, aggregation, core),
+        every ECMP class: the links to the target's egress switch."""
+        topo = TOPOLOGIES[name]()
+        router = Router(topo, path_cache_size=0)
+        keys = _ecmp_universe(router)
+        switches = [n.name for n in topo.switches]
+        priced = set()
+        for switch in switches:
+            for target in switches + [h.name for h in topo.hosts]:
+                node = topo.node(target)
+                is_host = node.kind is NodeKind.HOST
+                egress, links = router.distance(switch, target)
+                assert egress == (router.tor_of(target) if is_host else target)
+                if not links:
+                    # Only a walk can tell, and it tells every key the same.
+                    kinds = (topo.node(switch).kind, topo.node(egress).kind)
+                    assert switch == egress or NodeKind.TOR not in kinds
+                    continue
+                priced.add((topo.node(switch).kind, node.kind, links))
+                for key in keys:
+                    assert len(router.path(switch, target, key)) - is_host == links
+        tor, agg, core, host = NodeKind.TOR, NodeKind.AGG, NodeKind.CORE, NodeKind.HOST
+        assert priced == {
+            (tor, tor, 2), (tor, tor, 4), (tor, agg, 1), (tor, agg, 3), (tor, core, 2),
+            (tor, host, 2), (tor, host, 4), (agg, tor, 1), (agg, tor, 3),
+            (agg, host, 1), (agg, host, 3), (core, tor, 2), (core, host, 2),
+        }  # fmt: skip
+
+    def test_distance_of_what_is_unknown_is_a_walk(self):
+        router = Router(build_fat_tree(4))
+        assert router.distance("tor0.0", "nowhere") == ("nowhere", 0)
+        assert router.distance("nowhere", "tor0.0") == ("tor0.0", 0)
+        assert router.distance("tor0.0", None) == (None, 0)
+        assert router.distance("agg0.0", "core0") == ("core0", 0)  # linked or not
+
     def test_a_switch_is_no_host(self):
         router = Router(build_fat_tree(4))
         for target in ("tor1.0", "agg1.0", "core0", "nowhere", None):
@@ -177,6 +215,12 @@ class TestDistanceNotRoute:
         # The rule vouches for what no walk can change, and no further.
         assert router.host_distance("tor0.0", "host1.0.0") == ("tor1.0", 0)
         assert router.host_distance("tor0.0", "host0.0.0") == ("tor0.0", 1)
+        for switch, target in (
+            ("tor0.0", "host1.0.0"), ("tor0.0", "core1"), ("tor1.0", "agg0.0"),
+            ("agg0.0", "tor1.0"), ("core0", "host1.0.0"),
+        ):  # fmt: skip
+            assert router.distance(switch, target)[1] == 0
+        assert router.distance("agg1.0", "host1.0.0") == ("tor1.0", 1)
         with pytest.raises(RoutingError, match="core1 has no link into pod 1"):
             router.path("tor0.0", "host1.0.0", 1 << 5)  # climbs to core1
         env, _, hosts, log = _wired(trunking=True, topo=topo)
@@ -193,7 +237,8 @@ class TestDistanceNotRoute:
         hosts["host0.0.0"].send(climbing_to(0))
         env.run()
         assert [entry[1] for entry in log] == ["host1.0.0"]
-        assert env.events_executed == 2  # into the ToR, which walks a real route
+        # Hop by hop along a real route, to the aggregation switch of pod 1.
+        assert env.events_executed == 5
         hosts["host0.0.0"].send(climbing_to(1))
         with pytest.raises(RoutingError, match="core1 has no link into pod 1"):
             env.run()
@@ -221,7 +266,7 @@ class TestTableSize:
             elif router.entries == bound:
                 filled = True
             if i % 5000 == 0:
-                assert list(route.names) + [dst] == reference.path(
+                assert list(route) + [dst] == reference.path(
                     src, dst, flow_key
                 )
         assert filled
@@ -257,17 +302,22 @@ class TestTableSize:
         assert router.entries == 0 and router.misses == 0
 
     def test_cold_cell_misses_on_few_sends(self):
-        """NetRS steering does look routes up, and warms the table fast
-        (a ``pkt-netrs-ilp``-shaped cell)."""
+        """Nor does NetRS steering (a ``pkt-netrs-ilp``-shaped cell): every
+        leg is priced by distance.  Per-hop forwarding (here: per-link
+        accounting) does look routes up, and warms the table fast."""
         config = ExperimentConfig.small(
             scheme="netrs-ilp", n_clients=32, total_requests=8000, seed=16
         )
-        scenario = build_scenario(config)
-        run_experiment(config, scenario=scenario)
-        router = scenario.network.router
-        sends = sum(host.packets_sent for host in scenario.hosts.values())
-        assert sends >= 16000
-        assert 0 < router.entries == router.misses < 0.05 * sends
+        for overrides, consulted in (({}, False), ({"track_link_stats": True}, True)):
+            scenario = build_scenario(config.replace(**overrides))
+            run_experiment(scenario.config, scenario=scenario)
+            router = scenario.network.router
+            sends = sum(host.packets_sent for host in scenario.hosts.values())
+            assert sends >= 16000
+            if consulted:
+                assert 0 < router.entries == router.misses < 0.05 * sends
+            else:
+                assert router.entries == 0 and router.misses == 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +401,36 @@ def _counters(network):
         network.bytes_transferred,
         network.netrs_overhead_bytes,
     )
+
+
+#: ``ExperimentConfig.tiny`` overrides of the whole runs compared with their
+#: hop-by-hop selves: every scheme, a plan redeployed mid-run, and a plan whose
+#: solver degrades the hot groups to DRS (no ``fault_schedule``: it would
+#: switch trunking off on both sides).
+WHOLE_RUNS = {
+    "clirs-r95": dict(scheme="clirs-r95"),
+    "netrs-ilp": dict(scheme="netrs-ilp"),
+    "netrs-tor": dict(scheme="netrs-tor"),
+    "netrs-greedy": dict(scheme="netrs-greedy"),
+    "netrs-core": dict(scheme="netrs-core"),
+    "netrs-ilp-replan": dict(scheme="netrs-ilp", replan_period=0.05),
+    "netrs-ilp-drs": dict(
+        scheme="netrs-ilp", max_accelerator_utilization=0.02, demand_skew=0.8
+    ),
+}
+
+
+def _netrs_state(scenario):
+    """What the acting switches did: selections, clones, monitor counts."""
+    return [
+        (
+            name,
+            switch.requests_selected,
+            switch.responses_cloned,
+            switch.monitor.counts() if switch.monitor is not None else None,
+        )
+        for name, switch in sorted(scenario.switches.items())
+    ]
 
 
 class TestExpressDelivery:
@@ -453,12 +533,12 @@ class TestExpressDelivery:
         assert counts[0] == counts[1]
         assert any(a.startswith("agg") and b.startswith("core") for a, b in counts[0][0])
 
-    @pytest.mark.parametrize("scheme", ["clirs-r95", "netrs-ilp", "netrs-tor"])
-    def test_whole_experiment_matches_hop_by_hop(self, scheme):
+    @pytest.mark.parametrize("cell", sorted(WHOLE_RUNS))
+    def test_whole_experiment_matches_hop_by_hop(self, cell):
         """Switch-injected trunks too: NetRS packets ride to the operator
         that intercepts them, rebuilt requests and monitor-labelled
         responses on to the egress ToR or the host."""
-        config = ExperimentConfig.tiny(scheme=scheme, seed=5)
+        config = ExperimentConfig.tiny(seed=5, **WHOLE_RUNS[cell])
         outcomes = []
         for trunking in (True, False):
             scenario = build_scenario(config)
@@ -470,6 +550,47 @@ class TestExpressDelivery:
                     result.latency.samples,
                     result.sim_duration,
                     _counters(scenario.network),
+                    _netrs_state(scenario),
                 )
             )
         assert outcomes[0] == outcomes[1]
+        if cell == "netrs-ilp-replan":
+            assert scenario.controller.replans >= 1
+        if cell == "netrs-ilp-drs":  # the solver degraded some groups, not all
+            assert 0 < result.selector_requests_handled < config.total_requests
+
+    @pytest.mark.parametrize("scheme", ["netrs-ilp", "netrs-tor"])
+    def test_netrs_run_stopped_mid_flight_settles_the_same(self, scheme):
+        """A marked response in flight is a two-size trunk (its uplink carried
+        no marker): unwound to what hop-by-hop forwarding had counted."""
+        config = ExperimentConfig.tiny(scheme=scheme, seed=5)
+        unwound = 0
+        for stop in [3e-3 + 0.1037e-3 * i for i in range(20)]:
+            outcomes = []
+            for trunking in (True, False):
+                scenario = build_scenario(config)
+                network = scenario.network
+                if not trunking:
+                    network.disable_trunking()
+                scenario.workload.start()
+                scenario.env.run(until=stop)
+                eager = network.transmissions
+                if trunking:
+                    responses_cut = any(
+                        size > config.value_size and when >= stop > base + delay
+                        for base, delay, _, size, _, when in network._pending_trunks
+                    )
+                network.settle_trunks(stop)
+                if trunking:
+                    unwound += responses_cut and eager > network.transmissions
+                else:
+                    assert eager == network.transmissions  # nothing to unwind
+                outcomes.append(
+                    (
+                        scenario.recorder.samples,
+                        _counters(network),
+                        _netrs_state(scenario),
+                    )
+                )
+            assert outcomes[0] == outcomes[1]
+        assert unwound >= 3

@@ -255,6 +255,19 @@ class TestResponsePath:
         assert delivered.source_marker is not None
         assert delivered.source_marker.pod == 2  # server host2.0.0
 
+    def test_both_ingress_paths_stamp_the_tor_s_own_marker(self, fabric):
+        """One rule: the stamp that rides the send and the one the ToR applies
+        hop by hop are the object the monitors compare against."""
+        env, topo, network, switches, endpoints, directory = fabric
+        stamped = []
+        for trunking in (True, False):
+            if not trunking:
+                network.disable_trunking()
+            self._run_response(fabric, "agg0.0")
+            _, client_endpoint = endpoints["host0.0.0"]
+            stamped.append(client_endpoint.received[-1].source_marker)
+        assert stamped[0] is stamped[1] is switches["tor2.0"].marker
+
     def test_monitor_counts_egress(self, fabric):
         env, topo, network, switches, endpoints, directory = fabric
         monitor = RecordingMonitor()
