@@ -20,7 +20,7 @@ help:
 	@echo "bench         all benchmarks (figures + ablations + microbench)"
 	@echo "bench-smoke   engine microbenchmarks, low rounds, JSON for CI trends"
 	@echo "bench-layered-smoke  all five workloads of benchmarks/layered for 2 s each; fails unless all print \"correct\": true"
-	@echo "bench-ab      BASE=<rev> WORKLOAD=<name> [PAIRS=10]: alternating benchmarks/layered runs of a base revision and this tree"
+	@echo "bench-ab      BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]: alternating benchmarks/layered runs of a base revision and this tree"
 	@echo "bench-figures just the paper figures (results under benchmarks/results/)"
 
 install:
@@ -126,9 +126,10 @@ bench-layered-smoke:
 # tree (or in WORKTREE=<dir>), medians, quartiles and pairs won printed.
 # Takes PAIRS x 2 x ~25 s; run nothing else on the machine meanwhile.
 PAIRS ?= 10
+SEED ?= 1
 bench-ab:
 	$(PYTHON) benchmarks/ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) \
-		$(if $(WORKTREE),--worktree $(WORKTREE))
+		--seed $(SEED) $(if $(WORKTREE),--worktree $(WORKTREE))
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/test_bench_fig4_clients.py \

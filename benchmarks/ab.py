@@ -1,6 +1,6 @@
 """A/B one workload of the repo's benchmark: a base revision against this tree.
 
-``make bench-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10]`` runs this file.
+``make bench-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]`` runs this file.
 
 The protocol is the one docs and CHANGES.md entries quote (choosing-metrics,
 "measuring in a small sandbox"): the command ``BENCHMARK.json`` declares, one
@@ -14,8 +14,10 @@ its own checkout; nothing there is edited.
 Printed: every run, then per end-to-end metric either one line saying both
 sides repeat one value each (and whether it is the same value) or each
 side's median and quartiles; for ``run_cost_ref`` also the pairs the change
-won.  A gain may be claimed at nine pairs of ten with the medians further
-apart than the base's own quartiles.
+won and the verdict: ``resolved`` when it won at least nine tenths of the
+pairs run (a tie counts for neither side) *and* the medians lie further
+apart than the base's own quartiles, else ``unresolved`` -- no gain may be
+claimed on an ``unresolved``, whatever the medians say.
 """
 
 import argparse
@@ -68,6 +70,22 @@ def _spread(values):
     return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
+def _verdict(base, change):
+    """choosing-metrics section 8, for a metric where lower is better."""
+    won = sum(c < b for b, c in zip(base, change))
+    lost = sum(c > b for b, c in zip(base, change))
+    line = f"change won {won}, lost {lost} of {len(base)}"
+    if len(base) < 2:
+        return line + "   unresolved (one pair)"
+    q1, median, q3 = statistics.quantiles(base, n=4)
+    gap = median - statistics.median(change)
+    resolved = won >= 0.9 * len(base) and gap > q3 - q1
+    return (
+        f"{line}   {'resolved' if resolved else 'unresolved'} "
+        f"(median gap {gap:.4g} against the base's quartile distance {q3 - q1:.4g})"
+    )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
@@ -115,9 +133,7 @@ def main():
             continue
         line = f"  {name:16s} median  {_spread(base)} -> {_spread(change)}"
         if name == "run_cost_ref":
-            won = sum(c < b for b, c in zip(base, change))
-            lost = sum(c > b for b, c in zip(base, change))
-            line += f"   change won {won}, lost {lost} of {args.pairs}"
+            line += "   " + _verdict(base, change)
         print(line)
 
 

@@ -60,6 +60,7 @@ class NetRSOperator:
 
     def deactivate(self) -> None:
         """Stop acting as an RSNode (rules elsewhere stop steering to us)."""
+        self.accelerator.settle(discard_later=True)  # clones that meet no selector
         self.selector = None
         self.switch.selector = None
 

@@ -243,6 +243,16 @@ class ExperimentConfig:
             raise ConfigurationError("mean_service_time must be positive")
         if self.fluctuation_range < 1:
             raise ConfigurationError("fluctuation_range (d) must be >= 1")
+        if self.value_size < 0 or self.accelerator_link_delay < 0:
+            raise ConfigurationError("value_size and accelerator_link_delay must be >= 0")
+        if self.accelerator_cores < 1 or self.accelerator_service_time <= 0:
+            raise ConfigurationError(
+                "accelerator_cores must be >= 1 and accelerator_service_time positive"
+            )
+        if not 0 <= self.redundancy_percentile <= 100 or self.redundancy_min_samples < 1:
+            raise ConfigurationError(
+                "redundancy_percentile must be in [0, 100], redundancy_min_samples >= 1"
+            )
         if self.demand_skew is not None and not 0 < self.demand_skew < 1:
             raise ConfigurationError("demand_skew must be in (0, 1)")
         if self.route_cache_size < 0:

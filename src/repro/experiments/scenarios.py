@@ -20,6 +20,7 @@ from repro.core.placement.problem import build_operator_specs, estimate_traffic
 from repro.core.plan import SelectionPlan, TrafficGroup, make_traffic_groups
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.faults.events import ServerDown, ServerUp
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule, parse_fault_schedule
 from repro.kvstore.client import CompletionTracker, KVClient, RedundancyPolicy
@@ -198,12 +199,13 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         _wire_netrs(scenario)
     schedule = FaultSchedule()
     if config.fault_schedule:
-        # Fault runs take per-hop forwarding throughout: collapsed trunks
-        # commit to a path at send time and would carry packets over links
-        # that die while they are in flight.
-        network.disable_trunking()
         for event in parse_fault_schedule(config.fault_schedule):
             schedule.add(event)
+        if not all(isinstance(e, (ServerDown, ServerUp)) for e in schedule):
+            # Per-hop forwarding throughout: express delivery commits at send
+            # time to a path and to who clones on the way, and either could
+            # die in flight.  A server crash changes neither.
+            network.disable_trunking()
     if config.churn_schedule:
         # Graceful churn keeps trunking: no link or server ever goes dark,
         # so collapsed trunk timing stays valid.  Migration traffic rides

@@ -11,7 +11,10 @@ later.  The accelerator therefore keeps no busy/queue state machine and
 spends no scheduler event on service.  The work itself (replica selection or
 state update) is an injected callable, told the instant it completes, so the
 accelerator stays agnostic of NetRS logic; the one event per packet is the
-hand-back to the switch.
+hand-back to the switch, where the caller asks for one.  What nobody waits
+for -- a response's clone -- is no event at all: :meth:`Accelerator.note_at`
+dates it ahead of the clock, to be admitted in its place by the next packet
+or read to get there.
 
 Work runs at admission, in admission order -- which is completion order, so
 state that only accelerator work touches evolves exactly as if each piece
@@ -27,6 +30,7 @@ overload detection (section III-C, exception ii).
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.core import Environment
@@ -74,6 +78,9 @@ class Accelerator:
         # (arrival, finish, queue length its arrival made).  Both instants
         # are non-decreasing along it.
         self._inside: List[Tuple[float, float, int]] = []
+        # Notes not yet admitted, a heap of (arrival, order, job, work).
+        self._inbox: List[Tuple[float, int, Any, Work]] = []
+        self._noted = 0
         # Accounting, as of the last fold
         self._processed = 0
         self._busy_time = 0.0
@@ -86,7 +93,11 @@ class Accelerator:
         return self.cores / self.service_time
 
     def _fold(self, now: float) -> None:
-        """Count the completions the clock has passed."""
+        """Admit the notes the clock has passed, count the completions."""
+        inbox = self._inbox
+        while inbox and inbox[0][0] < now + self.link_delay:  # handed over by now
+            arrival, _order, job, work = heappop(inbox)
+            self._admit(job, work, None, arrival, -math.inf)
         inside = self._inside
         done = 0
         for _arrival, finish, queued in inside:
@@ -151,8 +162,8 @@ class Accelerator:
         """Called by the co-located switch: ship the packet over the link.
 
         Costs no event: calls come in clock order, so the packet's place in
-        the queue is already decided.  A driver uses either this or
-        :meth:`submit_at` on one accelerator, not both.
+        the queue is already decided.  A driver uses either this and
+        :meth:`note_at` or :meth:`submit_at` on one accelerator, not both.
         """
         now = self.env.now
         self._admit(packet, work, done, now + self.link_delay, now)
@@ -167,8 +178,28 @@ class Accelerator:
         arrival = when + self.link_delay
         self.env.post_at(arrival, self._admit, (packet, work, done, arrival, arrival))
 
+    def note_at(self, when: float, job: Any, work: Work) -> None:
+        """:meth:`submit` as if called at ``when`` (not before now), for a ``job``
+        nobody waits for: no hand-back, no event.  Noted in any order; admitted
+        in (arrival, noting) order ahead of the first admission to arrive after
+        it and of any read once the clock is past ``when``, so ``work`` runs in
+        the place, and with the ``finish``, of the event it replaces."""
+        self._noted += 1
+        heappush(self._inbox, (when + self.link_delay, self._noted, job, work))
+
+    def settle(self, discard_later: bool = False) -> None:
+        """Bring the station to the clock, for a reader of what ``work`` keeps;
+        ``discard_later`` forgets the notes not yet due: ``work`` stops listening."""
+        self._fold(self.env.now)
+        if discard_later:
+            self._inbox.clear()
+
     def _admit(self, packet: Any, work: Work, done: Done, arrival: float, now: float) -> None:
         """Queue the packet reaching the accelerator at ``arrival`` and serve it."""
+        inbox = self._inbox
+        while inbox and inbox[0][0] < arrival:  # noted ahead of this one
+            due, _order, job, note_work = heappop(inbox)
+            self._admit(job, note_work, None, due, -math.inf)  # the caller folds
         turn = self._turn
         start = self._free_at[turn]
         inside = self._inside
@@ -186,9 +217,9 @@ class Accelerator:
         self._free_at[turn] = finish
         self._turn = turn + 1 if turn + 1 < self.cores else 0
         inside.append((arrival, finish, queued))
-        if len(inside) > _FOLD_EVERY:
-            self._fold(now)
         result = work(packet, finish)
         if done is not None and result is not None:
             # Ship the result back over the accelerator<->switch link.
             self.env.post_at(finish + self.link_delay, done, (result,))
+        if len(inside) > _FOLD_EVERY:
+            self._fold(now)  # last: it may admit notes, whose work comes after ours

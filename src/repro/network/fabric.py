@@ -56,9 +56,9 @@ class Network:
     """Device registry and packet mover.
 
     :meth:`transmit` is the reference: one link, one event.  The default
-    fabric collapses a run of switches that would only forward into one
-    event with the same accounting, priced by distance
-    (:meth:`send_from_host` from a host, :meth:`express` from a switch);
+    fabric collapses a run of switches nothing waits at into one event
+    with the same accounting, priced by distance (:meth:`send_from_host`
+    from a host, :meth:`express` from a switch);
     which switches or links carried a packet only ``track_links`` records,
     hop by hop.
 
@@ -299,9 +299,9 @@ class Network:
         request's stamp stays the ToR's event: it reads rule tables that
         replans and DRS degradation rewrite mid-run.
         """
-        magic = packet.magic
+        magic, delay = packet.magic, self._fast_delay
         if not (
-            self._fast_delay is None
+            delay is None
             or self._switches_missing
             or self._faulty
             or not self._trunking
@@ -323,7 +323,10 @@ class Network:
                 egress, switches = self.router.host_distance(tor_name, dst)
                 if receive is not None and switches:
                     packet.hops += switches - 1  # all but the egress ToR
-                    self._deliver_trunk(packet, switches + 1, receive, egress)
+                    now = when = self.env._now
+                    for _ in range(switches + 1):
+                        when += delay  # chained, as hop by hop
+                    self._deliver_trunk(packet, switches + 1, receive, egress, now, when)
                     return
         # Per-hop fabric, a NetRS request, work for this very ToR, nothing attached
         # or no fixed distance: the reference path delivers as far as it can, or raises.
@@ -335,17 +338,22 @@ class Network:
         target: Optional[str],
         packet: Packet,
         stamp: Optional[SourceMarker] = None,
+        base: Optional[float] = None,
     ) -> bool:
         """Deliver a packet switch ``at`` forwards toward ``target`` to what
-        next *acts* on it, or return ``False``: forward it hop by hop.
+        it next *waits* at, or return ``False``: forward it hop by hop.
 
         Under :meth:`send_from_host`'s conditions everything in between only
         forwards, and :meth:`Router.distance` says how many links that is.
-        A NetRS request or response goes to the RSNode it is steered to,
-        anything else to its destination's ToR when the monitor there will
-        count it, to the destination host otherwise.  With ``stamp`` the
+        A NetRS request goes to its RSNode, which selects for it; anything
+        else to its destination host, and what nobody waits for on the way
+        is a dated note: the clone an RSNode that can select takes of a NetRS
+        response (relabelled from there, a second leg priced the same way),
+        the count of the monitor at the destination's ToR.  A response whose
+        RSNode cannot select is that RSNode's event.  With ``stamp`` the
         packet is still at a host under ToR ``at``: the uplink is one more
         link, accounted as sent, and the links after it carry ``stamp``.
+        With ``base`` it leaves ``at`` then, not now.
         """
         if (
             self._fast_delay is None
@@ -358,31 +366,44 @@ class Network:
         if not links:
             return False
         magic = packet.magic
+        first, rsnode = links, None  # the links to the RSNode that clones it, if one does
+        if magic == MAGIC_RESPONSE and (device := self._devices[egress])._can_select():
+            tor, onward = self.router.distance(egress, packet.dst)
+            if onward or tor == egress:
+                rsnode, egress, links = device, tor, links + onward
+                target, magic = packet.dst, MAGIC_MONITOR  # as the RSNode relabels it
         if magic == MAGIC_REQUEST or magic == MAGIC_RESPONSE:
-            receive, prev = self._receivers[egress], at
-        elif egress == target:
-            return False  # no host: the walk finds out what to raise
-        elif (
-            self._devices[egress].monitor is not None
-            and magic == MAGIC_MONITOR
-            and (stamp is not None or packet.source_marker is not None)
-        ):
-            receive, prev = self._receivers[egress], at
+            receive, prev, monitor = self._receivers[egress], at, None
         else:
             receive, prev = self._receivers.get(target), egress
-            if receive is None:
-                return False
+            if receive is None or egress == target:
+                return False  # no host: the walk finds out what to raise
+            monitor = self._devices[egress].monitor if magic == MAGIC_MONITOR else None
         packet.hops += links  # the egress ToR bumps no hop count
-        if prev == egress:
-            links += 1  # and on to the host
+        marker = packet.source_marker
         if stamp is not None:
+            first += 1
             links += 1
-            if packet.source_marker is None:
+            if marker is None:
                 # The uplink carried no marker: take it back off that link.
                 self.bytes_transferred -= _SIZE_SM
                 self.netrs_overhead_bytes -= _SIZE_SM
-            packet.source_marker = stamp
-        self._deliver_trunk(packet, links, receive, prev)
+            packet.source_marker = marker = stamp
+        delay = self._fast_delay
+        now = when = self.env._now if base is None else base
+        for _ in range(first):
+            when += delay  # chained, as hop by hop
+        if rsnode is not None:
+            rsnode.note_clone(packet, when)  # as it passes the RSNode,
+            packet.magic = magic  # which relabels it
+            for _ in range(links - first):
+                when += delay
+        if monitor is not None and marker is not None:
+            monitor.note_at(when, target, marker)  # as it passes the ToR
+        if prev == egress:
+            links += 1  # and on to the host
+            when += delay
+        self._deliver_trunk(packet, links, receive, prev, now, when)
         return True
 
     def _deliver_trunk(
@@ -391,13 +412,16 @@ class Network:
         hops: int,
         receive: Callable[[Packet, str], None],
         prev: str,
+        base: float,
+        when: float,
     ) -> None:
         """Account a run of links and schedule what follows it.
 
-        ``hops`` is how many links are crossed (the switches between them
-        skipped; which ones, no counter records), ``receive`` the device
-        delivered to after them, ``prev`` the name it sees the packet
-        arrive from.
+        ``hops`` is how many links are crossed from ``base`` on (the switches
+        between them skipped; which ones, no counter records), ``receive``
+        the device delivered to at ``when``, ``prev`` the name it sees the
+        packet arrive from.  ``when`` is ``base`` plus the delay ``hops``
+        times, *chained* as hop by hop: ``delay * hops`` differs in the last ulp.
         """
         # Wire accounting once for the whole trunk (size is invariant along
         # it: nothing that changes sizing fields is mechanical).
@@ -422,18 +446,10 @@ class Network:
         self.netrs_overhead_bytes += overhead * hops
         env = self.env
         now = env._now
-        delay = self._fast_delay
-        # Chained additions, not ``now + delay * hops``: hop-by-hop
-        # forwarding accumulates the delay one event at a time, and the
-        # two float sums differ in the last ulp.  Byte-identity with the
-        # reference path requires reproducing the chain exactly.
-        when = now
-        for _ in range(hops):
-            when += delay
         pending = self._pending_trunks
         while pending and pending[0][5] < now:
             pending.popleft()  # delivered; accounting is final
-        pending.append((now, delay, hops, size, overhead, when))
+        pending.append((base, self._fast_delay, hops, size, overhead, when))
         # Inlined Environment.post_in, as in transmit().
         env._seq += 1
         dq = env._dq
@@ -444,7 +460,7 @@ class Network:
             heappush(env._heap, entry)
 
     def disable_trunking(self) -> None:
-        """Force per-hop forwarding (used whenever faults may be injected).
+        """Force per-hop forwarding (used when link or RSNode faults are scheduled).
 
         Collapsed trunks commit their path and accounting at send time;
         hop-by-hop forwarding re-checks link state at every hop.  The two
@@ -461,15 +477,16 @@ class Network:
         event executes.  When the run stops at ``stop_time`` with trunks in
         flight, the hops that would have executed at or after ``stop_time``
         must be subtracted to keep the fabric's counters (transmissions,
-        bytes, overhead) byte-identical with hop-by-hop forwarding.  Called
-        once after the event loop stops, before counters are read.
+        bytes, overhead) byte-identical with hop-by-hop forwarding (the first
+        hop too, of a trunk dated ahead).  Called once after the event loop
+        stops, before counters are read.
         """
         pending = self._pending_trunks
         while pending:
             base, delay, hops, size, overhead, when = pending.popleft()
             if when < stop_time:
                 continue  # fully delivered before the stop
-            undone = 0
+            undone = 1 if base > stop_time else 0  # dated ahead: it never left
             t = base
             for _ in range(1, hops):
                 t += delay  # a hop's forwarding event time (chained float)

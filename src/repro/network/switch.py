@@ -19,11 +19,13 @@ flow exactly:
   the NetRS monitor (paper section IV-D).
 
 Every switch between those only forwards.  On the default fabric it asks the
-shared :class:`~repro.network.routing.Router` how far the next acting switch
-(or the host) is, and the fabric delivers there in one event
-(:meth:`Network.express`); the reference follows a source-routed path hop by
-hop, (re)computed whenever a rule changes the packet's steering target, as a
-chain of real switches running the same deterministic ECMP would.
+shared :class:`~repro.network.routing.Router` how far the next switch the
+packet *waits* at (or the host) is -- a request at the client ToR's stamp and
+the RSNode's selection, a response nowhere: its clone and its count are notes
+dated ahead (:meth:`note_clone`, ``Monitor.note_at``) -- and the fabric
+delivers there in one event (:meth:`Network.express`); the reference follows
+a source-routed path hop by hop, (re)computed whenever a rule changes the
+packet's steering target, as real switches running the same ECMP would.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ class Monitor(Protocol):
         """Count one response leaving the network."""
         ...  # pragma: no cover - protocol definition
 
+    def note_at(self, when: float, dst: str, marker: SourceMarker) -> None:
+        """Count a response that leaves for ``dst`` at ``when``, not before now."""
+        ...  # pragma: no cover - protocol definition
+
 
 class ProgrammableSwitch:
     """One switch of the data center, optionally acting as a NetRS operator."""
@@ -89,7 +95,7 @@ class ProgrammableSwitch:
         "_rsnode_for_group",
         "_operator_directory",
         "requests_selected",
-        "responses_cloned",
+        "_cloned",
         "_transmit",
         "_express",
     )
@@ -127,7 +133,7 @@ class ProgrammableSwitch:
         self._operator_directory: Dict[int, str] = {}
         # Accounting
         self.requests_selected = 0
-        self.responses_cloned = 0
+        self._cloned = 0
         # Pre-bound fabric entry points for the per-hop forwarding path.
         self._transmit = network.transmit
         self._express = network.express
@@ -175,6 +181,8 @@ class ProgrammableSwitch:
 
     def fail(self) -> None:
         """Simulate operator failure: the accelerator stops responding."""
+        if self.accelerator is not None:
+            self.accelerator.settle(discard_later=True)
         self.failed = True
 
     def recover(self) -> None:
@@ -193,9 +201,7 @@ class ProgrammableSwitch:
             if packet.rsnode_id == self.operator_id:
                 if self._can_select():
                     self.requests_selected += 1
-                    self.accelerator.submit(  # type: ignore[union-attr]
-                        packet, self._select_work, self._regular_forward
-                    )
+                    self.accelerator.submit(packet, self._select_and_send)  # type: ignore[union-attr]
                 else:
                     # Local operator failed while packets were in flight:
                     # degrade this request to the client's backup replica,
@@ -210,7 +216,6 @@ class ProgrammableSwitch:
         if magic == MAGIC_RESPONSE:
             if packet.rsnode_id == self.operator_id:
                 if self._can_select():
-                    self.responses_cloned += 1
                     self.accelerator.submit(  # type: ignore[union-attr]
                         packet.clone(), self._absorb_response
                     )
@@ -263,6 +268,13 @@ class ProgrammableSwitch:
             # the send, and the monitors compare against.
             packet.source_marker = self.marker
 
+    @property
+    def responses_cloned(self) -> int:
+        """Responses cloned into the accelerator, as of the clock."""
+        if self.accelerator is not None:
+            self.accelerator.settle()
+        return self._cloned
+
     def _select_work(self, packet: Packet, now: float) -> Packet:
         """Accelerator work for a request: select, then rebuild the packet.
 
@@ -284,15 +296,32 @@ class ProgrammableSwitch:
         packet.magic = magic_transform(MAGIC_RESPONSE)
         return packet
 
+    def _select_and_send(self, packet: Packet, now: float) -> None:
+        """Select, then send on as of the hand-back: by distance, else by an event."""
+        self._select_work(packet, now)
+        leaves = now + self.accelerator.link_delay  # type: ignore[union-attr]
+        if not self._express(self.name, packet.dst, packet, None, leaves):
+            self.network.env.post_at(leaves, self._regular_forward, (packet,))
+
     def _absorb_response(self, packet: Packet, now: float) -> None:
         """Accelerator work for a cloned response: update state, drop."""
+        self._absorb_clone(self._clone_of(packet), now)
+
+    def _clone_of(self, packet: Packet) -> tuple:
+        """What the selector folds of a response: server, retaining value, status."""
         if packet.server_status is None:
             raise ProtocolError(
                 f"NetRS response {packet.request_id} carries no server status"
             )
-        self.selector.fold(  # type: ignore[union-attr]
-            packet.server, packet.retaining_value, packet.server_status, now
-        )
+        return packet.server, packet.retaining_value, packet.server_status
+
+    def note_clone(self, packet: Packet, when: float) -> None:
+        """Clone a response that passes at ``when`` (not before now): no event."""
+        self.accelerator.note_at(when, self._clone_of(packet), self._absorb_clone)  # type: ignore[union-attr]
+
+    def _absorb_clone(self, clone: tuple, now: float) -> None:
+        self._cloned += 1
+        self.selector.fold(*clone, now)  # type: ignore[union-attr]
 
     def _forward_toward_operator(self, packet: Packet) -> None:
         rsnode_id = packet.rsnode_id

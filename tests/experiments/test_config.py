@@ -93,6 +93,23 @@ class TestValidation:
             ExperimentConfig.tiny(scheme=scheme, replan_period=period)
         ExperimentConfig.tiny(scheme="netrs-ilp", replan_period=0.05)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("accelerator_service_time", 0.0),  # was a ZeroDivisionError at build
+            ("accelerator_link_delay", -1e-6),  # a bare ValueError at build
+            ("accelerator_cores", 0),
+            ("redundancy_percentile", 150.0),  # a ValueError mid-run
+            ("redundancy_min_samples", 0),  # a NaN timer: "run stalled"
+            ("value_size", -5),  # ran, and booked negative wire bytes
+        ],
+    )
+    def test_out_of_range_numbers_fail_at_config_time(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig.tiny(scheme="netrs-ilp", **{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig.tiny(scheme="clirs-r95", **{field: value})
+
     def test_replace_validates(self):
         config = ExperimentConfig.tiny()
         with pytest.raises(ConfigurationError):

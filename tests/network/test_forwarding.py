@@ -404,9 +404,14 @@ def _counters(network):
 
 
 #: ``ExperimentConfig.tiny`` overrides of the whole runs compared with their
-#: hop-by-hop selves: every scheme, a plan redeployed mid-run, and a plan whose
-#: solver degrades the hot groups to DRS (no ``fault_schedule``: it would
-#: switch trunking off on both sides).
+#: hop-by-hop selves: every scheme, a plan redeployed mid-run, a plan whose
+#: solver degrades the hot groups to DRS, and a server crashed and recovered
+#: (a link or RSNode fault would switch trunking off on both sides).
+_CRASH = dict(
+    fault_schedule="server-down@0.02:server#0;server-up@0.06:server#0",
+    request_timeout=20e-3,
+    max_retries=4,
+)
 WHOLE_RUNS = {
     "clirs-r95": dict(scheme="clirs-r95"),
     "netrs-ilp": dict(scheme="netrs-ilp"),
@@ -417,20 +422,29 @@ WHOLE_RUNS = {
     "netrs-ilp-drs": dict(
         scheme="netrs-ilp", max_accelerator_utilization=0.02, demand_skew=0.8
     ),
+    "clirs-r95-crash": dict(scheme="clirs-r95", **_CRASH),
+    "netrs-ilp-crash": dict(scheme="netrs-ilp", **_CRASH),
+    "netrs-tor-crash": dict(scheme="netrs-tor", **_CRASH),
 }
 
 
 def _netrs_state(scenario):
-    """What the acting switches did: selections, clones, monitor counts."""
-    return [
-        (
-            name,
-            switch.requests_selected,
-            switch.responses_cloned,
-            switch.monitor.counts() if switch.monitor is not None else None,
+    """What the acting switches did, as of the clock: selections, clones,
+    monitor counts, the accelerator's books and then its selector's."""
+    state = []
+    for name, switch in sorted(scenario.switches.items()):
+        acc, selector = switch.accelerator, switch.selector
+        state.append(
+            (
+                name,
+                switch.requests_selected,
+                switch.responses_cloned,
+                switch.monitor.counts() if switch.monitor is not None else None,
+                acc and (acc.processed, acc.busy_time, acc.queue_length, acc.max_queue_seen),
+                selector and (selector.requests_handled, selector.responses_handled),
+            )
         )
-        for name, switch in sorted(scenario.switches.items())
-    ]
+    return state
 
 
 class TestExpressDelivery:
@@ -558,6 +572,24 @@ class TestExpressDelivery:
             assert scenario.controller.replans >= 1
         if cell == "netrs-ilp-drs":  # the solver degraded some groups, not all
             assert 0 < result.selector_requests_handled < config.total_requests
+        if cell.endswith("-crash"):  # requests were lost to the crash, and retried
+            assert result.timeouts > 0 and result.retries > 0
+
+    @pytest.mark.parametrize(
+        "fault, express",
+        [
+            ("server-down@0.02:server#0;server-up@0.06:server#0", True),
+            ("server-down@0.02:server#0;rsnode-down@0.03:busiest", False),
+            ("link-degrade@0.01:client#2/tor(client#2)*3.0", False),
+        ],
+    )
+    def test_only_a_fault_that_can_change_a_path_or_a_clone_turns_express_off(
+        self, fault, express
+    ):
+        config = ExperimentConfig.tiny(
+            scheme="netrs-ilp", fault_schedule=fault, request_timeout=20e-3
+        )
+        assert build_scenario(config).network._trunking is express
 
     @pytest.mark.parametrize("scheme", ["netrs-ilp", "netrs-tor"])
     def test_netrs_run_stopped_mid_flight_settles_the_same(self, scheme):

@@ -37,28 +37,51 @@ class RecordingEndpoint:
 
 
 class ScriptedSelector:
-    """Minimal selector double: always picks a fixed server."""
+    """Minimal selector double: always picks a fixed server.
+
+    Reads follow the rule of the real counters: ``station`` (the accelerator
+    the selector runs on, once bound) is brought to the clock first, so a
+    clone noted ahead of it is folded by the time anyone looks.
+    """
 
     def __init__(self, env, server):
         self.env = env
         self.server = server
         self.requests = []
-        self.responses = []
+        self.station = None
+        self._responses = []
 
     def select(self, rgid, now):
         self.requests.append((rgid, now))
         return self.server
 
     def fold(self, server, rv, status, now):
-        self.responses.append((server, rv, status, now))
+        self._responses.append((server, rv, status, now))
+
+    @property
+    def responses(self):
+        if self.station is not None:
+            self.station.settle()
+        return self._responses
 
 
 class RecordingMonitor:
-    def __init__(self):
-        self.seen = []
+    """Monitor double: what was counted at egress, or noted for an instant
+    the clock has reached."""
+
+    def __init__(self, env):
+        self.env = env
+        self._noted = []
 
     def observe(self, packet):
-        self.seen.append(packet)
+        self.note_at(self.env.now, packet.dst, packet.source_marker)
+
+    def note_at(self, when, dst, marker):
+        self._noted.append((when, dst, marker))
+
+    @property
+    def seen(self):
+        return [note for note in self._noted if note[0] <= self.env.now]
 
 
 @pytest.fixture
@@ -222,6 +245,7 @@ class TestResponsePath:
         rsnode = switches[rsnode_switch]
         selector = ScriptedSelector(env, "host2.0.0")
         rsnode.bind_operator(selector, directory)
+        selector.station = rsnode.accelerator
         # Build a response as the server would: copied RID, NetRS magic.
         request = _netrs_request("host0.0.0")
         request.rsnode_id = rsnode.operator_id
@@ -270,14 +294,14 @@ class TestResponsePath:
 
     def test_monitor_counts_egress(self, fabric):
         env, topo, network, switches, endpoints, directory = fabric
-        monitor = RecordingMonitor()
+        monitor = RecordingMonitor(env)
         switches["tor0.0"].monitor = monitor
         _, _, _, selector, _ = self._run_response(fabric, "agg0.0")
         assert len(monitor.seen) == 1
 
     def test_monitor_ignores_plain_traffic(self, fabric):
         env, topo, network, switches, endpoints, _ = fabric
-        monitor = RecordingMonitor()
+        monitor = RecordingMonitor(env)
         switches["tor0.0"].monitor = monitor
         request = make_request(
             client="host2.0.0",
@@ -313,7 +337,7 @@ class TestDegradedReplicaSelection:
 
     def test_drs_response_is_monitor_visible(self, fabric):
         env, topo, network, switches, endpoints, _ = fabric
-        monitor = RecordingMonitor()
+        monitor = RecordingMonitor(env)
         switches["tor0.0"].monitor = monitor
         tor = switches["tor0.0"]
         tor.install_group_rule("host0.0.0", 1)
@@ -411,7 +435,7 @@ class TestErrorPaths:
 
     def test_monitor_skipped_without_marker(self, fabric):
         env, topo, network, switches, endpoints, _ = fabric
-        monitor = RecordingMonitor()
+        monitor = RecordingMonitor(env)
         switches["tor0.0"].monitor = monitor
         from repro.network.packet import MAGIC_MONITOR, Packet
 

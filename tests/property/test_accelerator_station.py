@@ -10,14 +10,28 @@ Instants that coincide exactly are left out: which of two events at one
 timestamp the event machine runs first depends on when each was scheduled,
 and the station schedules fewer of them.  Simulated runs draw their instants
 from continuous distributions and never meet the case.
+
+The dated inbox (``note_at``) is held to the station itself: the same
+hand-offs all made as events, ties in arrival included, must run the same
+work in the same order with the same ``finish`` and show the same counters.
+``NetRSMonitor.note_at`` likewise, against ``observe`` called at the instant.
 """
 
 from collections import deque
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.monitor import NetRSMonitor
+from repro.core.operator_node import NetRSOperator
+from repro.core.placement.problem import OperatorSpec
 from repro.network.accelerator import Accelerator
+from repro.network.addressing import SourceMarker
+from repro.network.fabric import Network
+from repro.network.fattree import build_fat_tree
+from repro.network.packet import MAGIC_MONITOR, Packet, ServerStatus
+from repro.network.switch import ProgrammableSwitch
 from repro.sim import Environment
 
 
@@ -184,3 +198,214 @@ def test_reads_between_the_hand_off_and_the_arrival_see_nothing_yet():
     assert (station.queue_length, station.max_queue_seen, station.processed) == (2, 2, 0)
     env.run(until=8e-6)
     assert (station.queue_length, station.max_queue_seen, station.processed) == (1, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# The dated inbox
+# ---------------------------------------------------------------------------
+def _drive_inbox(noted, arrivals, reads, settings_, horizon):
+    """Hand ``arrivals`` -- (instant, noted how long before, or None for a
+    call at the instant) -- to one station: notes through the inbox
+    (``noted``) or, the reference, as one more call at their instant."""
+    env = Environment()
+    acc = Accelerator(env, "acc", **settings_)
+    worked, handed_back, seen = [], [], []
+
+    def work(job, finish):
+        worked.append((finish, job))
+        return job
+
+    def read(reset):
+        seen.append(
+            (
+                env.now,
+                acc.processed,
+                acc.busy_time,
+                acc.queue_length,
+                acc.max_queue_seen,
+                acc.utilization(),
+            )
+        )
+        if reset:
+            acc.reset_utilization()
+
+    # The clock's own calls first: at one instant they go before a note
+    # for it, on both sides (the station's rule for a tie).
+    for job, (when, ahead) in enumerate(arrivals):
+        if ahead is None:
+            env.call_at(
+                when, acc.submit, job, work, lambda j: handed_back.append((env.now, j))
+            )
+    notes = [
+        (max(when - ahead, 0.0), job, when)
+        for job, (when, ahead) in enumerate(arrivals)
+        if ahead is not None
+    ]
+    if noted:
+        for noted_at, job, when in notes:  # any order of instants
+            env.call_at(noted_at, acc.note_at, when, job, work)
+    else:
+        for _noted_at, job, when in sorted(notes):  # the order they were noted in
+            env.call_at(when, acc.submit, job, work)
+    for when, reset in reads:
+        env.call_at(when, read, reset)
+    env.run(until=horizon)
+    read(False)
+    return worked, handed_back, seen
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(
+    cores=st.sampled_from([1, 2, 4]),
+    service_time=st.floats(min_value=1e-7, max_value=1e-3),
+    link_factor=st.floats(min_value=0.0, max_value=3.0),
+    arrivals=st.lists(
+        st.tuples(
+            # A coarse grid: arrivals tie, and bursts outrun the service.
+            st.integers(0, 60).map(lambda tick: tick / 4),
+            st.one_of(st.none(), st.floats(min_value=0.0, max_value=20.0)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    reads=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=60.0), st.booleans()), max_size=10
+    ),
+)
+def test_notes_are_the_events_they_replace(cores, service_time, link_factor, arrivals, reads):
+    """``submit`` calls in clock order among ``note_at`` hand-offs declared
+    ahead in any order: work order, every ``finish``, every hand-back and the
+    counters at random instants are those of the same hand-offs as events."""
+    arrivals = [
+        (when * service_time, None if ahead is None else ahead * service_time)
+        for when, ahead in arrivals
+    ]
+    reads = [(when * service_time, reset) for when, reset in reads]
+    # A read at the very instant of a hand-off is an event tie of its own.
+    assume(not {when for when, _ in reads} & {when for when, _ in arrivals})
+    settings_ = dict(
+        cores=cores, service_time=service_time, link_delay=link_factor * service_time
+    )
+    horizon = 100 * service_time  # 40 packets at most, the last arriving by 18
+    expected = _drive_inbox(False, arrivals, reads, settings_, horizon)
+    assert _drive_inbox(True, arrivals, reads, settings_, horizon) == expected
+    assert len(expected[0]) == len(arrivals)
+
+
+def test_a_note_is_no_event_and_waits_its_turn():
+    env = Environment()
+    station = Accelerator(env, "acc", cores=1, service_time=5e-6, link_delay=1e-6)
+    worked = []
+    station.note_at(10e-6, "late", lambda job, finish: worked.append((job, finish)))
+    station.note_at(2e-6, "early", lambda job, finish: worked.append((job, finish)))
+    env.run(until=1e-6)
+    assert env.events_executed == 0
+    assert station.processed == 0 and worked == []  # not due: not admitted
+    env.run(until=4e-6)
+    station.submit("called", lambda job, finish: worked.append((job, finish)))
+    # The earlier note goes first and the call queues behind it.
+    assert [job for job, _ in worked] == ["early", "called"]
+    assert [finish for _, finish in worked] == pytest.approx([8e-6, 13e-6])
+    env.run(until=30e-6)
+    assert station.processed == 3
+    assert worked[2] == ("late", pytest.approx(18e-6))
+    assert env.events_executed == 0
+
+
+def test_a_deactivated_operator_keeps_no_note():
+    """Clones already due are folded -- they met the selector -- and those
+    dated later are dropped: nothing is cloned into an idle accelerator."""
+    env = Environment()
+    network = Network(env, build_fat_tree(4))
+    accelerator = Accelerator(env, "acc")
+    switch = ProgrammableSwitch("agg0.0", network, operator_id=7, accelerator=accelerator)
+    spec = OperatorSpec(operator_id=7, switch="agg0.0", tier=1, pod=0, capacity=1000.0)
+    operator = NetRSOperator(spec, switch, accelerator)
+
+    class Folds:
+        def __init__(self):
+            self.folded = []
+
+        def fold(self, server, rv, status, now):
+            self.folded.append(server)
+
+    selector = Folds()
+    operator.activate(selector, {7: "agg0.0"})
+    status = ServerStatus(queue_size=1, service_rate=500.0, timestamp=0.0)
+    for when, server in ((1e-3, "due"), (3e-3, "later"), (2e-3, "due-too")):
+        response = Packet(
+            src=server, dst="host0.0.0", magic=MAGIC_MONITOR, request_id=1, rsnode_id=7,
+            server=server, server_status=status,
+        )  # fmt: skip
+        switch.note_clone(response, when)
+    env.run(until=2.5e-3)
+    operator.deactivate()
+    assert selector.folded == ["due", "due-too"]
+    assert not accelerator._inbox
+    env.run(until=1.0)
+    assert switch.responses_cloned == 2 == accelerator.processed
+
+
+# ---------------------------------------------------------------------------
+# The monitor's dated counts
+# ---------------------------------------------------------------------------
+_GROUPS = {"host0.0.0": 1, "host0.0.1": 1, "host0.1.0": 2}  # host3.0.0: no group
+_MARKERS = [SourceMarker(pod=0, rack=0), SourceMarker(pod=0, rack=1), SourceMarker(pod=2, rack=0)]
+
+
+def _drive_monitor(noted, counts, reads):
+    env = Environment()
+    monitor = NetRSMonitor(env, marker=_MARKERS[0], group_lookup=_GROUPS.get)
+    seen = []
+
+    def observe(dst, marker):
+        monitor.observe(
+            Packet(src="s", dst=dst, magic=MAGIC_MONITOR, request_id=1, source_marker=marker)
+        )
+
+    def read(reset):
+        seen.append(
+            (env.now, monitor.counts(), monitor.rates(), monitor.observed, monitor.unmatched)
+        )
+        if reset:
+            monitor.reset()
+            seen.append((monitor.counts(), monitor.window_started_at))
+
+    for when, ahead, dst, marker in counts:
+        if noted and ahead is not None:
+            env.call_at(max(when - ahead, 0.0), monitor.note_at, when, dst, marker)
+        else:
+            env.call_at(when, observe, dst, marker)
+    for when, reset in reads:
+        env.call_at(when, read, reset)
+    env.run(until=100.0)
+    read(False)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(
+        st.tuples(
+            st.integers(0, 40).map(lambda tick: tick / 2),
+            st.one_of(st.none(), st.floats(min_value=0.0, max_value=10.0)),
+            st.sampled_from(sorted(_GROUPS) + ["host3.0.0"]),
+            st.sampled_from(_MARKERS),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    reads=st.lists(
+        st.tuples(st.integers(0, 80).map(lambda tick: tick / 4 + 0.125), st.booleans()),
+        max_size=8,
+    ),
+)
+def test_monitor_notes_are_the_counts_they_replace(counts, reads):
+    """Counts dated ahead, in any order, across reads and window resets --
+    one may fall between a note's declaration and its instant -- equal
+    ``observe`` called at each instant (reads sit off the counts' grid)."""
+    assert _drive_monitor(True, counts, reads) == _drive_monitor(False, counts, reads)
