@@ -17,7 +17,12 @@ side's median and quartiles; for ``run_cost_ref`` also the pairs the change
 won and the verdict: ``resolved`` when it won at least nine tenths of the
 pairs run (a tie counts for neither side) *and* the medians lie further
 apart than the base's own quartiles, else ``unresolved`` -- no gain may be
-claimed on an ``unresolved``, whatever the medians say.
+claimed on an ``unresolved``, whatever the medians say.  Every value that
+moved (an exact one, a noisy one's median) is held against the ``bound`` and
+direction ``BENCHMARK.json`` declares for its metric: ``within bound`` or
+``OVER bound 5%: +13.4%``.  An exact metric over its bound is a regression
+no re-run will cure, so the exit status is 1; a noisy median over it is only
+reported, the spread beside it says how far to trust it.
 """
 
 import argparse
@@ -86,6 +91,32 @@ def _verdict(base, change):
     )
 
 
+def _against_bound(entry, base, change):
+    """(how ``change`` sits under the metric's declared bound, whether over)."""
+    moved = 0.0 if change == base else (change - base) / base if base else float("inf")
+    worse = moved if entry["better"] == "lower" else -moved
+    if worse > entry["bound"]:
+        return f"OVER bound {entry['bound']:.0%}: {moved:+.1%}", True
+    return f"within bound ({moved:+.1%})", False
+
+
+def _report(entry, base, change):
+    """One metric's line, and whether it is an exact metric over its bound."""
+    name = entry["name"]
+    if len(set(base)) == 1 and len(set(change)) == 1:
+        line = f"  {name:16s} exact   {base[0]:.9g} -> {change[0]:.9g}   "
+        if base[0] == change[0]:
+            return line + "identical", False
+        bound, over = _against_bound(entry, base[0], change[0])
+        return line + "DIFFERS   " + bound, over
+    line = f"  {name:16s} median  {_spread(base)} -> {_spread(change)}"
+    bound, _ = _against_bound(entry, statistics.median(base), statistics.median(change))
+    line += "   " + bound
+    if name == "run_cost_ref":
+        line += "   " + _verdict(base, change)
+    return line, False
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
@@ -123,18 +154,17 @@ def main():
             _git("worktree", "remove", "--force", directory)
 
     print(f"\n{args.workload}  base {sha[:12]}  {args.pairs} pairs  seed {args.seed}")
+    over = []
     for entry in declaration["end_to_end"]:
         name = entry["name"]
-        base = [run[name] for run in runs["base"]]
-        change = [run[name] for run in runs["change"]]
-        if len(set(base)) == 1 and len(set(change)) == 1:
-            verdict = "identical" if base[0] == change[0] else "DIFFERS"
-            print(f"  {name:16s} exact   {base[0]:.9g} -> {change[0]:.9g}   {verdict}")
-            continue
-        line = f"  {name:16s} median  {_spread(base)} -> {_spread(change)}"
-        if name == "run_cost_ref":
-            line += "   " + _verdict(base, change)
+        line, is_over = _report(
+            entry, [run[name] for run in runs["base"]], [run[name] for run in runs["change"]]
+        )
         print(line)
+        if is_over:
+            over.append(name)
+    if over:
+        sys.exit(f"ab.py: exact metric over its bound: {', '.join(over)}")
 
 
 if __name__ == "__main__":

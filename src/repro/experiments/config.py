@@ -14,6 +14,7 @@ Defaults follow paper section V-A.  Two profiles are provided:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -255,6 +256,14 @@ class ExperimentConfig:
             )
         if self.demand_skew is not None and not 0 < self.demand_skew < 1:
             raise ConfigurationError("demand_skew must be in (0, 1)")
+        # Chained comparisons: NaN fails them all.
+        switch, host = self.switch_link_latency, self.host_link_latency
+        if not (0 <= switch < math.inf and 0 <= host < math.inf):
+            raise ConfigurationError("switch_link_latency, host_link_latency: finite, >= 0 s")
+        if self.link_bandwidth is not None and not 0 < self.link_bandwidth < math.inf:
+            raise ConfigurationError("link_bandwidth must be finite and positive (bits/s)")
+        if not 0 <= self.ewma_alpha < 1 or self.seed < 0:
+            raise ConfigurationError("ewma_alpha must be in [0, 1), seed >= 0")
         if self.route_cache_size < 0:
             raise ConfigurationError("route_cache_size must be >= 0 (0 = off)")
         if self.rng_batch_size < 0:
@@ -289,8 +298,8 @@ class ExperimentConfig:
                 f"workload_mode must be 'open' or 'closed', got "
                 f"{self.workload_mode!r}"
             )
-        if self.request_timeout is not None and self.request_timeout <= 0:
-            raise ConfigurationError("request_timeout must be positive (seconds)")
+        if self.request_timeout is not None and not 0 < self.request_timeout < math.inf:
+            raise ConfigurationError("request_timeout must be finite and positive (seconds)")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if self.replan_period is not None and not (

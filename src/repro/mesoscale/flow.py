@@ -69,6 +69,7 @@ from repro.network.packet import (
     _SIZE_RID,
     _SIZE_RV,
     _SIZE_SM,
+    _SIZE_SS,
     _SIZE_SSL,
     _SIZE_UDP_HEADERS,
 )
@@ -840,7 +841,7 @@ def _wire_sizes(config) -> Dict[str, Tuple[int, int]]:
     """
     payload = 16  # empty-request placeholder payload, as in wire_size()
     value = 16 if config.value_size == 0 else config.value_size
-    status = _SIZE_SSL + 12  # ServerStatus.wire_size() is fixed at 12 bytes
+    status = _SIZE_SSL + _SIZE_SS
     netrs_fixed = _SIZE_RID + _SIZE_MF + _SIZE_RV
     return {
         "request": (_SIZE_UDP_HEADERS + payload, 0),

@@ -17,9 +17,9 @@ congestion studies beyond the paper's scope.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappush
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterator, Optional, Protocol, Tuple
 
 from repro.errors import TopologyError
 from repro.network.addressing import SourceMarker
@@ -29,6 +29,7 @@ from repro.network.packet import (
     _SIZE_RID,
     _SIZE_RV,
     _SIZE_SM,
+    _SIZE_SS,
     _SIZE_SSL,
     _SIZE_UDP_HEADERS,
     MAGIC_MONITOR,
@@ -57,8 +58,9 @@ class Network:
 
     :meth:`transmit` is the reference: one link, one event.  The default
     fabric collapses a run of switches nothing waits at into one event
-    with the same accounting, priced by distance (:meth:`send_from_host`
-    from a host, :meth:`express` from a switch);
+    with the same accounting, priced by distance (``Host.send`` for a plain
+    packet, :meth:`send_from_host` for a server's NetRS response,
+    :meth:`express` from a switch) whenever ``_express_ok`` says it may;
     which switches or links carried a packet only ``track_links`` records,
     hop by hop.
 
@@ -95,7 +97,8 @@ class Network:
         "_faulty",
         "_trunking",
         "_switches_missing",
-        "_pending_trunks",
+        "_express_ok",
+        "_plain_rows",
     )
 
     def __init__(
@@ -158,7 +161,7 @@ class Network:
         self._dead_links: set = set()
         self._degraded_links: Dict[Tuple[str, str], float] = {}
         self._faulty = False
-        # Trunk collapse (send_from_host, express): disabled for fault
+        # Trunk collapse (Host.send, send_from_host, express): disabled for fault
         # runs -- a collapsed trunk commits to its path at send time, which
         # would let a packet sail over a link that dies while it is in flight.
         self._trunking = True
@@ -166,10 +169,10 @@ class Network:
         # switch's receive pipeline is known to be skippable: until this is
         # zero -- never, with a test double -- all is forwarded hop by hop.
         self._switches_missing = len(topology.switches)
-        # In-flight collapsed trunks whose eager accounting may need to be
-        # unwound if the run stops before their hops would have executed
-        # (see settle_trunks).  Pruned as deliveries pass.
-        self._pending_trunks: deque = deque()
+        # Where a plain packet for a host lands: destination host ->
+        # (endpoint.handle_packet, egress ToR, its pod).  See plain_row.
+        self._plain_rows: Dict[str, Tuple[Callable[[Packet], None], str, int]] = {}
+        self._refresh_express()
 
     # ------------------------------------------------------------------
     # Registry
@@ -184,6 +187,30 @@ class Network:
         self._receivers[name] = device.receive
         if getattr(device, "is_tor", None) is not None:
             self._switches_missing -= 1
+            self._refresh_express()
+
+    def _refresh_express(self) -> None:
+        """Set the one flag every express path reads, where a condition changes:
+        equal link latencies with no bandwidth model or per-link accounting,
+        every switch a real one, no active link fault, trunking not disabled."""
+        self._express_ok = self._fast_delay is not None and self._trunking and not (
+            self._switches_missing or self._faulty
+        )
+
+    def plain_row(self, dst: Optional[str]) -> Optional[tuple]:
+        """``dst``'s row of the plain-delivery table, filled on first use: one
+        per destination host, not per pair (the sender compares the ToR and
+        pod with its own).  ``None``, and nothing cached, for what is no host
+        or has no ``Host`` with an endpoint bound: the reference path finds
+        out what to raise.
+        """
+        endpoint = getattr(self._devices.get(dst), "endpoint", None)
+        egress = self.router._tor_of_host.get(dst)
+        if endpoint is None or egress is None:
+            return None
+        row = endpoint.handle_packet, egress, self.router._tor_pod[egress]
+        self._plain_rows[dst] = row
+        return row
 
     def device(self, name: str) -> Device:
         """The device attached at ``name``."""
@@ -236,9 +263,8 @@ class Network:
         else:
             overhead = 0
             size = _SIZE_UDP_HEADERS + common
-        status = packet.server_status
-        if status is not None:
-            size += _SIZE_SSL + status.wire_size()
+        if packet.server_status is not None:
+            size += _SIZE_SSL + _SIZE_SS
         value_size = packet.value_size
         size += 16 if value_size == 0 else value_size  # app payload
         self.transmissions += 1
@@ -281,53 +307,26 @@ class Network:
     def send_from_host(
         self, host_name: str, tor_name: str, packet: Packet
     ) -> None:
-        """Inject a host's packet through its ToR uplink: express delivery.
+        """Inject a host's packet through its ToR uplink.
 
-        Under the paper-default fabric (equal link latencies, no bandwidth
-        model, no per-link accounting, no active link faults) every switch
-        between two hosts is *mechanical* for a packet the ingress ToR does
-        not stamp: it would only follow the route, one scheduler event per
-        hop, and every equal-cost route is as long as the next.  So none is
-        looked up: the hops to the destination (:meth:`Router.host_distance`)
-        are accounted here and a single delivery scheduled at the chained
-        per-hop delay -- event timing, counters and tie-breaking seqs are
-        exactly what hop-by-hop forwarding produces.
-
-        A response's source marker rides the send: it says where the host
-        sits, and where its ToR forwards the marked packet never changes
-        after construction, so :meth:`express` takes it from there.  A NetRS
+        ``Host.send`` has delivered a plain packet on an express fabric.  A
+        response's source marker rides the send: it says where the host sits,
+        and where its ToR forwards the marked packet never changes after
+        construction, so :meth:`express` takes it from there.  A NetRS
         request's stamp stays the ToR's event: it reads rule tables that
         replans and DRS degradation rewrite mid-run.
         """
-        magic, delay = packet.magic, self._fast_delay
-        if not (
-            delay is None
-            or self._switches_missing
-            or self._faulty
-            or not self._trunking
-            or magic == MAGIC_REQUEST
-        ):
-            if magic == MAGIC_RESPONSE or magic == MAGIC_MONITOR:
-                tor = self._devices[tor_name]
-                if magic == MAGIC_MONITOR:
-                    target = packet.dst
-                elif packet.rsnode_id == tor.operator_id:
-                    target = None  # the ToR is the RSNode: its clone is an event
-                else:
-                    target = tor._operator_directory.get(packet.rsnode_id)
-                if self.express(tor_name, target, packet, tor.marker):
-                    return
+        magic = packet.magic
+        if self._express_ok and (magic == MAGIC_RESPONSE or magic == MAGIC_MONITOR):
+            tor = self._devices[tor_name]
+            if magic == MAGIC_MONITOR:
+                target = packet.dst
+            elif packet.rsnode_id == tor.operator_id:
+                target = None  # the ToR is the RSNode: its clone is an event
             else:
-                dst = packet.dst
-                receive = self._receivers.get(dst)
-                egress, switches = self.router.host_distance(tor_name, dst)
-                if receive is not None and switches:
-                    packet.hops += switches - 1  # all but the egress ToR
-                    now = when = self.env._now
-                    for _ in range(switches + 1):
-                        when += delay  # chained, as hop by hop
-                    self._deliver_trunk(packet, switches + 1, receive, egress, now, when)
-                    return
+                target = tor._operator_directory.get(packet.rsnode_id)
+            if self.express(tor_name, target, packet, tor.marker):
+                return
         # Per-hop fabric, a NetRS request, work for this very ToR, nothing attached
         # or no fixed distance: the reference path delivers as far as it can, or raises.
         self.transmit(host_name, tor_name, packet)
@@ -343,8 +342,8 @@ class Network:
         """Deliver a packet switch ``at`` forwards toward ``target`` to what
         it next *waits* at, or return ``False``: forward it hop by hop.
 
-        Under :meth:`send_from_host`'s conditions everything in between only
-        forwards, and :meth:`Router.distance` says how many links that is.
+        While ``_express_ok`` everything in between only forwards, and
+        :meth:`Router.distance` says how many links that is.
         A NetRS request goes to its RSNode, which selects for it; anything
         else to its destination host, and what nobody waits for on the way
         is a dated note: the clone an RSNode that can select takes of a NetRS
@@ -355,12 +354,7 @@ class Network:
         link, accounted as sent, and the links after it carry ``stamp``.
         With ``base`` it leaves ``at`` then, not now.
         """
-        if (
-            self._fast_delay is None
-            or self._switches_missing
-            or self._faulty
-            or not self._trunking
-        ):
+        if not self._express_ok:
             return False
         egress, links = self.router.distance(at, target)
         if not links:
@@ -392,7 +386,7 @@ class Network:
         delay = self._fast_delay
         now = when = self.env._now if base is None else base
         for _ in range(first):
-            when += delay  # chained, as hop by hop
+            when += delay  # chained, as hop by hop: delay * first differs in the last ulp
         if rsnode is not None:
             rsnode.note_clone(packet, when)  # as it passes the RSNode,
             packet.magic = magic  # which relabels it
@@ -403,32 +397,12 @@ class Network:
         if prev == egress:
             links += 1  # and on to the host
             when += delay
-        self._deliver_trunk(packet, links, receive, prev, now, when)
-        return True
-
-    def _deliver_trunk(
-        self,
-        packet: Packet,
-        hops: int,
-        receive: Callable[[Packet, str], None],
-        prev: str,
-        base: float,
-        when: float,
-    ) -> None:
-        """Account a run of links and schedule what follows it.
-
-        ``hops`` is how many links are crossed from ``base`` on (the switches
-        between them skipped; which ones, no counter records), ``receive``
-        the device delivered to at ``when``, ``prev`` the name it sees the
-        packet arrive from.  ``when`` is ``base`` plus the delay ``hops``
-        times, *chained* as hop by hop: ``delay * hops`` differs in the last ulp.
-        """
-        # Wire accounting once for the whole trunk (size is invariant along
-        # it: nothing that changes sizing fields is mechanical).
+        # Wire accounting once for the whole run of links (size is invariant
+        # along it: nothing that changes sizing fields is mechanical).
         common = 0
         if packet.rgid >= 0:
             common += _SIZE_RGID
-        if packet.source_marker is not None:
+        if marker is not None:
             common += _SIZE_SM
         if packet.magic != MAGIC_PLAIN:
             overhead = _SIZE_FIXED_NETRS + common
@@ -436,28 +410,27 @@ class Network:
         else:
             overhead = 0
             size = _SIZE_UDP_HEADERS + common
-        status = packet.server_status
-        if status is not None:
-            size += _SIZE_SSL + status.wire_size()
+        if packet.server_status is not None:
+            size += _SIZE_SSL + _SIZE_SS
         value_size = packet.value_size
         size += 16 if value_size == 0 else value_size  # app payload
-        self.transmissions += hops
-        self.bytes_transferred += size * hops
-        self.netrs_overhead_bytes += overhead * hops
+        self.transmissions += links
+        self.bytes_transferred += size * links
+        self.netrs_overhead_bytes += overhead * links
+        # Inlined Environment.post_at, as in transmit(); behind its five
+        # fields the entry is the settlement ledger (see trunks_in_flight).
         env = self.env
-        now = env._now
-        pending = self._pending_trunks
-        while pending and pending[0][5] < now:
-            pending.popleft()  # delivered; accounting is final
-        pending.append((base, self._fast_delay, hops, size, overhead, when))
-        # Inlined Environment.post_in, as in transmit().
         env._seq += 1
         dq = env._dq
-        entry = (when, env._seq, 2, receive, (packet, prev))
+        entry = (
+            when, env._seq, 2, receive, (packet, prev),
+            now, delay, links, size, overhead,
+        )
         if not dq or when >= dq[-1][0]:
             dq.append(entry)
         else:
             heappush(env._heap, entry)
+        return True
 
     def disable_trunking(self) -> None:
         """Force per-hop forwarding (used when link or RSNode faults are scheduled).
@@ -468,11 +441,21 @@ class Network:
         runs take the reference path throughout.
         """
         self._trunking = False
+        self._refresh_express()
+
+    def trunks_in_flight(self) -> Iterator[tuple]:
+        """``(base, delay, hops, size, overhead, when)`` of every collapsed run
+        still scheduled: ``hops`` links of ``delay`` each from ``base`` on, at
+        ``size`` and ``overhead`` bytes a link, delivered at ``when``.  The
+        ledger is the schedule: a delivered run's entry, and debt, are gone."""
+        for entry in chain(self.env._dq, self.env._heap):
+            if len(entry) == 10:
+                yield entry[5:] + entry[:1]
 
     def settle_trunks(self, stop_time: float) -> None:
         """Unwind eager trunk accounting past the end of the run.
 
-        ``_deliver_trunk`` accounts every hop of a trunk at send time; the
+        Express delivery accounts every hop of a trunk at send time; the
         reference path accounts hop ``i`` only when hop ``i``'s forwarding
         event executes.  When the run stops at ``stop_time`` with trunks in
         flight, the hops that would have executed at or after ``stop_time``
@@ -481,11 +464,7 @@ class Network:
         hop too, of a trunk dated ahead).  Called once after the event loop
         stops, before counters are read.
         """
-        pending = self._pending_trunks
-        while pending:
-            base, delay, hops, size, overhead, when = pending.popleft()
-            if when < stop_time:
-                continue  # fully delivered before the stop
+        for base, delay, hops, size, overhead, _ in self.trunks_in_flight():
             undone = 1 if base > stop_time else 0  # dated ahead: it never left
             t = base
             for _ in range(1, hops):
@@ -514,6 +493,7 @@ class Network:
         self._dead_links.add((a, b))
         self._dead_links.add((b, a))
         self._faulty = True
+        self._refresh_express()
         self.router.fail_link(a, b)
 
     def restore_link(self, a: str, b: str) -> None:
@@ -525,6 +505,7 @@ class Network:
         self._degraded_links.pop((a, b), None)
         self._degraded_links.pop((b, a), None)
         self._faulty = bool(self._dead_links or self._degraded_links)
+        self._refresh_express()
         if was_dead:
             self.router.restore_link(a, b)
 
@@ -540,6 +521,7 @@ class Network:
         self._degraded_links[(a, b)] = factor
         self._degraded_links[(b, a)] = factor
         self._faulty = True
+        self._refresh_express()
 
     def top_links(self, count: int = 10) -> list:
         """Hottest directed links by bytes carried (needs ``track_links``).

@@ -2,16 +2,26 @@
 
 A :class:`Host` owns one topology host node, forwards everything it receives
 to the *endpoint* living on it (a key-value client or server), and injects
-the endpoint's outgoing packets into the network via its ToR uplink.
+the endpoint's outgoing packets into the network via its ToR uplink.  A plain
+packet on an express fabric it delivers itself: one call, one event.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Optional, Protocol
 
 from repro.errors import ConfigurationError
 from repro.network.fabric import Network
-from repro.network.packet import Packet
+from repro.network.packet import (
+    _SIZE_RGID,
+    _SIZE_SM,
+    _SIZE_SS,
+    _SIZE_SSL,
+    _SIZE_UDP_HEADERS,
+    MAGIC_PLAIN,
+    Packet,
+)
 
 
 class Endpoint(Protocol):
@@ -25,25 +35,18 @@ class Endpoint(Protocol):
 class Host:
     """One end-host: a NIC attached to its ToR plus an application endpoint."""
 
-    __slots__ = (
-        "name",
-        "network",
-        "tor_name",
-        "endpoint",
-        "packets_sent",
-        "packets_received",
-        "_inject",
-    )
+    __slots__ = ("name", "network", "tor_name", "endpoint", "_pod", "_far")
 
     def __init__(self, name: str, network: Network) -> None:
         self.name = name
         self.network = network
-        self.tor_name = network.router.tor_of(name)
+        router = network.router
+        self.tor_name = router.tor_of(name)
         self.endpoint: Optional[Endpoint] = None
-        self.packets_sent = 0
-        self.packets_received = 0
-        # Pre-bound fabric entry point for the per-packet injection path.
-        self._inject = network.send_from_host
+        # The links to a host in another pod (0: only a walk can tell); to one
+        # in this pod 4, under this ToR 2 -- Router.host_distance's rule.
+        self._pod = router._tor_pod[self.tor_name]
+        self._far = router._cross_pod + 1 if router._cross_pod else 0
         network.attach(name, self)
 
     def bind(self, endpoint: Endpoint) -> None:
@@ -55,12 +58,53 @@ class Host:
     def send(self, packet: Packet) -> None:
         """Inject a packet into the network through the ToR uplink.
 
-        No route is attached here: the fabric delivers the packet express,
-        priced by distance alone, or hands it to the ToR, which forwards it
-        like any other switch (:meth:`Network.send_from_host`).
+        While ``Network._express_ok`` the switches between two hosts only
+        forward a plain packet, and all equal-cost routes are as long.  So
+        none is looked up: the links to the destination (its
+        :meth:`Network.plain_row` against this host's ToR and pod) are
+        accounted here and one delivery scheduled at its endpoint -- timing,
+        counters and tie-breaking seqs exactly hop-by-hop forwarding's.
+        Anything else is :meth:`Network.send_from_host`'s.
         """
-        self.packets_sent += 1
-        self._inject(self.name, self.tor_name, packet)
+        network = self.network
+        links = 0
+        if packet.magic == MAGIC_PLAIN and network._express_ok:
+            try:
+                row = network._plain_rows[packet.dst]
+            except KeyError:
+                row = network.plain_row(packet.dst)
+            if row is not None:
+                handle, tor, pod = row
+                links = 2 if tor == self.tor_name else 4 if pod == self._pod else self._far
+        if not links:
+            network.send_from_host(self.name, self.tor_name, packet)
+            return
+        packet.hops += links - 2  # all switches but the egress ToR
+        # Inlined Packet.wire_size (a plain packet carries no NetRS overhead).
+        value_size = packet.value_size
+        size = _SIZE_UDP_HEADERS + (16 if value_size == 0 else value_size)
+        if packet.rgid >= 0:
+            size += _SIZE_RGID
+        if packet.source_marker is not None:
+            size += _SIZE_SM
+        if packet.server_status is not None:
+            size += _SIZE_SSL + _SIZE_SS
+        network.transmissions += links
+        network.bytes_transferred += size * links
+        delay = network._fast_delay
+        env = network.env
+        now = when = env._now
+        for _ in range(links):
+            when += delay  # chained, as hop by hop
+        # Inlined Environment.post_at; behind its five fields the entry is the
+        # settlement ledger (Network.trunks_in_flight).
+        env._seq += 1
+        entry = (when, env._seq, 2, handle, (packet,), now, delay, links, size, 0)
+        dq = env._dq
+        if not dq or when >= dq[-1][0]:
+            dq.append(entry)
+        else:
+            heappush(env._heap, entry)
 
     def receive(self, packet: Packet, from_name: str) -> None:
         """Fabric callback: hand the packet to the endpoint."""
@@ -68,5 +112,4 @@ class Host:
             raise ConfigurationError(
                 f"host {self.name} received a packet but has no endpoint"
             )
-        self.packets_received += 1
         self.endpoint.handle_packet(packet)

@@ -60,6 +60,7 @@ _SIZE_RV = 2
 _SIZE_RGID = 3
 _SIZE_SM = 4
 _SIZE_SSL = 2
+_SIZE_SS = 4 + 4 + 4  # queue size + service rate + timestamp
 _SIZE_UDP_HEADERS = 8 + 20 + 14  # UDP + IPv4 + Ethernet
 
 
@@ -87,7 +88,7 @@ class ServerStatus:
 
     def wire_size(self) -> int:
         """Bytes of the encoded status: queue (4) + rate (4) + stamp (4)."""
-        return 12
+        return _SIZE_SS
 
 
 @dataclass(slots=True)
@@ -164,7 +165,7 @@ class Packet:
         if self.source_marker is not None:
             size += _SIZE_SM
         if self.server_status is not None:
-            size += _SIZE_SSL + self.server_status.wire_size()
+            size += _SIZE_SSL + _SIZE_SS
         size += 16 if self.value_size == 0 else self.value_size  # app payload
         return size
 
@@ -187,7 +188,7 @@ class Packet:
             overhead = 0
         size = _SIZE_UDP_HEADERS + fixed + common
         if self.server_status is not None:
-            size += _SIZE_SSL + self.server_status.wire_size()
+            size += _SIZE_SSL + _SIZE_SS
         size += 16 if self.value_size == 0 else self.value_size  # app payload
         return size, overhead
 

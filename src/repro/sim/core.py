@@ -21,7 +21,9 @@ different lengths can share a container:
 * ``kind 0`` -- cancellable callback ``(time, seq, 0, fn, args, handle)``,
 * ``kind 1`` -- event processing ``(time, seq, 1, event)``,
 * ``kind 2`` -- fast non-cancellable callback ``(time, seq, 2, fn, args)``
-  (the packet-hop hot path; no handle allocation).
+  (the packet-hop hot path; no handle allocation).  It may carry trailing
+  fields of its scheduler's own (the fabric's settlement ledger): the loop,
+  ``_dispatch``, ``_compact`` and ``peek`` read only the first five.
 
 The schedule is split across two structures (a "lazy queue"):
 

@@ -110,6 +110,31 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig.tiny(scheme="clirs-r95", **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("host_link_latency", float("nan")),  # ran, and ended as "run stalled"
+            ("link_bandwidth", float("nan")),
+            ("request_timeout", float("nan")),
+            ("request_timeout", float("inf")),
+            ("switch_link_latency", -1e-6),  # a bare ValueError at build
+            ("switch_link_latency", float("inf")),
+            ("link_bandwidth", 0),
+            ("link_bandwidth", -5),
+            ("ewma_alpha", 1.0),  # a bare ValueError from the server's rate EWMA
+            ("ewma_alpha", -0.1),
+            ("seed", -1),  # numpy's ValueError
+        ],
+    )
+    @pytest.mark.parametrize("fidelity", ["packet", "flow"])
+    def test_the_fabric_s_own_fields_fail_at_config_time(self, field, value, fidelity):
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig.tiny(fidelity=fidelity, **{field: value})
+        ExperimentConfig.tiny(  # the edges of every range pass
+            fidelity=fidelity, host_link_latency=0.0, switch_link_latency=0.0,
+            link_bandwidth=1e9, request_timeout=1e-3, ewma_alpha=0.0, seed=0,
+        )
+
     def test_replace_validates(self):
         config = ExperimentConfig.tiny()
         with pytest.raises(ConfigurationError):

@@ -115,16 +115,14 @@ class TestHost:
         host.send(_plain())
         env.run()
         assert len(tor_sink.packets) == 1
-        assert host.packets_sent == 1
 
-    def test_receive_counts(self, net):
+    def test_receive_hands_to_the_endpoint(self, net):
         env, _, network = net
         host = Host("host0.0.0", network)
         sink = Sink()
         host.bind(sink)
         network.transmit("tor0.0", "host0.0.0", _plain("host0.0.0"))
         env.run()
-        assert host.packets_received == 1
         assert len(sink.packets) == 1
 
 

@@ -3,7 +3,7 @@
 Four claims: the interned forwarding routes are the reference ECMP walk;
 every equal-cost walk between two points is as long as the next, which is
 what lets a packet be priced by distance with no route; collapsed delivery
-(``send_from_host`` from a host, ``express`` from a switch) is hop-by-hop
+(``Host.send`` from a host, ``express`` from a switch) is hop-by-hop
 forwarding, to the event time and the fabric counter; and the table is
 consulted only by a fabric that forwards hop by hop, and stays within its
 bound.
@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.errors import RoutingError, TopologyError
+from repro.errors import ConfigurationError, RoutingError, TopologyError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
@@ -244,6 +244,13 @@ class TestDistanceNotRoute:
             env.run()
 
 
+def _host_sends(scenario):
+    """Packets the hosts injected: requests, duplicates, a response a service."""
+    return sum(c.requests_sent + c.redundant_sent for c in scenario.clients) + sum(
+        server.completions for server in scenario.servers.values()
+    )
+
+
 class TestTableSize:
     def test_bound_holds_without_a_clear_all(self):
         """200 k sends on the paper's tree: the table fills to its bound and
@@ -297,7 +304,7 @@ class TestTableSize:
         scenario = build_scenario(config)
         run_experiment(config, scenario=scenario)
         router = scenario.network.router
-        sends = sum(host.packets_sent for host in scenario.hosts.values())
+        sends = _host_sends(scenario)
         assert sends > 16000
         assert router.entries == 0 and router.misses == 0
 
@@ -312,7 +319,7 @@ class TestTableSize:
             scenario = build_scenario(config.replace(**overrides))
             run_experiment(scenario.config, scenario=scenario)
             router = scenario.network.router
-            sends = sum(host.packets_sent for host in scenario.hosts.values())
+            sends = _host_sends(scenario)
             assert sends >= 16000
             if consulted:
                 assert 0 < router.entries == router.misses < 0.05 * sends
@@ -428,6 +435,21 @@ WHOLE_RUNS = {
 }
 
 
+#: Plain-traffic cells stopped mid-run: W=2 acks, R=2 digest probes and a
+#: migration inside the stop window; R95 duplicates.
+PLAIN_STOPPED = {
+    "clirs-r95": dict(scheme="clirs-r95"),
+    "quorum-churn": dict(
+        scheme="clirs",
+        write_fraction=0.3,
+        write_quorum=2,
+        read_quorum=2,
+        request_timeout=0.25,
+        churn_schedule="node-leave@0.022:server#1;node-join@0.031:server#1",
+    ),
+}
+
+
 def _netrs_state(scenario):
     """What the acting switches did, as of the clock: selections, clones,
     monitor counts, the accelerator's books and then its selector's."""
@@ -491,6 +513,55 @@ class TestExpressDelivery:
             _inject(env, hosts, [(0.0, "host0.0.0", "host3.1.1", 1)])
             with pytest.raises(TopologyError, match="host3.1.1"):
                 env.run()
+
+    def test_the_plain_table_never_caches_a_miss(self):
+        """Nothing attached, then a host with no endpoint, then a bound one:
+        the reference path raises what it raises, then the row is filled."""
+        env, network, hosts, log = _wired(trunking=True, skip=("host3.1.1",))
+
+        def send(request_id):
+            hosts["host0.0.0"].send(
+                Packet(src="host0.0.0", dst="host3.1.1", magic=0, request_id=request_id)
+            )
+            env.run()
+
+        with pytest.raises(TopologyError, match="host3.1.1"):
+            send(1)
+        late = Host("host3.1.1", network)
+        with pytest.raises(ConfigurationError, match="no endpoint"):
+            send(2)
+        assert "host3.1.1" not in network._plain_rows
+        late.bind(Recorder(env, "host3.1.1", log))
+        before = env.events_executed
+        send(3)
+        assert env.events_executed == before + 1
+        assert [(name, rid, hops) for _, name, rid, hops in log] == [("host3.1.1", 3, 4)]
+        assert network._plain_rows["host3.1.1"][1:] == ("tor3.1", 3)
+
+    def test_one_flag_follows_every_express_condition(self):
+        env, network, _, _ = _wired(trunking=True)
+        link = ("tor0.0", "agg0.0")
+        assert network._express_ok
+        network.fail_link(*link)
+        assert not network._express_ok
+        network.degrade_link("tor1.0", "agg1.0", 2.0)
+        network.restore_link(*link)
+        assert not network._express_ok  # one link still degraded
+        network.restore_link("tor1.0", "agg1.0")
+        assert network._express_ok
+        network.disable_trunking()
+        assert not network._express_ok
+        assert not _wired(trunking=True, doubles=("core3",))[1]._express_ok
+        assert not _wired(trunking=True, skip=("core3",))[1]._express_ok
+        for per_hop in (
+            dict(host_link_latency=10e-6),
+            dict(link_bandwidth=1e9),
+            dict(track_links=True),
+        ):
+            network = Network(env, build_fat_tree(4), **per_hop)
+            for node in network.topology.switches:
+                ProgrammableSwitch(node.name, network)
+            assert not network._express_ok
 
     def test_destination_that_is_no_host_still_raises(self):
         for trunking in (True, False):
@@ -610,7 +681,7 @@ class TestExpressDelivery:
                 if trunking:
                     responses_cut = any(
                         size > config.value_size and when >= stop > base + delay
-                        for base, delay, _, size, _, when in network._pending_trunks
+                        for base, delay, _, size, _, when in network.trunks_in_flight()
                     )
                 network.settle_trunks(stop)
                 if trunking:
@@ -626,3 +697,41 @@ class TestExpressDelivery:
                 )
             assert outcomes[0] == outcomes[1]
         assert unwound >= 3
+
+    @pytest.mark.parametrize("compaction", [True, False])
+    @pytest.mark.parametrize("cell", sorted(PLAIN_STOPPED))
+    def test_plain_run_stopped_mid_flight_settles_the_same(self, cell, compaction):
+        """The plain twin: the ledger of a send ``Host.send`` delivered is its
+        schedule entry, so a compaction pass before the stop must keep it."""
+        config = ExperimentConfig.tiny(
+            seed=5, engine_compaction=compaction, **PLAIN_STOPPED[cell]
+        )
+        unwound = 0
+        for stop in [20e-3 + 1.037e-3 * i for i in range(20)]:
+            outcomes = []
+            for trunking in (True, False):
+                scenario = build_scenario(config)
+                network, env = scenario.network, scenario.env
+                if not trunking:
+                    network.disable_trunking()
+                scenario.workload.start()
+                env.run(until=stop)
+                rows = sorted(network.trunks_in_flight())
+                assert trunking or not rows  # per-hop forwarding owes nothing
+                if compaction:
+                    assert env.pending_cancelled > 0
+                    env._compact()
+                    assert sorted(network.trunks_in_flight()) == rows
+                eager = network.transmissions
+                network.settle_trunks(stop)
+                unwound += eager - network.transmissions
+                writes = scenario.write_recorder
+                outcomes.append(
+                    (
+                        scenario.recorder.samples,
+                        None if writes is None else writes.samples,
+                        _counters(network),
+                    )
+                )
+            assert outcomes[0] == outcomes[1]
+        assert unwound >= 20
