@@ -7,7 +7,7 @@ PYTHON ?= python3
 help:
 	@echo "install       editable install"
 	@echo "test          full test suite (incl. slow shape assertions)"
-	@echo "test-fast     fast tests only (~15 s)"
+	@echo "test-fast     fast tests only (~45 s on 2 cores)"
 	@echo "ci            what CI runs: fast tests (see .github/workflows/ci.yml)"
 	@echo "faults-smoke  crash-and-recover drill from docs/FAULTS.md (retries, zero lost)"
 	@echo "mesoscale-smoke  1k-host flow-tier demo + fidelity gate on one paper config"

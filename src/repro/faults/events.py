@@ -33,6 +33,7 @@ The taxonomy (see ``docs/FAULTS.md`` for the failure model):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -40,9 +41,9 @@ from repro.errors import ConfigurationError
 
 
 def _check_time(at: float) -> None:
-    if not at >= 0:
+    if not 0 <= at < math.inf:
         raise ConfigurationError(
-            f"fault event time must be >= 0 seconds, got {at!r}"
+            f"fault event time must be finite and >= 0 seconds, got {at!r}"
         )
 
 
@@ -94,7 +95,7 @@ class LinkUp:
 
 @dataclass(frozen=True)
 class LinkDegrade:
-    """Multiply the per-hop delay of a link by ``factor`` (>= 1)."""
+    """Multiply the per-hop delay of a link by a finite ``factor`` >= 1."""
 
     at: float
     a: str
@@ -103,9 +104,10 @@ class LinkDegrade:
 
     def __post_init__(self) -> None:
         _check_time(self.at)
-        if not self.factor >= 1.0:
+        if not 1.0 <= self.factor < math.inf:
             raise ConfigurationError(
-                f"link degradation factor must be >= 1, got {self.factor!r}"
+                "link degradation factor must be finite and >= 1, "
+                f"got {self.factor!r}"
             )
 
 

@@ -270,7 +270,7 @@ def parse_fault_schedule(spec: str) -> FaultSchedule:
             )
         at = _parse_float(time_text.strip(), "time", clause)
         if event_cls in (ServerDown, ServerUp, NodeJoin, NodeLeave):
-            schedule.add(event_cls(at, target))
+            args: tuple = (target,)
         elif event_cls is LinkDegrade:
             link_text, star, factor_text = target.partition("*")
             if not star:
@@ -279,13 +279,15 @@ def parse_fault_schedule(spec: str) -> FaultSchedule:
                     f"{target!r} in {clause!r}"
                 )
             a, b = _parse_link(link_text.strip(), clause)
-            factor = _parse_float(factor_text.strip(), "factor", clause)
-            schedule.add(LinkDegrade(at, a, b, factor))
+            args = (a, b, _parse_float(factor_text.strip(), "factor", clause))
         elif event_cls in (LinkDown, LinkUp):
-            a, b = _parse_link(target, clause)
-            schedule.add(event_cls(at, a, b))
+            args = _parse_link(target, clause)
         else:  # RSNodeDown / RSNodeUp
-            schedule.add(event_cls(at, _parse_operator(target)))
+            args = (_parse_operator(target),)
+        try:
+            schedule.add(event_cls(at, *args))
+        except ConfigurationError as error:  # a time or factor out of range
+            raise ConfigurationError(f"{error} in fault clause {clause!r}") from None
     if not len(schedule):
         raise ConfigurationError(f"fault schedule {spec!r} contains no events")
     return schedule

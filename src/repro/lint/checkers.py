@@ -42,20 +42,7 @@ def last_two(dotted: str) -> Tuple[str, str]:
 
 #: Environment methods that put work on the simulation schedule.  Feeding
 #: them from an unordered container (or a stale closure) breaks determinism.
-SCHEDULING_METHODS = frozenset(
-    {
-        "call_at",
-        "call_in",
-        "post_at",
-        "post_in",
-        "timeout",
-        "process",
-        "succeed",
-        "fail",
-        "add_callback",
-        "_schedule_event",
-    }
-)
+SCHEDULING_METHODS = frozenset({"call_at", "call_in", "post_at", "post_in"})
 
 
 def _scheduling_calls(nodes: Iterable[ast.AST]) -> List[ast.Call]:
@@ -235,9 +222,9 @@ def _is_unordered_iterable(node: ast.AST) -> bool:
     rationale=(
         "Iterating a set (or any hash-ordered container) enumerates string "
         "elements in a PYTHONHASHSEED-dependent order.  If the loop body "
-        "schedules simulation work (Environment.post*/call_*/timeout/...), "
-        "the event sequence numbers -- and therefore tie-breaking -- differ "
-        "between runs.  Wrap the iterable in sorted() to pin the order."
+        "schedules simulation work (Environment.call_*/post_*), the event "
+        "sequence numbers -- and therefore tie-breaking -- differ between "
+        "runs.  Wrap the iterable in sorted() to pin the order."
     ),
     example_bad=(
         "for host in {pkt.src, pkt.dst}:\n"
@@ -390,8 +377,8 @@ def _loop_target_names(target: ast.AST) -> Set[str]:
     rule_id="SIM001",
     title="scheduled lambdas must not close over loop variables",
     rationale=(
-        "A lambda passed to Environment.call_*/post_*/add_callback inside a "
-        "for loop captures the loop *variable*, not its value; by the time "
+        "A lambda passed to Environment.call_*/post_* inside a for loop "
+        "captures the loop *variable*, not its value; by the time "
         "the engine fires the callback the loop has finished and every "
         "callback sees the final iteration's value.  Bind the value eagerly "
         "with a default argument or functools.partial."

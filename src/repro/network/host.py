@@ -44,7 +44,8 @@ class Host:
         self.tor_name = router.tor_of(name)
         self.endpoint: Optional[Endpoint] = None
         # The links to a host in another pod (0: only a walk can tell); to one
-        # in this pod 4, under this ToR 2 -- Router.host_distance's rule.
+        # in this pod 4, under this ToR 2.  ECMP picks which switches a walk
+        # visits, never how many, so every route between two hosts is as long.
         self._pod = router._tor_pod[self.tor_name]
         self._far = router._cross_pod + 1 if router._cross_pod else 0
         network.attach(name, self)

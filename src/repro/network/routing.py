@@ -60,14 +60,15 @@ class Router:
     sits on it: the **forwarding table** behind :meth:`forwarding_route`,
     which switches consult only when they forward hop by hop.  On the default
     fabric no packet needs a route, only how far what next acts on it is
-    (:meth:`host_distance`, :meth:`distance`).  The table's key is what
-    determines the walk in a fault-free tree -- the source switch (a ToR's
-    pod: its walk never depends on the rack), the egress switch, and the
-    flow-key bits the ECMP picks read -- and a cross-pod walk is stored as
-    two segments, the climb to a core (which no destination influences) and
-    the core's descent (which no source does), so the table is bounded by
-    switches x fan-out, not by host pairs: 768 routes carry all host traffic
-    on the 8-ary tree, 10 240 on the paper's 16-ary.
+    (:meth:`distance`; ``Host.send`` prices a plain packet the same way).
+    The table's key is what determines the walk in a fault-free tree -- the
+    source switch (a ToR's pod: its walk never depends on the rack), the
+    egress switch, and the flow-key bits the ECMP picks read -- and a
+    cross-pod walk is stored as two segments, the climb to a core (which no
+    destination influences) and the core's descent (which no source does),
+    so the table is bounded by switches x fan-out, not by host pairs: 768
+    routes carry all host traffic on the 8-ary tree, 10 240 on the paper's
+    16-ary.
 
     ``path_cache_size`` bounds the table; ``0`` bypasses it, so every lookup
     is a fresh reference walk (the determinism suites and the benchmark's
@@ -217,24 +218,6 @@ class Router:
             return self._tor_of_host[host_name]
         except KeyError:
             raise TopologyError(f"unknown host: {host_name}") from None
-
-    def host_distance(self, tor: str, host: str) -> Tuple[Optional[str], int]:
-        """``host``'s ToR, and the switches from ``tor`` (counted) to ``host``.
-
-        1 under ``tor``, 3 elsewhere in its pod, 5 in another pod:
-        ``len(path(tor, host, key))`` for *every* ``key`` -- ECMP picks which
-        switches a walk visits, never how many (the flow tier's rule,
-        ``FatTreeGeometry.hop_count``).  ``(None, 0)`` when ``host`` is no
-        host, 0 switches when only a walk can tell.
-        """
-        try:
-            egress = self._tor_of_host[host]
-        except KeyError:
-            return None, 0
-        if egress == tor:
-            return egress, 1
-        pods = self._tor_pod
-        return egress, 3 if pods[egress] == pods[tor] else self._cross_pod
 
     def distance(self, switch: str, target: str) -> Tuple[Optional[str], int]:
         """``target``'s egress switch (a host's ToR, a switch itself), and the

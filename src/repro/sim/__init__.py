@@ -2,48 +2,25 @@
 
 This subpackage is the substrate every other component runs on.  It provides:
 
-* :class:`~repro.sim.core.Environment` -- the event loop with a virtual clock,
-* :class:`~repro.sim.core.Event` and :class:`~repro.sim.core.Timeout` -- the
-  primitive synchronization objects,
-* :class:`~repro.sim.process.Process` -- generator-based simulated processes,
-* :mod:`~repro.sim.resources` -- queues and capacity-limited resources,
+* :class:`~repro.sim.core.Environment` -- the event loop with a virtual clock;
+  everything scheduled on it is a callback, cancellable
+  (:meth:`~repro.sim.core.Environment.call_at` /
+  :meth:`~repro.sim.core.Environment.call_in`, which return a handle) or not
+  (:meth:`~repro.sim.core.Environment.post_at` /
+  :meth:`~repro.sim.core.Environment.post_in`, the per-packet hot path),
 * :mod:`~repro.sim.rng` -- named, reproducible random streams,
-* :mod:`~repro.sim.probes` -- measurement helpers (counters, latency
-  recorders, time series).
-
-The engine is deliberately simpy-like so that modeling code reads naturally,
-but it also exposes a cheap callback API (:meth:`Environment.call_at` /
-:meth:`Environment.call_in`) used on the per-packet hot path where spinning up
-a generator per hop would be wasteful.
+* :class:`~repro.sim.probes.LatencyRecorder` -- exact latency percentiles.
 """
 
-from repro.sim.core import (
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    StopSimulation,
-    Timeout,
-)
-from repro.sim.process import Process
-from repro.sim.probes import Counter, LatencyRecorder, TimeSeries, WelfordStats
-from repro.sim.resources import Resource, Store
+from repro.sim.core import Environment, SimulationError, StopSimulation
+from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import BatchedStream, RngRegistry
 
 __all__ = [
     "BatchedStream",
-    "Counter",
     "Environment",
-    "Event",
-    "Interrupt",
     "LatencyRecorder",
-    "Process",
-    "Resource",
     "RngRegistry",
     "SimulationError",
     "StopSimulation",
-    "Store",
-    "TimeSeries",
-    "Timeout",
-    "WelfordStats",
 ]

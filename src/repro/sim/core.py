@@ -1,15 +1,14 @@
-"""Core of the discrete-event engine: the clock, the heap, and events.
+"""Core of the discrete-event engine: the clock and the schedule.
 
 Time is a ``float`` in **seconds**.  All scheduling goes through
 :class:`Environment`; entities never touch the heap directly.
 
-Two scheduling styles coexist:
+Everything scheduled is a callback, cancellable or not:
 
-* **Callbacks** -- ``env.call_in(delay, fn, *args)`` runs ``fn`` at
-  ``env.now + delay``.  This is the cheap path used for packet hops.
-* **Events** -- :class:`Event` objects that processes can wait on.  An event
-  is *triggered* exactly once (``succeed``/``fail``) and then notifies its
-  callbacks in FIFO order.
+* ``env.call_in(delay, fn, *args)`` / ``call_at`` run ``fn`` at
+  ``env.now + delay`` and return a handle whose ``cancel()`` stops it;
+* ``env.post_in(delay, fn, args)`` / ``post_at`` do the same with no handle
+  and no validation.  This is the cheap path used for packet hops.
 
 Ties in time are broken by insertion order, so the simulation is fully
 deterministic for a fixed seed.
@@ -19,7 +18,6 @@ unique, so tuple comparison never inspects the payload and entries of
 different lengths can share a container:
 
 * ``kind 0`` -- cancellable callback ``(time, seq, 0, fn, args, handle)``,
-* ``kind 1`` -- event processing ``(time, seq, 1, event)``,
 * ``kind 2`` -- fast non-cancellable callback ``(time, seq, 2, fn, args)``
   (the packet-hop hot path; no handle allocation).  It may carry trailing
   fields of its scheduler's own (the fabric's settlement ledger): the loop,
@@ -47,7 +45,7 @@ from __future__ import annotations
 import gc
 import heapq
 from collections import deque
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 
 class SimulationError(Exception):
@@ -60,168 +58,6 @@ class StopSimulation(Exception):
     def __init__(self, value: Any = None) -> None:
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted by another process."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class Event:
-    """A one-shot occurrence that callbacks and processes can wait on.
-
-    An event starts *pending*.  Calling :meth:`succeed` or :meth:`fail`
-    *triggers* it: the event is placed on the heap at the current time and,
-    when popped, its callbacks run with the event as sole argument.
-
-    Attributes:
-        env: The owning :class:`Environment`.
-        callbacks: Callables invoked when the event is processed.  ``None``
-            after processing (late ``wait`` attempts raise).
-        value: Payload passed to :meth:`succeed`, or the exception passed to
-            :meth:`fail`.
-    """
-
-    __slots__ = ("env", "callbacks", "value", "_ok", "_processed")
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self.callbacks: Optional[list[Callable[["Event"], None]]] = []
-        self.value: Any = None
-        self._ok: Optional[bool] = None  # None => pending
-        self._processed = False
-
-    @property
-    def triggered(self) -> bool:
-        """Whether ``succeed``/``fail`` has been called."""
-        return self._ok is not None
-
-    @property
-    def processed(self) -> bool:
-        """Whether the callbacks have already run."""
-        return self._processed
-
-    @property
-    def ok(self) -> bool:
-        """Whether the event succeeded.  Only meaningful once triggered."""
-        if self._ok is None:
-            raise SimulationError("event is not triggered yet")
-        return self._ok
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with an optional ``value``."""
-        if self._ok is not None:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = True
-        self.value = value
-        self.env._schedule_event(self)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception as its outcome."""
-        if self._ok is not None:
-            raise SimulationError(f"{self!r} already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._ok = False
-        self.value = exception
-        self.env._schedule_event(self)
-        return self
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Register ``callback`` to run when the event is processed."""
-        if self.callbacks is None:
-            raise SimulationError(f"{self!r} was already processed")
-        self.callbacks.append(callback)
-
-    def _process(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "pending" if self._ok is None else ("ok" if self._ok else "failed")
-        return f"<{type(self).__name__} {state} at t={self.env.now:.6f}>"
-
-
-class Timeout(Event):
-    """An event that succeeds ``delay`` seconds after creation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
-        self.value = value
-        env._schedule_event(self, delay=delay)
-
-
-class AnyOf(Event):
-    """Succeeds when the first of ``events`` is processed.
-
-    The value is a dict mapping the completed event(s) to their values (events
-    already processed before construction are included immediately).
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            if event.callbacks is None:  # already processed
-                if event.ok:
-                    self.succeed({event: event.value})
-                else:
-                    self.fail(event.value)
-                break
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-        else:
-            self.succeed({event: event.value})
-
-
-class AllOf(Event):
-    """Succeeds when every one of ``events`` has been processed."""
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._remaining = 0
-        for event in self._events:
-            if event.callbacks is not None:
-                self._remaining += 1
-                event.add_callback(self._on_child)
-        if self._remaining == 0:
-            self.succeed({e: e.value for e in self._events})
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({e: e.value for e in self._events})
 
 
 class _Handle:
@@ -354,15 +190,6 @@ class Environment:
         else:
             heapq.heappush(self._heap, (when, self._seq, 2, fn, args))
 
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._seq += 1
-        when = self._now + delay
-        dq = self._dq
-        if not dq or when >= dq[-1][0]:
-            dq.append((when, self._seq, 1, event))
-        else:
-            heapq.heappush(self._heap, (when, self._seq, 1, event))
-
     # ------------------------------------------------------------------
     # Lazy deletion / compaction
     # ------------------------------------------------------------------
@@ -392,31 +219,6 @@ class Environment:
         self._cancelled = 0
 
     # ------------------------------------------------------------------
-    # Event factories
-    # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh pending :class:`Event`."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a :class:`Timeout` that fires after ``delay`` seconds."""
-        return Timeout(self, delay, value)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event succeeding when the first of ``events`` completes."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event succeeding when all of ``events`` complete."""
-        return AllOf(self, events)
-
-    def process(self, generator: Any) -> "Process":
-        """Start a generator as a simulated :class:`Process`."""
-        from repro.sim.process import Process
-
-        return Process(self, generator)
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _pop_next(self) -> tuple:
@@ -434,24 +236,15 @@ class Environment:
 
     def _dispatch(self, entry: tuple) -> bool:
         """Run one schedule entry; False if it was a cancelled callback."""
-        kind = entry[2]
-        if kind == 0:
+        if entry[2] == 0:
             handle = entry[5]
             if handle.cancelled:
                 self._cancelled -= 1
                 return False
             handle._env = None
-            self._now = entry[0]
-            self._event_count += 1
-            entry[3](*entry[4])
-        elif kind == 1:
-            self._now = entry[0]
-            self._event_count += 1
-            entry[3]._process()
-        else:
-            self._now = entry[0]
-            self._event_count += 1
-            entry[3](*entry[4])
+        self._now = entry[0]
+        self._event_count += 1
+        entry[3](*entry[4])
         return True
 
     def step(self) -> None:
@@ -551,12 +344,11 @@ class Environment:
                     entry = pop(heap)
                 else:
                     break
-                kind = entry[2]
-                if kind == 2:
+                if entry[2] == 2:
                     self._now = entry[0]
                     executed += 1
                     entry[3](*entry[4])
-                elif kind == 0:
+                else:
                     handle = entry[5]
                     if handle.cancelled:
                         self._cancelled -= 1
@@ -565,10 +357,6 @@ class Environment:
                     self._now = entry[0]
                     executed += 1
                     entry[3](*entry[4])
-                else:
-                    self._now = entry[0]
-                    executed += 1
-                    entry[3]._process()
         except StopSimulation as stop:
             return stop.value
         finally:

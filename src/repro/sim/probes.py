@@ -1,7 +1,7 @@
-"""Measurement helpers: counters, streaming stats, latency percentiles.
+"""Measurement helper: exact latency percentiles.
 
-These are plain data collectors -- they never schedule anything, so attaching
-probes cannot change simulation behaviour.
+A plain data collector -- it never schedules anything, so recording
+latencies cannot change simulation behaviour.
 """
 
 from __future__ import annotations
@@ -12,80 +12,6 @@ from bisect import insort
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-
-
-class Counter:
-    """A named bag of integer counters."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def increment(self, key: str, amount: int = 1) -> None:
-        """Add ``amount`` to the counter ``key`` (created at 0)."""
-        self._counts[key] = self._counts.get(key, 0) + amount
-
-    def get(self, key: str) -> int:
-        """Current value of ``key`` (0 if never incremented)."""
-        return self._counts.get(key, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        """Snapshot of all counters."""
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({self._counts!r})"
-
-
-class WelfordStats:
-    """Streaming mean / variance / min / max without storing samples."""
-
-    __slots__ = ("count", "_mean", "_m2", "_min", "_max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the running statistics."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (NaN when empty)."""
-        return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (NaN for fewer than 2 samples)."""
-        return self._m2 / (self.count - 1) if self.count > 1 else math.nan
-
-    @property
-    def stddev(self) -> float:
-        """Unbiased sample standard deviation."""
-        variance = self.variance
-        return math.sqrt(variance) if not math.isnan(variance) else math.nan
-
-    @property
-    def minimum(self) -> float:
-        """Smallest sample seen (NaN when empty)."""
-        return self._min if self.count else math.nan
-
-    @property
-    def maximum(self) -> float:
-        """Largest sample seen (NaN when empty)."""
-        return self._max if self.count else math.nan
 
 
 class LatencyRecorder:
@@ -233,43 +159,3 @@ class LatencyRecorder:
             "p999": float(p999),
         }
 
-
-class TimeSeries:
-    """Append-only ``(time, value)`` sequence, e.g. queue length over time."""
-
-    __slots__ = ("_times", "_values")
-
-    def __init__(self) -> None:
-        self._times: List[float] = []
-        self._values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append one observation; times must be non-decreasing."""
-        if self._times and time < self._times[-1]:
-            raise ValueError(
-                f"time went backwards: {time} < {self._times[-1]}"
-            )
-        self._times.append(time)
-        self._values.append(value)
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(times, values)`` numpy arrays."""
-        return np.asarray(self._times), np.asarray(self._values)
-
-    def time_average(self, until: float) -> float:
-        """Time-weighted average of the step function up to ``until``."""
-        if not self._times:
-            return math.nan
-        if until < self._times[0]:
-            raise ValueError("until precedes the first observation")
-        total = 0.0
-        for i, start in enumerate(self._times):
-            end = self._times[i + 1] if i + 1 < len(self._times) else until
-            end = min(end, until)
-            if end > start:
-                total += self._values[i] * (end - start)
-        span = until - self._times[0]
-        return total / span if span > 0 else self._values[0]

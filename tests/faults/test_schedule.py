@@ -1,13 +1,18 @@
 """FaultSchedule: spec parsing, ordering, validation, seeded randomness."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.config import ExperimentConfig
 from repro.faults import (
     FaultSchedule,
     LinkDegrade,
     LinkDown,
     LinkUp,
+    NodeJoin,
+    NodeLeave,
     RSNodeDown,
     RSNodeUp,
     ServerDown,
@@ -104,6 +109,70 @@ class TestValidation:
     def test_degrade_factor_below_one_rejected(self):
         with pytest.raises(ConfigurationError, match="factor"):
             LinkDegrade(0.1, "a", "b", 0.5)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_what_never_fires_is_rejected(self, value):
+        """An event at ``inf`` would never fire; a link slowed ``inf`` times
+        would deliver its packets at ``t = inf``."""
+        for build in (
+            lambda: ServerDown(value, "server#0"),
+            lambda: NodeLeave(value, "server#0"),
+            lambda: RSNodeDown(value, "busiest"),
+            lambda: LinkDegrade(0.1, "a", "b", value),
+        ):
+            with pytest.raises(ConfigurationError, match="finite"):
+                build()
+
+    @pytest.mark.parametrize(
+        "event_cls, target",
+        [
+            (ServerDown, ("server#0",)),
+            (ServerUp, ("server#0",)),
+            (NodeLeave, ("server#0",)),
+            (NodeJoin, ("server#0",)),
+            (LinkDown, ("a", "b")),
+            (LinkUp, ("a", "b")),
+            (LinkDegrade, ("a", "b", 2.0)),
+            (RSNodeDown, ("busiest",)),
+            (RSNodeUp, (0,)),
+        ],
+    )
+    def test_every_event_fires_at_a_finite_time(self, event_cls, target):
+        for at in (0.0, 1e300):
+            assert event_cls(at, *target).at == at
+        for at in (-1e-9, math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="finite and >= 0"):
+                event_cls(at, *target)
+
+    @pytest.mark.parametrize(
+        "clause",
+        [
+            "server-down@inf:server#0",
+            "server-up@nan:server#0",
+            "link-down@-1e-3:tor0.0/agg0.0",
+            "rsnode-down@inf:busiest",
+            "link-degrade@inf:tor0.0/agg0.0*2",
+            "link-degrade@0.01:tor0.0/agg0.0*inf",
+            "node-leave@inf:server#1",
+        ],
+    )
+    def test_parser_names_the_clause_out_of_range(self, clause):
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_fault_schedule(f"server-down@0.01:server#1;{clause}")
+        assert repr(clause) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "field, spec",
+        [
+            ("fault_schedule", "server-down@inf:server#0"),
+            ("fault_schedule", "link-degrade@0.01:tor0.0/agg0.0*inf"),
+            ("churn_schedule", "node-leave@inf:server#1"),
+        ],
+    )
+    def test_config_validation_rejects_what_never_fires(self, field, spec):
+        with pytest.raises(ConfigurationError, match="in fault clause") as excinfo:
+            ExperimentConfig.tiny("clirs", 1, request_timeout=0.05, **{field: spec})
+        assert repr(spec) in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "spec, expected",

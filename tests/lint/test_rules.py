@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from repro.lint import RULES, lint_source
+from repro.lint.checkers import SCHEDULING_METHODS
 from repro.lint.rules import explain
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -78,6 +79,34 @@ def test_rule_is_documented(rule_id):
     assert len(rule.rationale) > 40
     text = explain(rule_id)
     assert rule_id in text and "Bad:" in text and "Fix:" in text
+
+
+def _schedules_in_loops(method):
+    """One DET003 and one SIM001 violation, each feeding ``env.<method>``."""
+    return (
+        "def f(env, hosts, delay):\n"
+        "    for host in {hosts[0], hosts[1]}:\n"
+        f"        env.{method}(delay, host.poll, ())\n"
+        "    for host in hosts:\n"
+        f"        env.{method}(delay, lambda: host.poll())\n"
+    )
+
+
+@pytest.mark.parametrize("method", sorted(SCHEDULING_METHODS))
+def test_every_scheduling_method_is_policed(method):
+    findings = lint_source(_schedules_in_loops(method), path="module.py")
+    assert [f.rule for f in findings] == ["DET003", "SIM001"]
+
+
+@pytest.mark.parametrize(
+    "method",
+    ["timeout", "process", "succeed", "fail", "add_callback", "_schedule_event"],
+)
+def test_names_outside_the_engine_api_are_not_scheduling(method):
+    """The engine schedules through ``call_*``/``post_*`` only; a set loop
+    or a loop lambda feeding any other method is not simulation work."""
+    assert method not in SCHEDULING_METHODS
+    assert lint_source(_schedules_in_loops(method), path="module.py") == []
 
 
 def test_det001_exempts_the_rng_registry_itself():

@@ -156,10 +156,8 @@ class TestDistanceNotRoute:
         walks = set()
         for tor in topo.by_kind(NodeKind.TOR):
             for host in topo.hosts:
-                egress, switches = router.host_distance(tor.name, host.name)
-                assert egress == router.tor_of(host.name)
                 same_rack = (tor.pod, tor.rack) == (host.pod, host.rack)
-                assert switches == (1 if same_rack else 3 if tor.pod == host.pod else 5)
+                switches = 1 if same_rack else 3 if tor.pod == host.pod else 5
                 for key in keys:
                     path = router.path(tor.name, host.name, key)
                     assert len(path) == switches
@@ -204,17 +202,46 @@ class TestDistanceNotRoute:
         assert router.distance("tor0.0", None) == (None, 0)
         assert router.distance("agg0.0", "core0") == ("core0", 0)  # linked or not
 
+    @pytest.mark.parametrize("name", ["fat-tree-4", "fat-tree-8"])
+    def test_a_plain_send_adds_the_walk_s_length(self, name):
+        """Every host pair: ``Host.send`` accounts one transmission per link
+        of the reference walk and schedules one delivery."""
+        env, network, hosts, log = _wired(trunking=True, topo=TOPOLOGIES[name]())
+        router = network.router
+        sends = 0
+        for src, host in hosts.items():
+            for dst in hosts:
+                if dst == src:
+                    continue
+                sends += 1
+                packet = Packet(src=src, dst=dst, magic=0, request_id=sends)
+                before = network.transmissions
+                host.send(packet)
+                links = len(router.path(src, dst, packet.flow_key()))
+                assert network.transmissions - before == links
+        env.run()
+        assert env.events_executed == len(log) == sends
+
     def test_a_switch_is_no_host(self):
-        router = Router(build_fat_tree(4))
+        """No plain row for what is no host: the send climbs to the ToR and
+        fails there as hop-by-hop forwarding does."""
         for target in ("tor1.0", "agg1.0", "core0", "nowhere", None):
-            assert router.host_distance("tor0.0", target) == (None, 0)
+            failures = []
+            for trunking in (True, False):
+                env, network, hosts, _ = _wired(trunking)
+                hosts["host0.0.0"].send(
+                    Packet(src="host0.0.0", dst=target, magic=0, request_id=1)
+                )
+                assert network.transmissions == 1 and not network._plain_rows
+                with pytest.raises((RoutingError, TopologyError)) as failure:
+                    env.run()
+                failures.append(str(failure.value))
+            assert failures[0] == failures[1]
 
     def test_where_a_walk_can_strand_the_tor_still_walks(self):
         topo = _stranding_tree()
         router = Router(topo)
         # The rule vouches for what no walk can change, and no further.
-        assert router.host_distance("tor0.0", "host1.0.0") == ("tor1.0", 0)
-        assert router.host_distance("tor0.0", "host0.0.0") == ("tor0.0", 1)
         for switch, target in (
             ("tor0.0", "host1.0.0"), ("tor0.0", "core1"), ("tor1.0", "agg0.0"),
             ("agg0.0", "tor1.0"), ("core0", "host1.0.0"),
@@ -223,7 +250,8 @@ class TestDistanceNotRoute:
         assert router.distance("agg1.0", "host1.0.0") == ("tor1.0", 1)
         with pytest.raises(RoutingError, match="core1 has no link into pod 1"):
             router.path("tor0.0", "host1.0.0", 1 << 5)  # climbs to core1
-        env, _, hosts, log = _wired(trunking=True, topo=topo)
+        env, network, hosts, log = _wired(trunking=True, topo=topo)
+        assert network._express_ok  # Host.send, not the fabric, walks here
 
         def climbing_to(core):
             """A cross-pod packet whose flow key picks ``core``."""

@@ -1,6 +1,4 @@
-"""Stateful property tests: engine primitives against reference models."""
-
-from collections import deque
+"""Stateful property test: the engine's schedule against a reference model."""
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -11,144 +9,115 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment
 
-
-class StoreMachine(RuleBasedStateMachine):
-    """Store must behave like a FIFO queue with blocking getters."""
-
-    def __init__(self):
-        super().__init__()
-        self.env = Environment()
-        self.store = Store(self.env)
-        self.model = deque()
-        self.pending_gets = deque()  # events awaiting items
-        self.delivered = []
-        self.expected = []
-
-    @rule(item=st.integers())
-    def put(self, item):
-        if self.pending_gets:
-            # The oldest blocked getter must receive this item.
-            self.expected.append(item)
-            self.pending_gets.popleft()
-        else:
-            self.model.append(item)
-        self.store.put(item)
-
-    @rule()
-    def get(self):
-        event = self.store.get()
-        if self.model:
-            expected = self.model.popleft()
-            assert event.triggered
-            assert event.value == expected
-        else:
-            assert not event.triggered
-            event.add_callback(lambda e: self.delivered.append(e.value))
-            self.pending_gets.append(event)
-
-    @invariant()
-    def sizes_agree(self):
-        assert len(self.store) == len(self.model)
-
-    def teardown(self):
-        self.env.run()
-        assert self.delivered == self.expected
-
-
-class ResourceMachine(RuleBasedStateMachine):
-    """Resource must never exceed capacity and must grant FIFO."""
-
-    def __init__(self):
-        super().__init__()
-        self.env = Environment()
-        self.capacity = 3
-        self.resource = Resource(self.env, self.capacity)
-        self.held = 0
-        self.waiting = deque()
-        self.granted_order = []
-        self.request_counter = 0
-
-    @rule()
-    def request(self):
-        self.request_counter += 1
-        tag = self.request_counter
-        event = self.resource.request()
-        if self.held < self.capacity and not self.waiting:
-            assert event.triggered
-            self.held += 1
-            self.granted_order.append(tag)
-        else:
-            assert not event.triggered
-            event.add_callback(
-                lambda e, t=tag: self.granted_order.append(t)
-            )
-            self.waiting.append(tag)
-
-    @precondition(lambda self: self.held > 0)
-    @rule()
-    def release(self):
-        self.resource.release()
-        if self.waiting:
-            expected = self.waiting.popleft()
-            self.env.run()
-            assert self.granted_order[-1] == expected
-        else:
-            self.held -= 1
-
-    @invariant()
-    def capacity_respected(self):
-        assert self.resource.in_use <= self.capacity
-        assert self.resource.queue_length == len(self.waiting)
+DELAYS = st.floats(min_value=0, max_value=10)
 
 
 class EnvironmentClockMachine(RuleBasedStateMachine):
-    """The clock is monotone and callbacks never run early or twice."""
+    """Callbacks, cancellable (``call_in``) or not (``post_in``), run in
+    ``(when, scheduling order)`` order, on time, once, and never once
+    cancelled -- across ``run(until=)`` splits and compaction passes."""
 
     def __init__(self):
         super().__init__()
         self.env = Environment()
-        self.fired = {}
-        self.scheduled = {}
+        self.scheduled = {}  # tag (scheduling order) -> due time
+        self.handles = {}  # tag -> handle of a cancellable entry still due
+        self.cancelled = set()
+        self.fired = []  # tags in execution order
+        self.fired_at = {}
         self.counter = 0
+        self.compactions = 0
+        compact = self.env._compact
 
-    @rule(delay=st.floats(min_value=0, max_value=10))
-    def schedule(self, delay):
+        def counted():
+            self.compactions += 1
+            compact()
+
+        self.env._compact = counted
+
+    def _fire(self, tag):
+        assert tag not in self.fired_at, "callback ran twice"
+        assert tag not in self.cancelled, "cancelled callback ran"
+        self.fired.append(tag)
+        self.fired_at[tag] = self.env.now
+        self.handles.pop(tag, None)
+
+    def _tag(self, delay):
         self.counter += 1
-        tag = self.counter
-        when = self.env.now + delay
-        self.scheduled[tag] = when
+        self.scheduled[self.counter] = self.env.now + delay
+        return self.counter
 
-        def fire(t=tag):
-            assert t not in self.fired, "callback ran twice"
-            self.fired[t] = self.env.now
+    def _call_in(self, delay):
+        tag = self._tag(delay)
+        self.handles[tag] = self.env.call_in(delay, self._fire, tag)
+        return tag
 
-        self.env.call_in(delay, fire)
+    def _cancel(self, tag):
+        self.handles.pop(tag).cancel()
+        self.cancelled.add(tag)
+
+    def _due(self, until):
+        """The reference order: live entries due by ``until``."""
+        due = [
+            tag
+            for tag, when in self.scheduled.items()
+            if when <= until and tag not in self.cancelled
+        ]
+        return sorted(due, key=lambda tag: (self.scheduled[tag], tag))
+
+    @rule(delay=DELAYS)
+    def call_in(self, delay):
+        self._call_in(delay)
+
+    @rule(delay=DELAYS)
+    def post_in(self, delay):
+        self.env.post_in(delay, self._fire, (self._tag(delay),))
+
+    @precondition(lambda self: self.handles)
+    @rule(data=st.data())
+    def cancel(self, data):
+        self._cancel(data.draw(st.sampled_from(sorted(self.handles))))
+
+    @rule(
+        size=st.integers(min_value=64, max_value=96),
+        delay=DELAYS,
+        keep=st.integers(min_value=0, max_value=3),
+    )
+    def burst(self, size, delay, keep):
+        """Schedule a same-time burst and cancel all of it but ``keep``
+        entries: at least 64 cancellations and more than the rest of the
+        schedule, so a compaction pass must run."""
+        size = max(size, len(self.env._heap) + len(self.env._dq) + keep)
+        tags = [self._call_in(delay) for _ in range(size + keep)]
+        before = self.compactions
+        for tag in tags[keep:]:
+            self._cancel(tag)
+        assert self.compactions > before
 
     @rule(step=st.floats(min_value=0, max_value=5))
     def advance(self, step):
         before = self.env.now
         self.env.run(until=before + step)
         assert self.env.now == before + step
+        assert self.fired == self._due(self.env.now)
 
     @invariant()
-    def fired_on_time(self):
-        for tag, at in self.fired.items():
-            expected = self.scheduled[tag]
-            assert abs(at - expected) < 1e-9
+    def fired_on_time_and_counted(self):
+        for tag, at in self.fired_at.items():
+            assert at == self.scheduled[tag]
+        assert self.env.events_executed == len(self.fired)
 
     def teardown(self):
         self.env.run()
-        assert set(self.fired) == set(self.scheduled)
+        assert self.fired == self._due(float("inf"))
+        assert set(self.fired) == set(self.scheduled) - self.cancelled
+        assert self.env.events_executed == len(self.fired)
 
 
-TestStoreMachine = StoreMachine.TestCase
-TestResourceMachine = ResourceMachine.TestCase
 TestEnvironmentClockMachine = EnvironmentClockMachine.TestCase
 
-TestStoreMachine.settings = settings(max_examples=40, stateful_step_count=40)
-TestResourceMachine.settings = settings(max_examples=40, stateful_step_count=40)
 TestEnvironmentClockMachine.settings = settings(
     max_examples=30, stateful_step_count=30
 )

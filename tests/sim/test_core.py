@@ -1,9 +1,12 @@
-"""Tests for the event loop: scheduling, ordering, events, stop semantics."""
+"""Tests for the event loop: scheduling, ordering, cancellation, stop semantics."""
+
+import gc
+import heapq
+import random
 
 import pytest
 
-from repro.sim import Environment, SimulationError
-from repro.sim.core import AllOf, AnyOf, Event, Timeout
+from repro.sim import Environment, SimulationError, StopSimulation
 
 
 @pytest.fixture
@@ -131,185 +134,115 @@ class TestRunUntil:
         env.call_in(3.0, lambda: None)
         assert env.peek() == 3.0
 
-
-class TestEvent:
-    def test_succeed_delivers_value(self, env):
-        event = env.event()
+    def test_run_until_runs_an_entry_due_exactly_then(self, env):
         seen = []
-        event.add_callback(lambda e: seen.append(e.value))
-        event.succeed(99)
+        env.call_in(2.0, seen.append, "due")
+        env.run(until=2.0)
+        assert seen == ["due"]
+        assert env.now == 2.0
+
+    def test_run_until_past_the_last_entry_parks_the_clock_there(self, env):
+        env.call_in(1.0, lambda: None)
+        assert env.run(until=7.5) is None
+        assert env.now == 7.5
+        assert env.peek() == float("inf")
+
+    def test_events_executed_accumulates_across_runs(self, env):
+        for delay in (1.0, 2.0, 3.0):
+            env.call_in(delay, lambda: None)
+        env.run(until=1.5)
+        assert env.events_executed == 1
         env.run()
-        assert seen == [99]
+        assert env.events_executed == 3
 
-    def test_event_not_triggered_initially(self, env):
-        event = env.event()
-        assert not event.triggered
-        assert not event.processed
+    def test_stop_outside_a_run_raises_with_its_value(self, env):
+        with pytest.raises(StopSimulation) as stopped:
+            env.stop("outside")
+        assert stopped.value.value == "outside"
 
-    def test_double_succeed_raises(self, env):
-        event = env.event()
-        event.succeed()
-        with pytest.raises(SimulationError):
-            event.succeed()
-
-    def test_fail_then_succeed_raises(self, env):
-        event = env.event()
-        event.fail(RuntimeError("x"))
-        with pytest.raises(SimulationError):
-            event.succeed()
-
-    def test_fail_requires_exception(self, env):
-        event = env.event()
-        with pytest.raises(TypeError):
-            event.fail("not an exception")
-
-    def test_ok_before_trigger_raises(self, env):
-        with pytest.raises(SimulationError):
-            _ = env.event().ok
-
-    def test_ok_after_succeed(self, env):
-        event = env.event()
-        event.succeed()
-        assert event.ok
-
-    def test_ok_after_fail(self, env):
-        event = env.event()
-        event.fail(ValueError("boom"))
-        assert not event.ok
-
-    def test_callback_after_processing_raises(self, env):
-        event = env.event()
-        event.succeed()
-        env.run()
-        with pytest.raises(SimulationError):
-            event.add_callback(lambda e: None)
-
-    def test_callbacks_fifo(self, env):
-        event = env.event()
+    def test_a_failing_callback_propagates_and_the_run_resumes(self, env):
         seen = []
-        event.add_callback(lambda e: seen.append(1))
-        event.add_callback(lambda e: seen.append(2))
-        event.succeed()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        env.call_in(1.0, boom)
+        env.call_in(2.0, seen.append, "after")
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+        assert env.now == 1.0
+        assert env.events_executed == 1  # the callback ran, then raised
         env.run()
-        assert seen == [1, 2]
+        assert seen == ["after"]
+        assert env.events_executed == 2
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_the_collector_is_restored_after_a_run(self, env, fails):
+        def check():
+            assert not gc.isenabled()  # paused while the loop runs
+            if fails:
+                raise RuntimeError("boom")
+
+        env.call_in(1.0, check)
+        assert gc.isenabled()
+        if fails:
+            with pytest.raises(RuntimeError):
+                env.run()
+        else:
+            env.run()
+        assert gc.isenabled()
+
+    def test_a_run_leaves_a_paused_collector_paused(self, env):
+        env.call_in(1.0, lambda: None)
+        gc.disable()
+        try:
+            env.run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestTimeout:
+    """A timer is a ``call_in`` whose handle the arming side may cancel:
+    the request timeouts of clients and the fault drivers' timers."""
+
     def test_timeout_fires_after_delay(self, env):
-        timeout = env.timeout(2.5)
         seen = []
-        timeout.add_callback(lambda e: seen.append(env.now))
+
+        def arm():
+            env.call_in(2.5, lambda: seen.append(env.now))
+
+        env.call_in(1.0, arm)
         env.run()
-        assert seen == [2.5]
+        assert seen == [3.5]  # relative to the clock at arming
 
     def test_timeout_carries_value(self, env):
-        timeout = env.timeout(1.0, value="payload")
+        payload = {"request": 7}
         seen = []
-        timeout.add_callback(lambda e: seen.append(e.value))
+        env.call_in(1.0, lambda *args: seen.append(args), payload, "tag")
         env.run()
-        assert seen == ["payload"]
+        assert seen == [(payload, "tag")]
+        assert seen[0][0] is payload
 
     def test_negative_timeout_raises(self, env):
-        with pytest.raises(ValueError):
-            env.timeout(-1.0)
+        with pytest.raises(SimulationError, match="negative delay"):
+            env.call_in(-1.0, lambda: None)
+        assert env.peek() == float("inf")  # nothing was scheduled
+        env.run()
+        assert env.events_executed == 0
 
     def test_zero_timeout_runs_this_instant(self, env):
-        timeout = env.timeout(0.0)
         seen = []
-        timeout.add_callback(lambda e: seen.append(env.now))
+
+        def arm():
+            seen.append(("arm", env.now))
+            env.call_in(0.0, lambda: seen.append(("zero", env.now)))
+
+        env.call_in(1.0, arm)
+        env.call_in(1.0, lambda: seen.append(("queued", env.now)))
         env.run()
-        assert seen == [0.0]
-
-
-class TestCombinators:
-    def test_any_of_first_wins(self, env):
-        fast = env.timeout(1.0, value="fast")
-        slow = env.timeout(2.0, value="slow")
-        combined = env.any_of([fast, slow])
-        seen = []
-        combined.add_callback(lambda e: seen.append(e.value))
-        env.run()
-        assert seen == [{fast: "fast"}]
-
-    def test_any_of_empty_succeeds_immediately(self, env):
-        combined = env.any_of([])
-        assert combined.triggered
-
-    def test_all_of_waits_for_all(self, env):
-        a = env.timeout(1.0, value="a")
-        b = env.timeout(3.0, value="b")
-        combined = env.all_of([a, b])
-        seen = []
-        combined.add_callback(lambda e: seen.append((env.now, e.value)))
-        env.run()
-        assert seen == [(3.0, {a: "a", b: "b"})]
-
-    def test_all_of_empty_succeeds_immediately(self, env):
-        assert env.all_of([]).triggered
-
-    def test_any_of_propagates_failure(self, env):
-        event = env.event()
-        combined = env.any_of([event])
-        event.fail(RuntimeError("bad"))
-        env.run()
-        assert combined.triggered
-        assert not combined.ok
-
-    def test_all_of_with_already_processed_event(self, env):
-        a = env.timeout(0.5)
-        env.run()
-        combined = env.all_of([a])
-        assert isinstance(combined, AllOf)
-        assert combined.triggered
-
-    def test_any_of_with_already_processed_event(self, env):
-        a = env.timeout(0.5, value=1)
-        env.run()
-        combined = env.any_of([a])
-        assert isinstance(combined, AnyOf)
-        assert combined.triggered
-
-
-class TestAnyOfPreProcessedChildren:
-    def test_pre_processed_failed_child_fails_anyof(self, env):
-        """Regression: a child processed as *failed* before construction
-        must fail the AnyOf, not succeed it with the exception as value."""
-        child = env.event()
-        child.fail(RuntimeError("boom"))
-        env.run()  # child is now processed
-        combined = env.any_of([child])
-        assert combined.triggered
-        assert not combined.ok
-        assert isinstance(combined.value, RuntimeError)
-
-    def test_pre_processed_failed_child_beats_pending_children(self, env):
-        failed = env.event()
-        failed.fail(ValueError("first"))
-        env.run()
-        pending = env.event()
-        combined = env.any_of([failed, pending])
-        assert combined.triggered
-        assert not combined.ok
-        assert isinstance(combined.value, ValueError)
-
-    def test_no_callbacks_registered_after_trigger(self, env):
-        """Regression: once a pre-processed child triggers the AnyOf, the
-        remaining children must not get _on_child registered."""
-        done = env.timeout(0.5, value=1)
-        env.run()
-        late_a = env.event()
-        late_b = env.event()
-        combined = env.any_of([done, late_a, late_b])
-        assert combined.triggered and combined.ok
-        assert late_a.callbacks == []
-        assert late_b.callbacks == []
-
-    def test_pre_processed_success_still_succeeds(self, env):
-        done = env.timeout(0.5, value="v")
-        env.run()
-        combined = env.any_of([done])
-        assert combined.triggered and combined.ok
-        assert combined.value == {done: "v"}
+        # Same instant, but behind what was already due at it.
+        assert seen == [("arm", 1.0), ("queued", 1.0), ("zero", 1.0)]
 
 
 class TestLazyDeletion:
@@ -384,6 +317,91 @@ class TestLazyDeletion:
         env.run()  # drains lazily, still runs nothing
         assert env.events_executed == 0
         assert env.now == 0.0
+
+    def test_cancel_twice_counts_once(self, env):
+        handle = env.call_in(1.0, lambda: None)
+        handle.cancel()
+        handle.cancel()
+        assert env.pending_cancelled == 1
+        env.run()
+        assert env.pending_cancelled == 0
+
+    def test_step_on_an_empty_schedule_raises_index_error(self, env):
+        with pytest.raises(IndexError):
+            env.step()
+
+    def test_step_over_only_cancelled_entries_raises_and_settles(self, env):
+        env.call_in(1.0, lambda: None).cancel()
+        env.call_in(2.0, lambda: None).cancel()
+        with pytest.raises(IndexError):
+            env.step()
+        assert env.pending_cancelled == 0
+        assert env.now == 0.0 and env.events_executed == 0
+
+    def test_below_the_floor_nothing_is_compacted(self, env):
+        floor = Environment.COMPACTION_MIN_CANCELLED
+        handles = [env.call_in(1.0, lambda: None) for _ in range(floor)]
+        for handle in handles[:-1]:
+            handle.cancel()
+        assert len(env._dq) == floor  # every entry is cancelled but one
+        handles[-1].cancel()
+        assert len(env._dq) == 0 and env.pending_cancelled == 0
+
+    def test_compaction_waits_for_half_the_schedule(self, env):
+        floor = Environment.COMPACTION_MIN_CANCELLED
+        handles = [env.call_in(1.0 + i, lambda: None) for i in range(4 * floor)]
+        for handle in handles[: 2 * floor - 1]:
+            handle.cancel()
+        assert len(env._dq) == 4 * floor  # under half: still lazy
+        handles[2 * floor - 1].cancel()
+        assert len(env._dq) == 2 * floor and env.pending_cancelled == 0
+        env.run()
+        assert env.events_executed == 2 * floor
+
+    def test_compaction_keeps_the_entries_that_cannot_be_cancelled(self, env):
+        seen = []
+        for i in range(100):
+            env.post_in(1.0 + i, seen.append, (i,))
+        handles = [env.call_in(0.5 + i, lambda: None) for i in range(100)]
+        for handle in handles:
+            handle.cancel()
+        assert env.pending_cancelled == 0  # compacted on the last cancel
+        assert len(env._heap) + len(env._dq) == 100
+        env.run()
+        assert seen == list(range(100))
+
+    def test_compaction_inside_a_callback_keeps_the_run_going(self, env):
+        seen = []
+        handles = []
+
+        sizes = []
+
+        def purge():
+            seen.append("purge")
+            for handle in handles[::3]:
+                handle.cancel()
+            for handle in handles[1::3]:
+                handle.cancel()
+            sizes.append(len(env._heap) + len(env._dq))
+
+        env.call_in(1.0, purge)
+        for i in range(150):
+            handles.append(env.call_in(2.0 + i * 0.01, seen.append, i))
+        env.run()
+        # The 75th cancel reached half the schedule: 75 entries were purged
+        # under the running loop, the last 25 cancels stayed lazy.
+        assert sizes == [75]
+        assert seen == ["purge"] + list(range(2, 150, 3))
+        assert env.events_executed == 1 + 50
+        assert env.pending_cancelled == 0
+
+    def test_cancel_after_compaction_is_noop(self, env):
+        handles = [env.call_in(1.0, lambda: None) for _ in range(100)]
+        for handle in handles[:64]:
+            handle.cancel()
+        assert env.pending_cancelled == 0 and len(env._dq) == 36
+        handles[0].cancel()
+        assert env.pending_cancelled == 0
 
     def test_compaction_on_off_same_behaviour(self):
         def run_once(compaction):
@@ -599,6 +617,126 @@ class TestSameTimestampOrder:
         env.run()
         assert seen == ["first", "second", "third", "later"]
         assert env.events_executed == 4
+
+
+DELAYS = (0.0, 0.1, 0.1, 0.2, 0.5, 1.0, 2.5)
+
+
+def _random_workload(env, seed, log):
+    """Schedule a seeded mix of both entry kinds on ``env``.
+
+    Callbacks append ``(now, tag)`` to ``log``; tags number the scheduling
+    calls in order, so the reference order is ``(when, tag)``.  Some
+    callbacks schedule more work or cancel a pending timer mid-run.
+    Returns the set of tags cancelled before they could fire.
+    """
+    rng = random.Random(seed)
+    pending = {}
+    cancelled = set()
+    counter = [0]
+
+    def fire(tag):
+        pending.pop(tag, None)
+        log.append((env.now, tag))
+        roll = rng.random()
+        if roll < 0.3 and counter[0] < 400:
+            schedule(rng.choice(DELAYS))
+        elif roll < 0.45 and pending:
+            victim = rng.choice(sorted(pending))
+            pending.pop(victim).cancel()
+            cancelled.add(victim)
+
+    def schedule(delay, style=None):
+        counter[0] += 1
+        tag = counter[0]
+        if style is None:
+            style = rng.randrange(4)
+        if style == 0:
+            pending[tag] = env.call_in(delay, fire, tag)
+        elif style == 1:
+            pending[tag] = env.call_at(env.now + delay, fire, tag)
+        elif style == 2:
+            env.post_in(delay, fire, (tag,))
+        else:
+            env.post_at(env.now + delay, fire, (tag,))
+        return tag
+
+    for _ in range(200):
+        schedule(rng.choice(DELAYS))
+    # Timers armed out of order and disarmed in bulk, as answered requests'
+    # timeouts are: enough cancels to compact the heap (compaction on).
+    burst = [schedule(rng.choice(DELAYS) + rng.random(), 0) for _ in range(150)]
+    others = sorted(set(pending) - set(burst))
+    for tag in burst + rng.sample(others, len(others) // 2):
+        pending.pop(tag).cancel()
+        cancelled.add(tag)
+    return cancelled, counter
+
+
+class TestTwoEntryKinds:
+    """``run()``, stepping and ``run(until=)`` splits dispatch a mixed
+    schedule of cancellable and handle-free callbacks identically, with
+    compaction on or off, in ``(when, scheduling order)``."""
+
+    @staticmethod
+    def _drive(seed, compaction, how):
+        env = Environment(compaction=compaction)
+        log = []
+        cancelled, counter = _random_workload(env, seed, log)
+        if how == "run":
+            env.run()
+        elif how == "step":
+            while env.peek() != float("inf"):
+                env.step()
+        else:
+            split = 0.0
+            while env.peek() != float("inf"):
+                split += 0.35
+                env.run(until=split)
+        return log, cancelled, counter[0], env.events_executed
+
+    @pytest.mark.parametrize("compaction", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_every_driver_matches_the_reference_order(self, seed, compaction):
+        log, cancelled, scheduled, executed = self._drive(seed, compaction, "run")
+        assert log == sorted(log)  # (when, tag): time, then scheduling order
+        fired = [tag for _, tag in log]
+        assert len(fired) == len(set(fired)) == executed
+        assert set(fired) == set(range(1, scheduled + 1)) - cancelled
+        for how in ("step", "split"):
+            assert self._drive(seed, compaction, how) == (
+                log, cancelled, scheduled, executed,
+            ), how
+
+
+class TestLedgerCarryingEntries:
+    def test_kind_two_entries_may_carry_trailing_fields(self, env):
+        """The fabric pushes ``(when, seq, 2, fn, args, *ledger)`` straight
+        onto the schedule; the loop, stepping, ``peek`` and compaction read
+        only the first five fields."""
+        seen = []
+
+        def push(when, tag):
+            env._seq += 1
+            entry = (when, env._seq, 2, seen.append, (tag,), 0.0, 1e-6, 3, 64, 0)
+            if not env._dq or when >= env._dq[-1][0]:
+                env._dq.append(entry)
+            else:
+                heapq.heappush(env._heap, entry)
+
+        push(2.0, "dq")
+        push(1.0, "heap")
+        floor = Environment.COMPACTION_MIN_CANCELLED
+        handles = [env.call_in(0.5, lambda: None) for _ in range(floor)]
+        for handle in handles:
+            handle.cancel()  # compacts around the ledger entries
+        assert len(env._heap) + len(env._dq) == 2
+        assert env.peek() == 1.0
+        env.step()
+        assert seen == ["heap"]
+        env.run()
+        assert seen == ["heap", "dq"]
+        assert env.events_executed == 2
 
 
 class TestDeterminism:

@@ -1,58 +1,11 @@
-"""Tests for measurement probes."""
+"""Tests for the latency recorder."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.sim import Counter, LatencyRecorder, TimeSeries, WelfordStats
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter().get("anything") == 0
-
-    def test_increment(self):
-        counter = Counter()
-        counter.increment("a")
-        counter.increment("a", 4)
-        assert counter.get("a") == 5
-
-    def test_as_dict_snapshot(self):
-        counter = Counter()
-        counter.increment("x")
-        snapshot = counter.as_dict()
-        counter.increment("x")
-        assert snapshot == {"x": 1}
-
-
-class TestWelfordStats:
-    def test_empty_stats_are_nan(self):
-        stats = WelfordStats()
-        assert math.isnan(stats.mean)
-        assert math.isnan(stats.variance)
-        assert math.isnan(stats.minimum)
-        assert math.isnan(stats.maximum)
-
-    def test_single_sample(self):
-        stats = WelfordStats()
-        stats.add(3.0)
-        assert stats.mean == 3.0
-        assert math.isnan(stats.variance)
-        assert stats.minimum == stats.maximum == 3.0
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        samples = rng.normal(10, 2, size=500)
-        stats = WelfordStats()
-        for x in samples:
-            stats.add(float(x))
-        assert stats.mean == pytest.approx(np.mean(samples))
-        assert stats.variance == pytest.approx(np.var(samples, ddof=1))
-        assert stats.stddev == pytest.approx(np.std(samples, ddof=1))
-        assert stats.minimum == pytest.approx(samples.min())
-        assert stats.maximum == pytest.approx(samples.max())
-        assert stats.count == 500
+from repro.sim import LatencyRecorder
 
 
 class TestLatencyRecorder:
@@ -122,39 +75,44 @@ class TestLatencyRecorder:
             recorder.extend([0.2, -0.1, 0.3])
         assert len(recorder) == 0
 
+    @pytest.mark.parametrize("q", [0, 0.1, 25, 50, 62.5, 95, 99, 99.9, 100])
+    def test_percentile_is_bit_equal_to_numpy(self, q):
+        """Incremental (insort) and bulk (re-sorted) mirrors both give the
+        exact float ``np.percentile`` does."""
+        samples = np.random.default_rng(3).exponential(0.004, size=1001)
+        incremental, bulk = LatencyRecorder(), LatencyRecorder()
+        incremental.add(float(samples[0]))
+        incremental.percentile(50)  # build the mirror, then keep it sorted
+        for value in samples[1:]:
+            incremental.add(float(value))
+        bulk.extend(samples.tolist())
+        expected = float(np.percentile(samples, q))
+        assert incremental.percentile(q) == expected
+        assert bulk.percentile(q) == expected
 
-class TestTimeSeries:
-    def test_record_and_length(self):
-        ts = TimeSeries()
-        ts.record(0.0, 1.0)
-        ts.record(1.0, 2.0)
-        assert len(ts) == 2
+    def test_mean_follows_new_samples(self):
+        recorder = LatencyRecorder()
+        recorder.extend([1.0, 3.0])
+        assert recorder.mean() == 2.0
+        assert recorder.mean() == 2.0  # cached
+        recorder.add(5.0)
+        assert recorder.mean() == 3.0
 
-    def test_time_must_not_go_backwards(self):
-        ts = TimeSeries()
-        ts.record(1.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.record(0.5, 2.0)
+    def test_extend_array_equals_extend(self):
+        block = np.array([0.3, 0.1, 0.2])
+        by_array, by_list = LatencyRecorder(), LatencyRecorder()
+        for recorder in (by_array, by_list):
+            recorder.add(0.4)
+            recorder.percentile(50)
+        by_array.extend_array(block)
+        by_array.extend_array(np.array([]))
+        by_list.extend(block.tolist())
+        assert by_array.samples == by_list.samples
+        assert by_array.summary() == by_list.summary()
 
-    def test_as_arrays(self):
-        ts = TimeSeries()
-        ts.record(0.0, 5.0)
-        times, values = ts.as_arrays()
-        assert times.tolist() == [0.0]
-        assert values.tolist() == [5.0]
+    def test_extend_array_rejects_a_negative_block_whole(self):
+        recorder = LatencyRecorder()
+        with pytest.raises(ValueError, match="negative latency"):
+            recorder.extend_array(np.array([0.2, -0.1]))
+        assert len(recorder) == 0
 
-    def test_time_average_step_function(self):
-        ts = TimeSeries()
-        ts.record(0.0, 0.0)
-        ts.record(1.0, 10.0)
-        # 0 for [0,1), 10 for [1,2) -> average 5 over [0,2).
-        assert ts.time_average(2.0) == pytest.approx(5.0)
-
-    def test_time_average_empty_is_nan(self):
-        assert math.isnan(TimeSeries().time_average(1.0))
-
-    def test_time_average_before_first_raises(self):
-        ts = TimeSeries()
-        ts.record(1.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.time_average(0.5)

@@ -33,6 +33,20 @@ def test_all_names_resolve(module_name):
         assert hasattr(module, name), f"{module_name}.{name} missing"
 
 
+def test_sim_exports_what_the_simulator_runs_on():
+    """A callback engine, its errors, RNG streams and the latency recorder."""
+    import repro.sim
+
+    assert sorted(repro.sim.__all__) == [
+        "BatchedStream",
+        "Environment",
+        "LatencyRecorder",
+        "RngRegistry",
+        "SimulationError",
+        "StopSimulation",
+    ]
+
+
 def test_readme_quickstart_runs():
     """The README's quickstart snippet must stay valid."""
     from repro.experiments import ExperimentConfig, run_experiment
