@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-layered-smoke bench-ab bench-figures lint lint-report lint-baseline contracts help
+.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-layered-smoke bench-ab bench-figures lint lint-report lint-baseline help
 
 help:
 	@echo "install       editable install"
@@ -13,10 +13,9 @@ help:
 	@echo "mesoscale-smoke  1k-host flow-tier demo + fidelity gate on one paper config"
 	@echo "docs-check    validate every relative link/anchor in README.md + docs/*.md, then run the docs/CONSISTENCY.md example"
 	@echo "consistency-smoke  quorum-write/read-repair/churn drill from docs/CONSISTENCY.md"
-	@echo "lint          determinism + contract sanitizers + ruff + mypy (latter two skip if absent)"
-	@echo "lint-report   lint (incl. contracts) with JSON output to lint-report.json (CI artifact)"
+	@echo "lint          determinism sanitizer + ruff + mypy (latter two skip if absent)"
+	@echo "lint-report   lint with JSON output to lint-report.json (CI artifact)"
 	@echo "lint-baseline re-snapshot lint-baseline.json (grandfathering workflow)"
-	@echo "contracts     contract sanitizer only: formula/stream/digest drift (CON001..CON003)"
 	@echo "bench         all benchmarks (figures + ablations + microbench)"
 	@echo "bench-smoke   engine microbenchmarks, low rounds, JSON for CI trends"
 	@echo "bench-layered-smoke  all five workloads of benchmarks/layered for 2 s each; fails unless all print \"correct\": true"
@@ -72,28 +71,22 @@ mesoscale-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro validate-fidelity \
 		--scenario fig4-clirs-r95
 
-# Three layers: the project AST sanitizer (per-file rules + declared
-# contracts) is mandatory; ruff/mypy run when installed (pip install -e
-# ".[lint]") and are skipped gracefully otherwise so `make lint` works in
-# the minimal container.
+# Three layers: the project AST sanitizer is mandatory; ruff/mypy run when
+# installed (pip install -e ".[lint]") and are skipped gracefully otherwise
+# so `make lint` works in the minimal container.
 lint:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro --contracts --stats
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro --stats
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests; \
 	else echo "ruff not installed; skipping (pip install -e '.[lint]')"; fi
 	@if command -v mypy >/dev/null 2>&1; then mypy; \
 	else echo "mypy not installed; skipping (pip install -e '.[lint]')"; fi
 
 lint-report:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro --contracts \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro \
 		--format json --output lint-report.json
 
 lint-baseline:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro --contracts --write-baseline
-
-# The contract sanitizer alone (what `netrs contracts` runs): CON001 anchored
-# expressions, CON002 stream order, CON003 digest completeness -- docs/LINTING.md.
-contracts:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint --contracts-only --stats
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro --write-baseline
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -8,10 +8,7 @@ Subcommands:
 * ``topology`` -- fat-tree facts for a given arity,
 * ``plan``     -- solve and display an RSNode placement for a config,
 * ``lint``     -- determinism sanitizer over the source tree (see
-  ``docs/LINTING.md``),
-* ``contracts`` -- contract sanitizer: static formula/stream/digest drift
-  detection (rules ``CON001``..``CON003``; equivalent to
-  ``netrs lint --contracts-only``).
+  ``docs/LINTING.md``).
 """
 
 from __future__ import annotations
@@ -383,12 +380,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(list(args.lint_args))
 
 
-def _cmd_contracts(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    return lint_main(["--contracts-only", *args.contract_args])
-
-
 def _cmd_validate_fidelity(args: argparse.Namespace) -> int:
     from repro.mesoscale.validate import main as fidelity_main
 
@@ -493,14 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument("lint_args", nargs=argparse.REMAINDER)
     lint_parser.set_defaults(func=_cmd_lint)
 
-    contracts_parser = sub.add_parser(
-        "contracts",
-        help="contract sanitizer (formula/stream/digest drift, rules CON*)",
-        add_help=False,
-    )
-    contracts_parser.add_argument("contract_args", nargs=argparse.REMAINDER)
-    contracts_parser.set_defaults(func=_cmd_contracts)
-
     fidelity_parser = sub.add_parser(
         "validate-fidelity",
         help="gate the flow tier against the packet engine (docs/MESOSCALE.md)",
@@ -521,11 +504,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(arguments[1:])
-    # ``contracts`` likewise (it is ``lint --contracts-only`` under the hood).
-    if arguments and arguments[0] == "contracts":
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(["--contracts-only", *arguments[1:]])
     # ``validate-fidelity`` likewise owns its tail (see the lint note above).
     if arguments and arguments[0] == "validate-fidelity":
         from repro.mesoscale.validate import main as fidelity_main

@@ -27,9 +27,9 @@ if TYPE_CHECKING:  # imported lazily: experiments itself builds on repro.exec
 #: Adding a config field changes every digest and silently invalidates all
 #: existing ledgers; eliding the default keeps pre-existing job identities
 #: stable (a job that never named the field *is* the same experiment).
-#: Rule CON003 (``netrs contracts``) enforces this: every field newer than
-#: the founding set in ``repro.experiments.contracts`` must have an entry
-#: here whose value equals the field's declared default.
+#: ``tests/exec/test_job.py`` holds each entry to its field's default and a
+#: ``netrs run`` option, and its pinned digest literals fail on a new field
+#: that is missing here.
 _DIGEST_DEFAULTS: Dict[str, Any] = {
     "fidelity": "packet",
     "vector_batch": 0,

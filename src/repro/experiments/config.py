@@ -47,9 +47,9 @@ class ExperimentConfig:
     """All parameters of one simulated experiment.
 
     Adding a field changes every job digest unless it is elided at its
-    default in ``repro.exec.job._DIGEST_DEFAULTS``; rule CON003
-    (``netrs contracts``, declared in :mod:`repro.experiments.contracts`)
-    fails CI until the elision entry and a CLI route exist.
+    default in ``repro.exec.job._DIGEST_DEFAULTS``; the pinned digests in
+    ``tests/exec/test_job.py`` fail until the elision entry exists, and the
+    same file requires a ``netrs run`` option for it.
     """
 
     scheme: str = "clirs"

@@ -15,22 +15,9 @@ committed baseline for grandfathered findings; :mod:`repro.lint.runtime`
 provides :func:`deterministic_guard`, which patches the global RNG entry
 points to raise during a simulation.  ``netrs lint`` / ``python -m
 repro.lint`` is the CLI; ``make lint`` gates it in CI.
-
-:mod:`repro.lint.contracts` adds the *contract sanitizer*: declared
-cross-implementation contracts (anchored expressions, RNG stream order,
-config digest completeness -- rules ``CON001``..``CON003``) checked statically by
-``netrs contracts`` / ``netrs lint --contracts``.  Declarations live next
-to the code they bind (``repro.mesoscale.contracts``,
-``repro.experiments.contracts``).
 """
 
 from repro.lint.baseline import Baseline
-from repro.lint.contracts import (
-    CONTRACT_RULES,
-    ContractRegistry,
-    check_contracts,
-    default_registry,
-)
 from repro.lint.engine import LintReport, lint_paths, lint_source
 from repro.lint.findings import Finding
 from repro.lint.rules import RULES, Rule
@@ -38,15 +25,11 @@ from repro.lint.runtime import NondeterminismError, deterministic_guard
 
 __all__ = [
     "Baseline",
-    "CONTRACT_RULES",
-    "ContractRegistry",
     "Finding",
     "LintReport",
     "NondeterminismError",
     "RULES",
     "Rule",
-    "check_contracts",
-    "default_registry",
     "deterministic_guard",
     "lint_paths",
     "lint_source",

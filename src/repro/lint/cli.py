@@ -5,12 +5,6 @@ parse errors, 2 usage errors.  ``--format json`` emits the machine-readable
 report consumed by CI (schema: :data:`repro.lint.findings.JSON_REPORT_VERSION`);
 ``--format github`` emits ``::error`` workflow annotations so findings show
 up inline on pull-request diffs.
-
-``--contracts`` additionally runs the declared-contract pass (rules
-``CON001``..``CON003``, see :mod:`repro.lint.contracts`); ``--contracts-only``
-runs nothing else and is what the ``netrs contracts`` subcommand dispatches
-to.  Contract findings share the noqa/baseline/exit-code machinery with the
-per-file rules.
 """
 
 from __future__ import annotations
@@ -19,20 +13,12 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.lint.contracts import CONTRACT_RULES
 from repro.lint.engine import LintReport, lint_paths
-from repro.lint.rules import RULES, Rule, explain
-
-
-def _all_rules() -> Dict[str, Rule]:
-    """Per-file rules plus contract rules, for --list-rules/--explain/--stats."""
-    merged: Dict[str, Rule] = dict(RULES)
-    merged.update(CONTRACT_RULES)
-    return merged
+from repro.lint.rules import RULES, explain
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,16 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "github"),
         default="text",
         help="report format (default: text; github = workflow annotations)",
-    )
-    parser.add_argument(
-        "--contracts",
-        action="store_true",
-        help="also run the declared-contract rules (CON001..CON003)",
-    )
-    parser.add_argument(
-        "--contracts-only",
-        action="store_true",
-        help="run only the contract rules (what `netrs contracts` does)",
     )
     parser.add_argument(
         "--output",
@@ -113,7 +89,6 @@ def _resolve_baseline(args: argparse.Namespace) -> Optional[Baseline]:
 
 def _render_text(report: LintReport, *, stats: bool) -> str:
     lines: List[str] = []
-    titles = _all_rules()
     for finding in report.parse_errors:
         lines.append(finding.format_text())
     for finding in report.findings:
@@ -122,22 +97,16 @@ def _render_text(report: LintReport, *, stats: bool) -> str:
         lines.append("")
         lines.append("per-rule finding counts:")
         for rule_id, count in report.per_rule_counts().items():
-            rule = titles.get(rule_id)
+            rule = RULES.get(rule_id)
             title = rule.title if rule is not None else ""
             lines.append(f"  {rule_id:8s} {count:4d}  {title}")
         lines.append(f"files analyzed:    {report.files_analyzed}")
-        lines.append(f"contracts checked: {report.contracts_checked}")
         lines.append(f"findings:          {len(report.findings)}")
         lines.append(f"noqa-suppressed:   {report.suppressed}")
         lines.append(f"baselined:         {report.baselined}")
     elif report.clean:
-        checked = (
-            f", {report.contracts_checked} contracts checked"
-            if report.contracts_checked
-            else ""
-        )
         lines.append(
-            f"ok: {report.files_analyzed} files analyzed{checked}, "
+            f"ok: {report.files_analyzed} files analyzed, "
             f"no findings "
             f"({report.suppressed} suppressed, {report.baselined} baselined)"
         )
@@ -179,13 +148,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        rules = _all_rules()
-        for rule_id in sorted(rules):
-            print(f"{rule_id:8s} {rules[rule_id].title}")
+        for rule_id in sorted(RULES):
+            print(f"{rule_id:8s} {RULES[rule_id].title}")
         return 0
     if args.explain:
         try:
-            print(explain(args.explain.upper(), _all_rules()))
+            print(explain(args.explain.upper()))
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -194,16 +162,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     paths = list(args.paths)
     if not paths:
         paths = ["src/repro"] if os.path.isdir("src/repro") else ["."]
-    contracts = args.contracts or args.contracts_only
 
     try:
         baseline = _resolve_baseline(args)
-        report = lint_paths(
-            paths,
-            baseline=baseline,
-            contracts=contracts,
-            contracts_only=args.contracts_only,
-        )
+        report = lint_paths(paths, baseline=baseline)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -211,12 +173,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.write_baseline:
         target = args.baseline or DEFAULT_BASELINE_NAME
         # Re-lint without a baseline so the snapshot is complete.
-        full = lint_paths(
-            paths,
-            baseline=None,
-            contracts=contracts,
-            contracts_only=args.contracts_only,
-        )
+        full = lint_paths(paths, baseline=None)
         Baseline.from_findings(full.findings).save(target)
         print(
             f"wrote {len(full.findings)} finding(s) to {target}",

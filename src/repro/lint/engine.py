@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import ConfigurationError
 from repro.lint import checkers as _checkers  # noqa: F401 - registers rules
 from repro.lint.baseline import Baseline
-from repro.lint.contracts import CONTRACT_RULES, check_contracts, default_registry
 from repro.lint.findings import JSON_REPORT_VERSION, Finding
 from repro.lint.rules import RULES, ModuleContext, checkers_for
 
@@ -95,8 +94,6 @@ class LintReport:
     suppressed: int = 0
     baselined: int = 0
     parse_errors: List[Finding] = field(default_factory=list)
-    #: Declared contracts checked (0 when the contract pass did not run).
-    contracts_checked: int = 0
 
     @property
     def clean(self) -> bool:
@@ -104,10 +101,7 @@ class LintReport:
 
     def per_rule_counts(self) -> Dict[str, int]:
         """Finding count per registered rule (zero-filled, sorted keys)."""
-        rule_ids = set(RULES)
-        if self.contracts_checked:
-            rule_ids |= set(CONTRACT_RULES)
-        counts = {rule_id: 0 for rule_id in sorted(rule_ids)}
+        counts = {rule_id: 0 for rule_id in sorted(RULES)}
         for finding in self.findings:
             counts.setdefault(finding.rule, 0)
             counts[finding.rule] += 1
@@ -121,10 +115,7 @@ class LintReport:
             "baselined": self.baselined,
             "findings": [f.to_json() for f in sorted(self.findings)],
             "parse_errors": [f.to_json() for f in sorted(self.parse_errors)],
-            "stats": {
-                "per_rule": self.per_rule_counts(),
-                "contracts_checked": self.contracts_checked,
-            },
+            "stats": {"per_rule": self.per_rule_counts()},
         }
 
 
@@ -153,23 +144,14 @@ def lint_paths(
     *,
     baseline: Optional[Baseline] = None,
     display_relative_to: Optional[str] = None,
-    contracts: bool = False,
-    contracts_only: bool = False,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths``.
 
     ``display_relative_to`` rebases reported paths (defaults to the current
     working directory when files live under it) so findings and baselines
     are machine-independent.
-
-    ``contracts=True`` additionally runs the declared-contract pass
-    (:mod:`repro.lint.contracts`, rules CON001..CON003) anchored at the
-    display base directory; its findings go through the same noqa and
-    baseline machinery as per-file findings.  ``contracts_only=True`` skips
-    the per-file rules entirely (``netrs contracts``) -- contract sites are
-    declared, not discovered, so ``paths`` is ignored in that mode.
     """
-    files = [] if contracts_only else iter_python_files(paths)
+    files = iter_python_files(paths)
     base_dir = display_relative_to or os.getcwd()
     all_findings: List[Finding] = []
     parse_errors: List[Finding] = []
@@ -194,16 +176,6 @@ def lint_paths(
         suppressed += skipped
         all_findings.extend(findings)
 
-    contracts_checked = 0
-    if contracts or contracts_only:
-        registry = default_registry()
-        contracts_checked = registry.total()
-        kept, skipped = _suppress_contract_findings(
-            check_contracts(base_dir, registry=registry), base_dir
-        )
-        suppressed += skipped
-        all_findings.extend(kept)
-
     baselined = 0
     if baseline is not None:
         all_findings, baselined = baseline.apply(all_findings)
@@ -214,38 +186,7 @@ def lint_paths(
         suppressed=suppressed,
         baselined=baselined,
         parse_errors=sorted(parse_errors),
-        contracts_checked=contracts_checked,
     )
-
-
-def _suppress_contract_findings(
-    findings: Sequence[Finding], base_dir: str
-) -> Tuple[List[Finding], int]:
-    """Apply per-file ``# repro: noqa`` markers to contract findings.
-
-    Contract findings anchor at a statement in a declared source file, so
-    the same suppression syntax works; the files were not necessarily part
-    of the lint walk, hence the separate read here (unreadable files keep
-    their findings -- a missing site is itself a finding).
-    """
-    cache: Dict[str, Dict[int, Optional[Set[str]]]] = {}
-    kept: List[Finding] = []
-    skipped = 0
-    for finding in findings:
-        suppressions = cache.get(finding.path)
-        if suppressions is None:
-            try:
-                full_path = os.path.join(base_dir, finding.path)
-                with open(full_path, "r", encoding="utf-8") as handle:
-                    suppressions = parse_suppressions(handle.read())
-            except OSError:
-                suppressions = {}
-            cache[finding.path] = suppressions
-        if is_suppressed(finding, suppressions):
-            skipped += 1
-        else:
-            kept.append(finding)
-    return kept, skipped
 
 
 def _display_path(file_path: str, base_dir: str) -> str:

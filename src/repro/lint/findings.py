@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 #: Version stamp of the JSON report layout (bump on breaking changes).
-JSON_REPORT_VERSION = 1
+JSON_REPORT_VERSION = 2
 
 
 @dataclass(frozen=True, order=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.lint.findings import Finding
@@ -119,18 +119,12 @@ def register_rule(
     return decorate
 
 
-def get_rule(rule_id: str, registry: Optional[Dict[str, Rule]] = None) -> Rule:
-    """Look up one rule, raising :class:`ConfigurationError` if unknown.
-
-    ``registry`` defaults to :data:`RULES`; the CLI passes a merged table
-    so ``--explain`` also covers the contract rules (``CON001``...),
-    which live in :data:`repro.lint.contracts.CONTRACT_RULES`.
-    """
-    table = RULES if registry is None else registry
-    rule = table.get(rule_id)
+def get_rule(rule_id: str) -> Rule:
+    """Look up one rule, raising :class:`ConfigurationError` if unknown."""
+    rule = RULES.get(rule_id)
     if rule is None:
         raise ConfigurationError(
-            f"unknown lint rule {rule_id!r}; known: {', '.join(sorted(table))}"
+            f"unknown lint rule {rule_id!r}; known: {', '.join(sorted(RULES))}"
         )
     return rule
 
@@ -156,9 +150,9 @@ def checkers_for(module: ModuleContext) -> List[Checker]:
     return selected
 
 
-def explain(rule_id: str, registry: Optional[Dict[str, Rule]] = None) -> str:
+def explain(rule_id: str) -> str:
     """Human-readable documentation block for one rule."""
-    rule = get_rule(rule_id, registry)
+    rule = get_rule(rule_id)
     lines = [
         f"{rule.rule_id}: {rule.title}",
         "",

@@ -33,9 +33,9 @@ the scalar tier's per-request ``_Outstanding`` + ``_outstanding`` dict.
 Construction -- streams, roles, ring, selectors, service models, the fault
 driver -- is the scalar engine's own; the scalar engine remains the oracle:
 the byte-identity suites in ``tests/mesoscale/test_vector.py`` hold every
-sample and counter of this path equal to its, and the contracts in
-``repro.mesoscale.contracts`` pin the inlined C3 score (CON001) and the
-arrival-stream draw order (CON002) statically.
+sample and counter of this path equal to its (a reordered arrival-stream
+draw fails them), and ``tests/selection/test_c3.py`` pins the inlined C3
+score to the spelling of ``C3Selector.score``.
 """
 
 from __future__ import annotations
@@ -293,8 +293,8 @@ class VectorFlowEngine(FlowEngine):
         for j in range(n):
             times[j] = t
             # Mixed-family arrival stream: same uniform draw as the workload's
-            # _arrival (CON002 pins the per-request draw order).
-            clients[j] = sample(rng)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload._arrival
+            # _arrival (test_vector.py fails on a reordered draw).
+            clients[j] = sample(rng)
             if zipf_fast:
                 # Inlined ZipfSampler.sample + BatchedStream.random +
                 # _h_integral_inverse/_helper1 (draw-for-draw identical;

@@ -1,19 +1,18 @@
 """Tests for the job model: stable keys, content digests, outcomes."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
-import pathlib
-import shutil
 
 import pytest
 
+from repro.cli import build_parser
 from repro.errors import ConfigurationError
 from repro.exec import Job, JobOutcome, config_digest
+from repro.exec.job import _DIGEST_DEFAULTS
 from repro.exec.ledger import RunLedger
 from repro.experiments.config import ExperimentConfig
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def _legacy_digest(config):
@@ -96,37 +95,26 @@ class TestDigests:
         assert config_digest(config) == legacy
         assert config_digest(config.replace(fidelity="flow")) != legacy
 
-    def test_new_field_without_elision_is_caught_by_con003(self, tmp_path):
-        """The forward-compat dance can never be forgotten again: adding an
-        ExperimentConfig field without a ``_DIGEST_DEFAULTS`` entry fails
-        the contract sanitizer (ISSUE 8 satellite)."""
-        from repro.experiments.contracts import DIGESTS
-        from repro.lint.contracts import ContractRegistry, check_contracts
-
-        for rel in (
-            "src/repro/experiments/config.py",
-            "src/repro/exec/job.py",
-            "src/repro/cli.py",
-        ):
-            target = tmp_path / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(REPO_ROOT / rel, target)
-        config_copy = tmp_path / "src/repro/experiments/config.py"
-        source = config_copy.read_text(encoding="utf-8")
-        marker = '    scheme: str = "clirs"\n'
-        assert marker in source
-        config_copy.write_text(
-            source.replace(marker, marker + "    shiny_new_knob: int = 7\n"),
-            encoding="utf-8",
-        )
-        registry = ContractRegistry(digests=list(DIGESTS))
-        findings = check_contracts(str(tmp_path), registry=registry)
-        assert findings, "CON003 missed an undigested config field"
-        assert {f.rule for f in findings} == {"CON003"}
-        assert all("'shiny_new_knob'" in f.message for f in findings)
-        assert all(
-            f.path == "src/repro/experiments/config.py" for f in findings
-        )
+    @pytest.mark.parametrize("name", sorted(_DIGEST_DEFAULTS))
+    def test_elided_fields_are_run_options_at_their_defaults(self, name):
+        """Each ``_DIGEST_DEFAULTS`` key is an ``ExperimentConfig`` field,
+        elides exactly that field's default, and is an option of ``netrs
+        run``.  A new field added *without* an elision entry changes the
+        pinned literals of
+        ``test_digests_survive_the_retired_engine_backend_field``."""
+        defaults = {
+            field.name: field.default
+            for field in dataclasses.fields(ExperimentConfig)
+        }
+        (subcommands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        run_options = subcommands.choices["run"]._option_string_actions
+        assert name in defaults
+        assert _DIGEST_DEFAULTS[name] == defaults[name]
+        assert "--" + name.replace("_", "-") in run_options
 
     def test_digest_elides_default_vector_and_shard_knobs(self):
         """``vector_batch`` / ``shards`` follow the ``fidelity`` dance: the
@@ -168,8 +156,8 @@ class TestDigests:
         assert outcomes[job.key].digest == job.digest
 
     def test_handwritten_pre_pr8_ledger_still_resumes(self, tmp_path):
-        """A ledger written before the contract sanitizer existed must keep
-        matching: the contract work pins digests, it does not change them."""
+        """A ledger written before the elision entries were checked must keep
+        matching: checking them pins digests, it does not change them."""
         config = ExperimentConfig.tiny(seed=5)
         legacy_digest = _legacy_digest(config)
         run_dir = tmp_path / "run"

@@ -82,12 +82,8 @@ def test_list_rules_and_explain(capsys):
     out = capsys.readouterr().out
     for rule_id in RULES:
         assert rule_id in out
-    for rule_id in ("CON001", "CON002", "CON003"):
-        assert rule_id in out
     assert lint_main(["--explain", "det001"]) == 0
     assert "DET001" in capsys.readouterr().out
-    assert lint_main(["--explain", "con003"]) == 0
-    assert "CON003" in capsys.readouterr().out
     assert lint_main(["--explain", "NOPE999"]) == 2
 
 
@@ -102,22 +98,6 @@ def test_github_format_is_silent_when_clean(bad_tree, capsys):
     (bad_tree / "m.py").write_text("VALUE = 1\n")
     assert lint_main(["m.py", "--format", "github"]) == 0
     assert capsys.readouterr().out == ""
-
-
-def test_contracts_only_cli_is_clean_on_the_repo(monkeypatch, capsys):
-    """`netrs contracts` over the shipped tree: exit 0 (ISSUE 8 acceptance)."""
-    monkeypatch.chdir(REPO_ROOT)
-    assert lint_main(["--contracts-only"]) == 0
-    assert "contracts checked" in capsys.readouterr().out
-    assert netrs_main(["contracts"]) == 0
-
-
-def test_lint_contracts_flag_merges_both_passes(bad_tree, capsys):
-    """--contracts keeps the per-file rules and adds the contract pass; the
-    fixture tree has no declared contract sites, so every site is missing."""
-    assert lint_main(["m.py", "--contracts"]) == 1
-    out = capsys.readouterr().out
-    assert "DET001" in out and "CON00" in out
 
 
 def test_missing_path_is_a_usage_error(bad_tree):

@@ -143,6 +143,7 @@ def test_json_report_schema(tmp_path):
     assert finding["rule"] == "DET001"
     assert finding["path"] == "m.py"  # relative, machine-independent
     # Stats are zero-filled over every registered rule.
+    assert set(payload["stats"]) == {"per_rule"}
     per_rule = payload["stats"]["per_rule"]
     assert per_rule["DET001"] == 1
     assert per_rule["DET005"] == 0

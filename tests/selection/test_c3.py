@@ -1,11 +1,24 @@
 """Tests for the C3 selector: scoring, feedback, herd-avoidance behaviour."""
 
+import ast
+import copy
+import inspect
+import math
+import textwrap
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.mesoscale.vector import VectorFlowEngine
 from repro.network.packet import ServerStatus
 from repro.selection.c3 import C3Selector
+
+#: The cubic score as every site spells it.  Float addition is not
+#: associative, so a reordered copy ranks near-ties differently.
+C3_SCORE = (
+    "track.response_time - expected_service + q_hat ** exponent * expected_service"
+)
 
 
 def _status(queue=0, rate=1000.0, t=0.0):
@@ -101,6 +114,51 @@ class TestScoring:
         )
         picks = {selector.select(["a", "b", "c"], 0.0) for _ in range(20)}
         assert picks == {"a"}
+
+
+class TestScoreSites:
+    """The score is spelled out three times: ``score``, the loop inlined in
+    ``select`` and the SoA engine's ``_drain_fast``.  All must rank alike."""
+
+    @pytest.mark.parametrize(
+        "site",
+        [C3Selector.score, C3Selector.select, VectorFlowEngine._drain_fast],
+        ids=lambda site: site.__qualname__,
+    )
+    def test_site_spells_the_score_once(self, site):
+        source = ast.unparse(ast.parse(textwrap.dedent(inspect.getsource(site))))
+        # score() reads the exponent off the selector; the loops hoist it.
+        source = source.replace("self.cubic_exponent", "exponent")
+        assert source.count(C3_SCORE) == 1
+
+    @pytest.mark.parametrize("exponent", [1.0, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")], ids="".join)
+    def test_select_ranks_near_ties_like_score(self, order, exponent):
+        """``b`` is ``a`` nudged up by the fewest ulps that lift its score.
+        ``select`` must then prefer ``a`` from either candidate order
+        (``rng=None`` breaks a tie toward the first candidate, so a tie
+        fails too), whatever cubic exponent the selector is given."""
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            selector = _selector(
+                concurrency_weight=int(rng.integers(1, 65)),
+                cubic_exponent=exponent,
+                rng=None,
+            )
+            a = selector._track("a")
+            a.outstanding = int(rng.integers(0, 2))
+            a.queue_size = float(rng.uniform(0.0, 4.0))
+            a.service_rate = float(rng.uniform(200.0, 5000.0))
+            q_hat = 1.0 + a.outstanding * selector.concurrency_weight + a.queue_size
+            a.response_time = float(rng.uniform(0.5, 4.0)) * q_hat / a.service_rate
+            b = selector._tracks["b"] = copy.copy(a)
+            for _ in range(100_000):
+                if selector.score("b") > selector.score("a"):
+                    break
+                b.response_time = math.nextafter(b.response_time, math.inf)
+            else:
+                pytest.fail(f"seed {seed}: score did not move within 1e5 ulps")
+            assert selector.select(list(order), 0.0) == "a", seed
 
 
 class TestFeedback:
