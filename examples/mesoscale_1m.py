@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Mesoscale scale demo: a million requests across a million-host fat-tree.
 
-The flow tier prices each request as a handful of analytically-scheduled
-completions instead of ~15 hop-by-hop packet events, and the full-scale
-run layers the struct-of-arrays fast path (``vector_batch``) and the
-sharded parallel loop (``shards``) on top, which is what makes this scale
-tractable in pure Python (see docs/MESOSCALE.md; ``--scheme netrs-tor``
-runs the scalar flow engine, which the SoA one does not cover).  This script
+The flow tier prices the wire in closed form on a fat-tree it never
+materializes, and the full-scale run layers the struct-of-arrays fast path
+(``vector_batch``) and the sharded parallel loop (``shards``) on top, which
+is what makes this scale tractable in pure Python (see docs/MESOSCALE.md;
+``--scheme netrs-tor`` runs the scalar flow engine, which the SoA one does
+not cover).  This script
 
-1. measures the packet tier's engine-events-per-request on a small
-   reference run of the same scheme, then
+1. measures the packet tier's events per request on a small reference run
+   of the same scheme, then
 2. runs the full-scale flow experiment and reports wall clock, latency
-   percentiles, events-per-request, peak RSS and the packet/flow event
-   ratio.
+   percentiles, peak RSS, and the flow engine's micro-events per request
+   next to the packet tier's events per request.
 
-It exits nonzero if the flow tier does not beat the packet tier by at
-least 50x engine events per request, so CI can run it as a smoke check.
+It exits nonzero only if a run fails, so CI can run it as a smoke check.
 
 Usage::
 
@@ -36,9 +35,6 @@ import time
 
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.mesoscale.support import vector_eligible
-
-#: The demo must beat the packet tier by at least this factor (ISSUE gate).
-MIN_EVENT_RATIO = 50.0
 
 #: Full-scale topology: a 160-ary fat-tree is exactly 1,024,000 hosts.
 DEFAULT_HOSTS = 1_024_000
@@ -61,8 +57,7 @@ def demo_config(smoke: bool, hosts: int, shards: int, scheme: str, seed: int):
         zipf_exponent=0.6, utilization=0.7, fidelity="flow", vector_batch=4_096
     )
     if smoke:
-        # CI-sized: a 16-ary fat-tree is 1,024 hosts (single shard so the
-        # event-ratio gate measures the plain flow tier).
+        # CI-sized: a 16-ary fat-tree is 1,024 hosts, in a single shard.
         return ExperimentConfig.small(scheme=scheme, seed=seed).replace(
             fat_tree_k=16,
             n_servers=100,
@@ -163,9 +158,7 @@ def main() -> int:
     wall = time.perf_counter() - started
 
     s = result.summary()
-    flow_epr = result.events_executed / result.completed_requests
     micro_epr = result.micro_events / result.completed_requests
-    ratio = packet_epr / flow_epr if flow_epr > 0 else float("inf")
     rate = result.completed_requests / wall
 
     print(
@@ -177,25 +170,10 @@ def main() -> int:
         f"p99={s['p99']:.3f}ms p99.9={s['p999']:.3f}ms"
     )
     print(
-        f"engine events: {result.events_executed} ({flow_epr:.6f}/request) "
-        f"vs packet {packet_epr:.2f}/request"
-    )
-    print(
-        f"micro events (internal flow completions): {result.micro_events} "
-        f"({micro_epr:.2f}/request)"
+        f"events/request: flow micro-events {micro_epr:.2f} "
+        f"vs packet events {packet_epr:.2f}"
     )
     print(f"peak RSS: {peak_rss_mib():,.0f} MiB (self + shard workers)")
-    ratio_text = f"{ratio:.0f}x" if ratio != float("inf") else "inf"
-    print(f"engine-event ratio packet/flow: {ratio_text}")
-
-    if ratio < MIN_EVENT_RATIO:
-        print(
-            f"FAIL: event ratio {ratio:.1f}x below the required "
-            f"{MIN_EVENT_RATIO:.0f}x",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"PASS: event ratio exceeds {MIN_EVENT_RATIO:.0f}x")
     return 0
 
 

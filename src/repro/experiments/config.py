@@ -62,7 +62,7 @@ class ExperimentConfig:
     track_link_stats: bool = False  # per-directed-link byte/packet counters
     # --- simulator performance knobs (identical results either way) --------
     route_cache_size: int = 65536  # ECMP path memoization bound; 0 = bypass
-    engine_compaction: bool = True  # compact cancelled timers in the heap
+    engine_compaction: bool = True  # packet tier: compact cancelled timers
     rng_batch_size: int = 1024  # pre-drawn RNG block length; 0 = bypass
     background_traffic_rate: float = 0.0  # packets/s between idle hosts
     background_packet_size: int = 1024

@@ -39,8 +39,8 @@ class ExperimentResult:
     bytes_transferred: int = 0
     netrs_overhead_bytes: int = 0
     events_executed: int = 0
-    # Flow-tier internal events (fidelity="flow" only; the macro engine's
-    # events_executed stays tiny there -- see docs/MESOSCALE.md)
+    # Entries the flow engine's heap ran (fidelity="flow" only; no
+    # Environment runs there, so events_executed is 0 -- docs/MESOSCALE.md)
     micro_events: int = 0
     # Failure-aware accounting (all zero on fault-free runs; docs/FAULTS.md)
     timeouts: int = 0

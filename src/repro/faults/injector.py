@@ -1,15 +1,20 @@
 """The fault injector: replay a :class:`FaultSchedule` against a scenario.
 
 The injector composes with the event engine rather than wrapping it: each
-scheduled fault becomes one ordinary ``env.call_at`` callback, so injection
-interleaves deterministically with workload traffic (the engine breaks time
-ties by insertion order) and a run with a schedule is exactly as
-reproducible as one without.
+scheduled fault becomes one ordinary ``post_at`` callback on the run's clock,
+so injection interleaves deterministically with workload traffic (the clock
+breaks time ties by insertion order) and a run with a schedule is exactly as
+reproducible as one without.  Both tiers drive it: the packet tier on its
+:class:`~repro.sim.core.Environment` and :class:`~repro.network.fabric.Network`,
+the flow tier on its :class:`~repro.mesoscale.flow.FlowEngine`, which is its
+own clock and its own fabric.  Whatever is passed as ``network`` resolves
+``tor(...)`` and literal names (``tor_of``, ``has_node``), says which node
+pairs share a link (``has_link``) and takes the link transitions.
 
 Construction resolves every symbolic target (``server#i``, ``client#i``,
 ``tor(...)``, operator ``busiest``) against the built scenario immediately,
-so a typo in a schedule fails fast with a
-:class:`~repro.errors.ConfigurationError` instead of mid-run.
+and checks that every link event names a link, so a typo in a schedule fails
+fast with a :class:`~repro.errors.ConfigurationError` instead of mid-run.
 
 Besides applying faults, the injector is the bookkeeper for the
 failure-aware metrics: it counts injected events and integrates per-target
@@ -119,17 +124,17 @@ class FaultInjector:
                     "builds one -- see docs/CONSISTENCY.md"
                 )
             return type(event)(event.at, name)
-        if isinstance(event, LinkDegrade):
-            return LinkDegrade(
-                event.at,
-                self._resolve_node(event.a),
-                self._resolve_node(event.b),
-                event.factor,
-            )
-        if isinstance(event, (LinkDown, LinkUp)):
-            return type(event)(
-                event.at, self._resolve_node(event.a), self._resolve_node(event.b)
-            )
+        if isinstance(event, (LinkDown, LinkUp, LinkDegrade)):
+            a = self._resolve_node(event.a)
+            b = self._resolve_node(event.b)
+            if not self.network.has_link(a, b):
+                raise ConfigurationError(
+                    f"link fault {event.a}/{event.b} resolves to {a} <-> {b}, "
+                    "which share no link"
+                )
+            if isinstance(event, LinkDegrade):
+                return LinkDegrade(event.at, a, b, event.factor)
+            return type(event)(event.at, a, b)
         # RSNode events
         return type(event)(event.at, self._resolve_operator(event.operator))
 
@@ -138,7 +143,7 @@ class FaultInjector:
         ref = ref.strip()
         if ref.startswith("tor(") and ref.endswith(")"):
             inner = self._resolve_node(ref[4:-1])
-            return self.network.router.tor_of(inner)
+            return self.network.tor_of(inner)
         for prefix, pool in (
             ("server#", self.server_hosts),
             ("client#", self.client_hosts),
@@ -157,7 +162,7 @@ class FaultInjector:
                         f"(have {len(pool)} such hosts)"
                     )
                 return pool[index]
-        if ref not in self.network.topology.nodes:
+        if not self.network.has_node(ref):
             raise ConfigurationError(
                 f"fault target {ref!r} is not a topology node (use a literal "
                 f"name, 'server#i', 'client#i', or 'tor(...)')"
@@ -189,12 +194,16 @@ class FaultInjector:
     # Arming & applying
     # ------------------------------------------------------------------
     def arm(self) -> None:
-        """Schedule every event on the simulation clock (idempotent)."""
+        """Schedule every event on the simulation clock (idempotent).
+
+        Nothing cancels a transition: one still pending when the run ends
+        simply never fires.
+        """
         if self._armed:
             return
         self._armed = True
         for event in self._resolved:
-            self.env.call_at(event.at, self._apply, event)
+            self.env.post_at(event.at, self._apply, (event,))
 
     def _apply(self, event: FaultEvent) -> None:
         now = self.env.now

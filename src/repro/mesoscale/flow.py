@@ -11,23 +11,23 @@ and nothing else: the endpoints are the packet tier's own
 :class:`~repro.kvstore.client.ClientCore`,
 :class:`~repro.kvstore.workload.OpenLoopWorkload`, the service-fluctuation
 models, :class:`~repro.network.accelerator.Accelerator`), constructed on this
-engine instead of on an :class:`~repro.sim.core.Environment`.
+engine instead of on the packet tier's clock.
 
-Two things make that possible.  The engine offers the environment's clock
-surface under the same names -- :attr:`FlowEngine.now`,
-:meth:`~FlowEngine.post_in`, :meth:`~FlowEngine.post_at`,
-:meth:`~FlowEngine.call_in` -- backed by a lean micro-event heap.  And the
-endpoints reach the wire only through injected callables, which here are the
-engine's closed-form deliveries: ``_send_request`` / ``_send_via_operator``
-(a client's ``transmit``) and ``_send_response`` / ``_send_netrs_response``
-(a server's ``respond``); what comes off the wire is posted straight to
-``ServerCore.handle_arrival`` and ``ClientCore.handle_response``.
+Two things make that possible.  The engine offers that clock's surface under
+the same names -- :attr:`FlowEngine.now`, :meth:`~FlowEngine.post_in`,
+:meth:`~FlowEngine.post_at`, :meth:`~FlowEngine.call_in` -- backed by a lean
+micro-event heap.  And the endpoints reach the wire only through injected
+callables, which here are the engine's closed-form deliveries:
+``_send_request`` / ``_send_via_operator`` (a client's ``transmit``) and
+``_send_response`` / ``_send_netrs_response`` (a server's ``respond``); what
+comes off the wire is posted straight to ``ServerCore.handle_arrival`` and
+``ClientCore.handle_response``.
 
-The :class:`~repro.sim.core.Environment` is still the macro clock: fault
-transitions and periodic completion-batch heartbeats run on it, so
-``env.events_executed`` counts a handful of events per *run* rather than
-several per *request*.  Micro-events (arrival, service completion, response
-delivery, timers, fluctuation ticks) are counted separately in
+The heap is the run's only clock.  Fault transitions are entries on it too,
+armed by the packet tier's own :class:`~repro.faults.injector.FaultInjector`,
+to which the engine is both clock and fabric (``fail_link`` and the rest).
+Every entry that runs -- arrival, service completion, response delivery,
+timers, fluctuation ticks, fault transitions -- counts in
 ``FlowEngine.micro_events``.
 
 Fidelity: with ``link_bandwidth=None`` (the paper's configuration) the flow
@@ -47,13 +47,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.selector_node import NetRSSelector
 from repro.errors import ConfigurationError
-from repro.faults.events import (
-    LinkDegrade,
-    LinkDown,
-    LinkUp,
-    ServerDown,
-    ServerUp,
-)
+from repro.faults.events import LinkDegrade, LinkDown, LinkUp
+from repro.faults.injector import FaultInjector
 from repro.faults.schedule import parse_fault_schedule
 from repro.kvstore.client import ClientCore, CompletionTracker, RedundancyPolicy
 from repro.kvstore.fluctuation import BimodalFluctuation, StableService
@@ -74,14 +69,8 @@ from repro.network.packet import (
     _SIZE_UDP_HEADERS,
 )
 from repro.selection.registry import create_selector
-from repro.sim.core import Environment
 from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import RngRegistry
-
-#: Completions between environment heartbeats (the flow tier's only steady
-#: engine events): keeps ``env.now`` tracking the flow clock at negligible
-#: event cost.
-_FLUSH_EVERY = 4096
 
 #: Ahead-dated accounting entries that may pile up before those the clock has
 #: passed are entered in the books (they are not in time order).
@@ -101,120 +90,6 @@ class _FlowOperator:
         self.accelerator = accelerator
 
 
-class _FaultDriver:
-    """Maps PR5 fault events onto flow-model state (docs/FAULTS.md)."""
-
-    def __init__(self, engine, schedule) -> None:
-        self.engine = engine
-        self.faults_injected = 0
-        self._down_since: Dict[str, float] = {}
-        self._closed_downtime = 0.0
-        self._resolved = [self._resolve(event) for event in schedule.events]
-        self.has_link_events = any(
-            isinstance(e, (LinkDown, LinkUp, LinkDegrade)) for e in self._resolved
-        )
-
-    def _resolve(self, event):
-        if isinstance(event, (ServerDown, ServerUp)):
-            return type(event)(event.at, self._resolve_node(event.server))
-        if isinstance(event, (LinkDown, LinkUp)):
-            return type(event)(
-                event.at, self._resolve_node(event.a), self._resolve_node(event.b)
-            )
-        if isinstance(event, LinkDegrade):
-            return LinkDegrade(
-                event.at,
-                self._resolve_node(event.a),
-                self._resolve_node(event.b),
-                event.factor,
-            )
-        raise ConfigurationError(
-            f"{type(event).__name__} fault events are packet-tier only "
-            "(fidelity='flow' has no RSNode failure path)"
-        )
-
-    def _resolve_node(self, ref: str) -> str:
-        engine = self.engine
-        ref = ref.strip()
-        if ref.startswith("tor(") and ref.endswith(")"):
-            return engine.geometry.tor_name(self._resolve_node(ref[4:-1]))
-        for prefix, pool in (
-            ("server#", engine.server_hosts),
-            ("client#", engine.client_hosts),
-        ):
-            if ref.startswith(prefix):
-                try:
-                    index = int(ref[len(prefix):])
-                except ValueError:
-                    raise ConfigurationError(
-                        f"bad fault target index in {ref!r}"
-                    ) from None
-                if not 0 <= index < len(pool):
-                    raise ConfigurationError(
-                        f"fault target {ref!r} out of range "
-                        f"(have {len(pool)} such hosts)"
-                    )
-                return pool[index]
-        if not engine.geometry.is_host(ref):
-            raise ConfigurationError(
-                f"fault target {ref!r} is not a host in the flow tier "
-                "(use 'server#i', 'client#i', 'tor(...)' or a host name)"
-            )
-        return ref
-
-    def arm(self) -> None:
-        env = self.engine.env
-        self._handles = [
-            env.call_at(event.at, self._apply, event) for event in self._resolved
-        ]
-        self.engine._env_times = sorted(event.at for event in self._resolved)
-
-    def disarm(self) -> None:
-        """Cancel the transitions still scheduled (each pins the environment)."""
-        for handle in self._handles:
-            handle.cancel()
-
-    def _apply(self, event) -> None:
-        engine = self.engine
-        self.faults_injected += 1
-        now = engine.env.now
-        if isinstance(event, ServerDown):
-            server = engine.servers[event.server]
-            if not server.down:
-                server.fail()
-                self._open_window(f"server:{event.server}", now)
-        elif isinstance(event, ServerUp):
-            server = engine.servers[event.server]
-            if server.down:
-                server.recover()
-                self._close_window(f"server:{event.server}", now)
-        elif isinstance(event, LinkDown):
-            engine._fail_link(event.a, event.b)
-            self._open_window(self._link_key(event.a, event.b), now)
-        elif isinstance(event, LinkUp):
-            engine._restore_link(event.a, event.b)
-            self._close_window(self._link_key(event.a, event.b), now)
-        else:  # LinkDegrade
-            engine._degrade_link(event.a, event.b, event.factor)
-
-    @staticmethod
-    def _link_key(a: str, b: str) -> str:
-        lo, hi = (a, b) if a <= b else (b, a)
-        return f"link:{lo}/{hi}"
-
-    def _open_window(self, key: str, now: float) -> None:
-        self._down_since.setdefault(key, now)
-
-    def _close_window(self, key: str, now: float) -> None:
-        started = self._down_since.pop(key, None)
-        if started is not None:
-            self._closed_downtime += now - started
-
-    def unavailability(self, now: float) -> float:
-        open_windows = sum(now - started for started in self._down_since.values())
-        return self._closed_downtime + open_windows
-
-
 class FlowEngine:
     """One flow-level experiment: state, micro-event loop and accounting.
 
@@ -230,7 +105,6 @@ class FlowEngine:
         if service_time_scale <= 0:
             raise ConfigurationError("service_time_scale must be positive")
         self.config = config
-        self.env = Environment(compaction=config.engine_compaction)
         self.service_time_scale = service_time_scale
         self.geometry = FatTreeGeometry(config.fat_tree_k)
         rng = RngRegistry(config.seed)
@@ -238,15 +112,12 @@ class FlowEngine:
         batch = config.rng_batch_size
 
         # --- clock & micro-event machinery --------------------------------
-        self._now = self.env.now
+        self._now = 0.0
         self._heap: List[tuple] = []
         self._seq = 0
         self._ids = itertools.count(1)
         self.micro_events = 0
-        self.heartbeats = 0
-        self._since_flush = 0
         self._stopped = False
-        self._env_times: List[float] = []
 
         # --- roles (identical to scenarios._assign_roles) ------------------
         host_names = self.geometry.hosts
@@ -408,18 +279,29 @@ class FlowEngine:
             warmup_requests=config.warmup_requests(),
         )
 
-        # --- faults --------------------------------------------------------
-        self.faults: Optional[_FaultDriver] = None
+        # --- faults: armed last, as build_scenario arms them, so a transition
+        # that ties with another entry runs in the packet tier's order -----
+        self.faults: Optional[FaultInjector] = None
         if config.fault_schedule:
-            self.faults = _FaultDriver(self, parse_fault_schedule(config.fault_schedule))
+            schedule = parse_fault_schedule(config.fault_schedule)
+            self._guarded = any(
+                isinstance(e, (LinkDown, LinkUp, LinkDegrade)) for e in schedule
+            )
+            self.faults = FaultInjector(
+                self,
+                schedule,
+                network=self,
+                servers=self.servers,
+                server_hosts=self.server_hosts,
+                client_hosts=self.client_hosts,
+            )
             self.faults.arm()
-            self._guarded = self.faults.has_link_events
 
     # ------------------------------------------------------------------
     # Clock & scheduling
     # ------------------------------------------------------------------
-    # The four names below are Environment's, so that whatever is written
-    # against an environment's clock runs on the micro-heap unchanged.
+    # The four names below are the packet tier's clock's (repro.sim.core), so
+    # that whatever is written against that clock runs on the heap unchanged.
     @property
     def now(self) -> float:
         return self._now
@@ -446,50 +328,27 @@ class FlowEngine:
 
     def _complete_request(self, client: ClientCore) -> None:
         self.tracker.complete()
-        self._since_flush += 1
-        if self._since_flush >= _FLUSH_EVERY:
-            self._since_flush = 0
-            env = self.env
-            env.post_at(self._now, self._heartbeat)
-            env.run(until=self._now)
-
-    def _heartbeat(self) -> None:
-        self.heartbeats += 1
 
     def run(self, until: Optional[float] = None) -> None:
         """Drive the experiment until completion (or the safety horizon)."""
         self.workload.start()
         heap = self._heap
-        env = self.env
-        env_times = self._env_times
         while heap and not self._stopped:
             entry = heappop(heap)
             when = entry[0]
             if until is not None and when > until:
                 self._now = until
                 break
-            if env_times and env_times[0] <= when:
-                # Fault transitions fire on the macro clock, strictly before
-                # any micro-event at or after their timestamp (same ordering
-                # as the packet tier's build-time-scheduled fault events).
-                while env_times and env_times[0] <= when:
-                    env.run(until=env_times.pop(0))
             self._now = when
             self.micro_events += 1
             entry[2](*entry[3])
-        self._close_run()
-
-    def _close_run(self) -> None:
-        """Bring the books and the macro clock up to where the loop stopped."""
         self._cross_accounted()
-        if self._now > self.env.now:
-            self.env.run(until=self._now)
 
     def teardown(self) -> None:
         """Release everything the run built; the engine is unusable afterwards.
 
         An engine is one large reference cycle: every client, server and
-        accelerator points back at it, and the tracker, the fault schedule
+        accelerator points back at it, and the tracker, the fault injector
         and the events left on the heap hold its bound methods.  Merely
         dropped, it waits for a full pass of the cyclic collector, which a
         flow run keeps parked (``run_flow_experiment``).  Emptying the
@@ -498,35 +357,32 @@ class FlowEngine:
         reference count here; what it shares (the recorder the result keeps,
         the interned ring) is only released.
         """
-        if self.faults is not None:
-            self.faults.disarm()
         self.__dict__.clear()
 
     # ------------------------------------------------------------------
-    # Link state (flow-model mapping of fabric faults)
+    # The fabric the fault injector drives: host-access links only
     # ------------------------------------------------------------------
-    def _check_access_link(self, a: str, b: str) -> Tuple[str, str]:
-        host, other = (a, b) if self.geometry.is_host(a) else (b, a)
-        if not self.geometry.is_host(host) or other != self.geometry.tor_name(host):
-            raise ConfigurationError(
-                f"no host-access link {a} <-> {b} in the flow model"
-            )
-        return host, other
+    def tor_of(self, host: str) -> str:
+        return self.geometry.tor_name(host)
 
-    def _fail_link(self, a: str, b: str) -> None:
-        self._check_access_link(a, b)
+    def has_node(self, name: str) -> bool:
+        return self.geometry.is_host(name)
+
+    def has_link(self, a: str, b: str) -> bool:
+        host, other = (a, b) if self.geometry.is_host(a) else (b, a)
+        return self.geometry.is_host(host) and other == self.geometry.tor_name(host)
+
+    def fail_link(self, a: str, b: str) -> None:
         self._dead_links.add((a, b))
         self._dead_links.add((b, a))
 
-    def _restore_link(self, a: str, b: str) -> None:
-        self._check_access_link(a, b)
+    def restore_link(self, a: str, b: str) -> None:
         self._dead_links.discard((a, b))
         self._dead_links.discard((b, a))
         self._degraded.pop((a, b), None)
         self._degraded.pop((b, a), None)
 
-    def _degrade_link(self, a: str, b: str, factor: float) -> None:
-        self._check_access_link(a, b)
+    def degrade_link(self, a: str, b: str, factor: float) -> None:
         self._degraded[(a, b)] = factor
         self._degraded[(b, a)] = factor
 
@@ -546,7 +402,7 @@ class FlowEngine:
         leaves the ToR, in ``_accounted_ahead``.  A run that stops first must
         not count them -- the packet tier would not have transmitted -- so
         they enter the books only once the clock is past them; the books are
-        final after :meth:`_close_run`.
+        final after :meth:`run`.
         """
         now = self._now
         waiting = []
@@ -572,8 +428,9 @@ class FlowEngine:
         Fast path: one float addition per hop (the exact additions the
         packet engine performs via per-hop ``post_in``), one micro-event at
         the far end.  Guarded path (only when the fault schedule contains
-        link events): the first and last access-link crossings are checked
-        against dead/degraded state at their actual transmit times.
+        link events): the first access-link crossing (when ``first_link``
+        names one) and the last are checked against dead/degraded state at
+        their actual transmit times.
         """
         t = self._now
         if not self._guarded:
@@ -582,22 +439,18 @@ class FlowEngine:
             self._account(len(hops), size, overhead)
             self.post_at(t, fn, args)
             return
-        if first_link is not None and first_link in self._dead_links:
-            self.packets_dropped += 1
-            return
-        first = hops[0]
+        start = 0
         if first_link is not None:
+            if first_link in self._dead_links:
+                self.packets_dropped += 1
+                return
+            first = hops[0]
             factor = self._degraded.get(first_link)
             if factor is not None:
                 first *= factor
-        t += first
-        if last_link is None:
-            for d in hops[1:]:
-                t += d
-            self._account(len(hops), size, overhead)
-            self.post_at(t, fn, args)
-            return
-        for d in hops[1:-1]:
+            t += first
+            start = 1
+        for d in hops[start:-1]:
             t += d
         self._account(len(hops) - 1, size, overhead)
         self.post_at(

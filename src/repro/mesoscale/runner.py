@@ -2,10 +2,10 @@
 
 This is the flow-tier twin of :func:`repro.experiments.runner.run_experiment`:
 same safety horizon, same stall/NaN guards, same result schema -- so sweeps,
-ledgers and figures consume flow results with zero changes.  The only
-additions are ``micro_events`` (the flow tier's internal event count, kept
-separate from ``events_executed`` so the macro-event savings stay honest)
-and the ``service_time_scale`` calibration knob used by the validation
+ledgers and figures consume flow results with zero changes.  The engine's
+heap is the run's only clock, so ``events_executed`` (the packet tier's
+clock) is 0 and what the engine ran is ``micro_events``; the one addition
+is the ``service_time_scale`` calibration knob used by the validation
 harness to prove its gate can fail.
 """
 
@@ -92,7 +92,7 @@ def _build_engine(config: ExperimentConfig, service_time_scale: float) -> FlowEn
 def _run_engine(engine: FlowEngine, config: ExperimentConfig) -> ExperimentResult:
     """Drive ``engine`` to completion and read the result off it."""
     expected_duration = config.total_requests / config.arrival_rate()
-    safety_horizon = engine.env.now + expected_duration * 5 + 10.0
+    safety_horizon = engine.now + expected_duration * 5 + 10.0
 
     started_wall = time.perf_counter()  # repro: noqa(DET002) - real wall time, reported only
     engine.run(until=safety_horizon)
@@ -113,13 +113,12 @@ def _run_engine(engine: FlowEngine, config: ExperimentConfig) -> ExperimentResul
     result = ExperimentResult(
         config=config,
         latency=engine.recorder,
-        sim_duration=engine.env.now,
+        sim_duration=engine.now,
         wall_time=wall_time,
         completed_requests=tracker.completed,
         transmissions=engine.transmissions,
         bytes_transferred=engine.bytes_transferred,
         netrs_overhead_bytes=engine.netrs_overhead_bytes,
-        events_executed=engine.env.events_executed,
         micro_events=engine.micro_events,
         redundant_requests=sum(c.redundant_sent for c in engine.clients),
         timeouts=sum(c.timeouts for c in engine.clients),
@@ -135,7 +134,7 @@ def _run_engine(engine: FlowEngine, config: ExperimentConfig) -> ExperimentResul
     )
     if engine.faults is not None:
         result.faults_injected = engine.faults.faults_injected
-        result.unavailability = engine.faults.unavailability(engine.env.now)
+        result.unavailability = engine.faults.unavailability()
     if engine.operators:
         result.rsnode_count = len(engine.operators)
         result.plan_description = (

@@ -107,15 +107,10 @@ class FidelityReport:
     rel_err: Dict[str, float]
     ks: float
     packet_events: int
-    flow_events: int
     flow_micro_events: int
     completed_requests: int
     passed: bool
     breaches: List[str]
-
-    def event_ratio(self) -> float:
-        """Packet engine events per flow *engine* event (the macro win)."""
-        return self.packet_events / max(1, self.flow_events)
 
     def format(self) -> str:
         """Human-readable gate report, one block per scenario."""
@@ -128,10 +123,10 @@ class FidelityReport:
                 f"rel_err={self.rel_err[metric]:.2e}"
             )
         lines.append(f"  KS distance: {self.ks:.2e}")
+        requests = max(1, self.completed_requests)
         lines.append(
-            f"  engine events: packet={self.packet_events} "
-            f"flow={self.flow_events} (micro={self.flow_micro_events}) "
-            f"ratio={self.event_ratio():.1f}x"
+            f"  events/request: packet={self.packet_events / requests:.2f} "
+            f"flow micro={self.flow_micro_events / requests:.2f}"
         )
         for breach in self.breaches:
             lines.append(f"  BREACH: {breach}")
@@ -186,7 +181,6 @@ def compare_tiers(
         rel_err=rel_err,
         ks=ks,
         packet_events=packet.events_executed,
-        flow_events=flow.events_executed,
         flow_micro_events=flow.micro_events,
         completed_requests=packet.completed_requests,
         passed=not breaches,

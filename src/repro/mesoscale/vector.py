@@ -31,7 +31,7 @@ primary target, replica tuple, done/alive bytemaps) with the rare fields
 (duplicate counts, retry attempts, tried sets) in sparse dicts, replacing
 the scalar tier's per-request ``_Outstanding`` + ``_outstanding`` dict.
 Construction -- streams, roles, ring, selectors, service models, the fault
-driver -- is the scalar engine's own; the scalar engine remains the oracle:
+injector -- is the scalar engine's own; the scalar engine remains the oracle:
 the byte-identity suites in ``tests/mesoscale/test_vector.py`` hold every
 sample and counter of this path equal to its (a reordered arrival-stream
 draw fails them), and ``tests/selection/test_c3.py`` pins the inlined C3
@@ -51,7 +51,7 @@ from repro.errors import ConfigurationError
 from repro.kvstore.client import _BACKOFF_CAP
 from repro.kvstore.fluctuation import StableService
 from repro.kvstore.server import ServerCore
-from repro.mesoscale.flow import _FLUSH_EVERY, FlowEngine
+from repro.mesoscale.flow import FlowEngine
 from repro.mesoscale.support import vector_eligible
 
 _INF = float("inf")
@@ -138,7 +138,7 @@ class VectorFlowEngine(FlowEngine):
     """Flow engine draining precomputed struct-of-arrays request blocks.
 
     Construction is inherited wholesale -- the stream creation order, role
-    placement, ring, servers, clients and fault driver are the scalar
+    placement, ring, servers, clients and fault injector are the scalar
     engine's own.  Only the request lifecycle is replaced: arrivals come
     from a block cursor (``_load_chunk``) and the endpoints run inlined over
     flat arrays in ``_drain_fast``.
@@ -200,9 +200,10 @@ class VectorFlowEngine(FlowEngine):
         self._sel_weight = selector.concurrency_weight
         self._sel_exponent = selector.cubic_exponent
         self._sel_alpha = selector.ewma_alpha
-        self.servers = {
-            name: _VFlowServer(server) for name, server in self.servers.items()
-        }
+        # In place: the fault injector holds this dict.
+        servers = self.servers
+        for name, server in servers.items():
+            servers[name] = _VFlowServer(server)
         # (client, rgid) -> ((server, track), ...) for the inlined select
         # loop: replica groups are frozen with the ring and C3 tracks are
         # created once and never dropped, so the pairing is stable.  Tracks
@@ -392,7 +393,7 @@ class VectorFlowEngine(FlowEngine):
         self._pending_time = self._arrival_rng.exponential(self._rate_inv)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload.start
         self._load_chunk()
         self._drain_fast(until, first_seq)
-        self._close_run()
+        self._cross_accounted()
 
     def _drain_fast(self, until: Optional[float], first_seq: int) -> None:
         """The whole request lifecycle inlined into one frame.
@@ -405,7 +406,8 @@ class VectorFlowEngine(FlowEngine):
         calls and no repeated attribute loads.  Two things leave the frame:
         a live request timeout (``_v_on_timeout``; retry logic is cold) and
         whatever else was posted on the engine clock as ``(time, seq, fn,
-        args)`` (service-fluctuation ticks), dispatched as a call.
+        args)`` (service-fluctuation ticks, fault transitions), dispatched as
+        a call.
 
         Four bookkeeping devices keep the loop allocation-free without
         changing observable state:
@@ -418,9 +420,8 @@ class VectorFlowEngine(FlowEngine):
           the merged order is the heap's own.
         * **Lazy clock** -- ``self._now`` and ``self._seq`` are written only
           where code outside this frame can observe them (calls out, tracker
-          callbacks, heartbeat flushes, loop exit); every inlined branch
-          uses the popped ``when`` and the local ``seq`` directly.  Fault
-          transitions read the macro ``env.now``, never ``_now``.
+          callbacks, loop exit); every inlined branch uses the popped
+          ``when`` and the local ``seq`` directly.
         * **Local accounting** -- transmissions / bytes / overhead accumulate
           in frame locals and enter the engine counters at loop exit; what
           runs outside the frame only ever adds to them.
@@ -431,8 +432,6 @@ class VectorFlowEngine(FlowEngine):
           scalar loop's exit points.
         """
         heap = self._heap
-        env = self.env
-        env_times = self._env_times
         bounded = until is not None
         alive = self._alive
         done = self._done
@@ -499,13 +498,6 @@ class VectorFlowEngine(FlowEngine):
             if bounded and when > until:
                 when = until
                 break
-            if env_times and env_times[0] <= when:
-                # Fault transitions fire on the macro clock, strictly before
-                # any micro-event at or after their timestamp.
-                self._seq = seq
-                while env_times and env_times[0] <= when:
-                    env.run(until=env_times.pop(0))
-                seq = self._seq
             micro += 1
             if head is None:
                 # ---- issue the request under the cursor (OpenLoopWorkload.
@@ -780,27 +772,15 @@ class VectorFlowEngine(FlowEngine):
                                 insort(mirror, latency)
                         if not dup_sent.get(rid, 0) and not attempts.get(rid, 0):
                             alive[rid] = 0
-                        # Inlined _complete_request (tracker tick + flush).
+                        # Inlined _complete_request (the tracker tick).
                         completed = tracker.completed + 1
                         tracker.completed = completed
-                        stopping = False
                         if completed == tracker.expected:
                             self._now = when
                             for callback in tracker._callbacks:
                                 callback()
-                            stopping = self._stopped
-                        flush = self._since_flush + 1
-                        if flush >= _FLUSH_EVERY:
-                            self._since_flush = 0
-                            self._seq = seq
-                            self._now = when
-                            env.post_at(when, self._heartbeat)
-                            env.run(until=when)
-                            seq = self._seq
-                        else:
-                            self._since_flush = flush
-                        if stopping:
-                            break
+                            if self._stopped:
+                                break
                         continue
                 client.late_responses += 1
                 if rid_alive:

@@ -479,8 +479,18 @@ class Network:
     # ------------------------------------------------------------------
     # Link faults (driven by repro.faults; see docs/FAULTS.md)
     # ------------------------------------------------------------------
+    def tor_of(self, host: str) -> str:
+        """Name of the ToR ``host`` hangs off."""
+        return self.router.tor_of(host)
+
+    def has_node(self, name: str) -> bool:
+        return name in self.topology.nodes
+
+    def has_link(self, a: str, b: str) -> bool:
+        return b in self.topology.neighbors(a)
+
     def _check_link(self, a: str, b: str) -> None:
-        if b not in self.topology.neighbors(a):
+        if not self.has_link(a, b):
             raise TopologyError(f"no direct link {a} <-> {b}")
 
     def fail_link(self, a: str, b: str) -> None:

@@ -9,6 +9,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
 from repro.faults import FaultInjector, FaultSchedule
+from repro.mesoscale.flow import FlowEngine
 
 #: The crash-and-recover scenario of docs/FAULTS.md: server#0 goes down at
 #: 20 ms and comes back at 60 ms, while clients retry on a 20 ms timeout.
@@ -172,6 +173,24 @@ class TestTargetResolution:
         with pytest.raises(ConfigurationError) as excinfo:
             self._injector(scenario, schedule)
         assert fragment in str(excinfo.value)
+
+
+class TestLinkTargets:
+    """A link fault must name a link; a pair that shares none fails the build
+    on either tier, before any event runs."""
+
+    @pytest.mark.parametrize("fidelity", ["packet", "flow"])
+    @pytest.mark.parametrize(
+        "pair", ["server#0/client#1", "server#0/tor(client#1)"]
+    )
+    def test_unlinked_pair_fails_at_build(self, fidelity, pair):
+        config = _crash_config(
+            fault_schedule=f"link-down@0.01:{pair}", fidelity=fidelity
+        )
+        config.validate()
+        build = FlowEngine if fidelity == "flow" else build_scenario
+        with pytest.raises(ConfigurationError, match="share no link"):
+            build(config)
 
 
 class TestConfigValidation:

@@ -85,6 +85,24 @@ def test_guarded_netrs_flow_still_matches_the_packet_tier():
     assert unguarded.micro_events / config.total_requests < 7.5
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_guarded_netrs_flow_matches_when_no_link_event_fires(seed):
+    """A link event after the run ends changes nothing: the guarded path
+    prices every leg as the unguarded one and as the packet tier do -- the
+    RSNode's ToR to a server in its own rack is one hop, counted once."""
+    config = ExperimentConfig.tiny(
+        scheme="netrs-tor",
+        seed=seed,
+        fault_schedule="link-degrade@5:client#0/tor(client#0)*2.0",
+    )
+    packet = run_experiment(config)
+    flow = run_experiment(config.replace(fidelity="flow"))
+    unguarded = run_experiment(config.replace(fidelity="flow", fault_schedule=""))
+    assert packet.faults_injected == 0
+    _assert_identical(packet, flow)
+    _assert_identical(unguarded, flow)
+
+
 #: The packet-tier benchmark cells that send nothing but plain host traffic
 #: (``benchmarks/layered/workloads.py``): overrides of ``ExperimentConfig.small``,
 #: the events-per-request ceiling (4.58-4.61 and 7.55-7.59 measured), and per

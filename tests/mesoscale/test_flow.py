@@ -110,12 +110,16 @@ def test_fidelity_dispatch_through_run_experiment():
     assert "FLOW" not in run_experiment(_tiny("clirs")).plan_description
 
 
-def test_flow_uses_far_fewer_engine_events():
-    config = _tiny("clirs")
-    packet = run_experiment(config)
+def test_flow_runs_on_its_own_heap_only():
+    """No Environment runs under the flow tier: every entry, fault
+    transitions included, is on the engine's heap."""
+    config = _tiny(
+        "clirs", fault_schedule=FAULT_SCHEDULE, request_timeout=20e-3, max_retries=4
+    )
     flow = run_flow_experiment(config)
-    assert flow.events_executed * 50 < packet.events_executed
+    assert flow.events_executed == 0
     assert flow.micro_events > 0
+    assert flow.faults_injected == 5
 
 
 def test_describe_reports_flow_tier():

@@ -35,7 +35,7 @@ _CONFIGS = {
     "vector": _config(vector_batch=512),
     "netrs-tor-faults": _config("netrs-tor", **_CRASH),
     # The recovery is scheduled long after the last request completes: the
-    # transition is still on the macro clock when the engine is torn down.
+    # transition is still on the engine's heap when the engine is torn down.
     "netrs-tor-fault-pending": _config(
         "netrs-tor",
         fault_schedule="server-down@0.02:server#0;server-up@900:server#0",

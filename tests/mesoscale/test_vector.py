@@ -24,7 +24,7 @@ from tests.mesoscale.test_flow import FAULT_SCHEDULE, IDENTITY_FIELDS
 _FIELDS = IDENTITY_FIELDS + ("micro_events",)
 
 #: Server-only schedule: no link event, so client-side C3 stays eligible
-#: while macro fault transitions interleave with the block cursor.
+#: while fault transitions on the heap interleave with the block cursor.
 SERVER_FAULTS = "server-down@0.02:server#0;server-up@0.06:server#0"
 LINK_DOWN = "link-down@0.03:client#1/tor(client#1);link-up@0.05:client#1/tor(client#1)"
 LINK_DEGRADE = "link-degrade@0.01:client#2/tor(client#2)*3.0"
@@ -75,8 +75,8 @@ def test_vector_is_bit_identical_to_scalar_flow(scheme, vector_batch):
 @pytest.mark.parametrize("scheme", ["clirs", "clirs-r95", "netrs-tor"])
 def test_vector_is_bit_identical_under_faults(scheme, fault_schedule):
     """Server-only faults keep client-side schemes on the SoA engine, with
-    macro fault events interleaving with the block cursor; a schedule with
-    link events needs the scalar engine's per-hop checks."""
+    fault transitions on the heap interleaving with the block cursor; a
+    schedule with link events needs the scalar engine's per-hop checks."""
     config = _flow(
         scheme,
         fault_schedule=fault_schedule,

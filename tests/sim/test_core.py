@@ -204,7 +204,7 @@ class TestRunUntil:
 
 class TestTimeout:
     """A timer is a ``call_in`` whose handle the arming side may cancel:
-    the request timeouts of clients and the fault drivers' timers."""
+    the request timeouts of clients."""
 
     def test_timeout_fires_after_delay(self, env):
         seen = []
@@ -663,7 +663,7 @@ def _random_workload(env, seed, log):
 
     for _ in range(200):
         schedule(rng.choice(DELAYS))
-    # Timers armed out of order and disarmed in bulk, as answered requests'
+    # Timers armed out of order and cancelled in bulk, as answered requests'
     # timeouts are: enough cancels to compact the heap (compaction on).
     burst = [schedule(rng.choice(DELAYS) + rng.random(), 0) for _ in range(150)]
     others = sorted(set(pending) - set(burst))
