@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-layered-smoke bench-ab bench-figures lint lint-report lint-baseline help
+.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke figures bench-layered-smoke bench-ab lint lint-report lint-baseline help
 
 help:
 	@echo "install       editable install"
@@ -16,11 +16,9 @@ help:
 	@echo "lint          determinism sanitizer + ruff + mypy (latter two skip if absent)"
 	@echo "lint-report   lint with JSON output to lint-report.json (CI artifact)"
 	@echo "lint-baseline re-snapshot lint-baseline.json (grandfathering workflow)"
-	@echo "bench         all benchmarks (figures + ablations + microbench)"
-	@echo "bench-smoke   engine microbenchmarks, low rounds, JSON for CI trends"
+	@echo "figures       regenerate benchmarks/results/fig{4,5,6,7}.txt with \`netrs figure\` (seed 1, 6000 requests)"
 	@echo "bench-layered-smoke  all five workloads of benchmarks/layered for 2 s each; fails unless all print \"correct\": true"
 	@echo "bench-ab      BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]: alternating benchmarks/layered runs of a base revision and this tree"
-	@echo "bench-figures just the paper figures (results under benchmarks/results/)"
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -88,14 +86,15 @@ lint-report:
 lint-baseline:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro --write-baseline
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-smoke:
-	mkdir -p benchmarks/results
-	$(PYTHON) -m pytest benchmarks/test_bench_engine.py --benchmark-only \
-		--benchmark-disable-gc --benchmark-min-rounds=3 --benchmark-warmup=off \
-		--benchmark-json=benchmarks/results/bench-smoke.json
+# The paper's Figs 4-7 at the committed scale -- small profile, seed 1, 6,000
+# requests per cell -- one `netrs figure` run each (under two minutes for
+# all four), written to benchmarks/results/ as the tables the CLI prints.
+figures:
+	@for figure in fig4 fig5 fig6 fig7; do \
+		echo "benchmarks/results/$$figure.txt"; \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro figure $$figure \
+			--seed 1 --requests 6000 > benchmarks/results/$$figure.txt || exit 1; \
+	done
 
 # The repo's benchmark (BENCHMARK.json, benchmarks/layered/README.md), cut
 # short: all five workloads -- the packet tier's three (plain reads; the
@@ -123,9 +122,3 @@ SEED ?= 1
 bench-ab:
 	$(PYTHON) benchmarks/ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) \
 		--seed $(SEED) $(if $(WORKTREE),--worktree $(WORKTREE))
-
-bench-figures:
-	$(PYTHON) -m pytest benchmarks/test_bench_fig4_clients.py \
-		benchmarks/test_bench_fig5_skew.py \
-		benchmarks/test_bench_fig6_utilization.py \
-		benchmarks/test_bench_fig7_service_time.py --benchmark-only -s

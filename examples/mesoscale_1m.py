@@ -22,18 +22,18 @@ Usage::
     python examples/mesoscale_1m.py --hosts 100000   # ~100k hosts instead
     python examples/mesoscale_1m.py --smoke          # 1,024 hosts, 20k requests (CI)
 
-``--workers N`` runs the shards on N processes (default: REPRO_SHARD_WORKERS
-or serial in one process); either way the result is byte-identical -- the
-merge is job-key ordered.
+``--workers N`` runs the shards on N processes (default: serial in one
+process); either way the result is byte-identical -- the merge is job-key
+ordered.
 """
 
 import argparse
-import os
 import resource
 import sys
 import time
 
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.mesoscale import run_sharded_flow_experiment
 from repro.mesoscale.support import vector_eligible
 
 #: Full-scale topology: a 160-ary fat-tree is exactly 1,024,000 hosts.
@@ -110,17 +110,15 @@ def main() -> int:
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="processes to run the shards on (default: REPRO_SHARD_WORKERS "
-        "or serial); the merged result is identical for any value",
+        default=1,
+        help="processes to run the shards on (default 1: serial); the "
+        "merged result is identical for any value",
     )
     parser.add_argument(
         "--scheme", default="clirs", choices=("clirs", "clirs-r95", "netrs-tor")
     )
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    if args.workers is not None:
-        os.environ["REPRO_SHARD_WORKERS"] = str(args.workers)
 
     # --- packet-tier reference: events/request on a small same-scheme run.
     reference = ExperimentConfig.small(
@@ -154,7 +152,10 @@ def main() -> int:
         f"{engine_note}{shard_note}] ..."
     )
     started = time.perf_counter()
-    result = run_experiment(config)
+    if config.shards > 1:
+        result = run_sharded_flow_experiment(config, workers=args.workers)
+    else:
+        result = run_experiment(config)
     wall = time.perf_counter() - started
 
     s = result.summary()

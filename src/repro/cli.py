@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from typing import List, Optional
 
 from repro._version import __version__
@@ -292,12 +293,30 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_value(raw: str, kinds: tuple) -> object:
+    """One swept value as its field's declared type reads it.
+
+    A number where the field takes one (``Optional[float]`` too); a field
+    that also takes text (``group_granularity``: ``'rack'``, ``'host'`` or
+    an int) keeps what is not a number as text.
+    """
+    for kind in (int, float):
+        if kind in kinds:
+            try:
+                return kind(raw)
+            except ValueError:
+                if str not in kinds:
+                    raise
+    return raw
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.tables import format_bars
 
     base = _config_from_args(args, "clirs")
-    field_type = type(getattr(base, args.parameter, 0.0))
-    values = [field_type(v) if field_type in (int, float) else v for v in args.values]
+    hint = typing.get_type_hints(ExperimentConfig).get(args.parameter, float)
+    kinds = typing.get_args(hint) or (hint,)
+    values = [_sweep_value(raw, kinds) for raw in args.values]
     sweep = run_sweep(
         base,
         parameter=args.parameter,

@@ -17,7 +17,7 @@ used, section III-C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.network.addressing import TIER_TOR
@@ -90,6 +90,27 @@ class SelectionPlan:
         )
 
 
+def hosts_per_group(granularity: Granularity) -> Optional[int]:
+    """How many hosts of one rack share a traffic group (``None``: all).
+
+    ``"rack"`` -> ``None``, ``"host"`` -> 1, an integer ``m >= 1`` -> ``m``.
+    Anything else -- another string such as ``"2"``, a ``bool``, ``m < 1``
+    -- raises :class:`ConfigurationError`; ``ExperimentConfig.validate``
+    applies this same rule, so a bad value never reaches a build.
+    """
+    if granularity == "rack":
+        return None
+    if granularity == "host":
+        return 1
+    if isinstance(granularity, int) and not isinstance(granularity, bool):
+        if granularity >= 1:
+            return granularity
+    raise ConfigurationError(
+        "group_granularity must be 'rack', 'host' or an integer >= 1, "
+        f"got {granularity!r}"
+    )
+
+
 def make_traffic_groups(
     topology: Topology,
     client_hosts: Sequence[str],
@@ -101,19 +122,7 @@ def make_traffic_groups(
     hosts of one rack share a group.  Group IDs start at 1 and are assigned
     in deterministic (rack, host) order.
     """
-    if isinstance(granularity, str):
-        if granularity == "rack":
-            per_group = None
-        elif granularity == "host":
-            per_group = 1
-        else:
-            raise ConfigurationError(
-                f"granularity must be 'rack', 'host' or an int, got {granularity!r}"
-            )
-    else:
-        if granularity < 1:
-            raise ConfigurationError("integer granularity must be >= 1")
-        per_group = granularity
+    per_group = hosts_per_group(granularity)
 
     by_rack: Dict[str, List[str]] = {}
     for host in client_hosts:

@@ -309,6 +309,11 @@ class ExperimentConfig:
                 "replan_period re-solves the NetRS placement: it needs a "
                 "NetRS scheme and a positive period (seconds)"
             )
+        # Imported lazily, like the fault schedule's parser below: the rule
+        # lives beside the traffic groups it shapes.
+        from repro.core.plan import hosts_per_group
+
+        hosts_per_group(self.group_granularity)
         if self.fault_schedule:
             # Imported lazily: config is loaded by exec workers and the CLI
             # before any fault machinery is needed.

@@ -9,13 +9,12 @@ own derived seed.  Because :meth:`ExperimentConfig.arrival_rate` scales with
 load, so per-server utilization -- the quantity the paper's latency curves
 are driven by -- is unchanged.
 
-Shards execute through :func:`repro.exec.execute_jobs` (the PR1 machinery):
-serially by default, or on a spawn-safe worker pool when ``workers > 1`` /
-``REPRO_SHARD_WORKERS`` is set.  Outcomes are merged in job-key order --
-which embeds the shard index -- so the merged result is a pure function of
-the config: byte-identical for any worker count, and (because each shard is
-an ordinary flow run) identical whether shards run the scalar or the
-vectorized engine.
+Shards execute through :func:`repro.exec.execute_jobs`: serially by
+default, or on a spawn-safe worker pool when ``workers > 1``.  Outcomes are
+merged in job-key order -- which embeds the shard index -- so the merged
+result is a pure function of the config: byte-identical for any worker
+count, and (because each shard is an ordinary flow run) identical whether
+shards run the scalar or the vectorized engine.
 
 Fault schedules shard too: logical targets (``server#i`` / ``client#i`` /
 ``tor(client#i)``) are remapped onto the owning shard's local index space.
@@ -279,40 +278,22 @@ def merge_outcomes(
     return result
 
 
-def _workers_from_environment() -> int:
-    """``REPRO_SHARD_WORKERS`` as a worker count; unset or empty means 1."""
-    raw = os.environ.get("REPRO_SHARD_WORKERS", "")
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigurationError(
-            f"REPRO_SHARD_WORKERS must be an integer >= 1, got {raw!r}"
-        )
-    return workers
-
-
 def run_sharded_flow_experiment(
     config: "ExperimentConfig",
     *,
-    workers: Optional[int] = None,
+    workers: int = 1,
     run_dir: Optional[Union[str, os.PathLike]] = None,
     resume: bool = False,
     service_time_scale: float = 1.0,
 ) -> "ExperimentResult":
     """Run a ``shards > 1`` flow config and merge the shard outcomes.
 
-    ``workers=None`` reads ``REPRO_SHARD_WORKERS`` (default 1 = serial).
+    ``workers`` processes run the shards (default 1 = serial, in this one).
     The merged result is identical for every worker count: each shard is a
     fully seeded experiment and the merge consumes outcomes in shard order,
     never completion order.
     """
     config.validate()
-    if workers is None:
-        workers = _workers_from_environment()
     subs = shard_configs(config)
     jobs = [Job.from_config(sub, index) for index, sub in enumerate(subs)]
     policy = ExecutionPolicy(

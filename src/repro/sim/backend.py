@@ -2,7 +2,7 @@
 
 The simulator is pure Python and loads no compiled code; the stamp's
 backend, ``numba`` and ``cython`` fields say so.  This module exists only
-for that stamp and goes when a benchmark-only PR drops those three fields.
+for that stamp and goes when the benchmark drops those three fields.
 """
 
 from __future__ import annotations

@@ -216,6 +216,21 @@ class TestAttachProbes:
             ages[scheme] = probes.staleness.mean_age()
         assert ages["netrs-ilp"] < ages["clirs"]
 
+    def test_netrs_herds_less_than_clirs(self):
+        """The paper's factor (ii): few traffic-aggregating RSNodes spread
+        load more evenly, so server queues are less imbalanced over time.
+        Same cell as ``netrs factors --seed 1 --requests 6000``."""
+        cvs = {}
+        for scheme in ("clirs", "netrs-ilp"):
+            config = ExperimentConfig.small(
+                scheme=scheme, seed=1, total_requests=6000
+            )
+            scenario = build_scenario(config)
+            probes = attach_probes(scenario)
+            run_experiment(config, scenario=scenario)
+            cvs[scheme] = probes.queues.summary().mean_cv
+        assert cvs["netrs-ilp"] < cvs["clirs"]
+
     def test_attach_after_start_rejected(self):
         config = ExperimentConfig.tiny(scheme="clirs", seed=1)
         scenario = build_scenario(config)

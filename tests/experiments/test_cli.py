@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -273,3 +275,39 @@ class TestAnalysisCommands:
         out = capsys.readouterr().out
         assert "sweep of utilization" in out
         assert "0.4" in out and "0.9" in out
+
+    def test_sweep_group_granularity_reads_numbers_as_integers(self, capsys):
+        """``2`` is two hosts per group, not the string ``'2'`` (which the
+        plan rejects): the field takes ``'rack'``, ``'host'`` or an int."""
+        code = main(
+            [
+                "sweep",
+                "group_granularity",
+                "rack",
+                "2",
+                "host",
+                "--schemes",
+                "netrs-ilp",
+                "--requests",
+                "300",
+                "--clients",
+                "8",
+                "--servers",
+                "6",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        rows = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert {"rack", "2", "host"} <= rows
+
+
+@pytest.mark.slow
+def test_figure_reproduces_the_committed_fig4(capsys):
+    """``make figures`` writes ``benchmarks/results/`` from this command; the
+    committed table must still be what it prints (the title line aside)."""
+    assert main(["figure", "fig4", "--seed", "1", "--requests", "6000"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    results = pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
+    committed = (results / "fig4.txt").read_text(encoding="utf-8").splitlines()
+    assert printed[1:] == committed[1:]

@@ -135,6 +135,12 @@ class TestValidation:
             link_bandwidth=1e9, request_timeout=1e-3, ewma_alpha=0.0, seed=0,
         )
 
+    @pytest.mark.parametrize("value", ["2", "bogus", 0, -1, True])
+    def test_bad_group_granularity_fails_at_config_time(self, value):
+        """Was accepted here and raised only when the plan was built."""
+        with pytest.raises(ConfigurationError, match="group_granularity"):
+            ExperimentConfig(scheme="netrs-ilp", group_granularity=value).validate()
+
     def test_replace_validates(self):
         config = ExperimentConfig.tiny()
         with pytest.raises(ConfigurationError):

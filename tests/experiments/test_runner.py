@@ -17,6 +17,17 @@ class TestRunExperiment:
         recorded = config.total_requests - config.warmup_requests()
         assert len(result.latency) == recorded
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["c3", "least-outstanding", "two-choices", "random", "ewma-snitch", "c3-rate"],
+    )
+    @pytest.mark.parametrize("scheme", ["clirs", "netrs-ilp"])
+    def test_every_selection_algorithm_completes(self, scheme, algorithm):
+        """NetRS is algorithm-agnostic (section IV-C): each algorithm of the
+        ``netrs sweep algorithm`` ablation runs at the client and in-network."""
+        config = ExperimentConfig.tiny(scheme=scheme, seed=1, algorithm=algorithm)
+        assert run_experiment(config).completed_requests == config.total_requests
+
     def test_latency_metrics_ordered(self):
         result = run_experiment(ExperimentConfig.tiny(seed=2))
         summary = result.summary()

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
+from repro.network.addressing import TIER_TOR
 
 
 class TestRoles:
@@ -52,6 +54,31 @@ class TestWiring:
         tor = build_scenario(ExperimentConfig.tiny(scheme="netrs-tor", seed=2))
         ilp = build_scenario(ExperimentConfig.tiny(scheme="netrs-ilp", seed=2))
         assert ilp.plan.rsnode_count <= tor.plan.rsnode_count
+
+    def test_ilp_plan_shape_matches_paper(self):
+        """Section V-B's example ILP plan is "6 RSNodes on aggregation
+        switches and 1 on a core switch".  On the small profile the plan has
+        the same shape: far fewer RSNodes than racks with clients, and not
+        all of them on the ToR tier."""
+        scenario = build_scenario(
+            ExperimentConfig.small(scheme="netrs-ilp", seed=1, total_requests=100)
+        )
+        operators = scenario.controller.operators
+        tiers = [operators[oid].spec.tier for oid in scenario.plan.rsnode_ids]
+        client_racks = {
+            scenario.topology.tor_of(h).name for h in scenario.client_hosts
+        }
+        assert scenario.plan.rsnode_count < len(client_racks)
+        assert any(tier != TIER_TOR for tier in tiers)
+
+    @pytest.mark.parametrize("granularity", ["rack", 2, "host"], ids=str)
+    def test_every_group_granularity_runs(self, granularity):
+        config = ExperimentConfig.tiny(
+            scheme="netrs-ilp", seed=1, group_granularity=granularity
+        )
+        result = run_experiment(config, keep_scenario=True)
+        assert result.completed_requests == config.total_requests
+        assert len(result.scenario.groups) >= result.rsnode_count
 
     def test_monitors_on_client_tors(self):
         scenario = build_scenario(ExperimentConfig.tiny(scheme="netrs-ilp"))

@@ -141,7 +141,7 @@ class TestPaperProfileSmoke:
         """The full 16-ary / 1024-host / 500-client setup works end to end.
 
         Shortened to 4000 requests; the full 6M-request figure runs are
-        reserved for REPRO_BENCH_PROFILE=paper benchmark invocations.
+        ``netrs figure figN --profile paper``.
         """
         config = ExperimentConfig.paper(
             scheme="netrs-ilp", seed=1, total_requests=4000

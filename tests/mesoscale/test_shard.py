@@ -108,15 +108,6 @@ def test_rejects_non_dividing_and_oversplit_configs():
         _sharded("clirs", total_requests=32, shards=64)  # < 1 request/shard
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_rejects_malformed_worker_count_from_the_environment(monkeypatch, value):
-    """Outside input: refused by name before any shard starts, not clamped
-    and not a bare ``int()`` error from the middle of a run."""
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", value)
-    with pytest.raises(ConfigurationError, match=f"REPRO_SHARD_WORKERS.*{value}"):
-        run_sharded_flow_experiment(_sharded("clirs", shards=4))
-
-
 def test_rejects_raw_host_fault_targets():
     """Raw host names bind to the unsharded topology; sharded runs must
     refuse them up front rather than remap them wrongly."""
