@@ -10,6 +10,8 @@ counters to build the ILP's traffic matrix ``T``.
 
 Nothing waits on a count: :meth:`NetRSMonitor.note_at` dates one ahead of the
 clock, for no event, and every read first counts what the clock has passed.
+Between reads the notes pile up, counted every few notes so that they stay
+as many as the responses in flight toward the ToR, plus a few.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from repro.sim.core import Environment
 
 #: Maps a destination host name to its traffic-group ID (None = untracked).
 GroupLookup = Callable[[str], Optional[int]]
+
+#: Notes between settlements when nothing reads the counters.  Each waiting
+#: note holds ~120 bytes on every monitor: at 32 the benchmark's NetRS cell
+#: peaked 50 KB (3.5 %) higher, for a quarter call per response less.
+_SETTLE_EVERY = 4
 
 
 class NetRSMonitor:
@@ -57,7 +64,8 @@ class NetRSMonitor:
             raise ProtocolError(f"monitored response to {dst} needs a marker and a destination")
         self._noted += 1
         heappush(self._notes, (when, self._noted, dst, marker))
-        self._settle()  # holds what is in flight, no more
+        if not self._noted % _SETTLE_EVERY:
+            self._settle()  # the backlog stays bounded
 
     def _settle(self) -> None:
         """Count, in the order they left, the responses the clock has passed."""

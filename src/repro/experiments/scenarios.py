@@ -465,6 +465,10 @@ def _wire_netrs(scenario: Scenario) -> None:
     scenario.plan = controller.plan_and_deploy(traffic)
     if config.replan_period is not None:
         controller.start_replanning(config.replan_period)
+    else:
+        # The rules stay as deployed unless an API call rewrites them (which
+        # clears the flag): a request's client-ToR stamp rides its send.
+        scenario.network.stamp_at_send = True
 
 
 def _spec_of(scenario: Scenario, switch: ProgrammableSwitch):

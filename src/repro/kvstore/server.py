@@ -12,7 +12,7 @@ EWMA and the crash epoch, written against a clock (``env.now``,
 ``env.post_in``) and one injected callable, ``respond``, that puts a finished
 job's reply on the wire.  The job itself is opaque to it.  Two drivers run
 that body: :class:`KVServer` on the packet fabric (jobs are request packets,
-``respond`` builds the response packet and hands it to the host) and the
+``respond`` rewrites one into its reply and hands it to the host) and the
 flow engine (:mod:`repro.mesoscale.flow`: jobs are ``(client, request id,
 retaining value)``, ``respond`` prices the return path in closed form).
 """
@@ -23,7 +23,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Protocol, Tuple
 
 from repro.network.host import Host
-from repro.network.packet import MAGIC_PLAIN, Packet, ServerStatus, make_response
+from repro.network.packet import Packet, ServerStatus
 from repro.sim.core import Environment
 from repro.sim.rng import DrawSource
 
@@ -134,9 +134,9 @@ class ServerCore:
     def status(self) -> ServerStatus:
         """Snapshot the piggybacked status segment."""
         return ServerStatus(
-            queue_size=self.queue_size,
-            service_rate=self.service_rate_estimate,
-            timestamp=self.env.now,
+            len(self._waiting) + self._in_service,
+            self.parallelism / self._ewma_service_time,
+            self.env.now,
         )
 
     # ------------------------------------------------------------------
@@ -203,9 +203,9 @@ class ServerCore:
         )
         now = self.env.now
         status = ServerStatus(
-            queue_size=len(self._waiting) + self._in_service,
-            service_rate=self.parallelism / self._ewma_service_time,
-            timestamp=now,
+            len(self._waiting) + self._in_service,
+            self.parallelism / self._ewma_service_time,
+            now,
         )
         self._respond(self, job, status, queue_delay, duration)
         if self._waiting:
@@ -216,7 +216,8 @@ class ServerCore:
 class KVServer(ServerCore):
     """One replica server on the packet fabric: the wire edge of the model.
 
-    Jobs are request packets.  Besides replying to them, the packet edge
+    Jobs are request packets, each answered in its own packet
+    (:meth:`Packet.reply`).  Besides replying to them, the packet edge
     owns everything that only exists as packets: the per-key version store,
     digest probes and migration installs (docs/CONSISTENCY.md).
     """
@@ -284,13 +285,16 @@ class KVServer(ServerCore):
         queue_delay: float,
         service_time: float,
     ) -> None:
+        if packet.is_write:
+            self._apply_write(packet)
+        # Read-only runs store no version: skip the lookup.
+        version = self._versions.get(packet.key) if self._versions else None
+        packet.reply(self.name, status, self.value_size)
         packet.server_queue_delay = queue_delay
         packet.server_service_time = service_time
-        response = make_response(
-            packet, server=self.name, status=status, value_size=self.value_size
-        )
-        self._fold_version(packet, response)
-        self.host.send(response)
+        if version is not None:
+            packet.version_ts, packet.version_id = version
+        self.host.send(packet)
 
     # ------------------------------------------------------------------
     # Consistency protocol (see docs/CONSISTENCY.md)
@@ -307,23 +311,19 @@ class KVServer(ServerCore):
         """
         return self._versions.items()
 
-    def _fold_version(self, packet: Packet, response: Packet) -> None:
-        """Apply a write's version (LWW) and stamp the store's onto the reply.
+    def _apply_write(self, packet: Packet) -> None:
+        """Apply a write's version (LWW); the reply then carries the store's.
 
         Called at completion time, from the packet edge's reply.  Ordering
         ties break on the globally monotone ``version_id``, so
         last-write-wins is a total order and replicas converge regardless of
         apply order.
         """
-        if packet.is_write:
-            incoming = (packet.version_ts, packet.version_id)
-            if incoming > self._versions.get(packet.key, (0.0, 0)):
-                self._versions[packet.key] = incoming
-                if packet.is_repair:
-                    self.repairs_applied += 1
-        version = self._versions.get(packet.key)
-        if version is not None:
-            response.version_ts, response.version_id = version
+        incoming = (packet.version_ts, packet.version_id)
+        if incoming > self._versions.get(packet.key, (0.0, 0)):
+            self._versions[packet.key] = incoming
+            if packet.is_repair:
+                self.repairs_applied += 1
 
     def _handle_metadata(self, packet: Packet) -> None:
         """Serve version metadata outside the service queue.
@@ -338,23 +338,11 @@ class KVServer(ServerCore):
             self._install_migration(packet)
             return
         self.digest_requests += 1
-        response = Packet(
-            src=self.name,
-            dst=packet.client,
-            magic=MAGIC_PLAIN,
-            request_id=packet.request_id,
-            server_status=self.status(),
-            key=packet.key,
-            value_size=0,
-            client=packet.client,
-            server=self.name,
-            issued_at=packet.issued_at,
-            is_digest=True,
-        )
         version = self._versions.get(packet.key)
+        packet.reply(self.name, self.status(), 0)  # the probe's own packet
         if version is not None:
-            response.version_ts, response.version_id = version
-        self.host.send(response)
+            packet.version_ts, packet.version_id = version
+        self.host.send(packet)
 
     def _install_migration(self, packet: Packet) -> None:
         """Fold a migration chunk into the version store (LWW per key)."""

@@ -18,14 +18,23 @@ either tier's internals drift.  The harness proves it *can* fail via the
 
 Scenario registry: ``fig4-clirs-r95`` is one cell of the paper's Figure 4
 sweep (n_clients=32 on the small profile); ``faults-clirs`` replays a
-crash-and-recover schedule with timeouts, exercising the PR5 fault mapping
-in both tiers.
+crash-and-recover schedule with timeouts, exercising the fault mapping in
+both tiers.  Those two are the default set.  ``netrs-tor`` runs only when
+named (``--scenario netrs-tor``): the one NetRS scheme both tiers run, whose
+packet/flow cost ratio says whether the packet tier can replace the scalar
+flow engine.
+
+Every report also prints what each tier cost the host: CPU seconds per
+request (``time.process_time`` around each run) and their packet/flow ratio.
+That is information, never a breach: CPU time on a shared host moves by
+tens of per cent from run to run.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -78,10 +87,15 @@ def _scenario_configs() -> Dict[str, ExperimentConfig]:
             request_timeout=40e-3,
             max_retries=3,
         ),
+        # The NetRS scheme both tiers run, on the benchmark's 12 000 requests
+        # of ``flow-tor-faults`` without the crash: the packet/flow cost ratio.
+        "netrs-tor": ExperimentConfig.small(scheme="netrs-tor", seed=1).replace(
+            total_requests=12_000
+        ),
     }
 
 
-#: Names of the committed validation scenarios.
+#: Names of the validation scenarios run by default (CI's gate).
 VALIDATION_SCENARIOS = ("fig4-clirs-r95", "faults-clirs")
 
 
@@ -111,6 +125,9 @@ class FidelityReport:
     completed_requests: int
     passed: bool
     breaches: List[str]
+    #: Host CPU seconds each tier's run took (informational, never gated).
+    packet_cpu_s: float = 0.0
+    flow_cpu_s: float = 0.0
 
     def format(self) -> str:
         """Human-readable gate report, one block per scenario."""
@@ -128,9 +145,21 @@ class FidelityReport:
             f"  events/request: packet={self.packet_events / requests:.2f} "
             f"flow micro={self.flow_micro_events / requests:.2f}"
         )
+        ratio = self.packet_cpu_s / self.flow_cpu_s if self.flow_cpu_s > 0 else float("nan")
+        lines.append(
+            f"  cpu/request: packet={self.packet_cpu_s / requests * 1e6:.1f}us "
+            f"flow={self.flow_cpu_s / requests * 1e6:.1f}us packet/flow={ratio:.2f}"
+        )
         for breach in self.breaches:
             lines.append(f"  BREACH: {breach}")
         return "\n".join(lines)
+
+
+def _cpu_timed(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` and the host CPU seconds it took."""
+    started = time.process_time()  # repro: noqa(DET002) - host cost, reported only
+    result = run(*args, **kwargs)
+    return result, time.process_time() - started  # repro: noqa(DET002) - reported only
 
 
 def compare_tiers(
@@ -150,8 +179,10 @@ def compare_tiers(
     # for the fidelity dispatch, so a module-level import would be circular.
     from repro.experiments.runner import run_experiment
 
-    packet = run_experiment(config.replace(fidelity="packet"))
-    flow = run_flow_experiment(config, service_time_scale=service_time_scale)
+    packet, packet_cpu = _cpu_timed(run_experiment, config.replace(fidelity="packet"))
+    flow, flow_cpu = _cpu_timed(
+        run_flow_experiment, config, service_time_scale=service_time_scale
+    )
 
     packet_summary = packet.summary()
     flow_summary = flow.summary()
@@ -185,6 +216,8 @@ def compare_tiers(
         completed_requests=packet.completed_requests,
         passed=not breaches,
         breaches=breaches,
+        packet_cpu_s=packet_cpu,
+        flow_cpu_s=flow_cpu,
     )
 
 
@@ -226,7 +259,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="append",
         default=None,
         metavar="NAME",
-        help="scenario to run (repeatable; default: all committed scenarios)",
+        help="scenario to run (repeatable; default: "
+        + ", ".join(VALIDATION_SCENARIOS)
+        + "; --list shows all)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"

@@ -33,6 +33,7 @@ import math
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.errors import ProtocolError
 from repro.sim.core import Environment
 
 #: Work applied to a packet, told when its service completes; returns the
@@ -80,7 +81,9 @@ class Accelerator:
         self._inside: List[Tuple[float, float, int]] = []
         # Notes not yet admitted, a heap of (arrival, order, job, work).
         self._inbox: List[Tuple[float, int, Any, Work]] = []
+        # Notes and submit_at calls so far: one accelerator takes one mode.
         self._noted = 0
+        self._submitted_at = 0
         # Accounting, as of the last fold
         self._processed = 0
         self._busy_time = 0.0
@@ -163,7 +166,9 @@ class Accelerator:
 
         Costs no event: calls come in clock order, so the packet's place in
         the queue is already decided.  A driver uses either this and
-        :meth:`note_at` or :meth:`submit_at` on one accelerator, not both.
+        :meth:`note_at` or :meth:`submit_at` on one accelerator, not both
+        (nothing orders a note against a ``submit_at`` arrival): the call
+        that mixes them raises :class:`ProtocolError`.
         """
         now = self.env.now
         self._admit(packet, work, done, now + self.link_delay, now)
@@ -173,8 +178,12 @@ class Accelerator:
 
         For a driver that knows in closed form when the packet reaches the
         switch and so schedules no event there (the flow engine).  Instants
-        may be declared in any order; the arrival is one event.
+        may be declared in any order; the arrival is one event.  Raises
+        :class:`ProtocolError` on an accelerator that has taken a note.
         """
+        if self._noted:
+            raise ProtocolError(f"{self.name}: submit_at after note_at mixes admission modes")
+        self._submitted_at += 1
         arrival = when + self.link_delay
         self.env.post_at(arrival, self._admit, (packet, work, done, arrival, arrival))
 
@@ -183,7 +192,10 @@ class Accelerator:
         nobody waits for: no hand-back, no event.  Noted in any order; admitted
         in (arrival, noting) order ahead of the first admission to arrive after
         it and of any read once the clock is past ``when``, so ``work`` runs in
-        the place, and with the ``finish``, of the event it replaces."""
+        the place, and with the ``finish``, of the event it replaces.  Raises
+        :class:`ProtocolError` on an accelerator that has taken a ``submit_at``."""
+        if self._submitted_at:
+            raise ProtocolError(f"{self.name}: note_at after submit_at mixes admission modes")
         self._noted += 1
         heappush(self._inbox, (when + self.link_delay, self._noted, job, work))
 

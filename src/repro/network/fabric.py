@@ -59,7 +59,7 @@ class Network:
     :meth:`transmit` is the reference: one link, one event.  The default
     fabric collapses a run of switches nothing waits at into one event
     with the same accounting, priced by distance (``Host.send`` for a plain
-    packet, :meth:`send_from_host` for a server's NetRS response,
+    packet, :meth:`send_from_host` for a host's NetRS packet,
     :meth:`express` from a switch) whenever ``_express_ok`` says it may;
     which switches or links carried a packet only ``track_links`` records,
     hop by hop.
@@ -99,6 +99,8 @@ class Network:
         "_switches_missing",
         "_express_ok",
         "_plain_rows",
+        "_distances",
+        "stamp_at_send",
     )
 
     def __init__(
@@ -172,6 +174,13 @@ class Network:
         # Where a plain packet for a host lands: destination host ->
         # (endpoint.handle_packet, egress ToR, its pod).  See plain_row.
         self._plain_rows: Dict[str, Tuple[Callable[[Packet], None], str, int]] = {}
+        # Router.distance by (switch, target), filled as express asks: a pure
+        # function of the wiring, and a NetRS run asks 100 to 1 400 pairs.
+        self._distances: Dict[Tuple[str, Optional[str]], Tuple[Optional[str], int]] = {}
+        # Whether a NetRS request's client-ToR stamp may ride the host's send:
+        # set once the ToR rules are final for the run (no replan armed),
+        # cleared by any later rule write.  See send_from_host.
+        self.stamp_at_send = False
         self._refresh_express()
 
     # ------------------------------------------------------------------
@@ -309,26 +318,39 @@ class Network:
     ) -> None:
         """Inject a host's packet through its ToR uplink.
 
-        ``Host.send`` has delivered a plain packet on an express fabric.  A
-        response's source marker rides the send: it says where the host sits,
-        and where its ToR forwards the marked packet never changes after
-        construction, so :meth:`express` takes it from there.  A NetRS
-        request's stamp stays the ToR's event: it reads rule tables that
-        replans and DRS degradation rewrite mid-run.
+        ``Host.send`` has delivered a plain packet on an express fabric.  What
+        the ToR does to the rest rides the send where nothing can change it
+        in flight, and :meth:`express` takes the packet on from the ToR.  A
+        response's source marker says where the host sits, and where the ToR
+        forwards the marked packet never changes after construction.  A NetRS
+        request's stamp reads the ToR's rule tables, so it rides the send only
+        while ``stamp_at_send`` says no rule will be written mid-run (no
+        replan armed, none written since the first plan); a ToR that is an
+        RSNode keeps its event, where it stamps and selects.
         """
-        magic = packet.magic
-        if self._express_ok and (magic == MAGIC_RESPONSE or magic == MAGIC_MONITOR):
+        if self._express_ok:
+            magic = packet.magic
             tor = self._devices[tor_name]
-            if magic == MAGIC_MONITOR:
-                target = packet.dst
-            elif packet.rsnode_id == tor.operator_id:
-                target = None  # the ToR is the RSNode: its clone is an event
-            else:
+            target = marker = None
+            if magic == MAGIC_REQUEST:
+                if self.stamp_at_send and tor.selector is None:
+                    tor._ingress_from_host(packet)
+                    if packet.magic != MAGIC_REQUEST:
+                        target = packet.dst  # DRS: the backup replica
+                    else:
+                        target = tor._operator_directory.get(packet.rsnode_id)
+            elif magic == MAGIC_MONITOR:
+                target, marker = packet.dst, tor.marker
+            elif magic == MAGIC_RESPONSE and packet.rsnode_id != tor.operator_id:
+                # (A ToR that is the response's RSNode clones it: an event.)
                 target = tor._operator_directory.get(packet.rsnode_id)
-            if self.express(tor_name, target, packet, tor.marker):
+                marker = tor.marker
+            if target is not None and self.express(
+                tor_name, target, packet, marker, None, True
+            ):
                 return
-        # Per-hop fabric, a NetRS request, work for this very ToR, nothing attached
-        # or no fixed distance: the reference path delivers as far as it can, or raises.
+        # Per-hop fabric, work for this very ToR, nothing attached or no fixed
+        # distance: the reference path delivers as far as it can, or raises.
         self.transmit(host_name, tor_name, packet)
 
     def express(
@@ -336,53 +358,70 @@ class Network:
         at: str,
         target: Optional[str],
         packet: Packet,
-        stamp: Optional[SourceMarker] = None,
+        marker: Optional[SourceMarker] = None,
         base: Optional[float] = None,
+        from_host: bool = False,
     ) -> bool:
         """Deliver a packet switch ``at`` forwards toward ``target`` to what
         it next *waits* at, or return ``False``: forward it hop by hop.
 
         While ``_express_ok`` everything in between only forwards, and
-        :meth:`Router.distance` says how many links that is.
+        :meth:`Router.distance` (remembered per pair) says how many links
+        that is.
         A NetRS request goes to its RSNode, which selects for it; anything
-        else to its destination host, and what nobody waits for on the way
-        is a dated note: the clone an RSNode that can select takes of a NetRS
-        response (relabelled from there, a second leg priced the same way),
-        the count of the monitor at the destination's ToR.  A response whose
-        RSNode cannot select is that RSNode's event.  With ``stamp`` the
-        packet is still at a host under ToR ``at``: the uplink is one more
-        link, accounted as sent, and the links after it carry ``stamp``.
-        With ``base`` it leaves ``at`` then, not now.
+        else to its destination host's endpoint, and what nobody waits for on
+        the way is a dated note: the clone an RSNode that can select takes of
+        a NetRS response (relabelled from there, a second leg priced the same
+        way), the count of the monitor at the destination's ToR.  A response
+        whose RSNode cannot select is that RSNode's event.  ``from_host``: the
+        packet is still at a host under ToR ``at``, the uplink is one more
+        link, accounted as sent, and a response's links after it carry the
+        ToR's ``marker``.  With ``base`` it leaves ``at`` then, not now.
         """
         if not self._express_ok:
             return False
-        egress, links = self.router.distance(at, target)
+        distances = self._distances
+        try:
+            egress, links = distances[at, target]
+        except KeyError:
+            egress, links = distances[at, target] = self.router.distance(at, target)
         if not links:
             return False
         magic = packet.magic
         first, rsnode = links, None  # the links to the RSNode that clones it, if one does
         if magic == MAGIC_RESPONSE and (device := self._devices[egress])._can_select():
-            tor, onward = self.router.distance(egress, packet.dst)
+            dst = packet.dst
+            try:
+                tor, onward = distances[egress, dst]
+            except KeyError:
+                tor, onward = distances[egress, dst] = self.router.distance(egress, dst)
             if onward or tor == egress:
                 rsnode, egress, links = device, tor, links + onward
-                target, magic = packet.dst, MAGIC_MONITOR  # as the RSNode relabels it
+                target, magic = dst, MAGIC_MONITOR  # as the RSNode relabels it
         if magic == MAGIC_REQUEST or magic == MAGIC_RESPONSE:
-            receive, prev, monitor = self._receivers[egress], at, None
+            to_host, monitor = False, None
+            receive, args = self._receivers[egress], (packet, at)
         else:
-            receive, prev = self._receivers.get(target), egress
-            if receive is None or egress == target:
+            to_host = True
+            try:
+                row = self._plain_rows[target]
+            except KeyError:
+                row = self.plain_row(target)
+            if row is None:
                 return False  # no host: the walk finds out what to raise
+            receive, args = row[0], (packet,)
             monitor = self._devices[egress].monitor if magic == MAGIC_MONITOR else None
         packet.hops += links  # the egress ToR bumps no hop count
-        marker = packet.source_marker
-        if stamp is not None:
+        if from_host:
             first += 1
             links += 1
-            if marker is None:
-                # The uplink carried no marker: take it back off that link.
-                self.bytes_transferred -= _SIZE_SM
-                self.netrs_overhead_bytes -= _SIZE_SM
-            packet.source_marker = marker = stamp
+            if marker is not None:  # a response, marked past the uplink
+                if packet.source_marker is None:
+                    # The uplink carried no marker: take it back off that link.
+                    self.bytes_transferred -= _SIZE_SM
+                    self.netrs_overhead_bytes -= _SIZE_SM
+                packet.source_marker = marker
+        marker = packet.source_marker
         delay = self._fast_delay
         now = when = self.env._now if base is None else base
         for _ in range(first):
@@ -394,7 +433,7 @@ class Network:
                 when += delay
         if monitor is not None and marker is not None:
             monitor.note_at(when, target, marker)  # as it passes the ToR
-        if prev == egress:
+        if to_host:
             links += 1  # and on to the host
             when += delay
         # Wire accounting once for the whole run of links (size is invariant
@@ -423,7 +462,7 @@ class Network:
         env._seq += 1
         dq = env._dq
         entry = (
-            when, env._seq, 2, receive, (packet, prev),
+            when, env._seq, 2, receive, args,
             now, delay, links, size, overhead,
         )
         if not dq or when >= dq[-1][0]:

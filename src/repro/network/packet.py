@@ -74,12 +74,15 @@ def magic_untransform(magic: int) -> int:
     return magic ^ _TRANSFORM_MASK
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ServerStatus:
     """Piggybacked server state (Fig. 2 ``SS`` segment).
 
     This is what C3 calls the server-side feedback: the instantaneous queue
-    size and the server's own estimate of its service rate.
+    size and the server's own estimate of its service rate.  A value: built
+    once per reply, positionally (``ServerStatus(queue, rate, now)``, one
+    call), and never changed after; not frozen, whose ``__init__`` pays a
+    call per field.
     """
 
     queue_size: int
@@ -243,6 +246,42 @@ class Packet:
         duplicate.hops = self.hops
         return duplicate
 
+    def reply(self, server: str, status: ServerStatus, value_size: int) -> "Packet":
+        """Rewrite this request, in place, into ``server``'s reply; returns it.
+
+        The magic is ``f^-1`` of the request's (paper section IV-C): a
+        request rebuilt by a selector (``f(MAGIC_RESPONSE)``) yields a NetRS
+        response, a DRS request (``f(MAGIC_MONITOR)``) a monitor-only one, a
+        plain request a plain response.  What identifies the request, its
+        RSNode and retaining value and its latency stamps stay; what only a
+        request carries -- RGID, source marker, backup replica, repair and
+        migration payload, the version, the route state and hop count -- is
+        reset, so the reply starts out as a freshly built packet would.
+        Whoever still needs the request afterwards replies on a
+        :meth:`clone`.
+        """
+        magic = self.magic
+        if magic != MAGIC_PLAIN:
+            self.magic = magic ^ _TRANSFORM_MASK
+        self.src = server
+        self.dst = self.client
+        self.server = server
+        self.server_status = status
+        self.value_size = value_size
+        self.rgid = -1
+        self.source_marker = None
+        self.backup_replica = ""
+        self.is_repair = False
+        self.is_migration = False
+        self.migration_entries = ()
+        self.version_ts = 0.0
+        self.version_id = 0
+        self.route = NO_ROUTE
+        self.route_pos = 0
+        self.route_target = ""
+        self.hops = 0
+        return self
+
 
 def make_request(
     *,
@@ -280,38 +319,3 @@ def make_request(
         issued_at=issued_at,
         server="" if netrs else (dst or ""),
     )
-
-
-def make_response(request: Packet, *, server: str, status: ServerStatus, value_size: int = 1024) -> Packet:
-    """Build the server's reply to ``request``.
-
-    The magic is ``f^-1`` of the request's magic (paper section IV-C): a
-    request rebuilt by a selector (``f(MAGIC_RESPONSE)``) yields a NetRS
-    response; a DRS request (``f(MAGIC_MONITOR)``) yields a monitor-only one;
-    a plain request yields a plain response.
-    """
-    if request.magic == MAGIC_PLAIN:
-        magic = MAGIC_PLAIN
-    else:
-        magic = magic_untransform(request.magic)
-    response = Packet(
-        src=server,
-        dst=request.client,
-        magic=magic,
-        request_id=request.request_id,
-        rsnode_id=request.rsnode_id,
-        retaining_value=request.retaining_value,
-        server_status=status,
-        key=request.key,
-        value_size=value_size,
-        client=request.client,
-        server=server,
-        issued_at=request.issued_at,
-        is_redundant=request.is_redundant,
-        is_write=request.is_write,
-        is_digest=request.is_digest,
-    )
-    response.selected_at = request.selected_at
-    response.server_queue_delay = request.server_queue_delay
-    response.server_service_time = request.server_service_time
-    return response

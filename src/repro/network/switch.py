@@ -20,10 +20,12 @@ flow exactly:
 
 Every switch between those only forwards.  On the default fabric it asks the
 shared :class:`~repro.network.routing.Router` how far the next switch the
-packet *waits* at (or the host) is -- a request at the client ToR's stamp and
-the RSNode's selection, a response nowhere: its clone and its count are notes
-dated ahead (:meth:`note_clone`, ``Monitor.note_at``) -- and the fabric
-delivers there in one event (:meth:`Network.express`); the reference follows
+packet *waits* at (or the host) is -- a request at the RSNode's selection, and
+at the client ToR's stamp only while a rule can still change mid-run
+(``Network.stamp_at_send``; otherwise the stamp rides the host's send), a
+response nowhere: its clone and its count are notes dated ahead
+(:meth:`note_clone`, ``Monitor.note_at``) -- and the fabric delivers there in
+one event (:meth:`Network.express`); the reference follows
 a source-routed path hop by hop, (re)computed whenever a rule changes the
 packet's steering target, as real switches running the same ECMP would.
 """
@@ -164,6 +166,7 @@ class ProgrammableSwitch:
                 f"{host_name} is not attached to ToR {self.name}"
             )
         self._group_of_host[host_name] = group_id
+        self.network.stamp_at_send = False  # every ToR's stamp is its event again
 
     def install_rsnode_rule(self, group_id: int, rsnode_id: int) -> None:
         """ToR rule: stamp ``rsnode_id`` on requests of ``group_id``.
@@ -174,6 +177,7 @@ class ProgrammableSwitch:
         if not self.is_tor:
             raise ConfigurationError("RSNode rules only exist on ToR switches")
         self._rsnode_for_group[group_id] = rsnode_id
+        self.network.stamp_at_send = False  # every ToR's stamp is its event again
 
     def rsnode_of_group(self, group_id: int) -> Optional[int]:
         """Currently installed RSNode for a group (None if no rule)."""
@@ -244,7 +248,11 @@ class ProgrammableSwitch:
         )
 
     def _ingress_from_host(self, packet: Packet) -> None:
-        """Extra ToR rules for packets entering the network (section IV-B)."""
+        """Extra ToR rules for packets entering the network (section IV-B).
+
+        ``Network.send_from_host`` runs it at the host's send instead, for a
+        NetRS request, while ``Network.stamp_at_send`` and this ToR is no
+        RSNode."""
         if packet.magic == MAGIC_REQUEST:
             group_id = self._group_of_host.get(packet.src)
             if group_id is None:

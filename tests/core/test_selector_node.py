@@ -19,7 +19,6 @@ from repro.network.packet import (
     ServerStatus,
     magic_transform,
     make_request,
-    make_response,
 )
 from repro.network.switch import ProgrammableSwitch
 from repro.selection.c3 import C3Selector
@@ -120,7 +119,7 @@ class TestOnResponse:
         server = request.dst
         env.run(until=4e-3)
         status = ServerStatus(queue_size=3, service_rate=900.0, timestamp=env.now)
-        response = make_response(request, server=server, status=status)
+        response = request.reply(server, status, 1024)
         edge._absorb_response(response, env.now)
         assert algorithm.outstanding(server) == 0
         assert selector.responses_handled == 1

@@ -16,7 +16,6 @@ from repro.network.packet import (
     MAGIC_REQUEST,
     ServerStatus,
     make_request,
-    make_response,
 )
 from repro.selection.base import ReplicaSelector
 from repro.sim import Environment
@@ -88,7 +87,7 @@ def _respond(client, request_packet, server=None, queue=0):
     server = server or request_packet.dst
     request_packet.server = server
     status = ServerStatus(queue_size=queue, service_rate=1000.0, timestamp=0.0)
-    response = make_response(request_packet, server=server, status=status)
+    response = request_packet.clone().reply(server, status, 1024)
     client.handle_packet(response)
     return response
 
@@ -311,7 +310,7 @@ class TestOneBodyTwoDrivers:
                 client=client.name, request_id=1, key=7, rgid=0,
                 backup_replica=server, issued_at=0.0, netrs=False, dst=server,
             )
-            client.handle_packet(make_response(request, server=server, status=status))
+            client.handle_packet(request.reply(server, status, 1024))
 
         env.call_at(0.0, client.issue, 7)
         env.call_at(self.ANSWER, answer, replicas[0])

@@ -7,7 +7,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.kvstore.client import KVClient
 from repro.kvstore.hashing import ConsistentHashRing
-from repro.network.packet import MAGIC_PLAIN, ServerStatus, make_response
+from repro.network.packet import MAGIC_PLAIN, ServerStatus
 from repro.sim import Environment
 from repro.sim.probes import LatencyRecorder
 from tests.kvstore.test_client import FirstCandidateSelector, StubHost
@@ -37,8 +37,7 @@ def _client(env, ring, quorum=None):
 
 def _ack(client, packet):
     status = ServerStatus(queue_size=0, service_rate=1000.0, timestamp=0.0)
-    response = make_response(packet, server=packet.dst, status=status)
-    client.handle_packet(response)
+    client.handle_packet(packet.clone().reply(packet.dst, status, 1024))
 
 
 class TestIssueWrite:
@@ -98,7 +97,7 @@ class TestIssueWrite:
         client, host, _ = _client(env, ring)
         client.issue_write(key=7)
         status = ServerStatus(queue_size=0, service_rate=1.0, timestamp=0.0)
-        response = make_response(host.sent[0], server=host.sent[0].dst, status=status)
+        response = host.sent[0].clone().reply(host.sent[0].dst, status, 1024)
         assert response.is_write
 
     def test_quorum_validated(self, ring):

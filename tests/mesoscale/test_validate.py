@@ -1,5 +1,7 @@
 """The fidelity gate: passes when calibrated, fails when mis-calibrated."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -36,6 +38,21 @@ def test_committed_scenarios_are_registered():
     registry = validate_mod._scenario_configs()
     for name in VALIDATION_SCENARIOS:
         assert name in registry
+
+
+def test_netrs_tor_runs_only_when_named():
+    assert "netrs-tor" in validate_mod._scenario_configs()
+    assert "netrs-tor" not in VALIDATION_SCENARIOS
+
+
+def test_report_prints_each_tier_s_cpu_cost_and_never_gates_on_it():
+    report = compare_tiers("tiny", _tiny_registry()["tiny"])
+    assert report.packet_cpu_s > 0 and report.flow_cpu_s > 0
+    lines = [line for line in report.format().splitlines() if "cpu/request" in line]
+    assert len(lines) == 1 and "packet/flow=" in lines[0]
+    slow = dataclasses.replace(report, packet_cpu_s=100 * report.flow_cpu_s)
+    assert "packet/flow=100.00" in slow.format()
+    assert "BREACH" not in slow.format()
 
 
 def test_calibrated_tiers_pass_the_gate():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ProtocolError
 from repro.network.accelerator import Accelerator
 from repro.sim import Environment
 
@@ -29,6 +30,24 @@ class TestValidation:
     def test_link_delay_non_negative(self, env):
         with pytest.raises(ValueError):
             _make(env, link=-1e-9)
+
+
+class TestAdmissionModes:
+    """One accelerator takes ``submit`` with ``note_at``, or ``submit_at``:
+    the call that mixes the two modes raises, whichever came first."""
+
+    def test_submit_at_after_a_note_raises(self, env):
+        acc = _make(env)
+        acc.submit("p", work=lambda p, t: None)  # submit and note_at mix freely
+        acc.note_at(1e-3, "clone", lambda job, t: None)
+        with pytest.raises(ProtocolError, match="mixes admission modes"):
+            acc.submit_at(2e-3, "q", work=lambda p, t: None)
+
+    def test_note_after_a_submit_at_raises(self, env):
+        acc = _make(env)
+        acc.submit_at(1e-3, "p", work=lambda p, t: None)
+        with pytest.raises(ProtocolError, match="mixes admission modes"):
+            acc.note_at(2e-3, "clone", lambda job, t: None)
 
 
 class TestProcessing:

@@ -763,3 +763,84 @@ class TestExpressDelivery:
                 )
             assert outcomes[0] == outcomes[1]
         assert unwound >= 20
+
+
+#: The benchmark's NetRS cell: 32 clients, 6 000 requests.
+_NETRS_CELL = dict(n_clients=32, total_requests=6000)
+
+
+class TestStampAtSend:
+    """The client ToR's stamp rides the host's send while no rule can change
+    mid-run: one event a request less, and nothing else moves."""
+
+    @pytest.mark.parametrize(
+        "scheme, per_request",
+        [
+            ("netrs-ilp", 5.02),  # arrival, RSNode, server twice, client
+            ("netrs-tor", 5.08),  # the RSNode is the client ToR: its event stays
+        ],
+    )
+    def test_events_per_request_without_a_replan(self, scheme, per_request):
+        config = ExperimentConfig.small(seed=1, scheme=scheme, **_NETRS_CELL)
+        scenario = build_scenario(config)
+        assert scenario.network.stamp_at_send
+        result = run_experiment(config, scenario=scenario)
+        assert result.events_executed / config.total_requests == pytest.approx(
+            per_request, abs=0.01
+        )
+
+    def test_an_armed_replan_keeps_the_stamp_an_event_and_moves_nothing_else(self):
+        """A replan armed past the end of the run: the rules could change, so
+        the stamp is the ToR's event again -- 6.02 a request, the latencies
+        to the bit those of the run that stamps at the send."""
+        config = ExperimentConfig.small(seed=1, scheme="netrs-ilp", **_NETRS_CELL)
+        sent = run_experiment(config)
+        armed = config.replace(replan_period=10.0)
+        scenario = build_scenario(armed)
+        assert not scenario.network.stamp_at_send
+        result = run_experiment(armed, scenario=scenario)
+        assert scenario.controller.replans == 0
+        assert result.events_executed / config.total_requests == pytest.approx(
+            6.02, abs=0.01
+        )
+        assert result.events_executed - sent.events_executed == config.total_requests
+        assert result.latency.samples == sent.latency.samples
+
+    def test_replan_ticks_add_to_the_stamp_events(self):
+        """``netrs-ilp-replan``: 6.02 a request plus the ticks, give or take
+        the groups a replan hands to their own ToR."""
+        config = ExperimentConfig.small(
+            seed=1, scheme="netrs-ilp", replan_period=0.05, **_NETRS_CELL
+        )
+        scenario = build_scenario(config)
+        assert not scenario.network.stamp_at_send
+        result = run_experiment(config, scenario=scenario)
+        ticks = int(result.sim_duration // config.replan_period)
+        assert scenario.controller.replans == ticks > 0
+        per_request = (result.events_executed - ticks) / config.total_requests
+        assert per_request == pytest.approx(6.02, abs=0.05)
+
+    def test_a_mid_run_deploy_clears_the_flag_and_the_run_completes(self):
+        """Any rule write makes the stamp the ToR's event again, from the next
+        send.  A request already on its uplink keeps the stamp it left with:
+        that window is at most one host-link latency, and only an API caller
+        (``deploy``, ``degrade_groups``, ``check_overloads``) can open it --
+        a config-driven run rewrites rules only on a replan tick, and with
+        one armed the flag is never set, or on an RSNode fault, whose
+        schedule turns express delivery off.  Re-deploying the same plan
+        changes no rule's value, so the latencies are those of the run left
+        alone, and only the events after the deploy grow."""
+        config = ExperimentConfig.tiny(scheme="netrs-ilp", seed=5)
+        alone = run_experiment(config)
+        scenario = build_scenario(config)
+        controller = scenario.controller
+        assert scenario.network.stamp_at_send
+        scenario.env.call_at(
+            alone.sim_duration / 2, controller.deploy, controller.current_plan
+        )
+        result = run_experiment(config, scenario=scenario)
+        assert not scenario.network.stamp_at_send
+        assert controller.deployments == 2
+        assert result.completed_requests == config.total_requests
+        assert result.latency.samples == alone.latency.samples
+        assert alone.events_executed < result.events_executed

@@ -14,7 +14,6 @@ from repro.network.packet import (
     magic_transform,
     magic_untransform,
     make_request,
-    make_response,
 )
 from repro.network.routing import NO_ROUTE
 
@@ -117,14 +116,15 @@ def _request(netrs=True, magic=None):
     return packet
 
 
-class TestMakeResponse:
+class TestReply:
     def test_magic_round_trip_via_selector(self):
         """Request rebuilt by a selector yields a NetRS response."""
         request = _request(magic=magic_transform(MAGIC_RESPONSE))
         request.rsnode_id = 3
         request.retaining_value = 1.25
-        status = ServerStatus(queue_size=2, service_rate=1000.0, timestamp=2.0)
-        response = make_response(request, server="host2.0.0", status=status)
+        status = ServerStatus(2, 1000.0, 2.0)
+        response = request.reply("host2.0.0", status, 1024)
+        assert response is request  # in place: no second packet
         assert response.magic == MAGIC_RESPONSE
         assert response.rsnode_id == 3
         assert response.retaining_value == 1.25
@@ -134,22 +134,60 @@ class TestMakeResponse:
     def test_drs_request_yields_monitor_response(self):
         request = _request(magic=magic_transform(MAGIC_MONITOR))
         status = ServerStatus(queue_size=0, service_rate=1.0, timestamp=0.0)
-        response = make_response(request, server="s", status=status)
+        response = request.reply("s", status, 1024)
         assert response.magic == MAGIC_MONITOR
 
     def test_plain_request_yields_plain_response(self):
         request = _request(netrs=False)
         status = ServerStatus(queue_size=0, service_rate=1.0, timestamp=0.0)
-        response = make_response(request, server="host2.0.0", status=status)
+        response = request.reply("host2.0.0", status, 1024)
         assert response.magic == MAGIC_PLAIN
 
     def test_response_echoes_request_identity(self):
         request = _request(netrs=False)
         status = ServerStatus(queue_size=1, service_rate=2.0, timestamp=0.0)
-        response = make_response(request, server="host2.0.0", status=status)
+        response = request.clone().reply("host2.0.0", status, 1024)
         assert response.request_id == request.request_id
         assert response.key == request.key
         assert response.issued_at == request.issued_at
+
+    def test_reply_is_a_freshly_built_response(self):
+        """Every field a request alone carries is reset; what names the
+        request, its RSNode and its latency stamps is kept -- field for field
+        what a new ``Packet`` built from the request would hold."""
+        request = _request(magic=magic_transform(MAGIC_RESPONSE))
+        request.dst = request.server = "host2.0.0"
+        request.rsnode_id, request.retaining_value = 3, 1.25
+        request.source_marker = SourceMarker(pod=1, rack=0)
+        request.is_redundant = request.is_write = request.is_repair = True
+        request.is_migration = True
+        request.migration_entries = ((5, 1.0, 2),)
+        request.version_ts, request.version_id = 1.0, 2
+        request.selected_at, request.server_queue_delay = 1.6, 0.1
+        request.server_service_time = 0.2
+        request.route, request.route_pos = ("tor0.0", "agg0.0"), 1
+        request.route_target, request.hops = "host2.0.0", 4
+        status = ServerStatus(2, 1000.0, 2.0)
+        expected = Packet(
+            src="host2.0.0",
+            dst="host0.0.0",
+            magic=MAGIC_RESPONSE,
+            request_id=9,
+            rsnode_id=3,
+            retaining_value=1.25,
+            server_status=status,
+            key=5,
+            value_size=512,
+            client="host0.0.0",
+            server="host2.0.0",
+            issued_at=1.5,
+            is_redundant=True,
+            is_write=True,
+        )
+        expected.selected_at, expected.server_queue_delay = 1.6, 0.1
+        expected.server_service_time = 0.2
+        assert request.reply("host2.0.0", status, 512) == expected
+        assert expected.route is NO_ROUTE
 
 
 class TestWireSize:
@@ -167,9 +205,7 @@ class TestWireSize:
     def test_response_includes_status_and_payload(self):
         request = _request(netrs=False)
         status = ServerStatus(queue_size=1, service_rate=2.0, timestamp=0.0)
-        response = make_response(
-            request, server="s", status=status, value_size=1024
-        )
+        response = request.reply("s", status, 1024)
         assert response.wire_size() > 1024
 
     def test_source_marker_adds_bytes(self):

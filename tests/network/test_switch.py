@@ -20,7 +20,6 @@ from repro.network.packet import (
     ServerStatus,
     magic_transform,
     make_request,
-    make_response,
 )
 from repro.network.switch import ProgrammableSwitch
 from repro.sim import Environment
@@ -253,7 +252,7 @@ class TestResponsePath:
         request.server = "host2.0.0"
         request.retaining_value = 0.0
         status = ServerStatus(queue_size=1, service_rate=500.0, timestamp=0.0)
-        response = make_response(request, server="host2.0.0", status=status)
+        response = request.reply("host2.0.0", status, 1024)
         assert response.magic == MAGIC_RESPONSE
         server_host, _ = endpoints["host2.0.0"]
         server_host.send(response)
@@ -349,7 +348,7 @@ class TestDegradedReplicaSelection:
         _, backup_endpoint = endpoints["host3.1.0"]
         request = backup_endpoint.received[0]
         status = ServerStatus(queue_size=0, service_rate=1.0, timestamp=0.0)
-        response = make_response(request, server="host3.1.0", status=status)
+        response = request.reply("host3.1.0", status, 1024)
         assert response.magic == MAGIC_MONITOR
         server_host, _ = endpoints["host3.1.0"]
         server_host.send(response)
