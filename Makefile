@@ -10,7 +10,7 @@ help:
 	@echo "test-fast     fast tests only (~45 s on 2 cores)"
 	@echo "ci            what CI runs: fast tests (see .github/workflows/ci.yml)"
 	@echo "faults-smoke  crash-and-recover drill from docs/FAULTS.md (retries, zero lost)"
-	@echo "mesoscale-smoke  1k-host flow-tier demo (events/request per tier) + fidelity gate on one paper config"
+	@echo "mesoscale-smoke  1k-host flow-tier demo (events/request per tier) + fidelity gate on every scenario"
 	@echo "docs-check    validate every relative link/anchor in README.md + docs/*.md, then run the docs/CONSISTENCY.md example"
 	@echo "consistency-smoke  quorum-write/read-repair/churn drill from docs/CONSISTENCY.md"
 	@echo "lint          determinism sanitizer + ruff + mypy (latter two skip if absent)"
@@ -63,11 +63,11 @@ consistency-smoke:
 
 # The flow tier's CI drill (docs/MESOSCALE.md): the scaled-down 1,024-host
 # demo must run to completion (it prints events per request on both tiers),
-# and the fidelity gate must hold on one committed paper scenario.
+# and the fidelity gate (flow == packet, bit for bit) must hold on every
+# registered scenario.
 mesoscale-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) examples/mesoscale_1m.py --smoke
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro validate-fidelity \
-		--scenario fig4-clirs-r95
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro validate-fidelity
 
 # Three layers: the project AST sanitizer is mandatory; ruff/mypy run when
 # installed (pip install -e ".[lint]") and are skipped gracefully otherwise

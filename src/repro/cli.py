@@ -505,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fidelity_parser = sub.add_parser(
         "validate-fidelity",
-        help="gate the flow tier against the packet engine (docs/MESOSCALE.md)",
+        help="gate the flow tier on bit-identity with the packet engine "
+        "(docs/MESOSCALE.md)",
         add_help=False,
     )
     fidelity_parser.add_argument("fidelity_args", nargs=argparse.REMAINDER)

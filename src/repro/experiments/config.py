@@ -234,21 +234,47 @@ class ExperimentConfig:
                 f"{self.n_servers} servers + {self.n_clients} clients exceed "
                 f"{self.total_hosts()} hosts (one role per host)"
             )
-        if not 0 < self.utilization:
-            raise ConfigurationError("utilization must be positive")
+        if not 0 < self.utilization < math.inf:
+            raise ConfigurationError("utilization must be finite and positive")
         if self.total_requests < 1:
             raise ConfigurationError("total_requests must be >= 1")
         if not 0 <= self.warmup_fraction < 1:
             raise ConfigurationError("warmup_fraction must be in [0, 1)")
-        if self.mean_service_time <= 0:
-            raise ConfigurationError("mean_service_time must be positive")
-        if self.fluctuation_range < 1:
-            raise ConfigurationError("fluctuation_range (d) must be >= 1")
-        if self.value_size < 0 or self.accelerator_link_delay < 0:
-            raise ConfigurationError("value_size and accelerator_link_delay must be >= 0")
-        if self.accelerator_cores < 1 or self.accelerator_service_time <= 0:
+        # Chained comparisons: NaN fails them all.
+        if not 0 < self.mean_service_time < math.inf:
+            raise ConfigurationError("mean_service_time must be finite and positive")
+        if not 1 <= self.fluctuation_range < math.inf:
+            raise ConfigurationError("fluctuation_range (d) must be finite and >= 1")
+        if not 0 < self.fluctuation_interval < math.inf:
+            raise ConfigurationError("fluctuation_interval must be finite and positive")
+        if self.parallelism < 1 or self.virtual_nodes < 1 or self.key_space < 1:
+            raise ConfigurationError("parallelism, virtual_nodes, key_space must be >= 1")
+        if not 0 < self.zipf_exponent < math.inf:
+            raise ConfigurationError("zipf_exponent must be finite and positive")
+        if not 0 < self.hot_fraction < 1:
+            raise ConfigurationError("hot_fraction must be in (0, 1)")
+        if not 0 <= self.think_time < math.inf:
+            raise ConfigurationError("think_time must be finite and >= 0")
+        if not (self.value_size >= 0 and 0 <= self.accelerator_link_delay < math.inf):
             raise ConfigurationError(
-                "accelerator_cores must be >= 1 and accelerator_service_time positive"
+                "value_size and accelerator_link_delay must be >= 0 (the delay finite)"
+            )
+        if not (
+            self.accelerator_cores >= 1 and 0 < self.accelerator_service_time < math.inf
+        ):
+            raise ConfigurationError(
+                "accelerator_cores must be >= 1 and accelerator_service_time "
+                "finite and positive"
+            )
+        if not 0 < self.max_accelerator_utilization <= 1:
+            raise ConfigurationError("max_accelerator_utilization must be in (0, 1]")
+        if not (
+            0 < self.work_per_request < math.inf
+            and 0 <= self.extra_hops_fraction < math.inf
+        ):
+            raise ConfigurationError(
+                "work_per_request must be finite and positive, "
+                "extra_hops_fraction finite and >= 0"
             )
         if not 0 <= self.redundancy_percentile <= 100 or self.redundancy_min_samples < 1:
             raise ConfigurationError(
@@ -256,7 +282,6 @@ class ExperimentConfig:
             )
         if self.demand_skew is not None and not 0 < self.demand_skew < 1:
             raise ConfigurationError("demand_skew must be in (0, 1)")
-        # Chained comparisons: NaN fails them all.
         switch, host = self.switch_link_latency, self.host_link_latency
         if not (0 <= switch < math.inf and 0 <= host < math.inf):
             raise ConfigurationError("switch_link_latency, host_link_latency: finite, >= 0 s")
@@ -268,8 +293,8 @@ class ExperimentConfig:
             raise ConfigurationError("route_cache_size must be >= 0 (0 = off)")
         if self.rng_batch_size < 0:
             raise ConfigurationError("rng_batch_size must be >= 0 (0 = off)")
-        if self.background_traffic_rate < 0:
-            raise ConfigurationError("background_traffic_rate must be >= 0")
+        if not 0 <= self.background_traffic_rate < math.inf:
+            raise ConfigurationError("background_traffic_rate must be finite and >= 0")
         if self.background_traffic_rate > 0:
             idle = self.total_hosts() - self.n_servers - self.n_clients
             if idle < 2:
@@ -373,8 +398,6 @@ class ExperimentConfig:
                 )
             if self.closed_window < 1:
                 raise ConfigurationError("closed_window must be >= 1")
-            if self.think_time < 0:
-                raise ConfigurationError("think_time must be non-negative")
 
     def replace(self, **changes) -> "ExperimentConfig":
         """A copy with the given fields changed (validated)."""

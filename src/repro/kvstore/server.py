@@ -58,7 +58,6 @@ class ServerCore:
         "name",
         "service_model",
         "parallelism",
-        "service_time_scale",
         "_draws",
         "_alpha",
         "_respond",
@@ -84,7 +83,6 @@ class ServerCore:
         rng: DrawSource,
         rate_ewma_alpha: float = 0.9,
         respond: Respond,
-        service_time_scale: float = 1.0,
     ) -> None:
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -94,9 +92,6 @@ class ServerCore:
         self.name = name
         self.service_model = service_model
         self.parallelism = parallelism
-        # Multiplies every drawn service time; exactly 1.0 except in the
-        # fidelity gate's deliberately mis-calibrated fixtures.
-        self.service_time_scale = service_time_scale
         self._draws = rng
         self._alpha = rate_ewma_alpha
         self._respond = respond
@@ -182,10 +177,7 @@ class ServerCore:
 
     def _begin(self, job: Any, queue_delay: float) -> None:
         self._in_service += 1
-        duration = (
-            self._draws.exponential(self.service_model.current_mean)
-            * self.service_time_scale
-        )
+        duration = self._draws.exponential(self.service_model.current_mean)
         self.env.post_in(
             duration, self._complete, (job, queue_delay, duration, self._epoch)
         )

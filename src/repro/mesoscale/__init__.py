@@ -5,13 +5,13 @@ packet object through the fabric for every message (the events either tier
 spends per request are measured in docs/MESOSCALE.md), which caps
 experiments near the paper's 1024-host evaluation.  This package provides the second fidelity tier:
 requests become a handful of scheduled completions from an analytic
-link/queue model (:mod:`repro.mesoscale.flow`), with the selection
-algorithms, RNG streams and client/server queue logic shared with the
-packet tier so the two agree on the paper's configurations.
+path model (:mod:`repro.mesoscale.flow`), with the selection algorithms,
+RNG streams and client/server queue logic shared with the packet tier, so a
+flow run is bit-identical to the packet run of the same config.
 
 Select it with ``ExperimentConfig(fidelity="flow")`` (or ``--fidelity flow``
 on the CLI); :mod:`repro.mesoscale.validate` and ``netrs validate-fidelity``
-gate the agreement between the tiers.  See docs/MESOSCALE.md.
+gate that identity.  See docs/MESOSCALE.md.
 
 Two performance layers ride on top of the flow tier, both byte-identical
 to it: the struct-of-arrays fast path (:mod:`repro.mesoscale.vector`,
@@ -31,7 +31,6 @@ from repro.mesoscale.support import FLOW_SCHEMES, ensure_flow_supported
 from repro.mesoscale.vector import VectorFlowEngine
 from repro.mesoscale.validate import (
     FidelityReport,
-    Tolerances,
     VALIDATION_SCENARIOS,
     validate_fidelity,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "FatTreeGeometry",
     "FidelityReport",
     "FlowEngine",
-    "Tolerances",
     "VALIDATION_SCENARIOS",
     "VectorFlowEngine",
     "ensure_flow_supported",

@@ -30,13 +30,12 @@ Every entry that runs -- arrival, service completion, response delivery,
 timers, fluctuation ticks, fault transitions -- counts in
 ``FlowEngine.micro_events``.
 
-Fidelity: with ``link_bandwidth=None`` (the paper's configuration) the flow
-tier accumulates per-hop delays with the same float additions the packet
-engine performs hop by hop and consumes the same named RNG streams in the
-same order -- runs are bit-comparable to the packet tier up to tie-breaking
-noise (validated by ``netrs validate-fidelity``).  With ``link_bandwidth``
-set, serialization and access-link queueing are added analytically (M/D/1
-mean waiting), which is an approximation; see docs/MESOSCALE.md.
+Fidelity: the flow tier accumulates per-hop delays with the same float
+additions the packet engine performs hop by hop and consumes the same named
+RNG streams in the same order, so a flow run is bit-identical to the packet
+run of the same config (``netrs validate-fidelity`` gates exactly that).
+Links are pure delays here; ``link_bandwidth`` needs real queues and is
+rejected at config time (:func:`~repro.mesoscale.support.ensure_flow_supported`).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.selector_node import NetRSSelector
-from repro.errors import ConfigurationError
 from repro.faults.events import LinkDegrade, LinkDown, LinkUp
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import parse_fault_schedule
@@ -99,13 +97,10 @@ class FlowEngine:
     leaves a ~30 000-object reference cycle for a full collection to find.
     """
 
-    def __init__(self, config, *, service_time_scale: float = 1.0) -> None:
+    def __init__(self, config) -> None:
         config.validate()
         ensure_flow_supported(config)
-        if service_time_scale <= 0:
-            raise ConfigurationError("service_time_scale must be positive")
         self.config = config
-        self.service_time_scale = service_time_scale
         self.geometry = FatTreeGeometry(config.fat_tree_k)
         rng = RngRegistry(config.seed)
         self.rng = rng
@@ -141,13 +136,7 @@ class FlowEngine:
         self._full_path = {2: (h, h), 4: (h, s, s, h), 6: (h, s, s, s, s, h)}
         self._from_tor = {2: (h,), 4: (s, s, h), 6: (s, s, s, s, h)}
         self._to_tor = {2: (h,), 4: (h, s, s), 6: (h, s, s, s, s)}
-        # Response direction: the same delays, until a bandwidth model prices
-        # the two packet sizes apart.
-        self._response_path = self._full_path
-        self._host_lat_response = h
         self._sizes = _wire_sizes(config)
-        if config.link_bandwidth is not None:
-            self._apply_bandwidth_model(config)
         self._dead_links: set = set()
         self._degraded: Dict[Tuple[str, str], float] = {}
         self._guarded = False  # hop-level fault checks only when link faults exist
@@ -180,7 +169,6 @@ class FlowEngine:
                 rng=rng.batched(f"service.{name}", batch),
                 rate_ewma_alpha=config.ewma_alpha,
                 respond=respond,
-                service_time_scale=service_time_scale,
             )
 
         # --- clients -------------------------------------------------------
@@ -485,7 +473,7 @@ class FlowEngine:
     def _send_response(self, server, job, status, queue_delay, service_time) -> None:
         """A server's ``respond``: the reply travels host to host."""
         client, rid, _rv = job
-        hops = self._response_path[self.geometry.hop_count(server.name, client.name)]
+        hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
         size, overhead = self._sizes["response"]
         first = last = None
         if self._guarded:
@@ -590,7 +578,7 @@ class FlowEngine:
         if len(self._accounted_ahead) > _CROSS_EVERY:
             self._cross_accounted()
         self.post_at(
-            self._host_lat_response + t, self._on_response[client], (rid, server.name, status)
+            self._host_lat + t, self._on_response[client], (rid, server.name, status)
         )
 
     def _tor_response(self, client, rid, rv, server_name, status) -> None:
@@ -600,7 +588,7 @@ class FlowEngine:
             self._now, (op, rv, server_name, status), self._absorb_response
         )
         link = (self.geometry.tor_name(client.name), client.name)
-        lat = self._host_lat_response
+        lat = self._host_lat
         if link in self._dead_links:
             self.packets_dropped += 1
             return
@@ -618,50 +606,6 @@ class FlowEngine:
         return None
 
     # ------------------------------------------------------------------
-    # Bandwidth model (analytic, see docs/MESOSCALE.md "Serialization")
-    # ------------------------------------------------------------------
-    def _apply_bandwidth_model(self, config) -> None:
-        bandwidth = config.link_bandwidth
-        req_size = self._sizes["request"][0]
-        resp_size = self._sizes["response"][0]
-        if config.netrs:
-            req_size = self._sizes["netrs_request"][0]
-            resp_size = self._sizes["netrs_response_marked"][0]
-        s_req = req_size * 8.0 / bandwidth
-        s_resp = resp_size * 8.0 / bandwidth
-        rate = config.arrival_rate()
-        lam_client = rate / config.n_clients
-        lam_server = rate / config.n_servers
-        wait_req = _md1_wait(lam_server, s_req)
-        wait_resp = _md1_wait(lam_server, s_resp)
-        wait_client_req = _md1_wait(lam_client, s_req)
-        wait_client_resp = _md1_wait(lam_client, s_resp)
-
-        def widen(hops, first_extra, mid_extra, last_extra):
-            widened = [d + mid_extra for d in hops]
-            widened[0] = hops[0] + first_extra
-            widened[-1] = hops[-1] + last_extra
-            return tuple(widened)
-
-        # CliRS replies cross the same links the other way, response-sized.
-        self._response_path = {
-            count: widen(hops, s_resp + wait_resp, s_resp, s_resp + wait_client_resp)
-            for count, hops in self._full_path.items()
-        }
-        for count in (2, 4, 6):
-            self._full_path[count] = widen(
-                self._full_path[count], s_req + wait_client_req, s_req, s_req + wait_req
-            )
-            self._from_tor[count] = widen(
-                self._from_tor[count], s_req, s_req, s_req + wait_req
-            )
-            self._to_tor[count] = widen(
-                self._to_tor[count], s_resp + wait_resp, s_resp, s_resp
-            )
-        # NetRS response final hop onto the client access link.
-        self._host_lat_response = self._host_lat + s_resp + wait_client_resp
-
-    # ------------------------------------------------------------------
     # Result accounting helpers
     # ------------------------------------------------------------------
     def accelerator_max_utilization(self) -> float:
@@ -671,17 +615,6 @@ class FlowEngine:
 
     def selector_requests_handled(self) -> int:
         return sum(op.selector.requests_handled for op in self.operators.values())
-
-
-def _md1_wait(rate: float, service: float) -> float:
-    """Mean M/D/1 waiting time ``rho * S / (2 (1 - rho))`` for one link."""
-    rho = rate * service
-    if rho >= 1.0:
-        raise ConfigurationError(
-            f"link_bandwidth saturates an access link (rho={rho:.2f}); "
-            "the analytic flow model needs rho < 1"
-        )
-    return rho * service / (2.0 * (1.0 - rho))
 
 
 def _wire_sizes(config) -> Dict[str, Tuple[int, int]]:

@@ -4,9 +4,7 @@ This is the flow-tier twin of :func:`repro.experiments.runner.run_experiment`:
 same safety horizon, same stall/NaN guards, same result schema -- so sweeps,
 ledgers and figures consume flow results with zero changes.  The engine's
 heap is the run's only clock, so ``events_executed`` (the packet tier's
-clock) is 0 and what the engine ran is ``micro_events``; the one addition
-is the ``service_time_scale`` calibration knob used by the validation
-harness to prove its gate can fail.
+clock) is 0 and what the engine ran is ``micro_events``.
 """
 
 from __future__ import annotations
@@ -25,14 +23,9 @@ from repro.mesoscale.support import vector_eligible
 def run_flow_experiment(
     config: ExperimentConfig,
     *,
-    service_time_scale: float = 1.0,
     keep_engine: bool = False,
 ) -> ExperimentResult:
     """Run ``config`` on the flow tier; returns the standard result schema.
-
-    ``service_time_scale`` multiplies every drawn service time (1.0 in
-    normal runs); the validation harness uses it to build deliberately
-    mis-calibrated fixtures.
 
     Dispatch: ``config.shards > 1`` fans the run out as independent
     ``repro.exec`` jobs and merges them (repro.mesoscale.shard);
@@ -59,14 +52,12 @@ def run_flow_experiment(
         # Imported lazily: shard fan-out builds on this function.
         from repro.mesoscale.shard import run_sharded_flow_experiment
 
-        return run_sharded_flow_experiment(
-            config, service_time_scale=service_time_scale
-        )
+        return run_sharded_flow_experiment(config)
     collector_was_enabled = gc.isenabled()
     gc.disable()
     engine = None
     try:
-        engine = _build_engine(config, service_time_scale)
+        engine = _build_engine(config)
         result = _run_engine(engine, config)
         if keep_engine:
             result.engine = engine  # type: ignore[attr-defined]
@@ -79,14 +70,14 @@ def run_flow_experiment(
             gc.enable()
 
 
-def _build_engine(config: ExperimentConfig, service_time_scale: float) -> FlowEngine:
+def _build_engine(config: ExperimentConfig) -> FlowEngine:
     """The scalar engine, or the SoA one where ``vector_batch`` applies."""
     if config.vector_batch > 0 and vector_eligible(config):
         # Imported lazily so scalar runs never pay the numpy-kernels import.
         from repro.mesoscale.vector import VectorFlowEngine
 
-        return VectorFlowEngine(config, service_time_scale=service_time_scale)
-    return FlowEngine(config, service_time_scale=service_time_scale)
+        return VectorFlowEngine(config)
+    return FlowEngine(config)
 
 
 def _run_engine(engine: FlowEngine, config: ExperimentConfig) -> ExperimentResult:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import time
-from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
@@ -193,13 +192,11 @@ def shard_configs(config: "ExperimentConfig") -> List["ExperimentConfig"]:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def _run_shard_job(job: Job, service_time_scale: float = 1.0) -> JobOutcome:
+def _run_shard_job(job: Job) -> JobOutcome:
     """Exec runner for one shard (module-level: spawn workers pickle it)."""
     from repro.mesoscale.runner import run_flow_experiment
 
-    result = run_flow_experiment(
-        job.config, service_time_scale=service_time_scale
-    )
+    result = run_flow_experiment(job.config)
     outcome = outcome_from_result(job, result)
     # The merge needs the raw samples (key-ordered concat reproduces the
     # serial sample order) and every summed counter; both travel on the
@@ -284,7 +281,6 @@ def run_sharded_flow_experiment(
     workers: int = 1,
     run_dir: Optional[Union[str, os.PathLike]] = None,
     resume: bool = False,
-    service_time_scale: float = 1.0,
 ) -> "ExperimentResult":
     """Run a ``shards > 1`` flow config and merge the shard outcomes.
 
@@ -299,13 +295,8 @@ def run_sharded_flow_experiment(
     policy = ExecutionPolicy(
         workers=max(1, workers), run_dir=run_dir, resume=resume
     )
-    runner = (
-        partial(_run_shard_job, service_time_scale=service_time_scale)
-        if service_time_scale != 1.0
-        else _run_shard_job
-    )
     started = time.perf_counter()  # repro: noqa(DET002) - wall time, reported only
-    outcomes = execute_jobs(jobs, policy=policy, runner=runner)
+    outcomes = execute_jobs(jobs, policy=policy, runner=_run_shard_job)
     wall_time = time.perf_counter() - started  # repro: noqa(DET002) - reported only
     ordered = [outcomes[job.key] for job in jobs]
     return merge_outcomes(config, ordered, wall_time=wall_time)

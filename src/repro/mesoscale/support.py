@@ -53,6 +53,11 @@ def ensure_flow_supported(config) -> None:
         )
     if config.background_traffic_rate > 0:
         _reject("background traffic")
+    if config.link_bandwidth is not None:
+        _reject(
+            "link_bandwidth (its links are pure delays; the packet tier "
+            "models serialization and queueing exactly, with real queues)"
+        )
     if config.track_link_stats:
         _reject("per-link byte accounting (there are no per-link queues)")
     if config.replan_period is not None:
@@ -90,11 +95,6 @@ def ensure_flow_supported(config) -> None:
                         f"link fault on {event.a}<->{event.b}: only "
                         "host-access links map onto the flow model "
                         "(fabric cuts imply rerouting)"
-                    )
-                if config.link_bandwidth is not None:
-                    _reject(
-                        "link faults combined with link_bandwidth (the "
-                        "analytic serialization model has no per-link state)"
                     )
 
 

@@ -1,28 +1,21 @@
-"""Packet-vs-flow validation harness behind ``netrs validate-fidelity``.
+"""Packet-vs-flow identity gate behind ``netrs validate-fidelity``.
 
-The flow tier is only useful if it provably tracks the packet engine on the
-paper's configurations.  This module runs the same config under both tiers
-and gates on latency-distribution agreement:
-
-* **per-percentile relative error** on the paper's four metrics (mean, p95,
-  p99, p999), and
-* **Kolmogorov-Smirnov distance** between the recorded latency samples.
-
-Both thresholds are committed in :data:`DEFAULT_TOLERANCES`.  For the
-CliRS schemes the flow tier replays the exact RNG streams and float
-arithmetic of the packet engine, so the observed errors are ~0; the
-tolerances are deliberately wider (5 % / 0.05 KS) to stay meaningful if
-either tier's internals drift.  The harness proves it *can* fail via the
-``service_time_scale`` knob: a mis-calibrated flow run must breach the gate
-(tested in ``tests/mesoscale/test_validate.py``).
+The flow tier replaces the packet tier's wire with closed-form path delays
+and drives the packet tier's own endpoints, consuming the same RNG streams
+in the same order (docs/MESOSCALE.md).  Its one contract is therefore
+bit-identity: on every config it accepts, a flow run reports exactly the
+latency samples and counters the packet run of the same config does.  This
+module runs each registered scenario under both tiers and passes only on
+that exact equality; every difference prints as a ``BREACH`` line naming the
+counter, or the first latency sample, that differs.  :func:`differences` is
+the comparison itself, shared with the identity tests.
 
 Scenario registry: ``fig4-clirs-r95`` is one cell of the paper's Figure 4
 sweep (n_clients=32 on the small profile); ``faults-clirs`` replays a
 crash-and-recover schedule with timeouts, exercising the fault mapping in
-both tiers.  Those two are the default set.  ``netrs-tor`` runs only when
-named (``--scenario netrs-tor``): the one NetRS scheme both tiers run, whose
+both tiers; ``netrs-tor`` is the one NetRS scheme both tiers run, whose
 packet/flow cost ratio says whether the packet tier can replace the scalar
-flow engine.
+flow engine.  All of them are gated by default.
 
 Every report also prints what each tier cost the host: CPU seconds per
 request (``time.process_time`` around each run) and their packet/flow ratio.
@@ -35,111 +28,113 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.mesoscale.runner import run_flow_experiment
 
-#: The paper's four latency metrics, as produced by ``result.summary()``.
-METRICS = ("mean", "p95", "p99", "p999")
+#: Counters two runs of one config must report identically, across tiers.
+IDENTITY_FIELDS = (
+    "completed_requests",
+    "transmissions",
+    "bytes_transferred",
+    "netrs_overhead_bytes",
+    "redundant_requests",
+    "selector_requests_handled",
+    "timeouts",
+    "retries",
+    "requests_lost",
+    "duplicates_suppressed",
+    "packets_dropped",
+    "server_dropped_requests",
+    "faults_injected",
+)
+
+#: Float aggregates compared on top of the counters.
+_AGGREGATES = ("accelerator_max_utilization", "unavailability")
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Committed agreement thresholds for the fidelity gate."""
+def differences(
+    expected, actual, fields: Sequence[str] = IDENTITY_FIELDS
+) -> List[str]:
+    """Every way result ``actual`` differs from ``expected``; empty if none.
 
-    #: Max |flow - packet| / packet per summary metric.
-    rel_err: Dict[str, float] = field(
-        default_factory=lambda: {
-            "mean": 0.05,
-            "p95": 0.05,
-            "p99": 0.08,
-            "p999": 0.12,
-        }
-    )
-    #: Max two-sample Kolmogorov-Smirnov distance between latency samples.
-    ks_distance: float = 0.05
+    Compared exactly: the latency samples (named by the first index that
+    differs), each of ``fields`` and the float aggregates.
+    """
+    found: List[str] = []
+    want, got = expected.latency.samples, actual.latency.samples
+    if len(want) != len(got):
+        found.append(f"latency samples: {len(want)} expected, {len(got)} got")
+    else:
+        for index, (a, b) in enumerate(zip(want, got)):
+            if a != b:
+                found.append(f"latency sample #{index}: expected {a!r}, got {b!r}")
+                break
+    for name in tuple(fields) + _AGGREGATES:
+        a, b = getattr(expected, name), getattr(actual, name)
+        if a != b:
+            found.append(f"{name}: expected {a!r}, got {b!r}")
+    return found
 
 
-DEFAULT_TOLERANCES = Tolerances()
+#: Scenario name -> config builder; built on use so imports stay validation-free.
+_SCENARIOS: Dict[str, Callable[[], ExperimentConfig]] = {
+    # One Figure-4 cell (small profile, n_clients=32) on the redundant
+    # scheme: exercises selection, redundancy timers and the R95 cache.
+    "fig4-clirs-r95": lambda: ExperimentConfig.small(
+        scheme="clirs-r95", seed=11
+    ).replace(n_clients=32, total_requests=6_000),
+    # Crash-and-recover with timeouts: exercises the fault mapping
+    # (queue loss, drops, retries, unavailability windows) in both tiers.
+    "faults-clirs": lambda: ExperimentConfig.small(scheme="clirs", seed=7).replace(
+        total_requests=6_000,
+        fault_schedule=(
+            "server-down@0.05:server#0;server-up@0.25:server#0;"
+            "server-down@0.10:server#3;server-up@0.30:server#3"
+        ),
+        request_timeout=40e-3,
+        max_retries=3,
+    ),
+    # The NetRS scheme both tiers run, on the benchmark's 12 000 requests
+    # of ``flow-tor-faults`` without the crash: the packet/flow cost ratio.
+    "netrs-tor": lambda: ExperimentConfig.small(scheme="netrs-tor", seed=1).replace(
+        total_requests=12_000
+    ),
+}
+
+#: Every registered scenario; the gate runs them all by default.
+VALIDATION_SCENARIOS = tuple(_SCENARIOS)
 
 
 def _scenario_configs() -> Dict[str, ExperimentConfig]:
-    """Build the registry lazily so imports stay validation-free."""
-    return {
-        # One Figure-4 cell (small profile, n_clients=32) on the redundant
-        # scheme: exercises selection, redundancy timers and the R95 cache.
-        "fig4-clirs-r95": ExperimentConfig.small(
-            scheme="clirs-r95", seed=11
-        ).replace(n_clients=32, total_requests=6_000),
-        # Crash-and-recover with timeouts: exercises the fault mapping
-        # (queue loss, drops, retries, unavailability windows) in both tiers.
-        "faults-clirs": ExperimentConfig.small(scheme="clirs", seed=7).replace(
-            total_requests=6_000,
-            fault_schedule=(
-                "server-down@0.05:server#0;server-up@0.25:server#0;"
-                "server-down@0.10:server#3;server-up@0.30:server#3"
-            ),
-            request_timeout=40e-3,
-            max_retries=3,
-        ),
-        # The NetRS scheme both tiers run, on the benchmark's 12 000 requests
-        # of ``flow-tor-faults`` without the crash: the packet/flow cost ratio.
-        "netrs-tor": ExperimentConfig.small(scheme="netrs-tor", seed=1).replace(
-            total_requests=12_000
-        ),
-    }
-
-
-#: Names of the validation scenarios run by default (CI's gate).
-VALIDATION_SCENARIOS = ("fig4-clirs-r95", "faults-clirs")
-
-
-def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic ``sup |F_a - F_b|``."""
-    xs = np.sort(np.asarray(a, dtype=float))
-    ys = np.sort(np.asarray(b, dtype=float))
-    if len(xs) == 0 or len(ys) == 0:
-        return 1.0
-    grid = np.concatenate([xs, ys])
-    cdf_a = np.searchsorted(xs, grid, side="right") / len(xs)
-    cdf_b = np.searchsorted(ys, grid, side="right") / len(ys)
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    """The registry, built."""
+    return {name: build() for name, build in _SCENARIOS.items()}
 
 
 @dataclass
 class FidelityReport:
-    """Agreement measurements for one scenario under both tiers."""
+    """One scenario run under both tiers, and every way they differ."""
 
     scenario: str
-    packet_summary: Dict[str, float]
-    flow_summary: Dict[str, float]
-    rel_err: Dict[str, float]
-    ks: float
     packet_events: int
     flow_micro_events: int
     completed_requests: int
-    passed: bool
     breaches: List[str]
     #: Host CPU seconds each tier's run took (informational, never gated).
     packet_cpu_s: float = 0.0
     flow_cpu_s: float = 0.0
 
+    @property
+    def passed(self) -> bool:
+        return not self.breaches
+
     def format(self) -> str:
         """Human-readable gate report, one block per scenario."""
         verdict = "PASS" if self.passed else "FAIL"
         lines = [f"[{verdict}] {self.scenario} ({self.completed_requests} requests)"]
-        for metric in METRICS:
-            lines.append(
-                f"  {metric:>5}: packet={self.packet_summary[metric]:8.3f}ms "
-                f"flow={self.flow_summary[metric]:8.3f}ms "
-                f"rel_err={self.rel_err[metric]:.2e}"
-            )
-        lines.append(f"  KS distance: {self.ks:.2e}")
         requests = max(1, self.completed_requests)
         lines.append(
             f"  events/request: packet={self.packet_events / requests:.2f} "
@@ -162,89 +157,39 @@ def _cpu_timed(run, *args, **kwargs):
     return result, time.process_time() - started  # repro: noqa(DET002) - reported only
 
 
-def compare_tiers(
-    name: str,
-    config: ExperimentConfig,
-    *,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    service_time_scale: float = 1.0,
-) -> FidelityReport:
-    """Run ``config`` under both tiers and measure their agreement.
-
-    ``service_time_scale`` is forwarded to the flow tier only -- setting it
-    away from 1.0 deliberately mis-calibrates the flow model, which the
-    gate must catch.
-    """
+def compare_tiers(name: str, config: ExperimentConfig) -> FidelityReport:
+    """Run ``config`` under both tiers and list where the flow run differs."""
     # Imported here: the packet runner imports this module's package lazily
     # for the fidelity dispatch, so a module-level import would be circular.
     from repro.experiments.runner import run_experiment
 
     packet, packet_cpu = _cpu_timed(run_experiment, config.replace(fidelity="packet"))
-    flow, flow_cpu = _cpu_timed(
-        run_flow_experiment, config, service_time_scale=service_time_scale
-    )
-
-    packet_summary = packet.summary()
-    flow_summary = flow.summary()
-    rel_err = {
-        metric: abs(flow_summary[metric] - packet_summary[metric])
-        / abs(packet_summary[metric])
-        for metric in METRICS
-    }
-    ks = ks_distance(packet.latency.samples, flow.latency.samples)
-
-    breaches: List[str] = []
-    for metric in METRICS:
-        budget = tolerances.rel_err[metric]
-        if rel_err[metric] > budget:
-            breaches.append(
-                f"{metric} relative error {rel_err[metric]:.4f} "
-                f"> tolerance {budget}"
-            )
-    if ks > tolerances.ks_distance:
-        breaches.append(
-            f"KS distance {ks:.4f} > tolerance {tolerances.ks_distance}"
-        )
+    flow, flow_cpu = _cpu_timed(run_flow_experiment, config)
     return FidelityReport(
         scenario=name,
-        packet_summary=packet_summary,
-        flow_summary=flow_summary,
-        rel_err=rel_err,
-        ks=ks,
         packet_events=packet.events_executed,
         flow_micro_events=flow.micro_events,
         completed_requests=packet.completed_requests,
-        passed=not breaches,
-        breaches=breaches,
+        breaches=differences(packet, flow),
         packet_cpu_s=packet_cpu,
         flow_cpu_s=flow_cpu,
     )
 
 
 def validate_fidelity(
-    scenarios: Sequence[str] = VALIDATION_SCENARIOS,
-    *,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    service_time_scale: float = 1.0,
+    scenarios: Optional[Sequence[str]] = None,
 ) -> List[FidelityReport]:
-    """Run the fidelity gate over the named scenarios."""
+    """Run the identity gate over the named scenarios (default: all)."""
     registry = _scenario_configs()
     reports = []
-    for name in scenarios:
+    for name in tuple(registry) if scenarios is None else scenarios:
         config = registry.get(name)
         if config is None:
             raise ConfigurationError(
                 f"unknown validation scenario {name!r}; "
                 f"available: {', '.join(sorted(registry))}"
             )
-        reports.append(
-            compare_tiers(
-                name,
-                config,
-                tolerances=tolerances,
-                service_time_scale=service_time_scale,
-            )
-        )
+        reports.append(compare_tiers(name, config))
     return reports
 
 
@@ -252,35 +197,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (also mounted as ``netrs validate-fidelity``)."""
     parser = argparse.ArgumentParser(
         prog="validate-fidelity",
-        description="Gate flow-tier latency distributions against the packet engine.",
+        description="Gate flow-tier runs on bit-identity with the packet engine.",
     )
     parser.add_argument(
         "--scenario",
         action="append",
         default=None,
         metavar="NAME",
-        help="scenario to run (repeatable; default: "
-        + ", ".join(VALIDATION_SCENARIOS)
-        + "; --list shows all)",
+        help="scenario to run (repeatable; default: all of --list)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
-    )
-    parser.add_argument(
-        "--service-scale",
-        type=float,
-        default=1.0,
-        metavar="X",
-        help="mis-calibration knob: multiply flow-tier service times "
-        "(default 1.0; used to prove the gate fails)",
     )
     args = parser.parse_args(argv)
     if args.list:
         for name in sorted(_scenario_configs()):
             print(name)
         return 0
-    names = tuple(args.scenario) if args.scenario else VALIDATION_SCENARIOS
-    reports = validate_fidelity(names, service_time_scale=args.service_scale)
+    reports = validate_fidelity(args.scenario)
     for report in reports:
         print(report.format())
     failed = [r for r in reports if not r.passed]

@@ -148,7 +148,6 @@ class VectorFlowEngine(FlowEngine):
         self,
         config,
         *,
-        service_time_scale: float = 1.0,
         vector_batch: Optional[int] = None,
     ) -> None:
         if not vector_eligible(config):
@@ -159,7 +158,7 @@ class VectorFlowEngine(FlowEngine):
                 "config runs the scalar FlowEngine, which run_flow_experiment "
                 "picks by itself (docs/MESOSCALE.md)"
             )
-        super().__init__(config, service_time_scale=service_time_scale)
+        super().__init__(config)
         if vector_batch is None:
             vector_batch = config.vector_batch
         self._chunk = max(1, vector_batch)
@@ -180,8 +179,7 @@ class VectorFlowEngine(FlowEngine):
         # only on the locality class of the pair, not on its identity.
         self._resp_by_class: Dict[int, tuple] = {}
         self._cls_hops = (2, 4, 6)  # hop count per locality class
-        # Per-hop delay vectors per class, in scalar chain order (these pick
-        # up the bandwidth-model widening automatically).
+        # Per-hop delay vectors per class, in scalar chain order.
         self._hop_arrays = tuple(
             np.asarray(self._full_path[count], dtype=np.float64)
             for count in (2, 4, 6)
@@ -451,7 +449,6 @@ class VectorFlowEngine(FlowEngine):
         weight = self._sel_weight
         exponent = self._sel_exponent
         t_alpha = self._sel_alpha
-        sts = self.service_time_scale
         policy = self._redundancy
         has_red = policy is not None
         red_min = self._red_min if has_red else 0
@@ -647,10 +644,9 @@ class VectorFlowEngine(FlowEngine):
                             block = draws._block
                             pos = 0
                         draws._pos = pos + 1
-                        duration = block[pos] * mean * sts
+                        duration = block[pos] * mean
                     else:
                         duration = server._draws.exponential(mean)
-                        duration *= sts
                     seq += 1
                     heappush(
                         heap,
@@ -710,10 +706,9 @@ class VectorFlowEngine(FlowEngine):
                             block = draws._block
                             pos = 0
                         draws._pos = pos + 1
-                        duration = block[pos] * mean * sts
+                        duration = block[pos] * mean
                     else:
                         duration = server._draws.exponential(mean)
-                        duration *= sts
                     seq += 1
                     heappush(
                         heap,
@@ -914,7 +909,7 @@ class VectorFlowEngine(FlowEngine):
         hop_key = self.geometry.hop_count(server_name, client_name)
         plan = self._resp_by_class.get(hop_key)
         if plan is None:
-            hops = self._response_path[hop_key]
+            hops = self._full_path[hop_key]
             size, overhead = self._sizes["response"]
             count = len(hops)
             plan = (hops, count, size * count, overhead * count)

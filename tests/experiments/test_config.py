@@ -102,6 +102,25 @@ class TestValidation:
             ("redundancy_percentile", 150.0),  # a ValueError mid-run
             ("redundancy_min_samples", 0),  # a NaN timer: "run stalled"
             ("value_size", -5),  # ran, and booked negative wire bytes
+            ("mean_service_time", float("nan")),  # hung
+            ("mean_service_time", float("inf")),  # raised mid-run
+            ("fluctuation_interval", float("nan")),  # hung
+            ("fluctuation_interval", 0.0),  # raised mid-run
+            ("fluctuation_range", float("nan")),  # ran as stable service
+            ("accelerator_service_time", float("nan")),  # "run stalled"
+            ("accelerator_link_delay", float("nan")),  # "run stalled"
+            ("hot_fraction", 1.0),  # raised mid-run under demand_skew
+            ("hot_fraction", 0.0),
+            ("key_space", 0),  # raised mid-run
+            ("virtual_nodes", 0),
+            ("zipf_exponent", 0.0),
+            ("parallelism", 0),  # a bare ValueError at build
+            ("max_accelerator_utilization", 0.0),  # raised mid-run (NetRS)
+            ("max_accelerator_utilization", 1.5),
+            ("work_per_request", 0.0),
+            ("extra_hops_fraction", -0.1),
+            ("think_time", float("nan")),  # ran (closed mode)
+            ("utilization", float("inf")),  # ran
         ],
     )
     def test_out_of_range_numbers_fail_at_config_time(self, field, value):
@@ -124,16 +143,20 @@ class TestValidation:
             ("ewma_alpha", 1.0),  # a bare ValueError from the server's rate EWMA
             ("ewma_alpha", -0.1),
             ("seed", -1),  # numpy's ValueError
+            ("background_traffic_rate", float("nan")),  # ran
         ],
     )
     @pytest.mark.parametrize("fidelity", ["packet", "flow"])
     def test_the_fabric_s_own_fields_fail_at_config_time(self, field, value, fidelity):
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig.tiny(fidelity=fidelity, **{field: value})
-        ExperimentConfig.tiny(  # the edges of every range pass
-            fidelity=fidelity, host_link_latency=0.0, switch_link_latency=0.0,
-            link_bandwidth=1e9, request_timeout=1e-3, ewma_alpha=0.0, seed=0,
+        edges = dict(  # the edges of every range pass
+            host_link_latency=0.0, switch_link_latency=0.0,
+            request_timeout=1e-3, ewma_alpha=0.0, seed=0,
         )
+        if fidelity == "packet":  # the flow tier rejects any link_bandwidth
+            edges["link_bandwidth"] = 1e9
+        ExperimentConfig.tiny(fidelity=fidelity, **edges)
 
     @pytest.mark.parametrize("value", ["2", "bogus", 0, -1, True])
     def test_bad_group_granularity_fails_at_config_time(self, value):

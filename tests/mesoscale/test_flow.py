@@ -8,23 +8,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.mesoscale import FLOW_SCHEMES
 from repro.mesoscale.runner import run_flow_experiment
-
-#: Counters that must agree exactly between the two tiers.
-IDENTITY_FIELDS = (
-    "completed_requests",
-    "transmissions",
-    "bytes_transferred",
-    "netrs_overhead_bytes",
-    "redundant_requests",
-    "selector_requests_handled",
-    "timeouts",
-    "retries",
-    "requests_lost",
-    "duplicates_suppressed",
-    "packets_dropped",
-    "server_dropped_requests",
-    "faults_injected",
-)
+from repro.mesoscale.validate import differences
 
 FAULT_SCHEDULE = (
     "server-down@0.02:server#0;server-up@0.06:server#0;"
@@ -38,13 +22,7 @@ def _tiny(scheme, **overrides):
 
 
 def _assert_identical(packet, flow):
-    assert flow.latency.samples == packet.latency.samples
-    for name in IDENTITY_FIELDS:
-        assert getattr(flow, name) == getattr(packet, name), name
-    assert flow.accelerator_max_utilization == pytest.approx(
-        packet.accelerator_max_utilization
-    )
-    assert flow.unavailability == pytest.approx(packet.unavailability)
+    assert differences(packet, flow) == []
 
 
 def test_same_seed_is_bit_identical():

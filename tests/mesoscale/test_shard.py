@@ -12,8 +12,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.mesoscale.runner import run_flow_experiment
 from repro.mesoscale.shard import run_sharded_flow_experiment, shard_configs
-
-from tests.mesoscale.test_flow import IDENTITY_FIELDS
+from repro.mesoscale.validate import IDENTITY_FIELDS, differences
 
 _FIELDS = IDENTITY_FIELDS + ("micro_events",)
 
@@ -28,10 +27,7 @@ def _sharded(scheme, **overrides):
 
 
 def _assert_identical(a, b, tag):
-    assert tuple(a.latency.samples) == tuple(b.latency.samples), tag
-    for name in _FIELDS:
-        assert getattr(a, name) == getattr(b, name), (tag, name)
-    assert abs(a.unavailability - b.unavailability) < 1e-12, tag
+    assert differences(a, b, _FIELDS) == [], tag
 
 
 @pytest.mark.parametrize("shards", [1, 4])

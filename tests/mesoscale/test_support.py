@@ -85,36 +85,7 @@ def test_server_faults_are_accepted():
     )
 
 
-@pytest.mark.parametrize("vector_batch", [0, 64])
-def test_link_bandwidth_is_accepted_and_runs(vector_batch):
-    """``link_bandwidth`` widens every hop analytically (docs/MESOSCALE.md,
-    "Serialization approximation"); the model reads the arrival rate from the
-    config, not from engine state that is built later."""
-    from repro.mesoscale import run_flow_experiment
-
-    config = _flow(vector_batch=vector_batch)
-    plain = run_flow_experiment(config)
-    widened = run_flow_experiment(config.replace(link_bandwidth=1e9))
-    assert widened.completed_requests == config.total_requests
-    assert widened.summary()["mean"] > plain.summary()["mean"]
-
-
-@pytest.mark.parametrize("scheme", ["clirs", "netrs-tor"])
-def test_link_bandwidth_prices_responses_at_their_own_size(scheme):
-    """A reply carries the 1 KiB value, so at 1 Gb/s every link it crosses adds
-    its ~8.7 us serialization time -- not the 60-byte request's half
-    microsecond.  One replica per group and a near-idle store leave the
-    selectors no choice and the servers no queue, so both runs serve the same
-    requests with the same draws and the mean moves by wire time alone."""
-    from repro.mesoscale import run_flow_experiment
-    from repro.mesoscale.flow import _wire_sizes
-
-    config = _flow(scheme=scheme, utilization=0.1, replication_factor=1)
-    plain = run_flow_experiment(config)
-    widened = run_flow_experiment(config.replace(link_bandwidth=1e9))
-    kind = "netrs_response_marked" if config.netrs else "response"
-    serialization = _wire_sizes(config)[kind][0] * 8 / 1e9
-    # Request and reply cross the same number of links.
-    hops = plain.transmissions / (2 * config.total_requests)
-    assert hops >= 2
-    assert widened.latency.mean() - plain.latency.mean() >= hops * serialization
+def test_link_bandwidth_is_rejected():
+    """Flow-tier links are pure delays; bandwidth needs the packet tier's queues."""
+    with pytest.raises(ConfigurationError, match="link_bandwidth.*packet"):
+        _flow(link_bandwidth=1e9)

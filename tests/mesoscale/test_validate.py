@@ -1,20 +1,17 @@
-"""The fidelity gate: passes when calibrated, fails when mis-calibrated."""
+"""The fidelity gate: passes on bit-identical tiers, fails on any difference."""
 
+import copy
 import dataclasses
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.mesoscale import VALIDATION_SCENARIOS, FlowEngine
 from repro.mesoscale import validate as validate_mod
-from repro.mesoscale import VALIDATION_SCENARIOS
-from repro.mesoscale.validate import (
-    DEFAULT_TOLERANCES,
-    METRICS,
-    compare_tiers,
-    ks_distance,
-    validate_fidelity,
-)
+from repro.mesoscale.runner import run_flow_experiment
+from repro.mesoscale.validate import compare_tiers, differences, validate_fidelity
+from repro.sim.probes import LatencyRecorder
 
 
 def _tiny_registry():
@@ -27,22 +24,45 @@ def tiny_scenarios(monkeypatch):
     monkeypatch.setattr(validate_mod, "_scenario_configs", _tiny_registry)
 
 
-def test_ks_distance_basics():
-    assert ks_distance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-    assert ks_distance([1.0, 2.0], [10.0, 20.0]) == 1.0
-    assert ks_distance([], [1.0]) == 1.0
-    assert 0.0 < ks_distance([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 9.0]) < 1.0
+@pytest.fixture
+def widened_flow_hop(monkeypatch):
+    """Lengthen the last hop of the flow tier's cross-pod path by 1 us."""
+    build = FlowEngine.__init__
+
+    def __init__(self, config, **kwargs):
+        build(self, config, **kwargs)
+        hops = self._full_path[6]
+        self._full_path[6] = hops[:-1] + (hops[-1] + 1e-6,)
+
+    monkeypatch.setattr(FlowEngine, "__init__", __init__)
 
 
-def test_committed_scenarios_are_registered():
-    registry = validate_mod._scenario_configs()
-    for name in VALIDATION_SCENARIOS:
-        assert name in registry
+def test_the_default_set_is_the_whole_registry():
+    assert VALIDATION_SCENARIOS == tuple(validate_mod._scenario_configs())
+    assert "netrs-tor" in VALIDATION_SCENARIOS
 
 
-def test_netrs_tor_runs_only_when_named():
-    assert "netrs-tor" in validate_mod._scenario_configs()
-    assert "netrs-tor" not in VALIDATION_SCENARIOS
+def test_cli_without_a_scenario_runs_the_whole_registry(tiny_scenarios, capsys):
+    assert validate_mod.main([]) == 0
+    assert "[PASS] tiny" in capsys.readouterr().out
+
+
+def test_differences_name_each_counter_and_the_first_sample():
+    result = run_flow_experiment(_tiny_registry()["tiny"].replace(fidelity="flow"))
+    assert differences(result, result) == []
+    samples = list(result.latency.samples)
+    samples[5] += 1e-9
+    other = copy.copy(result)
+    other.transmissions += 1
+    other.latency = LatencyRecorder()
+    other.latency.extend(samples)
+    assert differences(result, other) == [
+        f"latency sample #5: expected {result.latency.samples[5]!r}, "
+        f"got {samples[5]!r}",
+        f"transmissions: expected {result.transmissions}, "
+        f"got {result.transmissions + 1}",
+    ]
+    assert differences(result, other, ()) == differences(result, other)[:1]
 
 
 def test_report_prints_each_tier_s_cpu_cost_and_never_gates_on_it():
@@ -55,23 +75,18 @@ def test_report_prints_each_tier_s_cpu_cost_and_never_gates_on_it():
     assert "BREACH" not in slow.format()
 
 
-def test_calibrated_tiers_pass_the_gate():
+def test_identical_tiers_pass_the_gate():
     report = compare_tiers("tiny", _tiny_registry()["tiny"])
     assert report.passed
     assert report.breaches == []
-    for metric in METRICS:
-        assert report.rel_err[metric] == 0.0
-    assert report.ks == 0.0
+    assert report.format().startswith("[PASS] tiny")
 
 
-def test_miscalibrated_flow_breaches_the_gate():
-    report = compare_tiers(
-        "tiny", _tiny_registry()["tiny"], service_time_scale=1.5
-    )
+def test_a_perturbed_flow_tier_breaches_the_gate(widened_flow_hop):
+    report = compare_tiers("tiny", _tiny_registry()["tiny"])
     assert not report.passed
-    assert report.breaches
-    assert any("relative error" in breach for breach in report.breaches)
-    assert "BREACH" in report.format()
+    assert any(b.startswith("latency sample #") for b in report.breaches)
+    assert "BREACH: latency sample #" in report.format()
 
 
 def test_unknown_scenario_is_an_error():
@@ -79,19 +94,20 @@ def test_unknown_scenario_is_an_error():
         validate_fidelity(["no-such-scenario"])
 
 
-def test_cli_exit_zero_when_calibrated(tiny_scenarios, capsys):
+def test_cli_exit_zero_when_identical(tiny_scenarios, capsys):
     assert validate_mod.main(["--scenario", "tiny"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] tiny" in out
     assert "fidelity gate passed" in out
 
 
-def test_cli_exit_one_on_threshold_breach(tiny_scenarios, capsys):
-    code = validate_mod.main(["--scenario", "tiny", "--service-scale", "1.5"])
-    assert code == 1
+def test_cli_exit_one_when_the_flow_tier_differs(
+    tiny_scenarios, widened_flow_hop, capsys
+):
+    assert validate_mod.main(["--scenario", "tiny"]) == 1
     captured = capsys.readouterr()
     assert "[FAIL] tiny" in captured.out
-    assert "BREACH" in captured.out
+    assert "BREACH: latency sample #" in captured.out
     assert "FAILED" in captured.err
 
 
@@ -102,7 +118,7 @@ def test_cli_list(tiny_scenarios, capsys):
 
 @pytest.mark.slow
 def test_committed_scenarios_pass():
-    """The acceptance gate itself: both paper scenarios, default tolerances."""
-    reports = validate_fidelity(VALIDATION_SCENARIOS, tolerances=DEFAULT_TOLERANCES)
-    assert all(report.passed for report in reports)
-    assert {r.scenario for r in reports} == set(VALIDATION_SCENARIOS)
+    """The acceptance gate itself: every registered scenario, bit for bit."""
+    reports = validate_fidelity()
+    assert [report.breaches for report in reports] == [[]] * len(reports)
+    assert tuple(r.scenario for r in reports) == VALIDATION_SCENARIOS

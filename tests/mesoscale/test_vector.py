@@ -17,8 +17,9 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.mesoscale import FlowEngine, VectorFlowEngine, shard_configs
 from repro.mesoscale.runner import run_flow_experiment
+from repro.mesoscale.validate import IDENTITY_FIELDS, differences
 
-from tests.mesoscale.test_flow import FAULT_SCHEDULE, IDENTITY_FIELDS
+from tests.mesoscale.test_flow import FAULT_SCHEDULE
 
 #: Flow-tier-only counter, checked on top of the shared identity fields.
 _FIELDS = IDENTITY_FIELDS + ("micro_events",)
@@ -44,10 +45,7 @@ def _run(config):
 
 
 def _assert_identical(scalar, vector, tag):
-    assert tuple(vector.latency.samples) == tuple(scalar.latency.samples), tag
-    for name in _FIELDS:
-        assert getattr(vector, name) == getattr(scalar, name), (tag, name)
-    assert abs(vector.unavailability - scalar.unavailability) < 1e-12, tag
+    assert differences(scalar, vector, _FIELDS) == [], tag
 
 
 def _assert_knob_is_invisible(config, vector_batch, engine_class, tag):
@@ -143,10 +141,6 @@ _FAST_PATH_AXES = {
     "stable-service": ("clirs-r95", dict(fluctuation_range=1.0), ()),
     "fluctuation-3x": ("clirs-r95", dict(fluctuation_range=3.0), ()),
     "unbatched-rng": ("clirs-r95", dict(rng_batch_size=0), ()),
-    "bandwidth": ("clirs-r95", dict(link_bandwidth=1e9), ()),
-    "bandwidth-1k-values": (
-        "clirs-r95", dict(link_bandwidth=1e9, value_size=1024), ()
-    ),
     # Timeouts shorter than the tail: hundreds of live timeouts, retries
     # through the flat retry send, some requests lost.
     "live-timeouts": (
