@@ -10,7 +10,7 @@ help:
 	@echo "test-fast     fast tests only (~45 s on 2 cores)"
 	@echo "ci            what CI runs: fast tests (see .github/workflows/ci.yml)"
 	@echo "faults-smoke  crash-and-recover drill from docs/FAULTS.md (retries, zero lost)"
-	@echo "mesoscale-smoke  1k-host flow-tier demo (events/request per tier) + fidelity gate on every scenario"
+	@echo "mesoscale-smoke  1k-host flow-tier demo (events/request per tier) + fidelity gate on every scenario + a --fidelity flow run the flow engine does not model"
 	@echo "docs-check    validate every relative link/anchor in README.md + docs/*.md, then run the docs/CONSISTENCY.md example"
 	@echo "consistency-smoke  quorum-write/read-repair/churn drill from docs/CONSISTENCY.md"
 	@echo "lint          determinism sanitizer + ruff + mypy (latter two skip if absent)"
@@ -68,6 +68,7 @@ consistency-smoke:
 mesoscale-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) examples/mesoscale_1m.py --smoke
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro validate-fidelity
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro run netrs-ilp --fidelity flow --requests 2000
 
 # Three layers: the project AST sanitizer is mandatory; ruff/mypy run when
 # installed (pip install -e ".[lint]") and are skipped gracefully otherwise

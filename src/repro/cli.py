@@ -137,24 +137,26 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         "--fidelity",
         choices=("packet", "flow"),
         default="packet",
-        help="simulation tier: 'packet' (hop-by-hop) or 'flow' "
-        "(mesoscale, see docs/MESOSCALE.md)",
+        help="simulation tier: 'packet' (hop-by-hop) or 'flow' (the fastest "
+        "engine with the same result: a flow engine where it models the "
+        "config, else the packet engine; see docs/MESOSCALE.md)",
     )
     parser.add_argument(
         "--vector-batch",
         type=int,
         default=0,
         help="flow tier only: SoA request-block length for the vectorized "
-        "fast path, which runs clirs/clirs-r95 with algorithm c3 and no link "
-        "fault; other configs run the scalar engine with identical results "
-        "(0 = scalar everywhere; see docs/MESOSCALE.md)",
+        "fast path, which runs clirs/clirs-r95 with algorithm c3 where the "
+        "flow engine models the config; other configs run as without it, "
+        "with identical results (0 = off; see docs/MESOSCALE.md)",
     )
     parser.add_argument(
         "--shards",
         type=int,
         default=1,
         help="flow tier only: split the run into N independent shards "
-        "executed as repro.exec jobs (see docs/MESOSCALE.md)",
+        "executed as repro.exec jobs, on configs the flow engine models "
+        "(see docs/MESOSCALE.md)",
     )
 
 

@@ -93,7 +93,7 @@ class JobOutcome:
     sim_duration: float = 0.0
     wall_time: float = 0.0
     events_executed: int = 0
-    micro_events: int = 0  # flow-tier internal events (fidelity="flow")
+    micro_events: int = 0  # flow-engine internal events (0 if none ran)
     attempts: int = 1
     # Failure-aware counters (zero on fault-free runs; see docs/FAULTS.md).
     # ``from_record`` ignores unknown fields, so ledgers written before

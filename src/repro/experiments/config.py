@@ -113,11 +113,12 @@ class ExperimentConfig:
     # --- membership churn (see docs/CONSISTENCY.md) --------------------------
     churn_schedule: Optional[str] = None  # node-join/node-leave events only
     # --- fidelity tier (see docs/MESOSCALE.md) -------------------------------
-    fidelity: str = "packet"  # "packet" (hop-by-hop) or "flow" (mesoscale)
+    # "packet" (hop-by-hop) or "flow": the fastest engine with the packet
+    # engine's result (mesoscale.support picks it), same results either way.
+    fidelity: str = "packet"
     # --- flow-tier fast path (see docs/MESOSCALE.md "Vectorized fast path") --
-    # SoA request-block length; 0 = scalar flow engine.  Applies to clirs /
-    # clirs-r95 with algorithm "c3" and no link fault (mesoscale.support.
-    # vector_eligible); any other config runs the scalar engine, same results.
+    # SoA request-block length; 0 = scalar flow engine.  Applies where
+    # mesoscale.support.vector_eligible holds; elsewhere it changes nothing.
     vector_batch: int = 0
     shards: int = 1  # independent flow sub-experiments run as exec jobs
 
@@ -295,6 +296,8 @@ class ExperimentConfig:
             raise ConfigurationError("rng_batch_size must be >= 0 (0 = off)")
         if not 0 <= self.background_traffic_rate < math.inf:
             raise ConfigurationError("background_traffic_rate must be finite and >= 0")
+        if self.background_packet_size < 1:
+            raise ConfigurationError("background_packet_size must be >= 1 byte")
         if self.background_traffic_rate > 0:
             idle = self.total_hosts() - self.n_servers - self.n_clients
             if idle < 2:
@@ -327,6 +330,12 @@ class ExperimentConfig:
             raise ConfigurationError("request_timeout must be finite and positive (seconds)")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
+        if self.solver_time_limit is not None and not (
+            0 < self.solver_time_limit < math.inf
+        ):
+            raise ConfigurationError(
+                "solver_time_limit must be None or finite and positive (seconds)"
+            )
         if self.replan_period is not None and not (
             self.netrs and self.replan_period > 0
         ):
@@ -380,12 +389,11 @@ class ExperimentConfig:
                 "vector_batch and shards are flow-tier knobs; set "
                 "fidelity='flow' to use them -- see docs/MESOSCALE.md"
             )
-        if self.fidelity == "flow":
-            # Imported lazily for the same reason as the fault schedule; the
-            # gate rejects everything the flow tier cannot model faithfully.
-            from repro.mesoscale.support import ensure_flow_supported
+        if self.shards > 1:
+            # Imported lazily for the same reason as the fault schedule.
+            from repro.mesoscale.support import ensure_shardable
 
-            ensure_flow_supported(self)
+            ensure_shardable(self)
         if self.workload_mode == "closed":
             if self.write_fraction:
                 raise ConfigurationError(

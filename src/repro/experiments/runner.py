@@ -39,7 +39,7 @@ class ExperimentResult:
     bytes_transferred: int = 0
     netrs_overhead_bytes: int = 0
     events_executed: int = 0
-    # Entries the flow engine's heap ran (fidelity="flow" only; no
+    # Entries the flow engine's heap ran (0 unless a flow engine ran; no
     # Environment runs there, so events_executed is 0 -- docs/MESOSCALE.md)
     micro_events: int = 0
     # Failure-aware accounting (all zero on fault-free runs; docs/FAULTS.md)
@@ -97,7 +97,7 @@ class ExperimentResult:
             f"sim={self.sim_duration:.2f}s wall={self.wall_time:.2f}s "
             f"events={self.events_executed}",
         ]
-        if self.config.fidelity == "flow":
+        if self.micro_events:  # a flow engine ran
             per_request = self.micro_events / max(1, self.completed_requests)
             lines.append(
                 f"fidelity=flow micro_events={self.micro_events} "
@@ -160,18 +160,24 @@ def run_experiment(
     simulated-time safety horizon (which would indicate a deadlock bug, not a
     slow system).
 
-    With ``config.fidelity == "flow"`` the run is delegated to the mesoscale
-    tier (:mod:`repro.mesoscale`); the result schema is identical.
+    With ``config.fidelity == "flow"`` the run goes to the fastest engine that
+    gives the packet engine's result: a flow engine of :mod:`repro.mesoscale`
+    where :func:`~repro.mesoscale.support.flow_models` holds (the SoA one
+    where :func:`~repro.mesoscale.support.vector_eligible` does too), the
+    packet engine otherwise.  The result schema is identical.
     """
     if config.fidelity == "flow":
-        if scenario is not None:
-            raise ConfigurationError(
-                "scenario reuse is packet-tier only; fidelity='flow' builds "
-                "its own FlowEngine"
-            )
+        # Imported here: repro.mesoscale builds on this module.
         from repro.mesoscale.runner import run_flow_experiment
+        from repro.mesoscale.support import flow_models
 
-        return run_flow_experiment(config, keep_engine=keep_scenario)
+        if flow_models(config):
+            if scenario is not None:
+                raise ConfigurationError(
+                    "scenario reuse is packet-tier only; a flow engine runs "
+                    "this fidelity='flow' config and builds itself"
+                )
+            return run_flow_experiment(config, keep_engine=keep_scenario)
     if scenario is None:
         scenario = build_scenario(config)
     env = scenario.env

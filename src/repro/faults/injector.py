@@ -8,8 +8,9 @@ reproducible as one without.  Both tiers drive it: the packet tier on its
 :class:`~repro.sim.core.Environment` and :class:`~repro.network.fabric.Network`,
 the flow tier on its :class:`~repro.mesoscale.flow.FlowEngine`, which is its
 own clock and its own fabric.  Whatever is passed as ``network`` resolves
-``tor(...)`` and literal names (``tor_of``, ``has_node``), says which node
-pairs share a link (``has_link``) and takes the link transitions.
+``tor(...)`` and literal names (``tor_of``, ``has_node``); the packet tier's
+also says which node pairs share a link (``has_link``) and takes the link
+transitions (the flow engine runs server faults only).
 
 Construction resolves every symbolic target (``server#i``, ``client#i``,
 ``tor(...)``, operator ``busiest``) against the built scenario immediately,

@@ -10,7 +10,10 @@ RNG streams and client/server queue logic shared with the packet tier, so a
 flow run is bit-identical to the packet run of the same config.
 
 Select it with ``ExperimentConfig(fidelity="flow")`` (or ``--fidelity flow``
-on the CLI); :mod:`repro.mesoscale.validate` and ``netrs validate-fidelity``
+on the CLI): ``run_experiment`` then runs the fastest engine with the packet
+engine's result -- a flow engine where
+:func:`~repro.mesoscale.support.flow_models` holds, the packet engine
+elsewhere.  :mod:`repro.mesoscale.validate` and ``netrs validate-fidelity``
 gate that identity.  See docs/MESOSCALE.md.
 
 Two performance layers ride on top of the flow tier, both byte-identical
@@ -27,7 +30,7 @@ from repro.mesoscale.shard import (
     run_sharded_flow_experiment,
     shard_configs,
 )
-from repro.mesoscale.support import FLOW_SCHEMES, ensure_flow_supported
+from repro.mesoscale.support import FLOW_SCHEMES, flow_models
 from repro.mesoscale.vector import VectorFlowEngine
 from repro.mesoscale.validate import (
     FidelityReport,
@@ -42,7 +45,7 @@ __all__ = [
     "FlowEngine",
     "VALIDATION_SCENARIOS",
     "VectorFlowEngine",
-    "ensure_flow_supported",
+    "flow_models",
     "merge_outcomes",
     "run_flow_experiment",
     "run_sharded_flow_experiment",

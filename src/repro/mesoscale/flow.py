@@ -25,17 +25,20 @@ comes off the wire is posted straight to ``ServerCore.handle_arrival`` and
 
 The heap is the run's only clock.  Fault transitions are entries on it too,
 armed by the packet tier's own :class:`~repro.faults.injector.FaultInjector`,
-to which the engine is both clock and fabric (``fail_link`` and the rest).
-Every entry that runs -- arrival, service completion, response delivery,
-timers, fluctuation ticks, fault transitions -- counts in
+to which the engine is both clock and fabric: server crashes are the only
+faults it models, so it resolves targets (``tor_of``, ``has_node``) and takes
+no link transition.  Every entry that runs -- arrival, service completion,
+response delivery, timers, fluctuation ticks, fault transitions -- counts in
 ``FlowEngine.micro_events``.
 
 Fidelity: the flow tier accumulates per-hop delays with the same float
 additions the packet engine performs hop by hop and consumes the same named
 RNG streams in the same order, so a flow run is bit-identical to the packet
 run of the same config (``netrs validate-fidelity`` gates exactly that).
-Links are pure delays here; ``link_bandwidth`` needs real queues and is
-rejected at config time (:func:`~repro.mesoscale.support.ensure_flow_supported`).
+Links are pure delays here; what that cannot model (``link_bandwidth``, link
+faults and the rest: :func:`~repro.mesoscale.support.flow_models`) runs on the
+packet engine, and constructing this one on it raises
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.selector_node import NetRSSelector
-from repro.faults.events import LinkDegrade, LinkDown, LinkUp
+from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import parse_fault_schedule
 from repro.kvstore.client import ClientCore, CompletionTracker, RedundancyPolicy
@@ -54,7 +57,7 @@ from repro.kvstore.hashing import shared_ring
 from repro.kvstore.server import ServerCore
 from repro.kvstore.workload import DemandWeights, OpenLoopWorkload, ZipfSampler
 from repro.mesoscale.geometry import FatTreeGeometry
-from repro.mesoscale.support import ensure_flow_supported
+from repro.mesoscale.support import flow_models
 from repro.network.accelerator import Accelerator
 from repro.network.packet import (
     _SIZE_MF,
@@ -99,7 +102,12 @@ class FlowEngine:
 
     def __init__(self, config) -> None:
         config.validate()
-        ensure_flow_supported(config)
+        if not flow_models(config):
+            raise ConfigurationError(
+                "the flow engine does not model this config (docs/MESOSCALE.md, "
+                "\"What the flow engine models\"); run_experiment runs it on "
+                "the packet engine"
+            )
         self.config = config
         self.geometry = FatTreeGeometry(config.fat_tree_k)
         rng = RngRegistry(config.seed)
@@ -132,15 +140,10 @@ class FlowEngine:
         h = config.host_link_latency
         s = config.switch_link_latency
         self._host_lat = h
-        self._switch_lat = s
         self._full_path = {2: (h, h), 4: (h, s, s, h), 6: (h, s, s, s, s, h)}
         self._from_tor = {2: (h,), 4: (s, s, h), 6: (s, s, s, s, h)}
         self._to_tor = {2: (h,), 4: (h, s, s), 6: (h, s, s, s, s)}
         self._sizes = _wire_sizes(config)
-        self._dead_links: set = set()
-        self._degraded: Dict[Tuple[str, str], float] = {}
-        self._guarded = False  # hop-level fault checks only when link faults exist
-        self.packets_dropped = 0
         self.transmissions = 0
         self.bytes_transferred = 0
         self.netrs_overhead_bytes = 0
@@ -271,13 +274,9 @@ class FlowEngine:
         # that ties with another entry runs in the packet tier's order -----
         self.faults: Optional[FaultInjector] = None
         if config.fault_schedule:
-            schedule = parse_fault_schedule(config.fault_schedule)
-            self._guarded = any(
-                isinstance(e, (LinkDown, LinkUp, LinkDegrade)) for e in schedule
-            )
             self.faults = FaultInjector(
                 self,
-                schedule,
+                parse_fault_schedule(config.fault_schedule),
                 network=self,
                 servers=self.servers,
                 server_hosts=self.server_hosts,
@@ -348,31 +347,13 @@ class FlowEngine:
         self.__dict__.clear()
 
     # ------------------------------------------------------------------
-    # The fabric the fault injector drives: host-access links only
+    # The fabric the fault injector resolves server targets on
     # ------------------------------------------------------------------
     def tor_of(self, host: str) -> str:
         return self.geometry.tor_name(host)
 
     def has_node(self, name: str) -> bool:
         return self.geometry.is_host(name)
-
-    def has_link(self, a: str, b: str) -> bool:
-        host, other = (a, b) if self.geometry.is_host(a) else (b, a)
-        return self.geometry.is_host(host) and other == self.geometry.tor_name(host)
-
-    def fail_link(self, a: str, b: str) -> None:
-        self._dead_links.add((a, b))
-        self._dead_links.add((b, a))
-
-    def restore_link(self, a: str, b: str) -> None:
-        self._dead_links.discard((a, b))
-        self._dead_links.discard((b, a))
-        self._degraded.pop((a, b), None)
-        self._degraded.pop((b, a), None)
-
-    def degrade_link(self, a: str, b: str, factor: float) -> None:
-        self._degraded[(a, b)] = factor
-        self._degraded[(b, a)] = factor
 
     # ------------------------------------------------------------------
     # Analytic delivery (the flow tier's replacement for packet forwarding)
@@ -385,9 +366,9 @@ class FlowEngine:
     def _cross_accounted(self) -> None:
         """Account the hops dated up to now; those dated later wait.
 
-        A sender that does a ToR's work for it (no link fault scheduled)
-        dates the hops the packet crosses from there with the instant it
-        leaves the ToR, in ``_accounted_ahead``.  A run that stops first must
+        A sender that does a ToR's work for it dates the hops the packet
+        crosses from there with the instant it leaves the ToR, in
+        ``_accounted_ahead``.  A run that stops first must
         not count them -- the packet tier would not have transmitted -- so
         they enter the books only once the clock is past them; the books are
         final after :meth:`run`.
@@ -404,8 +385,6 @@ class FlowEngine:
     def _send_along(
         self,
         hops: Tuple[float, ...],
-        first_link: Optional[Tuple[str, str]],
-        last_link: Optional[Tuple[str, str]],
         size: int,
         overhead: int,
         fn: _MicroFn,
@@ -413,60 +392,22 @@ class FlowEngine:
     ) -> None:
         """Deliver along a fixed hop sequence, accumulating per-hop delays.
 
-        Fast path: one float addition per hop (the exact additions the
-        packet engine performs via per-hop ``post_in``), one micro-event at
-        the far end.  Guarded path (only when the fault schedule contains
-        link events): the first access-link crossing (when ``first_link``
-        names one) and the last are checked against dead/degraded state at
-        their actual transmit times.
+        One float addition per hop (the exact additions the packet engine
+        performs via per-hop ``post_in``), one micro-event at the far end.
         """
         t = self._now
-        if not self._guarded:
-            for d in hops:
-                t += d
-            self._account(len(hops), size, overhead)
-            self.post_at(t, fn, args)
-            return
-        start = 0
-        if first_link is not None:
-            if first_link in self._dead_links:
-                self.packets_dropped += 1
-                return
-            first = hops[0]
-            factor = self._degraded.get(first_link)
-            if factor is not None:
-                first *= factor
-            t += first
-            start = 1
-        for d in hops[start:-1]:
+        for d in hops:
             t += d
-        self._account(len(hops) - 1, size, overhead)
-        self.post_at(
-            t, self._final_hop, (last_link, hops[-1], size, overhead, fn, args)
-        )
-
-    def _final_hop(self, link, lat, size, overhead, fn, args) -> None:
-        """Cross the destination access link at its real transmit time."""
-        if link in self._dead_links:
-            self.packets_dropped += 1
-            return
-        factor = self._degraded.get(link)
-        if factor is not None:
-            lat *= factor
-        self._account(1, size, overhead)
-        self.post_at(self._now + lat, fn, args)
+        self._account(len(hops), size, overhead)
+        self.post_at(t, fn, args)
 
     # -- CliRS paths ---------------------------------------------------
     def _send_request(self, client: ClientCore, rid: int, entry, target: str) -> None:
         """A client's ``transmit``: the request travels host to host."""
         hops = self._full_path[self.geometry.hop_count(client.name, target)]
         size, overhead = self._sizes["request"]
-        first = last = None
-        if self._guarded:
-            first = (client.name, self.geometry.tor_name(client.name))
-            last = (self.geometry.tor_name(target), target)
         self._send_along(
-            hops, first, last, size, overhead,
+            hops, size, overhead,
             self.servers[target].handle_arrival, ((client, rid, None),),
         )
 
@@ -475,20 +416,15 @@ class FlowEngine:
         client, rid, _rv = job
         hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
         size, overhead = self._sizes["response"]
-        first = last = None
-        if self._guarded:
-            first = (server.name, self.geometry.tor_name(server.name))
-            last = (self.geometry.tor_name(client.name), client.name)
         self._send_along(
-            hops, first, last, size, overhead,
+            hops, size, overhead,
             self._on_response[client], (rid, server.name, status),
         )
 
     # -- NetRS paths (netrs-tor: RSNode at the client's ToR) -----------
-    # With no link fault scheduled nothing can intervene between a send and
-    # its arrival, so what a ToR would do when the packet reaches it is done
-    # by the sender, dated with the instant the ToR would have done it; a
-    # guarded run keeps one event per ToR and checks the links there.
+    # Links never fail here, so nothing can intervene between a send and its
+    # arrival: what a ToR would do when the packet reaches it is done by the
+    # sender, dated with the instant the ToR would have done it.
     def _send_via_operator(
         self, client: ClientCore, rid: int, entry, backup, rgid: Optional[int] = None
     ) -> None:
@@ -500,48 +436,25 @@ class FlowEngine:
         if rgid is None:
             rgid = entry.rgid
         op = self._operator_of[client.name]
-        lat = self._host_lat
-        if self._guarded:
-            link = (client.name, self.geometry.tor_name(client.name))
-            if link in self._dead_links:
-                self.packets_dropped += 1
-                return
-            factor = self._degraded.get(link)
-            if factor is not None:
-                lat *= factor
         size, overhead = self._sizes["netrs_request"]
         self._account(1, size, overhead)
         # Host -> ToR, then ToR -> accelerator (submit adds the link delay).
         op.accelerator.submit_at(
-            self._now + lat, (op, client, rid, rgid), self._select_work, self._forward_selected
+            self._now + self._host_lat, (op, client, rid, rgid), self._select_work
         )
 
-    def _select_work(self, job, now: float):
-        """Accelerator work: select; unguarded, send the request on as well."""
+    def _select_work(self, job, now: float) -> None:
+        """Accelerator work: select, then send the request on from the ToR."""
         op, client, rid, rgid = job
         server = op.selector.select(rgid, now)
-        if self._guarded:
-            # Handed to _forward_selected one link delay on.
-            return (client, rid, server, now)  # retaining value = now
         hops = self._from_tor[self.geometry.hop_count(client.name, server)]
         size, overhead = self._sizes["netrs_request"]
         t = leaves = now + op.accelerator.link_delay
         for d in hops:
             t += d
         self._accounted_ahead.append((leaves, len(hops), size, overhead))
+        # The retaining value is the selection instant.
         self.post_at(t, self.servers[server].handle_arrival, ((client, rid, now),))
-        return None
-
-    def _forward_selected(self, selected) -> None:
-        """Guarded: the rebuilt request leaves the ToR toward the selected server."""
-        client, rid, server, rv = selected
-        hops = self._from_tor[self.geometry.hop_count(client.name, server)]
-        size, overhead = self._sizes["netrs_request"]
-        last = (self.geometry.tor_name(server), server)
-        self._send_along(
-            hops, None, last, size, overhead,
-            self.servers[server].handle_arrival, ((client, rid, rv),),
-        )
 
     def _send_netrs_response(self, server, job, status, queue_delay, service_time) -> None:
         """A server's ``respond`` under NetRS: the reply travels to the client's ToR."""
@@ -552,25 +465,13 @@ class FlowEngine:
         # bytes -- mirror the packet tier's per-hop accounting exactly.
         size, overhead = self._sizes["netrs_response"]
         marked_size, marked_overhead = self._sizes["netrs_response_marked"]
-        lat = hops[0]
-        if self._guarded:
-            link = (server.name, self.geometry.tor_name(server.name))
-            if link in self._dead_links:
-                self.packets_dropped += 1
-                return
-            factor = self._degraded.get(link)
-            if factor is not None:
-                lat *= factor
-        t = self._now + lat
-        for d in hops[1:]:
+        t = self._now
+        for d in hops:
             t += d
         marked = len(hops) - 1
         self.transmissions += 1 + marked
         self.bytes_transferred += size + marked_size * marked
         self.netrs_overhead_bytes += overhead + marked_overhead * marked
-        if self._guarded:
-            self.post_at(t, self._tor_response, (client, rid, rv, server.name, status))
-            return
         # What the ToR does at t: clone to the RSNode, forward to the client.
         op = self._operator_of[client.name]
         op.accelerator.submit_at(t, (op, rv, server.name, status), self._absorb_response)
@@ -581,29 +482,10 @@ class FlowEngine:
             self._host_lat + t, self._on_response[client], (rid, server.name, status)
         )
 
-    def _tor_response(self, client, rid, rv, server_name, status) -> None:
-        """Guarded: the response reaches the client's ToR; clone to the RSNode, forward."""
-        op = self._operator_of[client.name]
-        op.accelerator.submit_at(
-            self._now, (op, rv, server_name, status), self._absorb_response
-        )
-        link = (self.geometry.tor_name(client.name), client.name)
-        lat = self._host_lat
-        if link in self._dead_links:
-            self.packets_dropped += 1
-            return
-        factor = self._degraded.get(link)
-        if factor is not None:
-            lat *= factor
-        size, overhead = self._sizes["netrs_response_marked"]
-        self._account(1, size, overhead)
-        self.post_at(lat + self._now, self._on_response[client], (rid, server_name, status))
-
-    def _absorb_response(self, job, now: float):
+    def _absorb_response(self, job, now: float) -> None:
         """Accelerator work for a response clone: update state, drop."""
         op, rv, server_name, status = job
         op.selector.fold(server_name, rv, status, now)
-        return None
 
     # ------------------------------------------------------------------
     # Result accounting helpers

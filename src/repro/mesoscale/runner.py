@@ -25,7 +25,12 @@ def run_flow_experiment(
     *,
     keep_engine: bool = False,
 ) -> ExperimentResult:
-    """Run ``config`` on the flow tier; returns the standard result schema.
+    """Run ``config`` on a flow engine; returns the standard result schema.
+
+    ``config`` must be one the flow engine models
+    (:func:`~repro.mesoscale.support.flow_models`; else the engine raises
+    :class:`ConfigurationError`): ``run_experiment`` runs any other on the
+    packet engine.
 
     Dispatch: ``config.shards > 1`` fans the run out as independent
     ``repro.exec`` jobs and merges them (repro.mesoscale.shard);
@@ -118,7 +123,6 @@ def _run_engine(engine: FlowEngine, config: ExperimentConfig) -> ExperimentResul
         duplicates_suppressed=sum(
             c.duplicates_suppressed for c in engine.clients
         ),
-        packets_dropped=engine.packets_dropped,
         server_dropped_requests=sum(
             s.dropped_requests for s in engine.servers.values()
         ),

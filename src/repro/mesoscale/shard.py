@@ -16,26 +16,21 @@ result is a pure function of the config: byte-identical for any worker
 count, and (because each shard is an ordinary flow run) identical whether
 shards run the scalar or the vectorized engine.
 
-Fault schedules shard too: logical targets (``server#i`` / ``client#i`` /
-``tor(client#i)``) are remapped onto the owning shard's local index space.
-Raw host names cannot be mapped and are rejected at config time.
+Fault schedules shard too: a sharded config is one the flow engine models,
+so its faults are server crashes, and their logical targets (``server#i``)
+are remapped onto the owning shard's local index space.  Raw host names
+cannot be mapped and are rejected at config time.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.exec import ExecutionPolicy, Job, JobOutcome, execute_jobs, outcome_from_result
-from repro.faults.events import (
-    LinkDegrade,
-    LinkDown,
-    LinkUp,
-    ServerDown,
-    ServerUp,
-)
+from repro.faults.events import ServerDown, ServerUp
 from repro.faults.schedule import FaultSchedule, parse_fault_schedule
 
 if TYPE_CHECKING:  # imported lazily: experiments builds on this package
@@ -59,7 +54,6 @@ _MERGE_SUMS = (
     "retries",
     "requests_lost",
     "duplicates_suppressed",
-    "packets_dropped",
     "server_dropped_requests",
     "faults_injected",
     "selector_requests_handled",
@@ -70,47 +64,26 @@ _MERGE_SUMS = (
 # ----------------------------------------------------------------------
 # Fault-target remapping
 # ----------------------------------------------------------------------
-def _shard_of(ref: str, config: "ExperimentConfig") -> int:
-    """Owning shard of one logical node reference."""
+def _remap(ref: str, config: "ExperimentConfig") -> Tuple[int, str]:
+    """The owning shard of a logical server reference, and the reference in
+    that shard's own index space."""
     inner = ref.strip()
-    while inner.startswith("tor(") and inner.endswith(")"):
-        inner = inner[4:-1].strip()
-    for prefix, population in (
-        ("server#", config.n_servers),
-        ("client#", config.n_clients),
-    ):
-        if inner.startswith(prefix):
-            try:
-                index = int(inner[len(prefix):])
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad logical fault target {ref!r}"
-                ) from None
-            if not 0 <= index < population:
-                raise ConfigurationError(
-                    f"fault target {ref!r} out of range (0..{population - 1})"
-                )
-            return index // (population // config.shards)
-    raise ConfigurationError(
-        f"sharded runs cannot map fault target {ref!r}: use logical "
-        "'server#i' / 'client#i' / 'tor(client#i)' references "
-        "(raw host names bind to the unsharded topology)"
-    )
-
-
-def _localize(ref: str, config: "ExperimentConfig") -> str:
-    """Rewrite a logical reference into the owning shard's index space."""
-    ref = ref.strip()
-    if ref.startswith("tor(") and ref.endswith(")"):
-        return f"tor({_localize(ref[4:-1], config)})"
-    for prefix, population in (
-        ("server#", config.n_servers),
-        ("client#", config.n_clients),
-    ):
-        if ref.startswith(prefix):
-            index = int(ref[len(prefix):])
-            return f"{prefix}{index % (population // config.shards)}"
-    raise ConfigurationError(f"cannot localize fault target {ref!r}")
+    if not inner.startswith("server#"):
+        raise ConfigurationError(
+            f"sharded runs cannot map fault target {ref!r}: use logical "
+            "'server#i' references (raw host names bind to the unsharded "
+            "topology)"
+        )
+    try:
+        index = int(inner[len("server#"):])
+    except ValueError:
+        raise ConfigurationError(f"bad logical fault target {ref!r}") from None
+    if not 0 <= index < config.n_servers:
+        raise ConfigurationError(
+            f"fault target {ref!r} out of range (0..{config.n_servers - 1})"
+        )
+    size = config.n_servers // config.shards
+    return index // size, f"server#{index % size}"
 
 
 def split_fault_schedule(
@@ -118,41 +91,18 @@ def split_fault_schedule(
 ) -> List[Optional[str]]:
     """Per-shard fault specs for ``config`` (None where a shard has none).
 
-    Raises :class:`~repro.errors.ConfigurationError` for targets that do not
-    shard: raw host names, and link faults whose endpoints live in
-    different shards (the sub-systems share no links).
+    Only server faults reach here (a sharded config is one the flow engine
+    models).  Raises :class:`~repro.errors.ConfigurationError` for targets
+    that do not shard: raw host names.
     """
     shards = config.shards
     if not config.fault_schedule:
         return [None] * shards
     per_shard: List[FaultSchedule] = [FaultSchedule() for _ in range(shards)]
     for event in parse_fault_schedule(config.fault_schedule).events:
-        if isinstance(event, (ServerDown, ServerUp)):
-            owner = _shard_of(event.server, config)
-            per_shard[owner].add(
-                type(event)(event.at, _localize(event.server, config))
-            )
-        elif isinstance(event, (LinkDown, LinkUp, LinkDegrade)):
-            owner_a = _shard_of(event.a, config)
-            owner_b = _shard_of(event.b, config)
-            if owner_a != owner_b:
-                raise ConfigurationError(
-                    f"link fault {event.a!r}<->{event.b!r} crosses shards "
-                    f"{owner_a} and {owner_b}; sharded sub-systems share no "
-                    "links"
-                )
-            local_a = _localize(event.a, config)
-            local_b = _localize(event.b, config)
-            if isinstance(event, LinkDegrade):
-                per_shard[owner_a].add(
-                    LinkDegrade(event.at, local_a, local_b, event.factor)
-                )
-            else:
-                per_shard[owner_a].add(type(event)(event.at, local_a, local_b))
-        else:  # RSNode events: already rejected by ensure_flow_supported
-            raise ConfigurationError(
-                "RSNode fault events are not supported on the flow tier"
-            )
+        assert isinstance(event, (ServerDown, ServerUp))
+        owner, local = _remap(event.server, config)
+        per_shard[owner].add(type(event)(event.at, local))
     return [
         schedule.describe() if len(schedule) else None
         for schedule in per_shard
@@ -259,7 +209,6 @@ def merge_outcomes(
         retries=int(totals["retries"]),
         requests_lost=int(totals["requests_lost"]),
         duplicates_suppressed=int(totals["duplicates_suppressed"]),
-        packets_dropped=int(totals["packets_dropped"]),
         server_dropped_requests=int(totals["server_dropped_requests"]),
         faults_injected=int(totals["faults_injected"]),
         unavailability=unavailability,

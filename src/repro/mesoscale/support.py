@@ -1,11 +1,18 @@
-"""Feature gating for the mesoscale (flow-level) fidelity tier.
+"""Which engine runs a ``fidelity="flow"`` config.
 
-The flow tier reproduces the packet engine's behaviour for the paper's core
-read path; everything it cannot faithfully model is rejected *up front* with
-a :class:`~repro.errors.ConfigurationError` naming the packet tier as the
-fallback.  ``ExperimentConfig.validate`` calls :func:`ensure_flow_supported`
-lazily whenever ``fidelity="flow"``, so unsupported combinations fail at
-config time (CLI, sweeps, job creation) rather than mid-run.
+``fidelity="flow"`` asks for the fastest engine that gives the packet
+engine's result, bit for bit.  ``run_experiment`` picks it:
+
+* the struct-of-arrays engine where :func:`vector_eligible` holds (and
+  ``vector_batch > 0``);
+* the scalar :class:`~repro.mesoscale.flow.FlowEngine` where
+  :func:`flow_models` holds;
+* the packet engine otherwise, which models everything hop by hop.
+
+No config is refused for its fidelity.  Sharding alone is a flow-engine
+feature (a packet shard would build the whole tree), so ``shards > 1`` is
+rejected at config time unless :func:`flow_models` holds
+(:func:`ensure_shardable`).
 """
 
 from __future__ import annotations
@@ -15,59 +22,34 @@ from repro.errors import ConfigurationError
 #: Schemes the flow tier models (see docs/MESOSCALE.md for the mapping).
 FLOW_SCHEMES = ("clirs", "clirs-r95", "netrs-tor")
 
-_LINK_EVENTS = ("LinkDown", "LinkUp", "LinkDegrade")
 
+def flow_models(config) -> bool:
+    """Whether the scalar flow engine models ``config`` exactly.
 
-def _reject(reason: str) -> None:
-    raise ConfigurationError(
-        f"fidelity='flow' does not support {reason}; "
-        "use fidelity='packet' for this configuration (docs/MESOSCALE.md)"
-    )
-
-
-def ensure_flow_supported(config) -> None:
-    """Raise :class:`ConfigurationError` if ``config`` needs the packet tier."""
-    if config.shards > 1:
-        _ensure_shardable(config)
-    if config.scheme not in FLOW_SCHEMES:
-        _reject(
-            f"scheme {config.scheme!r} (supported: {', '.join(FLOW_SCHEMES)}; "
-            "multi-tier RSNode placement is packet-tier only)"
-        )
-    if config.workload_mode != "open":
-        _reject("closed-loop workloads")
-    if config.write_fraction:
-        _reject(
-            "mixed read/write workloads (quorum writes are not mirrored "
-            "into the flow tier yet; set write_fraction=0)"
-        )
-    if config.read_quorum is not None and config.read_quorum > 1:
-        _reject(
-            "quorum reads (the digest-probe path is not mirrored into the "
-            "flow tier yet; leave read_quorum unset)"
-        )
-    if config.churn_schedule:
-        _reject(
-            "membership churn (ring migration traffic is not mirrored into "
-            "the flow tier yet; leave churn_schedule unset)"
-        )
-    if config.background_traffic_rate > 0:
-        _reject("background traffic")
-    if config.link_bandwidth is not None:
-        _reject(
-            "link_bandwidth (its links are pure delays; the packet tier "
-            "models serialization and queueing exactly, with real queues)"
-        )
-    if config.track_link_stats:
-        _reject("per-link byte accounting (there are no per-link queues)")
-    if config.replan_period is not None:
-        _reject("periodic replanning (the flow tier deploys one static plan)")
+    It replaces the wire by constant per-hop delays (PAPER.md section V-A)
+    and drives the packet tier's own read-path endpoints, so it covers an
+    open-loop read workload over CliRS or one RSNode per client ToR, with
+    server crashes as the only faults.  Writes, quorums, churn, background
+    traffic, link bandwidth or statistics, replanning, DRS, RSNode and link
+    faults all need the packet engine.
+    """
+    if (
+        config.scheme not in FLOW_SCHEMES
+        or config.workload_mode != "open"
+        or config.write_fraction
+        or (config.read_quorum is not None and config.read_quorum > 1)
+        or config.churn_schedule
+        or config.background_traffic_rate > 0
+        or config.link_bandwidth is not None
+        or config.track_link_stats
+        or config.replan_period is not None
+    ):
+        return False
     if config.scheme == "netrs-tor":
         if config.group_granularity != "rack":
-            _reject("non-rack traffic-group granularity with netrs-tor")
-        # The packet tier degrades over-capacity groups to DRS; the flow
-        # tier has no DRS path, so reject configs whose per-ToR demand
-        # (uniform estimate) would exceed the accelerator budget.
+            return False
+        # The flow engine has no DRS path: a per-ToR demand (uniform
+        # estimate) above the accelerator budget would engage it.
         half = config.fat_tree_k // 2
         clients_per_rack = min(config.n_clients, half)
         group_rate = config.arrival_rate() * clients_per_rack / config.n_clients
@@ -78,60 +60,43 @@ def ensure_flow_supported(config) -> None:
             / config.work_per_request
         )
         if group_rate > capacity:
-            _reject(
-                "netrs-tor with per-ToR demand above the accelerator budget "
-                "(the packet tier would engage DRS)"
-            )
+            return False
     if config.fault_schedule:
+        from repro.faults.events import ServerDown, ServerUp
         from repro.faults.schedule import parse_fault_schedule
 
-        for event in parse_fault_schedule(config.fault_schedule).events:
-            kind = type(event).__name__
-            if kind in ("RSNodeDown", "RSNodeUp"):
-                _reject("RSNode fault events")
-            if kind in _LINK_EVENTS:
-                if not (_is_host(event.a) or _is_host(event.b)):
-                    _reject(
-                        f"link fault on {event.a}<->{event.b}: only "
-                        "host-access links map onto the flow model "
-                        "(fabric cuts imply rerouting)"
-                    )
+        events = parse_fault_schedule(config.fault_schedule).events
+        return all(isinstance(event, (ServerDown, ServerUp)) for event in events)
+    return True
 
 
 def vector_eligible(config) -> bool:
     """Whether the struct-of-arrays engine can run ``config``.
 
     ``repro.mesoscale.vector`` inlines one request lifecycle: client-side
-    selection with plain C3 over links no fault touches.  That is where it
-    is measured to pay (docs/MESOSCALE.md, "Vectorized fast path"); any
-    other config runs the scalar engine whatever ``vector_batch`` says --
-    in-network selection, another selector family (or C3's rate control),
-    and link faults, whose per-hop checks need the scalar send path.
+    selection with plain C3, on a config the flow engine models.  That is
+    where it is measured to pay (docs/MESOSCALE.md, "Vectorized fast path");
+    in-network selection and another selector family (or C3's rate control)
+    run the scalar engine whatever ``vector_batch`` says.
     """
-    if config.netrs or config.algorithm != "c3":
-        return False
-    if config.fault_schedule:
-        from repro.faults.schedule import parse_fault_schedule
-
-        for event in parse_fault_schedule(config.fault_schedule).events:
-            if type(event).__name__ in _LINK_EVENTS:
-                return False
-    return True
+    return not config.netrs and config.algorithm == "c3" and flow_models(config)
 
 
-def _is_host(name: str) -> bool:
-    target = name.strip()
-    return target.startswith("host") or target.startswith(("server#", "client#"))
-
-
-def _ensure_shardable(config) -> None:
+def ensure_shardable(config) -> None:
     """Reject configs the shard fan-out cannot split evenly (or at all).
 
-    Sharding models the system as ``shards`` disjoint sub-systems, so every
-    shard needs an identical node block and at least one request; fault
-    targets must remap onto a shard-local index space.
+    Sharding models the system as ``shards`` disjoint sub-systems, each run
+    by a flow engine, so the config must be one :func:`flow_models` covers;
+    every shard needs an identical node block and at least one request;
+    fault targets must remap onto a shard-local index space.
     """
     shards = config.shards
+    if not flow_models(config):
+        raise ConfigurationError(
+            f"shards={shards} splits the run over flow engines, and this "
+            "config runs on the packet engine (docs/MESOSCALE.md, "
+            "\"What the flow engine models\"); leave shards=1"
+        )
     if config.n_servers % shards:
         raise ConfigurationError(
             f"shards={shards} must divide n_servers={config.n_servers} "
@@ -154,8 +119,7 @@ def _ensure_shardable(config) -> None:
             f"{shards} shards (every shard needs at least one request)"
         )
     if config.fault_schedule:
-        # The remap itself is the check: it raises on raw host names and
-        # on link faults whose endpoints live in different shards.
+        # The remap itself is the check: it raises on raw host names.
         from repro.mesoscale.shard import split_fault_schedule
 
         split_fault_schedule(config)

@@ -4,10 +4,9 @@
 :class:`~repro.mesoscale.flow.FlowEngine` -- same named RNG streams in the
 same order, same float-addition order, same tie-breaking -- for the configs
 whose whole request lifecycle it can inline: client-side selection with
-plain C3 and no link fault scheduled
-(:func:`repro.mesoscale.support.vector_eligible`; everything else runs the
-scalar engine, and constructing this one on it is a
-:class:`~repro.errors.ConfigurationError`).  It is one path:
+plain C3 (:func:`repro.mesoscale.support.vector_eligible`; everything else
+runs the scalar engine or the packet engine, and constructing this one on it
+is a :class:`~repro.errors.ConfigurationError`).  It is one path:
 
 * the open-loop arrival process (gap chain, per-request client index, key)
   is rolled forward ``vector_batch`` requests at a time into parallel
@@ -75,7 +74,7 @@ def path_chain(times: np.ndarray, hops: np.ndarray, out: np.ndarray) -> np.ndarr
 
     ``out[i] = times[i] + hops[0] + hops[1] + ...`` with one element-wise
     addition per hop -- the same float-addition order the scalar
-    ``FlowEngine._send_along`` fast path performs per request, so delivery
+    ``FlowEngine._send_along`` performs per request, so delivery
     timestamps are bit-equal to the scalar chain.
     """
     out[:] = times
@@ -152,11 +151,10 @@ class VectorFlowEngine(FlowEngine):
     ) -> None:
         if not vector_eligible(config):
             raise ConfigurationError(
-                "VectorFlowEngine inlines client-side plain-C3 selection on "
-                "fault-free links only (scheme clirs/clirs-r95, "
-                "algorithm='c3', no link event in fault_schedule); this "
-                "config runs the scalar FlowEngine, which run_flow_experiment "
-                "picks by itself (docs/MESOSCALE.md)"
+                "VectorFlowEngine inlines client-side plain-C3 selection "
+                "(scheme clirs/clirs-r95, algorithm='c3') on a config the "
+                "flow engine models; run_experiment runs any other on the "
+                "scalar FlowEngine or the packet engine (docs/MESOSCALE.md)"
             )
         super().__init__(config)
         if vector_batch is None:

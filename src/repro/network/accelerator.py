@@ -10,11 +10,11 @@ it arrives or when the ``cores``-th packet before it finishes, whichever is
 later.  The accelerator therefore keeps no busy/queue state machine and
 spends no scheduler event on service.  The work itself (replica selection or
 state update) is an injected callable, told the instant it completes, so the
-accelerator stays agnostic of NetRS logic; the one event per packet is the
-hand-back to the switch, where the caller asks for one.  What nobody waits
-for -- a response's clone -- is no event at all: :meth:`Accelerator.note_at`
-dates it ahead of the clock, to be admitted in its place by the next packet
-or read to get there.
+accelerator stays agnostic of NetRS logic; what happens next (the rebuilt
+request sent on as of the hand-back) is the work's to schedule.  What nobody
+waits for -- a response's clone -- is no event at all:
+:meth:`Accelerator.note_at` dates it ahead of the clock, to be admitted in its
+place by the next packet or read to get there.
 
 Work runs at admission, in admission order -- which is completion order, so
 state that only accelerator work touches evolves exactly as if each piece
@@ -31,16 +31,13 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.errors import ProtocolError
 from repro.sim.core import Environment
 
-#: Work applied to a packet, told when its service completes; returns the
-#: (possibly rebuilt) packet, or ``None`` to absorb it.
-Work = Callable[[Any, float], Optional[Any]]
-#: Invoked back on the switch with the work's result (skipped when ``None``).
-Done = Optional[Callable[[Any], None]]
+#: Work applied to a packet, told when its service completes.
+Work = Callable[[Any, float], None]
 
 #: Admissions between folds of the in-flight record: completions are counted
 #: when something reads a counter, or at the latest this many packets on.
@@ -100,7 +97,7 @@ class Accelerator:
         inbox = self._inbox
         while inbox and inbox[0][0] < now + self.link_delay:  # handed over by now
             arrival, _order, job, work = heappop(inbox)
-            self._admit(job, work, None, arrival, -math.inf)
+            self._admit(job, work, arrival, -math.inf)
         inside = self._inside
         done = 0
         for _arrival, finish, queued in inside:
@@ -161,7 +158,7 @@ class Accelerator:
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------
-    def submit(self, packet: Any, work: Work, done: Done = None) -> None:
+    def submit(self, packet: Any, work: Work) -> None:
         """Called by the co-located switch: ship the packet over the link.
 
         Costs no event: calls come in clock order, so the packet's place in
@@ -171,9 +168,9 @@ class Accelerator:
         that mixes them raises :class:`ProtocolError`.
         """
         now = self.env.now
-        self._admit(packet, work, done, now + self.link_delay, now)
+        self._admit(packet, work, now + self.link_delay, now)
 
-    def submit_at(self, when: float, packet: Any, work: Work, done: Done = None) -> None:
+    def submit_at(self, when: float, packet: Any, work: Work) -> None:
         """:meth:`submit` as if called at time ``when`` (not before now).
 
         For a driver that knows in closed form when the packet reaches the
@@ -185,11 +182,11 @@ class Accelerator:
             raise ProtocolError(f"{self.name}: submit_at after note_at mixes admission modes")
         self._submitted_at += 1
         arrival = when + self.link_delay
-        self.env.post_at(arrival, self._admit, (packet, work, done, arrival, arrival))
+        self.env.post_at(arrival, self._admit, (packet, work, arrival, arrival))
 
     def note_at(self, when: float, job: Any, work: Work) -> None:
         """:meth:`submit` as if called at ``when`` (not before now), for a ``job``
-        nobody waits for: no hand-back, no event.  Noted in any order; admitted
+        nobody waits for: no event.  Noted in any order; admitted
         in (arrival, noting) order ahead of the first admission to arrive after
         it and of any read once the clock is past ``when``, so ``work`` runs in
         the place, and with the ``finish``, of the event it replaces.  Raises
@@ -206,12 +203,12 @@ class Accelerator:
         if discard_later:
             self._inbox.clear()
 
-    def _admit(self, packet: Any, work: Work, done: Done, arrival: float, now: float) -> None:
+    def _admit(self, packet: Any, work: Work, arrival: float, now: float) -> None:
         """Queue the packet reaching the accelerator at ``arrival`` and serve it."""
         inbox = self._inbox
         while inbox and inbox[0][0] < arrival:  # noted ahead of this one
             due, _order, job, note_work = heappop(inbox)
-            self._admit(job, note_work, None, due, -math.inf)  # the caller folds
+            self._admit(job, note_work, due, -math.inf)  # the caller folds
         turn = self._turn
         start = self._free_at[turn]
         inside = self._inside
@@ -229,9 +226,6 @@ class Accelerator:
         self._free_at[turn] = finish
         self._turn = turn + 1 if turn + 1 < self.cores else 0
         inside.append((arrival, finish, queued))
-        result = work(packet, finish)
-        if done is not None and result is not None:
-            # Ship the result back over the accelerator<->switch link.
-            self.env.post_at(finish + self.link_delay, done, (result,))
+        work(packet, finish)
         if len(inside) > _FOLD_EVERY:
             self._fold(now)  # last: it may admit notes, whose work comes after ours

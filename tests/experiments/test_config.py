@@ -121,6 +121,10 @@ class TestValidation:
             ("extra_hops_fraction", -0.1),
             ("think_time", float("nan")),  # ran (closed mode)
             ("utilization", float("inf")),  # ran
+            ("solver_time_limit", -1.0),  # ran; HiGHS warned "Invalid option value"
+            ("solver_time_limit", 0.0),  # ran, and deployed 0 RSNodes
+            ("solver_time_limit", float("nan")),
+            ("solver_time_limit", float("inf")),
         ],
     )
     def test_out_of_range_numbers_fail_at_config_time(self, field, value):
@@ -144,19 +148,18 @@ class TestValidation:
             ("ewma_alpha", -0.1),
             ("seed", -1),  # numpy's ValueError
             ("background_traffic_rate", float("nan")),  # ran
+            ("background_packet_size", 0),  # raised at build, past sweeps and jobs
         ],
     )
     @pytest.mark.parametrize("fidelity", ["packet", "flow"])
     def test_the_fabric_s_own_fields_fail_at_config_time(self, field, value, fidelity):
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig.tiny(fidelity=fidelity, **{field: value})
-        edges = dict(  # the edges of every range pass
-            host_link_latency=0.0, switch_link_latency=0.0,
-            request_timeout=1e-3, ewma_alpha=0.0, seed=0,
+        ExperimentConfig.tiny(  # the edges of every range pass, on either tier
+            fidelity=fidelity,
+            host_link_latency=0.0, switch_link_latency=0.0, request_timeout=1e-3,
+            ewma_alpha=0.0, seed=0, link_bandwidth=1e9, background_packet_size=1,
         )
-        if fidelity == "packet":  # the flow tier rejects any link_bandwidth
-            edges["link_bandwidth"] = 1e9
-        ExperimentConfig.tiny(fidelity=fidelity, **edges)
 
     @pytest.mark.parametrize("value", ["2", "bogus", 0, -1, True])
     def test_bad_group_granularity_fails_at_config_time(self, value):

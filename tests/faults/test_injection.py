@@ -9,7 +9,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
 from repro.faults import FaultInjector, FaultSchedule
-from repro.mesoscale.flow import FlowEngine
 
 #: The crash-and-recover scenario of docs/FAULTS.md: server#0 goes down at
 #: 20 ms and comes back at 60 ms, while clients retry on a 20 ms timeout.
@@ -177,7 +176,8 @@ class TestTargetResolution:
 
 class TestLinkTargets:
     """A link fault must name a link; a pair that shares none fails the build
-    on either tier, before any event runs."""
+    on either tier, before any event runs.  A flow config with a link fault
+    runs on the packet engine, so it fails there the same way."""
 
     @pytest.mark.parametrize("fidelity", ["packet", "flow"])
     @pytest.mark.parametrize(
@@ -188,7 +188,7 @@ class TestLinkTargets:
             fault_schedule=f"link-down@0.01:{pair}", fidelity=fidelity
         )
         config.validate()
-        build = FlowEngine if fidelity == "flow" else build_scenario
+        build = run_experiment if fidelity == "flow" else build_scenario
         with pytest.raises(ConfigurationError, match="share no link"):
             build(config)
 

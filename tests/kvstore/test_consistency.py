@@ -271,20 +271,6 @@ class TestConfigValidation:
         assert "sloppy quorum" in result.describe()
 
 
-class TestFlowTierGate:
-    def test_writes_rejected(self):
-        with pytest.raises(ConfigurationError, match="write_fraction"):
-            ExperimentConfig.tiny(fidelity="flow", write_fraction=0.1)
-
-    def test_quorum_reads_rejected(self):
-        with pytest.raises(ConfigurationError, match="read_quorum"):
-            ExperimentConfig.tiny(fidelity="flow", read_quorum=2)
-
-    def test_churn_rejected(self):
-        with pytest.raises(ConfigurationError, match="churn"):
-            ExperimentConfig.tiny(fidelity="flow", churn_schedule=CHURN)
-
-
 class TestNoKnobsNoNewFields:
     def test_read_only_run_reports_zero_consistency_counters(self):
         result = run_experiment(ExperimentConfig.tiny(total_requests=300))

@@ -4,9 +4,9 @@ An RSNode's accelerator is a closed-form station: selection and the state
 update run when the packet is admitted, so a crossing costs the flow tier one
 event (the arrival) and the packet tier none of its own: the rebuilt request
 is sent on from its admission, dated when the accelerator hands it back.
-With no link fault scheduled the flow tier also does a ToR's work for it at
-send time, and the packet tier the server ToR's: the source marker rides the
-send.  A plain host-to-host send is one event however far it goes (express
+The flow tier also does a ToR's work for it at send time, and the packet
+tier, with no link fault scheduled, the server ToR's: the source marker rides
+the send.  A plain host-to-host send is one event however far it goes (express
 delivery prices it by distance), so a CliRS request costs its sends plus its
 arrival, service and timers; a NetRS request adds an event per switch it
 *waits* at -- the RSNode's selection, which reads selector state, and the
@@ -36,7 +36,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
 from repro.kvstore import hashing
-from tests.mesoscale.test_flow import FAULT_SCHEDULE, _assert_identical
 
 
 def test_flow_netrs_request_costs_seven_micro_events():
@@ -65,43 +64,6 @@ def test_packet_netrs_request_costs_five_events():
     result = run_experiment(config)
     assert result.selector_requests_handled == config.total_requests
     assert result.events_executed / config.total_requests < 5.5
-
-
-def test_guarded_netrs_flow_still_matches_the_packet_tier():
-    """Link faults keep one event per ToR crossing, where the link is checked;
-    that path must stay what the packet tier does hop by hop."""
-    config = ExperimentConfig.tiny(
-        scheme="netrs-tor",
-        seed=5,
-        fault_schedule=FAULT_SCHEDULE,
-        request_timeout=20e-3,
-        max_retries=4,
-    )
-    packet = run_experiment(config)
-    flow = run_experiment(config.replace(fidelity="flow"))
-    _assert_identical(packet, flow)
-    assert packet.packets_dropped > 0 and packet.timeouts > 0  # the links do fail
-    unguarded = run_experiment(config.replace(fidelity="flow", fault_schedule=""))
-    assert flow.micro_events / config.total_requests > 9  # one event per hand-off
-    assert unguarded.micro_events / config.total_requests < 7.5
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_guarded_netrs_flow_matches_when_no_link_event_fires(seed):
-    """A link event after the run ends changes nothing: the guarded path
-    prices every leg as the unguarded one and as the packet tier do -- the
-    RSNode's ToR to a server in its own rack is one hop, counted once."""
-    config = ExperimentConfig.tiny(
-        scheme="netrs-tor",
-        seed=seed,
-        fault_schedule="link-degrade@5:client#0/tor(client#0)*2.0",
-    )
-    packet = run_experiment(config)
-    flow = run_experiment(config.replace(fidelity="flow"))
-    unguarded = run_experiment(config.replace(fidelity="flow", fault_schedule=""))
-    assert packet.faults_injected == 0
-    _assert_identical(packet, flow)
-    _assert_identical(unguarded, flow)
 
 
 #: The packet-tier benchmark cells that send nothing but plain host traffic

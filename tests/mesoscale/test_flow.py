@@ -12,8 +12,7 @@ from repro.mesoscale.validate import differences
 
 FAULT_SCHEDULE = (
     "server-down@0.02:server#0;server-up@0.06:server#0;"
-    "link-down@0.03:client#1/tor(client#1);link-up@0.05:client#1/tor(client#1);"
-    "link-degrade@0.01:client#2/tor(client#2)*3.0"
+    "server-down@0.03:server#2;server-up@0.05:server#2"
 )
 
 
@@ -97,7 +96,7 @@ def test_flow_runs_on_its_own_heap_only():
     flow = run_flow_experiment(config)
     assert flow.events_executed == 0
     assert flow.micro_events > 0
-    assert flow.faults_injected == 5
+    assert flow.faults_injected == 4
 
 
 def test_describe_reports_flow_tier():
@@ -106,3 +105,11 @@ def test_describe_reports_flow_tier():
     text = result.describe()
     assert "fidelity=flow" in text
     assert "micro_events" in text
+
+
+def test_describe_reports_the_engine_that_ran():
+    """A ``fidelity="flow"`` config the flow engine does not model runs on the
+    packet engine, and its report says so: no flow line, packet events."""
+    text = run_experiment(_tiny("netrs-ilp", fidelity="flow")).describe()
+    assert "fidelity=flow" not in text
+    assert "events=0" not in text

@@ -62,7 +62,7 @@ def test_fault_schedule_remaps_and_aggregates():
         n_clients=64,
         fault_schedule=(
             "server-down@0.02:server#0;server-up@0.06:server#0;"
-            "link-degrade@0.01:client#33/tor(client#33)*3.0"
+            "server-down@0.01:server#33;server-up@0.04:server#33"
         ),
         request_timeout=0.04,
         max_retries=3,
@@ -102,6 +102,20 @@ def test_rejects_non_dividing_and_oversplit_configs():
         _sharded("clirs", shards=5)  # 64 % 5 != 0
     with pytest.raises(ConfigurationError):
         _sharded("clirs", total_requests=32, shards=64)  # < 1 request/shard
+
+
+def test_rejects_a_config_the_flow_engine_does_not_model():
+    """A packet shard would build the whole tree: sharding stays a flow-engine
+    feature, and a config that runs on the packet engine keeps shards=1."""
+    with pytest.raises(ConfigurationError, match="packet engine"):
+        _sharded("clirs", shards=4, write_fraction=0.1)
+    with pytest.raises(ConfigurationError, match="packet engine"):
+        _sharded(
+            "clirs",
+            shards=4,
+            fault_schedule="link-down@0.01:client#1/tor(client#1)",
+            request_timeout=0.04,
+        )
 
 
 def test_rejects_raw_host_fault_targets():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.mesoscale import VALIDATION_SCENARIOS, FlowEngine
+from repro.mesoscale import VALIDATION_SCENARIOS, FlowEngine, flow_models
 from repro.mesoscale import validate as validate_mod
 from repro.mesoscale.runner import run_flow_experiment
 from repro.mesoscale.validate import compare_tiers, differences, validate_fidelity
@@ -40,6 +40,13 @@ def widened_flow_hop(monkeypatch):
 def test_the_default_set_is_the_whole_registry():
     assert VALIDATION_SCENARIOS == tuple(validate_mod._scenario_configs())
     assert "netrs-tor" in VALIDATION_SCENARIOS
+
+
+@pytest.mark.parametrize("name", VALIDATION_SCENARIOS)
+def test_every_registered_scenario_runs_on_the_flow_engine(name):
+    """Else ``fidelity="flow"`` would run the packet engine, and the gate
+    would compare the packet engine with itself."""
+    assert flow_models(validate_mod._scenario_configs()[name])
 
 
 def test_cli_without_a_scenario_runs_the_whole_registry(tiny_scenarios, capsys):

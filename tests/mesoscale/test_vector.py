@@ -4,7 +4,7 @@ Any block size, any flow config, the result is byte-identical to
 ``vector_batch=0`` -- samples, every counter, micro-event count.  Which
 engine produces it is a pure function of the config
 (``repro.mesoscale.support.vector_eligible``): client-side plain-C3 configs
-with no link fault run :class:`VectorFlowEngine`, whose one inlined drain is
+the flow engine models run :class:`VectorFlowEngine`, whose one inlined drain is
 held to the scalar engine here over every axis its branches read; anything
 else runs the scalar :class:`FlowEngine`, and the tests say so by class, so
 that no identity row can quietly become scalar against scalar.
@@ -19,13 +19,10 @@ from repro.mesoscale import FlowEngine, VectorFlowEngine, shard_configs
 from repro.mesoscale.runner import run_flow_experiment
 from repro.mesoscale.validate import IDENTITY_FIELDS, differences
 
-from tests.mesoscale.test_flow import FAULT_SCHEDULE
-
 #: Flow-tier-only counter, checked on top of the shared identity fields.
 _FIELDS = IDENTITY_FIELDS + ("micro_events",)
 
-#: Server-only schedule: no link event, so client-side C3 stays eligible
-#: while fault transitions on the heap interleave with the block cursor.
+#: Fault transitions on the heap interleave with the block cursor.
 SERVER_FAULTS = "server-down@0.02:server#0;server-up@0.06:server#0"
 LINK_DOWN = "link-down@0.03:client#1/tor(client#1);link-up@0.05:client#1/tor(client#1)"
 LINK_DEGRADE = "link-degrade@0.01:client#2/tor(client#2)*3.0"
@@ -69,22 +66,18 @@ def test_vector_is_bit_identical_to_scalar_flow(scheme, vector_batch):
     )
 
 
-@pytest.mark.parametrize("fault_schedule", [FAULT_SCHEDULE, SERVER_FAULTS])
 @pytest.mark.parametrize("scheme", ["clirs", "clirs-r95", "netrs-tor"])
-def test_vector_is_bit_identical_under_faults(scheme, fault_schedule):
-    """Server-only faults keep client-side schemes on the SoA engine, with
-    fault transitions on the heap interleaving with the block cursor; a
-    schedule with link events needs the scalar engine's per-hop checks."""
+def test_vector_is_bit_identical_under_faults(scheme):
+    """Server faults keep client-side schemes on the SoA engine, with fault
+    transitions on the heap interleaving with the block cursor."""
     config = _flow(
         scheme,
-        fault_schedule=fault_schedule,
+        fault_schedule=SERVER_FAULTS,
         request_timeout=0.04,
         max_retries=3,
     )
-    soa = scheme != "netrs-tor" and fault_schedule is SERVER_FAULTS
-    _assert_knob_is_invisible(
-        config, 7, VectorFlowEngine if soa else FlowEngine, (scheme, fault_schedule[:20])
-    )
+    engine_class = FlowEngine if scheme == "netrs-tor" else VectorFlowEngine
+    _assert_knob_is_invisible(config, 7, engine_class, scheme)
 
 
 #: What keeps a config off the SoA engine, one reason per row.
@@ -92,10 +85,6 @@ _INELIGIBLE = {
     "netrs-tor": _flow("netrs-tor"),
     "c3-rate": _flow("clirs-r95", algorithm="c3-rate"),
     "random": _flow("clirs-r95", algorithm="random"),
-    "link-down": _flow("clirs-r95", fault_schedule=LINK_DOWN, request_timeout=0.04),
-    "link-degrade": _flow(
-        "clirs-r95", fault_schedule=LINK_DEGRADE, request_timeout=0.04
-    ),
 }
 
 
@@ -104,33 +93,42 @@ def test_ineligible_configs_run_the_scalar_engine(reason):
     _assert_knob_is_invisible(_INELIGIBLE[reason], 64, FlowEngine, reason)
 
 
-@pytest.mark.parametrize("reason", sorted(_INELIGIBLE))
+#: Configs the flow engine does not model (they run on the packet engine).
+_UNMODELLED = {
+    "link-down": _flow("clirs-r95", fault_schedule=LINK_DOWN, request_timeout=0.04),
+    "link-degrade": _flow(
+        "clirs-r95", fault_schedule=LINK_DEGRADE, request_timeout=0.04
+    ),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_INELIGIBLE) + sorted(_UNMODELLED))
 def test_soa_engine_refuses_an_ineligible_config(reason):
     """There is no second path inside the SoA engine to fall back on."""
+    config = _INELIGIBLE.get(reason) or _UNMODELLED[reason]
     with pytest.raises(ConfigurationError, match="scalar FlowEngine"):
-        VectorFlowEngine(_INELIGIBLE[reason], vector_batch=64)
+        VectorFlowEngine(config, vector_batch=64)
 
 
 def test_sharded_run_picks_the_engine_per_shard():
-    """A link fault lands in one shard: that shard runs scalar, its siblings
-    SoA, and the merged result does not depend on the knob."""
+    """A server fault lands in one shard: every shard runs SoA, and the merged
+    result does not depend on the knob."""
     config = ExperimentConfig.small(scheme="clirs-r95", seed=5).replace(
         fidelity="flow",
         total_requests=2000,
         n_clients=32,
         n_servers=64,
         shards=4,
-        fault_schedule=SERVER_FAULTS
-        + ";link-down@0.01:client#9/tor(client#9);link-up@0.03:client#9/tor(client#9)",
+        fault_schedule=SERVER_FAULTS,
         request_timeout=0.02,
         max_retries=5,
     )
     vector = config.replace(vector_batch=64)
     classes = [_run(sub)[1] for sub in shard_configs(vector)]
-    assert classes == [VectorFlowEngine, FlowEngine, VectorFlowEngine, VectorFlowEngine]
+    assert classes == [VectorFlowEngine] * 4
     merged = run_flow_experiment(vector)
     _assert_identical(run_flow_experiment(config), merged, "sharded")
-    assert merged.packets_dropped > 0 and merged.server_dropped_requests > 0
+    assert merged.server_dropped_requests > 0
 
 
 _CRASH_RETRY = dict(fault_schedule=SERVER_FAULTS, request_timeout=0.01)

@@ -53,72 +53,54 @@ class TestAdmissionModes:
 class TestProcessing:
     def test_single_packet_timing(self, env):
         acc = _make(env)
-        done = []
-        acc.submit("p", work=lambda p, t: p, done=lambda p: done.append(env.now))
+        finished = []
+        acc.submit("p", work=lambda p, t: finished.append(t))
         env.run()
-        # link + service + link = 1.25 + 5 + 1.25 us
-        assert done == [pytest.approx(7.5e-6)]
+        # link + service = 1.25 + 5 us
+        assert finished == [pytest.approx(6.25e-6)]
 
     def test_submit_at_equals_submit_called_then(self, env):
         """A driver that knows the hand-off instants in closed form declares
         them up front; queueing and completion times must not notice."""
         instants = [0.0, 1e-6, 2e-6, 40e-6]  # a burst that queues, then a lone one
         called, declared = _make(env), _make(env)
-        done_called, done_declared = [], []
+        work_called, work_declared = [], []
         for index, when in enumerate(instants):
             env.call_at(
-                when, called.submit, index, lambda p, t: p,
-                lambda p: done_called.append((env.now, p)),
+                when, called.submit, index, lambda p, t: work_called.append((t, p))
             )
-            declared.submit_at(
-                when, index, lambda p, t: p, lambda p: done_declared.append((env.now, p))
-            )
+            declared.submit_at(when, index, lambda p, t: work_declared.append((t, p)))
         env.run()
-        assert done_declared == done_called
-        assert len(done_called) == len(instants)
+        assert work_declared == work_called
+        assert len(work_called) == len(instants)
         assert declared.max_queue_seen == called.max_queue_seen == 2
         assert declared.busy_time == called.busy_time
-
-    def test_work_transforms_packet(self, env):
-        acc = _make(env)
-        results = []
-        acc.submit(1, work=lambda p, t: p + 10, done=results.append)
-        env.run()
-        assert results == [11]
-
-    def test_absorbing_work_skips_done(self, env):
-        acc = _make(env)
-        results = []
-        acc.submit(1, work=lambda p, t: None, done=results.append)
-        env.run(until=1e-3)  # nothing is scheduled for absorbed work
-        assert results == []
-        assert acc.processed == 1
 
     def test_fifo_queueing_single_core(self, env):
         acc = _make(env)
         finish_times = []
         for i in range(3):
-            acc.submit(i, work=lambda p, t: p, done=lambda p: finish_times.append(env.now))
+            acc.submit(i, work=lambda p, t: finish_times.append(t))
         env.run()
-        # Arrivals at 1.25us; service completions at 6.25, 11.25, 16.25 (+link).
+        # Arrivals at 1.25us; service completions at 6.25, 11.25, 16.25.
         assert finish_times == [
-            pytest.approx(7.5e-6),
-            pytest.approx(12.5e-6),
-            pytest.approx(17.5e-6),
+            pytest.approx(6.25e-6),
+            pytest.approx(11.25e-6),
+            pytest.approx(16.25e-6),
         ]
 
     def test_multicore_parallelism(self, env):
         acc = _make(env, cores=2)
         finish_times = []
         for i in range(2):
-            acc.submit(i, work=lambda p, t: p, done=lambda p: finish_times.append(env.now))
+            acc.submit(i, work=lambda p, t: finish_times.append(t))
         env.run()
-        assert finish_times == [pytest.approx(7.5e-6), pytest.approx(7.5e-6)]
+        assert finish_times == [pytest.approx(6.25e-6), pytest.approx(6.25e-6)]
 
     def test_queue_length_peak_tracked(self, env):
         acc = _make(env)
         for i in range(5):
-            acc.submit(i, work=lambda p, t: p)
+            acc.submit(i, work=lambda p, t: None)
         assert acc.max_queue_seen == 0  # still on the link
         env.run(until=2e-6)
         assert acc.queue_length == acc.max_queue_seen == 4
@@ -129,7 +111,7 @@ class TestProcessing:
     def test_processed_counter(self, env):
         acc = _make(env)
         for i in range(4):
-            acc.submit(i, work=lambda p, t: p)
+            acc.submit(i, work=lambda p, t: None)
         env.run(until=12e-6)  # completions at 6.25, 11.25, 16.25, 21.25 us
         assert acc.processed == 2
         env.run(until=1e-3)
@@ -143,13 +125,13 @@ class TestUtilization:
 
     def test_utilization_fraction(self, env):
         acc = _make(env)
-        acc.submit(1, work=lambda p, t: p)
+        acc.submit(1, work=lambda p, t: None)
         env.run(until=12.5e-6)  # one 5 us service in a 12.5 us window
         assert acc.utilization() == pytest.approx(0.4)
 
     def test_reset_utilization(self, env):
         acc = _make(env)
-        acc.submit(1, work=lambda p, t: p)
+        acc.submit(1, work=lambda p, t: None)
         env.run(until=1e-3)
         assert acc.busy_time == 5e-6
         acc.reset_utilization()
@@ -158,7 +140,7 @@ class TestUtilization:
 
     def test_reset_mid_service_keeps_the_completion_for_the_new_window(self, env):
         acc = _make(env)
-        acc.submit(1, work=lambda p, t: p)
+        acc.submit(1, work=lambda p, t: None)
         env.run(until=3e-6)  # in service until 6.25 us
         acc.reset_utilization()
         env.run(until=13e-6)

@@ -3,8 +3,8 @@
 ``EventDrivenAccelerator`` is the accelerator as it stood before the station
 model: a busy count, a queue and three scheduler events per packet.  It is
 kept here as the oracle.  Hypothesis drives both with the same packets and
-reads both at the same instants; completion times and order, hand-back
-times, and every counter must be bit-equal.
+reads both at the same instants; completion times and order, and every
+counter must be bit-equal.
 
 Instants that coincide exactly are left out: which of two events at one
 timestamp the event machine runs first depends on when each was scheduled,
@@ -65,29 +65,27 @@ class EventDrivenAccelerator:
         self.busy_time = 0.0
         self._started_at = self.env.now
 
-    def submit(self, packet, work, done=None):
-        self.env.post_in(self.link_delay, self._enqueue, (packet, work, done))
+    def submit(self, packet, work):
+        self.env.post_in(self.link_delay, self._enqueue, (packet, work))
 
-    def submit_at(self, when, packet, work, done=None):
-        self.env.post_at(when + self.link_delay, self._enqueue, (packet, work, done))
+    def submit_at(self, when, packet, work):
+        self.env.post_at(when + self.link_delay, self._enqueue, (packet, work))
 
-    def _enqueue(self, packet, work, done):
+    def _enqueue(self, packet, work):
         self.arrivals.add(self.env.now)
         if self._busy < self.cores:
             self._busy += 1
-            self.env.post_in(self.service_time, self._complete, (packet, work, done))
+            self.env.post_in(self.service_time, self._complete, (packet, work))
         else:
-            self._queue.append((packet, work, done))
+            self._queue.append((packet, work))
             if len(self._queue) > self.max_queue_seen:
                 self.max_queue_seen = len(self._queue)
 
-    def _complete(self, packet, work, done):
+    def _complete(self, packet, work):
         self.completions.add(self.env.now)
         self.processed += 1
         self.busy_time += self.service_time
-        result = work(packet, self.env.now)
-        if done is not None and result is not None:
-            self.env.post_in(self.link_delay, done, (result,))
+        work(packet, self.env.now)
         if self._queue:
             self.env.post_in(self.service_time, self._complete, self._queue.popleft())
         else:
@@ -98,14 +96,10 @@ def _drive(make, declared, bursts, reads, horizon):
     """Run one accelerator through the scenario; return what it did and showed."""
     env = Environment()
     acc = make(env)
-    worked, handed_back, seen = [], [], []
+    worked, seen = [], []
 
     def work(packet, finish):
         worked.append((finish, packet))
-        return None if packet % 3 == 0 else packet  # every third is absorbed
-
-    def done(packet):
-        handed_back.append((env.now, packet))
 
     def read(reset):
         seen.append(
@@ -126,15 +120,15 @@ def _drive(make, declared, bursts, reads, horizon):
     for when, count in bursts:
         for _ in range(count):
             if declared:
-                acc.submit_at(when, packet, work, done)
+                acc.submit_at(when, packet, work)
             else:
-                env.call_at(when, acc.submit, packet, work, done)
+                env.call_at(when, acc.submit, packet, work)
             packet += 1
     for when, reset in reads:
         env.call_at(when, read, reset)
     env.run(until=horizon)  # past every completion, whoever's events led there
     read(False)
-    return acc, worked, handed_back, seen
+    return acc, worked, seen
 
 
 @settings(
@@ -168,7 +162,7 @@ def test_station_is_bit_equal_to_the_event_machine(
     settings_ = dict(cores=cores, service_time=service_time, link_delay=link_delay)
     horizon = 100 * service_time  # 60 packets at most, the last arriving by 15
 
-    oracle, worked, handed_back, seen = _drive(
+    oracle, worked, seen = _drive(
         lambda env: EventDrivenAccelerator(env, **settings_), declared, bursts, reads, horizon
     )
     # No two differently-scheduled events at one timestamp (see module docstring):
@@ -176,11 +170,10 @@ def test_station_is_bit_equal_to_the_event_machine(
     assume(not oracle.arrivals & oracle.completions)
     assume(not {when for when, _ in reads} & (oracle.arrivals | oracle.completions))
 
-    station, s_worked, s_handed_back, s_seen = _drive(
+    station, s_worked, s_seen = _drive(
         lambda env: Accelerator(env, "acc", **settings_), declared, bursts, reads, horizon
     )
     assert s_worked == worked  # completion instants, in completion order
-    assert s_handed_back == handed_back
     assert s_seen == seen
     assert station.processed == oracle.processed == sum(count for _, count in bursts)
 
@@ -209,11 +202,10 @@ def _drive_inbox(noted, arrivals, reads, settings_, horizon):
     (``noted``) or, the reference, as one more call at their instant."""
     env = Environment()
     acc = Accelerator(env, "acc", **settings_)
-    worked, handed_back, seen = [], [], []
+    worked, seen = [], []
 
     def work(job, finish):
         worked.append((finish, job))
-        return job
 
     def read(reset):
         seen.append(
@@ -233,9 +225,7 @@ def _drive_inbox(noted, arrivals, reads, settings_, horizon):
     # for it, on both sides (the station's rule for a tie).
     for job, (when, ahead) in enumerate(arrivals):
         if ahead is None:
-            env.call_at(
-                when, acc.submit, job, work, lambda j: handed_back.append((env.now, j))
-            )
+            env.call_at(when, acc.submit, job, work)
     notes = [
         (max(when - ahead, 0.0), job, when)
         for job, (when, ahead) in enumerate(arrivals)
@@ -251,7 +241,7 @@ def _drive_inbox(noted, arrivals, reads, settings_, horizon):
         env.call_at(when, read, reset)
     env.run(until=horizon)
     read(False)
-    return worked, handed_back, seen
+    return worked, seen
 
 
 @settings(
@@ -278,7 +268,7 @@ def _drive_inbox(noted, arrivals, reads, settings_, horizon):
 )
 def test_notes_are_the_events_they_replace(cores, service_time, link_factor, arrivals, reads):
     """``submit`` calls in clock order among ``note_at`` hand-offs declared
-    ahead in any order: work order, every ``finish``, every hand-back and the
+    ahead in any order: work order, every ``finish`` and the
     counters at random instants are those of the same hand-offs as events."""
     arrivals = [
         (when * service_time, None if ahead is None else ahead * service_time)
