@@ -7,6 +7,7 @@ and extracts the paper's latency metrics plus system-level accounting
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import dataclass
@@ -165,10 +166,12 @@ def run_experiment(
     where :func:`~repro.mesoscale.support.flow_models` holds (the SoA one
     where :func:`~repro.mesoscale.support.vector_eligible` does too), the
     packet engine otherwise.  The result schema is identical.
+
+    With ``keep_scenario`` what ran is attached as ``result.scenario`` for
+    inspection: the :class:`Scenario`, or the live flow engine.
     """
     if config.fidelity == "flow":
         # Imported here: repro.mesoscale builds on this module.
-        from repro.mesoscale.runner import run_flow_experiment
         from repro.mesoscale.support import flow_models
 
         if flow_models(config):
@@ -177,87 +180,40 @@ def run_experiment(
                     "scenario reuse is packet-tier only; a flow engine runs "
                     "this fidelity='flow' config and builds itself"
                 )
-            return run_flow_experiment(config, keep_engine=keep_scenario)
+            return _run_flow(config, keep_scenario)
     if scenario is None:
         scenario = build_scenario(config)
     env = scenario.env
-    tracker = scenario.tracker
-    tracker.when_done(env.stop)
+    network = scenario.network
+    scenario.tracker.when_done(env.stop)
 
-    if config.workload_mode == "closed":
-        # Closed-loop throughput is bounded by the per-client cycle time.
-        cycle = 2 * config.mean_service_time + config.think_time + 1e-3
-        concurrency = max(1, config.n_clients * config.closed_window)
-        expected_duration = config.total_requests * cycle / concurrency
-        safety_horizon = env.now + expected_duration * 10 + 10.0
-    else:
-        expected_duration = config.total_requests / config.arrival_rate()
-        safety_horizon = env.now + expected_duration * 5 + 10.0
+    def run(until: float) -> None:
+        if scenario.background is not None:
+            scenario.background.start()
+        scenario.workload.start()
+        env.run(until=until)
+        # Unwind eager trunk accounting for packets still in flight at the
+        # stop so fabric counters match what hop-by-hop forwarding would
+        # have counted.
+        network.settle_trunks(env.now)
 
-    started_wall = time.perf_counter()  # repro: noqa(DET002) - real wall time, reported only
-    if scenario.background is not None:
-        scenario.background.start()
-    scenario.workload.start()
-    env.run(until=safety_horizon)
-    wall_time = time.perf_counter() - started_wall  # repro: noqa(DET002) - reported only
-    # Unwind eager trunk accounting for packets still in flight at the stop
-    # so fabric counters match what hop-by-hop forwarding would have counted.
-    scenario.network.settle_trunks(env.now)
-
-    if tracker.completed < tracker.expected:
-        raise ReproError(
-            f"run stalled: {tracker.completed}/{tracker.expected} requests "
-            f"completed within the safety horizon ({safety_horizon:.1f}s sim)"
-        )
-    if len(scenario.recorder) == 0:
-        raise ReproError("no latency samples were recorded")
-    for sample in (scenario.recorder.mean(),):
-        if math.isnan(sample):
-            raise ReproError("latency statistics are NaN")
-
-    result = ExperimentResult(
-        config=config,
-        latency=scenario.recorder,
-        sim_duration=env.now,
-        wall_time=wall_time,
-        completed_requests=tracker.completed,
-        transmissions=scenario.network.transmissions,
-        bytes_transferred=scenario.network.bytes_transferred,
-        netrs_overhead_bytes=scenario.network.netrs_overhead_bytes,
-        events_executed=env.events_executed,
-        write_latency=scenario.write_recorder,
-        redundant_requests=sum(c.redundant_sent for c in scenario.clients),
-        timeouts=sum(c.timeouts for c in scenario.clients),
-        retries=sum(c.retries for c in scenario.clients),
-        requests_lost=sum(c.requests_lost for c in scenario.clients),
-        duplicates_suppressed=sum(
-            c.duplicates_suppressed for c in scenario.clients
-        ),
-        packets_dropped=scenario.network.packets_dropped,
-        server_dropped_requests=sum(
-            s.dropped_requests for s in scenario.servers.values()
-        ),
-    )
-    result.writes_completed = sum(c.writes_completed for c in scenario.clients)
-    result.write_failures = sum(c.write_failures for c in scenario.clients)
-    result.stale_reads = sum(c.stale_reads for c in scenario.clients)
-    result.read_repairs = sum(c.read_repairs for c in scenario.clients)
-    result.repair_writes_sent = sum(
-        c.repair_writes_sent for c in scenario.clients
-    )
-    result.quorum_degraded_reads = sum(
-        c.quorum_degraded_reads for c in scenario.clients
-    )
-    result.digest_probes_sent = sum(
-        c.digest_probes_sent for c in scenario.clients
-    )
+    wall_time = _drive(config, scenario, env, run)
+    result = _collect(config, scenario, env, network, wall_time)
+    result.events_executed = env.events_executed
+    result.write_latency = scenario.write_recorder
+    result.packets_dropped = network.packets_dropped
+    clients = scenario.clients
+    result.writes_completed = sum(c.writes_completed for c in clients)
+    result.write_failures = sum(c.write_failures for c in clients)
+    result.stale_reads = sum(c.stale_reads for c in clients)
+    result.read_repairs = sum(c.read_repairs for c in clients)
+    result.repair_writes_sent = sum(c.repair_writes_sent for c in clients)
+    result.quorum_degraded_reads = sum(c.quorum_degraded_reads for c in clients)
+    result.digest_probes_sent = sum(c.digest_probes_sent for c in clients)
     if scenario.churn is not None:
         result.churn_events = scenario.churn.churn_applied
         result.migrated_keys = scenario.churn.migrated_keys
         result.migration_bytes = scenario.churn.migration_bytes
-    if scenario.faults is not None:
-        result.faults_injected = scenario.faults.faults_injected
-        result.unavailability = scenario.faults.unavailability(env.now)
     if scenario.plan is not None:
         result.rsnode_count = scenario.plan.rsnode_count
         result.drs_group_count = len(scenario.plan.drs_groups)
@@ -275,4 +231,131 @@ def run_experiment(
         )
     if keep_scenario:
         result.scenario = scenario  # type: ignore[attr-defined]
+    return result
+
+
+def _run_flow(config: ExperimentConfig, keep_scenario: bool) -> ExperimentResult:
+    """Run ``config`` on a flow engine (``config.shards`` of them if > 1).
+
+    Memory: a flow run owns what it allocates and nothing waits for the
+    cyclic collector.  The collector is parked from engine construction to
+    teardown (the drain loops allocate only acyclic event tuples and floats,
+    so its passes find nothing: docs/MESOSCALE.md, "Memory lifetime") and
+    the caller's collector state is restored on every exit.  The engine is
+    torn down (``FlowEngine.teardown``) once the result is built, so it is
+    freed by reference count and ``result.latency`` is all that survives,
+    unless ``keep_scenario`` keeps it.
+    """
+    from repro.mesoscale.flow import FlowEngine
+    from repro.mesoscale.support import vector_eligible
+
+    if config.shards > 1:
+        if keep_scenario:
+            raise ConfigurationError(
+                "a sharded run has one engine per shard, possibly in another "
+                "process; keep engines per `shard_configs(config)` entry"
+            )
+        from repro.mesoscale.shard import run_sharded_flow_experiment
+
+        return run_sharded_flow_experiment(config)
+    collector_was_enabled = gc.isenabled()
+    gc.disable()
+    engine = None
+    try:
+        if config.vector_batch > 0 and vector_eligible(config):
+            # Imported lazily so scalar runs never pay the numpy-kernels import.
+            from repro.mesoscale.vector import VectorFlowEngine
+
+            engine = VectorFlowEngine(config)
+        else:
+            engine = FlowEngine(config)
+        wall_time = _drive(config, engine, engine, engine.run)
+        result = _collect(config, engine, engine, engine, wall_time)
+        result.micro_events = engine.micro_events
+        operators = engine.operators.values()
+        if operators:
+            result.rsnode_count = len(operators)
+            result.plan_description = f"FLOW[rsnodes={len(operators)} granularity=rack]"
+            result.accelerator_max_utilization = max(
+                op.accelerator.utilization() for op in operators
+            )
+            result.selector_requests_handled = sum(
+                op.selector.requests_handled for op in operators
+            )
+        if keep_scenario:
+            result.scenario = engine  # type: ignore[attr-defined]
+            engine = None
+        return result
+    finally:
+        if engine is not None:
+            engine.teardown()
+        if collector_was_enabled:
+            gc.enable()
+
+
+def _drive(config: ExperimentConfig, built, clock, run) -> float:
+    """``run(until)`` up to the safety horizon, check it finished; wall time.
+
+    ``built`` is what the engine was built into (a :class:`Scenario` or a
+    flow engine: its ``tracker`` and ``recorder``), ``clock`` what keeps its
+    time.
+    """
+    if config.workload_mode == "closed":
+        # Closed-loop throughput is bounded by the per-client cycle time.
+        cycle = 2 * config.mean_service_time + config.think_time + 1e-3
+        concurrency = max(1, config.n_clients * config.closed_window)
+        expected_duration = config.total_requests * cycle / concurrency
+        safety_horizon = clock.now + expected_duration * 10 + 10.0
+    else:
+        expected_duration = config.total_requests / config.arrival_rate()
+        safety_horizon = clock.now + expected_duration * 5 + 10.0
+
+    started_wall = time.perf_counter()  # repro: noqa(DET002) - real wall time, reported only
+    run(safety_horizon)
+    wall_time = time.perf_counter() - started_wall  # repro: noqa(DET002) - reported only
+
+    tracker = built.tracker
+    if tracker.completed < tracker.expected:
+        raise ReproError(
+            f"run stalled: {tracker.completed}/{tracker.expected} requests "
+            f"completed within the safety horizon ({safety_horizon:.1f}s sim)"
+        )
+    if len(built.recorder) == 0:
+        raise ReproError("no latency samples were recorded")
+    if math.isnan(built.recorder.mean()):
+        raise ReproError("latency statistics are NaN")
+    return wall_time
+
+
+def _collect(
+    config: ExperimentConfig, built, clock, wire, wall_time: float
+) -> ExperimentResult:
+    """The result fields every engine keeps the same way.
+
+    Its clients, servers and fault injector (on ``built``), its clock and
+    the wire counters (``wire``: the packet tier's network, or the flow
+    engine itself).
+    """
+    clients = built.clients
+    result = ExperimentResult(
+        config=config,
+        latency=built.recorder,
+        sim_duration=clock.now,
+        wall_time=wall_time,
+        completed_requests=built.tracker.completed,
+        transmissions=wire.transmissions,
+        bytes_transferred=wire.bytes_transferred,
+        netrs_overhead_bytes=wire.netrs_overhead_bytes,
+        redundant_requests=sum(c.redundant_sent for c in clients),
+        timeouts=sum(c.timeouts for c in clients),
+        retries=sum(c.retries for c in clients),
+        requests_lost=sum(c.requests_lost for c in clients),
+        duplicates_suppressed=sum(c.duplicates_suppressed for c in clients),
+        server_dropped_requests=sum(
+            s.dropped_requests for s in built.servers.values()
+        ),
+    )
+    if built.faults is not None:
+        result.faults_injected = built.faults.faults_injected
+        result.unavailability = built.faults.unavailability()
     return result

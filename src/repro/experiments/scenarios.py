@@ -98,7 +98,9 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         route_cache_size=config.route_cache_size,
     )
 
-    client_hosts, server_hosts = _assign_roles(config, topology, rng)
+    client_hosts, server_hosts = assign_roles(
+        config, [h.name for h in topology.hosts], rng
+    )
     if config.churn_schedule:
         # Mutable membership: never the memoized shared ring.
         ring = ChurnableRing(
@@ -125,42 +127,20 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         write_recorder,
     )
 
-    weights = DemandWeights(
-        config.n_clients,
-        skew=config.demand_skew,
-        hot_fraction=config.hot_fraction,
-        rng=rng.stream("workload.skew") if config.demand_skew is not None else None,
-    )
-    # Single-family draw sites are served from pre-drawn blocks (pure perf
-    # knob, bit-identical — see docs/SIMULATOR.md "Batched RNG streams").
-    # The open-loop arrival stream interleaves families and must stay raw.
-    batch = config.rng_batch_size
-    sampler = ZipfSampler(
-        config.key_space, config.zipf_exponent, rng.batched("workload.keys", batch)
-    )
+    weights = demand_weights(config, rng)
     if config.workload_mode == "closed":
         workload = ClosedLoopWorkload(
             env,
             clients=clients,
-            key_sampler=sampler,
-            rng=rng.batched("workload.arrivals", batch),
+            key_sampler=key_sampler(config, rng),
+            rng=rng.batched("workload.arrivals", config.rng_batch_size),
             total_requests=config.total_requests,
             window=config.closed_window,
             think_time=config.think_time,
             warmup_requests=config.warmup_requests(),
         )
     else:
-        workload = OpenLoopWorkload(
-            env,
-            rate=config.arrival_rate(),
-            clients=clients,
-            weights=weights,
-            key_sampler=sampler,
-            rng=rng.stream("workload.arrivals"),
-            total_requests=config.total_requests,
-            warmup_requests=config.warmup_requests(),
-            write_fraction=config.write_fraction,
-        )
+        workload = open_loop_workload(config, env, rng, clients, weights)
 
     background = None
     if config.background_traffic_rate > 0:
@@ -236,13 +216,15 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
 
 
 # ----------------------------------------------------------------------
-# Build helpers
+# Endpoint builders: every engine constructs its endpoints through these,
+# so a scheme's servers, clients, selectors and workload exist once
+# (docs/MESOSCALE.md).  Each draws on named RNG streams only, and a stream
+# is keyed by its name, so the order of calls cannot move a result.
 # ----------------------------------------------------------------------
-def _assign_roles(
-    config: ExperimentConfig, topology: Topology, rng: RngRegistry
+def assign_roles(
+    config: ExperimentConfig, host_names: List[str], rng: RngRegistry
 ) -> tuple:
     """Randomly deploy clients and servers, one role per host (section V-A)."""
-    host_names = [h.name for h in topology.hosts]
     order = rng.stream("placement").permutation(len(host_names))
     shuffled = [host_names[i] for i in order]
     clients = sorted(shuffled[: config.n_clients])
@@ -252,6 +234,96 @@ def _assign_roles(
     return clients, servers
 
 
+def service_model(config: ExperimentConfig, rng: RngRegistry, name: str):
+    """Server ``name``'s service-time model: bimodal fluctuation or stable."""
+    if config.fluctuation_range > 1.0:
+        return BimodalFluctuation(
+            base_service_time=config.mean_service_time,
+            range_parameter=config.fluctuation_range,
+            interval=config.fluctuation_interval,
+            rng=rng.batched(f"fluctuation.{name}", config.rng_batch_size),
+        )
+    return StableService(config.mean_service_time)
+
+
+def client_selector(config: ExperimentConfig, rng: RngRegistry, name: str):
+    """The replica-selection algorithm client ``name`` runs (CliRS)."""
+    return create_selector(
+        config.algorithm,
+        concurrency_weight=config.n_clients,
+        prior_service_rate=config.prior_service_rate(),
+        rng=rng.stream(f"selector.client.{name}"),
+    )
+
+
+def operator_selector(
+    config: ExperimentConfig, rng: RngRegistry, index: int, n_rsnodes: int
+):
+    """The algorithm of the ``index``-th RSNode (1-based) of ``n_rsnodes``."""
+    return create_selector(
+        config.algorithm,
+        concurrency_weight=n_rsnodes,
+        prior_service_rate=config.prior_service_rate(),
+        rng=rng.stream(f"selector.operator.{index}"),
+    )
+
+
+def redundancy_policy(config: ExperimentConfig) -> Optional[RedundancyPolicy]:
+    """The clients' R95 duplicate policy, or None without redundancy."""
+    if not config.redundancy_enabled:
+        return None
+    return RedundancyPolicy(
+        percentile=config.redundancy_percentile,
+        min_samples=config.redundancy_min_samples,
+    )
+
+
+def demand_weights(config: ExperimentConfig, rng: RngRegistry) -> DemandWeights:
+    """Per-client shares of the demand (uniform unless ``demand_skew``)."""
+    return DemandWeights(
+        config.n_clients,
+        skew=config.demand_skew,
+        hot_fraction=config.hot_fraction,
+        rng=rng.stream("workload.skew") if config.demand_skew is not None else None,
+    )
+
+
+def key_sampler(config: ExperimentConfig, rng: RngRegistry) -> ZipfSampler:
+    """The workload's Zipf key popularity.
+
+    Single-family draw sites are served from pre-drawn blocks (pure perf
+    knob, bit-identical — see docs/SIMULATOR.md "Batched RNG streams").
+    """
+    return ZipfSampler(
+        config.key_space,
+        config.zipf_exponent,
+        rng.batched("workload.keys", config.rng_batch_size),
+    )
+
+
+def open_loop_workload(
+    config: ExperimentConfig, clock, rng: RngRegistry, clients, weights: DemandWeights
+) -> OpenLoopWorkload:
+    """Poisson arrivals spread over ``clients``, run on ``clock``.
+
+    The arrival stream interleaves families and must stay raw.
+    """
+    return OpenLoopWorkload(
+        clock,
+        rate=config.arrival_rate(),
+        clients=clients,
+        weights=weights,
+        key_sampler=key_sampler(config, rng),
+        rng=rng.stream("workload.arrivals"),
+        total_requests=config.total_requests,
+        warmup_requests=config.warmup_requests(),
+        write_fraction=config.write_fraction,
+    )
+
+
+# ----------------------------------------------------------------------
+# Build helpers
+# ----------------------------------------------------------------------
 def _build_switches(
     config: ExperimentConfig,
     env: Environment,
@@ -297,23 +369,13 @@ def _build_servers(
     server_hosts: List[str],
 ) -> Dict[str, KVServer]:
     servers: Dict[str, KVServer] = {}
-    batch = config.rng_batch_size
     for name in server_hosts:
-        if config.fluctuation_range > 1.0:
-            model = BimodalFluctuation(
-                base_service_time=config.mean_service_time,
-                range_parameter=config.fluctuation_range,
-                interval=config.fluctuation_interval,
-                rng=rng.batched(f"fluctuation.{name}", batch),
-            )
-        else:
-            model = StableService(config.mean_service_time)
         servers[name] = KVServer(
             env,
             hosts[name],
-            service_model=model,
+            service_model=service_model(config, rng, name),
             parallelism=config.parallelism,
-            rng=rng.batched(f"service.{name}", batch),
+            rng=rng.batched(f"service.{name}", config.rng_batch_size),
             value_size=config.value_size,
             rate_ewma_alpha=config.ewma_alpha,
         )
@@ -331,29 +393,16 @@ def _build_clients(
     tracker: CompletionTracker,
     write_recorder: Optional[LatencyRecorder] = None,
 ) -> List[KVClient]:
-    redundancy = (
-        RedundancyPolicy(
-            percentile=config.redundancy_percentile,
-            min_samples=config.redundancy_min_samples,
-        )
-        if config.redundancy_enabled
-        else None
-    )
+    redundancy = redundancy_policy(config)
     clients: List[KVClient] = []
     request_ids = itertools.count(1)  # one sequence per scenario
     for name in client_hosts:
-        selector = create_selector(
-            config.algorithm,
-            concurrency_weight=config.n_clients,
-            prior_service_rate=config.prior_service_rate(),
-            rng=rng.stream(f"selector.client.{name}"),
-        )
         clients.append(
             KVClient(
                 env,
                 hosts[name],
                 ring=ring,
-                selector=selector,
+                selector=client_selector(config, rng, name),
                 recorder=recorder,
                 tracker=tracker,
                 netrs=config.netrs,
@@ -416,12 +465,8 @@ def _wire_netrs(scenario: Scenario) -> None:
     selector_counter = iter(range(1, 1_000_000))
 
     def algorithm_factory(n_rsnodes: int):
-        index = next(selector_counter)
-        return create_selector(
-            config.algorithm,
-            concurrency_weight=n_rsnodes,
-            prior_service_rate=config.prior_service_rate(),
-            rng=scenario.rng.stream(f"selector.operator.{index}"),
+        return operator_selector(
+            config, scenario.rng, next(selector_counter), n_rsnodes
         )
 
     tor_switches = {

@@ -13,8 +13,10 @@ Select it with ``ExperimentConfig(fidelity="flow")`` (or ``--fidelity flow``
 on the CLI): ``run_experiment`` then runs the fastest engine with the packet
 engine's result -- a flow engine where
 :func:`~repro.mesoscale.support.flow_models` holds, the packet engine
-elsewhere.  :mod:`repro.mesoscale.validate` and ``netrs validate-fidelity``
-gate that identity.  See docs/MESOSCALE.md.
+elsewhere -- and collects it as it collects a packet run.  A flow engine
+replaces only the wire: its endpoints are made by the scenario builders of
+:mod:`repro.experiments.scenarios`.  :mod:`repro.mesoscale.validate` and
+``netrs validate-fidelity`` gate the identity.  See docs/MESOSCALE.md.
 
 Two performance layers ride on top of the flow tier, both byte-identical
 to it: the struct-of-arrays fast path (:mod:`repro.mesoscale.vector`,
@@ -24,7 +26,6 @@ the sharded parallel loop (:mod:`repro.mesoscale.shard`, ``shards > 1``).
 
 from repro.mesoscale.flow import FlowEngine
 from repro.mesoscale.geometry import FatTreeGeometry
-from repro.mesoscale.runner import run_flow_experiment
 from repro.mesoscale.shard import (
     merge_outcomes,
     run_sharded_flow_experiment,
@@ -47,7 +48,6 @@ __all__ = [
     "VectorFlowEngine",
     "flow_models",
     "merge_outcomes",
-    "run_flow_experiment",
     "run_sharded_flow_experiment",
     "shard_configs",
     "validate_fidelity",

@@ -10,8 +10,14 @@ and nothing else: the endpoints are the packet tier's own
 (:class:`~repro.kvstore.server.ServerCore`,
 :class:`~repro.kvstore.client.ClientCore`,
 :class:`~repro.kvstore.workload.OpenLoopWorkload`, the service-fluctuation
-models, :class:`~repro.network.accelerator.Accelerator`), constructed on this
-engine instead of on the packet tier's clock.
+models, the selectors, :class:`~repro.network.accelerator.Accelerator`),
+made by the scenario's own endpoint builders
+(:mod:`repro.experiments.scenarios`: ``assign_roles``, ``service_model``,
+``client_selector``, ``operator_selector``, ``open_loop_workload`` and the
+rest) on this engine instead of on the packet tier's clock.  What the engine
+builds itself is only its own: the clock, the wire callables below, the ring
+and the RSNodes' accelerators; packet sizes are
+:meth:`~repro.network.packet.Packet.wire_accounting`'s.
 
 Two things make that possible.  The engine offers that clock's surface under
 the same names -- :attr:`FlowEngine.now`, :meth:`~FlowEngine.post_in`,
@@ -49,27 +55,23 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.selector_node import NetRSSelector
 from repro.errors import ConfigurationError
+from repro.experiments import scenarios
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import parse_fault_schedule
-from repro.kvstore.client import ClientCore, CompletionTracker, RedundancyPolicy
-from repro.kvstore.fluctuation import BimodalFluctuation, StableService
+from repro.kvstore.client import ClientCore, CompletionTracker
 from repro.kvstore.hashing import shared_ring
 from repro.kvstore.server import ServerCore
-from repro.kvstore.workload import DemandWeights, OpenLoopWorkload, ZipfSampler
 from repro.mesoscale.geometry import FatTreeGeometry
 from repro.mesoscale.support import flow_models
 from repro.network.accelerator import Accelerator
+from repro.network.addressing import SourceMarker
 from repro.network.packet import (
-    _SIZE_MF,
-    _SIZE_RGID,
-    _SIZE_RID,
-    _SIZE_RV,
-    _SIZE_SM,
-    _SIZE_SS,
-    _SIZE_SSL,
-    _SIZE_UDP_HEADERS,
+    MAGIC_PLAIN,
+    MAGIC_REQUEST,
+    MAGIC_RESPONSE,
+    Packet,
+    ServerStatus,
 )
-from repro.selection.registry import create_selector
 from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import RngRegistry
 
@@ -95,7 +97,7 @@ class FlowEngine:
     """One flow-level experiment: state, micro-event loop and accounting.
 
     Lifetime: build, :meth:`run` once, read the counters, :meth:`teardown`.
-    ``run_flow_experiment`` does all four (and parks the cyclic collector
+    ``run_experiment`` does all four (and parks the cyclic collector
     meanwhile); a caller driving an engine by hand owes it the teardown, or
     leaves a ~30 000-object reference cycle for a full collection to find.
     """
@@ -122,13 +124,9 @@ class FlowEngine:
         self.micro_events = 0
         self._stopped = False
 
-        # --- roles (identical to scenarios._assign_roles) ------------------
-        host_names = self.geometry.hosts
-        order = rng.stream("placement").permutation(len(host_names))
-        shuffled = [host_names[i] for i in order]
-        self.client_hosts = sorted(shuffled[: config.n_clients])
-        self.server_hosts = sorted(
-            shuffled[config.n_clients : config.n_clients + config.n_servers]
+        # --- roles ---------------------------------------------------------
+        self.client_hosts, self.server_hosts = scenarios.assign_roles(
+            config, self.geometry.hosts, rng
         )
         self.ring = shared_ring(
             self.server_hosts,
@@ -155,19 +153,10 @@ class FlowEngine:
         respond = self._send_netrs_response if config.netrs else self._send_response
         self.servers: Dict[str, ServerCore] = {}
         for name in self.server_hosts:
-            if config.fluctuation_range > 1.0:
-                model = BimodalFluctuation(
-                    base_service_time=config.mean_service_time,
-                    range_parameter=config.fluctuation_range,
-                    interval=config.fluctuation_interval,
-                    rng=rng.batched(f"fluctuation.{name}", batch),
-                )
-            else:
-                model = StableService(config.mean_service_time)
             self.servers[name] = ServerCore(
                 self,
                 name,
-                service_model=model,
+                service_model=scenarios.service_model(config, rng, name),
                 parallelism=config.parallelism,
                 rng=rng.batched(f"service.{name}", batch),
                 rate_ewma_alpha=config.ewma_alpha,
@@ -178,29 +167,16 @@ class FlowEngine:
         self.recorder = LatencyRecorder()
         self.tracker = CompletionTracker(config.total_requests)
         self.tracker.when_done(self._stop)
-        redundancy = (
-            RedundancyPolicy(
-                percentile=config.redundancy_percentile,
-                min_samples=config.redundancy_min_samples,
-            )
-            if config.redundancy_enabled
-            else None
-        )
+        redundancy = scenarios.redundancy_policy(config)
         transmit = self._send_via_operator if config.netrs else self._send_request
         self.clients: List[ClientCore] = []
         for name in self.client_hosts:
-            selector = create_selector(
-                config.algorithm,
-                concurrency_weight=config.n_clients,
-                prior_service_rate=config.prior_service_rate(),
-                rng=rng.stream(f"selector.client.{name}"),
-            )
             self.clients.append(
                 ClientCore(
                     self,
                     name,
                     ring=self.ring,
-                    selector=selector,
+                    selector=scenarios.client_selector(config, rng, name),
                     recorder=self.recorder,
                     transmit=transmit,
                     completed=self._complete_request,
@@ -227,18 +203,9 @@ class FlowEngine:
         self._operator_of: Dict[str, _FlowOperator] = {}
         if config.netrs:
             tors = sorted({self.geometry.tor_name(name) for name in self.client_hosts})
-            n_rsnodes = len(tors)
             for index, tor in enumerate(tors, start=1):
-                selector = NetRSSelector(
-                    self,
-                    algorithm=create_selector(
-                        config.algorithm,
-                        concurrency_weight=n_rsnodes,
-                        prior_service_rate=config.prior_service_rate(),
-                        rng=rng.stream(f"selector.operator.{index}"),
-                    ),
-                    ring=self.ring,
-                )
+                algorithm = scenarios.operator_selector(config, rng, index, len(tors))
+                selector = NetRSSelector(self, algorithm=algorithm, ring=self.ring)
                 accelerator = Accelerator(
                     self,
                     f"acc.{tor}",
@@ -251,23 +218,8 @@ class FlowEngine:
                 self._operator_of[name] = self.operators[self.geometry.tor_name(name)]
 
         # --- workload ------------------------------------------------------
-        weights = DemandWeights(
-            config.n_clients,
-            skew=config.demand_skew,
-            hot_fraction=config.hot_fraction,
-            rng=rng.stream("workload.skew") if config.demand_skew is not None else None,
-        )
-        self.workload = OpenLoopWorkload(
-            self,
-            rate=config.arrival_rate(),
-            clients=self.clients,
-            weights=weights,
-            key_sampler=ZipfSampler(
-                config.key_space, config.zipf_exponent, rng.batched("workload.keys", batch)
-            ),
-            rng=rng.stream("workload.arrivals"),
-            total_requests=config.total_requests,
-            warmup_requests=config.warmup_requests(),
+        self.workload = scenarios.open_loop_workload(
+            config, self, rng, self.clients, scenarios.demand_weights(config, rng)
         )
 
         # --- faults: armed last, as build_scenario arms them, so a transition
@@ -338,7 +290,7 @@ class FlowEngine:
         accelerator points back at it, and the tracker, the fault injector
         and the events left on the heap hold its bound methods.  Merely
         dropped, it waits for a full pass of the cyclic collector, which a
-        flow run keeps parked (``run_flow_experiment``).  Emptying the
+        flow run keeps parked (``run_experiment``).  Emptying the
         instance dict cuts every one of those cycles at the engine, whatever
         attributes a later change adds, so all the engine owned is freed by
         reference count here; what it shares (the recorder the result keeps,
@@ -487,44 +439,21 @@ class FlowEngine:
         op, rv, server_name, status = job
         op.selector.fold(server_name, rv, status, now)
 
-    # ------------------------------------------------------------------
-    # Result accounting helpers
-    # ------------------------------------------------------------------
-    def accelerator_max_utilization(self) -> float:
-        if not self.operators:
-            return 0.0
-        return max(op.accelerator.utilization() for op in self.operators.values())
-
-    def selector_requests_handled(self) -> int:
-        return sum(op.selector.requests_handled for op in self.operators.values())
-
 
 def _wire_sizes(config) -> Dict[str, Tuple[int, int]]:
     """Per-packet (wire bytes, NetRS-overhead bytes) by packet kind.
 
-    Mirrors the inlined sizing in ``Network.transmit``: CliRS requests are
-    plain UDP; responses add the status segment and the value payload; NetRS
-    packets add the fixed NetRS header plus RGID (and, for responses past
-    the server's ToR, the source marker).
+    Each is :meth:`Packet.wire_accounting` of the packet the packet tier
+    sends: a plain request, its reply, a NetRS request (RGID) and a NetRS
+    reply before and after its source marker is stamped.
     """
-    payload = 16  # empty-request placeholder payload, as in wire_size()
-    value = 16 if config.value_size == 0 else config.value_size
-    status = _SIZE_SSL + _SIZE_SS
-    netrs_fixed = _SIZE_RID + _SIZE_MF + _SIZE_RV
-    return {
-        "request": (_SIZE_UDP_HEADERS + payload, 0),
-        "response": (_SIZE_UDP_HEADERS + status + value, 0),
-        "netrs_request": (
-            _SIZE_UDP_HEADERS + netrs_fixed + _SIZE_RGID + payload,
-            netrs_fixed + _SIZE_RGID,
-        ),
-        # Responses drop the RGID segment (it is request-only wire data).
-        "netrs_response": (
-            _SIZE_UDP_HEADERS + netrs_fixed + status + value,
-            netrs_fixed,
-        ),
-        "netrs_response_marked": (
-            _SIZE_UDP_HEADERS + netrs_fixed + _SIZE_SM + status + value,
-            netrs_fixed + _SIZE_SM,
-        ),
+    reply = dict(server_status=ServerStatus(0, 0.0, 0.0), value_size=config.value_size)
+    marked = dict(reply, source_marker=SourceMarker(0, 0))
+    shapes = {
+        "request": Packet("c", "s", MAGIC_PLAIN, 0),
+        "response": Packet("s", "c", MAGIC_PLAIN, 0, **reply),
+        "netrs_request": Packet("c", None, MAGIC_REQUEST, 0, rgid=0),
+        "netrs_response": Packet("s", "c", MAGIC_RESPONSE, 0, **reply),
+        "netrs_response_marked": Packet("s", "c", MAGIC_RESPONSE, 0, **marked),
     }
+    return {kind: packet.wire_accounting() for kind, packet in shapes.items()}

@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.exec import ExecutionPolicy, Job, JobOutcome, execute_jobs, outcome_from_result
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.faults.events import ServerDown, ServerUp
 from repro.faults.schedule import FaultSchedule, parse_fault_schedule
-
-if TYPE_CHECKING:  # imported lazily: experiments builds on this package
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import ExperimentResult
+from repro.sim.probes import LatencyRecorder
 
 #: Per-shard seeds are spread with a large prime stride so neighbouring
 #: shard indices never produce overlapping SeedSequence entropy pools.
@@ -144,9 +143,7 @@ def shard_configs(config: "ExperimentConfig") -> List["ExperimentConfig"]:
 # ----------------------------------------------------------------------
 def _run_shard_job(job: Job) -> JobOutcome:
     """Exec runner for one shard (module-level: spawn workers pickle it)."""
-    from repro.mesoscale.runner import run_flow_experiment
-
-    result = run_flow_experiment(job.config)
+    result = run_experiment(job.config)
     outcome = outcome_from_result(job, result)
     # The merge needs the raw samples (key-ordered concat reproduces the
     # serial sample order) and every summed counter; both travel on the
@@ -175,9 +172,6 @@ def merge_outcomes(
     take the max, downtime sums (each fault event is owned by exactly one
     shard).
     """
-    from repro.experiments.runner import ExperimentResult
-    from repro.sim.probes import LatencyRecorder
-
     recorder = LatencyRecorder()
     totals: Dict[str, float] = {name: 0 for name in _MERGE_SUMS}
     sim_duration = 0.0
@@ -198,24 +192,10 @@ def merge_outcomes(
         latency=recorder,
         sim_duration=sim_duration,
         wall_time=wall_time,
-        completed_requests=int(totals["completed_requests"]),
-        transmissions=int(totals["transmissions"]),
-        bytes_transferred=int(totals["bytes_transferred"]),
-        netrs_overhead_bytes=int(totals["netrs_overhead_bytes"]),
-        events_executed=int(totals["events_executed"]),
-        micro_events=int(totals["micro_events"]),
-        redundant_requests=int(totals["redundant_requests"]),
-        timeouts=int(totals["timeouts"]),
-        retries=int(totals["retries"]),
-        requests_lost=int(totals["requests_lost"]),
-        duplicates_suppressed=int(totals["duplicates_suppressed"]),
-        server_dropped_requests=int(totals["server_dropped_requests"]),
-        faults_injected=int(totals["faults_injected"]),
         unavailability=unavailability,
+        **{name: int(totals[name]) for name in _MERGE_SUMS},
     )
-    result.selector_requests_handled = int(totals["selector_requests_handled"])
-    if totals["rsnode_count"]:
-        result.rsnode_count = int(totals["rsnode_count"])
+    if result.rsnode_count:
         result.accelerator_max_utilization = accelerator_util
         result.plan_description = (
             f"FLOW-SHARDED[shards={config.shards} "

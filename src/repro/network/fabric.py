@@ -10,7 +10,7 @@ whose requests are ~1 KB and whose bottleneck is server/accelerator service
 time -- but every byte transferred is accounted so protocol overhead is
 measurable.  Passing ``link_bandwidth`` (bits/second) enables a
 store-and-forward serialization model: each directed link transmits one
-packet at a time (``wire_size * 8 / bandwidth`` seconds each), later packets
+packet at a time (wire size * 8 / bandwidth seconds each), later packets
 queue behind it, and per-link backlog becomes observable.  Useful for
 congestion studies beyond the paper's scope.
 """
@@ -260,7 +260,7 @@ class Network:
             fault_factor = self._degraded_links.get(fault_link)
         # Inlined Packet.wire_accounting (the reference implementation):
         # sizing runs once per hop, where even the call overhead shows up.
-        # test_fabric cross-checks these totals against wire_size().
+        # test_fabric cross-checks these totals against it.
         common = 0
         if packet.rgid >= 0:
             common += _SIZE_RGID

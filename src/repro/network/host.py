@@ -81,7 +81,8 @@ class Host:
             network.send_from_host(self.name, self.tor_name, packet)
             return
         packet.hops += links - 2  # all switches but the egress ToR
-        # Inlined Packet.wire_size (a plain packet carries no NetRS overhead).
+        # Inlined Packet.wire_accounting (the reference implementation; a
+        # plain packet carries no NetRS overhead).
         value_size = packet.value_size
         size = _SIZE_UDP_HEADERS + (16 if value_size == 0 else value_size)
         if packet.rgid >= 0:

@@ -53,7 +53,7 @@ RSNODE_UNSET = 0
 #: Illegal RSNode ID used to request Degraded Replica Selection (section IV-B).
 RSNODE_ILLEGAL = -1
 
-# Fixed segment sizes in bytes (Fig. 2), used by wire_size().
+# Fixed segment sizes in bytes (Fig. 2), used by Packet.wire_accounting().
 _SIZE_RID = 2
 _SIZE_MF = 6
 _SIZE_RV = 2
@@ -88,10 +88,6 @@ class ServerStatus:
     queue_size: int
     service_rate: float  # requests per second, EWMA kept by the server
     timestamp: float  # server clock when the status was sampled
-
-    def wire_size(self) -> int:
-        """Bytes of the encoded status: queue (4) + rate (4) + stamp (4)."""
-        return _SIZE_SS
 
 
 @dataclass(slots=True)
@@ -158,25 +154,16 @@ class Packet:
         identity = f"{self.src}|{self.dst}|{self.request_id}|{salt}"
         return zlib.crc32(identity.encode("ascii"))
 
-    def wire_size(self) -> int:
-        """Approximate on-the-wire size in bytes (headers + payload)."""
-        size = _SIZE_UDP_HEADERS
-        if self.magic != MAGIC_PLAIN:
-            size += _SIZE_RID + _SIZE_MF + _SIZE_RV
-        if self.rgid >= 0:
-            size += _SIZE_RGID
-        if self.source_marker is not None:
-            size += _SIZE_SM
-        if self.server_status is not None:
-            size += _SIZE_SSL + _SIZE_SS
-        size += 16 if self.value_size == 0 else self.value_size  # app payload
-        return size
-
     def wire_accounting(self) -> "tuple[int, int]":
-        """``(wire_size(), netrs_header_bytes())`` in one pass.
+        """``(wire size, NetRS header bytes)`` of this packet, in bytes.
 
-        The fabric charges both on every hop; evaluating the shared segment
-        branches once halves the accounting cost on the hot path.
+        The wire size is the approximate on-the-wire size: headers plus
+        payload (16 bytes for an empty one).  The NetRS header bytes are
+        those attributable to the NetRS protocol itself; the piggybacked
+        server status is excluded, since load-aware selection needs it with
+        or without NetRS (C3 piggybacks it under CliRS too).  This is the
+        one sizing rule: the fabric, the host and the flow tier charge it
+        on every hop.
         """
         common = 0
         if self.rgid >= 0:
@@ -194,21 +181,6 @@ class Packet:
             size += _SIZE_SSL + _SIZE_SS
         size += 16 if self.value_size == 0 else self.value_size  # app payload
         return size, overhead
-
-    def netrs_header_bytes(self) -> int:
-        """Bytes attributable to the NetRS protocol itself.
-
-        The piggybacked server status is excluded: load-aware selection
-        needs it with or without NetRS (C3 piggybacks it under CliRS too).
-        """
-        if self.magic == MAGIC_PLAIN:
-            return 0
-        size = _SIZE_RID + _SIZE_MF + _SIZE_RV
-        if self.rgid >= 0:
-            size += _SIZE_RGID
-        if self.source_marker is not None:
-            size += _SIZE_SM
-        return size
 
     def clone(self) -> "Packet":
         """Deep-enough copy for redundant requests and accelerator clones."""

@@ -97,7 +97,7 @@ class TestProtocolOverhead:
             dst="s",
         )
         assert packet.magic == MAGIC_PLAIN
-        assert packet.netrs_header_bytes() == 0
+        assert packet.wire_accounting()[1] == 0
 
     def test_netrs_request_overhead_small(self):
         packet = make_request(
@@ -110,7 +110,7 @@ class TestProtocolOverhead:
             netrs=True,
         )
         # RID(2) + MF(6) + RV(2) + RGID(3) = 13 bytes.
-        assert packet.netrs_header_bytes() == 13
+        assert packet.wire_accounting()[1] == 13
 
     def test_clirs_fabric_carries_no_netrs_bytes(self):
         _, result, _ = _measure("clirs")

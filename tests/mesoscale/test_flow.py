@@ -6,8 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.mesoscale import FLOW_SCHEMES
-from repro.mesoscale.runner import run_flow_experiment
+from repro.mesoscale import FLOW_SCHEMES, FlowEngine
 from repro.mesoscale.validate import differences
 
 FAULT_SCHEDULE = (
@@ -21,13 +20,16 @@ def _tiny(scheme, **overrides):
 
 
 def _assert_identical(packet, flow):
+    """Equal results, and each came from its own tier's engine."""
+    assert packet.events_executed > 0 and packet.micro_events == 0
+    assert flow.micro_events > 0 and flow.events_executed == 0
     assert differences(packet, flow) == []
 
 
 def test_same_seed_is_bit_identical():
     config = _tiny("clirs", fidelity="flow")
-    first = run_flow_experiment(config)
-    second = run_flow_experiment(config)
+    first = run_experiment(config)
+    second = run_experiment(config)
     assert first.latency.samples == second.latency.samples
     assert first.summary() == second.summary()
     assert first.transmissions == second.transmissions
@@ -56,9 +58,7 @@ def test_flow_matches_packet_bit_exactly(scheme, vector_batch, overrides):
     path, which must change nothing."""
     config = _tiny(scheme, **overrides)
     packet = run_experiment(config)
-    flow = run_flow_experiment(
-        config.replace(fidelity="flow", vector_batch=vector_batch)
-    )
+    flow = run_experiment(config.replace(fidelity="flow", vector_batch=vector_batch))
     _assert_identical(packet, flow)
 
 
@@ -71,19 +71,23 @@ def test_flow_matches_packet_under_faults(vector_batch):
         max_retries=4,
     )
     packet = run_experiment(config)
-    flow = run_flow_experiment(
-        config.replace(fidelity="flow", vector_batch=vector_batch)
-    )
+    flow = run_experiment(config.replace(fidelity="flow", vector_batch=vector_batch))
     _assert_identical(packet, flow)
     assert packet.timeouts > 0  # the schedule actually bites
 
 
 def test_fidelity_dispatch_through_run_experiment():
+    """``run_experiment`` runs the flow engine, and reports what an engine
+    driven by hand does."""
     config = _tiny("clirs", fidelity="flow")
-    via_dispatch = run_experiment(config)
-    direct = run_flow_experiment(config)
-    assert via_dispatch.latency.samples == direct.latency.samples
+    via_dispatch = run_experiment(config, keep_scenario=True)
+    assert type(via_dispatch.scenario) is FlowEngine
+    via_dispatch.scenario.teardown()
+    direct = FlowEngine(config)
+    direct.run()
+    assert via_dispatch.latency.samples == direct.recorder.samples
     assert via_dispatch.micro_events == direct.micro_events
+    direct.teardown()
     assert "FLOW" not in run_experiment(_tiny("clirs")).plan_description
 
 
@@ -93,7 +97,7 @@ def test_flow_runs_on_its_own_heap_only():
     config = _tiny(
         "clirs", fault_schedule=FAULT_SCHEDULE, request_timeout=20e-3, max_retries=4
     )
-    flow = run_flow_experiment(config)
+    flow = run_experiment(config.replace(fidelity="flow"))
     assert flow.events_executed == 0
     assert flow.micro_events > 0
     assert flow.faults_injected == 4

@@ -1,4 +1,4 @@
-"""A flow run owns its memory: ``run_flow_experiment`` parks the cyclic
+"""A flow run owns its memory: ``run_experiment`` parks the cyclic
 collector for the run, restores the caller's collector state on every exit,
 and tears the engine down so that it dies by reference count.
 
@@ -16,7 +16,6 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments import run_experiment
 from repro.experiments.config import ExperimentConfig
 from repro.mesoscale.flow import FlowEngine
-from repro.mesoscale.runner import run_flow_experiment
 
 _RETRY = dict(request_timeout=0.02, max_retries=5)
 _CRASH = dict(
@@ -60,7 +59,7 @@ def _collector(enabled):
 def test_finished_run_leaves_no_cyclic_garbage(name):
     gc.collect()  # empty the backlog, so that what is found below is the run's
     with _collector(False):
-        result = run_flow_experiment(_CONFIGS[name])
+        result = run_experiment(_CONFIGS[name])
         assert gc.collect() == 0
     # The recorder is what survives the engine, and it still answers.
     assert result.completed_requests == _CONFIGS[name].total_requests
@@ -72,7 +71,7 @@ def test_finished_run_leaves_no_cyclic_garbage(name):
 @pytest.mark.parametrize("name", ["scalar", "vector", "shards"])
 def test_collector_state_is_restored(name, enabled):
     with _collector(enabled):
-        run_flow_experiment(_CONFIGS[name])
+        run_experiment(_CONFIGS[name])
         assert gc.isenabled() is enabled
 
 
@@ -90,16 +89,17 @@ def test_collector_state_is_restored_when_the_run_raises(enabled, monkeypatch):
     monkeypatch.setattr(FlowEngine, "teardown", recording_teardown)
     with _collector(enabled):
         with pytest.raises(ReproError, match="stalled"):
-            run_flow_experiment(_CONFIGS["scalar"])
+            run_experiment(_CONFIGS["scalar"])
         assert gc.isenabled() is enabled
     assert len(torn_down) == 1 and not vars(torn_down[0])
 
 
 @pytest.mark.parametrize("name", ["scalar", "vector", "netrs-tor-faults"])
-def test_keep_engine_returns_a_live_engine(name):
+def test_keep_scenario_returns_a_live_engine(name):
     config = _CONFIGS[name]
     result = run_experiment(config, keep_scenario=True)
-    engine = result.engine
+    engine = result.scenario
+    assert isinstance(engine, FlowEngine)
     # What benchmarks/layered reads off a kept engine: every selector.
     selections = sum(client.selector.selections for client in engine.clients)
     selections += sum(
@@ -113,9 +113,7 @@ def test_keep_engine_returns_a_live_engine(name):
 
 def test_keeping_the_engine_of_a_sharded_run_is_rejected_at_the_call():
     """A sharded run has no one engine to hand back; the flag used to be
-    dropped silently and the caller failed later on ``result.engine``."""
-    with pytest.raises(ConfigurationError, match="one engine per shard"):
-        run_flow_experiment(_CONFIGS["shards"], keep_engine=True)
+    dropped silently and the caller failed later on ``result.scenario``."""
     with pytest.raises(ConfigurationError, match="one engine per shard"):
         run_experiment(_CONFIGS["shards"], keep_scenario=True)
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.mesoscale.runner import run_flow_experiment
+from repro.experiments.runner import run_experiment
 from repro.mesoscale.shard import run_sharded_flow_experiment, shard_configs
 from repro.mesoscale.validate import IDENTITY_FIELDS, differences
 
@@ -27,6 +27,9 @@ def _sharded(scheme, **overrides):
 
 
 def _assert_identical(a, b, tag):
+    """Equal results, both from flow engines (never the packet engine)."""
+    for result in (a, b):
+        assert result.micro_events > 0 and result.events_executed == 0, tag
     assert differences(a, b, _FIELDS) == [], tag
 
 
@@ -36,10 +39,10 @@ def test_sharded_run_is_deterministic_and_vector_invariant(scheme, shards):
     """Per shard count: repeat runs agree exactly, and routing every shard
     through the SoA fast path changes nothing (vector x shards identity)."""
     config = _sharded(scheme, shards=shards)
-    base = run_flow_experiment(config)
-    again = run_flow_experiment(config)
+    base = run_experiment(config)
+    again = run_experiment(config)
     _assert_identical(base, again, (scheme, shards, "repeat"))
-    vector = run_flow_experiment(config.replace(vector_batch=512))
+    vector = run_experiment(config.replace(vector_batch=512))
     _assert_identical(base, vector, (scheme, shards, "vector"))
     assert base.completed_requests == config.total_requests
 
@@ -67,12 +70,12 @@ def test_fault_schedule_remaps_and_aggregates():
         request_timeout=0.04,
         max_retries=3,
     )
-    sharded = run_flow_experiment(config.replace(shards=4))
-    vector = run_flow_experiment(config.replace(shards=4, vector_batch=512))
+    sharded = run_experiment(config.replace(shards=4))
+    vector = run_experiment(config.replace(shards=4, vector_batch=512))
     _assert_identical(sharded, vector, "faults")
     # The remapped schedule injects exactly what the sub-experiments see:
     # summing the per-shard serial runs must reproduce the merged counters.
-    subs = [run_flow_experiment(sub) for sub in shard_configs(config.replace(shards=4))]
+    subs = [run_experiment(sub) for sub in shard_configs(config.replace(shards=4))]
     assert sharded.faults_injected == sum(s.faults_injected for s in subs)
     assert sharded.unavailability == pytest.approx(
         sum(s.unavailability for s in subs)
@@ -92,7 +95,7 @@ def test_shard_configs_are_independent_sub_experiments():
 
 def test_netrs_merge_reports_sharded_plan():
     config = _sharded("netrs-tor", shards=4)
-    result = run_flow_experiment(config)
+    result = run_experiment(config)
     assert "FLOW-SHARDED" in result.plan_description
     assert "shards=4" in result.plan_description
 

@@ -7,9 +7,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.mesoscale import VALIDATION_SCENARIOS, FlowEngine, flow_models
 from repro.mesoscale import validate as validate_mod
-from repro.mesoscale.runner import run_flow_experiment
 from repro.mesoscale.validate import compare_tiers, differences, validate_fidelity
 from repro.sim.probes import LatencyRecorder
 
@@ -55,7 +55,7 @@ def test_cli_without_a_scenario_runs_the_whole_registry(tiny_scenarios, capsys):
 
 
 def test_differences_name_each_counter_and_the_first_sample():
-    result = run_flow_experiment(_tiny_registry()["tiny"].replace(fidelity="flow"))
+    result = run_experiment(_tiny_registry()["tiny"].replace(fidelity="flow"))
     assert differences(result, result) == []
     samples = list(result.latency.samples)
     samples[5] += 1e-9
@@ -94,6 +94,20 @@ def test_a_perturbed_flow_tier_breaches_the_gate(widened_flow_hop):
     assert not report.passed
     assert any(b.startswith("latency sample #") for b in report.breaches)
     assert "BREACH: latency sample #" in report.format()
+
+
+def test_a_config_the_flow_engine_does_not_model_breaches_the_gate(
+    monkeypatch, capsys
+):
+    """``fidelity="flow"`` would run the packet engine on it, and the gate
+    would compare that engine with itself: no micro-event is a breach."""
+    writes = ExperimentConfig.tiny(scheme="clirs", seed=3).replace(write_fraction=0.1)
+    assert not flow_models(writes)
+    monkeypatch.setattr(validate_mod, "_scenario_configs", lambda: {"writes": writes})
+    assert validate_mod.main([]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] writes" in out
+    assert "BREACH: flow leg ran no flow engine (micro_events == 0)" in out
 
 
 def test_unknown_scenario_is_an_error():

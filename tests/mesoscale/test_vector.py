@@ -16,7 +16,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.mesoscale import FlowEngine, VectorFlowEngine, shard_configs
-from repro.mesoscale.runner import run_flow_experiment
 from repro.mesoscale.validate import IDENTITY_FIELDS, differences
 
 #: Flow-tier-only counter, checked on top of the shared identity fields.
@@ -35,13 +34,16 @@ def _flow(scheme, seed=5, **overrides):
 
 def _run(config):
     """A flow run's result, and the class of the engine that produced it."""
-    result = run_flow_experiment(config, keep_engine=True)
-    engine_class = type(result.engine)
-    result.engine.teardown()
+    result = run_experiment(config, keep_scenario=True)
+    engine_class = type(result.scenario)
+    result.scenario.teardown()
     return result, engine_class
 
 
 def _assert_identical(scalar, vector, tag):
+    """Equal results, both from a flow engine (never the packet engine)."""
+    for result in (scalar, vector):
+        assert result.micro_events > 0 and result.events_executed == 0, tag
     assert differences(scalar, vector, _FIELDS) == [], tag
 
 
@@ -49,7 +51,7 @@ def _assert_knob_is_invisible(config, vector_batch, engine_class, tag):
     """``vector_batch`` lands on ``engine_class`` and changes no result field."""
     vector, vector_class = _run(config.replace(vector_batch=vector_batch))
     assert vector_class is engine_class, tag
-    _assert_identical(run_flow_experiment(config), vector, tag)
+    _assert_identical(run_experiment(config), vector, tag)
     return vector
 
 
@@ -126,8 +128,8 @@ def test_sharded_run_picks_the_engine_per_shard():
     vector = config.replace(vector_batch=64)
     classes = [_run(sub)[1] for sub in shard_configs(vector)]
     assert classes == [VectorFlowEngine] * 4
-    merged = run_flow_experiment(vector)
-    _assert_identical(run_flow_experiment(config), merged, "sharded")
+    merged = run_experiment(vector)
+    _assert_identical(run_experiment(config), merged, "sharded")
     assert merged.server_dropped_requests > 0
 
 
@@ -202,19 +204,23 @@ def test_fast_path_identity_matrix(axis):
 
 def test_vector_same_seed_is_deterministic():
     config = _flow("clirs-r95", vector_batch=64)
-    first = run_flow_experiment(config)
-    second = run_flow_experiment(config)
+    first = run_experiment(config)
+    second = run_experiment(config)
     assert tuple(first.latency.samples) == tuple(second.latency.samples)
     assert first.summary() == second.summary()
     assert first.micro_events == second.micro_events
 
 
 def test_vector_dispatches_through_run_experiment():
+    """``run_experiment`` runs the SoA engine, and reports what one driven by
+    hand does."""
     config = _flow("clirs", vector_batch=64)
     via_dispatch = run_experiment(config)
-    direct = run_flow_experiment(config)
-    assert tuple(via_dispatch.latency.samples) == tuple(direct.latency.samples)
+    direct = VectorFlowEngine(config)
+    direct.run()
+    assert tuple(via_dispatch.latency.samples) == tuple(direct.recorder.samples)
     assert via_dispatch.micro_events == direct.micro_events
+    direct.teardown()
 
 
 @pytest.mark.parametrize("scenario", ["fig4-clirs-r95", "faults-clirs"])
@@ -225,11 +231,11 @@ def test_vector_identity_on_committed_validation_scenarios(scenario):
     from repro.mesoscale.validate import _scenario_configs
 
     config = _scenario_configs()[scenario].replace(fidelity="flow")
-    scalar = run_flow_experiment(config)
-    vector = run_flow_experiment(config.replace(vector_batch=4096))
+    scalar = run_experiment(config)
+    vector = run_experiment(config.replace(vector_batch=4096))
     _assert_identical(scalar, vector, scenario)
-    sharded = run_flow_experiment(config.replace(shards=4))
-    sharded_vector = run_flow_experiment(
+    sharded = run_experiment(config.replace(shards=4))
+    sharded_vector = run_experiment(
         config.replace(shards=4, vector_batch=4096)
     )
     _assert_identical(sharded, sharded_vector, (scenario, "sharded"))

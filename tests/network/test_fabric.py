@@ -88,7 +88,7 @@ class TestNetwork:
         network.transmit("host0.0.0", "tor0.0", packet)
         env.run()
         assert network.transmissions == 1
-        assert network.bytes_transferred == packet.wire_size()
+        assert network.bytes_transferred == packet.wire_accounting()[0]
 
 
 class TestHost:
@@ -142,7 +142,7 @@ class TestBandwidthModel:
         packet = _plain()
         network.transmit("host0.0.0", "tor0.0", packet)
         env.run()
-        expected = 30e-6 + packet.wire_size() * 8 / 10e9
+        expected = 30e-6 + packet.wire_accounting()[0] * 8 / 10e9
         assert env.now == pytest.approx(expected)
 
     def test_packets_queue_behind_each_other(self, net):
@@ -161,7 +161,7 @@ class TestBandwidthModel:
         network.transmit("host0.0.0", "tor0.0", first)
         network.transmit("host0.0.0", "tor0.0", second)
         env.run()
-        tx = first.wire_size() * 8 / 1e6
+        tx = first.wire_accounting()[0] * 8 / 1e6
         assert len(sink.packets) == 2
         assert env.now == pytest.approx(2 * tx)
         assert network.max_link_backlog == pytest.approx(tx)
@@ -182,7 +182,7 @@ class TestBandwidthModel:
         network.transmit("host0.0.0", "tor0.0", _plain())
         network.transmit("tor0.0", "host0.0.0", _plain("host0.0.0"))
         env.run()
-        tx = _plain().wire_size() * 8 / 1e6
+        tx = _plain().wire_accounting()[0] * 8 / 1e6
         assert env.now == pytest.approx(tx)
 
     def test_default_has_no_serialization(self, net):
@@ -213,7 +213,7 @@ class TestLinkAccounting:
         assert network.link_packets[("tor0.0", "host0.0.0")] == 1
         top = network.top_links(1)
         assert top[0][0] == ("host0.0.0", "tor0.0")
-        assert top[0][1] == 2 * packet.wire_size()
+        assert top[0][1] == 2 * packet.wire_accounting()[0]
 
     def test_experiment_level_hotspots(self):
         from repro.experiments.config import ExperimentConfig

@@ -194,25 +194,25 @@ class TestWireSize:
     def test_plain_packet_smaller_than_netrs(self):
         plain = _request(netrs=False)
         netrs = _request(netrs=True)
-        assert plain.wire_size() < netrs.wire_size()
+        assert plain.wire_accounting()[0] < netrs.wire_accounting()[0]
 
     def test_netrs_header_overhead_is_small(self):
         """Protocol overhead must stay in the tens of bytes (design goal)."""
         plain = _request(netrs=False)
         netrs = _request(netrs=True)
-        assert netrs.wire_size() - plain.wire_size() <= 16
+        assert netrs.wire_accounting()[0] - plain.wire_accounting()[0] <= 16
 
     def test_response_includes_status_and_payload(self):
         request = _request(netrs=False)
         status = ServerStatus(queue_size=1, service_rate=2.0, timestamp=0.0)
         response = request.reply("s", status, 1024)
-        assert response.wire_size() > 1024
+        assert response.wire_accounting()[0] > 1024
 
     def test_source_marker_adds_bytes(self):
         request = _request(netrs=True)
-        before = request.wire_size()
+        before = request.wire_accounting()[0]
         request.source_marker = SourceMarker(pod=0, rack=0)
-        assert request.wire_size() == before + 4
+        assert request.wire_accounting()[0] == before + 4
 
 
 class TestClone:
