@@ -78,48 +78,24 @@ class Job:
 class JobOutcome:
     """The picklable measurement payload of one completed job.
 
-    This is the subset of :class:`~repro.experiments.runner.ExperimentResult`
-    that sweeps and grids consume, flattened so it crosses process
-    boundaries and serialises to one JSONL ledger line.
+    What sweeps and grids consume of an
+    :class:`~repro.experiments.runner.ExperimentResult`, flattened so it
+    crosses process boundaries and serialises to one JSONL ledger line: the
+    latency summaries and every counter of the run
+    (:meth:`~repro.experiments.runner.ExperimentResult.counters`).
     """
 
     key: str
     digest: str
     summary: Dict[str, float] = field(default_factory=dict)
-    rsnode_count: int = 0
-    drs_group_count: int = 0
-    redundant_requests: int = 0
-    completed_requests: int = 0
-    sim_duration: float = 0.0
-    wall_time: float = 0.0
-    events_executed: int = 0
-    micro_events: int = 0  # flow-engine internal events (0 if none ran)
-    attempts: int = 1
-    # Failure-aware counters (zero on fault-free runs; see docs/FAULTS.md).
-    # ``from_record`` ignores unknown fields, so ledgers written before
-    # these existed still resume cleanly.
-    timeouts: int = 0
-    retries: int = 0
-    requests_lost: int = 0
-    packets_dropped: int = 0
-    unavailability: float = 0.0
-    # Consistency counters (zero on read-only static-membership runs; see
-    # docs/CONSISTENCY.md).  Same forward-compat story as the fault counters.
-    writes_completed: int = 0
-    write_failures: int = 0
-    stale_reads: int = 0
-    read_repairs: int = 0
-    migrated_keys: int = 0
-    migration_bytes: int = 0
-    churn_events: int = 0
     write_summary: Dict[str, float] = field(default_factory=dict)
-    # Shard payload (fidelity="flow" with shards > 1; see repro.mesoscale.shard).
-    # Recorded latency samples travel with the outcome so the key-ordered merge
-    # reproduces the serial sample order exactly; ``counters`` carries the
-    # flow-tier traffic/fault counters the merged result sums.  Both default
-    # empty, so pre-existing ledgers (which never wrote them) still resume.
-    samples: Sequence[float] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
+    wall_time: float = 0.0
+    attempts: int = 1
+    # Shard payload (fidelity="flow" with shards > 1; see repro.mesoscale.shard):
+    # the recorded latency samples, so the key-ordered merge reproduces the
+    # serial sample order exactly.  Empty for any other job.
+    samples: Sequence[float] = field(default_factory=list)
 
     def to_record(self) -> Dict[str, Any]:
         """One JSON-safe ledger record."""
@@ -138,25 +114,7 @@ def outcome_from_result(job: Job, result) -> JobOutcome:
         key=job.key,
         digest=job.digest,
         summary=result.summary(),
-        rsnode_count=result.rsnode_count,
-        drs_group_count=result.drs_group_count,
-        redundant_requests=result.redundant_requests,
-        completed_requests=result.completed_requests,
-        sim_duration=result.sim_duration,
-        wall_time=result.wall_time,
-        events_executed=result.events_executed,
-        micro_events=result.micro_events,
-        timeouts=result.timeouts,
-        retries=result.retries,
-        requests_lost=result.requests_lost,
-        packets_dropped=result.packets_dropped,
-        unavailability=result.unavailability,
-        writes_completed=result.writes_completed,
-        write_failures=result.write_failures,
-        stale_reads=result.stale_reads,
-        read_repairs=result.read_repairs,
-        migrated_keys=result.migrated_keys,
-        migration_bytes=result.migration_bytes,
-        churn_events=result.churn_events,
         write_summary=result.write_summary() or {},
+        counters=result.counters(),
+        wall_time=result.wall_time,
     )

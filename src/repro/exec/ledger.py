@@ -19,8 +19,12 @@ from repro.exec.job import JobOutcome
 #: File name of the spool inside a run directory.
 LEDGER_NAME = "ledger.jsonl"
 
-#: Bumped when the record layout changes incompatibly.
-SCHEMA_VERSION = 1
+#: Bumped when the record layout changes incompatibly; :meth:`RunLedger.load`
+#: skips records of any other version, so a resume re-runs their jobs.
+#: Version 2 keeps a run's counters in one ``counters`` map
+#: (:meth:`~repro.experiments.runner.ExperimentResult.counters`); version 1
+#: spelled a hand-picked subset of them as top-level fields.
+SCHEMA_VERSION = 2
 
 
 class RunLedger:

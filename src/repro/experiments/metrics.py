@@ -20,72 +20,6 @@ METRIC_LABELS = {
     "p999": "99.9th Percentile",
 }
 
-#: Failure-aware counters surfaced next to the latency metrics when faults
-#: or request timeouts are configured (all zero otherwise); ``unavailability``
-#: is in target-seconds of downtime.  See ``docs/FAULTS.md``.
-FAULT_METRICS = (
-    "timeouts",
-    "retries",
-    "requests_lost",
-    "packets_dropped",
-    "unavailability",
-)
-
-
-def fault_summary(result) -> Dict[str, float]:
-    """The :data:`FAULT_METRICS` counters of a result-like object.
-
-    Works on anything exposing the counters as attributes
-    (:class:`~repro.experiments.runner.ExperimentResult`,
-    :class:`~repro.exec.JobOutcome`).
-    """
-    return {name: float(getattr(result, name)) for name in FAULT_METRICS}
-
-
-def aggregate_fault_counters(
-    counter_maps: Iterable[Mapping[str, float]]
-) -> Dict[str, float]:
-    """Sum fault counters across runs (e.g. the repetitions of a cell)."""
-    totals = {name: 0.0 for name in FAULT_METRICS}
-    for counters in counter_maps:
-        for name in FAULT_METRICS:
-            totals[name] += float(counters.get(name, 0.0))
-    return totals
-
-
-#: Consistency counters surfaced when writes, quorum reads or churn are
-#: configured (all zero otherwise).  See ``docs/CONSISTENCY.md``.
-CONSISTENCY_METRICS = (
-    "writes_completed",
-    "write_failures",
-    "stale_reads",
-    "read_repairs",
-    "migrated_keys",
-    "migration_bytes",
-    "churn_events",
-)
-
-
-def consistency_summary(result) -> Dict[str, float]:
-    """The :data:`CONSISTENCY_METRICS` counters of a result-like object.
-
-    Works on anything exposing the counters as attributes
-    (:class:`~repro.experiments.runner.ExperimentResult`,
-    :class:`~repro.exec.JobOutcome`).
-    """
-    return {name: float(getattr(result, name)) for name in CONSISTENCY_METRICS}
-
-
-def aggregate_consistency_counters(
-    counter_maps: Iterable[Mapping[str, float]]
-) -> Dict[str, float]:
-    """Sum consistency counters across runs (the repetitions of a cell)."""
-    totals = {name: 0.0 for name in CONSISTENCY_METRICS}
-    for counters in counter_maps:
-        for name in CONSISTENCY_METRICS:
-            totals[name] += float(counters.get(name, 0.0))
-    return totals
-
 
 def reduction(baseline: float, other: float) -> float:
     """Relative latency reduction of ``other`` vs ``baseline``, in percent.

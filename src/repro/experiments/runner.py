@@ -7,6 +7,7 @@ and extracts the paper's latency metrics plus system-level accounting
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import time
@@ -66,6 +67,10 @@ class ExperimentResult:
     churn_events: int = 0
 
     write_latency: Optional[LatencyRecorder] = None
+
+    def counters(self) -> Dict[str, float]:
+        """Every counter of the run, by name, in field order (:data:`COUNTERS`)."""
+        return {name: getattr(self, name) for name in COUNTERS}
 
     def write_summary(self) -> Optional[Dict[str, float]]:
         """Write-latency metrics in ms (None for read-only workloads)."""
@@ -147,6 +152,17 @@ class ExperimentResult:
         for note in self.config.consistency_notes():
             lines.append(f"note: {note}")
         return "\n".join(lines)
+
+
+#: The run's counters: every numeric field of :class:`ExperimentResult` but
+#: ``wall_time`` (the host's time, not the run's), in field order.  The ledger,
+#: the sweep extras, the shard merge and the fidelity gate all read this list,
+#: so a counter added to the result reaches each of them with no other edit.
+COUNTERS = tuple(
+    f.name
+    for f in dataclasses.fields(ExperimentResult)
+    if f.type in ("int", "float") and f.name != "wall_time"
+)
 
 
 def run_experiment(

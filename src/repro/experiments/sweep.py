@@ -32,6 +32,7 @@ class SweepResult:
     schemes: List[str]
     repetitions: int
     cells: Dict[Cell, Dict[str, float]] = field(default_factory=dict)
+    #: Every counter of the run, averaged over the repetitions.
     extras: Dict[Cell, Dict[str, float]] = field(default_factory=dict)
     #: Per-repetition summaries (same order as seeds), for statistics.
     raw: Dict[Cell, List[Dict[str, float]]] = field(default_factory=dict)
@@ -185,33 +186,7 @@ def run_sweep(
         result.cells[cell] = mean_of_summaries(summaries)
         result.raw[cell] = summaries
         result.extras[cell] = {
-            "rsnode_count": sum(r.rsnode_count for r in runs) / len(runs),
-            "redundant_requests": sum(r.redundant_requests for r in runs)
-            / len(runs),
-            # Failure-aware counters (zero unless faults/timeouts are
-            # configured; see docs/FAULTS.md), averaged over repetitions
-            # like the other extras.
-            "timeouts": sum(r.timeouts for r in runs) / len(runs),
-            "retries": sum(r.retries for r in runs) / len(runs),
-            "requests_lost": sum(r.requests_lost for r in runs) / len(runs),
-            "packets_dropped": sum(r.packets_dropped for r in runs)
-            / len(runs),
-            "unavailability": sum(r.unavailability for r in runs) / len(runs),
+            name: sum(run.counters[name] for run in runs) / len(runs)
+            for name in runs[0].counters
         }
-        result.extras[cell].update(
-            {
-                # Consistency counters (zero on read-only static-membership
-                # runs; see docs/CONSISTENCY.md), averaged like the rest.
-                name: sum(getattr(r, name) for r in runs) / len(runs)
-                for name in (
-                    "writes_completed",
-                    "write_failures",
-                    "stale_reads",
-                    "read_repairs",
-                    "migrated_keys",
-                    "migration_bytes",
-                    "churn_events",
-                )
-            }
-        )
     return result

@@ -65,6 +65,7 @@ from repro.mesoscale.geometry import FatTreeGeometry
 from repro.mesoscale.support import flow_models
 from repro.network.accelerator import Accelerator
 from repro.network.addressing import SourceMarker
+from repro.network.fabric import hops_not_sent
 from repro.network.packet import (
     MAGIC_PLAIN,
     MAGIC_REQUEST,
@@ -74,10 +75,6 @@ from repro.network.packet import (
 )
 from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import RngRegistry
-
-#: Ahead-dated accounting entries that may pile up before those the clock has
-#: passed are entered in the books (they are not in time order).
-_CROSS_EVERY = 64
 
 _MicroFn = Callable[..., None]
 
@@ -137,17 +134,13 @@ class FlowEngine:
         # --- link model ----------------------------------------------------
         h = config.host_link_latency
         s = config.switch_link_latency
-        self._host_lat = h
+        self._uplink = (h,)
         self._full_path = {2: (h, h), 4: (h, s, s, h), 6: (h, s, s, s, s, h)}
         self._from_tor = {2: (h,), 4: (s, s, h), 6: (s, s, s, s, h)}
-        self._to_tor = {2: (h,), 4: (h, s, s), 6: (h, s, s, s, s)}
         self._sizes = _wire_sizes(config)
         self.transmissions = 0
         self.bytes_transferred = 0
         self.netrs_overhead_bytes = 0
-        # (instant, hops, size, overhead) dated ahead of the clock; see
-        # _cross_accounted.
-        self._accounted_ahead: List[Tuple[float, int, int, int]] = []
 
         # --- servers -------------------------------------------------------
         respond = self._send_netrs_response if config.netrs else self._send_response
@@ -281,7 +274,7 @@ class FlowEngine:
             self._now = when
             self.micro_events += 1
             entry[2](*entry[3])
-        self._cross_accounted()
+        self._settle()
 
     def teardown(self) -> None:
         """Release everything the run built; the engine is unusable afterwards.
@@ -315,43 +308,46 @@ class FlowEngine:
         self.bytes_transferred += size * hops
         self.netrs_overhead_bytes += overhead * hops
 
-    def _cross_accounted(self) -> None:
-        """Account the hops dated up to now; those dated later wait.
-
-        A sender that does a ToR's work for it dates the hops the packet
-        crosses from there with the instant it leaves the ToR, in
-        ``_accounted_ahead``.  A run that stops first must
-        not count them -- the packet tier would not have transmitted -- so
-        they enter the books only once the clock is past them; the books are
-        final after :meth:`run`.
-        """
-        now = self._now
-        waiting = []
-        for entry in self._accounted_ahead:
-            if entry[0] > now:
-                waiting.append(entry)
-            else:
-                self._account(*entry[1:])
-        self._accounted_ahead = waiting
-
     def _send_along(
         self,
+        base: float,
         hops: Tuple[float, ...],
         size: int,
         overhead: int,
         fn: _MicroFn,
         args: tuple,
     ) -> None:
-        """Deliver along a fixed hop sequence, accumulating per-hop delays.
+        """Deliver along a fixed hop sequence leaving at ``base``.
 
         One float addition per hop (the exact additions the packet engine
         performs via per-hop ``post_in``), one micro-event at the far end.
+        Every hop is accounted now, as the packet tier's express delivery
+        does; the leg's ledger rides its heap entry behind the four fields
+        the loop reads, so :meth:`_settle` can give back what never left.
         """
-        t = self._now
+        t = base
         for d in hops:
             t += d
         self._account(len(hops), size, overhead)
-        self.post_at(t, fn, args)
+        self._seq += 1
+        heappush(self._heap, (t, self._seq, fn, args, base, hops, size, overhead))
+
+    def _legs_in_flight(self):
+        """``(base, hops, size, overhead)`` of every leg still on the heap."""
+        return (entry[4:] for entry in self._heap if len(entry) == 8)
+
+    def _settle(self) -> None:
+        """Give back the hops of legs in flight the stopped run never sent.
+
+        The packet tier's rule (:func:`~repro.network.fabric.hops_not_sent`):
+        a leg dated past the stop never left, and a hop that would leave at
+        or after it was never transmitted.  Called once, when the loop ends.
+        """
+        stop = self._now
+        for base, hops, size, overhead in self._legs_in_flight():
+            undone = hops_not_sent(base, hops, stop)
+            if undone:
+                self._account(-undone, size, overhead)
 
     # -- CliRS paths ---------------------------------------------------
     def _send_request(self, client: ClientCore, rid: int, entry, target: str) -> None:
@@ -359,7 +355,7 @@ class FlowEngine:
         hops = self._full_path[self.geometry.hop_count(client.name, target)]
         size, overhead = self._sizes["request"]
         self._send_along(
-            hops, size, overhead,
+            self._now, hops, size, overhead,
             self.servers[target].handle_arrival, ((client, rid, None),),
         )
 
@@ -369,18 +365,19 @@ class FlowEngine:
         hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
         size, overhead = self._sizes["response"]
         self._send_along(
-            hops, size, overhead,
+            self._now, hops, size, overhead,
             self._on_response[client], (rid, server.name, status),
         )
 
     # -- NetRS paths (netrs-tor: RSNode at the client's ToR) -----------
     # Links never fail here, so nothing can intervene between a send and its
-    # arrival: what a ToR would do when the packet reaches it is done by the
+    # arrival: what a ToR would do as the packet passes it is done by the
     # sender, dated with the instant the ToR would have done it.
     def _send_via_operator(
         self, client: ClientCore, rid: int, entry, backup, rgid: Optional[int] = None
     ) -> None:
-        """A NetRS client's ``transmit``: to the ToR, then its accelerator.
+        """A NetRS client's ``transmit``: to the ToR, whose RSNode submits it
+        to its accelerator on arrival.
 
         The flow tier never degrades a request, so ``backup`` goes unused; a
         driver that keeps no entry objects names the replica group itself.
@@ -389,49 +386,46 @@ class FlowEngine:
             rgid = entry.rgid
         op = self._operator_of[client.name]
         size, overhead = self._sizes["netrs_request"]
-        self._account(1, size, overhead)
-        # Host -> ToR, then ToR -> accelerator (submit adds the link delay).
-        op.accelerator.submit_at(
-            self._now + self._host_lat, (op, client, rid, rgid), self._select_work
+        self._send_along(
+            self._now, self._uplink, size, overhead,
+            op.accelerator.submit, ((op, client, rid, rgid), self._select_work),
         )
 
     def _select_work(self, job, now: float) -> None:
-        """Accelerator work: select, then send the request on from the ToR."""
+        """Accelerator work: select, then send the request on from the ToR as
+        of the hand-back."""
         op, client, rid, rgid = job
         server = op.selector.select(rgid, now)
-        hops = self._from_tor[self.geometry.hop_count(client.name, server)]
         size, overhead = self._sizes["netrs_request"]
-        t = leaves = now + op.accelerator.link_delay
-        for d in hops:
-            t += d
-        self._accounted_ahead.append((leaves, len(hops), size, overhead))
         # The retaining value is the selection instant.
-        self.post_at(t, self.servers[server].handle_arrival, ((client, rid, now),))
+        self._send_along(
+            now + op.accelerator.link_delay,
+            self._from_tor[self.geometry.hop_count(client.name, server)],
+            size, overhead,
+            self.servers[server].handle_arrival, ((client, rid, now),),
+        )
 
     def _send_netrs_response(self, server, job, status, queue_delay, service_time) -> None:
-        """A server's ``respond`` under NetRS: the reply travels to the client's ToR."""
+        """A server's ``respond`` under NetRS: the reply travels to the client,
+        cloned to the RSNode as it passes the client's ToR."""
         client, rid, rv = job
-        hops = self._to_tor[self.geometry.hop_count(server.name, client.name)]
+        hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
         # The source marker is stamped at the server's ToR ingress, so the
         # first hop travels unmarked and every later hop carries 4 more
-        # bytes -- mirror the packet tier's per-hop accounting exactly.
+        # bytes: the leg is marked, and its first hop takes them back (as
+        # the packet tier's express delivery does).
         size, overhead = self._sizes["netrs_response"]
         marked_size, marked_overhead = self._sizes["netrs_response_marked"]
+        self.bytes_transferred += size - marked_size
+        self.netrs_overhead_bytes += overhead - marked_overhead
         t = self._now
-        for d in hops:
+        for d in hops[:-1]:
             t += d
-        marked = len(hops) - 1
-        self.transmissions += 1 + marked
-        self.bytes_transferred += size + marked_size * marked
-        self.netrs_overhead_bytes += overhead + marked_overhead * marked
-        # What the ToR does at t: clone to the RSNode, forward to the client.
         op = self._operator_of[client.name]
-        op.accelerator.submit_at(t, (op, rv, server.name, status), self._absorb_response)
-        self._accounted_ahead.append((t, 1, marked_size, marked_overhead))
-        if len(self._accounted_ahead) > _CROSS_EVERY:
-            self._cross_accounted()
-        self.post_at(
-            self._host_lat + t, self._on_response[client], (rid, server.name, status)
+        op.accelerator.note_at(t, (op, rv, server.name, status), self._absorb_response)
+        self._send_along(
+            self._now, hops, marked_size, marked_overhead,
+            self._on_response[client], (rid, server.name, status),
         )
 
     def _absorb_response(self, job, now: float) -> None:

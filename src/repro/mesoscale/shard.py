@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.exec import ExecutionPolicy, Job, JobOutcome, execute_jobs, outcome_from_result
@@ -40,24 +40,9 @@ from repro.sim.probes import LatencyRecorder
 #: shard indices never produce overlapping SeedSequence entropy pools.
 _SEED_STRIDE = 100003
 
-#: Result fields the merge sums across shards (disjoint sub-systems).
-_MERGE_SUMS = (
-    "completed_requests",
-    "transmissions",
-    "bytes_transferred",
-    "netrs_overhead_bytes",
-    "events_executed",
-    "micro_events",
-    "redundant_requests",
-    "timeouts",
-    "retries",
-    "requests_lost",
-    "duplicates_suppressed",
-    "server_dropped_requests",
-    "faults_injected",
-    "selector_requests_handled",
-    "rsnode_count",
-)
+#: Counters the merge takes the max of; every other one sums (the shards are
+#: disjoint sub-systems, and each fault event is owned by exactly one shard).
+_MERGE_MAX = ("sim_duration", "accelerator_max_utilization")
 
 
 # ----------------------------------------------------------------------
@@ -142,20 +127,15 @@ def shard_configs(config: "ExperimentConfig") -> List["ExperimentConfig"]:
 # Execution
 # ----------------------------------------------------------------------
 def _run_shard_job(job: Job) -> JobOutcome:
-    """Exec runner for one shard (module-level: spawn workers pickle it)."""
+    """Exec runner for one shard (module-level: spawn workers pickle it).
+
+    The merge needs the raw samples (key-ordered concat reproduces the serial
+    sample order); they travel on the outcome beside its counters, so they
+    cross process boundaries and spool to the ledger.
+    """
     result = run_experiment(job.config)
     outcome = outcome_from_result(job, result)
-    # The merge needs the raw samples (key-ordered concat reproduces the
-    # serial sample order) and every summed counter; both travel on the
-    # outcome so they cross process boundaries and spool to the ledger.
     outcome.samples = result.latency.samples
-    counters: Dict[str, float] = {
-        name: getattr(result, name) for name in _MERGE_SUMS
-    }
-    counters["sim_duration"] = result.sim_duration
-    counters["unavailability"] = result.unavailability
-    counters["accelerator_max_utilization"] = result.accelerator_max_utilization
-    outcome.counters = counters
     return outcome
 
 
@@ -167,36 +147,20 @@ def merge_outcomes(
 ) -> "ExperimentResult":
     """Fold shard outcomes (in shard order) into one standard result.
 
-    Counters sum (the shards are disjoint sub-systems), latency samples
-    concatenate in shard order, ``sim_duration`` and accelerator pressure
-    take the max, downtime sums (each fault event is owned by exactly one
-    shard).
+    Latency samples concatenate in shard order; every counter sums but those
+    of :data:`_MERGE_MAX`, which take the max.
     """
     recorder = LatencyRecorder()
-    totals: Dict[str, float] = {name: 0 for name in _MERGE_SUMS}
-    sim_duration = 0.0
-    unavailability = 0.0
-    accelerator_util = 0.0
     for outcome in outcomes:
         recorder.extend(outcome.samples)
-        counters = outcome.counters
-        for name in _MERGE_SUMS:
-            totals[name] += counters.get(name, 0)
-        sim_duration = max(sim_duration, counters.get("sim_duration", 0.0))
-        unavailability += counters.get("unavailability", 0.0)
-        accelerator_util = max(
-            accelerator_util, counters.get("accelerator_max_utilization", 0.0)
-        )
+    counters = {
+        name: (max if name in _MERGE_MAX else sum)(o.counters[name] for o in outcomes)
+        for name in outcomes[0].counters
+    }
     result = ExperimentResult(
-        config=config,
-        latency=recorder,
-        sim_duration=sim_duration,
-        wall_time=wall_time,
-        unavailability=unavailability,
-        **{name: int(totals[name]) for name in _MERGE_SUMS},
+        config=config, latency=recorder, wall_time=wall_time, **counters
     )
     if result.rsnode_count:
-        result.accelerator_max_utilization = accelerator_util
         result.plan_description = (
             f"FLOW-SHARDED[shards={config.shards} "
             f"rsnodes={result.rsnode_count} granularity=rack]"

@@ -59,9 +59,11 @@ _INF = float("inf")
 #: Whatever else runs on the engine clock (service-fluctuation ticks) keeps
 #: the scalar shape ``(time, seq, fn, args)`` and is dispatched as a call;
 #: heap order never compares past the unique ``seq``, so the shapes coexist.
-_DELIVER = object()  # server, client, rid: a request copy reaches its server
+#: The two kinds on the wire end in their leg's ledger, ``(base, hops, size,
+#: overhead)``, which ``FlowEngine._settle`` reads at the stop.
+_DELIVER = object()  # server, client, rid, *ledger: a request copy reaches its server
 _COMPLETE = object()  # server, client, rid, duration, epoch: a service ends
-_RESPONSE = object()  # client, rid, server name, queue size, service rate
+_RESPONSE = object()  # client, rid, server name, queue size, service rate, *ledger
 _REDUNDANT = object()  # client, rid: the R95 duplicate timer
 _TIMEOUT = object()  # client, rid: the request timeout timer
 
@@ -177,10 +179,11 @@ class VectorFlowEngine(FlowEngine):
         # only on the locality class of the pair, not on its identity.
         self._resp_by_class: Dict[int, tuple] = {}
         self._cls_hops = (2, 4, 6)  # hop count per locality class
-        # Per-hop delay vectors per class, in scalar chain order.
+        # Per-hop delays per class, in scalar chain order: tuples for the
+        # legs' ledgers, vectors for the path_chain kernel.
+        self._cls_path = tuple(self._full_path[count] for count in self._cls_hops)
         self._hop_arrays = tuple(
-            np.asarray(self._full_path[count], dtype=np.float64)
-            for count in (2, 4, 6)
+            np.asarray(hops, dtype=np.float64) for hops in self._cls_path
         )
         geometry = self.geometry
         racks_per_pod = geometry.racks_per_pod
@@ -389,7 +392,15 @@ class VectorFlowEngine(FlowEngine):
         self._pending_time = self._arrival_rng.exponential(self._rate_inv)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload.start
         self._load_chunk()
         self._drain_fast(until, first_seq)
-        self._cross_accounted()
+        self._settle()
+
+    def _legs_in_flight(self):
+        """The ledgers of the deliveries and responses still on the heap."""
+        return (
+            entry[-4:]
+            for entry in self._heap
+            if entry[2] is _DELIVER or entry[2] is _RESPONSE
+        )
 
     def _drain_fast(self, until: Optional[float], first_seq: int) -> None:
         """The whole request lifecycle inlined into one frame.
@@ -420,7 +431,9 @@ class VectorFlowEngine(FlowEngine):
           ``when`` and the local ``seq`` directly.
         * **Local accounting** -- transmissions / bytes / overhead accumulate
           in frame locals and enter the engine counters at loop exit; what
-          runs outside the frame only ever adds to them.
+          runs outside the frame only ever adds to them.  A leg is accounted
+          whole at its send, its ledger on its event, and what a stopped run
+          never sent is given back after the loop (``_settle``).
         * **Flat events** -- ``(time, seq, kind, *args)`` without the inner
           args tuple (one allocation per event instead of two).  The stop
           flag is re-checked exactly where something that can set it runs
@@ -438,6 +451,7 @@ class VectorFlowEngine(FlowEngine):
         track_cache = self._track_cache
         servers = self.servers
         cls_hops = self._cls_hops
+        cls_path = self._cls_path
         req_size = self._req_size
         req_overhead = self._req_overhead
         replicas_of = self._replicas_of
@@ -565,7 +579,8 @@ class VectorFlowEngine(FlowEngine):
                 seq += 1
                 heappush(
                     heap,
-                    (b_path[cls][j], seq, _DELIVER, servers[target], client, rid),
+                    (b_path[cls][j], seq, _DELIVER, servers[target], client, rid,
+                     when, cls_path[cls], req_size, req_overhead),
                 )
                 if has_red:
                     # Inlined ClientCore._redundancy_threshold (cached
@@ -676,7 +691,7 @@ class VectorFlowEngine(FlowEngine):
                 if plan is None:
                     plan = self._response_plan(server.name, client.name)
                     server._resp_plan[client.name] = plan
-                hops_t, count, nbytes, noverhead = plan
+                hops_t, count, nbytes, noverhead, size, overhead = plan
                 t = when
                 for delay in hops_t:
                     t += delay
@@ -687,7 +702,8 @@ class VectorFlowEngine(FlowEngine):
                 heappush(
                     heap,
                     (t, seq, _RESPONSE,
-                     client, head[5], server.name, queue_size, service_rate),
+                     client, head[5], server.name, queue_size, service_rate,
+                     when, hops_t, size, overhead),
                 )
                 if waiting:
                     next_client, next_rid = waiting.popleft()
@@ -821,7 +837,8 @@ class VectorFlowEngine(FlowEngine):
                 seq += 1
                 heappush(
                     heap,
-                    (t, seq, _DELIVER, servers[target], client, rid),
+                    (t, seq, _DELIVER, servers[target], client, rid,
+                     when, hops_t, req_size, req_overhead),
                 )
                 continue
             if cb is _TIMEOUT:
@@ -888,10 +905,15 @@ class VectorFlowEngine(FlowEngine):
         t = now
         for delay in hops:
             t += delay
-        self._account(len(hops), self._req_size, self._req_overhead)
+        size, overhead = self._req_size, self._req_overhead
+        self._account(len(hops), size, overhead)
         heap = self._heap
         self._seq += 1
-        heappush(heap, (t, self._seq, _DELIVER, self.servers[target], client, rid))
+        heappush(
+            heap,
+            (t, self._seq, _DELIVER, self.servers[target], client, rid,
+             now, hops, size, overhead),
+        )
         delay = client.request_timeout * min(2.0**attempts, _BACKOFF_CAP)
         self._seq += 1
         heappush(heap, (now + delay, self._seq, _TIMEOUT, client, rid))
@@ -910,6 +932,6 @@ class VectorFlowEngine(FlowEngine):
             hops = self._full_path[hop_key]
             size, overhead = self._sizes["response"]
             count = len(hops)
-            plan = (hops, count, size * count, overhead * count)
+            plan = (hops, count, size * count, overhead * count, size, overhead)
             self._resp_by_class[hop_key] = plan
         return plan

@@ -33,7 +33,6 @@ import math
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Tuple
 
-from repro.errors import ProtocolError
 from repro.sim.core import Environment
 
 #: Work applied to a packet, told when its service completes.
@@ -76,11 +75,10 @@ class Accelerator:
         # (arrival, finish, queue length its arrival made).  Both instants
         # are non-decreasing along it.
         self._inside: List[Tuple[float, float, int]] = []
-        # Notes not yet admitted, a heap of (arrival, order, job, work).
+        # Notes not yet admitted, a heap of (arrival, order, job, work); the
+        # order is the count of notes so far.
         self._inbox: List[Tuple[float, int, Any, Work]] = []
-        # Notes and submit_at calls so far: one accelerator takes one mode.
         self._noted = 0
-        self._submitted_at = 0
         # Accounting, as of the last fold
         self._processed = 0
         self._busy_time = 0.0
@@ -162,37 +160,17 @@ class Accelerator:
         """Called by the co-located switch: ship the packet over the link.
 
         Costs no event: calls come in clock order, so the packet's place in
-        the queue is already decided.  A driver uses either this and
-        :meth:`note_at` or :meth:`submit_at` on one accelerator, not both
-        (nothing orders a note against a ``submit_at`` arrival): the call
-        that mixes them raises :class:`ProtocolError`.
+        the queue is already decided.
         """
         now = self.env.now
         self._admit(packet, work, now + self.link_delay, now)
-
-    def submit_at(self, when: float, packet: Any, work: Work) -> None:
-        """:meth:`submit` as if called at time ``when`` (not before now).
-
-        For a driver that knows in closed form when the packet reaches the
-        switch and so schedules no event there (the flow engine).  Instants
-        may be declared in any order; the arrival is one event.  Raises
-        :class:`ProtocolError` on an accelerator that has taken a note.
-        """
-        if self._noted:
-            raise ProtocolError(f"{self.name}: submit_at after note_at mixes admission modes")
-        self._submitted_at += 1
-        arrival = when + self.link_delay
-        self.env.post_at(arrival, self._admit, (packet, work, arrival, arrival))
 
     def note_at(self, when: float, job: Any, work: Work) -> None:
         """:meth:`submit` as if called at ``when`` (not before now), for a ``job``
         nobody waits for: no event.  Noted in any order; admitted
         in (arrival, noting) order ahead of the first admission to arrive after
         it and of any read once the clock is past ``when``, so ``work`` runs in
-        the place, and with the ``finish``, of the event it replaces.  Raises
-        :class:`ProtocolError` on an accelerator that has taken a ``submit_at``."""
-        if self._submitted_at:
-            raise ProtocolError(f"{self.name}: note_at after submit_at mixes admission modes")
+        the place, and with the ``finish``, of the event it replaces."""
         self._noted += 1
         heappush(self._inbox, (when + self.link_delay, self._noted, job, work))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from heapq import heappush
 from itertools import chain
-from typing import Callable, Dict, Iterator, Optional, Protocol, Tuple
+from typing import Callable, Dict, Iterator, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.network.addressing import SourceMarker
@@ -43,6 +43,26 @@ from repro.network.topology import NodeKind, Topology
 from repro.sim.core import Environment
 
 _SIZE_FIXED_NETRS = _SIZE_RID + _SIZE_MF + _SIZE_RV
+
+
+def hops_not_sent(base: float, delays: Sequence[float], stop: float) -> int:
+    """How many hops of a leg accounted whole at its send a run stopped at
+    ``stop`` never transmitted.
+
+    The leg leaves at ``base`` and crosses one link of each of ``delays``; a
+    hop leaves when the one before arrives (chained float additions, as hop
+    by hop).  The first hop was transmitted unless the leg is dated past the
+    stop; a later one was not if it would leave at or after the stop.  Both
+    tiers settle what is still in flight by this rule
+    (:meth:`Network.settle_trunks`, the flow engines' ``_settle``).
+    """
+    undone = 1 if base > stop else 0
+    t = base
+    for delay in delays[:-1]:
+        t += delay
+        if t >= stop:
+            undone += 1
+    return undone
 
 
 class Device(Protocol):
@@ -504,12 +524,7 @@ class Network:
         stops, before counters are read.
         """
         for base, delay, hops, size, overhead, _ in self.trunks_in_flight():
-            undone = 1 if base > stop_time else 0  # dated ahead: it never left
-            t = base
-            for _ in range(1, hops):
-                t += delay  # a hop's forwarding event time (chained float)
-                if t >= stop_time:
-                    undone += 1  # the next hop was never transmitted
+            undone = hops_not_sent(base, (delay,) * hops, stop_time)
             if undone:
                 self.transmissions -= undone
                 self.bytes_transferred -= size * undone

@@ -22,6 +22,7 @@ from repro.exec import (
     default_run_dir,
     execute_jobs,
 )
+from repro.exec.ledger import SCHEMA_VERSION
 from repro.experiments.config import ExperimentConfig
 from tests.exec.test_job import _legacy_digest
 
@@ -44,6 +45,7 @@ def echo_runner(job: Job) -> JobOutcome:
         key=job.key,
         digest=job.digest,
         summary={"mean": float(job.config.seed)},
+        counters={"completed_requests": job.config.total_requests, "micro_events": 0},
         wall_time=0.01,
     )
 
@@ -193,23 +195,17 @@ class TestLedgerAndResume:
         assert (scratch / f"{stale.key}.runs").read_text() == "run\nrun\n"
         assert (scratch / f"{jobs[1].key}.runs").read_text() == "run\n"
 
-    def test_resume_accepts_pre_fidelity_ledger(self, scratch, tmp_path):
-        """Ledgers written before the ``fidelity``/``micro_events`` fields
-        existed must resume cleanly against today's configs.
-
-        Hand-writes records in the pre-PR6 layout: no ``micro_events``
-        counter, and digests computed over a config payload with no
-        ``fidelity`` key (which ``config_digest`` reproduces by eliding
-        the default).  Every job must be skipped, not re-run.
-        """
+    def test_resume_reruns_a_schema_1_ledger(self, scratch, tmp_path):
+        """Records of the first layout (a hand-picked subset of the counters
+        as top-level fields) are skipped on load: their jobs run again, with
+        the same results, and are spooled in today's layout."""
         run_dir = tmp_path / "run"
         run_dir.mkdir(parents=True)
         jobs = _jobs(2)
         lines = []
         for job in jobs:
-            record = {"schema": 1}
-            record.update(echo_runner(job).to_record())
-            del record["micro_events"]  # the counter did not exist yet
+            record = {"schema": 1, "key": job.key, "digest": job.digest}
+            record.update(summary={"mean": float(job.config.seed)}, rsnode_count=0)
             lines.append(json.dumps(record))
         RunLedger(run_dir).path.write_text("\n".join(lines) + "\n")
         outcomes = execute_jobs(
@@ -217,45 +213,29 @@ class TestLedgerAndResume:
             policy=ExecutionPolicy(run_dir=run_dir, resume=True),
             runner=touch_counting_runner,
         )
-        assert list(outcomes) == [job.key for job in jobs]
-        for job in jobs:  # resumed from the ledger, never executed
-            assert not (scratch / f"{job.key}.runs").exists()
-        assert all(o.micro_events == 0 for o in outcomes.values())
+        assert outcomes == {job.key: echo_runner(job) for job in jobs}
+        for job in jobs:  # re-run, once each
+            assert (scratch / f"{job.key}.runs").read_text() == "run\n"
+        assert RunLedger(run_dir).load() == outcomes
 
-    def test_resume_accepts_pre_consistency_ledger(self, scratch, tmp_path):
-        """Ledgers written before the consistency layer existed must
-        resume cleanly against today's configs.
-
-        Hand-writes records in the pre-PR10 layout: digests computed over
-        a config payload with no ``read_quorum``/``churn_schedule`` keys
-        (which ``config_digest`` reproduces by eliding the defaults) and
-        records carrying none of the write/churn counters.  Every job
-        must be skipped, not re-run, and the missing counters default to
-        zero on load.
-        """
+    def test_resume_accepts_digests_with_elided_defaults(self, scratch, tmp_path):
+        """A record whose digest hashed a config payload with no
+        ``fidelity``/``vector_batch``/``shards``/``read_quorum``/
+        ``churn_schedule`` keys (which ``config_digest`` reproduces by
+        eliding the defaults) is the same experiment: every job is skipped,
+        not re-run."""
         run_dir = tmp_path / "run"
         run_dir.mkdir(parents=True)
         jobs = _jobs(2)
         lines = []
         for job in jobs:
-            # The pre-PR10 config had none of the elided fields (all at
-            # their defaults in _jobs).
+            # The legacy config had none of the elided fields (all at their
+            # defaults in _jobs).
             legacy = _legacy_digest(job.config)
-            assert legacy == job.digest  # elision keeps old ledgers valid
-            record = {"schema": 1}
+            assert legacy == job.digest  # elision keeps old identities valid
+            record = {"schema": SCHEMA_VERSION}
             record.update(echo_runner(job).to_record())
             record["digest"] = legacy
-            for name in (  # none of these counters existed yet
-                "writes_completed",
-                "write_failures",
-                "stale_reads",
-                "read_repairs",
-                "migrated_keys",
-                "migration_bytes",
-                "churn_events",
-                "write_summary",
-            ):
-                del record[name]
             lines.append(json.dumps(record))
         RunLedger(run_dir).path.write_text("\n".join(lines) + "\n")
         outcomes = execute_jobs(
@@ -266,8 +246,7 @@ class TestLedgerAndResume:
         assert list(outcomes) == [job.key for job in jobs]
         for job in jobs:  # resumed from the ledger, never executed
             assert not (scratch / f"{job.key}.runs").exists()
-        assert all(o.write_failures == 0 for o in outcomes.values())
-        assert all(o.write_summary == {} for o in outcomes.values())
+        assert outcomes == {job.key: echo_runner(job) for job in jobs}
 
     def test_fresh_run_resets_stale_ledger(self, scratch, tmp_path):
         run_dir = tmp_path / "run"

@@ -11,7 +11,7 @@ from repro.cli import build_parser
 from repro.errors import ConfigurationError
 from repro.exec import Job, JobOutcome, config_digest
 from repro.exec.job import _DIGEST_DEFAULTS
-from repro.exec.ledger import RunLedger
+from repro.exec.ledger import SCHEMA_VERSION, RunLedger
 from repro.experiments.config import ExperimentConfig
 
 
@@ -130,20 +130,19 @@ class TestDigests:
         assert config_digest(flow.replace(shards=2)) != config_digest(flow)
 
     def test_handwritten_pre_pr9_ledger_still_resumes(self, tmp_path):
-        """A ledger spooled before the vectorized/sharded flow tier existed
-        (its digests hashed payloads with no ``vector_batch``/``shards``
-        keys) must still resume against today's configs."""
+        """A record whose digest hashed a payload with no ``vector_batch``/
+        ``shards`` keys (the layout before the vectorized/sharded flow tier
+        existed) still matches today's config."""
         config = ExperimentConfig.tiny(seed=5)
         legacy_digest = _legacy_digest(config)
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         record = {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "key": "00000-clirs-s5",
             "digest": legacy_digest,
             "summary": {"mean": 1.0},
-            "rsnode_count": 0,
-            "completed_requests": 10,
+            "counters": {"rsnode_count": 0, "completed_requests": 10},
             "wall_time": 0.1,
             "attempts": 1,
         }
@@ -163,12 +162,11 @@ class TestDigests:
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         record = {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "key": "00000-clirs-s5",
             "digest": legacy_digest,
             "summary": {"mean": 1.0},
-            "rsnode_count": 0,
-            "completed_requests": 10,
+            "counters": {"rsnode_count": 0, "completed_requests": 10},
             "wall_time": 0.1,
             "attempts": 1,
         }
@@ -188,12 +186,14 @@ class TestJobOutcome:
             key="00000-clirs-s0",
             digest="abc",
             summary={"mean": 1.0, "p99": 4.0},
-            rsnode_count=2,
-            completed_requests=100,
+            write_summary={"mean": 2.0},
+            counters={"rsnode_count": 2, "completed_requests": 100, "unavailability": 0.5},
             wall_time=0.5,
             attempts=2,
+            samples=[1e-3, 2e-3],
         )
-        assert JobOutcome.from_record(outcome.to_record()) == outcome
+        record = json.loads(json.dumps(outcome.to_record()))  # as the ledger spools it
+        assert JobOutcome.from_record(record) == outcome
 
     def test_from_record_ignores_unknown_fields(self):
         record = {"key": "k", "digest": "d", "schema": 1, "mystery": True}

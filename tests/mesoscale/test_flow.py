@@ -14,6 +14,9 @@ FAULT_SCHEDULE = (
     "server-down@0.03:server#2;server-up@0.05:server#2"
 )
 
+#: A crash whose retries are still travelling at the stop on some seeds.
+LATE_CRASH = "server-down@0.01:server#0;server-up@0.03:server#0"
+
 
 def _tiny(scheme, **overrides):
     return ExperimentConfig.tiny(scheme=scheme, seed=5).replace(**overrides)
@@ -49,6 +52,20 @@ BIT_EXACT_ROWS = [
 ] + [
     pytest.param(scheme, 64, {"demand_skew": 0.8}, id=f"{scheme}-64-skew")
     for scheme in FLOW_SCHEMES
+] + [
+    # Late copies still on the wire when the last request completes (an R95
+    # duplicate, a retry, or the reply to either): the hops they never made
+    # are not counted, on either tier.
+    pytest.param("clirs-r95", 0, {"seed": seed}, id=f"clirs-r95-late-s{seed}")
+    for seed in (7, 11)
+] + [
+    pytest.param(
+        "clirs",
+        0,
+        dict(seed=seed, fault_schedule=LATE_CRASH, request_timeout=0.01, max_retries=3),
+        id=f"clirs-crash-late-s{seed}",
+    )
+    for seed in (30, 35)
 ]
 
 

@@ -12,9 +12,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.mesoscale.shard import run_sharded_flow_experiment, shard_configs
-from repro.mesoscale.validate import IDENTITY_FIELDS, differences
-
-_FIELDS = IDENTITY_FIELDS + ("micro_events",)
+from repro.mesoscale.validate import differences
 
 
 def _sharded(scheme, **overrides):
@@ -30,7 +28,7 @@ def _assert_identical(a, b, tag):
     """Equal results, both from flow engines (never the packet engine)."""
     for result in (a, b):
         assert result.micro_events > 0 and result.events_executed == 0, tag
-    assert differences(a, b, _FIELDS) == [], tag
+    assert differences(a, b, ignore=()) == [], tag
 
 
 @pytest.mark.parametrize("shards", [1, 4])

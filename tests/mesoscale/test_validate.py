@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import COUNTERS, run_experiment
 from repro.mesoscale import VALIDATION_SCENARIOS, FlowEngine, flow_models
 from repro.mesoscale import validate as validate_mod
 from repro.mesoscale.validate import compare_tiers, differences, validate_fidelity
@@ -69,7 +69,23 @@ def test_differences_name_each_counter_and_the_first_sample():
         f"transmissions: expected {result.transmissions}, "
         f"got {result.transmissions + 1}",
     ]
-    assert differences(result, other, ()) == differences(result, other)[:1]
+    assert differences(result, other, ignore=("transmissions",)) == (
+        differences(result, other)[:1]
+    )
+
+
+def test_differences_compare_every_counter_but_each_tier_s_own_clock():
+    """A counter added to the result is compared with no edit here; events
+    and micro-events, which count one tier's clock each, only on request."""
+    result = run_experiment(_tiny_registry()["tiny"].replace(fidelity="flow"))
+    for name in COUNTERS:
+        other = copy.copy(result)
+        setattr(other, name, getattr(result, name) + 1)
+        a, b = getattr(result, name), getattr(other, name)
+        breach = f"{name}: expected {a!r}, got {b!r}"
+        assert differences(result, other, ignore=()) == [breach]
+        clock = name in ("events_executed", "micro_events")
+        assert differences(result, other) == ([] if clock else [breach])
 
 
 def test_report_prints_each_tier_s_cpu_cost_and_never_gates_on_it():

@@ -16,10 +16,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.mesoscale import FlowEngine, VectorFlowEngine, shard_configs
-from repro.mesoscale.validate import IDENTITY_FIELDS, differences
+from repro.mesoscale.validate import differences
 
-#: Flow-tier-only counter, checked on top of the shared identity fields.
-_FIELDS = IDENTITY_FIELDS + ("micro_events",)
 
 #: Fault transitions on the heap interleave with the block cursor.
 SERVER_FAULTS = "server-down@0.02:server#0;server-up@0.06:server#0"
@@ -44,7 +42,7 @@ def _assert_identical(scalar, vector, tag):
     """Equal results, both from a flow engine (never the packet engine)."""
     for result in (scalar, vector):
         assert result.micro_events > 0 and result.events_executed == 0, tag
-    assert differences(scalar, vector, _FIELDS) == [], tag
+    assert differences(scalar, vector, ignore=()) == [], tag
 
 
 def _assert_knob_is_invisible(config, vector_batch, engine_class, tag):
@@ -239,6 +237,17 @@ def test_vector_identity_on_committed_validation_scenarios(scenario):
         config.replace(shards=4, vector_batch=4096)
     )
     _assert_identical(sharded, sharded_vector, (scenario, "sharded"))
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_late_copies_count_as_on_the_packet_tier(seed):
+    """R95 duplicates still on the wire when the last request completes: the
+    SoA engine gives back the hops they never made, as the packet tier does."""
+    config = ExperimentConfig.tiny(scheme="clirs-r95", seed=seed)
+    packet = run_experiment(config)
+    vector, engine_class = _run(config.replace(fidelity="flow", vector_batch=64))
+    assert engine_class is VectorFlowEngine
+    assert differences(packet, vector) == []
 
 
 def test_vector_batch_requires_flow_fidelity():

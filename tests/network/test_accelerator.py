@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ProtocolError
 from repro.network.accelerator import Accelerator
 from repro.sim import Environment
 
@@ -32,24 +31,6 @@ class TestValidation:
             _make(env, link=-1e-9)
 
 
-class TestAdmissionModes:
-    """One accelerator takes ``submit`` with ``note_at``, or ``submit_at``:
-    the call that mixes the two modes raises, whichever came first."""
-
-    def test_submit_at_after_a_note_raises(self, env):
-        acc = _make(env)
-        acc.submit("p", work=lambda p, t: None)  # submit and note_at mix freely
-        acc.note_at(1e-3, "clone", lambda job, t: None)
-        with pytest.raises(ProtocolError, match="mixes admission modes"):
-            acc.submit_at(2e-3, "q", work=lambda p, t: None)
-
-    def test_note_after_a_submit_at_raises(self, env):
-        acc = _make(env)
-        acc.submit_at(1e-3, "p", work=lambda p, t: None)
-        with pytest.raises(ProtocolError, match="mixes admission modes"):
-            acc.note_at(2e-3, "clone", lambda job, t: None)
-
-
 class TestProcessing:
     def test_single_packet_timing(self, env):
         acc = _make(env)
@@ -58,23 +39,6 @@ class TestProcessing:
         env.run()
         # link + service = 1.25 + 5 us
         assert finished == [pytest.approx(6.25e-6)]
-
-    def test_submit_at_equals_submit_called_then(self, env):
-        """A driver that knows the hand-off instants in closed form declares
-        them up front; queueing and completion times must not notice."""
-        instants = [0.0, 1e-6, 2e-6, 40e-6]  # a burst that queues, then a lone one
-        called, declared = _make(env), _make(env)
-        work_called, work_declared = [], []
-        for index, when in enumerate(instants):
-            env.call_at(
-                when, called.submit, index, lambda p, t: work_called.append((t, p))
-            )
-            declared.submit_at(when, index, lambda p, t: work_declared.append((t, p)))
-        env.run()
-        assert work_declared == work_called
-        assert len(work_called) == len(instants)
-        assert declared.max_queue_seen == called.max_queue_seen == 2
-        assert declared.busy_time == called.busy_time
 
     def test_fifo_queueing_single_core(self, env):
         acc = _make(env)

@@ -68,9 +68,6 @@ class EventDrivenAccelerator:
     def submit(self, packet, work):
         self.env.post_in(self.link_delay, self._enqueue, (packet, work))
 
-    def submit_at(self, when, packet, work):
-        self.env.post_at(when + self.link_delay, self._enqueue, (packet, work))
-
     def _enqueue(self, packet, work):
         self.arrivals.add(self.env.now)
         if self._busy < self.cores:
@@ -92,7 +89,7 @@ class EventDrivenAccelerator:
             self._busy -= 1
 
 
-def _drive(make, declared, bursts, reads, horizon):
+def _drive(make, bursts, reads, horizon):
     """Run one accelerator through the scenario; return what it did and showed."""
     env = Environment()
     acc = make(env)
@@ -119,10 +116,7 @@ def _drive(make, declared, bursts, reads, horizon):
     packet = 0
     for when, count in bursts:
         for _ in range(count):
-            if declared:
-                acc.submit_at(when, packet, work)
-            else:
-                env.call_at(when, acc.submit, packet, work)
+            env.call_at(when, acc.submit, packet, work)
             packet += 1
     for when, reset in reads:
         env.call_at(when, read, reset)
@@ -140,7 +134,6 @@ def _drive(make, declared, bursts, reads, horizon):
     cores=st.sampled_from([1, 2, 4]),
     service_time=st.floats(min_value=1e-7, max_value=1e-3),
     link_factor=st.floats(min_value=0.0, max_value=3.0),
-    declared=st.booleans(),
     bursts=st.lists(
         st.tuples(st.floats(min_value=0.0, max_value=12.0), st.integers(1, 5)),
         min_size=1,
@@ -152,10 +145,10 @@ def _drive(make, declared, bursts, reads, horizon):
     ),
 )
 def test_station_is_bit_equal_to_the_event_machine(
-    cores, service_time, link_factor, declared, bursts, reads
+    cores, service_time, link_factor, bursts, reads
 ):
-    """``submit`` bursts at call instants, or ``submit_at`` instants declared
-    up front in any order, with reads and window resets in between."""
+    """``submit`` bursts at call instants, with reads and window resets in
+    between."""
     link_delay = link_factor * service_time
     bursts = [(when * service_time, count) for when, count in bursts]
     reads = [(when * service_time, reset) for when, reset in reads]
@@ -163,7 +156,7 @@ def test_station_is_bit_equal_to_the_event_machine(
     horizon = 100 * service_time  # 60 packets at most, the last arriving by 15
 
     oracle, worked, seen = _drive(
-        lambda env: EventDrivenAccelerator(env, **settings_), declared, bursts, reads, horizon
+        lambda env: EventDrivenAccelerator(env, **settings_), bursts, reads, horizon
     )
     # No two differently-scheduled events at one timestamp (see module docstring):
     # an arrival never meets a completion, a read meets neither.
@@ -171,7 +164,7 @@ def test_station_is_bit_equal_to_the_event_machine(
     assume(not {when for when, _ in reads} & (oracle.arrivals | oracle.completions))
 
     station, s_worked, s_seen = _drive(
-        lambda env: Accelerator(env, "acc", **settings_), declared, bursts, reads, horizon
+        lambda env: Accelerator(env, "acc", **settings_), bursts, reads, horizon
     )
     assert s_worked == worked  # completion instants, in completion order
     assert s_seen == seen
