@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke figures bench-layered-smoke bench-ab lint lint-report lint-baseline help
+.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke figures bench-layered-smoke bench-ab lint lint-report help
 
 help:
 	@echo "install       editable install"
@@ -10,12 +10,11 @@ help:
 	@echo "test-fast     fast tests only (~45 s on 2 cores)"
 	@echo "ci            what CI runs: fast tests (see .github/workflows/ci.yml)"
 	@echo "faults-smoke  crash-and-recover drill from docs/FAULTS.md (retries, zero lost)"
-	@echo "mesoscale-smoke  1k-host flow-tier demo (events/request per tier) + fidelity gate on every scenario + a --fidelity flow run the flow engine does not model"
+	@echo "mesoscale-smoke  1k-host flow-tier demo (events/request per tier) + fidelity gate on every scenario + a --fidelity flow run the flow engine does not model + a packet ledger resumed under --fidelity flow"
 	@echo "docs-check    validate every relative link/anchor in README.md + docs/*.md, then run the docs/CONSISTENCY.md example"
 	@echo "consistency-smoke  quorum-write/read-repair/churn drill from docs/CONSISTENCY.md"
 	@echo "lint          determinism sanitizer + ruff + mypy (latter two skip if absent)"
 	@echo "lint-report   lint with JSON output to lint-report.json (CI artifact)"
-	@echo "lint-baseline re-snapshot lint-baseline.json (grandfathering workflow)"
 	@echo "figures       regenerate benchmarks/results/fig{4,5,6,7}.txt with \`netrs figure\` (seed 1, 6000 requests)"
 	@echo "bench-layered-smoke  all five workloads of benchmarks/layered for 2 s each; fails unless all print \"correct\": true"
 	@echo "bench-ab      BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]: alternating benchmarks/layered runs of a base revision and this tree"
@@ -64,11 +63,24 @@ consistency-smoke:
 # The flow tier's CI drill (docs/MESOSCALE.md): the scaled-down 1,024-host
 # demo must run to completion (it prints events per request on both tiers),
 # and the fidelity gate (flow == packet, bit for bit) must hold on every
-# registered scenario.
+# registered scenario.  Last, a ledger written on the packet engine must
+# resume under --fidelity flow (a run option, outside the job digest)
+# without re-running a job, printing the same table byte for byte.
 mesoscale-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) examples/mesoscale_1m.py --smoke
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro validate-fidelity
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro run netrs-ilp --fidelity flow --requests 2000
+	@d=$$(mktemp -d); \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro compare --requests 2000 \
+		--run-dir "$$d/run" > "$$d/packet.out" || exit 1; \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro compare --requests 2000 \
+		--fidelity flow --run-dir "$$d/run" --resume > "$$d/flow.out" 2> "$$d/flow.err" \
+		|| { cat "$$d/flow.err"; exit 1; }; \
+	cmp "$$d/packet.out" "$$d/flow.out" || exit 1; \
+	grep -q "resume: 4/4 jobs already in ledger" "$$d/flow.err" \
+		|| { cat "$$d/flow.err"; exit 1; }; \
+	rm -rf "$$d"; \
+	echo "cross-engine resume: 4/4 jobs from the packet ledger, identical table"
 
 # Three layers: the project AST sanitizer is mandatory; ruff/mypy run when
 # installed (pip install -e ".[lint]") and are skipped gracefully otherwise
@@ -83,9 +95,6 @@ lint:
 lint-report:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro \
 		--format json --output lint-report.json
-
-lint-baseline:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro --write-baseline
 
 # The paper's Figs 4-7 at the committed scale -- small profile, seed 1, 6,000
 # requests per cell -- one `netrs figure` run each (under two minutes for

@@ -16,14 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 import typing
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro._version import __version__
 from repro.experiments.config import SCHEMES, ExperimentConfig
 from repro.experiments.figures import FIGURES, base_config, run_figure
 from repro.experiments.metrics import METRICS
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import build_scenario
+from repro.experiments.scenarios import bootstrap_traffic, build_scenario
 from repro.experiments.sweep import run_sweep
 from repro.experiments.tables import format_figure, format_reductions
 from repro.network.fattree import fat_tree_dimensions
@@ -160,8 +160,9 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _config_from_args(args: argparse.Namespace, scheme: str) -> ExperimentConfig:
-    overrides = {}
+def _overrides_from_args(args: argparse.Namespace) -> Dict[str, Any]:
+    """The config fields the common run options set; unset options are absent."""
+    overrides: Dict[str, Any] = {}
     if args.requests:
         overrides["total_requests"] = args.requests
     if args.clients:
@@ -192,7 +193,13 @@ def _config_from_args(args: argparse.Namespace, scheme: str) -> ExperimentConfig
         overrides["vector_batch"] = args.vector_batch
     if getattr(args, "shards", 1) > 1:
         overrides["shards"] = args.shards
-    return base_config(args.profile, seed=args.seed, scheme=scheme, **overrides)
+    return overrides
+
+
+def _config_from_args(args: argparse.Namespace, scheme: str) -> ExperimentConfig:
+    return base_config(
+        args.profile, seed=args.seed, scheme=scheme, **_overrides_from_args(args)
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -228,8 +235,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         profile=args.profile,
         seed=args.seed,
         repetitions=args.repetitions,
-        total_requests=args.requests,
         execution=_execution_from_args(args),
+        **_overrides_from_args(args),
     )
     title = FIGURES[args.figure].title
     if args.markdown:
@@ -356,9 +363,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    scheme = args.scheme
-    config = _config_from_args(args, scheme)
-    scenario = build_scenario(config)
+    scenario = build_scenario(_config_from_args(args, args.scheme))
     plan = scenario.plan
     if plan is None:
         print("scheme does not use NetRS; no plan to show")
@@ -366,31 +371,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core.placement.report import plan_report
 
     assert scenario.controller is not None
-    controller = scenario.controller
-    problem = controller.build_problem(controller.measured_traffic())
-    # Before any traffic flows the monitors are empty; report against the
-    # bootstrap estimate the plan was actually solved with.
-    if all(sum(rates) == 0 for rates in problem.traffic.values()):
-        from repro.core.placement.problem import estimate_traffic
-
-        rate = config.arrival_rate()
-        index = {name: i for i, name in enumerate(scenario.client_hosts)}
-        group_rates = {
-            g.group_id: rate
-            * sum(
-                float(scenario.weights.probabilities[index[h]])
-                for h in g.hosts
-            )
-            for g in controller.groups
-        }
-        problem = controller.build_problem(
-            estimate_traffic(
-                controller.groups,
-                topology=scenario.topology,
-                server_hosts=scenario.server_hosts,
-                group_rates=group_rates,
-            )
-        )
+    problem = scenario.controller.build_problem(bootstrap_traffic(scenario))
     print(plan_report(problem, plan))
     return 0
 

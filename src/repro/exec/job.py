@@ -6,9 +6,10 @@ A job is a fully resolved :class:`~repro.experiments.config.ExperimentConfig`
 * ``key`` -- orders jobs.  It embeds the zero-padded enumeration index, so
   sorting outcomes by key reproduces the exact submission order; parallel
   output merges byte-identical to a serial run.
-* ``digest`` -- a content hash over every config field.  The run ledger
-  stores it with each outcome, so ``--resume`` only reuses a cached result
-  when the job it belongs to is genuinely the same experiment.
+* ``digest`` -- a content hash over the model: every config field but the
+  run options.  The run ledger stores it with each outcome, so ``--resume``
+  only reuses a cached result when the job it belongs to is genuinely the
+  same experiment, whichever engine ran it.
 """
 
 from __future__ import annotations
@@ -23,37 +24,18 @@ if TYPE_CHECKING:  # imported lazily: experiments itself builds on repro.exec
     from repro.experiments.config import ExperimentConfig
 
 
-#: Fields elided from the digest payload while they hold their default.
-#: Adding a config field changes every digest and silently invalidates all
-#: existing ledgers; eliding the default keeps pre-existing job identities
-#: stable (a job that never named the field *is* the same experiment).
-#: ``tests/exec/test_job.py`` holds each entry to its field's default and a
-#: ``netrs run`` option, and its pinned digest literals fail on a new field
-#: that is missing here.
-_DIGEST_DEFAULTS: Dict[str, Any] = {
-    "fidelity": "packet",
-    "vector_batch": 0,
-    "shards": 1,
-    "read_quorum": None,
-    "churn_schedule": None,
-}
-
-
 def config_digest(config: "ExperimentConfig") -> str:
-    """Stable content hash over every field of ``config``.
+    """Stable content hash over the model fields of ``config``.
 
-    Fields listed in :data:`_DIGEST_DEFAULTS` are dropped from the payload
-    when they equal their default, so ledgers written before those fields
-    existed keep matching resumed jobs (forward compatibility).
+    The :data:`~repro.experiments.config.RUN_OPTIONS` are left out: they
+    change how a run executes, never its result, so a job keeps its identity
+    (and its ledger record) on every engine.
     """
+    from repro.experiments.config import RUN_OPTIONS
+
     fields = dataclasses.asdict(config)
-    # Retired field, hashed unconditionally while it existed: keep its only
-    # surviving value in the payload so ledgers written before its removal
-    # still resume.
-    fields["engine_backend"] = "auto"
-    for name, default in _DIGEST_DEFAULTS.items():
-        if fields.get(name) == default:
-            fields.pop(name, None)
+    for name in RUN_OPTIONS:
+        del fields[name]
     payload = json.dumps(fields, sort_keys=True, default=repr)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

@@ -41,15 +41,24 @@ SCHEME_SOLVERS = {
     "netrs-core": "core-only",
 }
 
+#: Fields that choose how a run executes, never what it measures: every
+#: value gives bit-identical results, so a job's digest leaves them out
+#: (``repro.exec.job.config_digest``).  Every other field is the model.
+RUN_OPTIONS = (
+    "route_cache_size",
+    "engine_compaction",
+    "rng_batch_size",
+    "fidelity",
+    "vector_batch",
+)
+
 
 @dataclass
 class ExperimentConfig:
     """All parameters of one simulated experiment.
 
-    Adding a field changes every job digest unless it is elided at its
-    default in ``repro.exec.job._DIGEST_DEFAULTS``; the pinned digests in
-    ``tests/exec/test_job.py`` fail until the elision entry exists, and the
-    same file requires a ``netrs run`` option for it.
+    Every field but the :data:`RUN_OPTIONS` is part of the model, and so of
+    a job's identity.
     """
 
     scheme: str = "clirs"
@@ -60,10 +69,11 @@ class ExperimentConfig:
     host_link_latency: float = 30e-6
     link_bandwidth: Optional[float] = None  # bits/s; None = pure-delay links
     track_link_stats: bool = False  # per-directed-link byte/packet counters
-    # --- simulator performance knobs (identical results either way) --------
+    # --- run options: simulator performance knobs (identical results) -----
     route_cache_size: int = 65536  # ECMP path memoization bound; 0 = bypass
     engine_compaction: bool = True  # packet tier: compact cancelled timers
     rng_batch_size: int = 1024  # pre-drawn RNG block length; 0 = bypass
+    # --- background traffic ------------------------------------------------
     background_traffic_rate: float = 0.0  # packets/s between idle hosts
     background_packet_size: int = 1024
     # --- key-value store --------------------------------------------------
@@ -112,14 +122,15 @@ class ExperimentConfig:
     max_retries: int = 3  # retransmissions per request, once a timeout is set
     # --- membership churn (see docs/CONSISTENCY.md) --------------------------
     churn_schedule: Optional[str] = None  # node-join/node-leave events only
-    # --- fidelity tier (see docs/MESOSCALE.md) -------------------------------
+    # --- run option: fidelity tier (see docs/MESOSCALE.md) -------------------
     # "packet" (hop-by-hop) or "flow": the fastest engine with the packet
     # engine's result (mesoscale.support picks it), same results either way.
     fidelity: str = "packet"
-    # --- flow-tier fast path (see docs/MESOSCALE.md "Vectorized fast path") --
+    # --- run option: flow-tier fast path (docs/MESOSCALE.md) -----------------
     # SoA request-block length; 0 = scalar flow engine.  Applies where
     # mesoscale.support.vector_eligible holds; elsewhere it changes nothing.
     vector_batch: int = 0
+    # --- sharding: disjoint sub-systems, so part of the model ----------------
     shards: int = 1  # independent flow sub-experiments run as exec jobs
 
     # ------------------------------------------------------------------

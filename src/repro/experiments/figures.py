@@ -94,11 +94,13 @@ def run_figure(
     total_requests: int = 0,
     values: Sequence[Any] = (),
     execution: Optional[ExecutionPolicy] = None,
+    **overrides: Any,
 ) -> SweepResult:
     """Execute one paper figure end to end.
 
     ``total_requests`` and ``values`` override the profile defaults (handy
     for fast benchmark runs); zero/empty means "use the profile's values".
+    ``overrides`` are further config fields of the base config.
     ``execution`` is forwarded to :func:`run_sweep` for parallelism/resume.
     """
     spec = FIGURES.get(figure_id)
@@ -106,7 +108,6 @@ def run_figure(
         raise ConfigurationError(
             f"unknown figure {figure_id!r}; available: {', '.join(sorted(FIGURES))}"
         )
-    overrides: Dict[str, Any] = {}
     if total_requests:
         overrides["total_requests"] = total_requests
     base = base_config(profile, seed=seed, **overrides)

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.controller import NetRSController
 from repro.core.monitor import NetRSMonitor
 from repro.core.operator_node import NetRSOperator
-from repro.core.placement.problem import build_operator_specs, estimate_traffic
+from repro.core.placement.problem import (
+    TierTraffic,
+    build_operator_specs,
+    estimate_traffic,
+)
 from repro.core.plan import SelectionPlan, TrafficGroup, make_traffic_groups
-from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.faults.events import ServerDown, ServerUp
 from repro.faults.injector import FaultInjector
@@ -115,7 +118,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
             virtual_nodes=config.virtual_nodes,
         )
 
-    switches = _build_switches(config, env, network, topology)
+    switches, operators = _build_switches(config, env, network, topology)
     hosts = {h.name: Host(h.name, network) for h in topology.hosts}
     servers = _build_servers(config, env, rng, hosts, server_hosts)
 
@@ -176,7 +179,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         background=background,
     )
     if config.netrs:
-        _wire_netrs(scenario)
+        _wire_netrs(scenario, operators)
     schedule = FaultSchedule()
     if config.fault_schedule:
         for event in parse_fault_schedule(config.fault_schedule):
@@ -329,36 +332,39 @@ def _build_switches(
     env: Environment,
     network: Network,
     topology: Topology,
-) -> Dict[str, ProgrammableSwitch]:
+) -> Tuple[Dict[str, ProgrammableSwitch], Dict[int, NetRSOperator]]:
+    """Every switch; under a NetRS scheme each also carries an accelerator
+    and is a candidate operator, keyed by operator id."""
     switches: Dict[str, ProgrammableSwitch] = {}
+    operators: Dict[int, NetRSOperator] = {}
     if config.netrs:
-        specs = build_operator_specs(
+        specs = build_operator_specs(  # one per switch, in topology order
             topology,
             accelerator_cores=config.accelerator_cores,
             accelerator_service_time=config.accelerator_service_time,
             max_utilization=config.max_accelerator_utilization,
             work_per_request=config.work_per_request,
         )
-        spec_by_switch = {spec.switch: spec for spec in specs}
-        for node in topology.switches:
-            spec = spec_by_switch[node.name]
+        for spec in specs:
             accelerator = Accelerator(
                 env,
-                f"acc:{node.name}",
+                f"acc:{spec.switch}",
                 cores=config.accelerator_cores,
                 service_time=config.accelerator_service_time,
                 link_delay=config.accelerator_link_delay,
             )
-            switches[node.name] = ProgrammableSwitch(
-                node.name,
+            switch = ProgrammableSwitch(
+                spec.switch,
                 network,
                 operator_id=spec.operator_id,
                 accelerator=accelerator,
             )
+            switches[spec.switch] = switch
+            operators[spec.operator_id] = NetRSOperator(spec, switch, accelerator)
     else:
         for node in topology.switches:
             switches[node.name] = ProgrammableSwitch(node.name, network)
-    return switches
+    return switches, operators
 
 
 def _build_servers(
@@ -423,8 +429,8 @@ def _build_clients(
     return clients
 
 
-def _wire_netrs(scenario: Scenario) -> None:
-    """Create groups, monitors, operators, controller; deploy the first RSP."""
+def _wire_netrs(scenario: Scenario, operators: Dict[int, NetRSOperator]) -> None:
+    """Create groups, monitors and controller; deploy the first RSP."""
     config = scenario.config
     topology = scenario.topology
     groups = make_traffic_groups(
@@ -450,17 +456,6 @@ def _wire_netrs(scenario: Scenario) -> None:
         )
         switch.monitor = monitor
         monitors[group.tor] = monitor
-
-    operators: Dict[int, NetRSOperator] = {}
-    for switch in scenario.switches.values():
-        if switch.accelerator is None:
-            raise ConfigurationError(
-                f"NetRS scheme requires an accelerator on {switch.name}"
-            )
-        spec = _spec_of(scenario, switch)
-        operators[spec.operator_id] = NetRSOperator(
-            spec, switch, switch.accelerator
-        )
 
     selector_counter = iter(range(1, 1_000_000))
 
@@ -488,26 +483,7 @@ def _wire_netrs(scenario: Scenario) -> None:
         solver_time_limit=config.solver_time_limit,
     )
     scenario.controller = controller
-
-    # Bootstrap traffic estimate: each group's rate is the demand-weighted
-    # share of the aggregate arrival rate; tier mix follows server placement.
-    rate = config.arrival_rate()
-    client_index = {name: i for i, name in enumerate(scenario.client_hosts)}
-    group_rates = {
-        group.group_id: rate
-        * sum(
-            float(scenario.weights.probabilities[client_index[h]])
-            for h in group.hosts
-        )
-        for group in groups
-    }
-    traffic = estimate_traffic(
-        groups,
-        topology=topology,
-        server_hosts=scenario.server_hosts,
-        group_rates=group_rates,
-    )
-    scenario.plan = controller.plan_and_deploy(traffic)
+    scenario.plan = controller.plan_and_deploy(bootstrap_traffic(scenario))
     if config.replan_period is not None:
         controller.start_replanning(config.replan_period)
     else:
@@ -516,20 +492,26 @@ def _wire_netrs(scenario: Scenario) -> None:
         scenario.network.stamp_at_send = True
 
 
-def _spec_of(scenario: Scenario, switch: ProgrammableSwitch):
-    from repro.core.placement.problem import OperatorSpec
+def bootstrap_traffic(scenario: Scenario) -> Dict[int, TierTraffic]:
+    """The traffic estimate a NetRS scenario's first RSP is solved for.
 
-    node = scenario.topology.node(switch.name)
-    capacity = (
-        scenario.config.max_accelerator_utilization
-        * scenario.config.accelerator_cores
-        / scenario.config.accelerator_service_time
-        / scenario.config.work_per_request
-    )
-    return OperatorSpec(
-        operator_id=switch.operator_id,
-        switch=switch.name,
-        tier=node.tier,
-        pod=node.pod,
-        capacity=capacity,
+    Each group's rate is the demand-weighted share of the aggregate arrival
+    rate; the tier mix follows server placement.  Recomputed on demand
+    (``netrs plan``) rather than kept, so a run holds no copy of it.
+    """
+    rate = scenario.config.arrival_rate()
+    client_index = {name: i for i, name in enumerate(scenario.client_hosts)}
+    group_rates = {
+        group.group_id: rate
+        * sum(
+            float(scenario.weights.probabilities[client_index[h]])
+            for h in group.hosts
+        )
+        for group in scenario.groups
+    }
+    return estimate_traffic(
+        scenario.groups,
+        topology=scenario.topology,
+        server_hosts=scenario.server_hosts,
+        group_rates=group_rates,
     )

@@ -10,21 +10,19 @@ unchanged -- all rest on three invariants no test directly checks:
 
 This package enforces them.  :mod:`repro.lint.engine` runs an AST rule suite
 (``DET001``..``DET005``, ``SIM001``/``SIM002``, ``API001`` -- see
-``docs/LINTING.md``) with ``# repro: noqa(RULE)`` suppressions and a
-committed baseline for grandfathered findings; :mod:`repro.lint.runtime`
+``docs/LINTING.md``) with ``# repro: noqa(RULE)`` suppressions;
+:mod:`repro.lint.runtime`
 provides :func:`deterministic_guard`, which patches the global RNG entry
 points to raise during a simulation.  ``netrs lint`` / ``python -m
 repro.lint`` is the CLI; ``make lint`` gates it in CI.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintReport, lint_paths, lint_source
 from repro.lint.findings import Finding
 from repro.lint.rules import RULES, Rule
 from repro.lint.runtime import NondeterminismError, deterministic_guard
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "NondeterminismError",

@@ -1,6 +1,6 @@
 """CLI for the determinism sanitizer: ``netrs lint`` / ``python -m repro.lint``.
 
-Exit codes: 0 clean (or all findings baselined/suppressed), 1 findings or
+Exit codes: 0 clean (or all findings suppressed), 1 findings or
 parse errors, 2 usage errors.  ``--format json`` emits the machine-readable
 report consumed by CI (schema: :data:`repro.lint.findings.JSON_REPORT_VERSION`);
 ``--format github`` emits ``::error`` workflow annotations so findings show
@@ -16,7 +16,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.engine import LintReport, lint_paths
 from repro.lint.rules import RULES, explain
 
@@ -44,21 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to a file instead of stdout",
     )
     parser.add_argument(
-        "--baseline",
-        default="",
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file, report everything",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
         help="print per-rule finding counts and analyzed-file totals",
@@ -77,16 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_baseline(args: argparse.Namespace) -> Optional[Baseline]:
-    if args.no_baseline:
-        return None
-    if args.baseline:
-        return Baseline.load(args.baseline)
-    if os.path.exists(DEFAULT_BASELINE_NAME):
-        return Baseline.load(DEFAULT_BASELINE_NAME)
-    return None
-
-
 def _render_text(report: LintReport, *, stats: bool) -> str:
     lines: List[str] = []
     for finding in report.parse_errors:
@@ -103,12 +77,11 @@ def _render_text(report: LintReport, *, stats: bool) -> str:
         lines.append(f"files analyzed:    {report.files_analyzed}")
         lines.append(f"findings:          {len(report.findings)}")
         lines.append(f"noqa-suppressed:   {report.suppressed}")
-        lines.append(f"baselined:         {report.baselined}")
     elif report.clean:
         lines.append(
             f"ok: {report.files_analyzed} files analyzed, "
             f"no findings "
-            f"({report.suppressed} suppressed, {report.baselined} baselined)"
+            f"({report.suppressed} suppressed)"
         )
     else:
         lines.append(
@@ -164,22 +137,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         paths = ["src/repro"] if os.path.isdir("src/repro") else ["."]
 
     try:
-        baseline = _resolve_baseline(args)
-        report = lint_paths(paths, baseline=baseline)
+        report = lint_paths(paths)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE_NAME
-        # Re-lint without a baseline so the snapshot is complete.
-        full = lint_paths(paths, baseline=None)
-        Baseline.from_findings(full.findings).save(target)
-        print(
-            f"wrote {len(full.findings)} finding(s) to {target}",
-            file=sys.stderr,
-        )
-        return 0
 
     if args.format == "json":
         rendered = json.dumps(report.to_json(), indent=2) + "\n"

@@ -1,4 +1,4 @@
-"""Analysis driver: walk files, run checkers, apply noqa and baseline.
+"""Analysis driver: walk files, run checkers, apply noqa suppressions.
 
 The engine is deterministic end to end -- files are discovered in sorted
 order, checkers run in sorted rule order, and findings sort by location --
@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.lint import checkers as _checkers  # noqa: F401 - registers rules
-from repro.lint.baseline import Baseline
 from repro.lint.findings import JSON_REPORT_VERSION, Finding
 from repro.lint.rules import RULES, ModuleContext, checkers_for
 
@@ -92,7 +91,6 @@ class LintReport:
     findings: List[Finding]
     files_analyzed: int
     suppressed: int = 0
-    baselined: int = 0
     parse_errors: List[Finding] = field(default_factory=list)
 
     @property
@@ -112,7 +110,6 @@ class LintReport:
             "version": JSON_REPORT_VERSION,
             "files_analyzed": self.files_analyzed,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "findings": [f.to_json() for f in sorted(self.findings)],
             "parse_errors": [f.to_json() for f in sorted(self.parse_errors)],
             "stats": {"per_rule": self.per_rule_counts()},
@@ -142,14 +139,13 @@ def _lint_module(source: str, path: str) -> Tuple[List[Finding], int]:
 def lint_paths(
     paths: Sequence[str],
     *,
-    baseline: Optional[Baseline] = None,
     display_relative_to: Optional[str] = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths``.
 
     ``display_relative_to`` rebases reported paths (defaults to the current
-    working directory when files live under it) so findings and baselines
-    are machine-independent.
+    working directory when files live under it) so findings are
+    machine-independent.
     """
     files = iter_python_files(paths)
     base_dir = display_relative_to or os.getcwd()
@@ -176,15 +172,10 @@ def lint_paths(
         suppressed += skipped
         all_findings.extend(findings)
 
-    baselined = 0
-    if baseline is not None:
-        all_findings, baselined = baseline.apply(all_findings)
-
     return LintReport(
         findings=sorted(all_findings),
         files_analyzed=len(files),
         suppressed=suppressed,
-        baselined=baselined,
         parse_errors=sorted(parse_errors),
     )
 

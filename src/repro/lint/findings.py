@@ -2,18 +2,16 @@
 
 A :class:`Finding` pins one rule violation to a file/line/column.  Findings
 are value objects: they sort deterministically (path, line, column, rule) so
-text and JSON reports are byte-stable for a given tree, and they reduce to a
-*fingerprint* -- ``(rule, path, message)`` without the line number -- so a
-committed baseline survives unrelated edits that only shift lines.
+text and JSON reports are byte-stable for a given tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 #: Version stamp of the JSON report layout (bump on breaking changes).
-JSON_REPORT_VERSION = 2
+JSON_REPORT_VERSION = 3
 
 
 @dataclass(frozen=True, order=True)
@@ -25,11 +23,6 @@ class Finding:
     col: int
     rule: str
     message: str
-
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
 
     def to_json(self) -> Dict[str, Any]:
         """JSON-serialisable dict (stable key order)."""

@@ -5,6 +5,7 @@ them by reference; they key side effects off environment variables, which
 propagate to spawned workers.
 """
 
+import functools
 import json
 import multiprocessing
 import os
@@ -22,9 +23,7 @@ from repro.exec import (
     default_run_dir,
     execute_jobs,
 )
-from repro.exec.ledger import SCHEMA_VERSION
 from repro.experiments.config import ExperimentConfig
-from tests.exec.test_job import _legacy_digest
 
 #: Environment variable pointing fake runners at a scratch directory.
 SCRATCH_ENV = "REPRO_TEST_EXEC_SCRATCH"
@@ -218,35 +217,34 @@ class TestLedgerAndResume:
             assert (scratch / f"{job.key}.runs").read_text() == "run\n"
         assert RunLedger(run_dir).load() == outcomes
 
-    def test_resume_accepts_digests_with_elided_defaults(self, scratch, tmp_path):
-        """A record whose digest hashed a config payload with no
-        ``fidelity``/``vector_batch``/``shards``/``read_quorum``/
-        ``churn_schedule`` keys (which ``config_digest`` reproduces by
-        eliding the defaults) is the same experiment: every job is skipped,
-        not re-run."""
-        run_dir = tmp_path / "run"
-        run_dir.mkdir(parents=True)
-        jobs = _jobs(2)
-        lines = []
-        for job in jobs:
-            # The legacy config had none of the elided fields (all at their
-            # defaults in _jobs).
-            legacy = _legacy_digest(job.config)
-            assert legacy == job.digest  # elision keeps old identities valid
-            record = {"schema": SCHEMA_VERSION}
-            record.update(echo_runner(job).to_record())
-            record["digest"] = legacy
-            lines.append(json.dumps(record))
-        RunLedger(run_dir).path.write_text("\n".join(lines) + "\n")
-        outcomes = execute_jobs(
-            jobs,
-            policy=ExecutionPolicy(run_dir=run_dir, resume=True),
-            runner=touch_counting_runner,
+    def test_resume_crosses_engines(self, tmp_path, monkeypatch):
+        """``fidelity`` is a run option: a sweep spooled on the packet engine
+        resumes under ``fidelity="flow"`` without running a job, into the
+        same cells, and both map to one derived run directory."""
+        from repro.experiments import sweep as sweep_module
+
+        grid = dict(
+            parameter="utilization", values=[0.3, 0.9], schemes=["clirs", "netrs-tor"]
         )
-        assert list(outcomes) == [job.key for job in jobs]
-        for job in jobs:  # resumed from the ledger, never executed
-            assert not (scratch / f"{job.key}.runs").exists()
-        assert outcomes == {job.key: echo_runner(job) for job in jobs}
+        packet_base = ExperimentConfig.tiny(seed=3)
+        flow_base = packet_base.replace(fidelity="flow")
+        run_dir = tmp_path / "run"
+        packet = sweep_module.run_sweep(
+            packet_base, execution=ExecutionPolicy(run_dir=run_dir), **grid
+        )
+        monkeypatch.setattr(
+            sweep_module,
+            "execute_jobs",
+            functools.partial(execute_jobs, runner=always_failing_runner),
+        )
+        flow = sweep_module.run_sweep(
+            flow_base, execution=ExecutionPolicy(run_dir=run_dir, resume=True), **grid
+        )
+        assert flow.cells == packet.cells
+        assert flow.raw == packet.raw
+        packet_jobs, _ = sweep_module.sweep_jobs(packet_base, **grid)
+        flow_jobs, _ = sweep_module.sweep_jobs(flow_base, **grid)
+        assert default_run_dir(flow_jobs) == default_run_dir(packet_jobs)
 
     def test_fresh_run_resets_stale_ledger(self, scratch, tmp_path):
         run_dir = tmp_path / "run"

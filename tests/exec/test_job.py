@@ -1,31 +1,71 @@
 """Tests for the job model: stable keys, content digests, outcomes."""
 
-import argparse
 import dataclasses
-import hashlib
+import functools
 import json
 
 import pytest
 
-from repro.cli import build_parser
 from repro.errors import ConfigurationError
 from repro.exec import Job, JobOutcome, config_digest
-from repro.exec.job import _DIGEST_DEFAULTS
-from repro.exec.ledger import SCHEMA_VERSION, RunLedger
-from repro.experiments.config import ExperimentConfig
+from repro.experiments import run_experiment
+from repro.experiments.config import RUN_OPTIONS, ExperimentConfig
+from repro.mesoscale.validate import differences
 
 
-def _legacy_digest(config):
-    """The digest of ``config`` as a pre-PR6 writer computed it: no elided
-    field existed yet, and ``engine_backend`` (retired since, always
-    ``"auto"`` in any ledger) was hashed unconditionally."""
-    fields = dataclasses.asdict(config)
-    for name in ("fidelity", "vector_batch", "shards", "read_quorum", "churn_schedule"):
-        fields.pop(name)
-    fields["engine_backend"] = "auto"
-    return hashlib.sha256(
-        json.dumps(fields, sort_keys=True, default=repr).encode("utf-8")
-    ).hexdigest()[:16]
+#: One non-default value per run option (``vector_batch`` acts only on
+#: the flow tier, so it rides with ``fidelity="flow"``).
+_RUN_OPTION_VALUES = {
+    "route_cache_size": {"route_cache_size": 0},
+    "engine_compaction": {"engine_compaction": False},
+    "rng_batch_size": {"rng_batch_size": 0},
+    "fidelity": {"fidelity": "flow"},
+    "vector_batch": {"vector_batch": 64, "fidelity": "flow"},
+}
+
+#: Configs the identity contract is held on, built on use.
+_IDENTITY_CONFIGS = {
+    "clirs-r95": lambda: ExperimentConfig.tiny("clirs-r95", seed=7),
+    "netrs-ilp": lambda: ExperimentConfig.tiny("netrs-ilp", seed=7),
+    "netrs-tor-crash": lambda: ExperimentConfig.tiny(
+        "netrs-tor",
+        seed=5,
+        fault_schedule="server-down@0.01:server#0;server-up@0.03:server#0",
+        request_timeout=0.01,
+        max_retries=3,
+    ),
+    "clirs-quorum-churn": lambda: ExperimentConfig.tiny(
+        "clirs",
+        seed=3,
+        write_fraction=0.3,
+        write_quorum=2,
+        read_quorum=2,
+        request_timeout=0.25,
+        churn_schedule="node-leave@0.01:server#1;node-join@0.03:server#1",
+    ),
+    "netrs-ilp-link-fault": lambda: ExperimentConfig.tiny(
+        "netrs-ilp",
+        seed=4,
+        fault_schedule="link-down@0.01:tor0.0/agg0.0;link-up@0.03:tor0.0/agg0.0",
+        request_timeout=0.02,
+        max_retries=3,
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _base_result(config_name):
+    return run_experiment(_IDENTITY_CONFIGS[config_name]())
+
+
+def _other_value(config, name):
+    """A value of field ``name`` that differs from ``config``'s."""
+    value = getattr(config, name)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    return f"{value}-changed"
 
 
 class TestJobKeys:
@@ -56,128 +96,35 @@ class TestDigests:
         second = ExperimentConfig.tiny(seed=2)
         assert config_digest(first) == config_digest(second)
 
-    def test_digest_changes_with_any_field(self):
+    @pytest.mark.parametrize(
+        "name",
+        [
+            f.name
+            for f in dataclasses.fields(ExperimentConfig)
+            if f.name not in RUN_OPTIONS
+        ],
+    )
+    def test_digest_changes_with_any_model_field(self, name):
+        """A different value of any field outside ``RUN_OPTIONS`` is a
+        different experiment, so a different digest."""
         base = ExperimentConfig.tiny(seed=2)
-        assert config_digest(base) != config_digest(base.replace(seed=3))
-        assert config_digest(base) != config_digest(
-            base.replace(utilization=0.42)
-        )
+        changed = dataclasses.replace(base, **{name: _other_value(base, name)})
+        assert config_digest(changed) != config_digest(base)
 
-    def test_digests_survive_the_retired_engine_backend_field(self):
-        """``engine_backend`` was a founding field; its only surviving value
-        stays in the payload, so these literals (measured at the last commit
-        that had the field) still match and old ledgers resume.  Naming the
-        field is an error, never silently ignored."""
-        pinned = (
-            (ExperimentConfig.small("clirs", seed=0), "0649eafa138c495f"),
-            (ExperimentConfig.tiny("netrs-ilp", seed=3), "69e48b015cc5197a"),
-            (ExperimentConfig.paper("clirs-r95", seed=1), "7b76efa72d2af46f"),
-        )
-        for config, digest in pinned:
-            assert config_digest(config) == digest
-        assert len(dataclasses.fields(ExperimentConfig)) == 54
-        with pytest.raises(TypeError):
-            ExperimentConfig(engine_backend="auto")
-        with pytest.raises(TypeError):
-            ExperimentConfig.tiny().replace(engine_backend="python")
-
-    def test_digest_elides_default_fidelity(self):
-        """Ledgers written before ``fidelity`` existed must keep matching.
-
-        The pre-PR6 digest hashed a payload with no ``fidelity`` key; the
-        field is elided while it holds its default, so that digest is
-        reproduced exactly.  A non-default fidelity is a different
-        experiment and must change the digest.
-        """
-        config = ExperimentConfig.tiny(seed=2)
-        assert config.fidelity == "packet"
-        legacy = _legacy_digest(config)
-        assert config_digest(config) == legacy
-        assert config_digest(config.replace(fidelity="flow")) != legacy
-
-    @pytest.mark.parametrize("name", sorted(_DIGEST_DEFAULTS))
-    def test_elided_fields_are_run_options_at_their_defaults(self, name):
-        """Each ``_DIGEST_DEFAULTS`` key is an ``ExperimentConfig`` field,
-        elides exactly that field's default, and is an option of ``netrs
-        run``.  A new field added *without* an elision entry changes the
-        pinned literals of
-        ``test_digests_survive_the_retired_engine_backend_field``."""
-        defaults = {
-            field.name: field.default
-            for field in dataclasses.fields(ExperimentConfig)
-        }
-        (subcommands,) = [
-            action
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        run_options = subcommands.choices["run"]._option_string_actions
-        assert name in defaults
-        assert _DIGEST_DEFAULTS[name] == defaults[name]
-        assert "--" + name.replace("_", "-") in run_options
-
-    def test_digest_elides_default_vector_and_shard_knobs(self):
-        """``vector_batch`` / ``shards`` follow the ``fidelity`` dance: the
-        fields are elided at their defaults so ledgers written before the
-        knobs existed keep matching, and any non-default value is a
-        different experiment."""
-        config = ExperimentConfig.tiny(seed=2)
-        assert (config.vector_batch, config.shards) == (0, 1)
-        assert config.read_quorum is None and config.churn_schedule is None
-        assert config_digest(config) == _legacy_digest(config)
-        flow = config.replace(fidelity="flow")
-        assert config_digest(flow.replace(vector_batch=64)) != config_digest(flow)
-        assert config_digest(flow.replace(shards=2)) != config_digest(flow)
-
-    def test_handwritten_pre_pr9_ledger_still_resumes(self, tmp_path):
-        """A record whose digest hashed a payload with no ``vector_batch``/
-        ``shards`` keys (the layout before the vectorized/sharded flow tier
-        existed) still matches today's config."""
-        config = ExperimentConfig.tiny(seed=5)
-        legacy_digest = _legacy_digest(config)
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        record = {
-            "schema": SCHEMA_VERSION,
-            "key": "00000-clirs-s5",
-            "digest": legacy_digest,
-            "summary": {"mean": 1.0},
-            "counters": {"rsnode_count": 0, "completed_requests": 10},
-            "wall_time": 0.1,
-            "attempts": 1,
-        }
-        (run_dir / "ledger.jsonl").write_text(
-            json.dumps(record) + "\n", encoding="utf-8"
-        )
-        outcomes = RunLedger(run_dir).load()
-        job = Job.from_config(config, 0)
-        assert job.key in outcomes
-        assert outcomes[job.key].digest == job.digest
-
-    def test_handwritten_pre_pr8_ledger_still_resumes(self, tmp_path):
-        """A ledger written before the elision entries were checked must keep
-        matching: checking them pins digests, it does not change them."""
-        config = ExperimentConfig.tiny(seed=5)
-        legacy_digest = _legacy_digest(config)
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        record = {
-            "schema": SCHEMA_VERSION,
-            "key": "00000-clirs-s5",
-            "digest": legacy_digest,
-            "summary": {"mean": 1.0},
-            "counters": {"rsnode_count": 0, "completed_requests": 10},
-            "wall_time": 0.1,
-            "attempts": 1,
-        }
-        (run_dir / "ledger.jsonl").write_text(
-            json.dumps(record) + "\n", encoding="utf-8"
-        )
-        outcomes = RunLedger(run_dir).load()
-        job = Job.from_config(config, 0)
-        # Resume skips a job when key AND digest match a recorded outcome.
-        assert job.key in outcomes
-        assert outcomes[job.key].digest == job.digest
+    @pytest.mark.parametrize("config_name", sorted(_IDENTITY_CONFIGS))
+    @pytest.mark.parametrize("option", sorted(_RUN_OPTION_VALUES))
+    def test_run_options_keep_identity_and_results(self, option, config_name):
+        """The identity contract: a run option changes neither the digest nor
+        any result (latency samples, every counter but each engine's own
+        event count) -- on plain reads, under NetRS placement, through a
+        server crash, a quorum/churn mix and a link fault (the only traffic
+        that reads the route table)."""
+        assert set(_RUN_OPTION_VALUES) == set(RUN_OPTIONS)
+        base = _IDENTITY_CONFIGS[config_name]()
+        variant = base.replace(**_RUN_OPTION_VALUES[option])
+        assert getattr(variant, option) != getattr(base, option)
+        assert config_digest(variant) == config_digest(base)
+        assert differences(_base_result(config_name), run_experiment(variant)) == []
 
 
 class TestJobOutcome:

@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.config import ExperimentConfig
 
 
 class TestParser:
@@ -121,6 +122,64 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Fig. 6" in out
         assert "latency reduction" in out
+
+    @pytest.mark.parametrize(
+        "options, expected",
+        [
+            (
+                [
+                    "--requests", "600", "--clients", "16", "--servers", "8",
+                    "--utilization", "0.5", "--skew", "0.8",
+                    "--faults", "server-down@0.02:server#0;server-up@0.06:server#0",
+                    "--request-timeout", "0.02", "--max-retries", "5",
+                    "--write-fraction", "0.2", "--write-quorum", "2",
+                    "--read-quorum", "2",
+                    "--churn-schedule",
+                    "node-leave@0.03:server#1;node-join@0.06:server#1",
+                    "--fidelity", "flow", "--vector-batch", "64",
+                ],
+                lambda: ExperimentConfig.small(
+                    seed=3,
+                    total_requests=600,
+                    n_clients=16,
+                    n_servers=8,
+                    utilization=0.5,
+                    demand_skew=0.8,
+                    fault_schedule="server-down@0.02:server#0;server-up@0.06:server#0",
+                    request_timeout=0.02,
+                    max_retries=5,
+                    write_fraction=0.2,
+                    write_quorum=2,
+                    read_quorum=2,
+                    churn_schedule="node-leave@0.03:server#1;node-join@0.06:server#1",
+                    fidelity="flow",
+                    vector_batch=64,
+                ),
+            ),
+            (
+                ["--profile", "paper", "--fidelity", "flow", "--shards", "2"],
+                lambda: ExperimentConfig.paper(seed=3, fidelity="flow", shards=2),
+            ),
+        ],
+        ids=["small", "paper-shards"],
+    )
+    def test_figure_command_forwards_every_run_option(
+        self, monkeypatch, options, expected
+    ):
+        """``netrs figure`` builds its base config from every common run
+        option, as ``run`` and ``sweep`` do."""
+        from repro.experiments import figures
+
+        bases = []
+
+        def capture(base, **kwargs):
+            bases.append(base)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(figures, "run_sweep", capture)
+        with pytest.raises(RuntimeError, match="captured"):
+            main(["figure", "fig4", "--seed", "3"] + options)
+        assert bases == [expected()]
 
     def test_compare_command(self, capsys):
         code = main(

@@ -1,8 +1,7 @@
 """CLI surface: ``netrs lint`` dispatch, exit codes, --stats, JSON output,
-baseline flags, and the acceptance criterion that the shipped tree is clean."""
+and the acceptance criterion that the shipped tree is clean."""
 
 import json
-import os
 import pathlib
 
 import pytest
@@ -18,7 +17,7 @@ SRC_REPRO = REPO_ROOT / "src" / "repro"
 @pytest.fixture
 def bad_tree(tmp_path, monkeypatch):
     """A tiny tree with one DET001 finding; cwd moved there so the CLI's
-    default baseline discovery is exercised hermetically."""
+    relative paths are exercised hermetically."""
     (tmp_path / "m.py").write_text("import random\n")
     monkeypatch.chdir(tmp_path)
     return tmp_path
@@ -27,7 +26,7 @@ def bad_tree(tmp_path, monkeypatch):
 def test_shipped_tree_lints_clean():
     """`netrs lint src/repro` must exit 0 on the final tree (ISSUE 3)."""
     assert SRC_REPRO.is_dir()
-    exit_code = lint_main([str(SRC_REPRO), "--no-baseline"])
+    exit_code = lint_main([str(SRC_REPRO)])
     assert exit_code == 0
 
 
@@ -61,22 +60,6 @@ def test_json_output_and_output_file(bad_tree):
     assert [f["rule"] for f in payload["findings"]] == ["DET001"]
 
 
-def test_write_baseline_then_lint_is_clean(bad_tree, capsys):
-    assert lint_main(["m.py", "--write-baseline"]) == 0
-    assert os.path.exists("lint-baseline.json")
-    # Default baseline discovery picks the file up from the cwd.
-    assert lint_main(["m.py"]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-    # --no-baseline sees through the grandfathering.
-    assert lint_main(["m.py", "--no-baseline"]) == 1
-
-
-def test_new_findings_fail_even_with_baseline(bad_tree):
-    assert lint_main(["m.py", "--write-baseline"]) == 0
-    (bad_tree / "m.py").write_text("import random\nimport random\n")
-    assert lint_main(["m.py"]) == 1
-
-
 def test_list_rules_and_explain(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -102,11 +85,3 @@ def test_github_format_is_silent_when_clean(bad_tree, capsys):
 
 def test_missing_path_is_a_usage_error(bad_tree):
     assert lint_main(["does-not-exist/"]) == 2
-
-
-def test_committed_baseline_is_empty():
-    """The repo's grandfathered-findings file must stay empty: new debt is
-    fixed, not baselined (ISSUE 3 acceptance)."""
-    baseline = REPO_ROOT / "lint-baseline.json"
-    assert baseline.is_file()
-    assert json.loads(baseline.read_text())["entries"] == []

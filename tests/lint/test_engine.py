@@ -1,9 +1,8 @@
-"""Engine behaviour: noqa suppression, baseline workflow, JSON schema."""
+"""Engine behaviour: noqa suppression, file walking, JSON schema."""
 
 import json
 
-from repro.lint import Baseline, Finding, lint_paths, lint_source
-from repro.lint.baseline import BASELINE_VERSION
+from repro.lint import lint_paths, lint_source
 from repro.lint.engine import iter_python_files, parse_suppressions
 from repro.lint.findings import JSON_REPORT_VERSION
 
@@ -50,61 +49,6 @@ def test_parse_suppressions_maps_lines():
 
 
 # ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-
-
-def _finding(rule="DET002", path="m.py", line=1, message="wall-clock read"):
-    return Finding(path=path, line=line, col=1, rule=rule, message=message)
-
-
-def test_baseline_absorbs_known_findings_but_not_new_instances():
-    known = _finding(line=10)
-    baseline = Baseline.from_findings([known])
-    # Same fingerprint at a different line: absorbed (line-independent).
-    shifted = _finding(line=99)
-    new_rule = _finding(rule="DET001", message="import of random")
-    kept, absorbed = baseline.apply([shifted, new_rule])
-    assert absorbed == 1
-    assert kept == [new_rule]
-
-
-def test_baseline_counts_bound_how_many_matches_are_absorbed():
-    baseline = Baseline.from_findings([_finding(), _finding()])
-    findings = [_finding(line=n) for n in (1, 2, 3)]
-    kept, absorbed = baseline.apply(findings)
-    assert absorbed == 2
-    assert len(kept) == 1
-
-
-def test_baseline_roundtrip(tmp_path):
-    baseline = Baseline.from_findings([_finding(), _finding(rule="SIM001")])
-    target = tmp_path / "lint-baseline.json"
-    baseline.save(str(target))
-    payload = json.loads(target.read_text())
-    assert payload["version"] == BASELINE_VERSION
-    assert {e["rule"] for e in payload["entries"]} == {"DET002", "SIM001"}
-    loaded = Baseline.load(str(target))
-    assert loaded.entries == baseline.entries
-    assert len(loaded) == 2
-
-
-def test_lint_paths_applies_baseline(tmp_path):
-    module = tmp_path / "m.py"
-    module.write_text("import time\nt = time.perf_counter()\n")
-    full = lint_paths([str(tmp_path)], display_relative_to=str(tmp_path))
-    assert [f.rule for f in full.findings] == ["DET002"]
-    baseline = Baseline.from_findings(full.findings)
-    gated = lint_paths(
-        [str(tmp_path)],
-        baseline=baseline,
-        display_relative_to=str(tmp_path),
-    )
-    assert gated.clean
-    assert gated.baselined == 1
-
-
-# ---------------------------------------------------------------------------
 # file walking and report shape
 # ---------------------------------------------------------------------------
 
@@ -135,7 +79,7 @@ def test_json_report_schema(tmp_path):
     assert payload["version"] == JSON_REPORT_VERSION
     assert payload["files_analyzed"] == 1
     assert set(payload) == {
-        "version", "files_analyzed", "suppressed", "baselined",
+        "version", "files_analyzed", "suppressed",
         "findings", "parse_errors", "stats",
     }
     (finding,) = payload["findings"]
