@@ -67,15 +67,10 @@ class ExperimentConfig:
     fat_tree_k: int = 8
     switch_link_latency: float = 30e-6
     host_link_latency: float = 30e-6
-    link_bandwidth: Optional[float] = None  # bits/s; None = pure-delay links
-    track_link_stats: bool = False  # per-directed-link byte/packet counters
     # --- run options: simulator performance knobs (identical results) -----
     route_cache_size: int = 65536  # ECMP path memoization bound; 0 = bypass
     engine_compaction: bool = True  # packet tier: compact cancelled timers
     rng_batch_size: int = 1024  # pre-drawn RNG block length; 0 = bypass
-    # --- background traffic ------------------------------------------------
-    background_traffic_rate: float = 0.0  # packets/s between idle hosts
-    background_packet_size: int = 1024
     # --- key-value store --------------------------------------------------
     n_servers: int = 32
     n_clients: int = 64
@@ -87,9 +82,6 @@ class ExperimentConfig:
     fluctuation_interval: float = 50e-3
     value_size: int = 1024
     # --- workload ----------------------------------------------------------
-    workload_mode: str = "open"  # "open" (paper) or "closed" (C3-style)
-    closed_window: int = 1  # outstanding requests per client (closed mode)
-    think_time: float = 0.0  # mean think time between requests (closed mode)
     utilization: float = 0.9  # nominal rho = t_kv * A / (Ns * Np)
     write_fraction: float = 0.0  # share of requests that are writes
     write_quorum: Optional[int] = None  # acks to wait for (None = all)
@@ -265,8 +257,6 @@ class ExperimentConfig:
             raise ConfigurationError("zipf_exponent must be finite and positive")
         if not 0 < self.hot_fraction < 1:
             raise ConfigurationError("hot_fraction must be in (0, 1)")
-        if not 0 <= self.think_time < math.inf:
-            raise ConfigurationError("think_time must be finite and >= 0")
         if not (self.value_size >= 0 and 0 <= self.accelerator_link_delay < math.inf):
             raise ConfigurationError(
                 "value_size and accelerator_link_delay must be >= 0 (the delay finite)"
@@ -297,24 +287,12 @@ class ExperimentConfig:
         switch, host = self.switch_link_latency, self.host_link_latency
         if not (0 <= switch < math.inf and 0 <= host < math.inf):
             raise ConfigurationError("switch_link_latency, host_link_latency: finite, >= 0 s")
-        if self.link_bandwidth is not None and not 0 < self.link_bandwidth < math.inf:
-            raise ConfigurationError("link_bandwidth must be finite and positive (bits/s)")
         if not 0 <= self.ewma_alpha < 1 or self.seed < 0:
             raise ConfigurationError("ewma_alpha must be in [0, 1), seed >= 0")
         if self.route_cache_size < 0:
             raise ConfigurationError("route_cache_size must be >= 0 (0 = off)")
         if self.rng_batch_size < 0:
             raise ConfigurationError("rng_batch_size must be >= 0 (0 = off)")
-        if not 0 <= self.background_traffic_rate < math.inf:
-            raise ConfigurationError("background_traffic_rate must be finite and >= 0")
-        if self.background_packet_size < 1:
-            raise ConfigurationError("background_packet_size must be >= 1 byte")
-        if self.background_traffic_rate > 0:
-            idle = self.total_hosts() - self.n_servers - self.n_clients
-            if idle < 2:
-                raise ConfigurationError(
-                    "background traffic needs at least 2 idle hosts"
-                )
         if not 0 <= self.write_fraction < 1:
             raise ConfigurationError("write_fraction must be in [0, 1)")
         if self.write_quorum is not None and not (
@@ -331,11 +309,6 @@ class ExperimentConfig:
                 f"(got {self.read_quorum} with replication_factor="
                 f"{self.replication_factor}); a quorum cannot exceed the "
                 "replica count"
-            )
-        if self.workload_mode not in ("open", "closed"):
-            raise ConfigurationError(
-                f"workload_mode must be 'open' or 'closed', got "
-                f"{self.workload_mode!r}"
             )
         if self.request_timeout is not None and not 0 < self.request_timeout < math.inf:
             raise ConfigurationError("request_timeout must be finite and positive (seconds)")
@@ -405,21 +378,17 @@ class ExperimentConfig:
             from repro.mesoscale.support import ensure_shardable
 
             ensure_shardable(self)
-        if self.workload_mode == "closed":
-            if self.write_fraction:
-                raise ConfigurationError(
-                    "mixed read/write workloads are open-loop only"
-                )
-            if self.demand_skew is not None:
-                raise ConfigurationError(
-                    "demand skew is an open-loop concept; closed-loop load "
-                    "is set by closed_window/think_time instead"
-                )
-            if self.closed_window < 1:
-                raise ConfigurationError("closed_window must be >= 1")
 
     def replace(self, **changes) -> "ExperimentConfig":
-        """A copy with the given fields changed (validated)."""
+        """A copy with the given fields changed (validated).
+
+        Every name must be a field: a method (``validate``) or a field this
+        model no longer has is a :class:`ConfigurationError`, not a
+        ``TypeError`` from deep inside :mod:`dataclasses`.
+        """
+        for name in changes:
+            if name not in _FIELD_NAMES:
+                raise ConfigurationError(f"unknown config field {name!r}")
         config = dataclasses.replace(self, **changes)
         config.validate()
         return config
@@ -427,10 +396,7 @@ class ExperimentConfig:
     @classmethod
     def small(cls, scheme: str = "clirs", seed: int = 0, **overrides) -> "ExperimentConfig":
         """The scale-down profile used by tests and default benchmarks."""
-        config = cls(scheme=scheme, seed=seed)
-        config = dataclasses.replace(config, **overrides)
-        config.validate()
-        return config
+        return cls(scheme=scheme, seed=seed).replace(**overrides)
 
     @classmethod
     def tiny(cls, scheme: str = "clirs", seed: int = 0, **overrides) -> "ExperimentConfig":
@@ -445,10 +411,7 @@ class ExperimentConfig:
             warmup_fraction=0.1,
         )
         defaults.update(overrides)
-        config = cls(scheme=scheme, seed=seed)
-        config = dataclasses.replace(config, **defaults)
-        config.validate()
-        return config
+        return cls(scheme=scheme, seed=seed).replace(**defaults)
 
     @classmethod
     def paper(cls, scheme: str = "clirs", seed: int = 0, **overrides) -> "ExperimentConfig":
@@ -462,7 +425,7 @@ class ExperimentConfig:
             virtual_nodes=16,
         )
         defaults.update(overrides)
-        config = cls(scheme=scheme, seed=seed)
-        config = dataclasses.replace(config, **defaults)
-        config.validate()
-        return config
+        return cls(scheme=scheme, seed=seed).replace(**defaults)
+
+
+_FIELD_NAMES = frozenset(field.name for field in dataclasses.fields(ExperimentConfig))

@@ -9,7 +9,6 @@ pays off most.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -71,9 +70,6 @@ def run_grid(
     :mod:`repro.exec`, so ``execution`` buys the same parallelism, ledger
     spooling and resume that sweeps get.
     """
-    for name in (row_parameter, column_parameter):
-        if not hasattr(base, name):
-            raise ConfigurationError(f"unknown config field {name!r}")
     if row_parameter == column_parameter:
         raise ConfigurationError("row and column parameters must differ")
     if not row_values or not column_values or not schemes:
@@ -85,10 +81,8 @@ def run_grid(
         for column in column_values:
             keys: Dict[str, str] = {}
             for scheme in schemes:
-                config = dataclasses.replace(
-                    base,
-                    **{row_parameter: row, column_parameter: column},
-                    scheme=scheme,
+                config = base.replace(
+                    **{row_parameter: row, column_parameter: column, "scheme": scheme}
                 )
                 job = Job.from_config(config, len(jobs))
                 jobs.append(job)

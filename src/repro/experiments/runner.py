@@ -204,8 +204,6 @@ def run_experiment(
     scenario.tracker.when_done(env.stop)
 
     def run(until: float) -> None:
-        if scenario.background is not None:
-            scenario.background.start()
         scenario.workload.start()
         env.run(until=until)
         # Unwind eager trunk accounting for packets still in flight at the
@@ -316,15 +314,8 @@ def _drive(config: ExperimentConfig, built, clock, run) -> float:
     flow engine: its ``tracker`` and ``recorder``), ``clock`` what keeps its
     time.
     """
-    if config.workload_mode == "closed":
-        # Closed-loop throughput is bounded by the per-client cycle time.
-        cycle = 2 * config.mean_service_time + config.think_time + 1e-3
-        concurrency = max(1, config.n_clients * config.closed_window)
-        expected_duration = config.total_requests * cycle / concurrency
-        safety_horizon = clock.now + expected_duration * 10 + 10.0
-    else:
-        expected_duration = config.total_requests / config.arrival_rate()
-        safety_horizon = clock.now + expected_duration * 5 + 10.0
+    expected_duration = config.total_requests / config.arrival_rate()
+    safety_horizon = clock.now + expected_duration * 5 + 10.0
 
     started_wall = time.perf_counter()  # repro: noqa(DET002) - real wall time, reported only
     run(safety_horizon)

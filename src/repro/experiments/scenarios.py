@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.controller import NetRSController
 from repro.core.monitor import NetRSMonitor
@@ -32,13 +32,11 @@ from repro.kvstore.hashing import shared_ring
 from repro.kvstore.membership import ChurnableRing, ChurnCoordinator
 from repro.kvstore.server import KVServer
 from repro.kvstore.workload import (
-    ClosedLoopWorkload,
     DemandWeights,
     OpenLoopWorkload,
     ZipfSampler,
 )
 from repro.network.accelerator import Accelerator
-from repro.network.background import BackgroundTraffic
 from repro.network.fabric import Network
 from repro.network.fattree import build_fat_tree
 from repro.network.host import Host
@@ -68,10 +66,9 @@ class Scenario:
     ring: ConsistentHashRing
     recorder: LatencyRecorder
     tracker: CompletionTracker
-    workload: Union[OpenLoopWorkload, ClosedLoopWorkload]
+    workload: OpenLoopWorkload
     weights: DemandWeights
     write_recorder: Optional[LatencyRecorder] = None
-    background: Optional[BackgroundTraffic] = None
     groups: List[TrafficGroup] = field(default_factory=list)
     controller: Optional[NetRSController] = None
     plan: Optional[SelectionPlan] = None
@@ -96,8 +93,6 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         topology,
         switch_link_latency=config.switch_link_latency,
         host_link_latency=config.host_link_latency,
-        link_bandwidth=config.link_bandwidth,
-        track_links=config.track_link_stats,
         route_cache_size=config.route_cache_size,
     )
 
@@ -131,32 +126,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     )
 
     weights = demand_weights(config, rng)
-    if config.workload_mode == "closed":
-        workload = ClosedLoopWorkload(
-            env,
-            clients=clients,
-            key_sampler=key_sampler(config, rng),
-            rng=rng.batched("workload.arrivals", config.rng_batch_size),
-            total_requests=config.total_requests,
-            window=config.closed_window,
-            think_time=config.think_time,
-            warmup_requests=config.warmup_requests(),
-        )
-    else:
-        workload = open_loop_workload(config, env, rng, clients, weights)
-
-    background = None
-    if config.background_traffic_rate > 0:
-        busy = set(client_hosts) | set(server_hosts)
-        idle_hosts = [hosts[h.name] for h in topology.hosts if h.name not in busy]
-        background = BackgroundTraffic(
-            env,
-            network,
-            idle_hosts,
-            rate=config.background_traffic_rate,
-            packet_size=config.background_packet_size,
-            rng=rng.stream("background"),
-        )
+    workload = open_loop_workload(config, env, rng, clients, weights)
 
     scenario = Scenario(
         config=config,
@@ -176,7 +146,6 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         workload=workload,
         weights=weights,
         write_recorder=write_recorder,
-        background=background,
     )
     if config.netrs:
         _wire_netrs(scenario, operators)

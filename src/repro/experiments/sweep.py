@@ -10,7 +10,6 @@ with an :class:`~repro.exec.ExecutionPolicy`), and returns a
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -120,8 +119,6 @@ def sweep_jobs(
         raise ConfigurationError("sweep needs at least one scheme")
     if repetitions < 1:
         raise ConfigurationError("repetitions must be >= 1")
-    if not hasattr(base, parameter):
-        raise ConfigurationError(f"unknown config field {parameter!r}")
 
     jobs: List[Job] = []
     cell_keys: Dict[Cell, List[str]] = {}
@@ -136,7 +133,7 @@ def sweep_jobs(
                 }
                 if overrides:
                     changes.update(overrides)
-                config = dataclasses.replace(base, **changes)
+                config = base.replace(**changes)
                 job = Job.from_config(config, len(jobs))
                 jobs.append(job)
                 keys.append(job.key)

@@ -19,9 +19,9 @@ timeout / backoff / retry and the response fold, written against a clock
 puts one copy of a request on the wire, ``completed`` reports a request's
 terminal state.  Two drivers run that body: :class:`KVClient` on the packet
 fabric, which also owns everything that only exists as packets (writes,
-quorum reads, digests, read-repair, trace sinks, the closed-loop hook), and
-the flow engine (:mod:`repro.mesoscale.flow`), whose ``transmit`` prices the
-path in closed form.
+quorum reads, digests, read-repair, trace sinks), and the flow engine
+(:mod:`repro.mesoscale.flow`), whose ``transmit`` prices the path in closed
+form.
 """
 
 from __future__ import annotations
@@ -414,7 +414,6 @@ class KVClient(ClientCore):
         "write_quorum",
         "read_quorum",
         "trace_sink",
-        "on_complete",
         "writes_completed",
         "write_failures",
         "stale_reads",
@@ -470,10 +469,6 @@ class KVClient(ClientCore):
         # Optional per-request trace sink (see repro.analysis.trace); set by
         # analysis instrumentation, never by normal experiment wiring.
         self.trace_sink = None
-        # Optional completion hook (closed-loop workloads issue the next
-        # request from here).  Called with this client after each first
-        # response, before the tracker is notified.
-        self.on_complete = None
         # Consistency accounting (see docs/CONSISTENCY.md).
         self.writes_completed = 0
         self.write_failures = 0
@@ -518,8 +513,6 @@ class KVClient(ClientCore):
             self._probe_digests(entry, request_id, entry.issued_at)
 
     def _request_completed(self) -> None:
-        if self.on_complete is not None:
-            self.on_complete(self)
         if self.tracker is not None:
             self.tracker.complete()
 
@@ -650,7 +643,7 @@ class KVClient(ClientCore):
             latency = self.env.now - entry.issued_at
             if entry.is_repair:
                 # Read-repair writes are internal traffic: no latency
-                # sample, no workload completion, no closed-loop refill.
+                # sample, no workload completion.
                 pass
             else:
                 self.writes_completed += 1

@@ -260,102 +260,3 @@ class OpenLoopWorkload:
             self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream, see class docstring
         elif self.on_finished is not None:
             self.on_finished()
-
-
-class ClosedLoopWorkload:
-    """Closed-loop driver: each client keeps ``window`` requests in flight.
-
-    This is the workload style of C3's own evaluation: a client issues the
-    next request when one completes, optionally after a think time, so the
-    offered load self-regulates with system speed.  The paper's NetRS
-    evaluation uses the open-loop model instead; this driver exists for
-    cross-checking behaviour under both (see DESIGN.md's ablations).
-
-    Clients must expose an ``on_complete`` hook (see
-    :class:`~repro.kvstore.client.KVClient`).
-    """
-
-    __slots__ = (
-        "env",
-        "clients",
-        "key_sampler",
-        "_draws",
-        "total_requests",
-        "window",
-        "think_time",
-        "warmup_requests",
-        "on_finished",
-        "issued",
-        "per_client_counts",
-        "_index_of",
-    )
-
-    def __init__(
-        self,
-        env: Environment,
-        *,
-        clients: Sequence["RequestSink"],
-        key_sampler: ZipfSampler,
-        rng: DrawSource,
-        total_requests: int,
-        window: int = 1,
-        think_time: float = 0.0,
-        warmup_requests: int = 0,
-        on_finished: Optional[Callable[[], None]] = None,
-    ) -> None:
-        if not clients:
-            raise ConfigurationError("need at least one client")
-        if total_requests < 1:
-            raise ConfigurationError("total_requests must be >= 1")
-        if window < 1:
-            raise ConfigurationError("window must be >= 1")
-        if think_time < 0:
-            raise ConfigurationError("think_time must be non-negative")
-        if not 0 <= warmup_requests < total_requests:
-            raise ConfigurationError(
-                "warmup_requests must be in [0, total_requests)"
-            )
-        self.env = env
-        self.clients = list(clients)
-        self.key_sampler = key_sampler
-        self._draws = rng
-        self.total_requests = total_requests
-        self.window = window
-        self.think_time = think_time
-        self.warmup_requests = warmup_requests
-        self.on_finished = on_finished
-        self.issued = 0
-        self.per_client_counts = [0] * len(clients)
-        self._index_of = {id(c): i for i, c in enumerate(self.clients)}
-
-    def start(self) -> None:
-        """Prime every client with ``window`` outstanding requests."""
-        for client in self.clients:
-            client.on_complete = self._on_complete  # type: ignore[attr-defined]
-        for client in self.clients:
-            for _ in range(self.window):
-                if not self._issue_on(client):
-                    return
-
-    def _issue_on(self, client) -> bool:
-        if self.issued >= self.total_requests:
-            return False
-        key = self.key_sampler.sample()
-        record = self.issued >= self.warmup_requests
-        self.per_client_counts[self._index_of[id(client)]] += 1
-        self.issued += 1
-        client.issue(key, record=record)
-        if self.issued == self.total_requests and self.on_finished is not None:
-            self.on_finished()
-        return True
-
-    def _on_complete(self, client) -> None:
-        if self.issued >= self.total_requests:
-            return
-        if self.think_time > 0:
-            # Exponential think time keeps clients desynchronized.  The
-            # timer is never cancelled, so the handle-free post_in suffices.
-            delay = self._draws.exponential(self.think_time)
-            self.env.post_in(delay, self._issue_on, (client,))
-        else:
-            self._issue_on(client)

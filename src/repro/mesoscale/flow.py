@@ -41,9 +41,9 @@ Fidelity: the flow tier accumulates per-hop delays with the same float
 additions the packet engine performs hop by hop and consumes the same named
 RNG streams in the same order, so a flow run is bit-identical to the packet
 run of the same config (``netrs validate-fidelity`` gates exactly that).
-Links are pure delays here; what that cannot model (``link_bandwidth``, link
-faults and the rest: :func:`~repro.mesoscale.support.flow_models`) runs on the
-packet engine, and constructing this one on it raises
+Links are pure delays on both tiers; what this engine does not model (link
+faults, writes and the rest: :func:`~repro.mesoscale.support.flow_models`)
+runs on the packet engine, and constructing this one on it raises
 :class:`~repro.errors.ConfigurationError`.
 """
 

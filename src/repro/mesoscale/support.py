@@ -29,19 +29,14 @@ def flow_models(config) -> bool:
     It replaces the wire by constant per-hop delays (PAPER.md section V-A)
     and drives the packet tier's own read-path endpoints, so it covers an
     open-loop read workload over CliRS or one RSNode per client ToR, with
-    server crashes as the only faults.  Writes, quorums, churn, background
-    traffic, link bandwidth or statistics, replanning, DRS, RSNode and link
-    faults all need the packet engine.
+    server crashes as the only faults.  Writes, quorums, churn,
+    replanning, DRS, RSNode and link faults all need the packet engine.
     """
     if (
         config.scheme not in FLOW_SCHEMES
-        or config.workload_mode != "open"
         or config.write_fraction
         or (config.read_quorum is not None and config.read_quorum > 1)
         or config.churn_schedule
-        or config.background_traffic_rate > 0
-        or config.link_bandwidth is not None
-        or config.track_link_stats
         or config.replan_period is not None
     ):
         return False

@@ -5,14 +5,9 @@ between directly-linked devices with the configured per-hop latency.  The
 paper's parameters (section V-A, taken from IncBricks measurements): 30 us
 between directly connected switches; we default host links to the same value.
 
-By default bandwidth is not modeled as a queue -- consistent with the paper,
-whose requests are ~1 KB and whose bottleneck is server/accelerator service
-time -- but every byte transferred is accounted so protocol overhead is
-measurable.  Passing ``link_bandwidth`` (bits/second) enables a
-store-and-forward serialization model: each directed link transmits one
-packet at a time (wire size * 8 / bandwidth seconds each), later packets
-queue behind it, and per-link backlog becomes observable.  Useful for
-congestion studies beyond the paper's scope.
+Links are pure delays, as in the paper: its requests are ~1 KB and its
+bottleneck is server/accelerator service time.  Every byte transferred is
+accounted, so protocol overhead is measurable.
 """
 
 from __future__ import annotations
@@ -81,8 +76,8 @@ class Network:
     with the same accounting, priced by distance (``Host.send`` for a plain
     packet, :meth:`send_from_host` for a host's NetRS packet,
     :meth:`express` from a switch) whenever ``_express_ok`` says it may;
-    which switches or links carried a packet only ``track_links`` records,
-    hop by hop.
+    which switches or links carried a packet only :meth:`track_links`
+    records, hop by hop.
 
     Args:
         env: The simulation environment.
@@ -97,16 +92,12 @@ class Network:
         "router",
         "switch_link_latency",
         "host_link_latency",
-        "link_bandwidth",
         "_devices",
         "_latency_cache",
-        "_link_busy_until",
         "transmissions",
         "bytes_transferred",
         "netrs_overhead_bytes",
-        "serialization_delay_total",
-        "max_link_backlog",
-        "track_links",
+        "_counting_links",
         "link_bytes",
         "link_packets",
         "_receivers",
@@ -130,50 +121,35 @@ class Network:
         *,
         switch_link_latency: float = 30e-6,
         host_link_latency: float = 30e-6,
-        link_bandwidth: Optional[float] = None,
-        track_links: bool = False,
         route_cache_size: int = DEFAULT_PATH_CACHE_SIZE,
     ) -> None:
         if switch_link_latency < 0 or host_link_latency < 0:
             raise ValueError("link latencies must be non-negative")
-        if link_bandwidth is not None and link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be positive (bits/second)")
         self.env = env
         self.topology = topology
         self.router = Router(topology, path_cache_size=route_cache_size)
         self.switch_link_latency = switch_link_latency
         self.host_link_latency = host_link_latency
-        self.link_bandwidth = link_bandwidth
         self._devices: Dict[str, Device] = {}
         # Pre-bound receive methods, filled at attach time: the hot path
         # then skips both the .receive attribute load and the bound-method
         # allocation on every hop.
         self._receivers: Dict[str, Callable[[Packet, str], None]] = {}
-        # With equal link latencies, no bandwidth model and no per-link
-        # accounting (the paper-default configuration), every hop schedules
-        # delivery after the same constant delay.
+        # With equal link latencies (the paper's configuration) every hop
+        # schedules delivery after the same constant delay.
         self._fast_delay: Optional[float] = (
-            switch_link_latency
-            if (
-                switch_link_latency == host_link_latency
-                and link_bandwidth is None
-                and not track_links
-            )
-            else None
+            switch_link_latency if switch_link_latency == host_link_latency else None
         )
         # Per-directed-link propagation latency, filled lazily; saves two
         # topology lookups per hop.
         self._latency_cache: Dict[Tuple[str, str], float] = {}
-        # Serialization state per directed link: time the link frees up.
-        self._link_busy_until: Dict[Tuple[str, str], float] = {}
         # Aggregate fabric accounting.
         self.transmissions = 0
         self.bytes_transferred = 0
         self.netrs_overhead_bytes = 0
-        self.serialization_delay_total = 0.0
-        self.max_link_backlog = 0.0
-        # Optional per-directed-link accounting (hotspot diagnostics).
-        self.track_links = track_links
+        # Per-directed-link accounting (hotspot diagnostics), off until
+        # track_links() turns it on.
+        self._counting_links = False
         self.link_bytes: Dict[Tuple[str, str], int] = {}
         self.link_packets: Dict[Tuple[str, str], int] = {}
         # Link fault state (see repro.faults): dead links swallow packets,
@@ -220,8 +196,8 @@ class Network:
 
     def _refresh_express(self) -> None:
         """Set the one flag every express path reads, where a condition changes:
-        equal link latencies with no bandwidth model or per-link accounting,
-        every switch a real one, no active link fault, trunking not disabled."""
+        equal link latencies and no per-link accounting, every switch a real
+        one, no active link fault, trunking not disabled."""
         self._express_ok = self._fast_delay is not None and self._trunking and not (
             self._switches_missing or self._faulty
         )
@@ -261,12 +237,7 @@ class Network:
         return self.switch_link_latency
 
     def transmit(self, from_name: str, to_name: str, packet: Packet) -> None:
-        """Send ``packet`` over the direct link ``from_name -> to_name``.
-
-        With bandwidth modeling on, the packet first waits for the directed
-        link to finish earlier transmissions, then occupies it for its
-        serialization time; propagation latency is added on top.
-        """
+        """Send ``packet`` over the direct link ``from_name -> to_name``."""
         receive = self._receivers.get(to_name)
         if receive is None:
             raise TopologyError(f"no device attached at {to_name}")
@@ -302,23 +273,13 @@ class Network:
         delay = self._fast_delay
         if delay is None:
             link = (from_name, to_name)
-            if self.track_links:
+            if self._counting_links:
                 self.link_bytes[link] = self.link_bytes.get(link, 0) + size
                 self.link_packets[link] = self.link_packets.get(link, 0) + 1
             delay = self._latency_cache.get(link)
             if delay is None:
                 delay = self.link_latency(from_name, to_name)
                 self._latency_cache[link] = delay
-            if self.link_bandwidth is not None:
-                now = self.env.now
-                transmission_time = size * 8.0 / self.link_bandwidth
-                free_at = max(now, self._link_busy_until.get(link, 0.0))
-                backlog = free_at - now
-                self._link_busy_until[link] = free_at + transmission_time
-                self.serialization_delay_total += backlog + transmission_time
-                if backlog > self.max_link_backlog:
-                    self.max_link_backlog = backlog
-                delay += backlog + transmission_time
         if fault_factor is not None:
             delay *= fault_factor
         # Inlined Environment.post_in (the reference implementation): one
@@ -502,6 +463,18 @@ class Network:
         self._trunking = False
         self._refresh_express()
 
+    def track_links(self) -> None:
+        """Count bytes and packets per directed link (``link_bytes``,
+        ``link_packets``, :meth:`top_links`) from now on.
+
+        The counts are per hop, so every packet takes the reference path:
+        results are unchanged, only slower to compute.  Turn it on after
+        the scenario is built and before it runs.
+        """
+        self._counting_links = True
+        self._fast_delay = None
+        self._refresh_express()
+
     def trunks_in_flight(self) -> Iterator[tuple]:
         """``(base, delay, hops, size, overhead, when)`` of every collapsed run
         still scheduled: ``hops`` links of ``delay`` each from ``base`` on, at
@@ -588,14 +561,13 @@ class Network:
         self._refresh_express()
 
     def top_links(self, count: int = 10) -> list:
-        """Hottest directed links by bytes carried (needs ``track_links``).
+        """Hottest directed links by bytes carried (needs :meth:`track_links`).
 
         Returns ``[((from, to), bytes), ...]`` sorted hottest first.
         """
-        if not self.track_links:
+        if not self._counting_links:
             raise TopologyError(
-                "per-link accounting is off; construct Network with "
-                "track_links=True"
+                "per-link accounting is off; call Network.track_links() first"
             )
         return sorted(
             self.link_bytes.items(), key=lambda item: item[1], reverse=True

@@ -96,62 +96,3 @@ class TestRunExperiment:
     def test_no_nan_metrics(self):
         result = run_experiment(ExperimentConfig.tiny(seed=4))
         assert not any(math.isnan(v) for v in result.summary().values())
-
-
-class TestClosedLoopMode:
-    def test_closed_loop_completes(self):
-        config = ExperimentConfig.tiny(
-            scheme="clirs", seed=1, workload_mode="closed", closed_window=2
-        )
-        result = run_experiment(config)
-        assert result.completed_requests == config.total_requests
-
-    def test_closed_loop_netrs(self):
-        config = ExperimentConfig.tiny(
-            scheme="netrs-tor", seed=1, workload_mode="closed"
-        )
-        result = run_experiment(config)
-        assert result.completed_requests == config.total_requests
-        assert result.rsnode_count >= 1
-
-    def test_closed_loop_rejects_skew(self):
-        import pytest as _pytest
-
-        from repro.errors import ConfigurationError
-
-        with _pytest.raises(ConfigurationError):
-            ExperimentConfig.tiny(
-                scheme="clirs", workload_mode="closed", demand_skew=0.8
-            )
-
-    def test_larger_window_raises_throughput(self):
-        narrow = run_experiment(
-            ExperimentConfig.tiny(
-                scheme="clirs", seed=1, workload_mode="closed", closed_window=1
-            )
-        )
-        wide = run_experiment(
-            ExperimentConfig.tiny(
-                scheme="clirs", seed=1, workload_mode="closed", closed_window=4
-            )
-        )
-        assert wide.sim_duration < narrow.sim_duration
-
-
-class TestBandwidthModeling:
-    def test_realistic_bandwidth_barely_changes_results(self):
-        """10 Gbps links: ~1 us per KB, negligible next to 4 ms service."""
-        pure = run_experiment(ExperimentConfig.tiny(seed=5))
-        modeled = run_experiment(
-            ExperimentConfig.tiny(seed=5, link_bandwidth=10e9)
-        )
-        assert modeled.summary()["mean"] == pytest.approx(
-            pure.summary()["mean"], rel=0.02
-        )
-
-    def test_starved_links_inflate_latency(self):
-        pure = run_experiment(ExperimentConfig.tiny(seed=5))
-        starved = run_experiment(
-            ExperimentConfig.tiny(seed=5, link_bandwidth=20e6)
-        )
-        assert starved.summary()["mean"] > pure.summary()["mean"]

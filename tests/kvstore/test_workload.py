@@ -192,113 +192,3 @@ class TestOpenLoopWorkload:
         env.run()
         assert sum(workload.per_client_counts) == 300
         assert workload.per_client_counts == [len(c.keys) for c in clients]
-
-
-class ClosedLoopClient:
-    """Client double that completes each request after a fixed delay."""
-
-    def __init__(self, env, delay):
-        self.env = env
-        self.delay = delay
-        self.keys = []
-        self.recorded = 0
-        self.on_complete = None
-
-    def issue(self, key, record):
-        self.keys.append(key)
-        if record:
-            self.recorded += 1
-        self.env.call_in(self.delay, self._finish)
-
-    def _finish(self):
-        if self.on_complete is not None:
-            self.on_complete(self)
-
-
-class TestClosedLoopWorkload:
-    def _workload(self, env, clients, total=50, **kwargs):
-        from repro.kvstore.workload import ClosedLoopWorkload
-
-        return ClosedLoopWorkload(
-            env,
-            clients=clients,
-            key_sampler=ZipfSampler(100, 0.99, np.random.default_rng(1)),
-            rng=np.random.default_rng(2),
-            total_requests=total,
-            **kwargs,
-        )
-
-    def test_issues_exactly_total(self):
-        env = Environment()
-        clients = [ClosedLoopClient(env, 1e-3) for _ in range(4)]
-        workload = self._workload(env, clients, total=50)
-        workload.start()
-        env.run()
-        assert workload.issued == 50
-        assert sum(len(c.keys) for c in clients) == 50
-
-    def test_window_bounds_outstanding(self):
-        env = Environment()
-        clients = [ClosedLoopClient(env, 1e-3)]
-        workload = self._workload(env, clients, total=20, window=3)
-        workload.start()
-        # Before any completion, exactly `window` requests are outstanding.
-        assert len(clients[0].keys) == 3
-        env.run()
-        assert len(clients[0].keys) == 20
-
-    def test_think_time_slows_issue_rate(self):
-        env = Environment()
-        clients = [ClosedLoopClient(env, 1e-3)]
-        fast = self._workload(env, clients, total=30)
-        fast.start()
-        env.run()
-        fast_duration = env.now
-
-        env2 = Environment()
-        clients2 = [ClosedLoopClient(env2, 1e-3)]
-        slow = self._workload(env2, clients2, total=30, think_time=5e-3)
-        slow.start()
-        env2.run()
-        assert env2.now > fast_duration
-
-    def test_load_self_regulates(self):
-        """Slower clients finish later, but the same total is issued."""
-        env = Environment()
-        clients = [ClosedLoopClient(env, 10e-3) for _ in range(2)]
-        workload = self._workload(env, clients, total=20)
-        workload.start()
-        env.run()
-        assert workload.issued == 20
-        assert env.now == pytest.approx(10e-3 * 10, rel=0.01)
-
-    def test_warmup_flag(self):
-        env = Environment()
-        clients = [ClosedLoopClient(env, 1e-3)]
-        workload = self._workload(env, clients, total=30, warmup_requests=10)
-        workload.start()
-        env.run()
-        assert clients[0].recorded == 20
-
-    def test_on_finished(self):
-        env = Environment()
-        clients = [ClosedLoopClient(env, 1e-3)]
-        done = []
-        workload = self._workload(
-            env, clients, total=10, on_finished=lambda: done.append(env.now)
-        )
-        workload.start()
-        env.run()
-        assert len(done) == 1
-
-    def test_validation(self):
-        env = Environment()
-        clients = [ClosedLoopClient(env, 1e-3)]
-        with pytest.raises(ConfigurationError):
-            self._workload(env, clients, total=0)
-        with pytest.raises(ConfigurationError):
-            self._workload(env, clients, window=0)
-        with pytest.raises(ConfigurationError):
-            self._workload(env, clients, think_time=-1.0)
-        with pytest.raises(ConfigurationError):
-            self._workload(env, [], total=5)

@@ -155,10 +155,6 @@ class TestMixedWorkloadExperiments:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.tiny(write_quorum=9)
 
-    def test_closed_loop_rejects_writes(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig.tiny(workload_mode="closed", write_fraction=0.2)
-
     def test_server_load_includes_write_fanout(self):
         config = ExperimentConfig.tiny(scheme="clirs", seed=3, write_fraction=0.5)
         result = run_experiment(config, keep_scenario=True)

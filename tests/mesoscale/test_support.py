@@ -14,15 +14,11 @@ _TIMEOUT = dict(request_timeout=20e-3)
 #: What keeps a config off the flow engine, one row per reason.
 _PACKET_ONLY = {
     "scheme": ("netrs-ilp", {}),
-    "closed-loop": ("clirs", dict(workload_mode="closed")),
     "writes": ("clirs", dict(write_fraction=0.1)),
     "quorum-reads": ("clirs", dict(read_quorum=2)),
     "churn": (
         "clirs", dict(churn_schedule="node-leave@0.04:server#1;node-join@0.1:server#1")
     ),
-    "background-traffic": ("clirs", dict(background_traffic_rate=100.0)),
-    "link-bandwidth": ("clirs", dict(link_bandwidth=1e9)),
-    "link-stats": ("clirs", dict(track_link_stats=True)),
     "replanning": ("netrs-tor", dict(replan_period=0.05)),
     "granularity": ("netrs-tor", dict(group_granularity="host")),
     # Per-ToR demand above the accelerator budget: the packet tier engages DRS.
