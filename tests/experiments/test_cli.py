@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 
 
@@ -359,6 +360,15 @@ class TestAnalysisCommands:
         out = capsys.readouterr().out
         rows = {line.split()[0] for line in out.splitlines() if line.strip()}
         assert {"rack", "2", "host"} <= rows
+
+    @pytest.mark.parametrize("name", ["arrival_rate", "validate", "workload_mode"])
+    def test_sweep_of_a_name_that_is_no_field_is_refused(self, capsys, name):
+        """A typo, a method or a field the model no longer has is named in a
+        ConfigurationError before any job runs, not a TypeError."""
+        with pytest.raises(ConfigurationError, match=f"unknown config field '{name}'"):
+            main(["sweep", name, "1", "--schemes", "clirs", "--requests", "300"])
+        assert capsys.readouterr().out == ""
+
 
 
 @pytest.mark.slow
