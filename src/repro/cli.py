@@ -7,7 +7,7 @@ Subcommands:
 * ``compare``  -- all four schemes on one configuration with reductions,
 * ``topology`` -- fat-tree facts for a given arity,
 * ``plan``     -- solve and display an RSNode placement for a config,
-* ``lint``     -- determinism sanitizer over the source tree (see
+* ``lint``     -- static lint over the source tree (see
   ``docs/LINTING.md``).
 """
 
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = sub.add_parser(
         "lint",
-        help="determinism sanitizer (AST rules DET*/SIM*/API*)",
+        help="static lint (AST rules DET004/DET005/SIM001/PERF001)",
         add_help=False,
     )
     lint_parser.add_argument("lint_args", nargs=argparse.REMAINDER)

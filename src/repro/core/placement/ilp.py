@@ -13,7 +13,6 @@ the paper's early-termination/suboptimal-plan trade-off.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -23,6 +22,7 @@ from scipy.sparse import csr_matrix
 from repro.core.placement.problem import PlacementProblem
 from repro.core.plan import SelectionPlan
 from repro.errors import InfeasiblePlanError, PlacementError
+from repro.sim.guard import host_clock
 
 
 def solve_ilp(
@@ -41,7 +41,7 @@ def solve_ilp(
         hop_tie_break: Add an epsilon extra-hops term to the objective so
             equally sized plans prefer fewer extra hops.
     """
-    started = time.perf_counter()  # repro: noqa(DET002) - solver wall time, reported only
+    started = host_clock()
     groups = problem.groups
     operators = problem.operators
     op_index = {op.operator_id: j for j, op in enumerate(operators)}
@@ -168,5 +168,5 @@ def solve_ilp(
         assignments=assignments,
         solver="ilp",
         objective=float(len(set(assignments.values()))),
-        solve_time=time.perf_counter() - started,  # repro: noqa(DET002) - reported only
+        solve_time=host_clock() - started,
     )

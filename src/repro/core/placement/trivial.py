@@ -9,13 +9,13 @@ an ablation endpoint (maximally few RSNodes, maximal detours).
 
 from __future__ import annotations
 
-import time
 from typing import Dict
 
 from repro.core.placement.problem import PlacementProblem
 from repro.core.plan import SelectionPlan
 from repro.errors import InfeasiblePlanError
 from repro.network.addressing import TIER_CORE, TIER_TOR
+from repro.sim.guard import host_clock
 
 
 def _capacity_state(problem: PlacementProblem):
@@ -31,7 +31,7 @@ def _capacity_state(problem: PlacementProblem):
 
 def solve_tor(problem: PlacementProblem) -> SelectionPlan:
     """Assign each group to its own rack's ToR operator (NetRS-ToR)."""
-    started = time.perf_counter()  # repro: noqa(DET002) - solver wall time, reported only
+    started = host_clock()
     by_switch = {op.switch: op for op in problem.operators if op.tier == TIER_TOR}
     capacity_key, remaining = _capacity_state(problem)
     assignments: Dict[int, int] = {}
@@ -57,7 +57,7 @@ def solve_tor(problem: PlacementProblem) -> SelectionPlan:
         assignments=assignments,
         solver="tor",
         objective=float(len(set(assignments.values()))),
-        solve_time=time.perf_counter() - started,  # repro: noqa(DET002) - reported only
+        solve_time=host_clock() - started,
     )
 
 
@@ -67,7 +67,7 @@ def solve_core_only(problem: PlacementProblem) -> SelectionPlan:
     Ignores the extra-hops budget by design (ablation endpoint); capacity is
     still respected.
     """
-    started = time.perf_counter()  # repro: noqa(DET002) - solver wall time, reported only
+    started = host_clock()
     cores = [op for op in problem.operators if op.tier == TIER_CORE]
     if not cores:
         raise InfeasiblePlanError(
@@ -101,5 +101,5 @@ def solve_core_only(problem: PlacementProblem) -> SelectionPlan:
         assignments=assignments,
         solver="core-only",
         objective=float(len(set(assignments.values()))),
-        solve_time=time.perf_counter() - started,  # repro: noqa(DET002) - reported only
+        solve_time=host_clock() - started,
     )

@@ -10,13 +10,13 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenarios import Scenario, build_scenario
+from repro.sim.guard import deterministic_guard, host_clock
 from repro.sim.probes import LatencyRecorder
 
 
@@ -185,18 +185,31 @@ def run_experiment(
 
     With ``keep_scenario`` what ran is attached as ``result.scenario`` for
     inspection: the :class:`Scenario`, or the live flow engine.
-    """
-    if config.fidelity == "flow":
-        # Imported here: repro.mesoscale builds on this module.
-        from repro.mesoscale.support import flow_models
 
-        if flow_models(config):
-            if scenario is not None:
-                raise ConfigurationError(
-                    "scenario reuse is packet-tier only; a flow engine runs "
-                    "this fidelity='flow' config and builds itself"
-                )
-            return _run_flow(config, keep_scenario)
+    Build, drive and collect run under
+    :func:`~repro.sim.guard.deterministic_guard`: a global-RNG call or a
+    host-clock read anywhere in them raises
+    :class:`~repro.sim.guard.NondeterminismError`.
+    """
+    with deterministic_guard():
+        if config.fidelity == "flow":
+            # Imported here: repro.mesoscale builds on this module.
+            from repro.mesoscale.support import flow_models
+
+            if flow_models(config):
+                if scenario is not None:
+                    raise ConfigurationError(
+                        "scenario reuse is packet-tier only; a flow engine runs "
+                        "this fidelity='flow' config and builds itself"
+                    )
+                return _run_flow(config, keep_scenario)
+        return _run_packet(config, scenario, keep_scenario)
+
+
+def _run_packet(
+    config: ExperimentConfig, scenario: Optional[Scenario], keep_scenario: bool
+) -> ExperimentResult:
+    """Build ``config``'s scenario unless given one, run and collect it."""
     if scenario is None:
         scenario = build_scenario(config)
     env = scenario.env
@@ -317,9 +330,9 @@ def _drive(config: ExperimentConfig, built, clock, run) -> float:
     expected_duration = config.total_requests / config.arrival_rate()
     safety_horizon = clock.now + expected_duration * 5 + 10.0
 
-    started_wall = time.perf_counter()  # repro: noqa(DET002) - real wall time, reported only
+    started_wall = host_clock()
     run(safety_horizon)
-    wall_time = time.perf_counter() - started_wall  # repro: noqa(DET002) - reported only
+    wall_time = host_clock() - started_wall
 
     tracker = built.tracker
     if tracker.completed < tracker.expected:

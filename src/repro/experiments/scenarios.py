@@ -247,6 +247,7 @@ def redundancy_policy(config: ExperimentConfig) -> Optional[RedundancyPolicy]:
     return RedundancyPolicy(
         percentile=config.redundancy_percentile,
         min_samples=config.redundancy_min_samples,
+        cold_start_mean=2.5 * config.mean_service_time,
     )
 
 

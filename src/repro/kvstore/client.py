@@ -53,12 +53,16 @@ class RedundancyPolicy:
     ``percentile`` is the outstanding-time threshold (the paper uses the
     95th); ``min_samples`` delays redundancy until the client has enough
     history for a stable estimate; ``fallback_multiplier`` times the mean
-    issues the threshold before that.
+    issues the threshold before that.  ``cold_start_mean`` stands in for
+    the mean before the first response: a simulated time, so the scenario
+    derives it from the service time (``2.5 * t_kv``, 10 ms at the paper's
+    4 ms) and a run scaled in time scales it too.
     """
 
     percentile: float = 95.0
     min_samples: int = 30
     fallback_multiplier: float = 3.0
+    cold_start_mean: float = 10e-3
 
 
 class _QuorumState:
@@ -287,7 +291,7 @@ class ClientCore:
         if mean != mean:
             # NaN, no history at all yet: be generous so cold starts do not
             # flood the servers with duplicates.
-            return policy.fallback_multiplier * 10e-3
+            return policy.fallback_multiplier * policy.cold_start_mean
         return policy.fallback_multiplier * mean
 
     def _fire_redundant(self, request_id: int) -> None:

@@ -1,4 +1,4 @@
-"""CLI for the determinism sanitizer: ``netrs lint`` / ``python -m repro.lint``.
+"""CLI for the static lint: ``netrs lint`` / ``python -m repro.lint``.
 
 Exit codes: 0 clean (or all findings suppressed), 1 findings or
 parse errors, 2 usage errors.  ``--format json`` emits the machine-readable
@@ -23,7 +23,7 @@ from repro.lint.rules import RULES, explain
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netrs lint",
-        description="determinism sanitizer: AST lint for simulation invariants",
+        description="static AST lint for simulation invariants",
     )
     parser.add_argument(
         "paths",

@@ -8,8 +8,8 @@ property the simulator itself guarantees, applied to its own tooling).
 Suppressions use a project-specific marker so they cannot collide with
 flake8/ruff semantics::
 
-    started = time.perf_counter()  # repro: noqa(DET002) - reported only
-    anything = ...                 # repro: noqa          (all rules)
+    t = rng.exponential(scale)  # repro: noqa(PERF001) - mixed-family stream
+    anything = ...              # repro: noqa           (all rules)
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Finding records produced by the determinism sanitizer.
+"""Finding records produced by the static lint.
 
 A :class:`Finding` pins one rule violation to a file/line/column.  Findings
 are value objects: they sort deterministically (path, line, column, rule) so

@@ -1,10 +1,10 @@
-"""Rule registry for the determinism sanitizer.
+"""Rule registry for the static lint.
 
-Each rule couples an identifier (``DET001`` ...) with human documentation
+Each rule couples an identifier (``DET004`` ...) with human documentation
 (rationale, a violating example, the idiomatic fix) and the AST checker class
 that detects it.  The registry is the single source of truth consumed by the
-engine (which checkers to run), the CLI (``--list-rules`` / ``--explain``)
-and the docs test that keeps ``docs/LINTING.md`` in sync.
+engine (which checkers to run) and the CLI (``--list-rules`` /
+``--explain``).
 
 Registering is done with the :func:`register_rule` class decorator::
 
@@ -22,8 +22,8 @@ Registering is done with the :func:`register_rule` class decorator::
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Type
+from dataclasses import dataclass
+from typing import Dict, List, Type
 
 from repro.errors import ConfigurationError
 from repro.lint.findings import Finding
@@ -45,13 +45,9 @@ class Checker(ast.NodeVisitor):
     """Base class for rule checkers: one instance per (rule, module).
 
     Subclasses visit the module AST and call :meth:`report` for violations.
-    ``allowed_path_suffixes`` lists POSIX path suffixes of modules the rule
-    deliberately does not apply to (e.g. the RNG registry itself for DET001);
-    the engine skips the checker entirely for those modules.
     """
 
     rule_id: str = ""
-    allowed_path_suffixes: Tuple[str, ...] = ()
 
     def __init__(self, module: ModuleContext) -> None:
         self.module = module
@@ -83,8 +79,6 @@ class Rule:
     example_bad: str
     example_fix: str
     checker: Type[Checker]
-    #: POSIX path suffixes the rule is exempted from (mirrors the checker).
-    exemptions: Tuple[str, ...] = field(default=())
 
 
 #: rule id -> Rule, in registration order.
@@ -112,7 +106,6 @@ def register_rule(
             example_bad=example_bad,
             example_fix=example_fix,
             checker=cls,
-            exemptions=tuple(cls.allowed_path_suffixes),
         )
         return cls
 
@@ -129,25 +122,13 @@ def get_rule(rule_id: str) -> Rule:
     return rule
 
 
-def all_rule_ids() -> Tuple[str, ...]:
-    """Registered rule ids, sorted."""
-    return tuple(sorted(RULES))
-
-
 def checkers_for(module: ModuleContext) -> List[Checker]:
-    """Instantiate every rule checker applicable to ``module``.
+    """Instantiate every rule checker for ``module``.
 
     Iterates rules in sorted-id order so finding production (and therefore
     tie-breaking between co-located findings) is deterministic.
     """
-    posix = module.posix_path()
-    selected: List[Checker] = []
-    for rule_id in sorted(RULES):
-        rule = RULES[rule_id]
-        if any(posix.endswith(suffix) for suffix in rule.exemptions):
-            continue
-        selected.append(rule.checker(module))
-    return selected
+    return [RULES[rule_id].checker(module) for rule_id in sorted(RULES)]
 
 
 def explain(rule_id: str) -> str:
@@ -164,6 +145,4 @@ def explain(rule_id: str) -> str:
         "Fix:",
         *(f"    {ln}" for ln in rule.example_fix.splitlines()),
     ]
-    if rule.exemptions:
-        lines += ["", "Exempt modules: " + ", ".join(rule.exemptions)]
     return "\n".join(lines)

@@ -25,7 +25,6 @@ cannot be mapped and are rejected at config time.
 from __future__ import annotations
 
 import os
-import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
@@ -34,6 +33,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.faults.events import ServerDown, ServerUp
 from repro.faults.schedule import FaultSchedule, parse_fault_schedule
+from repro.sim.guard import host_clock
 from repro.sim.probes import LatencyRecorder
 
 #: Per-shard seeds are spread with a large prime stride so neighbouring
@@ -188,8 +188,8 @@ def run_sharded_flow_experiment(
     policy = ExecutionPolicy(
         workers=max(1, workers), run_dir=run_dir, resume=resume
     )
-    started = time.perf_counter()  # repro: noqa(DET002) - wall time, reported only
+    started = host_clock()
     outcomes = execute_jobs(jobs, policy=policy, runner=_run_shard_job)
-    wall_time = time.perf_counter() - started  # repro: noqa(DET002) - reported only
+    wall_time = host_clock() - started
     ordered = [outcomes[job.key] for job in jobs]
     return merge_outcomes(config, ordered, wall_time=wall_time)

@@ -143,9 +143,9 @@ class FidelityReport:
 
 def _cpu_timed(run, *args, **kwargs):
     """``run(*args, **kwargs)`` and the host CPU seconds it took."""
-    started = time.process_time()  # repro: noqa(DET002) - host cost, reported only
+    started = time.process_time()
     result = run(*args, **kwargs)
-    return result, time.process_time() - started  # repro: noqa(DET002) - reported only
+    return result, time.process_time() - started
 
 
 def compare_tiers(name: str, config: ExperimentConfig) -> FidelityReport:

@@ -238,7 +238,7 @@ class VectorFlowEngine(FlowEngine):
             self._red_mult = policy.fallback_multiplier
             # Same single multiplication _redundancy_threshold performs on
             # its no-history branch, done once.
-            self._red_default = policy.fallback_multiplier * 10e-3
+            self._red_default = policy.fallback_multiplier * policy.cold_start_mean
         # -- current SoA block (the drain owns the cursor over it) ----------
         self._b_lo = 0
         self._b_hi = 0

@@ -27,7 +27,7 @@ def base():
     return ExperimentConfig.tiny(seed=3, total_requests=500)
 
 
-def test_parallel_sweep_byte_identical_to_serial(base, sweep_kwargs, deterministic_sim):
+def test_parallel_sweep_byte_identical_to_serial(base, sweep_kwargs):
     serial = run_sweep(base, **sweep_kwargs)
     parallel = run_sweep(
         base, **sweep_kwargs, execution=ExecutionPolicy(workers=2)
@@ -38,7 +38,7 @@ def test_parallel_sweep_byte_identical_to_serial(base, sweep_kwargs, determinist
     assert parallel.cells == serial.cells
 
 
-def test_parallel_grid_identical_to_serial(base, deterministic_sim):
+def test_parallel_grid_identical_to_serial(base):
     from repro.experiments.grid import run_grid
 
     kwargs = dict(

@@ -33,7 +33,7 @@ def _run_with_trace(config):
 
 
 @pytest.mark.parametrize("scheme", ["clirs-r95", "netrs-ilp"])
-def test_experiment_identical_with_and_without_caches(scheme, deterministic_sim):
+def test_experiment_identical_with_and_without_caches(scheme):
     """Same seed, caches on vs. bypassed: identical metrics and traces.
 
     ``clirs-r95`` exercises timer cancellation (redundant-request timers)
@@ -56,7 +56,7 @@ def test_experiment_identical_with_and_without_caches(scheme, deterministic_sim)
     assert cached_trace.to_csv() == plain_trace.to_csv()
 
 
-def test_sweep_json_identical_with_and_without_caches(deterministic_sim):
+def test_sweep_json_identical_with_and_without_caches():
     base = ExperimentConfig.tiny(seed=3, total_requests=500)
     kwargs = dict(
         parameter="utilization",
@@ -72,7 +72,7 @@ def test_sweep_json_identical_with_and_without_caches(deterministic_sim):
     assert cached.cells == plain.cells
 
 
-def test_events_executed_identical_with_and_without_compaction(deterministic_sim):
+def test_events_executed_identical_with_and_without_compaction():
     """events_executed counts only callbacks that ran, so compaction (which
     merely discards cancelled entries earlier) must not change it."""
     config = ExperimentConfig.tiny(scheme="clirs-r95", seed=11)

@@ -86,7 +86,7 @@ class TestByteIdentity:
         assert result.digest_probes_sent > 0
         assert result.churn_events == 2
 
-    def test_parallel_sweep_identical_to_serial(self, deterministic_sim):
+    def test_parallel_sweep_identical_to_serial(self):
         """Write/churn sweeps merge byte-identically across --jobs."""
         base = ExperimentConfig.tiny(seed=3, total_requests=400)
         kwargs = dict(

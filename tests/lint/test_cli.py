@@ -16,9 +16,9 @@ SRC_REPRO = REPO_ROOT / "src" / "repro"
 
 @pytest.fixture
 def bad_tree(tmp_path, monkeypatch):
-    """A tiny tree with one DET001 finding; cwd moved there so the CLI's
+    """A tiny tree with one DET005 finding; cwd moved there so the CLI's
     relative paths are exercised hermetically."""
-    (tmp_path / "m.py").write_text("import random\n")
+    (tmp_path / "m.py").write_text("def f(xs=[]): pass\n")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -33,12 +33,12 @@ def test_shipped_tree_lints_clean():
 def test_findings_mean_exit_one(bad_tree, capsys):
     assert lint_main(["m.py"]) == 1
     out = capsys.readouterr().out
-    assert "DET001" in out and "m.py:1:1" in out
+    assert "DET005" in out and "m.py:1:10" in out
 
 
 def test_netrs_lint_subcommand_dispatches(bad_tree, capsys):
     assert netrs_main(["lint", "m.py"]) == 1
-    assert "DET001" in capsys.readouterr().out
+    assert "DET005" in capsys.readouterr().out
 
 
 def test_stats_mode_prints_per_rule_counts_and_totals(bad_tree, capsys):
@@ -56,8 +56,8 @@ def test_json_output_and_output_file(bad_tree):
     exit_code = lint_main(["m.py", "--format", "json", "--output", "report.json"])
     assert exit_code == 1
     payload = json.loads((bad_tree / "report.json").read_text())
-    assert payload["stats"]["per_rule"]["DET001"] == 1
-    assert [f["rule"] for f in payload["findings"]] == ["DET001"]
+    assert payload["stats"]["per_rule"]["DET005"] == 1
+    assert [f["rule"] for f in payload["findings"]] == ["DET005"]
 
 
 def test_list_rules_and_explain(capsys):
@@ -65,15 +65,15 @@ def test_list_rules_and_explain(capsys):
     out = capsys.readouterr().out
     for rule_id in RULES:
         assert rule_id in out
-    assert lint_main(["--explain", "det001"]) == 0
-    assert "DET001" in capsys.readouterr().out
+    assert lint_main(["--explain", "det005"]) == 0
+    assert "DET005" in capsys.readouterr().out
     assert lint_main(["--explain", "NOPE999"]) == 2
 
 
 def test_github_format_emits_error_annotations(bad_tree, capsys):
     assert lint_main(["m.py", "--format", "github"]) == 1
     out = capsys.readouterr().out
-    assert out.startswith("::error file=m.py,line=1,col=1,title=DET001::DET001 ")
+    assert out.startswith("::error file=m.py,line=1,col=10,title=DET005::DET005 ")
     assert "\n" == out[-1]
 
 

@@ -6,7 +6,7 @@ from repro.lint import lint_paths, lint_source
 from repro.lint.engine import iter_python_files, parse_suppressions
 from repro.lint.findings import JSON_REPORT_VERSION
 
-BAD_LINE = "started = time.perf_counter()\n"
+BAD_LINE = "def f(xs=[]): pass\n"
 
 
 # ---------------------------------------------------------------------------
@@ -15,37 +15,37 @@ BAD_LINE = "started = time.perf_counter()\n"
 
 
 def test_noqa_with_matching_rule_suppresses():
-    source = BAD_LINE.rstrip() + "  # repro: noqa(DET002)\n"
+    source = BAD_LINE.rstrip() + "  # repro: noqa(DET005)\n"
     assert lint_source(source, path="m.py") == []
 
 
 def test_noqa_bare_suppresses_every_rule():
-    source = "import random  # repro: noqa\n"
+    source = BAD_LINE.rstrip() + "  # repro: noqa\n"
     assert lint_source(source, path="m.py") == []
 
 
 def test_noqa_with_other_rule_does_not_suppress():
-    source = BAD_LINE.rstrip() + "  # repro: noqa(DET001)\n"
+    source = BAD_LINE.rstrip() + "  # repro: noqa(DET004)\n"
     findings = lint_source(source, path="m.py")
-    assert [f.rule for f in findings] == ["DET002"]
+    assert [f.rule for f in findings] == ["DET005"]
 
 
 def test_noqa_only_covers_its_own_line():
-    source = "import random  # repro: noqa(DET001)\nimport random\n"
+    source = BAD_LINE.rstrip() + "  # repro: noqa(DET005)\n" + BAD_LINE
     findings = lint_source(source, path="m.py")
-    assert [(f.rule, f.line) for f in findings] == [("DET001", 2)]
+    assert [(f.rule, f.line) for f in findings] == [("DET005", 2)]
 
 
 def test_noqa_accepts_multiple_rules_case_insensitively():
-    source = "import random  # repro: NOQA(det001, DET002)\n"
+    source = BAD_LINE.rstrip() + "  # repro: NOQA(det004, DET005)\n"
     assert lint_source(source, path="m.py") == []
 
 
 def test_parse_suppressions_maps_lines():
     got = parse_suppressions(
-        "a = 1\nb = 2  # repro: noqa(DET001,SIM002)\nc = 3  # repro: noqa\n"
+        "a = 1\nb = 2  # repro: noqa(DET004,SIM001)\nc = 3  # repro: noqa\n"
     )
-    assert got == {2: {"DET001", "SIM002"}, 3: None}
+    assert got == {2: {"DET004", "SIM001"}, 3: None}
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_syntax_errors_are_reported_not_raised(tmp_path):
 
 
 def test_json_report_schema(tmp_path):
-    (tmp_path / "m.py").write_text("import random\n")
+    (tmp_path / "m.py").write_text(BAD_LINE)
     report = lint_paths([str(tmp_path)], display_relative_to=str(tmp_path))
     payload = report.to_json()
     assert payload["version"] == JSON_REPORT_VERSION
@@ -84,20 +84,20 @@ def test_json_report_schema(tmp_path):
     }
     (finding,) = payload["findings"]
     assert set(finding) == {"rule", "path", "line", "col", "message"}
-    assert finding["rule"] == "DET001"
+    assert finding["rule"] == "DET005"
     assert finding["path"] == "m.py"  # relative, machine-independent
     # Stats are zero-filled over every registered rule.
     assert set(payload["stats"]) == {"per_rule"}
     per_rule = payload["stats"]["per_rule"]
-    assert per_rule["DET001"] == 1
-    assert per_rule["DET005"] == 0
+    assert per_rule["DET005"] == 1
+    assert per_rule["DET004"] == 0
     # The report must be JSON-serialisable as-is.
     json.dumps(payload)
 
 
 def test_reports_are_deterministic(tmp_path):
-    (tmp_path / "a.py").write_text("import random\nimport time\n")
-    (tmp_path / "b.py").write_text("t = time.time()\n")
+    (tmp_path / "a.py").write_text(BAD_LINE + "def g(ys={}): pass\n")
+    (tmp_path / "b.py").write_text("def f(env):\n    return env.now == 1.0\n")
     first = lint_paths([str(tmp_path)], display_relative_to=str(tmp_path))
     second = lint_paths([str(tmp_path)], display_relative_to=str(tmp_path))
     assert json.dumps(first.to_json()) == json.dumps(second.to_json())

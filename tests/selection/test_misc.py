@@ -14,6 +14,7 @@ from repro.selection import (
     register,
 )
 from repro.selection.rate_control import CubicRateLimiter
+from repro.sim.guard import deterministic_guard
 
 
 def _status(queue=0):
@@ -92,6 +93,20 @@ class TestRegistry:
         )
         assert isinstance(selector, C3Selector)
         assert selector.concurrency_weight == 5
+
+    @pytest.mark.parametrize("name", available_algorithms())
+    def test_fallback_stream_derives_from_the_seed(self, name):
+        """Without an ``rng`` the stream comes from ``seed``, never from fresh
+        entropy: the guard lets it build, and two builds choose alike."""
+
+        def choices():
+            selector = create_selector(
+                name, concurrency_weight=1, prior_service_rate=100.0, seed=3
+            )
+            return [selector.select(["a", "b", "c", "d"], 0.0) for _ in range(20)]
+
+        with deterministic_guard():
+            assert choices() == choices()
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):

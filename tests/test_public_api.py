@@ -1,8 +1,13 @@
-"""API-contract tests: the documented public surface stays importable."""
+"""API-contract tests: every module imports and keeps its ``__all__`` true, and
+the documented public surface stays importable."""
 
 import importlib
+import inspect
+import pkgutil
 
 import pytest
+
+import repro
 
 PUBLIC_MODULES = [
     "repro",
@@ -21,16 +26,34 @@ PUBLIC_MODULES = [
 ]
 
 
-@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
-def test_module_imports(module_name):
-    importlib.import_module(module_name)
+def _every_module():
+    """Every ``repro.*`` module but ``__main__`` ones (importing runs them)."""
+    return sorted(
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.name.rsplit(".", 1)[-1] != "__main__"
+    )
 
 
-@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
-def test_all_names_resolve(module_name):
+@pytest.mark.parametrize("module_name", ["repro", *_every_module()])
+def test_all_matches_the_public_definitions(module_name):
+    """Both directions: every ``__all__`` entry resolves, and a module that
+    declares ``__all__`` lists every public class and function it defines."""
     module = importlib.import_module(module_name)
-    for name in getattr(module, "__all__", []):
-        assert hasattr(module, name), f"{module_name}.{name} missing"
+    declared = getattr(module, "__all__", None)
+    if declared is None:
+        return
+    missing = [name for name in declared if not hasattr(module, name)]
+    assert missing == [], f"{module_name}.__all__ names nothing for {missing}"
+    unlisted = sorted(
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isclass(value) or inspect.isfunction(value))
+        and value.__module__ == module_name
+        and name not in declared
+    )
+    assert unlisted == [], f"{module_name} defines but does not list {unlisted}"
 
 
 def test_sim_exports_what_the_simulator_runs_on():
