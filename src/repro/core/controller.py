@@ -51,7 +51,6 @@ class NetRSController:
         selector_ring,
         extra_hops_budget: float,
         solver: str = "ilp",
-        solver_time_limit: Optional[float] = None,
     ) -> None:
         if solver not in SOLVERS:
             raise ConfigurationError(
@@ -68,7 +67,6 @@ class NetRSController:
         self.selector_ring = selector_ring
         self.extra_hops_budget = extra_hops_budget
         self.solver = solver
-        self.solver_time_limit = solver_time_limit
         self.current_plan: Optional[SelectionPlan] = None
         self.directory: Dict[int, str] = {
             op_id: op.spec.switch for op_id, op in self.operators.items()
@@ -131,13 +129,8 @@ class NetRSController:
                 extra_hops_budget=self.extra_hops_budget,
             )
             try:
-                if self.solver == "ilp" and self.solver_time_limit is not None:
-                    plan = solve(problem, time_limit=self.solver_time_limit)
-                else:
-                    plan = solve(problem)
+                plan = solve(problem)
             except InfeasiblePlanError:
-                if not groups:
-                    raise
                 # Section III-C: degrade the highest-traffic group and retry
                 # (high-demand clients have the freshest local state, so they
                 # suffer least from selecting replicas themselves).

@@ -19,7 +19,10 @@ tier-``tau`` traffic steered to a tier-``t(j)`` operator detours
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.core.plan import TrafficGroup
@@ -110,10 +113,6 @@ class PlacementProblem:
             return operator.switch == group.tor
         raise ConfigurationError(f"operator {operator.switch} has bad tier")
 
-    def eligible_operators(self, group: TrafficGroup) -> List[OperatorSpec]:
-        """All operators with ``R[group][operator] = 1``."""
-        return [op for op in self.operators if self.eligible(group, op)]
-
     # ------------------------------------------------------------------
     # Loads and hop costs
     # ------------------------------------------------------------------
@@ -185,31 +184,160 @@ class PlacementProblem:
                 return op.capacity
         raise ConfigurationError(f"unknown operator {operator_id}")
 
+    # ------------------------------------------------------------------
+    # The array view the solvers share
+    # ------------------------------------------------------------------
+    @cached_property
+    def arrays(self) -> "PlacementArrays":
+        """Matrix ``R``, the Eq. (7) hop rates, loads and capacity rows.
+
+        Built once, on first use, from ``groups``, ``operators``, ``traffic``
+        and ``shared_accelerators``; do not change those afterwards (the hop
+        budget is read live).  Matches the scalar :meth:`eligible`,
+        :meth:`extra_hops_rate`, :meth:`group_load` and
+        :meth:`capacity_groups` value for value.
+        """
+        return PlacementArrays.build(self)
+
+    def rsnode_lower_bound(self) -> int:
+        """A count of RSNodes no feasible plan can go below.
+
+        The fewest capacity groups, largest first, whose capacities reach the
+        total load -- ``m`` RSNodes draw on at most ``m`` of them -- raised to
+        2 when no single operator is eligible for every group within both its
+        capacity and the hop budget.  Both tests allow the slack
+        :meth:`check_assignment` allows, so the bound never overshoots.
+        """
+        arrays = self.arrays
+        total = float(arrays.group_loads.sum())
+        reach = np.cumsum(np.sort(_slack(arrays.capacities))[::-1])
+        bound = int(np.searchsorted(reach, total)) + 1
+        if bound < 2:
+            serves_all = (
+                arrays.eligible.all(axis=0)
+                & (total <= _slack(arrays.capacities[arrays.capacity_row]))
+                & (arrays.hops.sum(axis=0) <= _slack(self.extra_hops_budget))
+            )
+            if not serves_all.any():
+                bound = 2
+        return bound
+
     def check_assignment(self, assignments: Dict[int, int]) -> None:
         """Validate a complete assignment against all constraints."""
-        by_id = {op.operator_id: op for op in self.operators}
-        group_by_id = {g.group_id: g for g in self.groups}
+        arrays = self.arrays
         for gid, oid in assignments.items():
-            if oid not in by_id:
+            if oid not in arrays.operator_index:
                 raise ConfigurationError(f"assignment uses unknown operator {oid}")
-            if not self.eligible(group_by_id[gid], by_id[oid]):
-                raise ConfigurationError(
-                    f"group {gid} assigned to ineligible operator {oid}"
-                )
-        loads = self.plan_operator_loads(assignments)
-        for members, capacity in self.capacity_groups():
-            joint = sum(loads.get(oid, 0.0) for oid in members)
-            if joint > capacity * (1 + 1e-9) + 1e-6:
-                raise ConfigurationError(
-                    f"accelerator serving operators {sorted(members)} "
-                    f"overloaded: {joint:.1f} > {capacity:.1f} req/s"
-                )
-        extra = self.plan_extra_hops(assignments)
-        if extra > self.extra_hops_budget * (1 + 1e-9) + 1e-6:
+            if gid not in arrays.group_index:
+                raise ConfigurationError(f"assignment of unknown group {gid}")
+        gi = np.array([arrays.group_index[g] for g in assignments], dtype=np.intp)
+        oj = np.array(
+            [arrays.operator_index[o] for o in assignments.values()], dtype=np.intp
+        )
+        ineligible = np.flatnonzero(~arrays.eligible[gi, oj])
+        if ineligible.size:
+            k = ineligible[0]
+            raise ConfigurationError(
+                f"group {self.groups[gi[k]].group_id} assigned to ineligible "
+                f"operator {self.operators[oj[k]].operator_id}"
+            )
+        joint = np.bincount(
+            arrays.capacity_row[oj],
+            weights=arrays.group_loads[gi],
+            minlength=arrays.capacities.size,
+        )
+        overloaded = np.flatnonzero(joint > _slack(arrays.capacities))
+        if overloaded.size:
+            row = overloaded[0]
+            members, capacity = self.capacity_groups()[row]
+            raise ConfigurationError(
+                f"accelerator serving operators {sorted(members)} "
+                f"overloaded: {joint[row]:.1f} > {capacity:.1f} req/s"
+            )
+        extra = float(arrays.hops[gi, oj].sum())
+        if extra > _slack(self.extra_hops_budget):
             raise ConfigurationError(
                 f"extra-hop budget exceeded: {extra:.1f} > "
                 f"{self.extra_hops_budget:.1f} hops/s"
             )
+
+
+def _slack(limit):
+    """A capacity or budget with the tolerance every feasibility test allows."""
+    return limit * (1 + 1e-9) + 1e-6
+
+
+@dataclass(frozen=True, eq=False)
+class PlacementArrays:
+    """A :class:`PlacementProblem` as arrays, in its groups' and operators' order.
+
+    *Pairs* are the eligible (group, operator) entries of ``R`` in group-major
+    order -- the ILP's ``P`` variables; the pairs of group ``i`` are
+    ``group_start[i]:group_start[i + 1]``, in operator order.
+    """
+
+    group_index: Dict[int, int]  # group ID -> row
+    operator_index: Dict[int, int]  # operator ID -> column
+    eligible: np.ndarray  # (groups, operators) bool: matrix R
+    hops: np.ndarray  # (groups, operators) Eq. (7) extra-hop rate
+    pair_group: np.ndarray  # (pairs,) group row
+    pair_operator: np.ndarray  # (pairs,) operator column
+    pair_hops: np.ndarray  # (pairs,) extra-hop rate
+    group_start: np.ndarray  # (groups + 1,) offsets into the pairs
+    group_loads: np.ndarray  # (groups,) Eq. (6) left-hand-side weight
+    capacity_row: np.ndarray  # (operators,) index into capacity_groups()
+    capacities: np.ndarray  # (capacity groups,) T_max per constraint
+
+    @classmethod
+    def build(cls, problem: PlacementProblem) -> "PlacementArrays":
+        groups, operators = problem.groups, problem.operators
+        bad = [op.switch for op in operators if op.tier not in _TIERS]
+        if bad:
+            raise ConfigurationError(f"operator {bad[0]} has bad tier")
+        operator_index = {op.operator_id: j for j, op in enumerate(operators)}
+        tier = np.array([op.tier for op in operators])
+        # Pods and switches as integers; -1 (no pod) matches no group.
+        op_pod = np.array([-1 if op.pod is None else op.pod for op in operators])
+        switch_code = {op.switch: j for j, op in enumerate(operators)}
+        op_switch = np.array([switch_code[op.switch] for op in operators])
+        group_pod = np.array([g.pod for g in groups])
+        group_tor = np.array([switch_code.get(g.tor, -1) for g in groups])
+        eligible = (
+            (tier == TIER_CORE)
+            | ((tier == TIER_AGG) & (op_pod == group_pod[:, None]))
+            | ((tier == TIER_TOR) & (op_switch == group_tor[:, None]))
+        )
+        # (T0, T1, T2) rows; every group's ToR sits at tier TIER_TOR.
+        traffic = np.array(
+            [problem.traffic[g.group_id] for g in groups], dtype=float
+        ).reshape(len(groups), 3)
+        by_tier = np.zeros((len(groups), len(_TIERS)))
+        for operator_tier in _TIERS:  # Eq. (7), summed as extra_hops_rate does
+            h = TIER_TOR - operator_tier
+            for k in range(h):
+                by_tier[:, operator_tier] += 2.0 * (h - k) * traffic[:, TIER_TOR - k]
+        hops = by_tier[:, tier]
+        pair_group, pair_operator = np.nonzero(eligible)
+        capacity_row = np.empty(len(operators), dtype=np.intp)
+        capacity_groups = problem.capacity_groups()
+        for row, (members, _capacity) in enumerate(capacity_groups):
+            capacity_row[[operator_index[oid] for oid in members]] = row
+        return cls(
+            group_index={g.group_id: i for i, g in enumerate(groups)},
+            operator_index=operator_index,
+            eligible=eligible,
+            hops=hops,
+            pair_group=pair_group,
+            pair_operator=pair_operator,
+            pair_hops=hops[eligible],
+            group_start=np.concatenate(([0], np.cumsum(eligible.sum(axis=1)))),
+            group_loads=0.0 + traffic[:, 0] + traffic[:, 1] + traffic[:, 2],
+            capacity_row=capacity_row,
+            capacities=np.array([c for _m, c in capacity_groups], dtype=float),
+        )
+
+
+_TIERS = (TIER_CORE, TIER_AGG, TIER_TOR)
 
 
 def build_operator_specs(

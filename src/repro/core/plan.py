@@ -55,6 +55,10 @@ class SelectionPlan:
     solver: str = ""
     objective: float = 0.0
     solve_time: float = 0.0
+    #: How ``solve_ilp`` showed the RSNode count minimal: ``"bound"`` (the
+    #: greedy plan meets the problem's lower bound) or ``"milp"`` (HiGHS);
+    #: empty for the heuristics.
+    proof: str = ""
 
     @property
     def rsnode_ids(self) -> Tuple[int, ...]:

@@ -103,7 +103,6 @@ class ExperimentConfig:
     max_accelerator_utilization: float = 0.5  # the paper's U
     extra_hops_fraction: float = 0.2  # E = fraction * aggregate arrival rate
     work_per_request: float = 2.0  # request + response clone per served read
-    solver_time_limit: Optional[float] = None
     replan_period: Optional[float] = None
     # --- CliRS-R95 -----------------------------------------------------------
     redundancy_percentile: float = 95.0
@@ -314,12 +313,6 @@ class ExperimentConfig:
             raise ConfigurationError("request_timeout must be finite and positive (seconds)")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if self.solver_time_limit is not None and not (
-            0 < self.solver_time_limit < math.inf
-        ):
-            raise ConfigurationError(
-                "solver_time_limit must be None or finite and positive (seconds)"
-            )
         if self.replan_period is not None and not (
             self.netrs and self.replan_period > 0
         ):

@@ -450,7 +450,6 @@ def _wire_netrs(scenario: Scenario, operators: Dict[int, NetRSOperator]) -> None
         selector_ring=scenario.ring,
         extra_hops_budget=config.extra_hops_budget(),
         solver=config.solver,
-        solver_time_limit=config.solver_time_limit,
     )
     scenario.controller = controller
     scenario.plan = controller.plan_and_deploy(bootstrap_traffic(scenario))

@@ -4,9 +4,12 @@ These use the scenario builder at tiny scale so the controller is exercised
 against real switches, monitors and operators.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.core.placement import solve_greedy
+from repro.errors import ConfigurationError, InfeasiblePlanError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
@@ -152,6 +155,42 @@ class TestPlanningWithDrs:
         assert set(plan.assignments) == {
             g.group_id for g in controller.groups if g.group_id != hot
         }
+
+
+    def test_greedy_failing_inside_the_ilp_degrades_no_group(self, scenario):
+        """solve_ilp runs greedy first; where greedy cannot place a group and
+        HiGHS can, the plan deploys whole."""
+        controller = scenario.controller
+        first, second = (g for g in controller.groups if g.pod == 2)
+        agg = next(
+            op.spec for op in controller.operators.values()
+            if op.spec.tier == 1 and op.spec.pod == 2
+        )
+        tor = next(
+            op.spec for op in controller.operators.values()
+            if op.spec.switch == first.tor
+        )
+        # Two 40k req/s operators, the rest nearly nothing.  Greedy opens the
+        # aggregation (it covers both groups) for the larger group and has no
+        # room left for the other; the ILP puts the larger on its ToR.
+        for operator in controller.operators.values():
+            roomy = operator.spec.operator_id in (agg.operator_id, tor.operator_id)
+            operator.spec = dataclasses.replace(
+                operator.spec, capacity=40_000.0 if roomy else 1.0
+            )
+        traffic = {g.group_id: (0.0, 0.0, 0.0) for g in controller.groups}
+        traffic[first.group_id] = (40_000.0, 0.0, 0.0)
+        traffic[second.group_id] = (30_000.0, 0.0, 0.0)
+        with pytest.raises(InfeasiblePlanError):
+            solve_greedy(controller.build_problem(traffic))
+        plan = controller.plan_and_deploy(traffic)
+        assert plan.proof == "milp"
+        assert not plan.drs_groups
+        assert plan.assignments[first.group_id] == tor.operator_id
+        assert plan.assignments[second.group_id] == agg.operator_id
+        for group in (first, second):
+            rule = scenario.switches[group.tor].rsnode_of_group(group.group_id)
+            assert rule == plan.assignments[group.group_id]
 
 
 class TestMeasuredTraffic:

@@ -98,8 +98,8 @@ class TestEligibility:
 
     def test_eligible_operator_count(self, problem):
         """cores + own-pod aggs + own ToR in a 4-ary fat-tree = 4 + 2 + 1."""
-        group = problem.groups[0]
-        assert len(problem.eligible_operators(group)) == 7
+        assert problem.arrays.eligible[0].sum() == 7
+        assert sum(problem.eligible(problem.groups[0], op) for op in problem.operators) == 7
 
 
 class TestExtraHops:
