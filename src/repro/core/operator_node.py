@@ -62,7 +62,7 @@ class NetRSOperator:
         """Stop acting as an RSNode (rules elsewhere stop steering to us)."""
         self.accelerator.settle(discard_later=True)  # clones that meet no selector
         self.selector = None
-        self.switch.selector = None
+        self.switch.unbind_operator()
 
     def utilization(self) -> float:
         """Accelerator utilization in the current window."""

@@ -17,20 +17,17 @@ from repro.sim.rng import DrawSource
 class StableService:
     """Degenerate model: constant mean service time (ablation baseline)."""
 
-    __slots__ = ("mean_service_time",)
+    __slots__ = ("mean_service_time", "current_mean")
 
     def __init__(self, mean_service_time: float) -> None:
         if mean_service_time <= 0:
             raise ConfigurationError("mean_service_time must be positive")
         self.mean_service_time = mean_service_time
+        #: The (constant) mean service time.
+        self.current_mean = mean_service_time
 
     def start(self, env: Environment) -> None:
         """Nothing to schedule for a stable server."""
-
-    @property
-    def current_mean(self) -> float:
-        """The (constant) mean service time."""
-        return self.mean_service_time
 
     def expected_mean(self) -> float:
         """Long-run average of the mean service time."""
@@ -45,7 +42,7 @@ class BimodalFluctuation:
         "range_parameter",
         "interval",
         "_draws",
-        "_current",
+        "current_mean",
         "redraws",
     )
 
@@ -67,7 +64,9 @@ class BimodalFluctuation:
         self.range_parameter = range_parameter
         self.interval = interval
         self._draws = rng
-        self._current = self._draw()
+        #: Mean service time in the current fluctuation interval; set here
+        #: and at each redraw, read by the server once per request.
+        self.current_mean = self._draw()
         self.redraws = 0
 
     def _draw(self) -> float:
@@ -80,14 +79,9 @@ class BimodalFluctuation:
         env.call_in(self.interval, self._tick, env)
 
     def _tick(self, env: Environment) -> None:
-        self._current = self._draw()
+        self.current_mean = self._draw()
         self.redraws += 1
         env.call_in(self.interval, self._tick, env)
-
-    @property
-    def current_mean(self) -> float:
-        """Mean service time in the current fluctuation interval."""
-        return self._current
 
     def expected_mean(self) -> float:
         """Long-run average mean service time: ``(t + t/d) / 2``."""

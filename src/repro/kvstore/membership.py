@@ -121,10 +121,15 @@ class ChurnableRing(ConsistentHashRing):
             )
 
     def _rebuild(self) -> None:
-        self._groups = [self._walk_replicas(i) for i in range(len(self._hashes))]
-        # Cached (rgid, group) pairs embed the old groups; the rgid half of
-        # each entry is membership-independent but the memo stores both.
-        self._key_cache.clear()
+        groups = self._groups = [
+            self._walk_replicas(i) for i in range(len(self._hashes))
+        ]
+        # A key's rgid (its ring segment) does not depend on membership, its
+        # replicas do: re-point every memoized entry at its rebuilt group, in
+        # place, so no key is hashed again.
+        cache = self._key_cache
+        for key, (rgid, _) in cache.items():
+            cache[key] = (rgid, groups[rgid])
 
 
 class ChurnCoordinator:

@@ -31,10 +31,8 @@ from repro.sim.rng import DrawSource
 class ServiceModel(Protocol):
     """Provides the time-varying mean service time."""
 
-    @property
-    def current_mean(self) -> float:
-        """Mean service time right now."""
-        ...  # pragma: no cover - protocol definition
+    #: Mean service time right now (an attribute: read once per request).
+    current_mean: float
 
     def start(self, env: Environment) -> None:
         """Begin any time-varying behaviour."""

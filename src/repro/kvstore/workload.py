@@ -51,16 +51,27 @@ class ZipfSampler:
         return math.exp(-self.s * math.log(x))
 
     def _h_integral_inverse(self, x: float) -> float:
+        """The reference inverse of ``_h_integral``; ``sample`` inlines it."""
         t = x * (1.0 - self.s)
         if t < -1.0:
             t = -1.0  # numerical guard near the distribution head
-        return math.exp(_helper1(t) * x)
+        # log1p(t) / t, with a stable expansion near zero.
+        if abs(t) > 1e-8:
+            return math.exp(math.log1p(t) / t * x)
+        return math.exp((1.0 - t * (0.5 - t * (1.0 / 3.0 - 0.25 * t))) * x)
 
     def sample(self) -> int:
         """Draw one key in ``{1..n}``."""
         while True:
             u = self._h_n + self._draws.random() * (self._h_x1 - self._h_n)
-            x = self._h_integral_inverse(u)
+            # Inlined _h_integral_inverse(u): one draw per request.
+            t = u * (1.0 - self.s)
+            if t < -1.0:
+                t = -1.0
+            if abs(t) > 1e-8:
+                x = math.exp(math.log1p(t) / t * u)
+            else:
+                x = math.exp((1.0 - t * (0.5 - t * (1.0 / 3.0 - 0.25 * t))) * u)
             k = int(x + 0.5)
             if k < 1:
                 k = 1
@@ -68,13 +79,6 @@ class ZipfSampler:
                 k = self.n
             if k - x <= self._threshold or u >= self._h_integral(k + 0.5) - self._h(k):
                 return k
-
-
-def _helper1(x: float) -> float:
-    """``log1p(x) / x`` with a stable expansion near zero."""
-    if abs(x) > 1e-8:
-        return math.log1p(x) / x
-    return 1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x))
 
 
 def _helper2(x: float) -> float:

@@ -45,7 +45,7 @@ def _scheduling_calls(nodes: Iterable[ast.AST]) -> List[ast.Call]:
 # DET004 -- exact float equality against simulated time
 # ---------------------------------------------------------------------------
 
-_TIME_ATTRS = frozenset({"now", "_now", "sim_time"})
+_TIME_ATTRS = frozenset({"now", "sim_time"})
 _TIME_NAMES = frozenset({"now", "sim_time", "simulated_time"})
 
 

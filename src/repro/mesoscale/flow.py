@@ -114,7 +114,7 @@ class FlowEngine:
         batch = config.rng_batch_size
 
         # --- clock & micro-event machinery --------------------------------
-        self._now = 0.0
+        self.now = 0.0  # the clock; only the run loop writes it
         self._heap: List[tuple] = []
         self._seq = 0
         self._ids = itertools.count(1)
@@ -233,14 +233,11 @@ class FlowEngine:
     # Clock & scheduling
     # ------------------------------------------------------------------
     # The four names below are the packet tier's clock's (repro.sim.core), so
-    # that whatever is written against that clock runs on the heap unchanged.
-    @property
-    def now(self) -> float:
-        return self._now
-
+    # that whatever is written against that clock runs on the heap unchanged;
+    # ``now`` is an attribute, as there, written only by the run loop.
     def post_in(self, delay: float, fn: _MicroFn, args: tuple = ()) -> None:
         self._seq += 1
-        heappush(self._heap, (self._now + delay, self._seq, fn, args))
+        heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
     def post_at(self, when: float, fn: _MicroFn, args: tuple = ()) -> None:
         self._seq += 1
@@ -253,7 +250,7 @@ class FlowEngine:
         (``ClientCore`` timers return on ``entry.done``).
         """
         self._seq += 1
-        heappush(self._heap, (self._now + delay, self._seq, fn, args))
+        heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
     def _stop(self) -> None:
         self._stopped = True
@@ -269,9 +266,9 @@ class FlowEngine:
             entry = heappop(heap)
             when = entry[0]
             if until is not None and when > until:
-                self._now = until
+                self.now = until
                 break
-            self._now = when
+            self.now = when
             self.micro_events += 1
             entry[2](*entry[3])
         self._settle()
@@ -343,7 +340,7 @@ class FlowEngine:
         a leg dated past the stop never left, and a hop that would leave at
         or after it was never transmitted.  Called once, when the loop ends.
         """
-        stop = self._now
+        stop = self.now
         for base, hops, size, overhead in self._legs_in_flight():
             undone = hops_not_sent(base, hops, stop)
             if undone:
@@ -355,7 +352,7 @@ class FlowEngine:
         hops = self._full_path[self.geometry.hop_count(client.name, target)]
         size, overhead = self._sizes["request"]
         self._send_along(
-            self._now, hops, size, overhead,
+            self.now, hops, size, overhead,
             self.servers[target].handle_arrival, ((client, rid, None),),
         )
 
@@ -365,7 +362,7 @@ class FlowEngine:
         hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
         size, overhead = self._sizes["response"]
         self._send_along(
-            self._now, hops, size, overhead,
+            self.now, hops, size, overhead,
             self._on_response[client], (rid, server.name, status),
         )
 
@@ -387,7 +384,7 @@ class FlowEngine:
         op = self._operator_of[client.name]
         size, overhead = self._sizes["netrs_request"]
         self._send_along(
-            self._now, self._uplink, size, overhead,
+            self.now, self._uplink, size, overhead,
             op.accelerator.submit, ((op, client, rid, rgid), self._select_work),
         )
 
@@ -418,13 +415,13 @@ class FlowEngine:
         marked_size, marked_overhead = self._sizes["netrs_response_marked"]
         self.bytes_transferred += size - marked_size
         self.netrs_overhead_bytes += overhead - marked_overhead
-        t = self._now
+        t = self.now
         for d in hops[:-1]:
             t += d
         op = self._operator_of[client.name]
         op.accelerator.note_at(t, (op, rv, server.name, status), self._absorb_response)
         self._send_along(
-            self._now, hops, marked_size, marked_overhead,
+            self.now, hops, marked_size, marked_overhead,
             self._on_response[client], (rid, server.name, status),
         )
 

@@ -297,7 +297,7 @@ class VectorFlowEngine(FlowEngine):
             clients[j] = sample(rng)
             if zipf_fast:
                 # Inlined ZipfSampler.sample + BatchedStream.random +
-                # _h_integral_inverse/_helper1 (draw-for-draw identical;
+                # _h_integral_inverse (draw-for-draw identical;
                 # the rare rejection check keeps calling the sampler's own
                 # _h_integral/_h).
                 while True:
@@ -425,7 +425,7 @@ class VectorFlowEngine(FlowEngine):
           heap head instead of a pushed-and-popped heap entry.  ``pa_seq``
           is the exact sequence number the heap event would have carried, so
           the merged order is the heap's own.
-        * **Lazy clock** -- ``self._now`` and ``self._seq`` are written only
+        * **Lazy clock** -- ``self.now`` and ``self._seq`` are written only
           where code outside this frame can observe them (calls out, tracker
           callbacks, loop exit); every inlined branch uses the popped
           ``when`` and the local ``seq`` directly.
@@ -489,7 +489,7 @@ class VectorFlowEngine(FlowEngine):
         acc_tx = 0
         acc_bytes = 0
         acc_overhead = 0
-        when = self._now
+        when = self.now
         pa_time = b_times[0]
         pa_seq = first_seq
         while True:
@@ -647,7 +647,7 @@ class VectorFlowEngine(FlowEngine):
                     if mean is None:
                         # Fluctuating mean: the model's current tick (its
                         # redraws are micro-events of their own).
-                        mean = server.service_model._current
+                        mean = server.service_model.current_mean
                     if server._fastdraw:
                         draws = server._draws
                         pos = draws._pos
@@ -710,7 +710,7 @@ class VectorFlowEngine(FlowEngine):
                     server._in_service += 1
                     mean = server._mean_const
                     if mean is None:
-                        mean = server.service_model._current
+                        mean = server.service_model.current_mean
                     if server._fastdraw:
                         draws = server._draws
                         pos = draws._pos
@@ -785,7 +785,7 @@ class VectorFlowEngine(FlowEngine):
                         completed = tracker.completed + 1
                         tracker.completed = completed
                         if completed == tracker.expected:
-                            self._now = when
+                            self.now = when
                             for callback in tracker._callbacks:
                                 callback()
                             if self._stopped:
@@ -847,7 +847,7 @@ class VectorFlowEngine(FlowEngine):
                     continue
                 # Live timeout: it can lose the request and stop the run.
                 self._seq = seq
-                self._now = when
+                self.now = when
                 self._v_on_timeout(head[3], rid)
                 seq = self._seq
                 if self._stopped:
@@ -855,13 +855,13 @@ class VectorFlowEngine(FlowEngine):
                 continue
             # Posted on the engine clock by code outside this frame.
             self._seq = seq
-            self._now = when
+            self.now = when
             cb(*head[3])
             seq = self._seq
             if self._stopped:
                 break
         self._seq = seq
-        self._now = when
+        self.now = when
         self.workload.issued = cursor
         self.transmissions += acc_tx
         self.bytes_transferred += acc_bytes
@@ -886,7 +886,7 @@ class VectorFlowEngine(FlowEngine):
         attempts += 1
         self._attempts[rid] = attempts
         client.retries += 1
-        now = self._now
+        now = self.now
         replicas = self._replicas_of[rid]
         tried = self._tried.get(rid)
         if tried is None:

@@ -286,7 +286,7 @@ class Network:
         # event per hop makes even the scheduler's call overhead measurable.
         env = self.env
         env._seq += 1
-        when = env._now + delay
+        when = env.now + delay
         dq = env._dq
         entry = (when, env._seq, 2, receive, (packet, from_name))
         if not dq or when >= dq[-1][0]:
@@ -370,7 +370,7 @@ class Network:
             return False
         magic = packet.magic
         first, rsnode = links, None  # the links to the RSNode that clones it, if one does
-        if magic == MAGIC_RESPONSE and (device := self._devices[egress])._can_select():
+        if magic == MAGIC_RESPONSE and (device := self._devices[egress])._can_select:
             dst = packet.dst
             try:
                 tor, onward = distances[egress, dst]
@@ -404,7 +404,7 @@ class Network:
                 packet.source_marker = marker
         marker = packet.source_marker
         delay = self._fast_delay
-        now = when = self.env._now if base is None else base
+        now = when = self.env.now if base is None else base
         for _ in range(first):
             when += delay  # chained, as hop by hop: delay * first differs in the last ulp
         if rsnode is not None:

@@ -95,7 +95,7 @@ class Host:
         network.bytes_transferred += size * links
         delay = network._fast_delay
         env = network.env
-        now = when = env._now
+        now = when = env.now
         for _ in range(links):
             when += delay  # chained, as hop by hop
         # Inlined Environment.post_at; behind its five fields the entry is the

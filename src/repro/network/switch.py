@@ -48,6 +48,9 @@ from repro.network.packet import (
     magic_transform,
 )
 
+#: ``f(MAGIC_RESPONSE)``: the magic of a request its RSNode has selected for.
+_SELECTED = magic_transform(MAGIC_RESPONSE)
+
 
 class Selector(Protocol):
     """NetRS selector running on the accelerator (see repro.core).
@@ -91,6 +94,7 @@ class ProgrammableSwitch:
         "selector",
         "monitor",
         "failed",
+        "_can_select",
         "_attached_hosts",
         "marker",
         "_group_of_host",
@@ -121,6 +125,7 @@ class ProgrammableSwitch:
         self.selector: Optional[Selector] = None
         self.monitor: Optional[Monitor] = None
         self.failed = False
+        self._can_select = False  # see _refresh_can_select
         # ToR state
         self._attached_hosts: Set[str] = (
             {h.name for h in network.topology.hosts_under(name)} if self.is_tor else set()
@@ -152,6 +157,21 @@ class ProgrammableSwitch:
             )
         self.selector = selector
         self._operator_directory = directory
+        self._refresh_can_select()
+
+    def unbind_operator(self) -> None:
+        """Remove the selector software: the switch stops acting as an RSNode."""
+        self.selector = None
+        self._refresh_can_select()
+
+    def _refresh_can_select(self) -> None:
+        """Recompute ``_can_select``; called wherever ``selector``,
+        ``accelerator`` or ``failed`` change, so the data plane reads a flag."""
+        self._can_select = (
+            self.selector is not None
+            and self.accelerator is not None
+            and not self.failed
+        )
 
     def set_directory(self, directory: Dict[int, str]) -> None:
         """Install the operator directory on a non-RSNode switch."""
@@ -188,10 +208,12 @@ class ProgrammableSwitch:
         if self.accelerator is not None:
             self.accelerator.settle(discard_later=True)
         self.failed = True
+        self._refresh_can_select()
 
     def recover(self) -> None:
         """Bring a failed operator back (selector state survives)."""
         self.failed = False
+        self._refresh_can_select()
 
     # ------------------------------------------------------------------
     # Data plane
@@ -203,7 +225,7 @@ class ProgrammableSwitch:
         magic = packet.magic
         if magic == MAGIC_REQUEST:
             if packet.rsnode_id == self.operator_id:
-                if self._can_select():
+                if self._can_select:
                     self.requests_selected += 1
                     self.accelerator.submit(packet, self._select_and_send)  # type: ignore[union-attr]
                 else:
@@ -219,7 +241,7 @@ class ProgrammableSwitch:
             return
         if magic == MAGIC_RESPONSE:
             if packet.rsnode_id == self.operator_id:
-                if self._can_select():
+                if self._can_select:
                     self.accelerator.submit(  # type: ignore[union-attr]
                         packet.clone(), self._absorb_response
                     )
@@ -239,13 +261,6 @@ class ProgrammableSwitch:
             self._egress_to_host(packet)
             return
         self._follow_route(packet, dst)
-
-    def _can_select(self) -> bool:
-        return (
-            self.selector is not None
-            and self.accelerator is not None
-            and not self.failed
-        )
 
     def _ingress_from_host(self, packet: Packet) -> None:
         """Extra ToR rules for packets entering the network (section IV-B).
@@ -283,14 +298,15 @@ class ProgrammableSwitch:
             self.accelerator.settle()
         return self._cloned
 
-    def _select_work(self, packet: Packet, now: float) -> Packet:
-        """Accelerator work for a request: select, then rebuild the packet.
+    def _select_and_send(self, packet: Packet, now: float) -> None:
+        """Accelerator work for a request: select, rebuild, send on.
 
         Destination becomes the chosen server, the retaining value the send
         timestamp (the paper's worked example for RV), and the magic
         ``f(MAGIC_RESPONSE)``, so switches treat the rebuilt packet as
         ordinary traffic while the server's ``f^-1`` turns the reply into a
-        NetRS response.
+        NetRS response.  It leaves as of the hand-back: by distance, else by
+        an event.
         """
         if packet.rgid < 0:
             raise ProtocolError(
@@ -301,14 +317,9 @@ class ProgrammableSwitch:
         packet.server = server
         packet.retaining_value = now
         packet.selected_at = now
-        packet.magic = magic_transform(MAGIC_RESPONSE)
-        return packet
-
-    def _select_and_send(self, packet: Packet, now: float) -> None:
-        """Select, then send on as of the hand-back: by distance, else by an event."""
-        self._select_work(packet, now)
+        packet.magic = _SELECTED
         leaves = now + self.accelerator.link_delay  # type: ignore[union-attr]
-        if not self._express(self.name, packet.dst, packet, None, leaves):
+        if not self._express(self.name, server, packet, None, leaves):
             self.network.env.post_at(leaves, self._regular_forward, (packet,))
 
     def _absorb_response(self, packet: Packet, now: float) -> None:

@@ -86,6 +86,9 @@ class C3Selector(ReplicaSelector):
     # Scoring
     # ------------------------------------------------------------------
     def _track(self, server: str) -> _ServerTrack:
+        """``server``'s track, made on first contact.  The per-request callers
+        (``score``, ``select``, ``note_sent``, ``note_response``) probe
+        ``_tracks`` themselves and call this only on a miss."""
         track = self._tracks.get(server)
         if track is None:
             track = _ServerTrack(service_rate=self.prior_service_rate)
@@ -94,8 +97,6 @@ class C3Selector(ReplicaSelector):
 
     def score(self, server: str) -> float:
         """The cubic scoring function psi for one server (lower is better)."""
-        # Inlined _track fast path: score runs once per candidate per
-        # selection, and the track almost always exists already.
         track = self._tracks.get(server)
         if track is None:
             track = self._track(server)
@@ -161,7 +162,9 @@ class C3Selector(ReplicaSelector):
     # ------------------------------------------------------------------
     def note_sent(self, server: str, now: float) -> None:
         """Count an in-flight request toward ``server``."""
-        track = self._track(server)
+        track = self._tracks.get(server)
+        if track is None:
+            track = self._track(server)
         track.outstanding += 1
         if self._rate_limiter_factory is not None:
             self._limiter(server).on_send(now)
@@ -170,7 +173,9 @@ class C3Selector(ReplicaSelector):
         self, server: str, latency: float, status: ServerStatus, now: float
     ) -> None:
         """Fold one piggybacked feedback sample into the EWMAs."""
-        track = self._track(server)
+        track = self._tracks.get(server)
+        if track is None:
+            track = self._track(server)
         if track.outstanding > 0:
             # NetRS clients receive responses for requests they never counted
             # as sent (the RSNode did); clamp instead of going negative.

@@ -102,18 +102,15 @@ class Environment:
     COMPACTION_MIN_CANCELLED = 64
 
     def __init__(self, initial_time: float = 0.0, *, compaction: bool = True) -> None:
-        self._now = float(initial_time)
+        #: Current simulation time in seconds.  A plain attribute, read on
+        #: every event; only the run loop (``run``, ``step``) writes it.
+        self.now = float(initial_time)
         self._heap: list[tuple] = []  # out-of-order entries
         self._dq: deque = deque()  # entries pushed in non-decreasing time
         self._seq = 0
         self._event_count = 0
         self._cancelled = 0  # cancelled kind-0 entries still scheduled
         self._compaction = bool(compaction)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def events_executed(self) -> int:
@@ -135,9 +132,9 @@ class Environment:
         self, when: float, fn: Callable[..., Any], *args: Any
     ) -> _Handle:
         """Run ``fn(*args)`` at absolute time ``when``; returns a handle."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule into the past: {when} < now={self._now}"
+                f"cannot schedule into the past: {when} < now={self.now}"
             )
         handle = _Handle(self)
         self._seq += 1
@@ -154,7 +151,7 @@ class Environment:
             raise SimulationError(f"negative delay: {delay}")
         handle = _Handle(self)
         self._seq += 1
-        when = self._now + delay
+        when = self.now + delay
         dq = self._dq
         if not dq or when >= dq[-1][0]:
             dq.append((when, self._seq, 0, fn, args, handle))
@@ -183,7 +180,7 @@ class Environment:
         hop); keep the two in sync when changing the scheduling layout.
         """
         self._seq += 1
-        when = self._now + delay
+        when = self.now + delay
         dq = self._dq
         if not dq or when >= dq[-1][0]:
             dq.append((when, self._seq, 2, fn, args))
@@ -242,7 +239,7 @@ class Environment:
                 self._cancelled -= 1
                 return False
             handle._env = None
-        self._now = entry[0]
+        self.now = entry[0]
         self._event_count += 1
         entry[3](*entry[4])
         return True
@@ -319,9 +316,9 @@ class Environment:
         executed = 0
         if until is not None:
             until = float(until)
-            if until < self._now:
+            if until < self.now:
                 raise SimulationError(
-                    f"run(until={until}) is in the past (now={self._now})"
+                    f"run(until={until}) is in the past (now={self.now})"
                 )
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
@@ -345,7 +342,7 @@ class Environment:
                 else:
                     break
                 if entry[2] == 2:
-                    self._now = entry[0]
+                    self.now = entry[0]
                     executed += 1
                     entry[3](*entry[4])
                 else:
@@ -354,7 +351,7 @@ class Environment:
                         self._cancelled -= 1
                         continue
                     handle._env = None
-                    self._now = entry[0]
+                    self.now = entry[0]
                     executed += 1
                     entry[3](*entry[4])
         except StopSimulation as stop:
@@ -363,8 +360,8 @@ class Environment:
             if gc_was_enabled:
                 gc.enable()
             self._event_count += executed
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         return None
 
     def stop(self, value: Any = None) -> None:

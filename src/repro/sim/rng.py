@@ -128,26 +128,28 @@ class BatchedStream:
         return low + (high - low) * self.random()
 
     def standard_exponential(self) -> float:
-        """Equivalent to ``Generator.standard_exponential()``."""
-        if self._family != "exponential":
-            self._lock("exponential")
-        if self.block_size == 0:
-            return float(self._rng.standard_exponential())
-        pos = self._pos
-        if pos >= len(self._block):
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._block[pos]
+        """Equivalent to ``Generator.standard_exponential()`` (a scale of 1
+        multiplies exactly)."""
+        return self.exponential()
 
     def exponential(self, scale: float = 1.0) -> float:
         """Equivalent to ``Generator.exponential(scale)``.
 
         numpy computes ``scale * standard_exponential()`` internally, so
         applying the scale per-draw keeps values exact while letting it
-        vary between draws (fluctuating service times).
+        vary between draws (fluctuating service times).  Serves from the
+        block itself: a service draw per request is the hot caller.
         """
-        return scale * self.standard_exponential()
+        if self._family != "exponential":
+            self._lock("exponential")
+        if self.block_size == 0:
+            return scale * float(self._rng.standard_exponential())
+        pos = self._pos
+        if pos >= len(self._block):
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return scale * self._block[pos]
 
     def integers(self, low: int, high: Optional[int] = None) -> int:
         """Equivalent to ``int(Generator.integers(low, high))``.

@@ -71,15 +71,14 @@ class TestOnRequest:
         rgid, replicas = ring.group_for_key(5)
         assert selector.select(rgid, env.now) in replicas
         packet = _request(ring)
-        result = edge._select_work(packet, env.now)
-        assert result is packet
+        edge._select_and_send(packet, env.now)
         assert packet.dst in replicas
         assert packet.server == packet.dst
 
     def test_rebuilds_magic_and_rv(self, setup, edge):
         env, ring, _, selector = setup
         packet = _request(ring)
-        edge._select_work(packet, 0.5)
+        edge._select_and_send(packet, 0.5)
         assert packet.magic == magic_transform(MAGIC_RESPONSE)
         assert packet.retaining_value == 0.5  # send timestamp, per the paper
 
@@ -95,7 +94,7 @@ class TestOnRequest:
         packet = _request(ring)
         packet.rgid = -1
         with pytest.raises(ProtocolError):
-            edge._select_work(packet, env.now)
+            edge._select_and_send(packet, env.now)
 
     def test_counts_a_selection_once_the_clock_reaches_it(self, setup):
         """The accelerator runs its work on admission, dated with the instant
@@ -115,8 +114,10 @@ class TestOnResponse:
     def test_updates_algorithm_state(self, setup, edge):
         env, ring, algorithm, selector = setup
         request = _request(ring)
-        edge._select_work(request, env.now)
-        server = request.dst
+        # The selection and the fields it stamps, without the send on (the
+        # fixture's fabric has no endpoints to deliver to).
+        server = request.server = selector.select(request.rgid, env.now)
+        request.retaining_value = env.now
         env.run(until=4e-3)
         status = ServerStatus(queue_size=3, service_rate=900.0, timestamp=env.now)
         response = request.reply(server, status, 1024)
@@ -130,7 +131,7 @@ class TestOnResponse:
     def test_missing_status_rejected(self, setup, edge):
         env, ring, _, selector = setup
         request = _request(ring)
-        edge._select_work(request, env.now)
+        edge._select_and_send(request, env.now)
         request.server_status = None
         with pytest.raises(ProtocolError):
             edge._absorb_response(request, env.now)

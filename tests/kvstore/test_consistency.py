@@ -24,6 +24,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_sweep
 from repro.faults.events import NodeJoin, NodeLeave
+from repro.kvstore import hashing
 from repro.kvstore.hashing import ConsistentHashRing
 from repro.kvstore.membership import ChurnableRing, ChurnCoordinator
 from repro.sim import Environment
@@ -180,6 +181,41 @@ class TestChurnableRing:
         ring.deactivate("server2")
         ring.activate("server2")
         assert ring.group_snapshot() == snapshot
+
+    def test_memoized_keys_follow_churn(self):
+        """Lookups memoized before a leave and a rejoin answer as a ring built
+        fresh for the active set after each does."""
+        ring = self._ring()
+        keys = range(500)
+        for key in keys:
+            ring.group_for_key(key)
+        ring.deactivate("server2")
+        fresh = self._ring()
+        fresh.deactivate("server2")
+        assert [ring.group_for_key(k) for k in keys] == [
+            fresh.group_for_key(k) for k in keys
+        ]
+        ring.activate("server2")
+        fresh = self._ring()
+        assert [ring.group_for_key(k) for k in keys] == [
+            fresh.group_for_key(k) for k in keys
+        ]
+
+    def test_churn_hashes_no_key_again(self, monkeypatch):
+        ring = self._ring()
+        ring.group_for_key(7)
+        calls = []
+        real = hashing.stable_hash
+        monkeypatch.setattr(
+            hashing, "stable_hash", lambda text: calls.append(text) or real(text)
+        )
+        ring.deactivate("server2")
+        ring.activate("server2")
+        ring.deactivate("server4")
+        ring.group_for_key(7)
+        assert calls == []
+        ring.group_for_key(8)  # a key never looked up is hashed
+        assert calls == ["key:8"]
 
     def test_deactivate_below_replication_factor_rejected(self):
         ring = self._ring()

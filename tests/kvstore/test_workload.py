@@ -62,6 +62,29 @@ class TestZipfSampler:
         b = ZipfSampler(1000, 0.99, np.random.default_rng(9))
         assert [a.sample() for _ in range(100)] == [b.sample() for _ in range(100)]
 
+    @pytest.mark.parametrize(
+        "n, s", [(1000, 0.99), (100_000_000, 0.99), (50, 1.5), (1000, 1.0)]
+    )
+    def test_sample_inlines_the_reference_inverse(self, n, s):
+        """``sample`` inlines ``_h_integral_inverse``: draw for draw, key for
+        key it is rejection-inversion through the reference method (``s = 1``
+        takes its series branch)."""
+        sampler = ZipfSampler(n, s, np.random.default_rng(11))
+        ref = ZipfSampler(n, s, np.random.default_rng(11))
+
+        def reference():
+            while True:
+                u = ref._h_n + ref._draws.random() * (ref._h_x1 - ref._h_n)
+                x = ref._h_integral_inverse(u)
+                k = min(max(int(x + 0.5), 1), n)
+                if k - x <= ref._threshold or (
+                    u >= ref._h_integral(k + 0.5) - ref._h(k)
+                ):
+                    return k
+
+        draws = range(3000)
+        assert [sampler.sample() for _ in draws] == [reference() for _ in draws]
+
 
 class TestDemandWeights:
     def test_uniform_by_default(self):
