@@ -20,7 +20,7 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.network.addressing import SourceMarker, tier_between
+from repro.network.addressing import TIER_BY_MATCH, SourceMarker
 from repro.network.packet import Packet
 from repro.sim.core import Environment
 
@@ -69,15 +69,20 @@ class NetRSMonitor:
 
     def _settle(self) -> None:
         """Count, in the order they left, the responses the clock has passed."""
-        now, notes = self.env.now, self._notes
+        now, notes, counts = self.env.now, self._notes, self._counts
+        pod, rack = self.marker.pod, self.marker.rack
         while notes and notes[0][0] <= now:
             _when, _order, dst, marker = heappop(notes)
             group_id = self.group_lookup(dst)
             if group_id is None:
                 self._unmatched += 1
                 continue
-            counters = self._counts.setdefault(group_id, [0, 0, 0])
-            counters[tier_between(marker, self.marker)] += 1
+            tier = TIER_BY_MATCH[marker.pod == pod][marker.rack == rack]
+            try:
+                counts[group_id][tier] += 1
+            except KeyError:
+                counters = counts[group_id] = [0, 0, 0]
+                counters[tier] += 1
             self._observed += 1
 
     @property

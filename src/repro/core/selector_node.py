@@ -5,9 +5,9 @@ NetRS request the selector resolves the RGID against its local replica-group
 database and runs the configured replica-selection algorithm; for a cloned
 NetRS response it folds the piggybacked server status, and the response time
 derived from the retaining value, into the algorithm's state.  What carries
-those values -- a packet whose destination, retaining value and magic the
-switch rewrites around :meth:`NetRSSelector.select`, or a flow-tier job
-tuple -- is the caller's business.
+a request -- a packet the switch rewrites around :meth:`NetRSSelector.select`,
+or a flow-tier job tuple -- is the caller's business; a clone is
+``(server, rv, status)`` on both tiers, and :meth:`NetRSSelector.fold` its work.
 
 The accelerator runs its work on admission and tells it the instant its
 service completes, so ``now`` may lie ahead of the clock by the packet's
@@ -18,8 +18,9 @@ clock, as the accelerator's own do.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List
+from typing import List, Tuple
 
+from repro.errors import ConfigurationError, ProtocolError
 from repro.kvstore.hashing import ConsistentHashRing
 from repro.network.packet import ServerStatus
 from repro.selection.base import ReplicaSelector
@@ -52,8 +53,12 @@ class NetRSSelector:
 
     def select(self, rgid: int, now: float) -> str:
         """Choose a replica of group ``rgid`` for a request served at ``now``."""
+        try:
+            replicas = self.ring.groups[rgid]
+        except IndexError:
+            raise ConfigurationError(f"unknown RGID {rgid}") from None
         algorithm = self.algorithm
-        server = algorithm.select(self.ring.replicas(rgid), now)
+        server = algorithm.select(replicas, now)
         algorithm.note_sent(server, now)
         self._selected += 1
         self._selects_ahead.append(now)
@@ -61,12 +66,16 @@ class NetRSSelector:
             _still_ahead(self._selects_ahead, self.env.now)
         return server
 
-    def fold(self, server: str, rv: float, status: ServerStatus, now: float) -> None:
-        """Fold a response clone served at ``now`` into local information.
+    def fold(self, clone: Tuple[str, float, ServerStatus], now: float) -> None:
+        """Accelerator work for a response clone ``(server, rv, status)``:
+        fold it, served at ``now``, into local information.
 
         ``rv`` is the retaining value the request left with: the instant it
         was selected, so ``now - rv`` is the response time seen from here.
         """
+        server, rv, status = clone
+        if status is None:
+            raise ProtocolError(f"NetRS response from {server} carries no status")
         self.algorithm.note_response(server, now - rv, status, now)
         self._folded += 1
         self._folds_ahead.append(now)

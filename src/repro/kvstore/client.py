@@ -138,9 +138,9 @@ class CompletionTracker:
 #: the wire, toward ``target`` (under NetRS the backup replica: the RSNode
 #: makes the real choice).
 Transmit = Callable[["ClientCore", int, _Outstanding, str], None]
-#: ``completed(client)``: one request reached its terminal state (its first
-#: response arrived, or its retry budget ran out).
-Completed = Callable[["ClientCore"], None]
+#: ``completed()``: one of the client's requests reached its terminal state
+#: (its first response arrived, or its retry budget ran out).
+Completed = Callable[[], None]
 
 
 class ClientCore:
@@ -325,7 +325,7 @@ class ClientCore:
             entry.done = True
             self.requests_lost += 1
             del self._outstanding[request_id]
-            self._completed(self)
+            self._completed()
             return
         entry.attempts += 1
         self.retries += 1
@@ -384,7 +384,7 @@ class ClientCore:
         # completed singletons immediately to bound memory.
         if entry.duplicates_sent == 0 and entry.attempts == 0:
             del self._outstanding[request_id]
-        self._completed(self)
+        self._completed()
 
     def _late_response(
         self, request_id: int, entry: Optional[_Outstanding]
@@ -405,6 +405,10 @@ class ClientCore:
                 # (Copies swallowed by a dead server or link never arrive,
                 # so their entries are kept until run end.)
                 self._outstanding.pop(request_id, None)
+
+
+def _untracked() -> None:
+    """``completed`` of a client no tracker counts."""
 
 
 class KVClient(ClientCore):
@@ -453,7 +457,7 @@ class KVClient(ClientCore):
             selector=selector,
             recorder=recorder,
             transmit=KVClient._send_packet,
-            completed=KVClient._request_completed,
+            completed=tracker.complete if tracker is not None else _untracked,
             netrs=netrs,
             redundancy=redundancy,
             rng=rng,
@@ -515,10 +519,6 @@ class KVClient(ClientCore):
         self.host.send(packet)
         if self.read_quorum > 1 and entry.quorum is None:
             self._probe_digests(entry, request_id, entry.issued_at)
-
-    def _request_completed(self) -> None:
-        if self.tracker is not None:
-            self.tracker.complete()
 
     def handle_packet(self, packet: Packet) -> None:
         """Endpoint callback: fold a response into state and metrics."""
@@ -661,7 +661,7 @@ class KVClient(ClientCore):
                         recorded=entry.record,
                         rgid=entry.rgid,
                     )
-                self._request_completed()
+                self._completed()
         if entry.acks_received >= entry.copies_sent:
             self._outstanding.pop(packet.request_id, None)
 
@@ -682,7 +682,7 @@ class KVClient(ClientCore):
         self.write_failures += 1
         if entry.acks_received >= entry.copies_sent:
             del self._outstanding[request_id]
-        self._request_completed()
+        self._completed()
 
     # ------------------------------------------------------------------
     # Quorum reads & read-repair (see docs/CONSISTENCY.md)
@@ -792,7 +792,7 @@ class KVClient(ClientCore):
         self._repair_if_stale(entry, quorum)
         if entry.duplicates_sent == 0 and entry.attempts == 0:
             self._outstanding.pop(request_id, None)
-        self._request_completed()
+        self._completed()
 
     def _repair_if_stale(
         self, entry: _Outstanding, quorum: _QuorumState

@@ -64,7 +64,8 @@ class ConsistentHashRing:
         points.sort()
         self._hashes: List[int] = [h for h, _ in points]
         self._owners: List[str] = [s for _, s in points]
-        self._groups: List[Tuple[str, ...]] = [
+        # The replica-group database: RGID -> candidate servers.
+        self.groups: List[Tuple[str, ...]] = [
             self._walk_replicas(i) for i in range(len(points))
         ]
         # Key-lookup memo: the ring is frozen after construction and
@@ -108,25 +109,18 @@ class ConsistentHashRing:
             index = 0
         if len(self._key_cache) >= self._KEY_CACHE_LIMIT:
             self._key_cache.clear()
-        result = (index, self._groups[index])
+        result = (index, self.groups[index])
         self._key_cache[key] = result
         return result
 
-    def replicas(self, rgid: int) -> Tuple[str, ...]:
-        """Replica-group database lookup: RGID -> candidate servers."""
-        try:
-            return self._groups[rgid]
-        except IndexError:
-            raise ConfigurationError(f"unknown RGID {rgid}") from None
-
     def group_database(self) -> Dict[int, Tuple[str, ...]]:
         """Full RGID -> replicas mapping (what a selector would hold)."""
-        return dict(enumerate(self._groups))
+        return dict(enumerate(self.groups))
 
     def ownership_counts(self) -> Dict[str, int]:
         """Primary-ownership counts per server (for balance diagnostics)."""
         counts: Dict[str, int] = {server: 0 for server in self.servers}
-        for group in self._groups:
+        for group in self.groups:
             counts[group[0]] += 1
         return counts
 

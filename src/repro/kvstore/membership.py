@@ -90,7 +90,7 @@ class ChurnableRing(ConsistentHashRing):
 
     def group_snapshot(self) -> List[Tuple[str, ...]]:
         """Copy of the current RGID -> replicas table (for ownership diffs)."""
-        return list(self._groups)
+        return list(self.groups)
 
     def activate(self, server: str) -> None:
         """Admit ``server``; recomputes every replica group."""
@@ -121,7 +121,7 @@ class ChurnableRing(ConsistentHashRing):
             )
 
     def _rebuild(self) -> None:
-        groups = self._groups = [
+        groups = self.groups = [
             self._walk_replicas(i) for i in range(len(self._hashes))
         ]
         # A key's rgid (its ring segment) does not depend on membership, its

@@ -172,7 +172,7 @@ class FlowEngine:
                     selector=scenarios.client_selector(config, rng, name),
                     recorder=self.recorder,
                     transmit=transmit,
-                    completed=self._complete_request,
+                    completed=self.tracker.complete,
                     netrs=config.netrs,
                     redundancy=redundancy,
                     rng=(
@@ -254,9 +254,6 @@ class FlowEngine:
 
     def _stop(self) -> None:
         self._stopped = True
-
-    def _complete_request(self, client: ClientCore) -> None:
-        self.tracker.complete()
 
     def run(self, until: Optional[float] = None) -> None:
         """Drive the experiment until completion (or the safety horizon)."""
@@ -419,16 +416,11 @@ class FlowEngine:
         for d in hops[:-1]:
             t += d
         op = self._operator_of[client.name]
-        op.accelerator.note_at(t, (op, rv, server.name, status), self._absorb_response)
+        op.accelerator.note_at(t, (server.name, rv, status), op.selector.fold)
         self._send_along(
             self.now, hops, marked_size, marked_overhead,
             self._on_response[client], (rid, server.name, status),
         )
-
-    def _absorb_response(self, job, now: float) -> None:
-        """Accelerator work for a response clone: update state, drop."""
-        op, rv, server_name, status = job
-        op.selector.fold(server_name, rv, status, now)
 
 
 def _wire_sizes(config) -> Dict[str, Tuple[int, int]]:

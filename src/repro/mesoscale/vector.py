@@ -781,7 +781,7 @@ class VectorFlowEngine(FlowEngine):
                                 insort(mirror, latency)
                         if not dup_sent.get(rid, 0) and not attempts.get(rid, 0):
                             alive[rid] = 0
-                        # Inlined _complete_request (the tracker tick).
+                        # Inlined CompletionTracker.complete.
                         completed = tracker.completed + 1
                         tracker.completed = completed
                         if completed == tracker.expected:
@@ -881,7 +881,7 @@ class VectorFlowEngine(FlowEngine):
             self._done[rid] = 1
             client.requests_lost += 1
             self._alive[rid] = 0
-            self._complete_request(client)
+            self.tracker.complete()
             return
         attempts += 1
         self._attempts[rid] = attempts

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.core import Environment
 
@@ -79,6 +79,7 @@ class Accelerator:
         # order is the count of notes so far.
         self._inbox: List[Tuple[float, int, Any, Work]] = []
         self._noted = 0
+        self._discarded = 0
         # Accounting, as of the last fold
         self._processed = 0
         self._busy_time = 0.0
@@ -90,12 +91,12 @@ class Accelerator:
         """Maximum processing rate in packets per second."""
         return self.cores / self.service_time
 
-    def _fold(self, now: float) -> None:
+    def _fold(self) -> None:
         """Admit the notes the clock has passed, count the completions."""
+        now = self.env.now
         inbox = self._inbox
-        while inbox and inbox[0][0] < now + self.link_delay:  # handed over by now
-            arrival, _order, job, work = heappop(inbox)
-            self._admit(job, work, arrival, -math.inf)
+        if inbox and inbox[0][0] < now + self.link_delay:
+            self.submit()  # a note is due: admitted first
         inside = self._inside
         done = 0
         for _arrival, finish, queued in inside:
@@ -111,36 +112,42 @@ class Accelerator:
     @property
     def processed(self) -> int:
         """Packets whose service has completed."""
-        self._fold(self.env.now)
+        self._fold()
         return self._processed
+
+    @property
+    def notes_admitted(self) -> int:
+        """Notes whose work has run, as of the clock."""
+        self._fold()
+        return self._noted - self._discarded - len(self._inbox)
 
     @property
     def busy_time(self) -> float:
         """Core-seconds of completed service in the utilization window."""
-        self._fold(self.env.now)
+        self._fold()
         return self._busy_time
 
     @property
     def queue_length(self) -> int:
         """Packets waiting (not counting those in service)."""
+        self._fold()
         now = self.env.now
-        self._fold(now)
         arrived = sum(1 for entry in self._inside if entry[0] <= now)
         return max(0, arrived - self.cores)
 
     @property
     def max_queue_seen(self) -> int:
         """Longest the queue has been."""
+        self._fold()
         now = self.env.now
-        self._fold(now)
         return max(
             [self._max_queue] + [entry[2] for entry in self._inside if entry[0] <= now]
         )
 
     def utilization(self) -> float:
         """Fraction of core-time spent busy since construction."""
+        self._fold()
         now = self.env.now
-        self._fold(now)
         elapsed = now - self._started_at
         if elapsed <= 0:
             return 0.0
@@ -148,22 +155,54 @@ class Accelerator:
 
     def reset_utilization(self) -> None:
         """Start a fresh utilization window (controller epochs)."""
-        now = self.env.now
-        self._fold(now)
+        self._fold()
         self._busy_time = 0.0
-        self._started_at = now
+        self._started_at = self.env.now
 
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------
-    def submit(self, packet: Any, work: Work) -> None:
-        """Called by the co-located switch: ship the packet over the link.
+    def submit(self, packet: Any = None, work: Optional[Work] = None) -> None:
+        """Called by the co-located switch: ship ``packet`` over the link, to
+        be served by ``work``.  With no packet, only the notes due by now are.
 
         Costs no event: calls come in clock order, so the packet's place in
-        the queue is already decided.
+        the queue is already decided.  The notes that reach the accelerator
+        before it are admitted first, in (arrival, noting) order, each with
+        the ``finish`` its own hand-off would have got.
         """
         now = self.env.now
-        self._admit(packet, work, now + self.link_delay, now)
+        arrival = now + self.link_delay
+        inbox = self._inbox
+        inside = self._inside
+        cores = self.cores
+        last = False
+        while not last:
+            if inbox and inbox[0][0] < arrival:  # noted ahead of this one
+                at, _order, job, job_work = heappop(inbox)
+            elif work is None:
+                return  # a read's admission: only notes were due
+            else:
+                at, job, job_work, last = arrival, packet, work, True
+            turn = self._turn
+            start = self._free_at[turn]
+            if start > at:
+                # Every core is busy: it waits, behind whatever else still does.
+                queued = len(inside) - cores + 1
+                for entry in inside:
+                    if entry[1] > at:
+                        break
+                    queued -= 1  # not folded yet, but gone by the arrival
+            else:
+                start = at
+                queued = 0
+            finish = start + self.service_time
+            self._free_at[turn] = finish
+            self._turn = turn + 1 if turn + 1 < cores else 0
+            inside.append((at, finish, queued))
+            job_work(job, finish)
+        if len(inside) > _FOLD_EVERY:
+            self._fold()  # last: it may admit notes, whose work comes after ours
 
     def note_at(self, when: float, job: Any, work: Work) -> None:
         """:meth:`submit` as if called at ``when`` (not before now), for a ``job``
@@ -177,33 +216,7 @@ class Accelerator:
     def settle(self, discard_later: bool = False) -> None:
         """Bring the station to the clock, for a reader of what ``work`` keeps;
         ``discard_later`` forgets the notes not yet due: ``work`` stops listening."""
-        self._fold(self.env.now)
+        self._fold()
         if discard_later:
+            self._discarded += len(self._inbox)
             self._inbox.clear()
-
-    def _admit(self, packet: Any, work: Work, arrival: float, now: float) -> None:
-        """Queue the packet reaching the accelerator at ``arrival`` and serve it."""
-        inbox = self._inbox
-        while inbox and inbox[0][0] < arrival:  # noted ahead of this one
-            due, _order, job, note_work = heappop(inbox)
-            self._admit(job, note_work, due, -math.inf)  # the caller folds
-        turn = self._turn
-        start = self._free_at[turn]
-        inside = self._inside
-        if start > arrival:
-            # Every core is busy: it waits, behind whatever else still does.
-            queued = len(inside) - self.cores + 1
-            for entry in inside:
-                if entry[1] > arrival:
-                    break
-                queued -= 1  # not folded yet, but gone by the arrival
-        else:
-            start = arrival
-            queued = 0
-        finish = start + self.service_time
-        self._free_at[turn] = finish
-        self._turn = turn + 1 if turn + 1 < self.cores else 0
-        inside.append((arrival, finish, queued))
-        work(packet, finish)
-        if len(inside) > _FOLD_EVERY:
-            self._fold(now)  # last: it may admit notes, whose work comes after ours

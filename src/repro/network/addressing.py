@@ -15,6 +15,10 @@ TIER_CORE = 0
 TIER_AGG = 1
 TIER_TOR = 2
 
+#: The traffic tier by ``[same pod][same rack]``: the one definition of the
+#: relation, which the ToR monitors read in place for every response.
+TIER_BY_MATCH = ((TIER_CORE, TIER_CORE), (TIER_AGG, TIER_TOR))
+
 
 @dataclass(frozen=True, slots=True)
 class HostLocation:
@@ -47,6 +51,4 @@ def tier_between(a: SourceMarker | HostLocation, b: SourceMarker | HostLocation)
     Returns 2 for same rack, 1 for same pod different rack, 0 for different
     pods -- the highest tier a default path reaches (paper section III-B).
     """
-    if a.pod == b.pod:
-        return TIER_TOR if a.rack == b.rack else TIER_AGG
-    return TIER_CORE
+    return TIER_BY_MATCH[a.pod == b.pod][a.rack == b.rack]

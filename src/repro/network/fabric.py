@@ -74,8 +74,8 @@ class Network:
     :meth:`transmit` is the reference: one link, one event.  The default
     fabric collapses a run of switches nothing waits at into one event
     with the same accounting, priced by distance (``Host.send`` for a plain
-    packet, :meth:`send_from_host` for a host's NetRS packet,
-    :meth:`express` from a switch) whenever ``_express_ok`` says it may;
+    packet, :meth:`express` for the rest, from a host's ToR or a switch)
+    whenever ``_express_ok`` says it may;
     which switches or links carried a packet only :meth:`track_links`
     records, hop by hop.
 
@@ -159,7 +159,7 @@ class Network:
         self._dead_links: set = set()
         self._degraded_links: Dict[Tuple[str, str], float] = {}
         self._faulty = False
-        # Trunk collapse (Host.send, send_from_host, express): disabled for fault
+        # Trunk collapse (Host.send, express): disabled for fault
         # runs -- a collapsed trunk commits to its path at send time, which
         # would let a packet sail over a link that dies while it is in flight.
         self._trunking = True
@@ -175,7 +175,7 @@ class Network:
         self._distances: Dict[Tuple[str, Optional[str]], Tuple[Optional[str], int]] = {}
         # Whether a NetRS request's client-ToR stamp may ride the host's send:
         # set once the ToR rules are final for the run (no replan armed),
-        # cleared by any later rule write.  See send_from_host.
+        # cleared by any later rule write.  See Host.send.
         self.stamp_at_send = False
         self._refresh_express()
 
@@ -294,46 +294,6 @@ class Network:
         else:
             heappush(env._heap, entry)
 
-    def send_from_host(
-        self, host_name: str, tor_name: str, packet: Packet
-    ) -> None:
-        """Inject a host's packet through its ToR uplink.
-
-        ``Host.send`` has delivered a plain packet on an express fabric.  What
-        the ToR does to the rest rides the send where nothing can change it
-        in flight, and :meth:`express` takes the packet on from the ToR.  A
-        response's source marker says where the host sits, and where the ToR
-        forwards the marked packet never changes after construction.  A NetRS
-        request's stamp reads the ToR's rule tables, so it rides the send only
-        while ``stamp_at_send`` says no rule will be written mid-run (no
-        replan armed, none written since the first plan); a ToR that is an
-        RSNode keeps its event, where it stamps and selects.
-        """
-        if self._express_ok:
-            magic = packet.magic
-            tor = self._devices[tor_name]
-            target = marker = None
-            if magic == MAGIC_REQUEST:
-                if self.stamp_at_send and tor.selector is None:
-                    tor._ingress_from_host(packet)
-                    if packet.magic != MAGIC_REQUEST:
-                        target = packet.dst  # DRS: the backup replica
-                    else:
-                        target = tor._operator_directory.get(packet.rsnode_id)
-            elif magic == MAGIC_MONITOR:
-                target, marker = packet.dst, tor.marker
-            elif magic == MAGIC_RESPONSE and packet.rsnode_id != tor.operator_id:
-                # (A ToR that is the response's RSNode clones it: an event.)
-                target = tor._operator_directory.get(packet.rsnode_id)
-                marker = tor.marker
-            if target is not None and self.express(
-                tor_name, target, packet, marker, None, True
-            ):
-                return
-        # Per-hop fabric, work for this very ToR, nothing attached or no fixed
-        # distance: the reference path delivers as far as it can, or raises.
-        self.transmit(host_name, tor_name, packet)
-
     def express(
         self,
         at: str,
@@ -357,7 +317,9 @@ class Network:
         whose RSNode cannot select is that RSNode's event.  ``from_host``: the
         packet is still at a host under ToR ``at``, the uplink is one more
         link, accounted as sent, and a response's links after it carry the
-        ToR's ``marker``.  With ``base`` it leaves ``at`` then, not now.
+        ToR's ``marker``; ``target`` may then be ``at`` itself.  A host under
+        ``at`` is a target from anywhere.  With ``base`` it leaves ``at``
+        then, not now.
         """
         if not self._express_ok:
             return False
@@ -366,7 +328,7 @@ class Network:
             egress, links = distances[at, target]
         except KeyError:
             egress, links = distances[at, target] = self.router.distance(at, target)
-        if not links:
+        if not links and (egress != at or (target == at and not from_host)):
             return False
         magic = packet.magic
         first, rsnode = links, None  # the links to the RSNode that clones it, if one does
@@ -407,9 +369,10 @@ class Network:
         now = when = self.env.now if base is None else base
         for _ in range(first):
             when += delay  # chained, as hop by hop: delay * first differs in the last ulp
-        if rsnode is not None:
-            rsnode.note_clone(packet, when)  # as it passes the RSNode,
-            packet.magic = magic  # which relabels it
+        if rsnode is not None:  # as it passes the RSNode, which clones and relabels it
+            clone = packet.server, packet.retaining_value, packet.server_status
+            rsnode.accelerator.note_at(when, clone, rsnode.selector.fold)
+            packet.magic = magic
             for _ in range(links - first):
                 when += delay
         if monitor is not None and marker is not None:

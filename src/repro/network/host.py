@@ -3,7 +3,8 @@
 A :class:`Host` owns one topology host node, forwards everything it receives
 to the *endpoint* living on it (a key-value client or server), and injects
 the endpoint's outgoing packets into the network via its ToR uplink.  A plain
-packet on an express fabric it delivers itself: one call, one event.
+packet on an express fabric it delivers itself: one call, one event; a NetRS
+packet it hands to ``Network.express`` with the ToR's work done.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from repro.network.packet import (
     _SIZE_SS,
     _SIZE_SSL,
     _SIZE_UDP_HEADERS,
+    MAGIC_MONITOR,
     MAGIC_PLAIN,
+    MAGIC_REQUEST,
+    MAGIC_RESPONSE,
     Packet,
 )
 
@@ -65,20 +69,52 @@ class Host:
         :meth:`Network.plain_row` against this host's ToR and pod) are
         accounted here and one delivery scheduled at its endpoint -- timing,
         counters and tie-breaking seqs exactly hop-by-hop forwarding's.
-        Anything else is :meth:`Network.send_from_host`'s.
+
+        What the ToR does to a NetRS packet rides the send where nothing can
+        change it in flight, and :meth:`Network.express` takes the packet on
+        from the ToR.  A response's source marker says where the host sits,
+        and where the ToR forwards the marked packet -- to the RSNode it names,
+        the ToR itself included, or to the client -- never changes after
+        construction.  A request's stamp reads the ToR's rule tables, so it
+        rides the send only while ``Network.stamp_at_send`` says no rule will
+        be written mid-run (no replan armed, none written since the first
+        plan); a ToR that is an RSNode keeps its event, where it stamps and
+        selects.  Per-hop fabric, nothing attached or no fixed distance: the
+        reference path delivers as far as it can, or raises.
         """
         network = self.network
+        magic = packet.magic
         links = 0
-        if packet.magic == MAGIC_PLAIN and network._express_ok:
-            try:
-                row = network._plain_rows[packet.dst]
-            except KeyError:
-                row = network.plain_row(packet.dst)
-            if row is not None:
-                handle, tor, pod = row
-                links = 2 if tor == self.tor_name else 4 if pod == self._pod else self._far
+        if network._express_ok:
+            if magic == MAGIC_PLAIN:
+                try:
+                    row = network._plain_rows[packet.dst]
+                except KeyError:
+                    row = network.plain_row(packet.dst)
+                if row is not None:
+                    handle, tor, pod = row
+                    links = 2 if tor == self.tor_name else 4 if pod == self._pod else self._far
+            else:
+                tor = network._devices[self.tor_name]
+                target = marker = None
+                if magic == MAGIC_REQUEST:
+                    if network.stamp_at_send and tor.selector is None:
+                        tor._ingress_from_host(packet)
+                        if packet.magic != MAGIC_REQUEST:
+                            target = packet.dst  # DRS: the backup replica
+                        else:
+                            target = tor._operator_directory.get(packet.rsnode_id)
+                elif magic == MAGIC_MONITOR:
+                    target, marker = packet.dst, tor.marker
+                elif magic == MAGIC_RESPONSE:
+                    target = tor._operator_directory.get(packet.rsnode_id)
+                    marker = tor.marker
+                if target is not None and network.express(
+                    self.tor_name, target, packet, marker, None, True
+                ):
+                    return
         if not links:
-            network.send_from_host(self.name, self.tor_name, packet)
+            network.transmit(self.name, self.tor_name, packet)
             return
         packet.hops += links - 2  # all switches but the egress ToR
         # Inlined Packet.wire_accounting (the reference implementation; a

@@ -24,7 +24,7 @@ packet *waits* at (or the host) is -- a request at the RSNode's selection, and
 at the client ToR's stamp only while a rule can still change mid-run
 (``Network.stamp_at_send``; otherwise the stamp rides the host's send), a
 response nowhere: its clone and its count are notes dated ahead
-(:meth:`note_clone`, ``Monitor.note_at``) -- and the fabric delivers there in
+(``Accelerator.note_at``, ``Monitor.note_at``) -- and the fabric delivers there in
 one event (:meth:`Network.express`); the reference follows
 a source-routed path hop by hop, (re)computed whenever a rule changes the
 packet's steering target, as real switches running the same ECMP would.
@@ -32,7 +32,7 @@ packet's steering target, as real switches running the same ECMP would.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Set
+from typing import Dict, Optional, Protocol, Set, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError, RoutingError
 from repro.network.accelerator import Accelerator
@@ -63,8 +63,9 @@ class Selector(Protocol):
         """Choose a replica of replica group ``rgid``; returns the server."""
         ...  # pragma: no cover - protocol definition
 
-    def fold(self, server: str, rv: float, status: ServerStatus, now: float) -> None:
-        """Fold a response's status and retaining value into local information."""
+    def fold(self, clone: Tuple[str, float, ServerStatus], now: float) -> None:
+        """Fold a response clone ``(server, rv, status)`` into local information:
+        the accelerator work for it."""
         ...  # pragma: no cover - protocol definition
 
 
@@ -101,7 +102,6 @@ class ProgrammableSwitch:
         "_rsnode_for_group",
         "_operator_directory",
         "requests_selected",
-        "_cloned",
         "_transmit",
         "_express",
     )
@@ -140,7 +140,6 @@ class ProgrammableSwitch:
         self._operator_directory: Dict[int, str] = {}
         # Accounting
         self.requests_selected = 0
-        self._cloned = 0
         # Pre-bound fabric entry points for the per-hop forwarding path.
         self._transmit = network.transmit
         self._express = network.express
@@ -242,9 +241,9 @@ class ProgrammableSwitch:
         if magic == MAGIC_RESPONSE:
             if packet.rsnode_id == self.operator_id:
                 if self._can_select:
-                    self.accelerator.submit(  # type: ignore[union-attr]
-                        packet.clone(), self._absorb_response
-                    )
+                    clone = packet.server, packet.retaining_value, packet.server_status
+                    fold = self.selector.fold  # type: ignore[union-attr]
+                    self.accelerator.note_at(self.network.env.now, clone, fold)  # type: ignore[union-attr]
                 packet.magic = MAGIC_MONITOR
                 self._regular_forward(packet)
                 return
@@ -265,9 +264,8 @@ class ProgrammableSwitch:
     def _ingress_from_host(self, packet: Packet) -> None:
         """Extra ToR rules for packets entering the network (section IV-B).
 
-        ``Network.send_from_host`` runs it at the host's send instead, for a
-        NetRS request, while ``Network.stamp_at_send`` and this ToR is no
-        RSNode."""
+        ``Host.send`` runs it at the send instead, for a NetRS request, while
+        ``Network.stamp_at_send`` and this ToR is no RSNode."""
         if packet.magic == MAGIC_REQUEST:
             group_id = self._group_of_host.get(packet.src)
             if group_id is None:
@@ -287,16 +285,17 @@ class ProgrammableSwitch:
                 packet.dst = packet.backup_replica
                 packet.server = packet.backup_replica
         elif packet.magic in (MAGIC_RESPONSE, MAGIC_MONITOR):
-            # The object Network.send_from_host stamps when the stamp rides
-            # the send, and the monitors compare against.
+            # The object Host.send stamps when the stamp rides the send, and
+            # the monitors compare against.
             packet.source_marker = self.marker
 
     @property
     def responses_cloned(self) -> int:
-        """Responses cloned into the accelerator, as of the clock."""
-        if self.accelerator is not None:
-            self.accelerator.settle()
-        return self._cloned
+        """Responses cloned into the accelerator, as of the clock: on this
+        tier every note it takes is a response clone."""
+        if self.accelerator is None:
+            return 0
+        return self.accelerator.notes_admitted
 
     def _select_and_send(self, packet: Packet, now: float) -> None:
         """Accelerator work for a request: select, rebuild, send on.
@@ -321,26 +320,6 @@ class ProgrammableSwitch:
         leaves = now + self.accelerator.link_delay  # type: ignore[union-attr]
         if not self._express(self.name, server, packet, None, leaves):
             self.network.env.post_at(leaves, self._regular_forward, (packet,))
-
-    def _absorb_response(self, packet: Packet, now: float) -> None:
-        """Accelerator work for a cloned response: update state, drop."""
-        self._absorb_clone(self._clone_of(packet), now)
-
-    def _clone_of(self, packet: Packet) -> tuple:
-        """What the selector folds of a response: server, retaining value, status."""
-        if packet.server_status is None:
-            raise ProtocolError(
-                f"NetRS response {packet.request_id} carries no server status"
-            )
-        return packet.server, packet.retaining_value, packet.server_status
-
-    def note_clone(self, packet: Packet, when: float) -> None:
-        """Clone a response that passes at ``when`` (not before now): no event."""
-        self.accelerator.note_at(when, self._clone_of(packet), self._absorb_clone)  # type: ignore[union-attr]
-
-    def _absorb_clone(self, clone: tuple, now: float) -> None:
-        self._cloned += 1
-        self.selector.fold(*clone, now)  # type: ignore[union-attr]
 
     def _forward_toward_operator(self, packet: Packet) -> None:
         rsnode_id = packet.rsnode_id

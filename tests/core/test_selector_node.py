@@ -1,15 +1,17 @@
 """Tests for the NetRS selector running on an accelerator.
 
-The selector is ``select``/``fold`` over plain values; the packet edge -- the
-field rewriting and the wire-format checks around them -- is the switch's
-accelerator work, and is exercised here through the switch that owns it.
+The selector is ``select``/``fold`` over plain values (a clone is
+``(server, rv, status)``, checked for its status here); the packet edge of a
+request -- the field rewriting and the RGID check around the selection -- is
+the switch's accelerator work, and is exercised through the switch that owns
+it.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.selector_node import NetRSSelector
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.kvstore.hashing import ConsistentHashRing
 from repro.network.accelerator import Accelerator
 from repro.network.fabric import Network
@@ -89,6 +91,11 @@ class TestOnRequest:
         assert algorithm.outstanding(server) == 1
         assert selector.requests_handled == 1
 
+    def test_unknown_rgid_rejected(self, setup):
+        env, ring, _, selector = setup
+        with pytest.raises(ConfigurationError):
+            selector.select(len(ring), env.now)
+
     def test_missing_rgid_rejected(self, setup, edge):
         env, ring, _, selector = setup
         packet = _request(ring)
@@ -111,7 +118,7 @@ class TestOnRequest:
 
 
 class TestOnResponse:
-    def test_updates_algorithm_state(self, setup, edge):
+    def test_updates_algorithm_state(self, setup):
         env, ring, algorithm, selector = setup
         request = _request(ring)
         # The selection and the fields it stamps, without the send on (the
@@ -121,20 +128,20 @@ class TestOnResponse:
         env.run(until=4e-3)
         status = ServerStatus(queue_size=3, service_rate=900.0, timestamp=env.now)
         response = request.reply(server, status, 1024)
-        edge._absorb_response(response, env.now)
+        selector.fold(
+            (response.server, response.retaining_value, response.server_status), env.now
+        )
         assert algorithm.outstanding(server) == 0
         assert selector.responses_handled == 1
         track = algorithm._tracks[server]
         assert track.response_time == pytest.approx(4e-3)
         assert track.queue_size == pytest.approx(3.0)
 
-    def test_missing_status_rejected(self, setup, edge):
+    def test_missing_status_rejected(self, setup):
         env, ring, _, selector = setup
-        request = _request(ring)
-        edge._select_and_send(request, env.now)
-        request.server_status = None
+        server = selector.select(ring.group_for_key(5)[0], env.now)
         with pytest.raises(ProtocolError):
-            edge._absorb_response(request, env.now)
+            selector.fold((server, 0.0, None), env.now)
 
     def test_feedback_loop_shifts_selection(self, setup):
         """Bad feedback about one replica steers later requests away."""
@@ -142,6 +149,6 @@ class TestOnResponse:
         rgid, _ = ring.group_for_key(5)
         loaded = selector.select(rgid, env.now)
         status = ServerStatus(queue_size=30, service_rate=100.0, timestamp=0.0)
-        selector.fold(loaded, 0.0, status, env.now)
+        selector.fold((loaded, 0.0, status), env.now)
         picks = {selector.select(rgid, env.now) for _ in range(10)}
         assert loaded not in picks

@@ -332,7 +332,7 @@ class TestOneBodyTwoDrivers:
                 transmit=lambda client, rid, entry, target: sends.append(
                     (engine.now, rid, target)
                 ),
-                completed=completed.append,
+                completed=lambda: completed.append(None),
                 **self._policy(),
             )
             _, replicas = ring.group_for_key(7)

@@ -47,11 +47,7 @@ class TestLookups:
 
     def test_rgid_resolves_to_same_replicas(self, ring):
         rgid, replicas = ring.group_for_key(999)
-        assert ring.replicas(rgid) == replicas
-
-    def test_unknown_rgid_raises(self, ring):
-        with pytest.raises(ConfigurationError):
-            ring.replicas(10**9)
+        assert ring.groups[rgid] == replicas
 
     def test_group_database_covers_all_segments(self, ring):
         database = ring.group_database()

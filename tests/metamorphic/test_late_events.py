@@ -1,5 +1,5 @@
-"""Late-event relation: a fault or a churn event scheduled after the run's
-last completion changes no sample and no endpoint counter.
+"""Late-event relation: a fault, a churn event or a replan tick scheduled
+after the run's last completion changes no sample and no endpoint counter.
 
 Nothing the run reports can depend on what was due after it ended.  A
 schedule that is merely *present* must not reroute traffic, reseed a stream,
@@ -71,5 +71,28 @@ def test_an_event_after_the_last_completion_changes_nothing(scheme, engine, even
     got, want = result.counters(), plain.counters()
     differing = sorted(
         name for name in want if name not in skip and got[name] != want[name]
+    )
+    assert differing == []
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("scheme", ["netrs-ilp", "netrs-tor"])
+def test_a_replan_after_the_last_completion_changes_nothing(scheme, seed):
+    """A ``replan_period`` whose first tick is due after the run: with none
+    armed the client ToR's stamp rides the host's send, with one armed it is
+    the ToR's event.  The two paths must give one answer; only the events
+    the armed run spends on the stamp may differ."""
+    config = ExperimentConfig.small(seed=seed, scheme=scheme, total_requests=2000)
+    plain = run_experiment(config, keep_scenario=True)
+    late = plain.sim_duration + 1e-9  # the last completion is the run's end
+    result = run_experiment(config.replace(replan_period=late), keep_scenario=True)
+
+    assert plain.scenario.network.stamp_at_send
+    assert not result.scenario.network.stamp_at_send
+    assert result.scenario.controller.replans == 0
+    assert _bytes(result) == _bytes(plain)
+    got, want = result.counters(), plain.counters()
+    differing = sorted(
+        name for name in want if name not in ENGINE_WORK and got[name] != want[name]
     )
     assert differing == []

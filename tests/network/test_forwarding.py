@@ -828,7 +828,7 @@ class TestStampAtSend:
         "scheme, per_request",
         [
             ("netrs-ilp", 5.02),  # arrival, RSNode, server twice, client
-            ("netrs-tor", 5.08),  # the RSNode is the client ToR: its event stays
+            ("netrs-tor", 5.02),  # the RSNode is the client ToR: that is its wait
         ],
     )
     def test_events_per_request_without_a_replan(self, scheme, per_request):

@@ -54,8 +54,8 @@ class ScriptedSelector:
         self.requests.append((rgid, now))
         return self.server
 
-    def fold(self, server, rv, status, now):
-        self._responses.append((server, rv, status, now))
+    def fold(self, clone, now):
+        self._responses.append((*clone, now))
 
     @property
     def responses(self):

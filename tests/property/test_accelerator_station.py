@@ -313,18 +313,15 @@ def test_a_deactivated_operator_keeps_no_note():
         def __init__(self):
             self.folded = []
 
-        def fold(self, server, rv, status, now):
-            self.folded.append(server)
+        def fold(self, clone, now):
+            self.folded.append(clone[0])
 
     selector = Folds()
     operator.activate(selector, {7: "agg0.0"})
     status = ServerStatus(queue_size=1, service_rate=500.0, timestamp=0.0)
     for when, server in ((1e-3, "due"), (3e-3, "later"), (2e-3, "due-too")):
-        response = Packet(
-            src=server, dst="host0.0.0", magic=MAGIC_MONITOR, request_id=1, rsnode_id=7,
-            server=server, server_status=status,
-        )  # fmt: skip
-        switch.note_clone(response, when)
+        # A response clone, as express delivery notes one passing the switch.
+        accelerator.note_at(when, (server, 0.0, status), selector.fold)
     env.run(until=2.5e-3)
     operator.deactivate()
     assert selector.folded == ["due", "due-too"]

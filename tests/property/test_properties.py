@@ -143,7 +143,7 @@ class TestHashRingProperties:
         for key in keys:
             rgid, replicas = ring.group_for_key(key)
             assert len(set(replicas)) == rf
-            assert ring.replicas(rgid) == replicas
+            assert ring.groups[rgid] == replicas
 
 
 class TestZipfProperties:
