@@ -26,13 +26,21 @@ from repro.core.plan import SelectionPlan
 from repro.errors import InfeasiblePlanError, PlacementError
 from repro.sim.guard import host_clock
 
+#: ``scipy.optimize.milp``'s status for a problem proven infeasible; 0 is
+#: optimal, anything else means the solver stopped without an answer.
+_HIGHS_INFEASIBLE = 2
+
 
 def solve_ilp(
     problem: PlacementProblem,
     *,
     hop_tie_break: bool = True,
 ) -> SelectionPlan:
-    """Solve the placement ILP exactly; raises on infeasibility.
+    """Solve the placement ILP exactly.
+
+    Raises :class:`~repro.errors.InfeasiblePlanError` when no plan exists
+    (the controller then degrades a group and retries), and
+    :class:`~repro.errors.PlacementError` when HiGHS stops without deciding.
 
     The plan's ``proof`` says how its RSNode count was shown minimal:
     ``"bound"`` (the greedy plan meets the lower bound) or ``"milp"``.
@@ -137,10 +145,16 @@ def solve_ilp(
     integrality = np.ones(n_vars)
 
     result = milp(c, constraints=constraints, bounds=bounds, integrality=integrality)
-    if result.status != 0 or result.x is None:
+    if result.status == _HIGHS_INFEASIBLE:
         raise InfeasiblePlanError(
-            f"placement ILP infeasible or unsolved: {result.message}",
+            f"placement ILP infeasible: {result.message}",
             unplaced_groups=tuple(g.group_id for g in groups),
+        )
+    if result.status != 0 or result.x is None:
+        # Stopped without a proof either way (a limit, a numerical failure):
+        # no group is shown unplaceable, so none is degraded for it.
+        raise PlacementError(
+            f"placement ILP unsolved (HiGHS status {result.status}): {result.message}"
         )
 
     chosen = np.flatnonzero(np.asarray(result.x)[:n_pairs] > 0.5)
@@ -160,4 +174,5 @@ def solve_ilp(
         objective=float(len(set(assignments.values()))),
         solve_time=host_clock() - started,
         proof="milp",
+        mip_node_count=int(result.mip_node_count),
     )

@@ -59,6 +59,9 @@ class SelectionPlan:
     #: greedy plan meets the problem's lower bound) or ``"milp"`` (HiGHS);
     #: empty for the heuristics.
     proof: str = ""
+    #: Branch-and-bound nodes HiGHS explored (deterministic for one model);
+    #: 0 when HiGHS did not run.
+    mip_node_count: int = 0
 
     @property
     def rsnode_ids(self) -> Tuple[int, ...]:

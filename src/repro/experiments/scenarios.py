@@ -99,6 +99,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     client_hosts, server_hosts = assign_roles(
         config, [h.name for h in topology.hosts], rng
     )
+    rng.declare(host_stream_names(config, client_hosts, server_hosts))
     if config.churn_schedule:
         # Mutable membership: never the memoized shared ring.
         ring = ChurnableRing(
@@ -204,6 +205,24 @@ def assign_roles(
         shuffled[config.n_clients : config.n_clients + config.n_servers]
     )
     return clients, servers
+
+
+def host_stream_names(
+    config: ExperimentConfig, client_hosts: List[str], server_hosts: List[str]
+) -> List[str]:
+    """The per-host RNG streams the endpoint builders below draw on.
+
+    A build declares them in one call (:meth:`RngRegistry.declare`), so their
+    seeds are derived in one pass; a name left out here is still derived on
+    first use, one at a time.
+    """
+    names = [f"service.{name}" for name in server_hosts]
+    if config.fluctuation_range > 1.0:
+        names += [f"fluctuation.{name}" for name in server_hosts]
+    names += [f"selector.client.{name}" for name in client_hosts]
+    if config.redundancy_enabled:
+        names += [f"redundancy.{name}" for name in client_hosts]
+    return names
 
 
 def service_model(config: ExperimentConfig, rng: RngRegistry, name: str):

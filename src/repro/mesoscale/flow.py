@@ -61,7 +61,7 @@ from repro.faults.schedule import parse_fault_schedule
 from repro.kvstore.client import ClientCore, CompletionTracker
 from repro.kvstore.hashing import shared_ring
 from repro.kvstore.server import ServerCore
-from repro.mesoscale.geometry import FatTreeGeometry
+from repro.mesoscale.geometry import shared_geometry
 from repro.mesoscale.support import flow_models
 from repro.network.accelerator import Accelerator
 from repro.network.addressing import SourceMarker
@@ -108,7 +108,7 @@ class FlowEngine:
                 "the packet engine"
             )
         self.config = config
-        self.geometry = FatTreeGeometry(config.fat_tree_k)
+        self.geometry = shared_geometry(config.fat_tree_k)
         rng = RngRegistry(config.seed)
         self.rng = rng
         batch = config.rng_batch_size
@@ -124,6 +124,17 @@ class FlowEngine:
         # --- roles ---------------------------------------------------------
         self.client_hosts, self.server_hosts = scenarios.assign_roles(
             config, self.geometry.hosts, rng
+        )
+        # netrs-tor: one RSNode per client ToR, its selector's stream named
+        # by its rank, declared with the hosts' streams.
+        tors = (
+            sorted({self.geometry.tor_name(name) for name in self.client_hosts})
+            if config.netrs
+            else []
+        )
+        rng.declare(
+            scenarios.host_stream_names(config, self.client_hosts, self.server_hosts)
+            + [f"selector.operator.{index}" for index in range(1, len(tors) + 1)]
         )
         self.ring = shared_ring(
             self.server_hosts,
@@ -195,7 +206,6 @@ class FlowEngine:
         self.operators: Dict[str, _FlowOperator] = {}
         self._operator_of: Dict[str, _FlowOperator] = {}
         if config.netrs:
-            tors = sorted({self.geometry.tor_name(name) for name in self.client_hosts})
             for index, tor in enumerate(tors, start=1):
                 algorithm = scenarios.operator_selector(config, rng, index, len(tors))
                 selector = NetRSSelector(self, algorithm=algorithm, ring=self.ring)
@@ -281,7 +291,7 @@ class FlowEngine:
         instance dict cuts every one of those cycles at the engine, whatever
         attributes a later change adds, so all the engine owned is freed by
         reference count here; what it shares (the recorder the result keeps,
-        the interned ring) is only released.
+        the interned ring and geometry) is only released.
         """
         self.__dict__.clear()
 

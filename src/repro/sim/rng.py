@@ -8,16 +8,26 @@ Streams are derived from one experiment seed by *name*, so
 * adding a new consumer does not perturb the draws of existing ones (unlike
   sharing one generator).
 
-Names are hashed through ``SeedSequence(root, name_bytes)`` which gives
-statistically independent child streams.
+Stream ``name`` under ``seed`` is the PCG64 generator numpy seeds from
+``SeedSequence(entropy=(seed, zlib.crc32(name)))``, which gives statistically
+independent child streams.  The seed words are derived here, not by numpy's
+``SeedSequence``: :class:`_SeedKernel` is a vectorisation of its hash mixing
+over an array of names, so a build derives the words of all its per-host
+streams (a service and a selector stream per host, and more) in one numpy
+pass instead of one ``SeedSequence`` a name.  A build declares those names up
+front (:meth:`RngRegistry.declare`); a name never declared takes the same
+kernel with one name.  ``SeedSequence`` itself is the test oracle:
+``tests/sim/test_rng.py`` checks that every stream draws bit-identically to
+the generator numpy would seed, for any seed size and name.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from repro.errors import ConfigurationError
 
@@ -178,20 +188,177 @@ class BatchedStream:
         self._pos = pos + 1
         return self._block[pos]
 
-    def spawn(self) -> "BatchedStream":
-        """Derive an independent child stream (same block ceiling).
-
-        Children come from the underlying generator's ``SeedSequence`` spawn
-        counter, which is independent of how many values were drawn — so a
-        batched parent (which pre-draws ahead) spawns exactly the same
-        children as a scalar parent.
-        """
-        return BatchedStream(self._rng.spawn(1)[0], self.block_size)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<BatchedStream family={self._family} block={self.block_size} "
             f"served={self._pos}/{len(self._block)}>"
+        )
+
+
+# ----------------------------------------------------------------------
+# Seeding: numpy's SeedSequence hash mixing, vectorised over names
+# ----------------------------------------------------------------------
+# The constants of numpy/random/bit_generator.pyx.  Entropy words are mixed
+# into a pool of four by ``hashmix`` (the running constant starts at INIT_A
+# and is multiplied by MULT_A at each call) and ``mix``; ``generate_state``
+# hashes the pool out again, its constant chain starting at INIT_B.  The
+# multipliers and the shift are numpy scalars, and every operand they meet is
+# an array, so products wrap without a warning.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+#: PCG64 takes four 64-bit seed words: eight 32-bit ones, the pool twice.
+_STATE_WORDS = 2 * _POOL_SIZE
+
+
+def _constant_chain(init: int, mult: int, calls: int) -> np.ndarray:
+    """The running hash constant before each of ``calls`` hash calls and
+    after the last: ``calls + 1`` values."""
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix``, with the running constant before the call
+    (``xor``) and after it (``mult``) given."""
+    values = (values ^ xor) * mult
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix``."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+_STATE_CHAIN = _constant_chain(_INIT_B, _MULT_B, _STATE_WORDS)[None, :]
+_STATE_XOR = _STATE_CHAIN[:, :-1]
+_STATE_MULT = _STATE_CHAIN[:, 1:]
+
+
+class _SeedKernel:
+    """The PCG64 seed words of ``SeedSequence(entropy=(seed, digest))`` for
+    an array of 32-bit name digests, in one numpy pass.
+
+    The entropy is the seed's 32-bit words, least significant first, then
+    the digest.  Everything the digest does not reach is worked out here,
+    once per seed: the pool words and hash calls before the digest enters,
+    and the whole chain of hash constants.  :meth:`states` runs the rest
+    with the names down the first axis.
+    """
+
+    __slots__ = ("_head_xor", "_head_mult", "_folds", "_base", "_rounds")
+
+    def __init__(self, seed: int) -> None:
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        words = [seed & _MASK32]
+        seed >>= 32
+        while seed:
+            words.append(seed & _MASK32)
+            seed >>= 32
+        pool_size = _POOL_SIZE
+        digest = len(words)  # the digest's index in the entropy
+        extra = max(0, digest + 1 - pool_size)  # entropy words past the pool
+        chain = _constant_chain(_INIT_A, _MULT_A, pool_size * (pool_size + extra))
+        entropy = np.zeros(pool_size + extra, dtype=np.uint32)
+        entropy[:digest] = words
+
+        # The pool filled (the digest's own word, if it falls in the pool,
+        # is filled per call), then mixed source word by source word.
+        pool = _hashmix(entropy[:pool_size], chain[:pool_size], chain[1 : pool_size + 1])
+        call = pool_size
+        #: Constants the digest's pool word is mixed with before it is a source.
+        self._folds: List[np.ndarray] = []
+        #: (source word, hash constants before and after each call) of the
+        #: rounds whose source word holds the digest.
+        self._rounds: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        for src in range(pool_size):
+            # The constants of the hash calls into every other pool word; the
+            # source word's own slot is a placeholder, its result dropped.
+            dsts = [dst for dst in range(pool_size) if dst != src]
+            xor = np.zeros((1, pool_size), dtype=np.uint32)
+            mult = np.zeros((1, pool_size), dtype=np.uint32)
+            xor[0, dsts] = chain[call : call + pool_size - 1]
+            mult[0, dsts] = chain[call + 1 : call + pool_size]
+            call += pool_size - 1
+            if src < digest:
+                # A seed word: constant, and so is every word it mixes into
+                # but the digest's, which takes it per call.
+                mixed = _hashmix(pool[src : src + 1], xor[0], mult[0])
+                if digest < pool_size:
+                    self._folds.append(mixed[digest : digest + 1])
+                mixed = _mix(pool, mixed)
+                mixed[src] = pool[src]
+                pool = mixed
+            else:
+                self._rounds.append((src, xor, mult))
+        # Entropy past the pool (a seed of four words or more) is mixed into
+        # every pool word; the digest is the last of it.
+        for src in range(pool_size, digest):
+            xor = chain[call : call + pool_size]
+            mult = chain[call + 1 : call + pool_size + 1]
+            call += pool_size
+            pool = _mix(pool, _hashmix(entropy[src : src + 1], xor, mult))
+        if digest < pool_size:
+            self._head_xor = chain[None, digest : digest + 1]
+            self._head_mult = chain[None, digest + 1 : digest + 2]
+        else:
+            self._head_xor = chain[None, call : call + pool_size]
+            self._head_mult = chain[None, call + 1 : call + pool_size + 1]
+        self._base = pool[None, :]
+
+    def states(self, digests: np.ndarray) -> np.ndarray:
+        """PCG64 seed words, shape ``(len(digests), 4)`` uint64, of the names
+        whose digests (uint32) are given."""
+        mixed = _hashmix(digests[:, None], self._head_xor, self._head_mult)
+        if not self._rounds:
+            # The digest came past the pool, mixed into every word of it.
+            pool = _mix(self._base, mixed)
+        else:
+            for fold in self._folds:
+                mixed = _mix(mixed, fold)
+            # The digest's word is the first source; the other words are
+            # still the constant base.
+            pool, source = self._base, mixed
+            for src, xor, mult in self._rounds:
+                pool = _mix(pool, _hashmix(source, xor, mult))
+                pool[:, src : src + 1] = source
+                source = pool[:, src + 1 : src + 2]
+        words = _hashmix(np.concatenate((pool, pool), axis=1), _STATE_XOR, _STATE_MULT)
+        # Little-endian pairs, as SeedSequence assembles its uint64 words.
+        return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(ISpawnableSeedSequence):
+    """One stream's PCG64 seed words, handed to ``PCG64`` as its seed
+    sequence.  A named stream has no children: each stream a model needs is
+    a name of its own, so ``Generator.spawn`` on one raises."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # PCG64 asks for exactly this, and is the only caller.
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a named stream's seed words are PCG64's: 4 uint64")
+        return self.words
+
+    def spawn(self, n_children: int):
+        raise ConfigurationError(
+            "a named stream does not spawn children: give each child stream "
+            "a name of its own (RngRegistry.stream)"
         )
 
 
@@ -202,8 +369,27 @@ class RngRegistry:
         if not isinstance(seed, int):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         self.seed = seed
+        self._kernel = _SeedKernel(seed)
         self._streams: Dict[str, np.random.Generator] = {}
         self._batched: Dict[str, BatchedStream] = {}
+
+    def declare(self, names: Iterable[str]) -> None:
+        """Derive the streams of ``names`` now, in one pass of the kernel.
+
+        A build declares its per-host names right after it assigns roles;
+        the values a stream draws do not depend on whether, or with what,
+        its name was declared.
+        """
+        fresh = [name for name in dict.fromkeys(names) if name not in self._streams]
+        if not fresh:
+            return
+        # Stable 32-bit digest of the name keeps seeds deterministic across
+        # processes and Python builds (hash() is salted).
+        digests = np.array(
+            [zlib.crc32(name.encode("utf-8")) for name in fresh], dtype=np.uint32
+        )
+        for name, words in zip(fresh, self._kernel.states(digests)):
+            self._streams[name] = np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
@@ -212,12 +398,8 @@ class RngRegistry:
         """
         generator = self._streams.get(name)
         if generator is None:
-            # Stable 32-bit digest of the name keeps spawn keys deterministic
-            # across processes and Python builds (hash() is salted).
-            digest = zlib.crc32(name.encode("utf-8"))
-            sequence = np.random.SeedSequence(entropy=(self.seed, digest))
-            generator = np.random.Generator(np.random.PCG64(sequence))
-            self._streams[name] = generator
+            self.declare((name,))
+            generator = self._streams[name]
         return generator
 
     def batched(

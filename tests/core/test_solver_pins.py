@@ -13,9 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 import repro.core.placement.ilp as ilp_module
 from repro.core.placement import solve_greedy
+from repro.errors import InfeasiblePlanError, PlacementError
 from repro.experiments import ExperimentConfig, build_scenario
 from repro.experiments.scenarios import bootstrap_traffic
 
@@ -52,7 +54,8 @@ def _model_digest(c, constraints, bounds, integrality):
 
 @lru_cache(maxsize=None)
 def _built(profile, seed):
-    """The scenario's plan, the greedy plan of its problem, the models solved."""
+    """The scenario's plan, the greedy plan of its problem, the models solved,
+    the problem."""
     models = []
     real_milp = ilp_module.milp
 
@@ -68,7 +71,7 @@ def _built(profile, seed):
     finally:
         ilp_module.milp = real_milp
     problem = scenario.controller.build_problem(bootstrap_traffic(scenario))
-    return scenario.plan, solve_greedy(problem).assignments, models
+    return scenario.plan, solve_greedy(problem).assignments, models, problem
 
 
 # (profile, seed): (ILP plan, digest of the one model HiGHS solved)
@@ -115,7 +118,7 @@ GREEDY = {
 
 @pytest.mark.parametrize("case", sorted(ILP), ids=lambda case: f"{case[0]}-{case[1]}")
 def test_ilp_plan_and_model_where_highs_runs(case):
-    plan, _greedy, models = _built(*case)
+    plan, _greedy, models, _problem = _built(*case)
     assignments, model = ILP[case]
     assert plan.proof == "milp"
     assert plan.assignments == assignments
@@ -132,12 +135,60 @@ def test_greedy_plan(case):
 )
 def test_greedy_meeting_the_bound_skips_highs(case, rsnodes):
     """HiGHS found the same RSNode count on both; greedy's plan is kept."""
-    plan, greedy, models = _built(*case)
+    plan, greedy, models, _problem = _built(*case)
     assert plan.proof == "bound"
+    assert plan.mip_node_count == 0
     assert plan.solver == "ilp"
     assert plan.rsnode_count == rsnodes
     assert plan.assignments == greedy
     assert models == []
+
+
+def test_benchmark_cell_solves_at_the_root():
+    """The benchmark's fixed ``pkt-netrs-ilp`` cell: HiGHS proves the
+    3-RSNode plan at its first branch-and-bound node."""
+    plan, _greedy, _models, problem = _built(SMALL_32, 0)
+    assert plan.proof == "milp"
+    assert plan.rsnode_count == 3
+    assert plan.mip_node_count == 1
+    assert problem.plan_extra_hops(plan.assignments) == pytest.approx(5737.5)
+
+
+def _stopped_once(status, monkeypatch):
+    """A controller whose next HiGHS solve reports ``status`` (the ones after
+    it are real), and the list of solves it made."""
+    scenario = build_scenario(_config(TINY, 0))
+    solves = []
+    real_milp = ilp_module.milp
+
+    def stop_first(c, **options):
+        solves.append(status)
+        if len(solves) == 1:
+            return OptimizeResult(status=status, x=None, message="stopped", mip_node_count=7)
+        return real_milp(c, **options)
+
+    monkeypatch.setattr(ilp_module, "milp", stop_first)
+    return scenario.controller, bootstrap_traffic(scenario), solves
+
+
+def test_a_stopped_solve_degrades_no_group(monkeypatch):
+    """HiGHS stopping without an answer (status 1: a limit) proves nothing
+    about the groups: the plan fails, and no group goes to DRS for it."""
+    controller, traffic, solves = _stopped_once(1, monkeypatch)
+    with pytest.raises(PlacementError) as raised:
+        controller.plan(traffic)
+    assert not isinstance(raised.value, InfeasiblePlanError)
+    assert solves == [1]
+    assert not controller.current_plan.drs_groups
+
+
+def test_an_infeasible_solve_degrades_a_group(monkeypatch):
+    """Status 2 is a proof of infeasibility: the controller degrades the
+    busiest group and solves again (section III-C)."""
+    controller, traffic, solves = _stopped_once(2, monkeypatch)
+    plan = controller.plan(traffic)
+    assert len(plan.drs_groups) == 1
+    assert len(plan.assignments) == len(controller.groups) - 1
 
 
 def test_paper_profile_plan_is_proven_by_the_bound():

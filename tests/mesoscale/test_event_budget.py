@@ -23,7 +23,8 @@ it, accounts it and schedules the delivery straight at the endpoint -- a NetRS
 send two, ``Host.send`` and the ``Network.express`` that prices it from the
 ToR, and a whole run's calls per request sit under ceilings about 1 % above
 the measured figures, so a reintroduced per-packet call fails as a
-reintroduced event does.
+reintroduced event does.  A build of each benchmark shape is budgeted the
+same way, and seeds no stream through numpy's ``SeedSequence``.
 """
 
 import cProfile
@@ -32,12 +33,14 @@ import hashlib
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
 from repro.kvstore import hashing
+from repro.mesoscale import FlowEngine, VectorFlowEngine, geometry, shard_configs
 
 
 def test_flow_netrs_request_costs_six_micro_events():
@@ -248,7 +251,8 @@ def test_a_netrs_send_is_the_host_and_one_express():
 #: while a plain send was five calls and a second queue).  The scalar flow
 #: engine's ``flow-tor-faults`` cell (``netrs-tor`` with a server crash and
 #: its retries) is budgeted the same way, its engine built inside the run as
-#: ``run_experiment`` builds it: 94.12 measured (100.39 with the clone folded in
+#: ``run_experiment`` builds it: 93.93 measured (94.12 while every stream was
+#: seeded by a ``SeedSequence`` of its own, 100.39 with the clone folded in
 #: two frames and the tracker behind one more, 111.89 with the accessors).
 #: Ceilings sit about 1 % above: one more call per request fails each.
 FLOW_TOR_FAULTS = dict(
@@ -297,15 +301,122 @@ def _print_fingerprints():  # pragma: no cover - manual re-recording helper
                 print(cell, seed, fingerprint(result))
 
 
+#: The benchmark's fifth shape: the struct-of-arrays engine, four shards of
+#: a 16-ary tree.
+FLOW_SOA_SHARD = dict(
+    scheme="clirs-r95",
+    fat_tree_k=16,
+    n_servers=128,
+    n_clients=512,
+    total_requests=24000,
+    fidelity="flow",
+    vector_batch=4096,
+    shards=4,
+)
+
+#: Calls of one set-up of each benchmark shape on its fixed input (seed 0),
+#: under ``cProfile`` with the process-wide memos (the ring, the fat-tree
+#: geometry) emptied first, the ILP solve's Python frames included: 30 079,
+#: 32 098 (31 907 once a solve has run in the process), 29 430, 60 286 and
+#: 11 686 measured (30 738, 32 325, 29 832, 68 016 and 12 206 while every
+#: stream was seeded by a ``SeedSequence`` of its own and every shard built
+#: its own geometry).  Every per-host stream is declared in one call; one
+#: derived on its own again costs some 20 calls more a host and fails.
+#: Ceilings sit about 1 % above.
+SETUP_CEILINGS = {
+    "pkt-clirs-r95": (PLAIN_TRAFFIC_CELLS["pkt-clirs-r95"][0], 30_400),
+    "pkt-netrs-ilp": (NETRS_CELLS["pkt-netrs-ilp"][0], 32_450),
+    "pkt-quorum-churn": (PLAIN_TRAFFIC_CELLS["pkt-quorum-churn"][0], 29_750),
+    "flow-soa-shard": (FLOW_SOA_SHARD, 60_900),
+    "flow-tor-faults": (FLOW_TOR_FAULTS, 11_800),
+}
+
+
+def _build(config):
+    """What the benchmark's set-up builds: the wired scenario, or one flow
+    engine per shard."""
+    if config.fidelity != "flow":
+        return [build_scenario(config)]
+    return [
+        VectorFlowEngine(sub, vector_batch=sub.vector_batch)
+        if sub.vector_batch
+        else FlowEngine(sub)
+        for sub in shard_configs(config)
+    ]
+
+
+def _release(built):
+    for engine in built:
+        if isinstance(engine, FlowEngine):
+            engine.teardown()
+
+
+def _setup_calls(cell):
+    """Calls of one set-up of ``cell``, the process-wide memos emptied first."""
+    hashing._RING_MEMO.clear()
+    geometry._GEOMETRY_MEMO.clear()
+    config = ExperimentConfig.small(seed=0, **SETUP_CEILINGS[cell][0])
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        built = _build(config)
+    finally:
+        profiler.disable()
+    _release(built)
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
+@pytest.mark.parametrize("cell", sorted(SETUP_CEILINGS))
+def test_a_build_seeds_no_stream_through_seed_sequence(cell, monkeypatch):
+    """Stream seeds come from the registry's vectorised kernel; numpy's
+    ``SeedSequence`` is only its test oracle (``tests/sim/test_rng.py``)."""
+    made = []
+
+    class CountedSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            made.append(args or kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    built = _build(ExperimentConfig.small(seed=0, **SETUP_CEILINGS[cell][0]))
+    _release(built)
+    assert made == []
+
+
+@pytest.mark.parametrize("cell", sorted(SETUP_CEILINGS))
+def test_a_build_stays_under_its_call_budget(cell, monkeypatch):
+    monkeypatch.setattr(hashing, "_RING_MEMO", {})
+    monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
+    assert _setup_calls(cell) < SETUP_CEILINGS[cell][1]
+
+
+def test_flow_shards_share_one_geometry(monkeypatch):
+    """The shards of one run sit on one tree: their engines hold one
+    geometry, and a run reports the same as on geometries of its own."""
+    monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
+    config = ExperimentConfig.small(seed=0, **dict(FLOW_SOA_SHARD, total_requests=4000))
+    engines = _build(config)
+    assert len({id(engine.geometry) for engine in engines}) == 1
+    _release(engines)
+    shared = run_experiment(config)
+    monkeypatch.setattr(geometry, "shared_geometry", geometry.FatTreeGeometry)
+    monkeypatch.setattr("repro.mesoscale.flow.shared_geometry", geometry.FatTreeGeometry)
+    assert _fingerprint(run_experiment(config)) == _fingerprint(shared)
+
+
 def _print_calls():  # pragma: no cover - manual re-recording helper
     for cell in sorted(CALL_CEILINGS):
         calls, _ = _calls_per_request(cell)
         print(f"{cell} {calls:.2f} calls/request (ceiling {CALL_CEILINGS[cell][1]})")
+    for cell in sorted(SETUP_CEILINGS):
+        calls = _setup_calls(cell)
+        print(f"{cell} {calls} set-up calls (ceiling {SETUP_CEILINGS[cell][1]})")
 
 
 if __name__ == "__main__":  # pragma: no cover
     # ``python -m tests.mesoscale.test_event_budget [calls]``: fresh
-    # fingerprints, or each budget cell's calls per request.
+    # fingerprints, or each budget cell's calls per request and each
+    # benchmark shape's set-up calls.
     if sys.argv[1:] == ["calls"]:
         _print_calls()
     else:

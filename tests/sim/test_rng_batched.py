@@ -5,7 +5,7 @@ numpy Generators produce the identical value sequence for ``dist(size=n)``
 as for ``n`` scalar calls, which is the whole contract that lets the
 simulator turn batching on and off without changing a single result.  These
 tests pin that contract for every supported distribution, across block
-boundaries, through the bypass mode, and through ``spawn``.
+boundaries and through the bypass mode.
 """
 
 import numpy as np
@@ -150,13 +150,6 @@ class TestBlockGrowth:
                 pre_drawn += len(batched._block)
             assert served <= pre_drawn < 4 * served + 16
 
-    def test_spawned_children_start_small_again(self, block_size):
-        batched, _ = _pair(block_size=block_size)
-        _serve(batched, batched.random, N_GROWN)  # parent is at its ceiling
-        child = batched.spawn()
-        _, blocks = _serve(child, child.random, 1)
-        assert blocks == [min(16, block_size)]
-
 
 class TestFamilyLock:
     def test_mixed_families_raise(self):
@@ -178,25 +171,6 @@ class TestFamilyLock:
         batched.exponential(1.0)
         with pytest.raises(ConfigurationError):
             batched.random()
-
-
-class TestSpawn:
-    def test_spawn_is_draw_position_independent(self):
-        """A batched parent pre-draws ahead of its scalar twin, but spawned
-        children derive from the SeedSequence spawn counter, not the draw
-        position -- so both parents spawn identical children."""
-        batched, scalar = _pair()
-        for _ in range(10):  # batched parent has pre-drawn its first block
-            batched.random()
-        child_b = batched.spawn()
-        child_s = scalar.spawn(1)[0]
-        assert [child_b.random() for _ in range(200)] == [
-            float(child_s.random()) for _ in range(200)
-        ]
-
-    def test_spawn_inherits_block_size(self):
-        batched, _ = _pair(block_size=13)
-        assert batched.spawn().block_size == 13
 
 
 class TestRegistryParity:
