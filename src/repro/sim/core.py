@@ -64,9 +64,10 @@ class _Handle:
     """Cancellation handle returned by :meth:`Environment.call_at`.
 
     ``_env`` back-references the environment while the entry is still in the
-    heap so a cancellation can be counted toward lazy-deletion bookkeeping;
-    it is dropped when the callback runs (or the entry is compacted away) so
-    late ``cancel()`` calls are harmless no-ops.
+    heap so a cancellation can be counted toward lazy-deletion bookkeeping
+    (and trigger the compaction pass itself: a cancelled timer costs one
+    frame); it is dropped when the callback runs (or the entry is compacted
+    away) so late ``cancel()`` calls are harmless no-ops.
     """
 
     __slots__ = ("cancelled", "_env")
@@ -83,7 +84,13 @@ class _Handle:
         env = self._env
         if env is not None:
             self._env = None
-            env._note_cancelled()
+            cancelled = env._cancelled = env._cancelled + 1
+            if (
+                env._compaction
+                and cancelled >= env.COMPACTION_MIN_CANCELLED
+                and cancelled * 2 >= len(env._heap) + len(env._dq)
+            ):
+                env._compact()
 
 
 class Environment:
@@ -190,15 +197,6 @@ class Environment:
     # ------------------------------------------------------------------
     # Lazy deletion / compaction
     # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
-        if (
-            self._compaction
-            and self._cancelled >= self.COMPACTION_MIN_CANCELLED
-            and self._cancelled * 2 >= len(self._heap) + len(self._dq)
-        ):
-            self._compact()
-
     def _compact(self) -> None:
         """Drop every cancelled entry from the schedule in one O(n) pass.
 

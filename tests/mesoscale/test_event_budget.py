@@ -239,7 +239,12 @@ def test_a_netrs_send_is_the_host_and_one_express():
 #: Calls per request of a whole run on the benchmark's fixed input (seed 0),
 #: set-up left out (an ILP solve's calls are scipy's business) and the
 #: process-wide ring memo emptied first, so that the count is exact whatever
-#: ran before: 80.61, 122.27 and 96.64 measured (81.61, 123.27 and 108.85
+#: ran before: 79.73, 114.26 and 96.64 measured (80.61 and 122.27 while a
+#: cancelled timer counted itself in a second frame, the client folded a write
+#: ack, a digest or a quorum read's data two frames below ``handle_packet``
+#: and checked a finished quorum read for staleness in one more, a server
+#: applied a write and answered a digest in frames of their own and the
+#: churnable ring hashed its own points; 81.61, 123.27 and 108.85
 #: while a NetRS send went through ``send_from_host``, the accelerator admitted
 #: in two frames and noted clones by recursion, a clone was noted in three and
 #: folded in two, the RSNode called the ring for a group, the monitor called
@@ -264,8 +269,8 @@ FLOW_TOR_FAULTS = dict(
     max_retries=5,
 )
 CALL_CEILINGS = {
-    "pkt-clirs-r95": (PLAIN_TRAFFIC_CELLS["pkt-clirs-r95"][0], 81.5),
-    "pkt-quorum-churn": (PLAIN_TRAFFIC_CELLS["pkt-quorum-churn"][0], 123.0),
+    "pkt-clirs-r95": (PLAIN_TRAFFIC_CELLS["pkt-clirs-r95"][0], 80.5),
+    "pkt-quorum-churn": (PLAIN_TRAFFIC_CELLS["pkt-quorum-churn"][0], 115.4),
     "pkt-netrs-ilp": (NETRS_CELLS["pkt-netrs-ilp"][0], 97.5),
     "flow-tor-faults": (FLOW_TOR_FAULTS, 95.0),
 }
@@ -288,6 +293,69 @@ def test_a_run_stays_under_its_call_budget(cell, monkeypatch):
     assert calls < CALL_CEILINGS[cell][1]
     if result.config.fidelity == "flow":
         assert result.micro_events > 0 and result.retries > 0  # the flow engine ran
+
+
+#: Frames the consistency path folded into its callers: the client's
+#: ``handle_packet`` (the three below it and the ack count), its
+#: ``_finish_quorum_read`` (the staleness check), the server's
+#: ``handle_packet`` (the digest answer) and ``_send_response`` (the write's
+#: apply), a timer's ``cancel`` (the count and the compaction check).
+FOLDED_FRAMES = {
+    ("client.py", "_handle_consistency_response"),
+    ("client.py", "_absorb_digest"),
+    ("client.py", "_absorb_quorum_data"),
+    ("client.py", "_handle_write_ack"),
+    ("client.py", "_repair_if_stale"),
+    ("client.py", "<listcomp>"),
+    ("server.py", "_handle_metadata"),
+    ("server.py", "_apply_write"),
+    ("core.py", "_note_cancelled"),
+}
+
+
+def test_the_consistency_path_folds_into_the_endpoints(monkeypatch):
+    """On the quorum cell a response costs the client one frame unless it
+    completes something, and a digest costs the server one: every response
+    is one ``KVClient.handle_packet``, every served request one
+    ``_send_response``, and no folded frame runs."""
+    monkeypatch.setattr(hashing, "_RING_MEMO", {})
+    config = ExperimentConfig.small(seed=0, **CALL_CEILINGS["pkt-quorum-churn"][0])
+    scenario = build_scenario(config)
+    result, stats = _profiled(config, scenario)
+    frames = {}
+    for entry in stats:
+        code = entry.code
+        if not isinstance(code, str):
+            key = (os.path.basename(code.co_filename), code.co_name)
+            frames[key] = frames.get(key, 0) + entry.callcount
+    assert result.digest_probes_sent > 0 and result.read_repairs > 0
+    assert not FOLDED_FRAMES & set(frames), FOLDED_FRAMES & set(frames)
+    responses = sum(client.responses_received for client in scenario.clients)
+    assert frames[("client.py", "handle_packet")] == responses
+    served = sum(server.completions for server in scenario.servers.values())
+    metadata = sum(
+        server.digest_requests + server.dropped_requests
+        for server in scenario.servers.values()
+    )
+    assert frames[("server.py", "_send_response")] == served
+    assert frames[("server.py", "handle_packet")] >= served + metadata
+
+
+def test_a_second_run_of_a_cell_hashes_nothing(monkeypatch):
+    """The churnable ring borrows the shared ring's points and key memo, so
+    a cell run again in one process computes no hash: not a ring point, not
+    a key."""
+    monkeypatch.setattr(hashing, "_RING_MEMO", {})
+    config = ExperimentConfig.small(seed=0, **CALL_CEILINGS["pkt-quorum-churn"][0])
+    first = run_experiment(config)
+    hashed = []
+    real = hashing.stable_hash
+    monkeypatch.setattr(
+        hashing, "stable_hash", lambda text: hashed.append(text) or real(text)
+    )
+    again = run_experiment(config)
+    assert hashed == []
+    assert _fingerprint(again) == _fingerprint(first)
 
 
 def _print_fingerprints():  # pragma: no cover - manual re-recording helper
@@ -317,8 +385,10 @@ FLOW_SOA_SHARD = dict(
 #: Calls of one set-up of each benchmark shape on its fixed input (seed 0),
 #: under ``cProfile`` with the process-wide memos (the ring, the fat-tree
 #: geometry) emptied first, the ILP solve's Python frames included: 30 079,
-#: 32 098 (31 907 once a solve has run in the process), 29 430, 60 286 and
-#: 11 686 measured (30 738, 32 325, 29 832, 68 016 and 12 206 while every
+#: 32 098 (31 907 once a solve has run in the process), 29 432, 60 286 and
+#: 11 686 measured (29 430 while the churnable ring hashed its own points:
+#: with the memo emptied, the shared ring it borrows them from is built here
+#: first; 30 738, 32 325, 29 832, 68 016 and 12 206 while every
 #: stream was seeded by a ``SeedSequence`` of its own and every shard built
 #: its own geometry).  Every per-host stream is declared in one call; one
 #: derived on its own again costs some 20 calls more a host and fails.
