@@ -13,16 +13,19 @@ its own checkout; nothing there is edited.
 
 Printed: every run, then per end-to-end metric either one line saying both
 sides repeat one value each (and whether it is the same value) or each
-side's median and quartiles; for ``run_cost_ref`` also the pairs the change
-won and the verdict: ``resolved`` when it won at least nine tenths of the
-pairs run (a tie counts for neither side) *and* the medians lie further
+side's median and quartiles; for the two timed metrics, ``setup_s`` and
+``run_cost_ref``, also the pairs the change won and lost and the verdict:
+``resolved`` when at least five pairs ran, the change won at least nine
+tenths of them (a tie counts for neither side) *and* the medians lie further
 apart than the base's own quartiles, else ``unresolved`` -- no gain may be
-claimed on an ``unresolved``, whatever the medians say.  Every value that
-moved (an exact one, a noisy one's median) is held against the ``bound`` and
-direction ``BENCHMARK.json`` declares for its metric: ``within bound`` or
-``OVER bound 5%: +13.4%``.  An exact metric over its bound is a regression
-no re-run will cure, so the exit status is 1; a noisy median over it is only
-reported, the spread beside it says how far to trust it.
+claimed on an ``unresolved``, whatever the medians say.  Fewer than five
+pairs never resolve: the quartiles of three runs are two of the three.
+Every value that moved (an exact one, a noisy one's median) is held against
+the ``bound`` and direction ``BENCHMARK.json`` declares for its metric:
+``within bound`` or ``OVER bound 5%: +13.4%``.  An exact metric over its
+bound is a regression no re-run will cure, so the exit status is 1; a noisy
+median over it is only reported, the spread beside it says how far to trust
+it.
 """
 
 import argparse
@@ -33,6 +36,12 @@ import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: The metrics timed on the host: they never repeat, so each gets a verdict.
+TIMED = ("setup_s", "run_cost_ref")
+
+#: The fewest pairs a verdict can resolve on.
+MIN_PAIRS = 5
 
 
 def _git(*args, cwd=REPO):
@@ -80,8 +89,8 @@ def _verdict(base, change):
     won = sum(c < b for b, c in zip(base, change))
     lost = sum(c > b for b, c in zip(base, change))
     line = f"change won {won}, lost {lost} of {len(base)}"
-    if len(base) < 2:
-        return line + "   unresolved (one pair)"
+    if len(base) < MIN_PAIRS:
+        return line + f"   unresolved (fewer than {MIN_PAIRS} pairs)"
     q1, median, q3 = statistics.quantiles(base, n=4)
     gap = median - statistics.median(change)
     resolved = won >= 0.9 * len(base) and gap > q3 - q1
@@ -112,7 +121,7 @@ def _report(entry, base, change):
     line = f"  {name:16s} median  {_spread(base)} -> {_spread(change)}"
     bound, _ = _against_bound(entry, statistics.median(base), statistics.median(change))
     line += "   " + bound
-    if name == "run_cost_ref":
+    if name in TIMED:
         line += "   " + _verdict(base, change)
     return line, False
 
@@ -145,8 +154,11 @@ def main():
                 runs[side].append(_run(command, sides[side]))
             base, change = runs["base"][-1], runs["change"][-1]
             print(
-                f"pair {pair + 1:2d}  run_cost_ref  base {base['run_cost_ref']:.4f}  "
-                f"change {change['run_cost_ref']:.4f}",
+                f"pair {pair + 1:2d}"
+                + "".join(
+                    f"  {name} base {base[name]:.4g} change {change[name]:.4g}"
+                    for name in TIMED
+                ),
                 flush=True,
             )
     finally:

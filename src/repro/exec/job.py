@@ -76,12 +76,16 @@ class JobOutcome:
     attempts: int = 1
     # Shard payload (fidelity="flow" with shards > 1; see repro.mesoscale.shard):
     # the recorded latency samples, so the key-ordered merge reproduces the
-    # serial sample order exactly.  Empty for any other job.
+    # serial sample order exactly.  A float64 ``array("d")`` as a shard
+    # hands it over, a list once read back from a ledger.  Empty for any
+    # other job.
     samples: Sequence[float] = field(default_factory=list)
 
     def to_record(self) -> Dict[str, Any]:
-        """One JSON-safe ledger record."""
-        return dataclasses.asdict(self)
+        """One JSON-safe ledger record (the samples as a list of floats)."""
+        record = dataclasses.asdict(self)
+        record["samples"] = list(self.samples)
+        return record
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "JobOutcome":

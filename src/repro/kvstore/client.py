@@ -224,9 +224,12 @@ class ClientCore:
         self._transmit = transmit
         self._completed = completed
         self._outstanding: Dict[int, _Outstanding] = {}
-        # Client-local latency history for the R95 threshold.  The threshold
-        # is cached and refreshed periodically so issuing stays O(1).
-        self._history = LatencyRecorder()
+        # Client-local latency history for the R95 threshold, the one reader
+        # of it: a client without a redundancy policy keeps none.  The
+        # threshold is cached and refreshed periodically so issuing stays O(1).
+        self._history: Optional[LatencyRecorder] = (
+            LatencyRecorder() if redundancy is not None else None
+        )
         self._cached_threshold: Optional[float] = None
         self._samples_since_refresh = 0
         # Timeout/retry policy (see docs/FAULTS.md): with a timeout set, a
@@ -372,8 +375,10 @@ class ClientCore:
             return
         entry.done = True
         latency = now - entry.issued_at
-        self._history.add(latency)
-        self._samples_since_refresh += 1
+        history = self._history
+        if history is not None:
+            history.add(latency)
+            self._samples_since_refresh += 1
         if entry.record:
             self.recorder.add(latency)
         if entry.timer is not None:
@@ -764,8 +769,10 @@ class KVClient(ClientCore):
         entry.done = True
         now = self.env.now
         latency = now - entry.issued_at
-        self._history.add(latency)
-        self._samples_since_refresh += 1
+        history = self._history
+        if history is not None:
+            history.add(latency)
+            self._samples_since_refresh += 1
         packet = quorum.data_packet
         if self.trace_sink is not None and packet is not None:
             self.trace_sink.record_completion(

@@ -27,6 +27,8 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.exec import ExecutionPolicy, Job, JobOutcome, execute_jobs, outcome_from_result
 from repro.experiments.config import ExperimentConfig
@@ -131,11 +133,13 @@ def _run_shard_job(job: Job) -> JobOutcome:
 
     The merge needs the raw samples (key-ordered concat reproduces the serial
     sample order); they travel on the outcome beside its counters, so they
-    cross process boundaries and spool to the ledger.
+    cross process boundaries and spool to the ledger.  They travel as the
+    recorder's own float64 buffer, unboxed; the shard's result is dropped
+    here, so nothing else holds it.
     """
     result = run_experiment(job.config)
     outcome = outcome_from_result(job, result)
-    outcome.samples = result.latency.samples
+    outcome.samples = result.latency._samples
     return outcome
 
 
@@ -148,11 +152,13 @@ def merge_outcomes(
     """Fold shard outcomes (in shard order) into one standard result.
 
     Latency samples concatenate in shard order; every counter sums but those
-    of :data:`_MERGE_MAX`, which take the max.
+    of :data:`_MERGE_MAX`, which take the max.  A shard's samples are a
+    float64 buffer when it ran in this process or a worker, a list when its
+    outcome was read back from a ledger; either folds in as float64.
     """
     recorder = LatencyRecorder()
     for outcome in outcomes:
-        recorder.extend(outcome.samples)
+        recorder.extend_array(np.asarray(outcome.samples, dtype=np.float64))
     counters = {
         name: (max if name in _MERGE_MAX else sum)(o.counters[name] for o in outcomes)
         for name in outcomes[0].counters

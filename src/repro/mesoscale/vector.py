@@ -39,6 +39,7 @@ score to the spelling of ``C3Selector.score``.
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from heapq import heappop, heappush
 from math import exp, log1p
@@ -203,11 +204,12 @@ class VectorFlowEngine(FlowEngine):
         servers = self.servers
         for name, server in servers.items():
             servers[name] = _VFlowServer(server)
-        # (client, rgid) -> ((server, track), ...) for the inlined select
-        # loop: replica groups are frozen with the ring and C3 tracks are
-        # created once and never dropped, so the pairing is stable.  Tracks
-        # are created on the first select touching them, exactly when the
-        # scalar scoring loop would.
+        # (client, rgid) -> the C3 tracks of the group's replicas, in replica
+        # order, for the inlined select loop (a server's name is the
+        # replica tuple's at the same index): replica groups are frozen with
+        # the ring and C3 tracks are created once and never dropped, so the
+        # tuple is stable.  Tracks are created on the first select touching
+        # them, exactly when the scalar scoring loop would.
         self._track_cache: List[Dict[int, tuple]] = [
             {} for _ in self.clients
         ]
@@ -220,7 +222,7 @@ class VectorFlowEngine(FlowEngine):
             zipf_draws._lock("uniform")
         # -- dense per-request state (rid-indexed; rids are 1..total) -------
         total = self._total
-        self._issued_at: List[float] = [0.0] * (total + 1)
+        self._issued_at = array("d", [0.0]) * (total + 1)
         self._primary: List[str] = [""] * (total + 1)
         self._replicas_of: List[Tuple[str, ...]] = [()] * (total + 1)
         self._done = bytearray(total + 1)
@@ -243,12 +245,13 @@ class VectorFlowEngine(FlowEngine):
         self._b_lo = 0
         self._b_hi = 0
         self._pending_time = 0.0
-        self._b_times: List[float] = []
+        self._b_times = array("d")
         self._b_clients: List[int] = []
         self._b_replicas: List[Tuple[str, ...]] = []
         self._b_rgids: List[int] = []
-        self._b_cls: List[List[int]] = []
-        self._b_path: List[List[float]] = []
+        self._b_cls = b""
+        self._b_width = 0
+        self._b_path: List[array] = []
 
     # ------------------------------------------------------------------
     # SoA prologue: roll the workload forward one block
@@ -275,7 +278,7 @@ class VectorFlowEngine(FlowEngine):
         rate_inv = self._rate_inv
         last = self._total - 1
         t = self._pending_time
-        times: List[float] = [0.0] * n
+        times = array("d", [0.0]) * n
         clients: List[int] = [0] * n
         rgids: List[int] = [0] * n
         replicas_list: List[Tuple[str, ...]] = [()] * n
@@ -359,18 +362,22 @@ class VectorFlowEngine(FlowEngine):
                 rg_codes[rgid] = codes
             replica_racks[j] = codes[0]
             replica_pods[j] = codes[1]
-        times_arr = np.asarray(times, dtype=np.float64)
+        times_arr = np.frombuffer(times, dtype=np.float64)
         crack = self._client_rack_arr[clients]
         cpod = self._client_pod_arr[clients]
         srack = np.asarray(replica_racks, dtype=np.int64)
         spod = np.asarray(replica_pods, dtype=np.int64)
-        cls = np.empty((n, srack.shape[1]), dtype=np.int64)
+        cls = np.empty((n, srack.shape[1]), dtype=np.uint8)
         hop_class_batch(crack, cpod, srack, spod, cls)
         path = np.empty((3, n), dtype=np.float64)
         for index, hops in enumerate(self._hop_arrays):
             path_chain(times_arr, hops, path[index])
-        self._b_cls = cls.tolist()
-        self._b_path = path.tolist()
+        # Row-major bytes: request j's class for replica i is at j * width + i.
+        self._b_cls = cls.tobytes()
+        self._b_width = cls.shape[1]
+        # Per class, the block's delivery times unboxed (indexing an
+        # array("d") yields the same float the list held).
+        self._b_path = [array("d", row.tobytes()) for row in path]
         self._b_lo = lo
         self._b_hi = hi
         self._b_times = times
@@ -483,6 +490,7 @@ class VectorFlowEngine(FlowEngine):
         b_replicas = self._b_replicas
         b_rgids = self._b_rgids
         b_cls = self._b_cls
+        b_width = self._b_width
         b_path = self._b_path
         seq = self._seq
         micro = 0
@@ -524,24 +532,23 @@ class VectorFlowEngine(FlowEngine):
                 # matches.
                 selector.selections += 1
                 cache = track_cache[cidx]
-                pairs = cache.get(b_rgids[j])
-                if pairs is None:
+                group_tracks = cache.get(b_rgids[j])
+                if group_tracks is None:
                     tracks = selector._tracks
                     built = []
                     for server_name in replicas:
                         track = tracks.get(server_name)
                         if track is None:
                             track = selector._track(server_name)
-                        built.append((server_name, track))
-                    pairs = tuple(built)
-                    cache[b_rgids[j]] = pairs
-                best = None
+                        built.append(track)
+                    group_tracks = tuple(built)
+                    cache[b_rgids[j]] = group_tracks
                 best_track = None
                 best_score = _INF
                 winners = None
                 target_index = 0
                 index = 0
-                for server_name, track in pairs:
+                for track in group_tracks:
                     rate = track.service_rate
                     if not rate > 0:
                         rate = prior
@@ -553,18 +560,17 @@ class VectorFlowEngine(FlowEngine):
                         + (q_hat**exponent) * expected_service
                     )
                     if score < best_score:
-                        best = server_name
                         best_track = track
                         best_score = score
                         target_index = index
                         winners = None
                     elif score == best_score:
                         if winners is None:
-                            winners = [best]
-                        winners.append(server_name)
+                            winners = [replicas[target_index]]
+                        winners.append(replicas[index])
                     index += 1
                 if winners is None:
-                    target = best
+                    target = replicas[target_index]
                 else:
                     target = selector._tie_break(winners)
                     target_index = replicas.index(target)
@@ -572,7 +578,7 @@ class VectorFlowEngine(FlowEngine):
                 best_track.outstanding += 1  # note_sent
                 primary[rid] = target
                 client.requests_sent += 1
-                cls = b_cls[j][target_index]
+                cls = b_cls[j * b_width + target_index]
                 hops = cls_hops[cls]
                 acc_tx += hops
                 acc_bytes += req_size * hops
@@ -767,13 +773,15 @@ class VectorFlowEngine(FlowEngine):
                         # Inlined LatencyRecorder.add: latency is a
                         # response-minus-issue difference, so the negative
                         # guard cannot fire; the sorted mirror (built by the
-                        # R95 percentile queries) stays consistent.
-                        history = client._history
-                        history._samples.append(latency)
-                        mirror = history._sorted
-                        if mirror is not None:
-                            insort(mirror, latency)
-                        client._samples_since_refresh += 1
+                        # R95 percentile queries) stays consistent.  Only
+                        # an R95 client keeps a history.
+                        if has_red:
+                            history = client._history
+                            history._samples.append(latency)
+                            mirror = history._sorted
+                            if mirror is not None:
+                                insort(mirror, latency)
+                            client._samples_since_refresh += 1
                         if rid > warmup:
                             recorder._samples.append(latency)
                             mirror = recorder._sorted

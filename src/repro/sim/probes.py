@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import insort
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -19,18 +19,22 @@ class LatencyRecorder:
 
     The NetRS evaluation reports Avg / 95th / 99th / 99.9th percentiles, and
     99.9th of a few ten-thousand samples needs the exact empirical quantile,
-    so we keep all samples (floats are cheap at this scale) rather than a
-    sketch.
+    so we keep all samples rather than a sketch.  They are kept unboxed, in
+    a float64 buffer (``array("d")``): 8 B a sample, where a list of Python
+    floats costs about 32 (the float and its list slot), so the 6 M samples
+    of a paper-sized cell take 48 MB, not some 190.
     """
 
     __slots__ = ("_samples", "_sorted", "_mean_cache")
 
     def __init__(self) -> None:
-        self._samples: List[float] = []
+        self._samples = array("d")
         # Sorted mirror of _samples, built on first query and then kept
         # sorted incrementally (insort is one C-level memmove): the R95
         # issue path queries the mean/percentile after nearly every add,
-        # and re-sorting per query is quadratic in run length.
+        # and re-sorting per query is quadratic in run length.  It is built
+        # as a copy of the buffer sorted in place through a numpy view, so
+        # no sample is ever boxed (``sorted()`` would box every one).
         self._sorted: array | None = None
         # (sample count, mean) of the last mean() call: repeated queries
         # between adds (the R95 warmup issues faster than it completes)
@@ -54,21 +58,22 @@ class LatencyRecorder:
         lowest = min(latencies)
         if lowest < 0:
             raise ValueError(f"negative latency: {lowest}")
-        self._samples += latencies
+        self._samples.extend(latencies)
         self._sorted = None  # bulk append: cheaper to re-sort on next query
 
     def extend_array(self, latencies: np.ndarray) -> None:
         """Record a vectorized block of samples (numpy float array).
 
-        Used by batched producers (mesoscale flow completions) to fold a
-        whole block in two O(n) operations instead of n scalar ``add``
-        calls.
+        The shard merge folds each shard's samples in with it: two O(n)
+        operations instead of n scalar ``add`` calls, the block's float64
+        bytes appended as they are, without boxing a sample.
         """
         if len(latencies) == 0:
             return
         if float(latencies.min()) < 0:
             raise ValueError("negative latency in block")
-        self._samples += latencies.tolist()
+        block = np.ascontiguousarray(latencies, dtype=np.float64)
+        self._samples.frombytes(block.view(np.uint8))
         self._sorted = None  # bulk append: cheaper to re-sort on next query
 
     def __len__(self) -> int:
@@ -80,11 +85,15 @@ class LatencyRecorder:
         return tuple(self._samples)
 
     def _ensure_sorted(self) -> np.ndarray:
-        if self._sorted is None:
-            self._sorted = array("d", sorted(self._samples))
         # Zero-copy float64 view over the sorted mirror; numpy reductions
         # over it are bit-identical to the former sort-per-query arrays.
-        return np.frombuffer(self._sorted, dtype=np.float64)
+        mirror = self._sorted
+        if mirror is None:
+            mirror = self._sorted = self._samples[:]
+            view = np.frombuffer(mirror, dtype=np.float64)
+            view.sort()
+            return view
+        return np.frombuffer(mirror, dtype=np.float64)
 
     def mean(self) -> float:
         """Arithmetic mean (NaN when empty)."""
@@ -119,7 +128,8 @@ class LatencyRecorder:
             return math.nan
         mirror = self._sorted
         if mirror is None:
-            mirror = self._sorted = array("d", sorted(self._samples))
+            mirror = self._sorted = self._samples[:]
+            np.frombuffer(mirror, dtype=np.float64).sort()
         virtual = (count - 1) * (q / 100.0)
         previous = int(virtual)
         if previous > count - 1:

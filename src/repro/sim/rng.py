@@ -24,6 +24,7 @@ the generator numpy would seed, for any seed size and name.
 from __future__ import annotations
 
 import zlib
+from array import array
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -66,6 +67,11 @@ class BatchedStream:
     draw on the wrapped generator, which makes the knob a pure performance
     switch — results are identical either way.
 
+    A block is an ``array("d")`` (``array("q")`` for integers) filled from
+    the numpy block's bytes: 8 B a pre-drawn value instead of a boxed
+    Python number and its list slot, and indexing it yields the same
+    ``float`` (or ``int``) the scalar draw returns.
+
     Supported draws (matching ``numpy.random.Generator`` semantics):
     ``random()``, ``uniform(low, high)`` (shares the uniform family),
     ``exponential(scale)`` / ``standard_exponential()`` (one family; the
@@ -89,7 +95,7 @@ class BatchedStream:
         self._rng = rng
         self.block_size = block_size
         self._family: Optional[str] = None
-        self._block: List = []
+        self._block: array = array("d")
         self._pos = 0
         self._bounds: Optional[Tuple[int, Optional[int]]] = None
         self._refill_size = min(_FIRST_BLOCK, block_size)
@@ -111,12 +117,12 @@ class BatchedStream:
         if size < self.block_size:
             self._refill_size = min(size * _BLOCK_GROWTH, self.block_size)
         if self._family == "uniform":
-            self._block = self._rng.random(size=size).tolist()
+            self._block = array("d", self._rng.random(size=size).tobytes())
         elif self._family == "exponential":
-            self._block = self._rng.standard_exponential(size=size).tolist()
-        else:  # integers
+            self._block = array("d", self._rng.standard_exponential(size=size).tobytes())
+        else:  # integers: numpy's default dtype, int64
             low, high = self._bounds  # type: ignore[misc]
-            self._block = self._rng.integers(low, high, size=size).tolist()
+            self._block = array("q", self._rng.integers(low, high, size=size).tobytes())
         self._pos = 0
 
     # -- draws ---------------------------------------------------------

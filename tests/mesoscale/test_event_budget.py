@@ -24,14 +24,18 @@ send two, ``Host.send`` and the ``Network.express`` that prices it from the
 ToR, and a whole run's calls per request sit under ceilings about 1 % above
 the measured figures, so a reintroduced per-packet call fails as a
 reintroduced event does.  A build of each benchmark shape is budgeted the
-same way, and seeds no stream through numpy's ``SeedSequence``.
+same way, and seeds no stream through numpy's ``SeedSequence``.  A whole run
+of each shape is budgeted in allocations too: its tracemalloc peak sits under
+a ceiling about 2 % above the measured figure.
 """
 
 import cProfile
 import dataclasses
+import gc
 import hashlib
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,7 +243,9 @@ def test_a_netrs_send_is_the_host_and_one_express():
 #: Calls per request of a whole run on the benchmark's fixed input (seed 0),
 #: set-up left out (an ILP solve's calls are scipy's business) and the
 #: process-wide ring memo emptied first, so that the count is exact whatever
-#: ran before: 79.73, 114.26 and 96.64 measured (80.61 and 122.27 while a
+#: ran before: 79.73, 112.87 and 94.64 measured (114.26 and 96.64 while a
+#: client without a redundancy policy kept a latency history nobody read; 80.61
+#: and 122.27 while a
 #: cancelled timer counted itself in a second frame, the client folded a write
 #: ack, a digest or a quorum read's data two frames below ``handle_packet``
 #: and checked a finished quorum read for staleness in one more, a server
@@ -256,7 +262,8 @@ def test_a_netrs_send_is_the_host_and_one_express():
 #: while a plain send was five calls and a second queue).  The scalar flow
 #: engine's ``flow-tor-faults`` cell (``netrs-tor`` with a server crash and
 #: its retries) is budgeted the same way, its engine built inside the run as
-#: ``run_experiment`` builds it: 93.93 measured (94.12 while every stream was
+#: ``run_experiment`` builds it: 91.93 measured (93.93 while every client kept
+#: a latency history, 94.12 while every stream was
 #: seeded by a ``SeedSequence`` of its own, 100.39 with the clone folded in
 #: two frames and the tracker behind one more, 111.89 with the accessors).
 #: Ceilings sit about 1 % above: one more call per request fails each.
@@ -270,9 +277,9 @@ FLOW_TOR_FAULTS = dict(
 )
 CALL_CEILINGS = {
     "pkt-clirs-r95": (PLAIN_TRAFFIC_CELLS["pkt-clirs-r95"][0], 80.5),
-    "pkt-quorum-churn": (PLAIN_TRAFFIC_CELLS["pkt-quorum-churn"][0], 115.4),
-    "pkt-netrs-ilp": (NETRS_CELLS["pkt-netrs-ilp"][0], 97.5),
-    "flow-tor-faults": (FLOW_TOR_FAULTS, 95.0),
+    "pkt-quorum-churn": (PLAIN_TRAFFIC_CELLS["pkt-quorum-churn"][0], 114.0),
+    "pkt-netrs-ilp": (NETRS_CELLS["pkt-netrs-ilp"][0], 95.6),
+    "flow-tor-faults": (FLOW_TOR_FAULTS, 92.9),
 }
 
 
@@ -474,6 +481,69 @@ def test_flow_shards_share_one_geometry(monkeypatch):
     assert _fingerprint(run_experiment(config)) == _fingerprint(shared)
 
 
+#: The tracemalloc peak of a whole run of each benchmark shape on its fixed
+#: input (seed 0), in MiB, after the history the benchmark gives it (one plain
+#: run, one under ``cProfile``) with the process-wide memos emptied first, so
+#: that the figure is the benchmark's ``peak_alloc_mib``: 1.592, 0.991, 2.323,
+#: 3.044 and 1.486 measured for the shapes in this order (2.020, 1.437, 2.682,
+#: 5.299 and 2.493 while the pre-drawn RNG blocks, the latency samples and the
+#: SoA engine's issue, arrival and delivery times were boxed Python floats in
+#: lists, its locality classes a list a request, its track cache paired each
+#: track with its server's name and every client kept a latency history).
+#: Ceilings sit about 2 % above.
+ALLOC_CEILINGS = {
+    "pkt-clirs-r95": 1.62,
+    "pkt-netrs-ilp": 1.01,
+    "pkt-quorum-churn": 2.37,
+    "flow-soa-shard": 3.10,
+    "flow-tor-faults": 1.52,
+}
+
+
+def _peak_mib(cell):
+    """The tracemalloc peak, in MiB, of a run of ``cell`` after the benchmark's
+    history."""
+    hashing._RING_MEMO.clear()
+    geometry._GEOMETRY_MEMO.clear()
+    config = ExperimentConfig.small(seed=0, **SETUP_CEILINGS[cell][0])
+    run_experiment(config)
+    gc.collect()
+    _profiled(config, None)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+@pytest.mark.parametrize("cell", sorted(ALLOC_CEILINGS))
+def test_a_run_stays_under_its_allocation_budget(cell, monkeypatch):
+    monkeypatch.setattr(hashing, "_RING_MEMO", {})
+    monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
+    assert _peak_mib(cell) < ALLOC_CEILINGS[cell]
+
+
+def test_only_an_r95_client_keeps_a_latency_history():
+    """The history feeds the R95 duplicate's threshold and nothing else: a
+    client without a redundancy policy, on the packet tier or in the SoA
+    engine, never has one."""
+    for scheme in ("clirs", "clirs-r95"):
+        config = ExperimentConfig.small(scheme=scheme, seed=0, total_requests=600)
+        scenario = build_scenario(config)
+        run_experiment(config, scenario=scenario)
+        engine = VectorFlowEngine(config.replace(fidelity="flow"), vector_batch=256)
+        engine.run()
+        for client in scenario.clients + engine.clients:
+            if scheme == "clirs":
+                assert client._history is None
+            else:
+                assert len(client._history) > 0
+        engine.teardown()
+
+
 def _print_calls():  # pragma: no cover - manual re-recording helper
     for cell in sorted(CALL_CEILINGS):
         calls, _ = _calls_per_request(cell)
@@ -481,12 +551,14 @@ def _print_calls():  # pragma: no cover - manual re-recording helper
     for cell in sorted(SETUP_CEILINGS):
         calls = _setup_calls(cell)
         print(f"{cell} {calls} set-up calls (ceiling {SETUP_CEILINGS[cell][1]})")
+    for cell in sorted(ALLOC_CEILINGS):
+        print(f"{cell} {_peak_mib(cell):.3f} MiB peak (ceiling {ALLOC_CEILINGS[cell]})")
 
 
 if __name__ == "__main__":  # pragma: no cover
     # ``python -m tests.mesoscale.test_event_budget [calls]``: fresh
     # fingerprints, or each budget cell's calls per request and each
-    # benchmark shape's set-up calls.
+    # benchmark shape's set-up calls and allocation peak.
     if sys.argv[1:] == ["calls"]:
         _print_calls()
     else:

@@ -6,11 +6,16 @@ work: vector on/off, worker count, resumption.  Fault schedules remap onto
 shard-local populations and must aggregate exactly.
 """
 
+import json
+from array import array
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.exec import Job, JobOutcome
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.mesoscale import shard
 from repro.mesoscale.shard import run_sharded_flow_experiment, shard_configs
 from repro.mesoscale.validate import differences
 
@@ -52,6 +57,29 @@ def test_parallel_workers_match_serial():
     serial = run_sharded_flow_experiment(config, workers=1)
     parallel = run_sharded_flow_experiment(config, workers=4)
     _assert_identical(serial, parallel, "workers")
+
+
+def test_a_shard_hands_over_unboxed_samples_that_record_as_json():
+    sub = shard_configs(_sharded("clirs-r95", shards=2))[0]
+    outcome = shard._run_shard_job(Job.from_config(sub, 0))
+    assert isinstance(outcome.samples, array) and outcome.samples.typecode == "d"
+    assert len(outcome.samples) > 0
+    record = json.loads(json.dumps(outcome.to_record()))
+    assert JobOutcome.from_record(record).samples == list(outcome.samples)
+
+
+def test_a_ledger_round_trip_is_byte_identical(tmp_path, monkeypatch):
+    """A sharded run spooled to a ledger reports what the in-memory run does,
+    sample for sample and counter for counter; so does a run resumed from
+    that ledger, which runs no shard again."""
+    config = _sharded("clirs-r95", shards=2)
+    memory = run_sharded_flow_experiment(config)
+    want = (array("d", memory.latency.samples).tobytes(), memory.counters())
+    spooled = run_sharded_flow_experiment(config, run_dir=tmp_path / "run")
+    monkeypatch.setattr(shard, "run_experiment", None)  # a shard run would raise
+    resumed = run_sharded_flow_experiment(config, run_dir=tmp_path / "run", resume=True)
+    for result in (spooled, resumed):
+        assert (array("d", result.latency.samples).tobytes(), result.counters()) == want
 
 
 def test_fault_schedule_remaps_and_aggregates():

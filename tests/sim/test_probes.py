@@ -1,6 +1,7 @@
 """Tests for the latency recorder."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ class TestLatencyRecorder:
         recorder.extend([0.1, 0.2])
         assert len(recorder) == 2
         assert recorder.samples == (0.1, 0.2)
+        assert type(recorder.samples) is tuple
+        assert [type(value) for value in recorder.samples] == [float, float]
 
     def test_add_after_percentile_invalidates_cache(self):
         recorder = LatencyRecorder()
@@ -98,8 +101,16 @@ class TestLatencyRecorder:
         recorder.add(5.0)
         assert recorder.mean() == 3.0
 
-    def test_extend_array_equals_extend(self):
-        block = np.array([0.3, 0.1, 0.2])
+    @pytest.mark.parametrize(
+        "block",
+        [
+            np.array([0.3, 0.1, 0.2]),
+            np.array([0.3, 0.1, 0.2], dtype=np.float32),  # widened exactly
+            np.array([0.3, 9.0, 0.1, 9.0, 0.2])[::2],  # a strided view
+            np.array([[0.3, 0.1], [0.2, 0.7]]).T[0],  # a column
+        ],
+    )
+    def test_extend_array_equals_extend(self, block):
         by_array, by_list = LatencyRecorder(), LatencyRecorder()
         for recorder in (by_array, by_list):
             recorder.add(0.4)
@@ -109,6 +120,20 @@ class TestLatencyRecorder:
         by_list.extend(block.tolist())
         assert by_array.samples == by_list.samples
         assert by_array.summary() == by_list.summary()
+
+    def test_a_bulk_sort_boxes_no_sample(self):
+        """The sorted mirror is a float64 copy sorted in place: a query after
+        a bulk append allocates about the buffer's 8 B a sample, not a
+        boxed float's 32."""
+        recorder = LatencyRecorder()
+        recorder.extend_array(np.random.default_rng(5).exponential(0.004, size=20_000))
+        tracemalloc.start()
+        try:
+            recorder.mean()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * len(recorder)
 
     def test_extend_array_rejects_a_negative_block_whole(self):
         recorder = LatencyRecorder()

@@ -102,7 +102,7 @@ class TestScalarEquivalence:
         assert got == want
         # Bypass mode never pre-draws: the wrapped generator stays in
         # lockstep with a scalar twin draw for draw.
-        assert batched._block == []
+        assert len(batched._block) == 0
         assert float(batched._rng.random()) == float(scalar.random())
 
 
@@ -192,8 +192,8 @@ class TestRegistryParity:
             registry.batched("x", block_size=128)
 
     def test_values_are_python_floats(self):
-        # .tolist() conversion: downstream arithmetic and JSON dumps see
-        # the exact same Python floats as scalar numpy draws produce.
+        # Indexing the array("d") block: downstream arithmetic and JSON
+        # dumps see the exact same Python floats as scalar numpy draws produce.
         batched, _ = _pair()
         value = batched.random()
         assert type(value) is float
@@ -202,6 +202,31 @@ class TestRegistryParity:
         batched, _ = _pair()
         value = batched.integers(0, 1000)
         assert type(value) is int
+
+
+#: One draw of each family, as a consumer makes it.
+FAMILIES = {
+    "random": lambda stream: stream.random(),
+    "uniform": lambda stream: stream.uniform(2.0, 5.0),
+    "standard_exponential": lambda stream: stream.standard_exponential(),
+    "exponential": lambda stream: stream.exponential(1e-4),
+    "integers": lambda stream: stream.integers(0, 17),
+    "integers-64-bit": lambda stream: stream.integers(0, 2**40),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_typed_block_serves_what_a_scalar_draw_returns(family):
+    """A block is an ``array("d")`` (``array("q")`` for integers); what it
+    serves has the type and the value of the bypass mode's scalar draw."""
+    draw = FAMILIES[family]
+    blocked = batched_from_seed(11, "typed.stream", block_size=64)
+    bypass = batched_from_seed(11, "typed.stream", block_size=0)
+    got = [draw(blocked) for _ in range(300)]
+    want = [draw(bypass) for _ in range(300)]
+    assert got == want
+    assert [type(value) for value in got] == [type(value) for value in want]
+    assert blocked._block.typecode == ("q" if family.startswith("integers") else "d")
 
 
 def test_same_stream_name_same_values_across_modes():

@@ -1,5 +1,6 @@
-"""``benchmarks/ab.py`` states the verdict on ``run_cost_ref`` itself, and holds
-every metric that moved against the bound ``BENCHMARK.json`` declares for it."""
+"""``benchmarks/ab.py`` states the verdict on the timed metrics, ``setup_s`` and
+``run_cost_ref``, itself, and holds every metric that moved against the bound
+``BENCHMARK.json`` declares for it."""
 
 import importlib.util
 import json
@@ -30,7 +31,29 @@ def test_eight_pairs_do_not():
 def test_a_gap_inside_the_base_s_own_spread_does_not():
     change = [b - 0.001 for b in BASE]
     assert "won 10, lost 0 of 10   unresolved" in ab._verdict(BASE, change)
-    assert "unresolved (one pair)" in ab._verdict(BASE[:1], change[:1])
+    assert "unresolved (fewer than 5 pairs)" in ab._verdict(BASE[:1], change[:1])
+
+
+@pytest.mark.parametrize("pairs", [2, 3, 4])
+def test_fewer_than_five_pairs_never_resolve(pairs):
+    """Three pairs won by a mile: the base's quartiles are two of its three
+    runs, so the gap says nothing about the spread."""
+    base = [0.50, 0.60, 0.70, 0.55][:pairs]
+    change = [b - 0.3 for b in base]
+    assert f"won {pairs}, lost 0 of {pairs}   unresolved (fewer than 5 pairs)" in (
+        ab._verdict(base, change)
+    )
+    assert "   resolved" in ab._verdict(base * 3, change * 3)  # six pairs or more can
+
+
+@pytest.mark.parametrize("name", ["setup_s", "run_cost_ref"])
+def test_both_timed_metrics_get_a_verdict(name):
+    entry = _declared(name)
+    line, is_over = ab._report(entry, BASE, [b * 1.3 for b in BASE])
+    assert "won 0, lost 10 of 10   unresolved" in line and not is_over
+    line, _ = ab._report(entry, BASE, [b - 0.05 for b in BASE])
+    assert "won 10, lost 0 of 10   resolved" in line
+
 
 
 def _declared(name):
