@@ -76,9 +76,9 @@ class JobOutcome:
     attempts: int = 1
     # Shard payload (fidelity="flow" with shards > 1; see repro.mesoscale.shard):
     # the recorded latency samples, so the key-ordered merge reproduces the
-    # serial sample order exactly.  A float64 ``array("d")`` as a shard
-    # hands it over, a list once read back from a ledger.  Empty for any
-    # other job.
+    # serial sample order exactly.  A read-only float64 numpy view of the
+    # shard's recorder as a shard hands it over, a list once read back from
+    # a ledger.  Empty for any other job.
     samples: Sequence[float] = field(default_factory=list)
 
     def to_record(self) -> Dict[str, Any]:

@@ -8,7 +8,6 @@ and extracts the paper's latency metrics plus system-level accounting
 from __future__ import annotations
 
 import dataclasses
-import gc
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -16,6 +15,7 @@ from typing import Dict, Optional
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenarios import Scenario, build_scenario
+from repro.sim.core import collector_parked
 from repro.sim.guard import deterministic_guard, host_clock
 from repro.sim.probes import LatencyRecorder
 
@@ -265,10 +265,11 @@ def _run_flow(config: ExperimentConfig, keep_scenario: bool) -> ExperimentResult
     """Run ``config`` on a flow engine (``config.shards`` of them if > 1).
 
     Memory: a flow run owns what it allocates and nothing waits for the
-    cyclic collector.  The collector is parked from engine construction to
-    teardown (the drain loops allocate only acyclic event tuples and floats,
-    so its passes find nothing: docs/MESOSCALE.md, "Memory lifetime") and
-    the caller's collector state is restored on every exit.  The engine is
+    cyclic collector.  The collector is parked (:func:`collector_parked`)
+    from engine construction to teardown (the drain loops allocate only
+    acyclic event tuples and floats, so its passes find nothing:
+    docs/MESOSCALE.md, "Memory lifetime") and the caller's collector state is
+    restored on every exit.  The engine is
     torn down (``FlowEngine.teardown``) once the result is built, so it is
     freed by reference count and ``result.latency`` is all that survives,
     unless ``keep_scenario`` keeps it.
@@ -285,39 +286,38 @@ def _run_flow(config: ExperimentConfig, keep_scenario: bool) -> ExperimentResult
         from repro.mesoscale.shard import run_sharded_flow_experiment
 
         return run_sharded_flow_experiment(config)
-    collector_was_enabled = gc.isenabled()
-    gc.disable()
     engine = None
-    try:
-        if config.vector_batch > 0 and vector_eligible(config):
-            # Imported lazily so scalar runs never pay the numpy-kernels import.
-            from repro.mesoscale.vector import VectorFlowEngine
+    with collector_parked():
+        try:
+            if config.vector_batch > 0 and vector_eligible(config):
+                # Imported lazily so scalar runs never pay the numpy-kernels import.
+                from repro.mesoscale.vector import VectorFlowEngine
 
-            engine = VectorFlowEngine(config)
-        else:
-            engine = FlowEngine(config)
-        wall_time = _drive(config, engine, engine, engine.run)
-        result = _collect(config, engine, engine, engine, wall_time)
-        result.micro_events = engine.micro_events
-        operators = engine.operators.values()
-        if operators:
-            result.rsnode_count = len(operators)
-            result.plan_description = f"FLOW[rsnodes={len(operators)} granularity=rack]"
-            result.accelerator_max_utilization = max(
-                op.accelerator.utilization() for op in operators
-            )
-            result.selector_requests_handled = sum(
-                op.selector.requests_handled for op in operators
-            )
-        if keep_scenario:
-            result.scenario = engine  # type: ignore[attr-defined]
-            engine = None
-        return result
-    finally:
-        if engine is not None:
-            engine.teardown()
-        if collector_was_enabled:
-            gc.enable()
+                engine = VectorFlowEngine(config)
+            else:
+                engine = FlowEngine(config)
+            wall_time = _drive(config, engine, engine, engine.run)
+            result = _collect(config, engine, engine, engine, wall_time)
+            result.micro_events = engine.micro_events
+            operators = engine.operators.values()
+            if operators:
+                result.rsnode_count = len(operators)
+                result.plan_description = (
+                    f"FLOW[rsnodes={len(operators)} granularity=rack]"
+                )
+                result.accelerator_max_utilization = max(
+                    op.accelerator.utilization() for op in operators
+                )
+                result.selector_requests_handled = sum(
+                    op.selector.requests_handled for op in operators
+                )
+            if keep_scenario:
+                result.scenario = engine  # type: ignore[attr-defined]
+                engine = None
+            return result
+        finally:
+            if engine is not None:
+                engine.teardown()
 
 
 def _drive(config: ExperimentConfig, built, clock, run) -> float:

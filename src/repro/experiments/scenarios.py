@@ -38,12 +38,12 @@ from repro.kvstore.workload import (
 )
 from repro.network.accelerator import Accelerator
 from repro.network.fabric import Network
-from repro.network.fattree import build_fat_tree
+from repro.network.fattree import shared_fat_tree
 from repro.network.host import Host
 from repro.network.switch import ProgrammableSwitch
 from repro.network.topology import Topology
 from repro.selection.registry import create_selector
-from repro.sim.core import Environment
+from repro.sim.core import Environment, collector_parked
 from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import RngRegistry
 
@@ -83,111 +83,118 @@ class Scenario:
 
 
 def build_scenario(config: ExperimentConfig) -> Scenario:
-    """Construct every component of an experiment from its configuration."""
-    config.validate()
-    env = Environment(compaction=config.engine_compaction)
-    rng = RngRegistry(config.seed)
-    topology = build_fat_tree(config.fat_tree_k)
-    network = Network(
-        env,
-        topology,
-        switch_link_latency=config.switch_link_latency,
-        host_link_latency=config.host_link_latency,
-        route_cache_size=config.route_cache_size,
-    )
+    """Construct every component of an experiment from its configuration.
 
-    client_hosts, server_hosts = assign_roles(
-        config, [h.name for h in topology.hosts], rng
-    )
-    rng.declare(host_stream_names(config, client_hosts, server_hosts))
-    if config.churn_schedule:
-        # Mutable membership: a ring of its own, built on the memoized shared
-        # ring's points, groups and key memo (it never changes the points
-        # or groups; the memo only gains membership-independent RGIDs).
-        ring = ChurnableRing(
-            server_hosts,
-            replication_factor=config.replication_factor,
-            virtual_nodes=config.virtual_nodes,
-        )
-    else:
-        ring = shared_ring(
-            server_hosts,
-            replication_factor=config.replication_factor,
-            virtual_nodes=config.virtual_nodes,
-        )
-
-    switches, operators = _build_switches(config, env, network, topology)
-    hosts = {h.name: Host(h.name, network) for h in topology.hosts}
-    servers = _build_servers(config, env, rng, hosts, server_hosts)
-
-    recorder = LatencyRecorder()
-    write_recorder = LatencyRecorder()
-    tracker = CompletionTracker(config.total_requests)
-    clients = _build_clients(
-        config, env, rng, hosts, client_hosts, ring, recorder, tracker,
-        write_recorder,
-    )
-
-    weights = demand_weights(config, rng)
-    workload = open_loop_workload(config, env, rng, clients, weights)
-
-    scenario = Scenario(
-        config=config,
-        env=env,
-        rng=rng,
-        topology=topology,
-        network=network,
-        switches=switches,
-        hosts=hosts,
-        servers=servers,
-        clients=clients,
-        client_hosts=client_hosts,
-        server_hosts=server_hosts,
-        ring=ring,
-        recorder=recorder,
-        tracker=tracker,
-        workload=workload,
-        weights=weights,
-        write_recorder=write_recorder,
-    )
-    if config.netrs:
-        _wire_netrs(scenario, operators)
-    schedule = FaultSchedule()
-    if config.fault_schedule:
-        for event in parse_fault_schedule(config.fault_schedule):
-            schedule.add(event)
-        if not all(isinstance(e, (ServerDown, ServerUp)) for e in schedule):
-            # Per-hop forwarding throughout: express delivery commits at send
-            # time to a path and to who clones on the way, and either could
-            # die in flight.  A server crash changes neither.
-            network.disable_trunking()
-    if config.churn_schedule:
-        # Graceful churn keeps trunking: no link or server ever goes dark,
-        # so collapsed trunk timing stays valid.  Migration traffic rides
-        # the same fabric as foreground requests.
-        scenario.churn = ChurnCoordinator(
-            env, ring, servers, value_size=config.value_size
-        )
-        for event in parse_fault_schedule(config.churn_schedule):
-            schedule.add(event)
-    if len(schedule):
-        # One injector replays the merged timeline (ties break by insertion
-        # order: fault events first, then churn).  Wired after NetRS so
-        # RSNode targets (including "busiest") resolve against the deployed
-        # plan.  Symbolic server#i/client#i targets index the sorted role
-        # lists, which are seeded-random per run.
-        scenario.faults = FaultInjector(
+    The fat tree and the router's indexes are the process's, shared with
+    every scenario over the same ``k`` (:func:`shared_fat_tree`); what a run
+    changes -- devices, the forwarding table, failed links, distances -- is
+    this scenario's own.  The cyclic collector is parked meanwhile.
+    """
+    with collector_parked():
+        config.validate()
+        env = Environment(compaction=config.engine_compaction)
+        rng = RngRegistry(config.seed)
+        topology = shared_fat_tree(config.fat_tree_k)
+        network = Network(
             env,
-            schedule,
-            network=network,
-            servers=servers,
-            server_hosts=server_hosts,
-            client_hosts=client_hosts,
-            controller=scenario.controller,
-            churn=scenario.churn,
+            topology,
+            switch_link_latency=config.switch_link_latency,
+            host_link_latency=config.host_link_latency,
+            route_cache_size=config.route_cache_size,
         )
-        scenario.faults.arm()
-    return scenario
+
+        client_hosts, server_hosts = assign_roles(
+            config, [h.name for h in topology.hosts], rng
+        )
+        rng.declare(host_stream_names(config, client_hosts, server_hosts))
+        if config.churn_schedule:
+            # Mutable membership: a ring of its own, built on the memoized shared
+            # ring's points, groups and key memo (it never changes the points
+            # or groups; the memo only gains membership-independent RGIDs).
+            ring = ChurnableRing(
+                server_hosts,
+                replication_factor=config.replication_factor,
+                virtual_nodes=config.virtual_nodes,
+            )
+        else:
+            ring = shared_ring(
+                server_hosts,
+                replication_factor=config.replication_factor,
+                virtual_nodes=config.virtual_nodes,
+            )
+
+        switches, operators = _build_switches(config, env, network, topology)
+        hosts = {h.name: Host(h.name, network) for h in topology.hosts}
+        servers = _build_servers(config, env, rng, hosts, server_hosts)
+
+        recorder = LatencyRecorder()
+        write_recorder = LatencyRecorder()
+        tracker = CompletionTracker(config.total_requests)
+        clients = _build_clients(
+            config, env, rng, hosts, client_hosts, ring, recorder, tracker,
+            write_recorder,
+        )
+
+        weights = demand_weights(config, rng)
+        workload = open_loop_workload(config, env, rng, clients, weights)
+
+        scenario = Scenario(
+            config=config,
+            env=env,
+            rng=rng,
+            topology=topology,
+            network=network,
+            switches=switches,
+            hosts=hosts,
+            servers=servers,
+            clients=clients,
+            client_hosts=client_hosts,
+            server_hosts=server_hosts,
+            ring=ring,
+            recorder=recorder,
+            tracker=tracker,
+            workload=workload,
+            weights=weights,
+            write_recorder=write_recorder,
+        )
+        if config.netrs:
+            _wire_netrs(scenario, operators)
+        schedule = FaultSchedule()
+        if config.fault_schedule:
+            for event in parse_fault_schedule(config.fault_schedule):
+                schedule.add(event)
+            if not all(isinstance(e, (ServerDown, ServerUp)) for e in schedule):
+                # Per-hop forwarding throughout: express delivery commits at send
+                # time to a path and to who clones on the way, and either could
+                # die in flight.  A server crash changes neither.
+                network.disable_trunking()
+        if config.churn_schedule:
+            # Graceful churn keeps trunking: no link or server ever goes dark,
+            # so collapsed trunk timing stays valid.  Migration traffic rides
+            # the same fabric as foreground requests.
+            scenario.churn = ChurnCoordinator(
+                env, ring, servers, value_size=config.value_size
+            )
+            for event in parse_fault_schedule(config.churn_schedule):
+                schedule.add(event)
+        if len(schedule):
+            # One injector replays the merged timeline (ties break by insertion
+            # order: fault events first, then churn).  Wired after NetRS so
+            # RSNode targets (including "busiest") resolve against the deployed
+            # plan.  Symbolic server#i/client#i targets index the sorted role
+            # lists, which are seeded-random per run.
+            scenario.faults = FaultInjector(
+                env,
+                schedule,
+                network=network,
+                servers=servers,
+                server_hosts=server_hosts,
+                client_hosts=client_hosts,
+                controller=scenario.controller,
+                churn=scenario.churn,
+            )
+            scenario.faults.arm()
+        return scenario
 
 
 # ----------------------------------------------------------------------

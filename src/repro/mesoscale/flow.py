@@ -73,6 +73,7 @@ from repro.network.packet import (
     Packet,
     ServerStatus,
 )
+from repro.sim.core import collector_parked
 from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import RngRegistry
 
@@ -95,149 +96,157 @@ class FlowEngine:
 
     Lifetime: build, :meth:`run` once, read the counters, :meth:`teardown`.
     ``run_experiment`` does all four (and parks the cyclic collector
-    meanwhile); a caller driving an engine by hand owes it the teardown, or
-    leaves a ~30 000-object reference cycle for a full collection to find.
+    meanwhile; construction parks it on its own too, for a caller that
+    builds engines by hand); a caller driving an engine by hand owes it the
+    teardown, or leaves a ~30 000-object reference cycle for a full
+    collection to find.
     """
 
     def __init__(self, config) -> None:
-        config.validate()
-        if not flow_models(config):
-            raise ConfigurationError(
-                "the flow engine does not model this config (docs/MESOSCALE.md, "
-                "\"What the flow engine models\"); run_experiment runs it on "
-                "the packet engine"
+        with collector_parked():
+            config.validate()
+            if not flow_models(config):
+                raise ConfigurationError(
+                    "the flow engine does not model this config (docs/MESOSCALE.md, "
+                    "\"What the flow engine models\"); run_experiment runs it on "
+                    "the packet engine"
+                )
+            self.config = config
+            self.geometry = shared_geometry(config.fat_tree_k)
+            rng = RngRegistry(config.seed)
+            self.rng = rng
+            batch = config.rng_batch_size
+
+            # --- clock & micro-event machinery --------------------------------
+            self.now = 0.0  # the clock; only the run loop writes it
+            self._heap: List[tuple] = []
+            self._seq = 0
+            self._ids = itertools.count(1)
+            self.micro_events = 0
+            self._stopped = False
+
+            # --- roles ---------------------------------------------------------
+            self.client_hosts, self.server_hosts = scenarios.assign_roles(
+                config, self.geometry.hosts, rng
             )
-        self.config = config
-        self.geometry = shared_geometry(config.fat_tree_k)
-        rng = RngRegistry(config.seed)
-        self.rng = rng
-        batch = config.rng_batch_size
-
-        # --- clock & micro-event machinery --------------------------------
-        self.now = 0.0  # the clock; only the run loop writes it
-        self._heap: List[tuple] = []
-        self._seq = 0
-        self._ids = itertools.count(1)
-        self.micro_events = 0
-        self._stopped = False
-
-        # --- roles ---------------------------------------------------------
-        self.client_hosts, self.server_hosts = scenarios.assign_roles(
-            config, self.geometry.hosts, rng
-        )
-        # netrs-tor: one RSNode per client ToR, its selector's stream named
-        # by its rank, declared with the hosts' streams.
-        tors = (
-            sorted({self.geometry.tor_name(name) for name in self.client_hosts})
-            if config.netrs
-            else []
-        )
-        rng.declare(
-            scenarios.host_stream_names(config, self.client_hosts, self.server_hosts)
-            + [f"selector.operator.{index}" for index in range(1, len(tors) + 1)]
-        )
-        self.ring = shared_ring(
-            self.server_hosts,
-            replication_factor=config.replication_factor,
-            virtual_nodes=config.virtual_nodes,
-        )
-
-        # --- link model ----------------------------------------------------
-        h = config.host_link_latency
-        s = config.switch_link_latency
-        self._uplink = (h,)
-        self._full_path = {2: (h, h), 4: (h, s, s, h), 6: (h, s, s, s, s, h)}
-        self._from_tor = {2: (h,), 4: (s, s, h), 6: (s, s, s, s, h)}
-        self._sizes = _wire_sizes(config)
-        self.transmissions = 0
-        self.bytes_transferred = 0
-        self.netrs_overhead_bytes = 0
-
-        # --- servers -------------------------------------------------------
-        respond = self._send_netrs_response if config.netrs else self._send_response
-        self.servers: Dict[str, ServerCore] = {}
-        for name in self.server_hosts:
-            self.servers[name] = ServerCore(
-                self,
-                name,
-                service_model=scenarios.service_model(config, rng, name),
-                parallelism=config.parallelism,
-                rng=rng.batched(f"service.{name}", batch),
-                rate_ewma_alpha=config.ewma_alpha,
-                respond=respond,
+            # netrs-tor: one RSNode per client ToR, its selector's stream named
+            # by its rank, declared with the hosts' streams.
+            tors = (
+                sorted({self.geometry.tor_name(name) for name in self.client_hosts})
+                if config.netrs
+                else []
+            )
+            rng.declare(
+                scenarios.host_stream_names(
+                    config, self.client_hosts, self.server_hosts
+                )
+                + [f"selector.operator.{index}" for index in range(1, len(tors) + 1)]
+            )
+            self.ring = shared_ring(
+                self.server_hosts,
+                replication_factor=config.replication_factor,
+                virtual_nodes=config.virtual_nodes,
             )
 
-        # --- clients -------------------------------------------------------
-        self.recorder = LatencyRecorder()
-        self.tracker = CompletionTracker(config.total_requests)
-        self.tracker.when_done(self._stop)
-        redundancy = scenarios.redundancy_policy(config)
-        transmit = self._send_via_operator if config.netrs else self._send_request
-        self.clients: List[ClientCore] = []
-        for name in self.client_hosts:
-            self.clients.append(
-                ClientCore(
+            # --- link model ----------------------------------------------------
+            h = config.host_link_latency
+            s = config.switch_link_latency
+            self._uplink = (h,)
+            self._full_path = {2: (h, h), 4: (h, s, s, h), 6: (h, s, s, s, s, h)}
+            self._from_tor = {2: (h,), 4: (s, s, h), 6: (s, s, s, s, h)}
+            self._sizes = _wire_sizes(config)
+            self.transmissions = 0
+            self.bytes_transferred = 0
+            self.netrs_overhead_bytes = 0
+
+            # --- servers -------------------------------------------------------
+            respond = self._send_netrs_response if config.netrs else self._send_response
+            self.servers: Dict[str, ServerCore] = {}
+            for name in self.server_hosts:
+                self.servers[name] = ServerCore(
                     self,
                     name,
-                    ring=self.ring,
-                    selector=scenarios.client_selector(config, rng, name),
-                    recorder=self.recorder,
-                    transmit=transmit,
-                    completed=self.tracker.complete,
-                    netrs=config.netrs,
-                    redundancy=redundancy,
-                    rng=(
-                        rng.batched(f"redundancy.{name}", batch)
-                        if redundancy
-                        else None
-                    ),
-                    request_timeout=config.request_timeout,
-                    max_retries=config.max_retries,
-                    request_ids=self._ids,
+                    service_model=scenarios.service_model(config, rng, name),
+                    parallelism=config.parallelism,
+                    rng=rng.batched(f"service.{name}", batch),
+                    rate_ewma_alpha=config.ewma_alpha,
+                    respond=respond,
                 )
-            )
 
-        # Where a response comes off the wire, per client.
-        self._on_response: Dict[ClientCore, _MicroFn] = {
-            client: client.handle_response for client in self.clients
-        }
-
-        # --- NetRS operators (netrs-tor: one RSNode per client ToR) --------
-        self.operators: Dict[str, _FlowOperator] = {}
-        self._operator_of: Dict[str, _FlowOperator] = {}
-        if config.netrs:
-            for index, tor in enumerate(tors, start=1):
-                algorithm = scenarios.operator_selector(config, rng, index, len(tors))
-                selector = NetRSSelector(self, algorithm=algorithm, ring=self.ring)
-                accelerator = Accelerator(
-                    self,
-                    f"acc.{tor}",
-                    cores=config.accelerator_cores,
-                    service_time=config.accelerator_service_time,
-                    link_delay=config.accelerator_link_delay,
-                )
-                self.operators[tor] = _FlowOperator(tor, selector, accelerator)
+            # --- clients -------------------------------------------------------
+            self.recorder = LatencyRecorder()
+            self.tracker = CompletionTracker(config.total_requests)
+            self.tracker.when_done(self._stop)
+            redundancy = scenarios.redundancy_policy(config)
+            transmit = self._send_via_operator if config.netrs else self._send_request
+            self.clients: List[ClientCore] = []
             for name in self.client_hosts:
-                self._operator_of[name] = self.operators[self.geometry.tor_name(name)]
+                self.clients.append(
+                    ClientCore(
+                        self,
+                        name,
+                        ring=self.ring,
+                        selector=scenarios.client_selector(config, rng, name),
+                        recorder=self.recorder,
+                        transmit=transmit,
+                        completed=self.tracker.complete,
+                        netrs=config.netrs,
+                        redundancy=redundancy,
+                        rng=(
+                            rng.batched(f"redundancy.{name}", batch)
+                            if redundancy
+                            else None
+                        ),
+                        request_timeout=config.request_timeout,
+                        max_retries=config.max_retries,
+                        request_ids=self._ids,
+                    )
+                )
 
-        # --- workload ------------------------------------------------------
-        self.workload = scenarios.open_loop_workload(
-            config, self, rng, self.clients, scenarios.demand_weights(config, rng)
-        )
+            # Where a response comes off the wire, per client.
+            self._on_response: Dict[ClientCore, _MicroFn] = {
+                client: client.handle_response for client in self.clients
+            }
 
-        # --- faults: armed last, as build_scenario arms them, so a transition
-        # that ties with another entry runs in the packet tier's order -----
-        self.faults: Optional[FaultInjector] = None
-        if config.fault_schedule:
-            self.faults = FaultInjector(
-                self,
-                parse_fault_schedule(config.fault_schedule),
-                network=self,
-                servers=self.servers,
-                server_hosts=self.server_hosts,
-                client_hosts=self.client_hosts,
+            # --- NetRS operators (netrs-tor: one RSNode per client ToR) --------
+            self.operators: Dict[str, _FlowOperator] = {}
+            self._operator_of: Dict[str, _FlowOperator] = {}
+            if config.netrs:
+                for index, tor in enumerate(tors, start=1):
+                    algorithm = scenarios.operator_selector(
+                        config, rng, index, len(tors)
+                    )
+                    selector = NetRSSelector(self, algorithm=algorithm, ring=self.ring)
+                    accelerator = Accelerator(
+                        self,
+                        f"acc.{tor}",
+                        cores=config.accelerator_cores,
+                        service_time=config.accelerator_service_time,
+                        link_delay=config.accelerator_link_delay,
+                    )
+                    self.operators[tor] = _FlowOperator(tor, selector, accelerator)
+                for name in self.client_hosts:
+                    operator = self.operators[self.geometry.tor_name(name)]
+                    self._operator_of[name] = operator
+
+            # --- workload ------------------------------------------------------
+            self.workload = scenarios.open_loop_workload(
+                config, self, rng, self.clients, scenarios.demand_weights(config, rng)
             )
-            self.faults.arm()
+
+            # --- faults: armed last, as build_scenario arms them, so a transition
+            # that ties with another entry runs in the packet tier's order -----
+            self.faults: Optional[FaultInjector] = None
+            if config.fault_schedule:
+                self.faults = FaultInjector(
+                    self,
+                    parse_fault_schedule(config.fault_schedule),
+                    network=self,
+                    servers=self.servers,
+                    server_hosts=self.server_hosts,
+                    client_hosts=self.client_hosts,
+                )
+                self.faults.arm()
 
     # ------------------------------------------------------------------
     # Clock & scheduling

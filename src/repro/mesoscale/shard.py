@@ -133,13 +133,14 @@ def _run_shard_job(job: Job) -> JobOutcome:
 
     The merge needs the raw samples (key-ordered concat reproduces the serial
     sample order); they travel on the outcome beside its counters, so they
-    cross process boundaries and spool to the ledger.  They travel as the
-    recorder's own float64 buffer, unboxed; the shard's result is dropped
-    here, so nothing else holds it.
+    cross process boundaries and spool to the ledger.  They travel as a
+    read-only view of the recorder's own float64 buffer
+    (:attr:`~repro.sim.probes.LatencyRecorder.values`), unboxed; the shard's
+    result is dropped here, so nothing else holds it.
     """
     result = run_experiment(job.config)
     outcome = outcome_from_result(job, result)
-    outcome.samples = result.latency._samples
+    outcome.samples = result.latency.values
     return outcome
 
 
@@ -153,7 +154,7 @@ def merge_outcomes(
 
     Latency samples concatenate in shard order; every counter sums but those
     of :data:`_MERGE_MAX`, which take the max.  A shard's samples are a
-    float64 buffer when it ran in this process or a worker, a list when its
+    float64 array when it ran in this process or a worker, a list when its
     outcome was read back from a ledger; either folds in as float64.
     """
     recorder = LatencyRecorder()

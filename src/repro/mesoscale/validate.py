@@ -33,9 +33,25 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+
+
+#: Samples compared at a time: one chunk's mask is all a comparison allocates.
+_CHUNK = 1 << 16
+
+
+def _first_difference(want: np.ndarray, got: np.ndarray) -> Optional[int]:
+    """The first index where two equal-length float64 arrays differ, or None."""
+    for start in range(0, len(want), _CHUNK):
+        stop = start + _CHUNK
+        unequal = np.flatnonzero(want[start:stop] != got[start:stop])
+        if len(unequal):
+            return start + int(unequal[0])
+    return None
 
 
 def differences(
@@ -44,20 +60,20 @@ def differences(
     """Every way result ``actual`` differs from ``expected``; empty if none.
 
     Compared exactly: the latency samples (named by the first index that
-    differs) and every counter of the run
+    differs; compared as float64 arrays, none boxed) and every counter of the run
     (:meth:`~repro.experiments.runner.ExperimentResult.counters`) not in
     ``ignore``.  By default that leaves out what each tier counts of its own
     clock -- packet-engine events, flow micro-events -- so two tiers compare.
     """
     found: List[str] = []
-    want, got = expected.latency.samples, actual.latency.samples
+    want, got = expected.latency.values, actual.latency.values
     if len(want) != len(got):
         found.append(f"latency samples: {len(want)} expected, {len(got)} got")
     else:
-        for index, (a, b) in enumerate(zip(want, got)):
-            if a != b:
-                found.append(f"latency sample #{index}: expected {a!r}, got {b!r}")
-                break
+        index = _first_difference(want, got)
+        if index is not None:
+            a, b = float(want[index]), float(got[index])
+            found.append(f"latency sample #{index}: expected {a!r}, got {b!r}")
     theirs = actual.counters()
     for name, a in expected.counters().items():
         b = theirs[name]

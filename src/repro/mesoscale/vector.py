@@ -53,6 +53,7 @@ from repro.kvstore.fluctuation import StableService
 from repro.kvstore.server import ServerCore
 from repro.mesoscale.flow import FlowEngine
 from repro.mesoscale.support import vector_eligible
+from repro.sim.core import collector_parked
 
 _INF = float("inf")
 
@@ -152,106 +153,108 @@ class VectorFlowEngine(FlowEngine):
         *,
         vector_batch: Optional[int] = None,
     ) -> None:
-        if not vector_eligible(config):
-            raise ConfigurationError(
-                "VectorFlowEngine inlines client-side plain-C3 selection "
-                "(scheme clirs/clirs-r95, algorithm='c3') on a config the "
-                "flow engine models; run_experiment runs any other on the "
-                "scalar FlowEngine or the packet engine (docs/MESOSCALE.md)"
+        with collector_parked():
+            if not vector_eligible(config):
+                raise ConfigurationError(
+                    "VectorFlowEngine inlines client-side plain-C3 selection "
+                    "(scheme clirs/clirs-r95, algorithm='c3') on a config the "
+                    "flow engine models; run_experiment runs any other on the "
+                    "scalar FlowEngine or the packet engine (docs/MESOSCALE.md)"
+                )
+            super().__init__(config)
+            if vector_batch is None:
+                vector_batch = config.vector_batch
+            self._chunk = max(1, vector_batch)
+            # The workload object is the scalar engine's; this engine rolls its
+            # arrival process forward itself, over the same streams and counters.
+            workload = self.workload
+            self.weights = workload.weights
+            self._sampler = workload.key_sampler
+            self._arrival_rng = workload._rng
+            self._rate_inv = 1.0 / workload.rate
+            self._total = workload.total_requests
+            self._warmup = workload.warmup_requests
+            self.per_client_counts = workload.per_client_counts
+            self._timeout = config.request_timeout
+            self._redundancy = self.clients[0].redundancy
+            self._req_size, self._req_overhead = self._sizes["request"]
+            # hop class -> response-delivery plan (filled lazily): plans depend
+            # only on the locality class of the pair, not on its identity.
+            self._resp_by_class: Dict[int, tuple] = {}
+            self._cls_hops = (2, 4, 6)  # hop count per locality class
+            # Per-hop delays per class, in scalar chain order: tuples for the
+            # legs' ledgers, vectors for the path_chain kernel.
+            self._cls_path = tuple(self._full_path[count] for count in self._cls_hops)
+            self._hop_arrays = tuple(
+                np.asarray(hops, dtype=np.float64) for hops in self._cls_path
             )
-        super().__init__(config)
-        if vector_batch is None:
-            vector_batch = config.vector_batch
-        self._chunk = max(1, vector_batch)
-        # The workload object is the scalar engine's; this engine rolls its
-        # arrival process forward itself, over the same streams and counters.
-        workload = self.workload
-        self.weights = workload.weights
-        self._sampler = workload.key_sampler
-        self._arrival_rng = workload._rng
-        self._rate_inv = 1.0 / workload.rate
-        self._total = workload.total_requests
-        self._warmup = workload.warmup_requests
-        self.per_client_counts = workload.per_client_counts
-        self._timeout = config.request_timeout
-        self._redundancy = self.clients[0].redundancy
-        self._req_size, self._req_overhead = self._sizes["request"]
-        # hop class -> response-delivery plan (filled lazily): plans depend
-        # only on the locality class of the pair, not on its identity.
-        self._resp_by_class: Dict[int, tuple] = {}
-        self._cls_hops = (2, 4, 6)  # hop count per locality class
-        # Per-hop delays per class, in scalar chain order: tuples for the
-        # legs' ledgers, vectors for the path_chain kernel.
-        self._cls_path = tuple(self._full_path[count] for count in self._cls_hops)
-        self._hop_arrays = tuple(
-            np.asarray(hops, dtype=np.float64) for hops in self._cls_path
-        )
-        geometry = self.geometry
-        racks_per_pod = geometry.racks_per_pod
-        self._client_rack_arr = np.asarray(
-            [geometry.rack_index(name) for name in self.client_hosts], dtype=np.int64
-        )
-        self._client_pod_arr = self._client_rack_arr // racks_per_pod
-        self._rg_codes: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-        # The drain loop hoists the C3 scoring constants once: every
-        # client's selector is built from the one config, so they agree.
-        selector = self.clients[0].selector
-        self._sel_prior = selector.prior_service_rate
-        self._sel_weight = selector.concurrency_weight
-        self._sel_exponent = selector.cubic_exponent
-        self._sel_alpha = selector.ewma_alpha
-        # In place: the fault injector holds this dict.
-        servers = self.servers
-        for name, server in servers.items():
-            servers[name] = _VFlowServer(server)
-        # (client, rgid) -> the C3 tracks of the group's replicas, in replica
-        # order, for the inlined select loop (a server's name is the
-        # replica tuple's at the same index): replica groups are frozen with
-        # the ring and C3 tracks are created once and never dropped, so the
-        # tuple is stable.  Tracks are created on the first select touching
-        # them, exactly when the scalar scoring loop would.
-        self._track_cache: List[Dict[int, tuple]] = [
-            {} for _ in self.clients
-        ]
-        # The key stream only ever draws uniforms, so the family lock its
-        # first scalar draw would take is taken up front and _load_chunk
-        # reads the pre-drawn block directly (same values, same refills).
-        zipf_draws = self._sampler._draws
-        self._zipf_fast = getattr(zipf_draws, "block_size", 0) > 0
-        if self._zipf_fast:
-            zipf_draws._lock("uniform")
-        # -- dense per-request state (rid-indexed; rids are 1..total) -------
-        total = self._total
-        self._issued_at = array("d", [0.0]) * (total + 1)
-        self._primary: List[str] = [""] * (total + 1)
-        self._replicas_of: List[Tuple[str, ...]] = [()] * (total + 1)
-        self._done = bytearray(total + 1)
-        self._alive = bytearray(total + 1)
-        # -- sparse per-request state (zero for the vast majority) ----------
-        self._dup_sent: Dict[int, int] = {}
-        self._attempts: Dict[int, int] = {}
-        self._late_seen: Dict[int, int] = {}
-        self._tried: Dict[int, Tuple[str, ...]] = {}
-        # -- redundancy-policy constants (inlined _redundancy_threshold) ----
-        policy = self._redundancy
-        if policy is not None:
-            self._red_min = policy.min_samples
-            self._red_pct = policy.percentile
-            self._red_mult = policy.fallback_multiplier
-            # Same single multiplication _redundancy_threshold performs on
-            # its no-history branch, done once.
-            self._red_default = policy.fallback_multiplier * policy.cold_start_mean
-        # -- current SoA block (the drain owns the cursor over it) ----------
-        self._b_lo = 0
-        self._b_hi = 0
-        self._pending_time = 0.0
-        self._b_times = array("d")
-        self._b_clients: List[int] = []
-        self._b_replicas: List[Tuple[str, ...]] = []
-        self._b_rgids: List[int] = []
-        self._b_cls = b""
-        self._b_width = 0
-        self._b_path: List[array] = []
+            geometry = self.geometry
+            racks_per_pod = geometry.racks_per_pod
+            self._client_rack_arr = np.asarray(
+                [geometry.rack_index(name) for name in self.client_hosts],
+                dtype=np.int64,
+            )
+            self._client_pod_arr = self._client_rack_arr // racks_per_pod
+            self._rg_codes: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+            # The drain loop hoists the C3 scoring constants once: every
+            # client's selector is built from the one config, so they agree.
+            selector = self.clients[0].selector
+            self._sel_prior = selector.prior_service_rate
+            self._sel_weight = selector.concurrency_weight
+            self._sel_exponent = selector.cubic_exponent
+            self._sel_alpha = selector.ewma_alpha
+            # In place: the fault injector holds this dict.
+            servers = self.servers
+            for name, server in servers.items():
+                servers[name] = _VFlowServer(server)
+            # (client, rgid) -> the C3 tracks of the group's replicas, in replica
+            # order, for the inlined select loop (a server's name is the
+            # replica tuple's at the same index): replica groups are frozen with
+            # the ring and C3 tracks are created once and never dropped, so the
+            # tuple is stable.  Tracks are created on the first select touching
+            # them, exactly when the scalar scoring loop would.
+            self._track_cache: List[Dict[int, tuple]] = [
+                {} for _ in self.clients
+            ]
+            # The key stream only ever draws uniforms, so the family lock its
+            # first scalar draw would take is taken up front and _load_chunk
+            # reads the pre-drawn block directly (same values, same refills).
+            zipf_draws = self._sampler._draws
+            self._zipf_fast = getattr(zipf_draws, "block_size", 0) > 0
+            if self._zipf_fast:
+                zipf_draws._lock("uniform")
+            # -- dense per-request state (rid-indexed; rids are 1..total) -------
+            total = self._total
+            self._issued_at = array("d", [0.0]) * (total + 1)
+            self._primary: List[str] = [""] * (total + 1)
+            self._replicas_of: List[Tuple[str, ...]] = [()] * (total + 1)
+            self._done = bytearray(total + 1)
+            self._alive = bytearray(total + 1)
+            # -- sparse per-request state (zero for the vast majority) ----------
+            self._dup_sent: Dict[int, int] = {}
+            self._attempts: Dict[int, int] = {}
+            self._late_seen: Dict[int, int] = {}
+            self._tried: Dict[int, Tuple[str, ...]] = {}
+            # -- redundancy-policy constants (inlined _redundancy_threshold) ----
+            policy = self._redundancy
+            if policy is not None:
+                self._red_min = policy.min_samples
+                self._red_pct = policy.percentile
+                self._red_mult = policy.fallback_multiplier
+                # Same single multiplication _redundancy_threshold performs on
+                # its no-history branch, done once.
+                self._red_default = policy.fallback_multiplier * policy.cold_start_mean
+            # -- current SoA block (the drain owns the cursor over it) ----------
+            self._b_lo = 0
+            self._b_hi = 0
+            self._pending_time = 0.0
+            self._b_times = array("d")
+            self._b_clients: List[int] = []
+            self._b_replicas: List[Tuple[str, ...]] = []
+            self._b_rgids: List[int] = []
+            self._b_cls = b""
+            self._b_width = 0
+            self._b_path: List[array] = []
 
     # ------------------------------------------------------------------
     # SoA prologue: roll the workload forward one block

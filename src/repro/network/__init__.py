@@ -18,7 +18,7 @@ Implements the environment NetRS runs in (paper section II):
 from repro.network.accelerator import Accelerator
 from repro.network.addressing import HostLocation, SourceMarker, tier_between
 from repro.network.fabric import Network
-from repro.network.fattree import build_fat_tree
+from repro.network.fattree import build_fat_tree, shared_fat_tree
 from repro.network.host import Host
 from repro.network.packet import (
     MAGIC_MONITOR,
@@ -53,5 +53,6 @@ __all__ = [
     "build_tree",
     "magic_transform",
     "magic_untransform",
+    "shared_fat_tree",
     "tier_between",
 ]

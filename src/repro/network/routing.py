@@ -14,17 +14,25 @@ the NetRS data plane are covered:
 * ToR -> {host, ToR, aggregation, core}   (stamping ToR forwards to RSNode)
 * aggregation/core -> host                (RSNode forwards to server/client)
 * host -> anything                        (convenience: prepends the ToR)
+
+What depends on the wiring alone -- which ToR a host hangs off, the ECMP
+candidate lists, the forwarding-table scopes and key masks -- is a
+:class:`RoutingIndex`, built once per topology and shared by every
+:class:`Router` over it; a shared tree
+(:func:`~repro.network.fattree.shared_fat_tree`) is frozen, so its index
+holds for every scenario that borrows it.  What a run changes -- the
+forwarding table, the failed links, the miss count -- each router owns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingError, TopologyError
 from repro.network.topology import Node, NodeKind, Topology
 
 
-def _pick(options: List[str], flow_key: int, depth: int) -> str:
+def _pick(options: Sequence[str], flow_key: int, depth: int) -> str:
     """Deterministic ECMP choice among ``options``.
 
     ``depth`` decorrelates successive choices along one path so a flow does
@@ -52,6 +60,150 @@ Route = Tuple[str, ...]
 NO_ROUTE: Route = ()
 
 
+class RoutingIndex:
+    """The ECMP indexes of one wiring, shared by every :class:`Router` over it.
+
+    A pure function of the topology's nodes and links, so it is built once
+    per :class:`~repro.network.topology.Topology` -- kept on it by
+    :meth:`~repro.network.topology.Topology.derived`, dropped if a node or
+    link is added -- and never written after: the candidate lists are
+    tuples, and a router reads them as they are or filters a copy
+    (:meth:`Router._live`).  What a run changes, the forwarding table and the
+    failed links, each :class:`Router` keeps for itself.
+    """
+
+    __slots__ = (
+        "nodes",
+        "tor_of_host",
+        "host_names",
+        "aggs_by_pod",
+        "cores_of_agg",
+        "aggs_of_core_pod",
+        "scope",
+        "tor_pod",
+        "cross_pod",
+        "keyed",
+        "pod_mask",
+        "climb_mask",
+        "descent_mask",
+    )
+
+    def __init__(self, topology: Topology) -> None:
+        #: Direct node map: the hot path must not pay ``topology.node``'s
+        #: error handling per hop.
+        self.nodes: Dict[str, Node] = topology.nodes
+        self.tor_of_host: Dict[str, str] = {}
+        aggs_by_pod: Dict[int, List[str]] = {}
+        cores_of_agg: Dict[str, Tuple[str, ...]] = {}
+        aggs_of_core_pod: Dict[Tuple[str, int], List[str]] = {}
+        #: Forwarding-table scope of each switch: (source key, pod).  A ToR's
+        #: walk depends on its pod only; a core has no pod and only descends.
+        self.scope: Dict[str, Tuple[object, Optional[int]]] = {}
+        self.tor_pod: Dict[str, int] = {}
+        tor_of_host = self.tor_of_host
+        for node in topology.nodes.values():
+            kind = node.kind
+            if kind is NodeKind.HOST:
+                tor_of_host[node.name] = topology.tor_of(node.name).name
+            elif kind is NodeKind.TOR:
+                assert node.pod is not None
+                self.scope[node.name] = (node.pod, node.pod)
+                self.tor_pod[node.name] = node.pod
+            else:
+                self.scope[node.name] = (node.name, node.pod)
+                if kind is NodeKind.AGG:
+                    assert node.pod is not None
+                    aggs_by_pod.setdefault(node.pod, []).append(node.name)
+                    cores = tuple(sorted(topology.uplinks(node.name)))
+                    cores_of_agg[node.name] = cores
+                    for core in cores:
+                        aggs_of_core_pod.setdefault((core, node.pod), []).append(
+                            node.name
+                        )
+        self.host_names = frozenset(tor_of_host)
+        self.aggs_by_pod: Dict[int, Tuple[str, ...]] = {
+            pod: tuple(aggs) for pod, aggs in aggs_by_pod.items()
+        }
+        self.cores_of_agg = cores_of_agg
+        self.aggs_of_core_pod: Dict[Tuple[str, int], Tuple[str, ...]] = {
+            key: tuple(aggs) for key, aggs in aggs_of_core_pod.items()
+        }
+        #: Switches between hosts of two pods; 0 (walk it) if a core misses a pod.
+        cores = {core for core, _ in aggs_of_core_pod}
+        meshed = len(aggs_of_core_pod) == len(cores) * len(aggs_by_pod)
+        self.cross_pod = 5 if meshed else 0
+        # Flow-key bits read by the pick at each ECMP depth; a walk is keyed
+        # on the bits of the picks it makes, no others.
+        masks = self._ecmp_key_masks()
+        #: Whether the masks cover every ECMP choice (a forwarding table can
+        #: be keyed on them at all).
+        self.keyed = masks is not None
+        self.pod_mask, depth1, self.descent_mask = masks or (0, 0, 0)
+        self.climb_mask = self.pod_mask | depth1
+
+    def _ecmp_key_masks(self) -> Optional[Tuple[int, int, int]]:
+        """Masks of the flow-key bits that can influence any ECMP choice.
+
+        ``_pick`` at depth ``d`` computes ``(flow_key >> 5d) % n``.  When
+        every candidate-list length ``n`` a given depth can ever see is a
+        power of two (<= 32), that modulo only reads ``log2(n)`` bits of the
+        shifted key, so two flow keys agreeing on the masked bits take
+        identical paths for every ``(src, dst)``.  The forwarding table then
+        keys on the *masked* key, collapsing the per-request flow keys (which
+        otherwise never repeat) onto a few equivalence classes per pair.
+        Lengths are tracked per depth: in a fat-tree every core reaches a
+        pod through exactly one aggregation switch, so the depth-2 descent
+        choice is a singleton and contributes no bits at all.  Returns one
+        mask per depth (0: the aggregation switch climbed to, 1: the core,
+        2: the aggregation switch descended through), or ``None`` (no
+        forwarding table) when any length is not a power of two.
+        """
+        # Candidate-list lengths per _pick depth, matching the call sites in
+        # _from_tor/_from_agg/_from_core.
+        depth0 = set()  # climb: local aggs, or aggs wired to a target core
+        depth1 = set()  # core choice off the chosen agg
+        depth2 = set()  # descent agg into the destination pod
+        for options in self.aggs_by_pod.values():
+            depth0.add(len(options))
+        for options in self.aggs_of_core_pod.values():
+            depth0.add(len(options))  # climbers toward a core target
+            depth2.add(len(options))  # descent into a pod
+        for options in self.cores_of_agg.values():
+            depth1.add(len(options))
+        # The cross-pod aggregation-target branch of _from_tor builds two
+        # derived candidate lists (both indexed at depth 1); enumerate their
+        # possible lengths too.  They depend on the target's cores and on
+        # the cores of each aggregation switch of the climbing pod, so pods
+        # wired alike (every pod of a fat-tree) and targets wired alike are
+        # enumerated once: the lengths are collected into sets.
+        cores_of_agg = self.cores_of_agg
+        pods_by_wiring: Dict[Tuple[Tuple[str, ...], ...], List[int]] = {}
+        for pod, pod_aggs in self.aggs_by_pod.items():
+            wiring = tuple(cores_of_agg[agg] for agg in pod_aggs)
+            pods_by_wiring.setdefault(wiring, []).append(pod)
+        seen = set()
+        for target, target_cores in cores_of_agg.items():
+            target_pod = self.nodes[target].pod
+            for wiring, pods in pods_by_wiring.items():
+                if pods == [target_pod] or (target_cores, wiring) in seen:
+                    continue  # only the target's own pod, or enumerated
+                seen.add((target_cores, wiring))
+                shared = set(target_cores)
+                shared_counts = [len(shared.intersection(c)) for c in wiring]
+                depth1.update(n for n in shared_counts if n)
+                climbers = sum(1 for n in shared_counts if n)
+                if climbers:
+                    depth1.add(climbers)
+        masks = []
+        for shift, lengths in ((0, depth0), (5, depth1), (10, depth2)):
+            lengths.discard(0)
+            if any(n & (n - 1) or n > 32 for n in lengths):
+                return None
+            bits = (1 << (max(lengths, default=1).bit_length() - 1)) - 1
+            masks.append(bits << shift)
+        return tuple(masks)
+
+
 class Router:
     """Path computation with precomputed topology indexes and a route table.
 
@@ -73,13 +225,14 @@ class Router:
     ``path_cache_size`` bounds the table; ``0`` bypasses it, so every lookup
     is a fresh reference walk (the determinism suites and the benchmark's
     accuracy check compare the two modes byte for byte).  The *wiring* is
-    frozen -- if nodes or edges are ever added, build a new ``Router`` --
-    but link *liveness* is dynamic: :meth:`fail_link` marks a link dead and
-    ECMP choices skip dead links when an alternative exists (local
-    link-state rerouting: only the immediate next edge of each choice is
-    checked, matching what a real switch knows; a cut with no alternative
-    leaves the packet heading into the dead link, where the fabric drops
-    it).  NetRS operator failures change which switch *selects*, not how
+    fixed: the router reads its topology's shared :class:`RoutingIndex`, and
+    if nodes or edges are ever added, build a new ``Router`` (a shared tree
+    refuses them).  Link *liveness* is dynamic and the router's own:
+    :meth:`fail_link` marks a link dead and ECMP choices skip dead links
+    when an alternative exists (local link-state rerouting: only the
+    immediate next edge of each choice is checked, matching what a real
+    switch knows; a cut with no alternative leaves the packet heading into
+    the dead link, where the fabric drops it).  NetRS operator failures change which switch *selects*, not how
     packets are wired, so they never touch the table.
 
     While any link is down, a dead link changes candidate-list lengths, so
@@ -108,106 +261,25 @@ class Router:
         # Directed pairs (a, b) whose link is administratively dead; both
         # directions are stored so membership tests need no normalization.
         self._failed_links: set = set()
-        self._tor_of_host: Dict[str, str] = {}
-        self._aggs_by_pod: Dict[int, List[str]] = {}
-        self._cores_of_agg: Dict[str, List[str]] = {}
-        self._aggs_of_core_pod: Dict[Tuple[str, int], List[str]] = {}
-        self._build_indexes()
-
-    def _build_indexes(self) -> None:
-        topo = self.topology
-        for host in topo.hosts:
-            self._tor_of_host[host.name] = topo.tor_of(host.name).name
-        for agg in topo.by_kind(NodeKind.AGG):
-            assert agg.pod is not None
-            self._aggs_by_pod.setdefault(agg.pod, []).append(agg.name)
-            cores = sorted(topo.uplinks(agg.name))
-            self._cores_of_agg[agg.name] = cores
-            for core in cores:
-                self._aggs_of_core_pod.setdefault((core, agg.pod), []).append(agg.name)
-        # Direct node map and host-name set: the hot path must not pay
-        # ``topology.node``'s error handling per hop.
-        self._nodes: Dict[str, Node] = topo.nodes
-        self._host_names = frozenset(self._tor_of_host)
-        # Forwarding-table scope of each switch: (source key, pod).  A ToR's
-        # walk depends on its pod only; a core has no pod and only descends.
-        self._scope: Dict[str, Tuple[object, Optional[int]]] = {}
-        self._tor_pod: Dict[str, int] = {}
-        for node in topo.switches:
-            if node.kind is NodeKind.TOR:
-                assert node.pod is not None
-                self._scope[node.name] = (node.pod, node.pod)
-                self._tor_pod[node.name] = node.pod
-            else:
-                self._scope[node.name] = (node.name, node.pod)
-        # Switches between hosts of two pods; 0 (walk it) if a core misses a pod.
-        cores = {core for core, _ in self._aggs_of_core_pod}
-        meshed = len(self._aggs_of_core_pod) == len(cores) * len(self._aggs_by_pod)
-        self._cross_pod = 5 if meshed else 0
-        # Flow-key bits read by the pick at each ECMP depth; a walk is keyed
-        # on the bits of the picks it makes, no others.
-        masks = self._compute_ecmp_key_masks()
-        self._pod_mask, depth1, self._descent_mask = masks or (0, 0, 0)
-        self._climb_mask = self._pod_mask | depth1
+        #: The wiring's indexes, shared with every router over this topology;
+        #: bound below to attributes of this one, read on every walk.
+        self.index: RoutingIndex = topology.derived(RoutingIndex)
+        index = self.index
+        self._nodes = index.nodes
+        self._tor_of_host = index.tor_of_host
+        self._host_names = index.host_names
+        self._aggs_by_pod = index.aggs_by_pod
+        self._cores_of_agg = index.cores_of_agg
+        self._aggs_of_core_pod = index.aggs_of_core_pod
+        self._scope = index.scope
+        self._tor_pod = index.tor_pod
+        self._cross_pod = index.cross_pod
+        self._pod_mask = index.pod_mask
+        self._climb_mask = index.climb_mask
+        self._descent_mask = index.descent_mask
         # Whether the forwarding table is in use at all (link faults suspend
         # it; see forwarding_route).
-        self._interning = self.path_cache_size > 0 and masks is not None
-
-    def _compute_ecmp_key_masks(self) -> Optional[Tuple[int, int, int]]:
-        """Masks of the flow-key bits that can influence any ECMP choice.
-
-        ``_pick`` at depth ``d`` computes ``(flow_key >> 5d) % n``.  When
-        every candidate-list length ``n`` a given depth can ever see is a
-        power of two (<= 32), that modulo only reads ``log2(n)`` bits of the
-        shifted key, so two flow keys agreeing on the masked bits take
-        identical paths for every ``(src, dst)``.  The forwarding table then
-        keys on the *masked* key, collapsing the per-request flow keys (which
-        otherwise never repeat) onto a few equivalence classes per pair.
-        Lengths are tracked per depth: in a fat-tree every core reaches a
-        pod through exactly one aggregation switch, so the depth-2 descent
-        choice is a singleton and contributes no bits at all.  Returns one
-        mask per depth (0: the aggregation switch climbed to, 1: the core,
-        2: the aggregation switch descended through), or ``None`` (no
-        forwarding table) when any length is not a power of two.
-        """
-        # Candidate-list lengths per _pick depth, matching the call sites in
-        # _from_tor/_from_agg/_from_core.
-        depth0 = set()  # climb: local aggs, or aggs wired to a target core
-        depth1 = set()  # core choice off the chosen agg
-        depth2 = set()  # descent agg into the destination pod
-        for options in self._aggs_by_pod.values():
-            depth0.add(len(options))
-        for options in self._aggs_of_core_pod.values():
-            depth0.add(len(options))  # climbers toward a core target
-            depth2.add(len(options))  # descent into a pod
-        for options in self._cores_of_agg.values():
-            depth1.add(len(options))
-        # The cross-pod aggregation-target branch of _from_tor builds two
-        # derived candidate lists (both indexed at depth 1); enumerate their
-        # possible lengths too.
-        aggs = list(self._cores_of_agg)
-        for target in aggs:
-            target_cores = set(self._cores_of_agg[target])
-            target_pod = self._nodes[target].pod
-            for pod, pod_aggs in self._aggs_by_pod.items():
-                if pod == target_pod:
-                    continue
-                shared_counts = [
-                    len(target_cores.intersection(self._cores_of_agg[agg]))
-                    for agg in pod_aggs
-                ]
-                depth1.update(n for n in shared_counts if n)
-                climbers = sum(1 for n in shared_counts if n)
-                if climbers:
-                    depth1.add(climbers)
-        masks = []
-        for shift, lengths in ((0, depth0), (5, depth1), (10, depth2)):
-            lengths.discard(0)
-            if any(n & (n - 1) or n > 32 for n in lengths):
-                return None
-            bits = (1 << (max(lengths, default=1).bit_length() - 1)) - 1
-            masks.append(bits << shift)
-        return tuple(masks)
+        self._interning = self.path_cache_size > 0 and index.keyed
 
     # ------------------------------------------------------------------
     # Public API
@@ -262,8 +334,8 @@ class Router:
         self._failed_links.discard((b, a))
 
     def _live(
-        self, from_name: str, options: List[str], to_name: str | None = None
-    ) -> List[str]:
+        self, from_name: str, options: Sequence[str], to_name: str | None = None
+    ) -> Sequence[str]:
         """ECMP candidates whose immediate links are alive.
 
         Checks the ``from_name -> option`` edge and, when ``to_name`` is
@@ -272,7 +344,8 @@ class Router:
         Falls back to the unfiltered list when every candidate is dead --
         the packet then heads into a dead link and the fabric drops it,
         modeling a genuine partition rather than inventing a detour the
-        topology does not offer.
+        topology does not offer.  ``options`` is the shared index's own
+        tuple, returned as it is or filtered into a new list, never written.
         """
         failed = self._failed_links
         if not failed:
@@ -436,7 +509,7 @@ class Router:
             core = _pick(shared_cores, flow_key, 1)
             return [agg_up, core, dst.name]
         # Core target: climb via a local aggregation switch wired to it.
-        climbers = self._aggs_of_core_pod.get((dst.name, tor.pod), [])
+        climbers = self._aggs_of_core_pod.get((dst.name, tor.pod), ())
         if not climbers:
             raise RoutingError(f"pod {tor.pod} has no link to core {dst.name}")
         return [_pick(self._live(tor.name, climbers, dst.name), flow_key, 0), dst.name]
@@ -514,8 +587,8 @@ class Router:
             raise RoutingError(f"{core.name} has no direct link to {dst.name}")
         raise RoutingError(f"core-to-core routing is undefined ({core.name} -> {dst.name})")
 
-    def _descent_aggs(self, core: str, pod: int) -> List[str]:
-        aggs = self._aggs_of_core_pod.get((core, pod), [])
+    def _descent_aggs(self, core: str, pod: int) -> Sequence[str]:
+        aggs = self._aggs_of_core_pod.get((core, pod), ())
         if not aggs:
             raise RoutingError(f"core {core} has no link into pod {pod}")
         return aggs

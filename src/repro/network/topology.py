@@ -9,13 +9,20 @@ builds the canonical k-ary fat-tree on top of it.
 
 Node names are human-readable and unique, e.g. ``core3``, ``agg1.2``
 (pod 1, index 2), ``tor1.0``, ``host1.0.5`` (pod 1, rack 0, index 5).
+
+A topology is built once and then only read.  What other layers derive from
+its wiring -- the router's ECMP indexes -- is kept on it
+(:meth:`Topology.derived`) and dropped by any change.  A tree shared across
+scenarios (:func:`~repro.network.fattree.shared_fat_tree`) is
+:meth:`~Topology.freeze`-d: adding a node or link to it raises, so no
+caller can change the wiring under the scenarios that share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.network.addressing import TIER_AGG, TIER_CORE, TIER_TOR, HostLocation
@@ -48,11 +55,12 @@ class Node:
     pod: Optional[int] = None
     rack: Optional[int] = None
     index: int = 0
+    #: Paper tier ID: core 0, aggregation 1, ToR 2 (hosts: 3).  Stored, not
+    #: derived per read: validation and the tier walks read it per link.
+    tier: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def tier(self) -> int:
-        """Paper tier ID: core 0, aggregation 1, ToR 2 (hosts: 3)."""
-        return KIND_TIER[self.kind]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tier", KIND_TIER[self.kind])
 
     def location(self) -> HostLocation:
         """The :class:`HostLocation` of a host node."""
@@ -62,18 +70,29 @@ class Node:
         return HostLocation(pod=self.pod, rack=self.rack, index=self.index)
 
 
+_FROZEN = "the topology is frozen (shared across scenarios); build a new one"
+
+
 @dataclass
 class Topology:
     """A typed adjacency structure over :class:`Node` objects."""
 
     nodes: Dict[str, Node] = field(default_factory=dict)
     _adjacency: Dict[str, List[str]] = field(default_factory=dict)
+    _frozen: bool = field(default=False, repr=False, compare=False)
+    _derived: Dict[Callable, Any] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_node(self, node: Node) -> None:
         """Register a node; names must be unique."""
+        if self._frozen:
+            raise TopologyError(_FROZEN)
+        if self._derived:  # what was derived from the wiring is stale now
+            self._derived.clear()
         if node.name in self.nodes:
             raise TopologyError(f"duplicate node name: {node.name}")
         self.nodes[node.name] = node
@@ -81,6 +100,10 @@ class Topology:
 
     def add_link(self, a: str, b: str) -> None:
         """Create an undirected link between two existing nodes."""
+        if self._frozen:
+            raise TopologyError(_FROZEN)
+        if self._derived:  # what was derived from the wiring is stale now
+            self._derived.clear()
         if a not in self.nodes or b not in self.nodes:
             missing = a if a not in self.nodes else b
             raise TopologyError(f"unknown node: {missing}")
@@ -88,6 +111,28 @@ class Topology:
             raise TopologyError(f"duplicate link {a} <-> {b}")
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
+
+    def freeze(self) -> "Topology":
+        """Refuse every later node or link; returns the topology itself."""
+        self._frozen = True
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        """Whether nodes and links can no longer be added."""
+        return self._frozen
+
+    def derived(self, build: Callable[["Topology"], Any]) -> Any:
+        """``build(self)``, computed once per wiring.
+
+        For read-only structures that depend on nothing but the nodes and
+        links (the router's indexes): every caller over this topology gets
+        the same object until a node or link is added.
+        """
+        value = self._derived.get(build)
+        if value is None:
+            value = self._derived[build] = build(self)
+        return value
 
     # ------------------------------------------------------------------
     # Queries
@@ -166,7 +211,7 @@ class Topology:
         for node in self.nodes.values():
             for neighbor_name in self._adjacency[node.name]:
                 neighbor = self.nodes[neighbor_name]
-                if abs(neighbor.tier - node.tier) != 1:
+                if neighbor.tier - node.tier not in (1, -1):
                     raise TopologyError(
                         f"link {node.name} <-> {neighbor_name} skips a tier"
                     )

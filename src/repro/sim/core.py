@@ -36,16 +36,45 @@ to a single-heap engine, preserving determinism bit-for-bit.
 
 Cancelled ``kind 0`` entries stay in place (lazy deletion) and are counted;
 once they exceed both a floor and half the schedule, both structures are
-compacted in one O(n) pass.  Cancelled entries never run, never advance the
-clock, and do not count toward :attr:`Environment.events_executed`.
+compacted in one O(n) pass.  The schedule's size is read only when the count
+reaches a mark: the floor, and after a check that found too few the soonest
+count that could reach half the schedule as it stood (at most a floor's
+worth of cancels later), so a cancel costs no ``len`` calls in between.
+Cancelled entries never run, never advance the clock, and do not count
+toward :attr:`Environment.events_executed`.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Optional
+
+
+class collector_parked:
+    """The cyclic garbage collector off inside; the caller's state after.
+
+    A build and a run allocate tens of thousands of tracked objects (set-up)
+    or tens of objects an event (the loops), nearly all acyclic and freed by
+    reference counting, so the collector's generation-0 passes find nothing
+    and cost a fifth of a large build.  Whatever was enabled on entry is
+    enabled again on every exit, an exception included; a nested park
+    restores "off".  ``with collector_parked():`` wraps a whole build or
+    run: ``build_scenario``, the flow engines' constructors,
+    :meth:`Environment.run` and the flow tier's run.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self._was_enabled:
+            gc.enable()
 
 
 class SimulationError(Exception):
@@ -85,12 +114,16 @@ class _Handle:
         if env is not None:
             self._env = None
             cancelled = env._cancelled = env._cancelled + 1
-            if (
-                env._compaction
-                and cancelled >= env.COMPACTION_MIN_CANCELLED
-                and cancelled * 2 >= len(env._heap) + len(env._dq)
-            ):
-                env._compact()
+            if cancelled >= env._compact_mark:
+                size = len(env._heap) + len(env._dq)
+                if cancelled * 2 >= size:
+                    env._compact()
+                else:
+                    # The soonest this count can reach half the schedule as
+                    # it stands, and at most a floor's worth of cancels on.
+                    env._compact_mark = cancelled + min(
+                        (size + 1) // 2 - cancelled, env.COMPACTION_MIN_CANCELLED
+                    )
 
 
 class Environment:
@@ -118,6 +151,11 @@ class Environment:
         self._event_count = 0
         self._cancelled = 0  # cancelled kind-0 entries still scheduled
         self._compaction = bool(compaction)
+        # The cancelled count at which a cancel next reads the schedule's
+        # size (see the module docstring); never, with compaction off.
+        self._compact_mark: float = (
+            self.COMPACTION_MIN_CANCELLED if self._compaction else math.inf
+        )
 
     @property
     def events_executed(self) -> int:
@@ -212,6 +250,8 @@ class Environment:
         dq.clear()
         dq.extend(live)
         self._cancelled = 0
+        if self._compaction:
+            self._compact_mark = self.COMPACTION_MIN_CANCELLED
 
     # ------------------------------------------------------------------
     # Execution
@@ -299,13 +339,13 @@ class Environment:
         :meth:`step`) because the per-event call overhead is measurable at
         paper scale; :meth:`step` remains for tests and debugging.
 
-        The cyclic garbage collector is paused while the loop runs: events
-        are tuples of floats and callables and packets hold no back
-        references, so everything the loop churns through is freed by
-        reference counting alone, while the allocation rate (tens of
-        objects per event) makes generation-0 scans a measurable tax.
-        Collection resumes on exit; anything cyclic created by callbacks is
-        picked up then.
+        The cyclic garbage collector is parked while the loop runs
+        (:func:`collector_parked`): events are tuples of floats and
+        callables and packets hold no back references, so everything the
+        loop churns through is freed by reference counting alone, while the
+        allocation rate (tens of objects per event) makes generation-0 scans
+        a measurable tax.  Collection resumes on exit; anything cyclic
+        created by callbacks is picked up then.
         """
         heap = self._heap
         dq = self._dq
@@ -318,46 +358,42 @@ class Environment:
                 raise SimulationError(
                     f"run(until={until}) is in the past (now={self.now})"
                 )
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            while True:
-                # Select the globally next entry across both structures.
-                if dq:
-                    if heap and heap[0] < dq[0]:
+        with collector_parked():
+            try:
+                while True:
+                    # Select the globally next entry across both structures.
+                    if dq:
+                        if heap and heap[0] < dq[0]:
+                            if until is not None and heap[0][0] > until:
+                                break
+                            entry = pop(heap)
+                        else:
+                            if until is not None and dq[0][0] > until:
+                                break
+                            entry = popleft()
+                    elif heap:
                         if until is not None and heap[0][0] > until:
                             break
                         entry = pop(heap)
                     else:
-                        if until is not None and dq[0][0] > until:
-                            break
-                        entry = popleft()
-                elif heap:
-                    if until is not None and heap[0][0] > until:
                         break
-                    entry = pop(heap)
-                else:
-                    break
-                if entry[2] == 2:
-                    self.now = entry[0]
-                    executed += 1
-                    entry[3](*entry[4])
-                else:
-                    handle = entry[5]
-                    if handle.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    handle._env = None
-                    self.now = entry[0]
-                    executed += 1
-                    entry[3](*entry[4])
-        except StopSimulation as stop:
-            return stop.value
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self._event_count += executed
+                    if entry[2] == 2:
+                        self.now = entry[0]
+                        executed += 1
+                        entry[3](*entry[4])
+                    else:
+                        handle = entry[5]
+                        if handle.cancelled:
+                            self._cancelled -= 1
+                            continue
+                        handle._env = None
+                        self.now = entry[0]
+                        executed += 1
+                        entry[3](*entry[4])
+            except StopSimulation as stop:
+                return stop.value
+            finally:
+                self._event_count += executed
         if until is not None and self.now < until:
             self.now = until
         return None

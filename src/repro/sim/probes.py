@@ -81,8 +81,24 @@ class LatencyRecorder:
 
     @property
     def samples(self) -> Sequence[float]:
-        """Read-only view of the raw samples (insertion order)."""
+        """The raw samples (insertion order), as a tuple of Python floats.
+
+        Boxes every sample on every access (some 30 MiB for a million); to
+        compare or reduce samples, read :attr:`values` instead.
+        """
         return tuple(self._samples)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The raw samples (insertion order) as a read-only float64 array.
+
+        A view of the recorder's own buffer: nothing is copied or boxed.  The
+        buffer cannot grow while a view of it is alive (``add`` raises
+        ``BufferError``), so read it once recording is over and drop it.
+        """
+        view = np.frombuffer(self._samples, dtype=np.float64)
+        view.flags.writeable = False
+        return view
 
     def _ensure_sorted(self) -> np.ndarray:
         # Zero-copy float64 view over the sorted mirror; numpy reductions

@@ -1,11 +1,20 @@
 """Tests for scenario construction."""
 
+import gc
+
 import pytest
 
+from repro.errors import TopologyError
+from repro.experiments import scenarios
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
+from repro.kvstore import hashing
+from repro.mesoscale import FlowEngine, VectorFlowEngine, geometry
+from repro.network import fattree
 from repro.network.addressing import TIER_TOR
+from repro.network.topology import Node, NodeKind
+from tests.mesoscale.test_event_budget import SETUP_CEILINGS, _fingerprint
 
 
 class TestRoles:
@@ -105,3 +114,101 @@ class TestWiring:
             ExperimentConfig.tiny(scheme="netrs-ilp", group_granularity="host")
         )
         assert len(scenario.groups) == scenario.config.n_clients
+
+
+def _empty_memos(monkeypatch):
+    """Every process-wide memo a build reads, empty for this test only."""
+    monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+    monkeypatch.setattr(hashing, "_RING_MEMO", {})
+    monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
+
+
+class TestSharedTree:
+    """A process builds a packet scenario's fat tree and router index once;
+    what a run changes stays each scenario's own."""
+
+    def test_two_builds_share_the_tree_and_index_but_no_run_state(self, monkeypatch):
+        _empty_memos(monkeypatch)
+        config = ExperimentConfig.tiny(seed=2)
+        first, second = build_scenario(config), build_scenario(config.replace(seed=3))
+        assert first.topology is second.topology and first.topology.frozen
+        a, b = first.network.router, second.network.router
+        assert a.index is b.index
+        assert a._routes is not b._routes
+        assert a._failed_links is not b._failed_links
+        first.network.fail_link("tor0.0", "agg0.0")
+        assert a._failed_links and not b._failed_links
+        assert first.network is not second.network
+        assert first.network._distances is not second.network._distances
+
+    def test_a_shared_tree_refuses_a_new_link(self, monkeypatch):
+        _empty_memos(monkeypatch)
+        topology = build_scenario(ExperimentConfig.tiny()).topology
+        links = {name: topology.neighbors(name) for name in topology.nodes}
+        with pytest.raises(TopologyError, match="frozen"):
+            topology.add_link("tor0.0", "core0")
+        with pytest.raises(TopologyError, match="frozen"):
+            topology.add_node(Node(name="spare", kind=NodeKind.CORE))
+        assert {name: topology.neighbors(name) for name in topology.nodes} == links
+
+    def test_a_link_fault_leaves_the_next_build_as_if_cold(self, monkeypatch):
+        """A run that cuts a link of the shared tree, then a fault-free run
+        over the same tree, reports what the fault-free run does in a process
+        that never built anything.  The fault-free run forwards hop by hop
+        (``track_links``), so it walks the router on every send."""
+        clean = ExperimentConfig.small(scheme="clirs", seed=0, total_requests=1500)
+
+        def hop_by_hop():
+            scenario = build_scenario(clean)
+            scenario.network.track_links()
+            result = run_experiment(clean, scenario=scenario)
+            return _fingerprint(result), scenario.network.link_packets
+
+        _empty_memos(monkeypatch)
+        cold = hop_by_hop()
+        _empty_memos(monkeypatch)
+        faulty = run_experiment(
+            clean.replace(
+                fault_schedule="link-down@0.005:tor0.0/agg0.0",
+                request_timeout=0.02,
+                max_retries=3,
+            )
+        )
+        assert faulty.packets_dropped > 0
+        assert hop_by_hop() == cold
+
+    @pytest.mark.parametrize(
+        "cell", ["pkt-clirs-r95", "pkt-netrs-ilp", "pkt-quorum-churn"]
+    )
+    def test_a_warm_build_reports_what_a_cold_one_does(self, cell, monkeypatch):
+        config = ExperimentConfig.small(seed=0, **SETUP_CEILINGS[cell][0])
+        _empty_memos(monkeypatch)
+        cold = _fingerprint(run_experiment(config))
+        assert fattree._TREE_MEMO  # the cold run filled it
+        assert _fingerprint(run_experiment(config)) == cold
+
+
+def test_a_build_parks_the_collector_and_restores_it(monkeypatch):
+    """``build_scenario`` and the flow engines' constructors run with the
+    cyclic collector off and leave it as they found it."""
+    seen = []
+    real = scenarios.assign_roles
+
+    def spying(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(scenarios, "assign_roles", spying)
+    config = ExperimentConfig.tiny(scheme="clirs", seed=1)
+    flow = config.replace(fidelity="flow")
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            build_scenario(config)
+            FlowEngine(flow).teardown()
+            VectorFlowEngine(flow, vector_batch=64).teardown()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False] * 6

@@ -45,6 +45,8 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
 from repro.kvstore import hashing
 from repro.mesoscale import FlowEngine, VectorFlowEngine, geometry, shard_configs
+from repro.network import fattree
+from repro.network.routing import Router
 
 
 def test_flow_netrs_request_costs_six_micro_events():
@@ -243,7 +245,9 @@ def test_a_netrs_send_is_the_host_and_one_express():
 #: Calls per request of a whole run on the benchmark's fixed input (seed 0),
 #: set-up left out (an ILP solve's calls are scipy's business) and the
 #: process-wide ring memo emptied first, so that the count is exact whatever
-#: ran before: 79.73, 112.87 and 94.64 measured (114.26 and 96.64 while a
+#: ran before: 78.41, 111.26 and 94.64 measured (79.73 and 112.87 while a
+#: cancelled timer read the schedule's size on every cancel past the
+#: compaction floor; 114.26 and 96.64 while a
 #: client without a redundancy policy kept a latency history nobody read; 80.61
 #: and 122.27 while a
 #: cancelled timer counted itself in a second frame, the client folded a write
@@ -276,8 +280,8 @@ FLOW_TOR_FAULTS = dict(
     max_retries=5,
 )
 CALL_CEILINGS = {
-    "pkt-clirs-r95": (PLAIN_TRAFFIC_CELLS["pkt-clirs-r95"][0], 80.5),
-    "pkt-quorum-churn": (PLAIN_TRAFFIC_CELLS["pkt-quorum-churn"][0], 114.0),
+    "pkt-clirs-r95": (PLAIN_TRAFFIC_CELLS["pkt-clirs-r95"][0], 79.2),
+    "pkt-quorum-churn": (PLAIN_TRAFFIC_CELLS["pkt-quorum-churn"][0], 112.4),
     "pkt-netrs-ilp": (NETRS_CELLS["pkt-netrs-ilp"][0], 95.6),
     "flow-tor-faults": (FLOW_TOR_FAULTS, 92.9),
 }
@@ -391,19 +395,22 @@ FLOW_SOA_SHARD = dict(
 
 #: Calls of one set-up of each benchmark shape on its fixed input (seed 0),
 #: under ``cProfile`` with the process-wide memos (the ring, the fat-tree
-#: geometry) emptied first, the ILP solve's Python frames included: 30 079,
-#: 32 098 (31 907 once a solve has run in the process), 29 432, 60 286 and
-#: 11 686 measured (29 430 while the churnable ring hashed its own points:
-#: with the memo emptied, the shared ring it borrows them from is built here
-#: first; 30 738, 32 325, 29 832, 68 016 and 12 206 while every
+#: geometry, the packet tier's fat tree) emptied first, the ILP solve's Python
+#: frames included: 17 025, 18 776 (18 583 once a solve has run in the
+#: process), 16 316, 60 322 and 11 627 measured (30 079, 32 098, 29 368,
+#: 60 286 and 11 622 while a node derived its tier per read, the ECMP masks
+#: intersected every cross-pod pair of aggregation switches and no flow
+#: engine parked the collector itself; 29 430 while the churnable ring hashed
+#: its own points: with the memo emptied, the shared ring it borrows them
+#: from is built here first; 30 738, 32 325, 29 832, 68 016 and 12 206 while every
 #: stream was seeded by a ``SeedSequence`` of its own and every shard built
 #: its own geometry).  Every per-host stream is declared in one call; one
 #: derived on its own again costs some 20 calls more a host and fails.
 #: Ceilings sit about 1 % above.
 SETUP_CEILINGS = {
-    "pkt-clirs-r95": (PLAIN_TRAFFIC_CELLS["pkt-clirs-r95"][0], 30_400),
-    "pkt-netrs-ilp": (NETRS_CELLS["pkt-netrs-ilp"][0], 32_450),
-    "pkt-quorum-churn": (PLAIN_TRAFFIC_CELLS["pkt-quorum-churn"][0], 29_750),
+    "pkt-clirs-r95": (PLAIN_TRAFFIC_CELLS["pkt-clirs-r95"][0], 17_200),
+    "pkt-netrs-ilp": (NETRS_CELLS["pkt-netrs-ilp"][0], 18_960),
+    "pkt-quorum-churn": (PLAIN_TRAFFIC_CELLS["pkt-quorum-churn"][0], 16_480),
     "flow-soa-shard": (FLOW_SOA_SHARD, 60_900),
     "flow-tor-faults": (FLOW_TOR_FAULTS, 11_800),
 }
@@ -428,11 +435,20 @@ def _release(built):
             engine.teardown()
 
 
-def _setup_calls(cell):
-    """Calls of one set-up of ``cell``, the process-wide memos emptied first."""
+def _empty_memos():
+    """Empty the process-wide memos: the ring, the geometry, the fat tree."""
     hashing._RING_MEMO.clear()
     geometry._GEOMETRY_MEMO.clear()
+    fattree._TREE_MEMO.clear()
+
+
+def _setup_calls(cell, warm=False):
+    """Calls of one set-up of ``cell``, the process-wide memos emptied first;
+    with ``warm``, of a second set-up, after a first one filled them."""
+    _empty_memos()
     config = ExperimentConfig.small(seed=0, **SETUP_CEILINGS[cell][0])
+    if warm:
+        _release(_build(config))
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -464,7 +480,53 @@ def test_a_build_seeds_no_stream_through_seed_sequence(cell, monkeypatch):
 def test_a_build_stays_under_its_call_budget(cell, monkeypatch):
     monkeypatch.setattr(hashing, "_RING_MEMO", {})
     monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
+    monkeypatch.setattr(fattree, "_TREE_MEMO", {})
     assert _setup_calls(cell) < SETUP_CEILINGS[cell][1]
+
+
+#: Calls of the second set-up of each shape in a process, every memo warm:
+#: 5 139, 6 691, 4 430, 28 314 and 3 760 measured (for the shapes in
+#: ``SETUP_CEILINGS``' order).  A packet build borrows the tree and its
+#: router index (:func:`~repro.network.fattree.shared_fat_tree`), so the graph
+#: work a first build did costs it nothing.  Ceilings sit about 1 % above.
+WARM_SETUP_CEILINGS = {
+    "pkt-clirs-r95": 5_190,
+    "pkt-netrs-ilp": 6_760,
+    "pkt-quorum-churn": 4_475,
+    "flow-soa-shard": 28_600,
+    "flow-tor-faults": 3_800,
+}
+
+
+@pytest.mark.parametrize("cell", sorted(WARM_SETUP_CEILINGS))
+def test_a_second_build_stays_under_its_warm_call_budget(cell, monkeypatch):
+    monkeypatch.setattr(hashing, "_RING_MEMO", {})
+    monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
+    monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+    assert _setup_calls(cell, warm=True) < WARM_SETUP_CEILINGS[cell]
+
+
+#: Calls of a cold ``build_fat_tree(k)`` plus ``Router`` over it, the graph
+#: work the first packet build of a process pays: 4 151 at k = 8 and 28 563
+#: at k = 16, the paper's (16 972 and 150 108 while a node derived its tier
+#: through an ``Enum`` hash per read and the ECMP masks intersected the cores
+#: of every aggregation pair across pods).  Ceilings sit about 1 % above.
+GRAPH_CEILINGS = {8: 4_195, 16: 28_850}
+
+
+def _graph_calls(k):
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        Router(fattree.build_fat_tree(k))
+    finally:
+        profiler.disable()
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
+@pytest.mark.parametrize("k", sorted(GRAPH_CEILINGS))
+def test_a_cold_tree_and_router_stay_under_their_call_budget(k):
+    assert _graph_calls(k) < GRAPH_CEILINGS[k]
 
 
 def test_flow_shards_share_one_geometry(monkeypatch):
@@ -484,17 +546,19 @@ def test_flow_shards_share_one_geometry(monkeypatch):
 #: The tracemalloc peak of a whole run of each benchmark shape on its fixed
 #: input (seed 0), in MiB, after the history the benchmark gives it (one plain
 #: run, one under ``cProfile``) with the process-wide memos emptied first, so
-#: that the figure is the benchmark's ``peak_alloc_mib``: 1.592, 0.991, 2.323,
-#: 3.044 and 1.486 measured for the shapes in this order (2.020, 1.437, 2.682,
+#: that the figure is the benchmark's ``peak_alloc_mib``: 1.449, 0.847, 2.171,
+#: 3.045 and 1.486 measured for the shapes in this order (1.592, 0.991 and
+#: 2.323 while every packet build built its own fat tree and router indexes;
+#: 2.020, 1.437, 2.682,
 #: 5.299 and 2.493 while the pre-drawn RNG blocks, the latency samples and the
 #: SoA engine's issue, arrival and delivery times were boxed Python floats in
 #: lists, its locality classes a list a request, its track cache paired each
 #: track with its server's name and every client kept a latency history).
 #: Ceilings sit about 2 % above.
 ALLOC_CEILINGS = {
-    "pkt-clirs-r95": 1.62,
-    "pkt-netrs-ilp": 1.01,
-    "pkt-quorum-churn": 2.37,
+    "pkt-clirs-r95": 1.48,
+    "pkt-netrs-ilp": 0.865,
+    "pkt-quorum-churn": 2.215,
     "flow-soa-shard": 3.10,
     "flow-tor-faults": 1.52,
 }
@@ -503,8 +567,7 @@ ALLOC_CEILINGS = {
 def _peak_mib(cell):
     """The tracemalloc peak, in MiB, of a run of ``cell`` after the benchmark's
     history."""
-    hashing._RING_MEMO.clear()
-    geometry._GEOMETRY_MEMO.clear()
+    _empty_memos()
     config = ExperimentConfig.small(seed=0, **SETUP_CEILINGS[cell][0])
     run_experiment(config)
     gc.collect()
@@ -523,6 +586,7 @@ def _peak_mib(cell):
 def test_a_run_stays_under_its_allocation_budget(cell, monkeypatch):
     monkeypatch.setattr(hashing, "_RING_MEMO", {})
     monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
+    monkeypatch.setattr(fattree, "_TREE_MEMO", {})
     assert _peak_mib(cell) < ALLOC_CEILINGS[cell]
 
 
@@ -550,7 +614,13 @@ def _print_calls():  # pragma: no cover - manual re-recording helper
         print(f"{cell} {calls:.2f} calls/request (ceiling {CALL_CEILINGS[cell][1]})")
     for cell in sorted(SETUP_CEILINGS):
         calls = _setup_calls(cell)
-        print(f"{cell} {calls} set-up calls (ceiling {SETUP_CEILINGS[cell][1]})")
+        print(f"{cell} {calls} cold set-up calls (ceiling {SETUP_CEILINGS[cell][1]})")
+    for cell in sorted(WARM_SETUP_CEILINGS):
+        calls = _setup_calls(cell, warm=True)
+        print(f"{cell} {calls} warm set-up calls (ceiling {WARM_SETUP_CEILINGS[cell]})")
+    for k in sorted(GRAPH_CEILINGS):
+        print(f"k={k} {_graph_calls(k)} cold tree and router calls "
+              f"(ceiling {GRAPH_CEILINGS[k]})")
     for cell in sorted(ALLOC_CEILINGS):
         print(f"{cell} {_peak_mib(cell):.3f} MiB peak (ceiling {ALLOC_CEILINGS[cell]})")
 

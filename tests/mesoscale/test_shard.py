@@ -9,6 +9,7 @@ shard-local populations and must aggregate exactly.
 import json
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -62,7 +63,8 @@ def test_parallel_workers_match_serial():
 def test_a_shard_hands_over_unboxed_samples_that_record_as_json():
     sub = shard_configs(_sharded("clirs-r95", shards=2))[0]
     outcome = shard._run_shard_job(Job.from_config(sub, 0))
-    assert isinstance(outcome.samples, array) and outcome.samples.typecode == "d"
+    assert isinstance(outcome.samples, np.ndarray) and outcome.samples.dtype == np.float64
+    assert not outcome.samples.flags.writeable  # the recorder's buffer, read-only
     assert len(outcome.samples) > 0
     record = json.loads(json.dumps(outcome.to_record()))
     assert JobOutcome.from_record(record).samples == list(outcome.samples)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.network.fattree import build_fat_tree, fat_tree_dimensions
+from repro.network import fattree
+from repro.network.fattree import build_fat_tree, fat_tree_dimensions, shared_fat_tree
 from repro.network.topology import NodeKind
 
 
@@ -65,3 +66,29 @@ class TestFatTree:
         topo = build_fat_tree(k)
         for tor in topo.by_kind(NodeKind.TOR):
             assert len(topo.hosts_under(tor.name)) == k // 2
+
+
+class TestSharedFatTree:
+    def test_one_frozen_tree_per_k(self, monkeypatch):
+        monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+        tree = shared_fat_tree(4)
+        assert shared_fat_tree(4) is tree and tree.frozen
+        assert shared_fat_tree(8) is not tree
+        fresh = build_fat_tree(4)
+        assert not fresh.frozen
+        assert tree.nodes == fresh.nodes
+        assert {n: tree.neighbors(n) for n in tree.nodes} == {
+            n: fresh.neighbors(n) for n in fresh.nodes
+        }
+
+    def test_a_shared_tree_refuses_a_new_link(self, monkeypatch):
+        monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+        with pytest.raises(TopologyError, match="frozen"):
+            shared_fat_tree(4).add_link("tor0.0", "core0")
+        assert "core0" not in shared_fat_tree(4).neighbors("tor0.0")
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+        for k in (2, 4, 6, 8, 10, 12):
+            shared_fat_tree(k)
+        assert 0 < len(fattree._TREE_MEMO) <= fattree._TREE_MEMO_LIMIT

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import RoutingError
 from repro.network.fattree import build_fat_tree
 from repro.network.routing import Router
-from repro.network.topology import NodeKind
+from repro.network.topology import Node, NodeKind, Topology, build_tree
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +278,109 @@ class TestInvalidationAndLinkFaults:
                     assert plain.path(src, dst, flow_key) == exercised.path(
                         src, dst, flow_key
                     )
+
+
+def _wired_tree(wiring):
+    """One rack of one host per pod; ``wiring[pod]`` lists, per aggregation
+    switch of the pod, the cores it links to."""
+    topo = Topology()
+    cores = sorted({c for aggs in wiring.values() for agg in aggs for c in agg})
+    for c in cores:
+        topo.add_node(Node(name=f"core{c}", kind=NodeKind.CORE, index=c))
+    for pod, aggs in wiring.items():
+        topo.add_node(Node(name=f"tor{pod}.0", kind=NodeKind.TOR, pod=pod, rack=0))
+        topo.add_node(Node(name=f"host{pod}.0.0", kind=NodeKind.HOST, pod=pod, rack=0))
+        topo.add_link(f"host{pod}.0.0", f"tor{pod}.0")
+        for a, linked in enumerate(aggs):
+            topo.add_node(Node(name=f"agg{pod}.{a}", kind=NodeKind.AGG, pod=pod, index=a))
+            topo.add_link(f"tor{pod}.0", f"agg{pod}.{a}")
+            for c in linked:
+                topo.add_link(f"agg{pod}.{a}", f"core{c}")
+    topo.validate()
+    return topo
+
+
+def _pairwise_masks(index):
+    """The key masks by enumerating every (target, climbing aggregation
+    switch) pair across pods: the reference the index's enumeration of
+    distinct wirings must equal."""
+    depth0 = {len(o) for o in index.aggs_by_pod.values()}
+    depth0 |= {len(o) for o in index.aggs_of_core_pod.values()}
+    depth2 = {len(o) for o in index.aggs_of_core_pod.values()}
+    depth1 = {len(o) for o in index.cores_of_agg.values()}
+    for target, target_cores in index.cores_of_agg.items():
+        for pod, pod_aggs in index.aggs_by_pod.items():
+            if pod == index.nodes[target].pod:
+                continue
+            shared = [
+                len(set(target_cores) & set(index.cores_of_agg[agg])) for agg in pod_aggs
+            ]
+            depth1.update(n for n in shared if n)
+            if any(shared):
+                depth1.add(sum(1 for n in shared if n))
+    masks = []
+    for shift, lengths in ((0, depth0), (5, depth1), (10, depth2)):
+        lengths.discard(0)
+        if any(n & (n - 1) or n > 32 for n in lengths):
+            return None
+        masks.append(((1 << (max(lengths, default=1).bit_length() - 1)) - 1) << shift)
+    return tuple(masks)
+
+
+class TestSharedIndex:
+    def test_routers_over_one_topology_share_the_index_not_the_run_state(self):
+        topo = build_fat_tree(4)
+        a, b = Router(topo), Router(topo, path_cache_size=0)
+        assert a.index is b.index
+        assert a._routes is not b._routes and a._failed_links is not b._failed_links
+        before = [b.path("host0.0.0", "host3.1.1", k) for k in range(64)]
+        a.fail_link("agg0.0", "core0")
+        assert not b._failed_links
+        assert [b.path("host0.0.0", "host3.1.1", k) for k in range(64)] == before
+
+    def test_a_new_link_builds_a_new_index(self):
+        topo = build_fat_tree(4)
+        first = Router(topo).index
+        topo.add_node(Node(name="host0.0.9", kind=NodeKind.HOST, pod=0, rack=0))
+        topo.add_link("host0.0.9", "tor0.0")
+        second = Router(topo)
+        assert second.index is not first
+        assert second.tor_of("host0.0.9") == "tor0.0"
+
+    def test_the_index_s_candidate_lists_are_tuples(self):
+        index = Router(build_fat_tree(4)).index
+        for table in (index.aggs_by_pod, index.cores_of_agg, index.aggs_of_core_pod):
+            assert all(type(options) is tuple for options in table.values())
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            lambda: build_fat_tree(2),
+            lambda: build_fat_tree(4),
+            lambda: build_fat_tree(8),
+            lambda: build_fat_tree(16),
+            lambda: build_tree(
+                pods=3, racks_per_pod=2, hosts_per_rack=1, aggs_per_pod=2,
+                cores=4, core_links_per_agg=2,
+            ),
+            lambda: build_tree(
+                pods=2, racks_per_pod=1, hosts_per_rack=1, aggs_per_pod=3,
+                cores=6, core_links_per_agg=2,
+            ),
+            lambda: build_tree(
+                pods=1, racks_per_pod=4, hosts_per_rack=3, aggs_per_pod=3, cores=1
+            ),
+            # Pods wired differently; pod 1's wiring is its own alone.
+            lambda: _wired_tree({0: [[0, 1], [2, 3]], 1: [[0, 1, 2, 3], [0]],
+                                 2: [[0, 1], [2, 3]]}),
+            lambda: _wired_tree({0: [[0, 1], [2, 3]], 1: [[0, 2], [1, 3]]}),
+            lambda: _wired_tree({0: [[0]], 1: [[0, 1]]}),
+            # Two switches of one pod share three cores: a length only
+            # counting the target's own pod would add.
+            lambda: _wired_tree({0: [[0, 1, 2, 3], [0, 1, 2, 4]],
+                                 1: [[0, 1, 5, 6], [2, 3, 4, 7]]}),
+        ],
+    )
+    def test_key_masks_equal_the_pairwise_enumeration(self, topology):
+        index = Router(topology()).index
+        assert index._ecmp_key_masks() == _pairwise_masks(index)

@@ -1,9 +1,18 @@
 """Tests for the generic tree topology."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import TopologyError
-from repro.network.topology import Node, NodeKind, Topology, build_tree, iter_rack_ids
+from repro.network.topology import (
+    KIND_TIER,
+    Node,
+    NodeKind,
+    Topology,
+    build_tree,
+    iter_rack_ids,
+)
 
 
 @pytest.fixture
@@ -138,3 +147,44 @@ class TestValidation:
         topo.add_node(Node(name="h", kind=NodeKind.HOST, pod=0, rack=0))
         with pytest.raises(TopologyError):
             topo.validate()
+
+
+class TestStoredTierAndDerivedIndexes:
+    @pytest.mark.parametrize("kind", list(NodeKind))
+    def test_a_node_stores_its_kind_s_tier(self, kind):
+        node = Node(name="n", kind=kind, pod=0, rack=0)
+        assert node.tier == KIND_TIER[kind]
+        assert "tier" in Node.__slots__
+        assert dataclasses.replace(node, kind=NodeKind.AGG).tier == 1
+        assert node == Node(name="n", kind=kind, pod=0, rack=0)
+
+    def test_a_derived_value_is_built_once_per_wiring(self, small_tree):
+        built = []
+
+        def count_hosts(topology):
+            built.append(1)
+            return len(topology.hosts)
+
+        assert small_tree.derived(count_hosts) == 12
+        assert small_tree.derived(count_hosts) == 12
+        assert len(built) == 1
+        small_tree.add_node(Node(name="host9.9.9", kind=NodeKind.HOST, pod=1, rack=0))
+        assert small_tree.derived(count_hosts) == 13
+        assert len(built) == 2
+
+    def test_a_frozen_topology_refuses_changes_and_keeps_what_it_derived(
+        self, small_tree
+    ):
+        def count_switches(topology):
+            return len(topology.switches)
+
+        derived = small_tree.derived(count_switches)
+        assert small_tree.freeze() is small_tree and small_tree.frozen
+        with pytest.raises(TopologyError, match="frozen"):
+            small_tree.add_node(Node(name="core9", kind=NodeKind.CORE))
+        with pytest.raises(TopologyError, match="frozen"):
+            small_tree.add_link("tor0.0", "core0")
+        assert "core9" not in small_tree.nodes
+        assert "core0" not in small_tree.neighbors("tor0.0")
+        assert small_tree.derived(count_switches) == derived
+        assert small_tree._derived == {count_switches: derived}

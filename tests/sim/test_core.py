@@ -1,5 +1,6 @@
 """Tests for the event loop: scheduling, ordering, cancellation, stop semantics."""
 
+import cProfile
 import gc
 import heapq
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from repro.sim import Environment, SimulationError, StopSimulation
+from repro.sim.core import collector_parked
 
 
 @pytest.fixture
@@ -403,6 +405,44 @@ class TestLazyDeletion:
         handles[0].cancel()
         assert env.pending_cancelled == 0
 
+    def test_a_cancel_reads_the_schedule_s_size_only_at_a_mark(self, env):
+        """Under half the schedule, a check at most every floor's worth of
+        cancels: two ``len`` calls each (two on every cancel past the floor
+        before)."""
+        for i in range(10_000):
+            env.call_in(1.0 + i, lambda: None)
+        doomed = [env.call_in(0.5, lambda: None) for _ in range(1_000)]
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for handle in doomed:
+            handle.cancel()
+        profiler.disable()
+        lens = sum(
+            entry.callcount
+            for entry in profiler.getstats()
+            if isinstance(entry.code, str) and "builtins.len" in entry.code
+        )
+        floor = Environment.COMPACTION_MIN_CANCELLED
+        assert lens == 2 * (len(doomed) // floor)
+        assert env.pending_cancelled == len(doomed)  # under half: still lazy
+
+    def test_compaction_finds_half_the_schedule_after_it_shrank(self, env):
+        """The mark set by a check that found too few is at most a floor's
+        worth of cancels on, so a schedule that drained meanwhile is still
+        compacted."""
+        seen = []
+        handles = [env.call_in(5.0, lambda: None) for _ in range(200)]
+        for i in range(1_000):
+            env.post_in(1.0 + i * 1e-3, seen.append, (i,))
+        floor = Environment.COMPACTION_MIN_CANCELLED
+        for handle in handles[:floor]:
+            handle.cancel()  # 64 of 1 200: too few, next check within 64
+        env.run(until=2.5)  # drains the 1 000 plain entries
+        for handle in handles[floor : 2 * floor]:
+            handle.cancel()
+        assert env.pending_cancelled == 0 and len(env._heap) + len(env._dq) == 72
+        assert len(seen) == 1_000
+
     def test_compaction_on_off_same_behaviour(self):
         def run_once(compaction):
             env = Environment(compaction=compaction)
@@ -750,3 +790,23 @@ class TestDeterminism:
             return seen
 
         assert run_once() == run_once()
+
+
+class TestCollectorParked:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_caller_s_state_is_restored_on_every_exit(self, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with collector_parked():
+                assert not gc.isenabled()
+                with collector_parked():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()  # a nested park restores "off"
+            assert gc.isenabled() is enabled
+            with pytest.raises(KeyError):
+                with collector_parked():
+                    raise KeyError("boom")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()

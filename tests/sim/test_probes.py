@@ -50,6 +50,23 @@ class TestLatencyRecorder:
         assert type(recorder.samples) is tuple
         assert [type(value) for value in recorder.samples] == [float, float]
 
+    def test_values_is_a_read_only_view_of_the_samples(self):
+        recorder = LatencyRecorder()
+        recorder.extend([0.1, 0.2, 0.3])
+        values = recorder.values
+        assert values.dtype == np.float64 and values.tolist() == [0.1, 0.2, 0.3]
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        tracemalloc.start()
+        try:
+            again = recorder.values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(again, values) and peak < 1024  # nothing copied
+        assert LatencyRecorder().values.shape == (0,)
+
     def test_add_after_percentile_invalidates_cache(self):
         recorder = LatencyRecorder()
         recorder.add(1.0)
