@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke figures bench-layered-smoke bench-ab lint lint-report help
+.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke figures bench-layered-smoke bench-ab lint help
 
 help:
 	@echo "install       editable install"
@@ -13,8 +13,7 @@ help:
 	@echo "mesoscale-smoke  1k-host flow-tier demo (events/request per tier) + fidelity gate on every scenario + a --fidelity flow run the flow engine does not model + a packet ledger resumed under --fidelity flow"
 	@echo "docs-check    validate every relative link/anchor in README.md + docs/*.md, then run the docs/CONSISTENCY.md example"
 	@echo "consistency-smoke  quorum-write/read-repair/churn drill from docs/CONSISTENCY.md"
-	@echo "lint          determinism sanitizer + ruff + mypy (latter two skip if absent)"
-	@echo "lint-report   lint with JSON output to lint-report.json (CI artifact)"
+	@echo "lint          ruff + mypy (each skips if not installed)"
 	@echo "figures       regenerate benchmarks/results/fig{4,5,6,7}.txt with \`netrs figure\` (seed 1, 6000 requests)"
 	@echo "bench-layered-smoke  all five workloads of benchmarks/layered for 2 s each; fails unless all print \"correct\": true"
 	@echo "bench-ab      BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]: alternating benchmarks/layered runs of a base revision and this tree"
@@ -44,10 +43,10 @@ faults-smoke:
 		--request-timeout 0.02 --max-retries 5
 
 # Documentation gate: every relative link and anchor across README.md and
-# docs/*.md must resolve (repro.lint.docs), then the runnable example of
-# docs/CONSISTENCY.md executes exactly as written there.
+# docs/*.md must resolve (tests/test_doc_links.py), then the runnable example
+# of docs/CONSISTENCY.md executes exactly as written there.
 docs-check:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint.docs
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q tests/test_doc_links.py
 	$(MAKE) consistency-smoke
 
 # The runnable example of docs/CONSISTENCY.md, exactly as written there:
@@ -82,19 +81,13 @@ mesoscale-smoke:
 	rm -rf "$$d"; \
 	echo "cross-engine resume: 4/4 jobs from the packet ledger, identical table"
 
-# Three layers: the project AST sanitizer is mandatory; ruff/mypy run when
-# installed (pip install -e ".[lint]") and are skipped gracefully otherwise
-# so `make lint` works in the minimal container.
+# ruff and mypy run when installed (pip install -e ".[lint]") and are
+# skipped gracefully otherwise, so `make lint` works in a minimal install.
 lint:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro --stats
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests; \
 	else echo "ruff not installed; skipping (pip install -e '.[lint]')"; fi
 	@if command -v mypy >/dev/null 2>&1; then mypy; \
 	else echo "mypy not installed; skipping (pip install -e '.[lint]')"; fi
-
-lint-report:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro \
-		--format json --output lint-report.json
 
 # The paper's Figs 4-7 at the committed scale -- small profile, seed 1, 6,000
 # requests per cell -- one `netrs figure` run each (under two minutes for

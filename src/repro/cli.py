@@ -6,9 +6,7 @@ Subcommands:
 * ``figure``   -- reproduce one of the paper's figures (fig4..fig7),
 * ``compare``  -- all four schemes on one configuration with reductions,
 * ``topology`` -- fat-tree facts for a given arity,
-* ``plan``     -- solve and display an RSNode placement for a config,
-* ``lint``     -- static lint over the source tree (see
-  ``docs/LINTING.md``).
+* ``plan``     -- solve and display an RSNode placement for a config.
 """
 
 from __future__ import annotations
@@ -376,12 +374,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    return lint_main(list(args.lint_args))
-
-
 def _cmd_validate_fidelity(args: argparse.Namespace) -> int:
     from repro.mesoscale.validate import main as fidelity_main
 
@@ -478,14 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_options(plan_parser)
     plan_parser.set_defaults(func=_cmd_plan)
 
-    lint_parser = sub.add_parser(
-        "lint",
-        help="static lint (AST rules DET004/DET005/SIM001/PERF001)",
-        add_help=False,
-    )
-    lint_parser.add_argument("lint_args", nargs=argparse.REMAINDER)
-    lint_parser.set_defaults(func=_cmd_lint)
-
     fidelity_parser = sub.add_parser(
         "validate-fidelity",
         help="gate the flow tier on bit-identity with the packet engine "
@@ -501,13 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     arguments = list(sys.argv[1:] if argv is None else argv)
-    # ``lint`` owns its whole argument tail (argparse.REMAINDER refuses to
-    # swallow a leading option like ``--stats``, so dispatch before parsing).
-    if arguments and arguments[0] == "lint":
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(arguments[1:])
-    # ``validate-fidelity`` likewise owns its tail (see the lint note above).
+    # ``validate-fidelity`` owns its whole argument tail: argparse.REMAINDER
+    # will not take a leading option like ``--scenario``, so dispatch before
+    # parsing.
     if arguments and arguments[0] == "validate-fidelity":
         from repro.mesoscale.validate import main as fidelity_main
 

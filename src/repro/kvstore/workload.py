@@ -154,7 +154,7 @@ class DemandWeights:
         this uniform draw with its exponential gaps on one generator, which
         is exactly the mixed-family pattern BatchedStream cannot serve.
         """
-        return bisect_right(self._cumulative_list, rng.random())  # repro: noqa(PERF001) - mixed-family arrival stream must stay scalar
+        return bisect_right(self._cumulative_list, rng.random())  # scalar: see OpenLoopWorkload
 
     def achieved_skew(self, counts: Sequence[int]) -> float:
         """Fraction of requests issued by the hot clients in ``counts``."""
@@ -184,7 +184,9 @@ class OpenLoopWorkload:
     generator (exponential gaps, the uniform weight pick, the uniform
     write-fraction check), so it must stay on a raw scalar generator: a
     :class:`~repro.sim.rng.BatchedStream` would consume the bitstream in a
-    different order and change every downstream draw.
+    different order and change every downstream draw.  These scalar draws,
+    and the SoA engine's copy of them, are the only ones
+    ``tests/sim/test_hot_draws.py`` allows in the per-request packages.
     """
 
     __slots__ = (
@@ -247,7 +249,7 @@ class OpenLoopWorkload:
 
     def start(self) -> None:
         """Schedule the first arrival."""
-        self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream, see class docstring
+        self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # scalar: see OpenLoopWorkload
 
     def _arrival(self) -> None:
         index = self.weights.sample(self._rng)
@@ -255,12 +257,12 @@ class OpenLoopWorkload:
         record = self.issued >= self.warmup_requests
         self.per_client_counts[index] += 1
         self.issued += 1
-        if self.write_fraction and self._rng.random() < self.write_fraction:  # repro: noqa(PERF001) - mixed-family stream, see class docstring
+        if self.write_fraction and self._rng.random() < self.write_fraction:  # scalar: see OpenLoopWorkload
             self.writes_issued += 1
             self.clients[index].issue_write(key, record=record)
         else:
             self.clients[index].issue(key, record=record)
         if self.issued < self.total_requests:
-            self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # repro: noqa(PERF001) - mixed-family stream, see class docstring
+            self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # scalar: see OpenLoopWorkload
         elif self.on_finished is not None:
             self.on_finished()

@@ -343,7 +343,7 @@ class VectorFlowEngine(FlowEngine):
                 hit = group_for_key(key)
             rgids[j], replicas_list[j] = hit
             if lo + j < last:
-                t = t + rng.exponential(rate_inv)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload._arrival
+                t = t + rng.exponential(rate_inv)  # scalar: see OpenLoopWorkload
         self._pending_time = t
         # Dense state for the whole block in one splice.
         self._issued_at[lo + 1 : hi + 1] = times
@@ -399,7 +399,7 @@ class VectorFlowEngine(FlowEngine):
         # order heap events would pop in.
         self._seq += 1
         first_seq = self._seq
-        self._pending_time = self._arrival_rng.exponential(self._rate_inv)  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload.start
+        self._pending_time = self._arrival_rng.exponential(self._rate_inv)  # scalar: see OpenLoopWorkload
         self._load_chunk()
         self._drain_fast(until, first_seq)
         self._settle()

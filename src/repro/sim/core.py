@@ -240,10 +240,20 @@ class Environment:
 
         Mutates the containers in place: ``run`` holds local references to
         them while dispatching, and a cancellation (hence a compaction) can
-        happen inside a callback mid-run.
+        happen inside a callback mid-run.  The heap is filtered without a
+        copy: its live entries move forward over the dead ones, so a
+        compaction adds no second heap to the run's allocation peak (the
+        ``del`` holds only the cut tail's pointers while it frees them).
+        The deque is rebuilt from a list, since filtering it in place would
+        cost two method calls an entry.
         """
         heap = self._heap
-        heap[:] = [e for e in heap if not (e[2] == 0 and e[5].cancelled)]
+        j = 0
+        for e in heap:
+            if not (e[2] == 0 and e[5].cancelled):
+                heap[j] = e
+                j += 1
+        del heap[j:]
         heapq.heapify(heap)
         dq = self._dq
         live = [e for e in dq if not (e[2] == 0 and e[5].cancelled)]
