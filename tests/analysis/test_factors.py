@@ -246,3 +246,15 @@ class TestAttachProbes:
         run_experiment(config, scenario=scenario)
         assert len(probes.trace) == 50
         assert probes.trace.dropped == config.total_requests - 50
+
+    @pytest.mark.parametrize("probe", ["trace", "staleness", "queues"])
+    def test_only_the_requested_probe_attaches(self, probe):
+        scenario = build_scenario(ExperimentConfig.tiny(scheme="clirs", seed=1))
+        flags = {name: name == probe for name in ("trace", "staleness", "queues")}
+        probes = attach_probes(scenario, **flags)
+        for name, wanted in flags.items():
+            assert (getattr(probes, name) is not None) == wanted
+        for client in scenario.clients:
+            assert (client.trace_sink is not None) == flags["trace"]
+            wrapped = isinstance(client.selector, InstrumentedSelector)
+            assert wrapped == flags["staleness"]

@@ -19,6 +19,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_lint_is_no_subcommand(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint"])
+        assert excinfo.value.code == 2
+
+    def test_validate_fidelity_takes_a_leading_option(self, capsys):
+        """Dispatched before parsing: argparse.REMAINDER would refuse the
+        leading ``--list``."""
+        from repro.mesoscale.validate import VALIDATION_SCENARIOS
+
+        assert main(["validate-fidelity", "--list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert listed == sorted(VALIDATION_SCENARIOS)
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "bogus"])
