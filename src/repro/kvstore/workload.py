@@ -10,14 +10,21 @@ of the clients.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
-from typing import Callable, List, Optional, Protocol, Sequence
+from math import exp, log1p
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.core import Environment
-from repro.sim.rng import DrawSource
+from repro.sim.rng import BatchedStream, DrawSource
+
+#: Requests an :class:`OpenLoopWorkload` draws ahead.  A block is held all
+#: run, at about 25 B a request; at 16 the draw's own calls add under half a
+#: call a request.  No length changes a value.
+BLOCK_REQUESTS = 16
 
 
 class ZipfSampler:
@@ -51,7 +58,7 @@ class ZipfSampler:
         return math.exp(-self.s * math.log(x))
 
     def _h_integral_inverse(self, x: float) -> float:
-        """The reference inverse of ``_h_integral``; ``sample`` inlines it."""
+        """The reference inverse of ``_h_integral``; ``draw`` inlines it."""
         t = x * (1.0 - self.s)
         if t < -1.0:
             t = -1.0  # numerical guard near the distribution head
@@ -60,25 +67,55 @@ class ZipfSampler:
             return math.exp(math.log1p(t) / t * x)
         return math.exp((1.0 - t * (0.5 - t * (1.0 / 3.0 - 0.25 * t))) * x)
 
-    def sample(self) -> int:
-        """Draw one key in ``{1..n}``."""
-        while True:
-            u = self._h_n + self._draws.random() * (self._h_x1 - self._h_n)
-            # Inlined _h_integral_inverse(u): one draw per request.
-            t = u * (1.0 - self.s)
-            if t < -1.0:
-                t = -1.0
-            if abs(t) > 1e-8:
-                x = math.exp(math.log1p(t) / t * u)
-            else:
-                x = math.exp((1.0 - t * (0.5 - t * (1.0 / 3.0 - 0.25 * t))) * u)
-            k = int(x + 0.5)
-            if k < 1:
-                k = 1
-            elif k > self.n:
-                k = self.n
-            if k - x <= self._threshold or u >= self._h_integral(k + 0.5) - self._h(k):
-                return k
+    def draw(self, count: int) -> array:
+        """Draw the next ``count`` keys in ``{1..n}``, as ``array("q")``.
+
+        A batched source's pre-drawn block is read in place and refilled
+        where its ``random()`` would refill it; any other source (a raw
+        generator, ``block_size=0``) serves one ``random()`` a try.
+        """
+        source = self._draws
+        stream = source if isinstance(source, BatchedStream) and source.block_size else None
+        block: Sequence[float] = ()
+        pos = 0
+        if stream is not None:
+            stream._lock("uniform")  # the lock its first random() takes
+            block, pos = stream._block, stream._pos
+        size = len(block)
+        n, h_n, threshold = self.n, self._h_n, self._threshold
+        span = self._h_x1 - h_n
+        one_minus_s = 1.0 - self.s
+        keys = array("q", [0]) * count
+        for i in range(count):
+            while True:
+                if pos >= size:
+                    if stream is not None:
+                        stream._refill()
+                        block = stream._block
+                    else:
+                        block = (source.random(),)
+                    pos, size = 0, len(block)
+                u = h_n + block[pos] * span
+                pos += 1
+                # Inlined _h_integral_inverse(u).
+                t = u * one_minus_s
+                if t < -1.0:
+                    t = -1.0
+                if abs(t) > 1e-8:
+                    x = exp(log1p(t) / t * u)
+                else:
+                    x = exp((1.0 - t * (0.5 - t * (1.0 / 3.0 - 0.25 * t))) * u)
+                k = int(x + 0.5)
+                if k < 1:
+                    k = 1
+                elif k > n:
+                    k = n
+                if k - x <= threshold or u >= self._h_integral(k + 0.5) - self._h(k):
+                    keys[i] = k
+                    break
+        if stream is not None:
+            stream._pos = pos
+        return keys
 
 
 def _helper2(x: float) -> float:
@@ -103,7 +140,6 @@ class DemandWeights:
         "hot_clients",
         "probabilities",
         "_cumulative",
-        "_cumulative_list",
     )
 
     def __init__(
@@ -140,21 +176,12 @@ class DemandWeights:
             weights = np.full(n_clients, (1.0 - skew) / (n_clients - n_hot))
             weights[self.hot_clients] = skew / n_hot
         self.probabilities = weights
-        self._cumulative = np.cumsum(weights)
+        cumulative = np.cumsum(weights)
         # Guard against floating-point drift in the final bin.
-        self._cumulative[-1] = 1.0
-        # Python-float copy for bisect: same values, no per-sample ufunc
-        # dispatch (bisect_right == np.searchsorted(..., side="right")).
-        self._cumulative_list = self._cumulative.tolist()
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw one client index according to the demand distribution.
-
-        ``rng`` is the caller's stream: the open-loop driver interleaves
-        this uniform draw with its exponential gaps on one generator, which
-        is exactly the mixed-family pattern BatchedStream cannot serve.
-        """
-        return bisect_right(self._cumulative_list, rng.random())  # scalar: see OpenLoopWorkload
+        cumulative[-1] = 1.0
+        # Python floats for the client pick's bisect (OpenLoopWorkload.
+        # draw_requests), which is np.searchsorted(..., side="right").
+        self._cumulative = cumulative.tolist()
 
     def achieved_skew(self, counts: Sequence[int]) -> float:
         """Fraction of requests issued by the hot clients in ``counts``."""
@@ -177,16 +204,25 @@ class RequestSink(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
+#: Requests row for row: arrival times, client indexes, keys, write flags.
+RequestBlock = Tuple[array, array, array, bytearray]
+
+_NO_REQUESTS: RequestBlock = (array("d"), array("q"), array("q"), bytearray())
+
+
 class OpenLoopWorkload:
     """Aggregate Poisson arrivals fanned out to clients by demand weight.
 
-    The arrival stream interleaves three distribution families on one
-    generator (exponential gaps, the uniform weight pick, the uniform
-    write-fraction check), so it must stay on a raw scalar generator: a
-    :class:`~repro.sim.rng.BatchedStream` would consume the bitstream in a
-    different order and change every downstream draw.  These scalar draws,
-    and the SoA engine's copy of them, are the only ones
-    ``tests/sim/test_hot_draws.py`` allows in the per-request packages.
+    Every engine reads its requests from :meth:`draw_requests`, drawn ahead
+    (an open-loop arrival does not depend on system state): this class posts
+    arrivals from blocks of :data:`BLOCK_REQUESTS`, the SoA engine drains
+    blocks of its own.  The arrival stream interleaves distribution families
+    on one generator (exponential gap, uniform client pick, uniform write
+    check), so it stays on raw scalar draws: a
+    :class:`~repro.sim.rng.BatchedStream` or a ``size=`` block would consume
+    the bitstream in another order (numpy's exponential takes a varying
+    number of words a draw).  ``tests/sim/test_hot_draws.py`` allows these
+    three scalar draws and no other in the per-request packages.
     """
 
     __slots__ = (
@@ -203,6 +239,9 @@ class OpenLoopWorkload:
         "issued",
         "writes_issued",
         "per_client_counts",
+        "_time",
+        "_block",
+        "_row",
     )
 
     def __init__(
@@ -246,23 +285,72 @@ class OpenLoopWorkload:
         self.issued = 0
         self.writes_issued = 0
         self.per_client_counts = [0] * len(clients)
+        self._time = env.now  # the last arrival drawn
+        self._block = _NO_REQUESTS
+        self._row = 0
+
+    def draw_requests(self, count: int) -> RequestBlock:
+        """Draw the next ``count`` requests (see :data:`RequestBlock`).
+
+        Per request, the arrival stream draws the gap from the previous
+        arrival, the client pick and, only when ``write_fraction > 0``, the
+        write check; keys come from the key sampler's own stream.  Block
+        lengths cannot reorder a stream's draws.
+        """
+        rng = self._rng
+        cumulative = self.weights._cumulative
+        scale = 1.0 / self.rate
+        write_fraction = self.write_fraction
+        times = array("d", [0.0]) * count
+        clients = array("q", [0]) * count
+        writes = bytearray(count)
+        t = self._time
+        for i in range(count):
+            t = t + rng.exponential(scale)
+            times[i] = t
+            clients[i] = bisect_right(cumulative, rng.random())
+            if write_fraction and rng.random() < write_fraction:
+                writes[i] = 1
+        self._time = t
+        return times, clients, self.key_sampler.draw(count), writes
 
     def start(self) -> None:
-        """Schedule the first arrival."""
-        self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # scalar: see OpenLoopWorkload
+        """Schedule the first arrival, one gap after the clock's now."""
+        self._time = self.env.now
+        self.env.post_at(self._next_block()[0], self._arrival)
+
+    def _next_block(self) -> array:
+        """Draw the requests from ``issued`` on; return their arrival times."""
+        self._block = _NO_REQUESTS  # hold one block at a time
+        self._block = self.draw_requests(
+            min(BLOCK_REQUESTS, self.total_requests - self.issued)
+        )
+        self._row = 0
+        return self._block[0]
 
     def _arrival(self) -> None:
-        index = self.weights.sample(self._rng)
-        key = self.key_sampler.sample()
+        row = self._row
+        times, clients, keys, writes = self._block
+        index = clients[row]
+        key = keys[row]
         record = self.issued >= self.warmup_requests
         self.per_client_counts[index] += 1
         self.issued += 1
-        if self.write_fraction and self._rng.random() < self.write_fraction:  # scalar: see OpenLoopWorkload
+        if writes[row]:
             self.writes_issued += 1
             self.clients[index].issue_write(key, record=record)
         else:
             self.clients[index].issue(key, record=record)
         if self.issued < self.total_requests:
-            self.env.post_in(self._rng.exponential(1.0 / self.rate), self._arrival)  # scalar: see OpenLoopWorkload
-        elif self.on_finished is not None:
-            self.on_finished()
+            row += 1
+            # Every block but the last, which the run ends in, is full.
+            if row < BLOCK_REQUESTS:
+                self._row = row
+                self.env.post_at(times[row], self._arrival)
+            else:
+                del times, clients, keys, writes
+                self.env.post_at(self._next_block()[0], self._arrival)
+        else:
+            self._block = _NO_REQUESTS  # spent: keep it off the drain's peak
+            if self.on_finished is not None:
+                self.on_finished()

@@ -8,9 +8,10 @@ plain C3 (:func:`repro.mesoscale.support.vector_eligible`; everything else
 runs the scalar engine or the packet engine, and constructing this one on it
 is a :class:`~repro.errors.ConfigurationError`).  It is one path:
 
-* the open-loop arrival process (gap chain, per-request client index, key)
-  is rolled forward ``vector_batch`` requests at a time into parallel
-  struct-of-arrays blocks (``_load_chunk``);
+* the open-loop requests (arrival times, client indexes, keys) come
+  ``vector_batch`` at a time from the workload's own block draw,
+  :meth:`~repro.kvstore.workload.OpenLoopWorkload.draw_requests`, the one
+  every engine reads (``_load_chunk``);
 * key -> replica-group resolution and the per-(request, replica) locality
   class run over the block in one pass (``hop_class_batch`` kernel);
 * the deterministic request delivery time for each locality class is one
@@ -32,9 +33,9 @@ the scalar tier's per-request ``_Outstanding`` + ``_outstanding`` dict.
 Construction -- streams, roles, ring, selectors, service models, the fault
 injector -- is the scalar engine's own; the scalar engine remains the oracle:
 the byte-identity suites in ``tests/mesoscale/test_vector.py`` hold every
-sample and counter of this path equal to its (a reordered arrival-stream
-draw fails them), and ``tests/selection/test_c3.py`` pins the inlined C3
-score to the spelling of ``C3Selector.score``.
+sample and counter of this path equal to its, and
+``tests/selection/test_c3.py`` pins the inlined C3 score to the spelling of
+``C3Selector.score``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 from array import array
 from bisect import insort
 from heapq import heappop, heappush
-from math import exp, log1p
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -165,13 +165,9 @@ class VectorFlowEngine(FlowEngine):
             if vector_batch is None:
                 vector_batch = config.vector_batch
             self._chunk = max(1, vector_batch)
-            # The workload object is the scalar engine's; this engine rolls its
-            # arrival process forward itself, over the same streams and counters.
+            # The workload object is the scalar engine's: this engine draws
+            # its blocks and keeps its counters, but posts no arrival.
             workload = self.workload
-            self.weights = workload.weights
-            self._sampler = workload.key_sampler
-            self._arrival_rng = workload._rng
-            self._rate_inv = 1.0 / workload.rate
             self._total = workload.total_requests
             self._warmup = workload.warmup_requests
             self.per_client_counts = workload.per_client_counts
@@ -216,13 +212,6 @@ class VectorFlowEngine(FlowEngine):
             self._track_cache: List[Dict[int, tuple]] = [
                 {} for _ in self.clients
             ]
-            # The key stream only ever draws uniforms, so the family lock its
-            # first scalar draw would take is taken up front and _load_chunk
-            # reads the pre-drawn block directly (same values, same refills).
-            zipf_draws = self._sampler._draws
-            self._zipf_fast = getattr(zipf_draws, "block_size", 0) > 0
-            if self._zipf_fast:
-                zipf_draws._lock("uniform")
             # -- dense per-request state (rid-indexed; rids are 1..total) -------
             total = self._total
             self._issued_at = array("d", [0.0]) * (total + 1)
@@ -244,107 +233,37 @@ class VectorFlowEngine(FlowEngine):
                 # Same single multiplication _redundancy_threshold performs on
                 # its no-history branch, done once.
                 self._red_default = policy.fallback_multiplier * policy.cold_start_mean
-            # -- current SoA block (the drain owns the cursor over it) ----------
-            self._b_lo = 0
-            self._b_hi = 0
-            self._pending_time = 0.0
-            self._b_times = array("d")
-            self._b_clients: List[int] = []
-            self._b_replicas: List[Tuple[str, ...]] = []
-            self._b_rgids: List[int] = []
-            self._b_cls = b""
-            self._b_width = 0
-            self._b_path: List[array] = []
 
     # ------------------------------------------------------------------
-    # SoA prologue: roll the workload forward one block
+    # SoA prologue: the workload's next block, resolved
     # ------------------------------------------------------------------
-    def _load_chunk(self) -> None:
-        """Precompute the next ``vector_batch`` requests as parallel arrays.
+    def _load_chunk(self, lo: int) -> tuple:
+        """Draw the ``vector_batch`` requests from ``lo`` on from the
+        workload and precompute over the block what the drain reads per
+        request.
 
-        Draw order per request mirrors ``OpenLoopWorkload._arrival`` exactly:
-        a uniform client pick then (unless last) an exponential gap on the
-        shared arrival stream, with the key on its own batched stream --
-        deferring whole blocks never reorders draws *within* a stream, and
-        the streams are independent by construction (docs/SIMULATOR.md).
+        Returns ``(hi, times, clients, replicas, rgids, classes, width,
+        paths)``: the block ends before request ``hi``; ``classes`` holds
+        request ``j``'s locality class for replica ``i`` at ``j * width +
+        i``, and ``paths[c]`` its delivery time over class ``c``.
         """
-        lo = self._b_hi
         hi = min(lo + self._chunk, self._total)
         n = hi - lo
-        rng = self._arrival_rng
-        sample = self.weights.sample
-        sampler = self._sampler
-        sample_key = sampler.sample
+        times, clients, keys, writes = self.workload.draw_requests(n)
         ring = self.ring
         key_cache = ring._key_cache
         group_for_key = ring.group_for_key
-        rate_inv = self._rate_inv
-        last = self._total - 1
-        t = self._pending_time
-        times = array("d", [0.0]) * n
-        clients: List[int] = [0] * n
         rgids: List[int] = [0] * n
         replicas_list: List[Tuple[str, ...]] = [()] * n
-        # The rejection-inversion constants of ZipfSampler.sample, folded
-        # out of the per-draw loop (same floats: _h_x1 - _h_n is the exact
-        # subtraction the scalar sampler performs per call).
-        zipf_fast = self._zipf_fast
-        if zipf_fast:
-            zdraws = sampler._draws
-            z_n = sampler.n
-            z_hn = sampler._h_n
-            z_span = sampler._h_x1 - z_hn
-            z_threshold = sampler._threshold
-            z_one_minus_s = 1.0 - sampler.s
         for j in range(n):
-            times[j] = t
-            # Mixed-family arrival stream: same uniform draw as the workload's
-            # _arrival (test_vector.py fails on a reordered draw).
-            clients[j] = sample(rng)
-            if zipf_fast:
-                # Inlined ZipfSampler.sample + BatchedStream.random +
-                # _h_integral_inverse (draw-for-draw identical;
-                # the rare rejection check keeps calling the sampler's own
-                # _h_integral/_h).
-                while True:
-                    pos = zdraws._pos
-                    block = zdraws._block
-                    if pos >= len(block):
-                        zdraws._refill()
-                        block = zdraws._block
-                        pos = 0
-                    zdraws._pos = pos + 1
-                    u = z_hn + block[pos] * z_span
-                    tt = u * z_one_minus_s
-                    if tt < -1.0:
-                        tt = -1.0
-                    if abs(tt) > 1e-8:
-                        x = exp((log1p(tt) / tt) * u)
-                    else:
-                        x = exp(
-                            (1.0 - tt * (0.5 - tt * (1.0 / 3.0 - 0.25 * tt))) * u
-                        )
-                    key = int(x + 0.5)
-                    if key < 1:
-                        key = 1
-                    elif key > z_n:
-                        key = z_n
-                    if (
-                        key - x <= z_threshold
-                        or u >= sampler._h_integral(key + 0.5) - sampler._h(key)
-                    ):
-                        break
-            else:
-                key = sample_key()
             # Inlined ConsistentHashRing.group_for_key cache probe (Zipf
             # workloads hit it almost always; misses hash + memoize there).
+            key = keys[j]
             hit = key_cache.get(key)
             if hit is None:
                 hit = group_for_key(key)
             rgids[j], replicas_list[j] = hit
-            if lo + j < last:
-                t = t + rng.exponential(rate_inv)  # scalar: see OpenLoopWorkload
-        self._pending_time = t
+        del keys, writes  # spent: keep them off the allocation peak below
         # Dense state for the whole block in one splice.
         self._issued_at[lo + 1 : hi + 1] = times
         self._replicas_of[lo + 1 : hi + 1] = replicas_list
@@ -366,8 +285,9 @@ class VectorFlowEngine(FlowEngine):
             replica_racks[j] = codes[0]
             replica_pods[j] = codes[1]
         times_arr = np.frombuffer(times, dtype=np.float64)
-        crack = self._client_rack_arr[clients]
-        cpod = self._client_pod_arr[clients]
+        client_rows = np.frombuffer(clients, dtype=np.int64)
+        crack = self._client_rack_arr[client_rows]
+        cpod = self._client_pod_arr[client_rows]
         srack = np.asarray(replica_racks, dtype=np.int64)
         spod = np.asarray(replica_pods, dtype=np.int64)
         cls = np.empty((n, srack.shape[1]), dtype=np.uint8)
@@ -375,32 +295,23 @@ class VectorFlowEngine(FlowEngine):
         path = np.empty((3, n), dtype=np.float64)
         for index, hops in enumerate(self._hop_arrays):
             path_chain(times_arr, hops, path[index])
-        # Row-major bytes: request j's class for replica i is at j * width + i.
-        self._b_cls = cls.tobytes()
-        self._b_width = cls.shape[1]
-        # Per class, the block's delivery times unboxed (indexing an
-        # array("d") yields the same float the list held).
-        self._b_path = [array("d", row.tobytes()) for row in path]
-        self._b_lo = lo
-        self._b_hi = hi
-        self._b_times = times
-        self._b_clients = clients
-        self._b_replicas = replicas_list
-        self._b_rgids = rgids
+        # Delivery times unboxed: indexing an array("d") yields the float.
+        paths = [array("d", row.tobytes()) for row in path]
+        return (
+            hi, times, clients, replicas_list, rgids, cls.tobytes(), cls.shape[1], paths
+        )
 
     # ------------------------------------------------------------------
     # Drain loop: block cursor merged with the micro-heap on (time, seq)
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
         """Drive the experiment until completion (or the safety horizon)."""
-        # Mirrors the workload's start(): same draw, same seq consumed.  The
+        # The seq the workload's start() posts the first arrival with.  The
         # arrival is never a heap event: the drain merges a (time, seq)
         # cursor over the block against the heap head, which is exactly the
         # order heap events would pop in.
         self._seq += 1
         first_seq = self._seq
-        self._pending_time = self._arrival_rng.exponential(self._rate_inv)  # scalar: see OpenLoopWorkload
-        self._load_chunk()
         self._drain_fast(until, first_seq)
         self._settle()
 
@@ -486,15 +397,9 @@ class VectorFlowEngine(FlowEngine):
         late_seen = self._late_seen
         total = self._total
         cursor = 0  # requests issued so far: the next one is b_*[cursor - b_lo]
-        b_lo = self._b_lo
-        b_hi = self._b_hi
-        b_times = self._b_times
-        b_clients = self._b_clients
-        b_replicas = self._b_replicas
-        b_rgids = self._b_rgids
-        b_cls = self._b_cls
-        b_width = self._b_width
-        b_path = self._b_path
+        b_lo = 0
+        (b_hi, b_times, b_clients, b_replicas, b_rgids, b_cls, b_width,
+         b_path) = self._load_chunk(b_lo)
         seq = self._seq
         micro = 0
         acc_tx = 0
@@ -621,15 +526,9 @@ class VectorFlowEngine(FlowEngine):
                 cursor += 1
                 if cursor < total:
                     if cursor >= b_hi:
-                        self._load_chunk()
-                        b_lo = self._b_lo
-                        b_hi = self._b_hi
-                        b_times = self._b_times
-                        b_clients = self._b_clients
-                        b_replicas = self._b_replicas
-                        b_rgids = self._b_rgids
-                        b_cls = self._b_cls
-                        b_path = self._b_path
+                        b_lo = cursor
+                        (b_hi, b_times, b_clients, b_replicas, b_rgids, b_cls,
+                         b_width, b_path) = self._load_chunk(b_lo)
                     seq += 1
                     pa_time = b_times[cursor - b_lo]
                     pa_seq = seq

@@ -9,7 +9,7 @@ from repro.core.placement.problem import PlacementProblem, build_operator_specs
 from repro.core.plan import make_traffic_groups
 from repro.errors import InfeasiblePlanError, RoutingError
 from repro.kvstore.hashing import ConsistentHashRing
-from repro.kvstore.workload import DemandWeights, ZipfSampler
+from repro.kvstore.workload import DemandWeights, OpenLoopWorkload, ZipfSampler
 from repro.network.fattree import build_fat_tree
 from repro.network.packet import (
     MAGIC_MONITOR,
@@ -155,8 +155,7 @@ class TestZipfProperties:
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
     def test_samples_always_in_bounds(self, n, s, seed):
         sampler = ZipfSampler(n, s, np.random.default_rng(seed))
-        for _ in range(100):
-            assert 1 <= sampler.sample() <= n
+        assert all(1 <= key <= n for key in sampler.draw(100))
 
 
 class TestDemandWeightProperties:
@@ -173,8 +172,17 @@ class TestDemandWeightProperties:
         assert weights.probabilities.sum() == np.float64(1.0) or abs(
             weights.probabilities.sum() - 1.0
         ) < 1e-9
-        sample = weights.sample(np.random.default_rng(seed))
-        assert 0 <= sample < n
+        workload = OpenLoopWorkload(
+            Environment(),
+            rate=1.0,
+            clients=[None] * n,
+            weights=weights,
+            key_sampler=ZipfSampler(10, 0.99, np.random.default_rng(seed)),
+            rng=np.random.default_rng(seed),
+            total_requests=1,
+        )
+        _, clients, _, _ = workload.draw_requests(1)
+        assert 0 <= clients[0] < n
 
 
 class TestLatencyRecorderProperties:

@@ -20,15 +20,17 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
-#: Markdown emphasis/code markers stripped before slugification.
-_MARKUP = re.compile(r"[`*_]")
+#: Markup stripped before slugification: a code span keeps its text
+#: verbatim (group 2); outside one, ``*`` and a ``_`` that is not inside a
+#: word are emphasis.
+_MARKUP = re.compile(r"(`+)(.*?)\1|\*|(?<!\w)_+|_+(?!\w)")
 #: Characters GitHub drops from heading anchors.
 _SLUG_DROP = re.compile(r"[^\w\- ]")
 
 
 def github_slug(heading):
     """The anchor GitHub generates for one heading (before deduplication)."""
-    text = _MARKUP.sub("", heading.strip())
+    text = _MARKUP.sub(lambda markup: markup.group(2) or "", heading.strip())
     # Inline links inside headings anchor on their text, not their target.
     text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", text)
     text = _SLUG_DROP.sub("", text.lower())
@@ -118,6 +120,18 @@ class TestSlugs:
 
     def test_markup_stripped(self):
         assert github_slug("`code` and *emphasis*") == "code-and-emphasis"
+
+    @pytest.mark.parametrize(
+        "heading, slug",
+        [
+            ("Hash order and `__all__`", "hash-order-and-__all__"),
+            ("_emph_ word", "emph-word"),
+            ("The run_experiment call", "the-run_experiment-call"),
+        ],
+        ids=["in a code span", "emphasis", "inside a word"],
+    )
+    def test_underscores(self, heading, slug):
+        assert github_slug(heading) == slug
 
     def test_inline_link_anchors_on_text(self):
         assert github_slug("See [the docs](docs/X.md)") == "see-the-docs"
