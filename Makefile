@@ -9,7 +9,7 @@ help:
 	@echo "test          full test suite (incl. slow shape assertions)"
 	@echo "test-fast     fast tests only (~45 s on 2 cores)"
 	@echo "ci            what CI runs: fast tests (see .github/workflows/ci.yml)"
-	@echo "faults-smoke  crash-and-recover drill from docs/FAULTS.md (retries, zero lost)"
+	@echo "faults-smoke  crash-and-recover and link-cut drills from docs/FAULTS.md (retries, zero lost)"
 	@echo "mesoscale-smoke  1k-host flow-tier demo (events/request per tier) + fidelity gate on every scenario + a --fidelity flow run the flow engine does not model + a packet ledger resumed under --fidelity flow"
 	@echo "docs-check    validate every relative link/anchor in README.md + docs/*.md, then run the docs/CONSISTENCY.md example"
 	@echo "consistency-smoke  quorum-write/read-repair/churn drill from docs/CONSISTENCY.md"
@@ -40,6 +40,10 @@ faults-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro run clirs \
 		--requests 4000 \
 		--faults "server-down@0.02:server#0;server-up@0.06:server#0" \
+		--request-timeout 0.02 --max-retries 5
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro run netrs-ilp \
+		--requests 4000 \
+		--faults "link-down@0.02:tor0.0/agg0.0;link-up@0.06:tor0.0/agg0.0" \
 		--request-timeout 0.02 --max-retries 5
 
 # Documentation gate: every relative link and anchor across README.md and

@@ -85,10 +85,10 @@ class Scenario:
 def build_scenario(config: ExperimentConfig) -> Scenario:
     """Construct every component of an experiment from its configuration.
 
-    The fat tree and the router's indexes are the process's, shared with
-    every scenario over the same ``k`` (:func:`shared_fat_tree`); what a run
-    changes -- devices, the forwarding table, failed links, distances -- is
-    this scenario's own.  The cyclic collector is parked meanwhile.
+    The fat tree and its geometry are the process's, shared with every
+    scenario over the same ``k`` (:func:`shared_fat_tree`); what a run
+    changes -- devices, distances, and the router a walk builds with its
+    forwarding table and failed links -- is this scenario's own.  The cyclic collector is parked meanwhile.
     """
     with collector_parked():
         config.validate()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -125,10 +126,6 @@ class ConsistentHashRing:
         return counts
 
 
-_RING_MEMO: Dict[Tuple, ConsistentHashRing] = {}
-_RING_MEMO_LIMIT = 8
-
-
 def shared_ring(
     servers: Sequence[str],
     *,
@@ -148,15 +145,16 @@ def shared_ring(
     instance's points, groups and memo; it never changes the points or
     groups, and fills the memo only with membership-independent RGIDs.
     """
-    key = (tuple(servers), replication_factor, virtual_nodes)
-    ring = _RING_MEMO.get(key)
-    if ring is None:
-        if len(_RING_MEMO) >= _RING_MEMO_LIMIT:
-            _RING_MEMO.clear()
-        ring = ConsistentHashRing(
-            servers,
-            replication_factor=replication_factor,
-            virtual_nodes=virtual_nodes,
-        )
-        _RING_MEMO[key] = ring
-    return ring
+    return _shared_ring(tuple(servers), replication_factor, virtual_nodes)
+
+
+@lru_cache(maxsize=8)
+def _shared_ring(
+    servers: Tuple[str, ...], replication_factor: int, virtual_nodes: int
+) -> ConsistentHashRing:
+    """:func:`shared_ring` by a hashable key (callers pass lists)."""
+    return ConsistentHashRing(
+        servers,
+        replication_factor=replication_factor,
+        virtual_nodes=virtual_nodes,
+    )

@@ -25,7 +25,6 @@ the sharded parallel loop (:mod:`repro.mesoscale.shard`, ``shards > 1``).
 """
 
 from repro.mesoscale.flow import FlowEngine
-from repro.mesoscale.geometry import FatTreeGeometry
 from repro.mesoscale.shard import (
     merge_outcomes,
     run_sharded_flow_experiment,
@@ -41,7 +40,6 @@ from repro.mesoscale.validate import (
 
 __all__ = [
     "FLOW_SCHEMES",
-    "FatTreeGeometry",
     "FidelityReport",
     "FlowEngine",
     "VALIDATION_SCENARIOS",

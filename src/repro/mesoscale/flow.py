@@ -61,7 +61,7 @@ from repro.faults.schedule import parse_fault_schedule
 from repro.kvstore.client import ClientCore, CompletionTracker
 from repro.kvstore.hashing import shared_ring
 from repro.kvstore.server import ServerCore
-from repro.mesoscale.geometry import shared_geometry
+from repro.network.geometry import shared_geometry
 from repro.mesoscale.support import flow_models
 from repro.network.accelerator import Accelerator
 from repro.network.addressing import SourceMarker
@@ -132,7 +132,7 @@ class FlowEngine:
             # netrs-tor: one RSNode per client ToR, its selector's stream named
             # by its rank, declared with the hosts' streams.
             tors = (
-                sorted({self.geometry.tor_name(name) for name in self.client_hosts})
+                sorted({self.geometry.tor_of(name) for name in self.client_hosts})
                 if config.netrs
                 else []
             )
@@ -226,7 +226,7 @@ class FlowEngine:
                     )
                     self.operators[tor] = _FlowOperator(tor, selector, accelerator)
                 for name in self.client_hosts:
-                    operator = self.operators[self.geometry.tor_name(name)]
+                    operator = self.operators[self.geometry.tor_of(name)]
                     self._operator_of[name] = operator
 
             # --- workload ------------------------------------------------------
@@ -308,7 +308,7 @@ class FlowEngine:
     # The fabric the fault injector resolves server targets on
     # ------------------------------------------------------------------
     def tor_of(self, host: str) -> str:
-        return self.geometry.tor_name(host)
+        return self.geometry.tor_of(host)
 
     def has_node(self, name: str) -> bool:
         return self.geometry.is_host(name)

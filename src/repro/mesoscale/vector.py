@@ -185,12 +185,13 @@ class VectorFlowEngine(FlowEngine):
                 np.asarray(hops, dtype=np.float64) for hops in self._cls_path
             )
             geometry = self.geometry
-            racks_per_pod = geometry.racks_per_pod
             self._client_rack_arr = np.asarray(
                 [geometry.rack_index(name) for name in self.client_hosts],
                 dtype=np.int64,
             )
-            self._client_pod_arr = self._client_rack_arr // racks_per_pod
+            self._client_pod_arr = np.asarray(geometry.rack_pod, dtype=np.int64)[
+                self._client_rack_arr
+            ]
             self._rg_codes: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
             # The drain loop hoists the C3 scoring constants once: every
             # client's selector is built from the one config, so they agree.
@@ -272,7 +273,7 @@ class VectorFlowEngine(FlowEngine):
         # _send_along entirely).
         rg_codes = self._rg_codes
         rack_index = self.geometry.rack_index
-        racks_per_pod = self.geometry.racks_per_pod
+        rack_pod = self.geometry.rack_pod
         replica_racks: List[Tuple[int, ...]] = [()] * n
         replica_pods: List[Tuple[int, ...]] = [()] * n
         for j in range(n):
@@ -280,7 +281,7 @@ class VectorFlowEngine(FlowEngine):
             codes = rg_codes.get(rgid)
             if codes is None:
                 racks = tuple(rack_index(name) for name in replicas_list[j])
-                codes = (racks, tuple(r // racks_per_pod for r in racks))
+                codes = (racks, tuple(rack_pod[r] for r in racks))
                 rg_codes[rgid] = codes
             replica_racks[j] = codes[0]
             replica_pods[j] = codes[1]

@@ -4,6 +4,8 @@ Implements the environment NetRS runs in (paper section II):
 
 * :mod:`~repro.network.topology` / :mod:`~repro.network.fattree` -- n-tier
   tree topologies and the k-ary fat-tree used in the evaluation,
+* :mod:`~repro.network.geometry` -- the locality relation both tiers read:
+  a host's ToR, rack and pod, and the links between two points,
 * :mod:`~repro.network.routing` -- deterministic ECMP up/down routing,
   including routing *via* a waypoint switch (the RSNode),
 * :mod:`~repro.network.packet` -- the NetRS packet format (paper Fig. 2),
@@ -16,9 +18,10 @@ Implements the environment NetRS runs in (paper section II):
 """
 
 from repro.network.accelerator import Accelerator
-from repro.network.addressing import HostLocation, SourceMarker, tier_between
+from repro.network.addressing import SourceMarker
 from repro.network.fabric import Network
 from repro.network.fattree import build_fat_tree, shared_fat_tree
+from repro.network.geometry import FatTreeGeometry, shared_geometry
 from repro.network.host import Host
 from repro.network.packet import (
     MAGIC_MONITOR,
@@ -35,8 +38,8 @@ from repro.network.topology import Node, NodeKind, Topology, build_tree
 
 __all__ = [
     "Accelerator",
+    "FatTreeGeometry",
     "Host",
-    "HostLocation",
     "MAGIC_MONITOR",
     "MAGIC_REQUEST",
     "MAGIC_RESPONSE",
@@ -54,5 +57,5 @@ __all__ = [
     "magic_transform",
     "magic_untransform",
     "shared_fat_tree",
-    "tier_between",
+    "shared_geometry",
 ]

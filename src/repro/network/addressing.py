@@ -1,4 +1,4 @@
-"""Network locations, source markers and tier arithmetic.
+"""Source markers and the paper's tier numbering.
 
 The paper's tier numbering (section III-B): the tier ID of a device is the
 minimum number of links between it and any core switch.  Core = 0,
@@ -21,19 +21,6 @@ TIER_BY_MATCH = ((TIER_CORE, TIER_CORE), (TIER_AGG, TIER_TOR))
 
 
 @dataclass(frozen=True, slots=True)
-class HostLocation:
-    """Position of an end-host in the tree: pod, rack, index within rack."""
-
-    pod: int
-    rack: int
-    index: int
-
-    def marker(self) -> "SourceMarker":
-        """The source marker a ToR would stamp for this host."""
-        return SourceMarker(pod=self.pod, rack=self.rack)
-
-
-@dataclass(frozen=True, slots=True)
 class SourceMarker:
     """Paper Fig. 2 ``SM`` segment: pod ID + rack ID of a response's origin.
 
@@ -44,11 +31,3 @@ class SourceMarker:
     pod: int
     rack: int
 
-
-def tier_between(a: SourceMarker | HostLocation, b: SourceMarker | HostLocation) -> int:
-    """Traffic tier of communication between two locations.
-
-    Returns 2 for same rack, 1 for same pod different rack, 0 for different
-    pods -- the highest tier a default path reaches (paper section III-B).
-    """
-    return TIER_BY_MATCH[a.pod == b.pod][a.rack == b.rack]

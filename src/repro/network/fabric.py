@@ -18,6 +18,7 @@ from typing import Callable, Dict, Iterator, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.network.addressing import SourceMarker
+from repro.network.geometry import FatTreeGeometry
 from repro.network.packet import (
     _SIZE_MF,
     _SIZE_RGID,
@@ -77,7 +78,10 @@ class Network:
     packet, :meth:`express` for the rest, from a host's ToR or a switch)
     whenever ``_express_ok`` says it may;
     which switches or links carried a packet only :meth:`track_links`
-    records, hop by hop.
+    records, hop by hop.  Distances and who sits where are the wiring's
+    ``geometry`` (:class:`~repro.network.geometry.FatTreeGeometry`); the
+    :attr:`router` that walks a packet hop by hop is built only when
+    something needs a walk.
 
     Args:
         env: The simulation environment.
@@ -89,7 +93,9 @@ class Network:
     __slots__ = (
         "env",
         "topology",
-        "router",
+        "geometry",
+        "_router",
+        "_route_cache_size",
         "switch_link_latency",
         "host_link_latency",
         "_devices",
@@ -125,9 +131,15 @@ class Network:
     ) -> None:
         if switch_link_latency < 0 or host_link_latency < 0:
             raise ValueError("link latencies must be non-negative")
+        if route_cache_size < 0:
+            raise ValueError("path_cache_size must be >= 0")
         self.env = env
         self.topology = topology
-        self.router = Router(topology, path_cache_size=route_cache_size)
+        #: Who sits where, and how far apart: shared with every fabric over
+        #: this wiring.
+        self.geometry: FatTreeGeometry = topology.derived(FatTreeGeometry.of)
+        self._router: Optional[Router] = None
+        self._route_cache_size = route_cache_size
         self.switch_link_latency = switch_link_latency
         self.host_link_latency = host_link_latency
         self._devices: Dict[str, Device] = {}
@@ -170,14 +182,28 @@ class Network:
         # Where a plain packet for a host lands: destination host ->
         # (endpoint.handle_packet, egress ToR, its pod).  See plain_row.
         self._plain_rows: Dict[str, Tuple[Callable[[Packet], None], str, int]] = {}
-        # Router.distance by (switch, target), filled as express asks: a pure
-        # function of the wiring, and a NetRS run asks 100 to 1 400 pairs.
+        # geometry.distance by (switch, target), filled as express asks: a
+        # pure function of the wiring, and a NetRS run asks 100 to 1 400 pairs.
         self._distances: Dict[Tuple[str, Optional[str]], Tuple[Optional[str], int]] = {}
         # Whether a NetRS request's client-ToR stamp may ride the host's send:
         # set once the ToR rules are final for the run (no replan armed),
         # cleared by any later rule write.  See Host.send.
         self.stamp_at_send = False
         self._refresh_express()
+
+    @property
+    def router(self) -> Router:
+        """The ECMP walker over this fabric's wiring, built the first time
+        something needs a walk: a link fault (:meth:`fail_link`), per-hop
+        forwarding (:meth:`track_links`, :meth:`disable_trunking`), a
+        switch looking a route up.  A fault-free fabric prices every packet
+        by :attr:`geometry` and builds none."""
+        router = self._router
+        if router is None:
+            router = self._router = Router(
+                self.topology, path_cache_size=self._route_cache_size
+            )
+        return router
 
     # ------------------------------------------------------------------
     # Registry
@@ -209,11 +235,12 @@ class Network:
         or has no ``Host`` with an endpoint bound: the reference path finds
         out what to raise.
         """
-        endpoint = getattr(self._devices.get(dst), "endpoint", None)
-        egress = self.router._tor_of_host.get(dst)
-        if endpoint is None or egress is None:
+        host = self._devices.get(dst)
+        endpoint = getattr(host, "endpoint", None)
+        if endpoint is None:  # only a Host, on a host of the tree, has one
             return None
-        row = endpoint.handle_packet, egress, self.router._tor_pod[egress]
+        tor = host.tor_name
+        row = endpoint.handle_packet, tor, self.geometry.tor_pod[tor]
         self._plain_rows[dst] = row
         return row
 
@@ -307,8 +334,9 @@ class Network:
         it next *waits* at, or return ``False``: forward it hop by hop.
 
         While ``_express_ok`` everything in between only forwards, and
-        :meth:`Router.distance` (remembered per pair) says how many links
-        that is.
+        :meth:`FatTreeGeometry.distance
+        <repro.network.geometry.FatTreeGeometry.distance>` (remembered per
+        pair) says how many links that is.
         A NetRS request goes to its RSNode, which selects for it; anything
         else to its destination host's endpoint, and what nobody waits for on
         the way is a dated note: the clone an RSNode that can select takes of
@@ -327,7 +355,7 @@ class Network:
         try:
             egress, links = distances[at, target]
         except KeyError:
-            egress, links = distances[at, target] = self.router.distance(at, target)
+            egress, links = distances[at, target] = self.geometry.distance(at, target)
         if not links and (egress != at or (target == at and not from_host)):
             return False
         magic = packet.magic
@@ -337,7 +365,7 @@ class Network:
             try:
                 tor, onward = distances[egress, dst]
             except KeyError:
-                tor, onward = distances[egress, dst] = self.router.distance(egress, dst)
+                tor, onward = distances[egress, dst] = self.geometry.distance(egress, dst)
             if onward or tor == egress:
                 rsnode, egress, links = device, tor, links + onward
                 target, magic = dst, MAGIC_MONITOR  # as the RSNode relabels it
@@ -425,6 +453,7 @@ class Network:
         """
         self._trunking = False
         self._refresh_express()
+        self.router  # every packet walks from now on: build the router here
 
     def track_links(self) -> None:
         """Count bytes and packets per directed link (``link_bytes``,
@@ -437,6 +466,7 @@ class Network:
         self._counting_links = True
         self._fast_delay = None
         self._refresh_express()
+        self.router  # every packet walks from now on: build the router here
 
     def trunks_in_flight(self) -> Iterator[tuple]:
         """``(base, delay, hops, size, overhead, when)`` of every collapsed run
@@ -471,7 +501,7 @@ class Network:
     # ------------------------------------------------------------------
     def tor_of(self, host: str) -> str:
         """Name of the ToR ``host`` hangs off."""
-        return self.router.tor_of(host)
+        return self.geometry.tor_of(host)
 
     def has_node(self, name: str) -> bool:
         return name in self.topology.nodes

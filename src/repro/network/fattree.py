@@ -13,7 +13,7 @@ aggregation and 64 core switches.
 
 from __future__ import annotations
 
-from typing import Dict
+from functools import lru_cache
 
 from repro.errors import TopologyError
 from repro.network.topology import Topology, build_tree
@@ -40,28 +40,21 @@ def build_fat_tree(k: int) -> Topology:
     )
 
 
-_TREE_MEMO: Dict[int, Topology] = {}
-_TREE_MEMO_LIMIT = 4
-
-
+@lru_cache(maxsize=4)
 def shared_fat_tree(k: int) -> Topology:
     """Memoized, frozen :func:`build_fat_tree` per ``k``.
 
     A scenario only reads its topology, so every scenario in a process over
-    the same ``k`` can share one, and with it the router indexes derived
-    from it (:meth:`~repro.network.topology.Topology.derived`): the cells of
-    a sweep, the reps of a benchmark.  Each would otherwise build, validate
-    and index the same tree (about 10 ms of CPU at k = 16 on a 2-core x86-64
-    host).  The tree is frozen, so adding a node or link to it raises
-    instead of changing every scenario's wiring.  Results are unchanged --
-    only the per-build cost.
+    the same ``k`` can share one, and with it what is derived from it
+    (:meth:`~repro.network.topology.Topology.derived`: the geometry, and the
+    router's ECMP tables once a run needs a walk): the cells of a sweep, the
+    reps of a benchmark.  Each would otherwise build, validate and index the
+    same tree (about 10 ms of CPU at k = 16 on a 2-core x86-64 host).  The
+    tree is frozen, so adding a node or link to it raises instead of
+    changing every scenario's wiring.  Results are unchanged -- only the
+    per-build cost.
     """
-    tree = _TREE_MEMO.get(k)
-    if tree is None:
-        if len(_TREE_MEMO) >= _TREE_MEMO_LIMIT:
-            _TREE_MEMO.clear()
-        tree = _TREE_MEMO[k] = build_fat_tree(k).freeze()
-    return tree
+    return build_fat_tree(k).freeze()
 
 
 def fat_tree_dimensions(k: int) -> dict:

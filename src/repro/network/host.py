@@ -44,14 +44,14 @@ class Host:
     def __init__(self, name: str, network: Network) -> None:
         self.name = name
         self.network = network
-        router = network.router
-        self.tor_name = router.tor_of(name)
+        geometry = network.geometry
+        self.tor_name = geometry.tor_of(name)
         self.endpoint: Optional[Endpoint] = None
         # The links to a host in another pod (0: only a walk can tell); to one
         # in this pod 4, under this ToR 2.  ECMP picks which switches a walk
         # visits, never how many, so every route between two hosts is as long.
-        self._pod = router._tor_pod[self.tor_name]
-        self._far = router._cross_pod + 1 if router._cross_pod else 0
+        self._pod = geometry.tor_pod[self.tor_name]
+        self._far = geometry.cross_pod
         network.attach(name, self)
 
     def bind(self, endpoint: Endpoint) -> None:

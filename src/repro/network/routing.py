@@ -15,20 +15,22 @@ the NetRS data plane are covered:
 * aggregation/core -> host                (RSNode forwards to server/client)
 * host -> anything                        (convenience: prepends the ToR)
 
-What depends on the wiring alone -- which ToR a host hangs off, the ECMP
-candidate lists, the forwarding-table scopes and key masks -- is a
-:class:`RoutingIndex`, built once per topology and shared by every
-:class:`Router` over it; a shared tree
-(:func:`~repro.network.fattree.shared_fat_tree`) is frozen, so its index
-holds for every scenario that borrows it.  What a run changes -- the
-forwarding table, the failed links, the miss count -- each router owns.
+What depends on the wiring alone is derived once per topology and shared by
+every :class:`Router` over it: the ECMP candidate lists and key masks (a
+:class:`RoutingIndex`), and which ToR, rack and pod each point sits in (the
+:class:`~repro.network.geometry.FatTreeGeometry`, which also prices a packet
+by distance where no walk is needed).  A shared tree
+(:func:`~repro.network.fattree.shared_fat_tree`) is frozen, so both hold for
+every scenario that borrows it.  What a run changes -- the forwarding table,
+the failed links, the miss count -- each router owns.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import RoutingError, TopologyError
+from repro.errors import RoutingError
+from repro.network.geometry import FatTreeGeometry
 from repro.network.topology import Node, NodeKind, Topology
 
 
@@ -61,10 +63,11 @@ NO_ROUTE: Route = ()
 
 
 class RoutingIndex:
-    """The ECMP indexes of one wiring, shared by every :class:`Router` over it.
+    """The ECMP tables of one wiring, shared by every :class:`Router` over it.
 
-    A pure function of the topology's nodes and links, so it is built once
-    per :class:`~repro.network.topology.Topology` -- kept on it by
+    The candidate lists of each pick and the flow-key bits the picks read: a
+    pure function of the topology's nodes and links, so it is built once per
+    :class:`~repro.network.topology.Topology` -- kept on it by
     :meth:`~repro.network.topology.Topology.derived`, dropped if a node or
     link is added -- and never written after: the candidate lists are
     tuples, and a router reads them as they are or filters a copy
@@ -74,14 +77,9 @@ class RoutingIndex:
 
     __slots__ = (
         "nodes",
-        "tor_of_host",
-        "host_names",
         "aggs_by_pod",
         "cores_of_agg",
         "aggs_of_core_pod",
-        "scope",
-        "tor_pod",
-        "cross_pod",
         "keyed",
         "pod_mask",
         "climb_mask",
@@ -92,35 +90,16 @@ class RoutingIndex:
         #: Direct node map: the hot path must not pay ``topology.node``'s
         #: error handling per hop.
         self.nodes: Dict[str, Node] = topology.nodes
-        self.tor_of_host: Dict[str, str] = {}
         aggs_by_pod: Dict[int, List[str]] = {}
         cores_of_agg: Dict[str, Tuple[str, ...]] = {}
         aggs_of_core_pod: Dict[Tuple[str, int], List[str]] = {}
-        #: Forwarding-table scope of each switch: (source key, pod).  A ToR's
-        #: walk depends on its pod only; a core has no pod and only descends.
-        self.scope: Dict[str, Tuple[object, Optional[int]]] = {}
-        self.tor_pod: Dict[str, int] = {}
-        tor_of_host = self.tor_of_host
-        for node in topology.nodes.values():
-            kind = node.kind
-            if kind is NodeKind.HOST:
-                tor_of_host[node.name] = topology.tor_of(node.name).name
-            elif kind is NodeKind.TOR:
-                assert node.pod is not None
-                self.scope[node.name] = (node.pod, node.pod)
-                self.tor_pod[node.name] = node.pod
-            else:
-                self.scope[node.name] = (node.name, node.pod)
-                if kind is NodeKind.AGG:
-                    assert node.pod is not None
-                    aggs_by_pod.setdefault(node.pod, []).append(node.name)
-                    cores = tuple(sorted(topology.uplinks(node.name)))
-                    cores_of_agg[node.name] = cores
-                    for core in cores:
-                        aggs_of_core_pod.setdefault((core, node.pod), []).append(
-                            node.name
-                        )
-        self.host_names = frozenset(tor_of_host)
+        for node in topology.by_kind(NodeKind.AGG):
+            assert node.pod is not None
+            aggs_by_pod.setdefault(node.pod, []).append(node.name)
+            cores = tuple(sorted(topology.uplinks(node.name)))
+            cores_of_agg[node.name] = cores
+            for core in cores:
+                aggs_of_core_pod.setdefault((core, node.pod), []).append(node.name)
         self.aggs_by_pod: Dict[int, Tuple[str, ...]] = {
             pod: tuple(aggs) for pod, aggs in aggs_by_pod.items()
         }
@@ -128,10 +107,6 @@ class RoutingIndex:
         self.aggs_of_core_pod: Dict[Tuple[str, int], Tuple[str, ...]] = {
             key: tuple(aggs) for key, aggs in aggs_of_core_pod.items()
         }
-        #: Switches between hosts of two pods; 0 (walk it) if a core misses a pod.
-        cores = {core for core, _ in aggs_of_core_pod}
-        meshed = len(aggs_of_core_pod) == len(cores) * len(aggs_by_pod)
-        self.cross_pod = 5 if meshed else 0
         # Flow-key bits read by the pick at each ECMP depth; a walk is keyed
         # on the bits of the picks it makes, no others.
         masks = self._ecmp_key_masks()
@@ -212,7 +187,9 @@ class Router:
     sits on it: the **forwarding table** behind :meth:`forwarding_route`,
     which switches consult only when they forward hop by hop.  On the default
     fabric no packet needs a route, only how far what next acts on it is
-    (:meth:`distance`; ``Host.send`` prices a plain packet the same way).
+    (:meth:`FatTreeGeometry.distance
+    <repro.network.geometry.FatTreeGeometry.distance>`), so a fault-free
+    packet run builds no router at all (``Network.router`` is lazy).
     The table's key is what determines the walk in a fault-free tree -- the
     source switch (a ToR's pod: its walk never depends on the rack), the
     egress switch, and the flow-key bits the ECMP picks read -- and a
@@ -261,19 +238,16 @@ class Router:
         # Directed pairs (a, b) whose link is administratively dead; both
         # directions are stored so membership tests need no normalization.
         self._failed_links: set = set()
-        #: The wiring's indexes, shared with every router over this topology;
-        #: bound below to attributes of this one, read on every walk.
+        #: The wiring's ECMP tables and its geometry, shared with every router
+        #: over this topology; the tables are bound below to attributes of
+        #: this one, read on every walk.
         self.index: RoutingIndex = topology.derived(RoutingIndex)
+        self.geometry: FatTreeGeometry = topology.derived(FatTreeGeometry.of)
         index = self.index
         self._nodes = index.nodes
-        self._tor_of_host = index.tor_of_host
-        self._host_names = index.host_names
         self._aggs_by_pod = index.aggs_by_pod
         self._cores_of_agg = index.cores_of_agg
         self._aggs_of_core_pod = index.aggs_of_core_pod
-        self._scope = index.scope
-        self._tor_pod = index.tor_pod
-        self._cross_pod = index.cross_pod
         self._pod_mask = index.pod_mask
         self._climb_mask = index.climb_mask
         self._descent_mask = index.descent_mask
@@ -284,40 +258,6 @@ class Router:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def tor_of(self, host_name: str) -> str:
-        """Name of the ToR a host hangs off (cached)."""
-        try:
-            return self._tor_of_host[host_name]
-        except KeyError:
-            raise TopologyError(f"unknown host: {host_name}") from None
-
-    def distance(self, switch: str, target: str) -> Tuple[Optional[str], int]:
-        """``target``'s egress switch (a host's ToR, a switch itself), and the
-        links from ``switch`` to it.
-
-        With a ToR at either end -- NetRS steers from a ToR to an RSNode and
-        from an RSNode to a host -- tiers and pods fix the count: ToR to ToR
-        2 within a pod and 4 across, ToR to aggregation switch 1 and 3, ToR
-        to core 2; ``len(path(switch, target, key))`` for every ``key``, less
-        the host.  0 links when only a walk can tell: ``switch`` itself, no
-        ToR at either end, an unknown name, a tree whose core misses a pod.
-        """
-        egress = self._tor_of_host.get(target, target)
-        pods = self._tor_pod
-        if switch in pods:
-            tor, other = switch, egress
-        else:  # an aggregation or core switch, going down
-            tor, other = egress, switch
-        scope = self._scope.get(other)
-        if tor not in pods or scope is None or tor == other:
-            return egress, 0
-        within = 2 if other in pods else 1
-        if scope[1] == pods[tor]:
-            return egress, within
-        if not self._cross_pod:
-            return egress, 0
-        return egress, 2 if scope[1] is None else within + 2
-
     def fail_link(self, a: str, b: str) -> None:
         """Mark the direct link ``a <-> b`` dead for ECMP choices.
 
@@ -374,18 +314,23 @@ class Router:
         an ECMP fan-out that is not a power of two) every call is a fresh
         reference walk.
         """
-        egress = self._tor_of_host.get(dst, dst)
-        scope = self._scope.get(src)
-        if scope is None or not self._interning or self._failed_links:
+        geometry = self.geometry
+        egress = geometry.egress(dst)
+        switch_pod = geometry.switch_pod
+        if src not in switch_pod or not self._interning or self._failed_links:
             return tuple(self.path(src, egress, flow_key))
         if src == egress:
             return NO_ROUTE
         table = self._routes
-        source, pod = scope
+        # The table's scope of a source: a ToR's walk depends on its pod
+        # only; a core has no pod and only descends.
+        pod = switch_pod[src]
+        tor_pod = geometry.tor_pod
+        source = pod if src in tor_pod else src
         if pod is None:  # a core: only the descent is left
             key = (source, egress, flow_key & self._descent_mask)
             return table.get(key) or self._intern(key, src, egress, flow_key)
-        egress_pod = self._tor_pod.get(egress)
+        egress_pod = tor_pod.get(egress)
         if egress_pod is None:  # toward an aggregation or core switch
             key = (source, egress, flow_key & self._climb_mask)
             return table.get(key) or self._intern(key, src, egress, flow_key)
@@ -437,7 +382,7 @@ class Router:
             src_node = self.topology.node(src)
             dst_node = self.topology.node(dst)
         if src_node.kind is NodeKind.HOST:
-            tor = self.tor_of(src)
+            tor = self.geometry.tor_of(src)
             if tor == dst:
                 return [tor]
             return [tor] + self._from_tor(nodes[tor], dst_node, flow_key)
@@ -453,7 +398,7 @@ class Router:
     def _from_tor(self, tor: Node, dst: Node, flow_key: int) -> List[str]:
         assert tor.pod is not None
         if dst.kind is NodeKind.HOST:
-            dst_tor = self.tor_of(dst.name)
+            dst_tor = self.geometry.tor_of(dst.name)
             if dst_tor == tor.name:
                 return [dst.name]
             return self._from_tor(tor, self._nodes[dst_tor], flow_key) + [dst.name]
@@ -483,22 +428,27 @@ class Router:
                 return [dst.name]
             # Cross-pod aggregation target (responses heading to an RSNode in
             # the client's pod): climb via a local aggregation switch that
-            # shares a core with the target.
-            target_cores = set(self._cores_of_agg[dst.name])
+            # shares a core with the target, over live links.  Where cuts
+            # leave no such way, take the wiring's, as _live falls back: the
+            # packet heads into a dead link and the fabric drops it.
+            aggs = self._aggs_by_pod[tor.pod]
+            cores_of_agg = self._cores_of_agg
+            target_cores = set(cores_of_agg[dst.name])
             candidates = [
-                (
-                    agg,
-                    [
+                (agg, cores)
+                for agg in self._live(tor.name, aggs)
+                if (
+                    cores := [
                         c
-                        for c in self._live(
-                            agg, self._cores_of_agg[agg], dst.name
-                        )
+                        for c in self._live(agg, cores_of_agg[agg], dst.name)
                         if c in target_cores
-                    ],
+                    ]
                 )
-                for agg in self._live(tor.name, self._aggs_by_pod[tor.pod])
+            ] or [
+                (agg, cores)
+                for agg in aggs
+                if (cores := [c for c in cores_of_agg[agg] if c in target_cores])
             ]
-            candidates = [(agg, cores) for agg, cores in candidates if cores]
             if not candidates:
                 raise RoutingError(
                     f"no core connects pod {tor.pod} to aggregation {dst.name}"
@@ -517,7 +467,7 @@ class Router:
     def _from_agg(self, agg: Node, dst: Node, flow_key: int) -> List[str]:
         assert agg.pod is not None
         if dst.kind is NodeKind.HOST:
-            dst_tor_name = self.tor_of(dst.name)
+            dst_tor_name = self.geometry.tor_of(dst.name)
             dst_tor = self._nodes[dst_tor_name]
             if dst_tor.pod == agg.pod:
                 return [dst_tor_name, dst.name]
@@ -557,7 +507,7 @@ class Router:
 
     def _from_core(self, core: Node, dst: Node, flow_key: int) -> List[str]:
         if dst.kind is NodeKind.HOST:
-            dst_tor_name = self.tor_of(dst.name)
+            dst_tor_name = self.geometry.tor_of(dst.name)
             dst_tor = self._nodes[dst_tor_name]
             assert dst_tor.pod is not None
             agg_down = _pick(
@@ -603,5 +553,9 @@ class Router:
         packet once (intra-rack host-to-host is 1: the ToR forwards once; a
         detour via a core switch makes it 5).
         """
-        hosts = self._host_names
-        return sum(1 for name in self.path(src, dst, flow_key) if name not in hosts)
+        nodes = self._nodes
+        return sum(
+            1
+            for name in self.path(src, dst, flow_key)
+            if nodes[name].kind is not NodeKind.HOST
+        )

@@ -11,7 +11,7 @@ Node names are human-readable and unique, e.g. ``core3``, ``agg1.2``
 (pod 1, index 2), ``tor1.0``, ``host1.0.5`` (pod 1, rack 0, index 5).
 
 A topology is built once and then only read.  What other layers derive from
-its wiring -- the router's ECMP indexes -- is kept on it
+its wiring -- its geometry, the router's ECMP tables -- is kept on it
 (:meth:`Topology.derived`) and dropped by any change.  A tree shared across
 scenarios (:func:`~repro.network.fattree.shared_fat_tree`) is
 :meth:`~Topology.freeze`-d: adding a node or link to it raises, so no
@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TopologyError
-from repro.network.addressing import TIER_AGG, TIER_CORE, TIER_TOR, HostLocation
+from repro.network.addressing import TIER_AGG, TIER_CORE, TIER_TOR
 
 
 class NodeKind(Enum):
@@ -61,13 +61,6 @@ class Node:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tier", KIND_TIER[self.kind])
-
-    def location(self) -> HostLocation:
-        """The :class:`HostLocation` of a host node."""
-        if self.kind is not NodeKind.HOST:
-            raise TopologyError(f"{self.name} is not a host")
-        assert self.pod is not None and self.rack is not None
-        return HostLocation(pod=self.pod, rack=self.rack, index=self.index)
 
 
 _FROZEN = "the topology is frozen (shared across scenarios); build a new one"
@@ -126,8 +119,8 @@ class Topology:
         """``build(self)``, computed once per wiring.
 
         For read-only structures that depend on nothing but the nodes and
-        links (the router's indexes): every caller over this topology gets
-        the same object until a node or link is added.
+        links (the geometry, the router's ECMP tables): every caller over
+        this topology gets the same object until a node or link is added.
         """
         value = self._derived.get(build)
         if value is None:

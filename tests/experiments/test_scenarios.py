@@ -10,8 +10,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
 from repro.kvstore import hashing
-from repro.mesoscale import FlowEngine, VectorFlowEngine, geometry
-from repro.network import fattree
+from repro.mesoscale import FlowEngine, VectorFlowEngine
+from repro.network import fabric, fattree, geometry
 from repro.network.addressing import TIER_TOR
 from repro.network.topology import Node, NodeKind
 from tests.mesoscale.test_event_budget import SETUP_CEILINGS, _fingerprint
@@ -116,22 +116,23 @@ class TestWiring:
         assert len(scenario.groups) == scenario.config.n_clients
 
 
-def _empty_memos(monkeypatch):
-    """Every process-wide memo a build reads, empty for this test only."""
-    monkeypatch.setattr(fattree, "_TREE_MEMO", {})
-    monkeypatch.setattr(hashing, "_RING_MEMO", {})
-    monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
+def _empty_memos():
+    """Empty every process-wide memo a build reads."""
+    fattree.shared_fat_tree.cache_clear()
+    hashing._shared_ring.cache_clear()
+    geometry.shared_geometry.cache_clear()
 
 
 class TestSharedTree:
-    """A process builds a packet scenario's fat tree and router index once;
-    what a run changes stays each scenario's own."""
+    """A process builds a packet scenario's fat tree, its geometry and its
+    router index once; what a run changes stays each scenario's own."""
 
-    def test_two_builds_share_the_tree_and_index_but_no_run_state(self, monkeypatch):
-        _empty_memos(monkeypatch)
+    def test_two_builds_share_the_tree_and_index_but_no_run_state(self):
+        _empty_memos()
         config = ExperimentConfig.tiny(seed=2)
         first, second = build_scenario(config), build_scenario(config.replace(seed=3))
         assert first.topology is second.topology and first.topology.frozen
+        assert first.network.geometry is second.network.geometry
         a, b = first.network.router, second.network.router
         assert a.index is b.index
         assert a._routes is not b._routes
@@ -141,8 +142,8 @@ class TestSharedTree:
         assert first.network is not second.network
         assert first.network._distances is not second.network._distances
 
-    def test_a_shared_tree_refuses_a_new_link(self, monkeypatch):
-        _empty_memos(monkeypatch)
+    def test_a_shared_tree_refuses_a_new_link(self):
+        _empty_memos()
         topology = build_scenario(ExperimentConfig.tiny()).topology
         links = {name: topology.neighbors(name) for name in topology.nodes}
         with pytest.raises(TopologyError, match="frozen"):
@@ -151,7 +152,7 @@ class TestSharedTree:
             topology.add_node(Node(name="spare", kind=NodeKind.CORE))
         assert {name: topology.neighbors(name) for name in topology.nodes} == links
 
-    def test_a_link_fault_leaves_the_next_build_as_if_cold(self, monkeypatch):
+    def test_a_link_fault_leaves_the_next_build_as_if_cold(self):
         """A run that cuts a link of the shared tree, then a fault-free run
         over the same tree, reports what the fault-free run does in a process
         that never built anything.  The fault-free run forwards hop by hop
@@ -164,9 +165,9 @@ class TestSharedTree:
             result = run_experiment(clean, scenario=scenario)
             return _fingerprint(result), scenario.network.link_packets
 
-        _empty_memos(monkeypatch)
+        _empty_memos()
         cold = hop_by_hop()
-        _empty_memos(monkeypatch)
+        _empty_memos()
         faulty = run_experiment(
             clean.replace(
                 fault_schedule="link-down@0.005:tor0.0/agg0.0",
@@ -180,12 +181,101 @@ class TestSharedTree:
     @pytest.mark.parametrize(
         "cell", ["pkt-clirs-r95", "pkt-netrs-ilp", "pkt-quorum-churn"]
     )
-    def test_a_warm_build_reports_what_a_cold_one_does(self, cell, monkeypatch):
+    def test_a_warm_build_reports_what_a_cold_one_does(self, cell):
         config = ExperimentConfig.small(seed=0, **SETUP_CEILINGS[cell][0])
-        _empty_memos(monkeypatch)
+        _empty_memos()
         cold = _fingerprint(run_experiment(config))
-        assert fattree._TREE_MEMO  # the cold run filled it
+        assert fattree.shared_fat_tree.cache_info().currsize  # the cold run filled it
         assert _fingerprint(run_experiment(config)) == cold
+
+
+def _count_routers(monkeypatch):
+    """A list that gains an entry for every ``Router`` a fabric builds."""
+    built = []
+    real = fabric.Router
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fabric, "Router", counted)
+    return built
+
+
+#: The fault-free packet cells: every leg is priced by the geometry.
+FAULT_FREE = {
+    "clirs": dict(scheme="clirs"),
+    "clirs-r95": dict(scheme="clirs-r95"),
+    "netrs-tor": dict(scheme="netrs-tor", n_clients=32),
+    "netrs-ilp": dict(scheme="netrs-ilp", n_clients=32),
+    "pkt-quorum-churn": SETUP_CEILINGS["pkt-quorum-churn"][0],
+}
+
+#: The link-cut drill of docs/FAULTS.md and ``make faults-smoke``.
+LINK_CUT = dict(
+    scheme="netrs-ilp",
+    total_requests=4000,
+    fault_schedule="link-down@0.02:tor0.0/agg0.0;link-up@0.06:tor0.0/agg0.0",
+    request_timeout=0.02,
+    max_retries=5,
+)
+
+
+class TestARouterOnlyWhereAPacketIsWalked:
+    """A fabric builds its ECMP router the first time something needs a
+    walk; a fault-free express fabric prices every leg by the geometry."""
+
+    @pytest.mark.parametrize("cell", sorted(FAULT_FREE))
+    def test_a_fault_free_build_and_run_make_no_router(self, cell, monkeypatch):
+        built = _count_routers(monkeypatch)
+        config = ExperimentConfig.small(
+            seed=0, **dict(FAULT_FREE[cell], total_requests=1500)
+        )
+        scenario = build_scenario(config)
+        run_experiment(config, scenario=scenario)
+        assert built == [] and scenario.network._router is None
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            dict(
+                fault_schedule="link-down@0.01:tor0.0/agg0.0",
+                request_timeout=0.02,
+                max_retries=3,
+            ),
+            dict(fault_schedule="rsnode-down@0.01:busiest"),
+        ],
+        ids=["link-down", "rsnode-down"],
+    )
+    def test_a_faulty_build_makes_one(self, faults, monkeypatch):
+        built = _count_routers(monkeypatch)
+        config = ExperimentConfig.small(
+            scheme="netrs-ilp", n_clients=32, seed=0, total_requests=1500, **faults
+        )
+        scenario = build_scenario(config)
+        assert len(built) == 1
+        run_experiment(config, scenario=scenario)
+        assert len(built) == 1
+
+    def test_tracking_links_makes_one(self, monkeypatch):
+        built = _count_routers(monkeypatch)
+        config = ExperimentConfig.small(scheme="clirs", seed=0, total_requests=1500)
+        scenario = build_scenario(config)
+        assert built == []
+        scenario.network.track_links()
+        assert len(built) == 1
+        run_experiment(config, scenario=scenario)
+        assert len(built) == 1 and scenario.network.link_packets
+
+    def test_a_link_cut_with_no_live_climber_loses_nothing(self):
+        """A response steered from ``tor0.0`` to an RSNode in another pod
+        finds no live climber sharing a core with the RSNode: the walk takes
+        the cut link and the fabric drops the packet, and the client's retry
+        recovers the request (``make faults-smoke``, docs/FAULTS.md)."""
+        result = run_experiment(ExperimentConfig.small(seed=0, **LINK_CUT))
+        assert result.faults_injected == 2
+        assert result.requests_lost == 0
+        assert result.packets_dropped == 59 and result.retries > 0
 
 
 def test_a_build_parks_the_collector_and_restores_it(monkeypatch):

@@ -149,7 +149,7 @@ class TestTargetResolution:
         assert resolved.server in scenario.servers
 
     def test_tor_reference_resolves_recursively(self, scenario):
-        tor = scenario.network.router.tor_of(scenario.server_hosts[0])
+        tor = scenario.network.tor_of(scenario.server_hosts[0])
         injector = self._injector(
             scenario, FaultSchedule().link_down(0.1, "tor(server#0)", "agg0.0")
         )

@@ -204,7 +204,7 @@ class TestChurnableRing:
     def test_churn_hashes_no_key_again(self, monkeypatch):
         # The key memo is the process-wide shared ring's: empty it, or key 8
         # may have been looked up by whatever ran before.
-        monkeypatch.setattr(hashing, "_RING_MEMO", {})
+        hashing._shared_ring.cache_clear()
         ring = self._ring()
         ring.group_for_key(7)
         calls = []
@@ -225,7 +225,7 @@ class TestChurnableRing:
         shared ring it borrows from keeps its groups and its memo, and a key
         memoized before either change resolves to the live group after
         each."""
-        monkeypatch.setattr(hashing, "_RING_MEMO", {})
+        hashing._shared_ring.cache_clear()
         ring = self._ring()
         shared = hashing.shared_ring(SERVERS, replication_factor=3, virtual_nodes=8)
         keys = range(300)

@@ -44,8 +44,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import build_scenario
 from repro.kvstore import hashing
-from repro.mesoscale import FlowEngine, VectorFlowEngine, geometry, shard_configs
-from repro.network import fattree
+from repro.mesoscale import FlowEngine, VectorFlowEngine, shard_configs
+from repro.network import fattree, geometry
 from repro.network.routing import Router
 
 
@@ -293,7 +293,7 @@ CALL_CEILINGS = {
 def _calls_per_request(cell):
     """(calls per request, result) of budget cell ``cell``, the ring memo
     emptied first."""
-    hashing._RING_MEMO.clear()
+    hashing._shared_ring.cache_clear()
     config = ExperimentConfig.small(seed=0, **CALL_CEILINGS[cell][0])
     scenario = None if config.fidelity == "flow" else build_scenario(config)
     result, stats = _profiled(config, scenario)
@@ -301,8 +301,7 @@ def _calls_per_request(cell):
 
 
 @pytest.mark.parametrize("cell", sorted(CALL_CEILINGS))
-def test_a_run_stays_under_its_call_budget(cell, monkeypatch):
-    monkeypatch.setattr(hashing, "_RING_MEMO", {})
+def test_a_run_stays_under_its_call_budget(cell):
     calls, result = _calls_per_request(cell)
     assert calls < CALL_CEILINGS[cell][1]
     if result.config.fidelity == "flow":
@@ -332,7 +331,7 @@ def test_the_consistency_path_folds_into_the_endpoints(monkeypatch):
     completes something, and a digest costs the server one: every response
     is one ``KVClient.handle_packet``, every served request one
     ``_send_response``, and no folded frame runs."""
-    monkeypatch.setattr(hashing, "_RING_MEMO", {})
+    hashing._shared_ring.cache_clear()
     config = ExperimentConfig.small(seed=0, **CALL_CEILINGS["pkt-quorum-churn"][0])
     scenario = build_scenario(config)
     result, stats = _profiled(config, scenario)
@@ -359,7 +358,7 @@ def test_a_second_run_of_a_cell_hashes_nothing(monkeypatch):
     """The churnable ring borrows the shared ring's points and key memo, so
     a cell run again in one process computes no hash: not a ring point, not
     a key."""
-    monkeypatch.setattr(hashing, "_RING_MEMO", {})
+    hashing._shared_ring.cache_clear()
     config = ExperimentConfig.small(seed=0, **CALL_CEILINGS["pkt-quorum-churn"][0])
     first = run_experiment(config)
     hashed = []
@@ -440,9 +439,9 @@ def _release(built):
 
 def _empty_memos():
     """Empty the process-wide memos: the ring, the geometry, the fat tree."""
-    hashing._RING_MEMO.clear()
-    geometry._GEOMETRY_MEMO.clear()
-    fattree._TREE_MEMO.clear()
+    hashing._shared_ring.cache_clear()
+    geometry.shared_geometry.cache_clear()
+    fattree.shared_fat_tree.cache_clear()
 
 
 def _setup_calls(cell, warm=False):
@@ -480,17 +479,14 @@ def test_a_build_seeds_no_stream_through_seed_sequence(cell, monkeypatch):
 
 
 @pytest.mark.parametrize("cell", sorted(SETUP_CEILINGS))
-def test_a_build_stays_under_its_call_budget(cell, monkeypatch):
-    monkeypatch.setattr(hashing, "_RING_MEMO", {})
-    monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
-    monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+def test_a_build_stays_under_its_call_budget(cell):
     assert _setup_calls(cell) < SETUP_CEILINGS[cell][1]
 
 
 #: Calls of the second set-up of each shape in a process, every memo warm:
 #: 5 139, 6 691, 4 430, 28 314 and 3 760 measured (for the shapes in
 #: ``SETUP_CEILINGS``' order).  A packet build borrows the tree and its
-#: router index (:func:`~repro.network.fattree.shared_fat_tree`), so the graph
+#: geometry (:func:`~repro.network.fattree.shared_fat_tree`), so the graph
 #: work a first build did costs it nothing.  Ceilings sit about 1 % above.
 WARM_SETUP_CEILINGS = {
     "pkt-clirs-r95": 5_190,
@@ -502,18 +498,19 @@ WARM_SETUP_CEILINGS = {
 
 
 @pytest.mark.parametrize("cell", sorted(WARM_SETUP_CEILINGS))
-def test_a_second_build_stays_under_its_warm_call_budget(cell, monkeypatch):
-    monkeypatch.setattr(hashing, "_RING_MEMO", {})
-    monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
-    monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+def test_a_second_build_stays_under_its_warm_call_budget(cell):
     assert _setup_calls(cell, warm=True) < WARM_SETUP_CEILINGS[cell]
 
 
-#: Calls of a cold ``build_fat_tree(k)`` plus ``Router`` over it, the graph
-#: work the first packet build of a process pays: 4 151 at k = 8 and 28 563
-#: at k = 16, the paper's (16 972 and 150 108 while a node derived its tier
+#: Calls of a cold ``build_fat_tree(k)`` plus ``Router`` over it, which derives
+#: the tree's geometry and ECMP tables: the graph work the first packet build
+#: of a process pays if its run walks packets (a fault-free one derives only
+#: the geometry).  3 978 at k = 8 and 26 790 at k = 16, the paper's (4 151 and
+#: 28 563 while the router's index also mapped every host to its ToR through
+#: ``Topology.tor_of``; 16 972 and 150 108 while a node derived its tier
 #: through an ``Enum`` hash per read and the ECMP masks intersected the cores
-#: of every aggregation pair across pods).  Ceilings sit about 1 % above.
+#: of every aggregation pair across pods).  The ceilings are the ones set
+#: about 1 % above 4 151 and 28 563.
 GRAPH_CEILINGS = {8: 4_195, 16: 28_850}
 
 
@@ -535,7 +532,7 @@ def test_a_cold_tree_and_router_stay_under_their_call_budget(k):
 def test_flow_shards_share_one_geometry(monkeypatch):
     """The shards of one run sit on one tree: their engines hold one
     geometry, and a run reports the same as on geometries of its own."""
-    monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
+    geometry.shared_geometry.cache_clear()
     config = ExperimentConfig.small(seed=0, **dict(FLOW_SOA_SHARD, total_requests=4000))
     engines = _build(config)
     assert len({id(engine.geometry) for engine in engines}) == 1
@@ -586,10 +583,7 @@ def _peak_mib(cell):
 
 
 @pytest.mark.parametrize("cell", sorted(ALLOC_CEILINGS))
-def test_a_run_stays_under_its_allocation_budget(cell, monkeypatch):
-    monkeypatch.setattr(hashing, "_RING_MEMO", {})
-    monkeypatch.setattr(geometry, "_GEOMETRY_MEMO", {})
-    monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+def test_a_run_stays_under_its_allocation_budget(cell):
     assert _peak_mib(cell) < ALLOC_CEILINGS[cell]
 
 

@@ -1,47 +1,28 @@
-"""Tests for locations, markers and tier arithmetic."""
+"""Tests for source markers and the traffic-tier table."""
+
+import pytest
 
 from repro.network.addressing import (
     TIER_AGG,
+    TIER_BY_MATCH,
     TIER_CORE,
     TIER_TOR,
-    HostLocation,
     SourceMarker,
-    tier_between,
 )
 
 
-class TestTierBetween:
-    def test_same_rack_is_tier2(self):
-        a = SourceMarker(pod=1, rack=2)
-        b = SourceMarker(pod=1, rack=2)
-        assert tier_between(a, b) == TIER_TOR == 2
-
-    def test_same_pod_is_tier1(self):
-        a = SourceMarker(pod=1, rack=2)
-        b = SourceMarker(pod=1, rack=3)
-        assert tier_between(a, b) == TIER_AGG == 1
-
-    def test_cross_pod_is_tier0(self):
-        a = SourceMarker(pod=1, rack=2)
-        b = SourceMarker(pod=2, rack=2)
-        assert tier_between(a, b) == TIER_CORE == 0
-
-    def test_symmetric(self):
-        a = SourceMarker(pod=0, rack=0)
-        b = SourceMarker(pod=3, rack=1)
-        assert tier_between(a, b) == tier_between(b, a)
-
-    def test_host_locations_work_too(self):
-        a = HostLocation(pod=0, rack=1, index=0)
-        b = HostLocation(pod=0, rack=1, index=3)
-        assert tier_between(a, b) == 2
+@pytest.mark.parametrize(
+    "same_pod, same_rack, tier",
+    [(True, True, TIER_TOR), (True, False, TIER_AGG), (False, False, TIER_CORE)],
+)
+def test_tier_by_match_is_the_highest_tier_a_default_path_climbs(
+    same_pod, same_rack, tier
+):
+    assert TIER_BY_MATCH[same_pod][same_rack] == tier
+    assert (TIER_TOR, TIER_AGG, TIER_CORE) == (2, 1, 0)
 
 
-class TestHostLocation:
-    def test_marker_drops_index(self):
-        location = HostLocation(pod=2, rack=3, index=7)
-        assert location.marker() == SourceMarker(pod=2, rack=3)
-
+class TestSourceMarker:
     def test_markers_hashable_and_equal(self):
         assert SourceMarker(pod=1, rack=1) == SourceMarker(pod=1, rack=1)
         assert len({SourceMarker(pod=1, rack=1), SourceMarker(pod=1, rack=1)}) == 1

@@ -47,6 +47,21 @@ class TestNetwork:
         with pytest.raises(ValueError):
             Network(env, topo, switch_link_latency=-1.0)
 
+    def test_a_negative_route_cache_is_rejected_at_construction(self, net):
+        """The router is built only when a walk is needed, but a bad table
+        bound still fails where the fabric is made, not at the first fault."""
+        env, topo, _ = net
+        with pytest.raises(ValueError, match="path_cache_size must be >= 0"):
+            Network(env, topo, route_cache_size=-1)
+
+    def test_the_router_is_built_on_first_use_and_kept(self, net):
+        env, topo, _ = net
+        network = Network(env, topo, route_cache_size=7)
+        assert network._router is None
+        router = network.router
+        assert network.router is router and router.path_cache_size == 7
+        assert router.geometry is network.geometry
+
     def test_attach_unknown_node_rejected(self, net):
         _, _, network = net
         with pytest.raises(TopologyError):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.network import fattree
 from repro.network.fattree import build_fat_tree, fat_tree_dimensions, shared_fat_tree
 from repro.network.topology import NodeKind
 
@@ -69,8 +68,8 @@ class TestFatTree:
 
 
 class TestSharedFatTree:
-    def test_one_frozen_tree_per_k(self, monkeypatch):
-        monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+    def test_one_frozen_tree_per_k(self):
+        shared_fat_tree.cache_clear()
         tree = shared_fat_tree(4)
         assert shared_fat_tree(4) is tree and tree.frozen
         assert shared_fat_tree(8) is not tree
@@ -81,14 +80,15 @@ class TestSharedFatTree:
             n: fresh.neighbors(n) for n in fresh.nodes
         }
 
-    def test_a_shared_tree_refuses_a_new_link(self, monkeypatch):
-        monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+    def test_a_shared_tree_refuses_a_new_link(self):
+        shared_fat_tree.cache_clear()
         with pytest.raises(TopologyError, match="frozen"):
             shared_fat_tree(4).add_link("tor0.0", "core0")
         assert "core0" not in shared_fat_tree(4).neighbors("tor0.0")
 
-    def test_the_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(fattree, "_TREE_MEMO", {})
+    def test_the_memo_is_bounded(self):
+        shared_fat_tree.cache_clear()
         for k in (2, 4, 6, 8, 10, 12):
             shared_fat_tree(k)
-        assert 0 < len(fattree._TREE_MEMO) <= fattree._TREE_MEMO_LIMIT
+        info = shared_fat_tree.cache_info()
+        assert 0 < info.currsize <= info.maxsize

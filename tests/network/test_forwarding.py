@@ -21,6 +21,7 @@ from repro.experiments.scenarios import build_scenario
 from repro.mesoscale.validate import differences
 from repro.network.fabric import Network
 from repro.network.fattree import build_fat_tree
+from repro.network.geometry import FatTreeGeometry
 from repro.network.host import Host
 from repro.network.packet import Packet, make_request
 from repro.network.routing import Router
@@ -172,6 +173,7 @@ class TestDistanceNotRoute:
         every ECMP class: the links to the target's egress switch."""
         topo = TOPOLOGIES[name]()
         router = Router(topo, path_cache_size=0)
+        geometry = FatTreeGeometry.of(topo)
         keys = _ecmp_universe(router)
         switches = [n.name for n in topo.switches]
         priced = set()
@@ -179,8 +181,8 @@ class TestDistanceNotRoute:
             for target in switches + [h.name for h in topo.hosts]:
                 node = topo.node(target)
                 is_host = node.kind is NodeKind.HOST
-                egress, links = router.distance(switch, target)
-                assert egress == (router.tor_of(target) if is_host else target)
+                egress, links = geometry.distance(switch, target)
+                assert egress == (geometry.tor_of(target) if is_host else target)
                 if not links:
                     # Only a walk can tell, and it tells every key the same.
                     kinds = (topo.node(switch).kind, topo.node(egress).kind)
@@ -197,11 +199,11 @@ class TestDistanceNotRoute:
         }  # fmt: skip
 
     def test_distance_of_what_is_unknown_is_a_walk(self):
-        router = Router(build_fat_tree(4))
-        assert router.distance("tor0.0", "nowhere") == ("nowhere", 0)
-        assert router.distance("nowhere", "tor0.0") == ("tor0.0", 0)
-        assert router.distance("tor0.0", None) == (None, 0)
-        assert router.distance("agg0.0", "core0") == ("core0", 0)  # linked or not
+        geometry = FatTreeGeometry.of(build_fat_tree(4))
+        assert geometry.distance("tor0.0", "nowhere") == ("nowhere", 0)
+        assert geometry.distance("nowhere", "tor0.0") == ("tor0.0", 0)
+        assert geometry.distance("tor0.0", None) == (None, 0)
+        assert geometry.distance("agg0.0", "core0") == ("core0", 0)  # linked or not
 
     @pytest.mark.parametrize("name", ["fat-tree-4", "fat-tree-8"])
     def test_a_plain_send_adds_the_walk_s_length(self, name):
@@ -241,14 +243,15 @@ class TestDistanceNotRoute:
 
     def test_where_a_walk_can_strand_the_tor_still_walks(self):
         topo = _stranding_tree()
-        router = Router(topo)
+        router, geometry = Router(topo), FatTreeGeometry.of(topo)
         # The rule vouches for what no walk can change, and no further.
         for switch, target in (
             ("tor0.0", "host1.0.0"), ("tor0.0", "core1"), ("tor1.0", "agg0.0"),
             ("agg0.0", "tor1.0"), ("core0", "host1.0.0"),
         ):  # fmt: skip
-            assert router.distance(switch, target)[1] == 0
-        assert router.distance("agg1.0", "host1.0.0") == ("tor1.0", 1)
+            assert geometry.distance(switch, target)[1] == 0
+        assert geometry.distance("agg1.0", "host1.0.0") == ("tor1.0", 1)
+        assert geometry.cross_pod == 0 and geometry.hop_count("host0.0.0", "host1.0.0") == 0
         with pytest.raises(RoutingError, match="core1 has no link into pod 1"):
             router.path("tor0.0", "host1.0.0", 1 << 5)  # climbs to core1
         env, network, hosts, log = _wired(trunking=True, topo=topo)
@@ -289,7 +292,7 @@ class TestTableSize:
         router = Router(topo, path_cache_size=bound)
         reference = Router(topo, path_cache_size=0)
         hosts = [h.name for h in topo.hosts]
-        tors = [router.tor_of(h) for h in hosts]
+        tors = [router.geometry.tor_of(h) for h in hosts]
         rng = random.Random(3)
         filled = False
         for i in range(200_000):
@@ -313,7 +316,7 @@ class TestTableSize:
         topo = build_fat_tree(16)
         router = Router(topo)
         hosts = [h.name for h in topo.hosts]
-        tors = sorted({router.tor_of(h) for h in hosts})
+        tors = sorted({router.geometry.tor_of(h) for h in hosts})
         rng = random.Random(4)
         for _ in range(200_000):
             router.forwarding_route(

@@ -159,7 +159,7 @@ class TestHopCount:
         assert router.hop_count("host0.0.0", "host1.0.0") == 5
 
     def test_tor_of_cached(self, router):
-        assert router.tor_of("host2.1.0") == "tor2.1"
+        assert router.geometry.tor_of("host2.1.0") == "tor2.1"
 
 
 class TestPathCache:
@@ -280,6 +280,37 @@ class TestInvalidationAndLinkFaults:
                     )
 
 
+class TestCutClimbToACrossPodAggregation:
+    """A ToR steering to an aggregation switch of another pod climbs through
+    a local aggregation switch that shares a core with the target.  When
+    cuts leave no live one, the walk takes the wiring's climbers, as every
+    other ECMP choice does: the packet heads into the dead link."""
+
+    def test_a_cut_with_no_live_climber_heads_into_the_dead_link(self, topo):
+        router = Router(topo)
+        router.fail_link("tor0.0", "agg0.0")  # agg0.1 climbs to core2/core3 only
+        for flow_key in range(64):
+            path = router.path("tor0.0", "agg2.0", flow_key)
+            _assert_valid_path(topo, "tor0.0", path, "agg2.0")
+            assert path[0] == "agg0.0" and path[1] in ("core0", "core1")
+            walk = router.path("host0.0.1", "agg2.0", flow_key)
+            assert walk == ["tor0.0"] + path
+
+    def test_a_live_climber_is_still_preferred(self, topo):
+        router = Router(topo)
+        router.fail_link("tor0.0", "agg0.1")
+        for flow_key in range(64):
+            assert router.path("tor0.0", "agg2.0", flow_key)[0] == "agg0.0"
+        router.fail_link("agg0.0", "core0")
+        for flow_key in range(64):
+            assert router.path("tor0.0", "agg2.0", flow_key)[:2] == ["agg0.0", "core1"]
+
+    def test_a_wiring_with_no_shared_core_still_raises(self):
+        router = Router(_wired_tree({0: [[0]], 1: [[1]]}))
+        with pytest.raises(RoutingError, match="no core connects pod 0 to aggregation agg1.0"):
+            router.path("tor0.0", "agg1.0", 0)
+
+
 def _wired_tree(wiring):
     """One rack of one host per pod; ``wiring[pod]`` lists, per aggregation
     switch of the pod, the cores it links to."""
@@ -345,7 +376,7 @@ class TestSharedIndex:
         topo.add_link("host0.0.9", "tor0.0")
         second = Router(topo)
         assert second.index is not first
-        assert second.tor_of("host0.0.9") == "tor0.0"
+        assert second.geometry.tor_of("host0.0.9") == "tor0.0"
 
     def test_the_index_s_candidate_lists_are_tuples(self):
         index = Router(build_fat_tree(4)).index

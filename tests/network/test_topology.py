@@ -116,14 +116,6 @@ class TestTopologyQueries:
         downs = small_tree.downlinks("agg0.0")
         assert sorted(downs) == ["tor0.0", "tor0.1"]
 
-    def test_location_of_host(self, small_tree):
-        location = small_tree.node("host1.0.2").location()
-        assert (location.pod, location.rack, location.index) == (1, 0, 2)
-
-    def test_location_of_switch_raises(self, small_tree):
-        with pytest.raises(TopologyError):
-            small_tree.node("tor0.0").location()
-
     def test_iter_rack_ids(self, small_tree):
         assert sorted(iter_rack_ids(small_tree)) == [
             (0, 0),
